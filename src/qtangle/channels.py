@@ -20,6 +20,7 @@ from .trajectories import (
     ProductTrajectory,
     TangentVector,
     factor_tangents,
+    resolve_method,
 )
 
 _RE_OVERLAP_TOL = {"analytic": 1e-12, "central_fd": 1e-8, "richardson": 1e-8}
@@ -57,8 +58,7 @@ def _bipartite_parts(
     if traj.n_factors != 2:
         raise ValueError(f"need a two-factor trajectory, got {traj.n_factors} factors")
     parts = factor_tangents(traj, t, method, h)
-    tol = _RE_OVERLAP_TOL.get(method, 1e-12 if all(
-        c.has_analytic for c in traj.factors) else 1e-8)
+    tol = _RE_OVERLAP_TOL[resolve_method(traj.factors, method)]
     for pos, part in enumerate(parts):
         re = abs(part.base_overlap().real)
         if re >= tol:
@@ -88,7 +88,10 @@ def reduced_tangent_channel(
     """
     if subsystem not in (1, 2):
         raise ValueError(f"subsystem must be 1 or 2, got {subsystem}")
-    parts = _bipartite_parts(traj, t, method, h)
+    return _channel_from_parts(_bipartite_parts(traj, t, method, h), subsystem)
+
+
+def _channel_from_parts(parts: list[TangentVector], subsystem: int) -> ChannelReport:
     mine, other = (parts[0], parts[1]) if subsystem == 1 else (parts[1], parts[0])
 
     psi, dpsi = mine.base.amplitudes, mine.direction
@@ -102,7 +105,7 @@ def reduced_tangent_channel(
     states = [p.base.amplitudes for p in parts]
     directions = [p.direction for p in parts]
     full = np.kron(directions[0], states[1]) + np.kron(states[0], directions[1])
-    big = HermitianOp(np.outer(full, full.conj()), traj.dims)
+    big = HermitianOp(np.outer(full, full.conj()), parts[0].dims + parts[1].dims)
     cut = Cut.splitting([subsystem - 1], 2)
     lhs = partial_trace(big, cut, keep="left")
 
@@ -127,7 +130,10 @@ def bilocal_inner_check(
     belongs; the product of two imaginary numbers is real, which is the
     obstruction this check quantifies.
     """
-    parts = _bipartite_parts(traj, t, method, h)
+    return _bilocal_from_parts(_bipartite_parts(traj, t, method, h))
+
+
+def _bilocal_from_parts(parts: list[TangentVector]) -> BilocalCheck:
     c1, c2 = (p.base_overlap() for p in parts)
     product = c1 * c2
     return BilocalCheck((c1, c2), product, abs(product.imag))

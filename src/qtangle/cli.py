@@ -13,22 +13,23 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .config import SCENARIOS, RunConfig, parse_config
-from .channels import bilocal_inner_check, reduced_tangent_channel
-from .entanglement import (
-    MeasurementSetting,
-    bell_decompose,
-    chsh_value,
-    correlation_expansion,
-    entanglement_entropy,
+from .channels import (
+    _bilocal_from_parts,
+    _bipartite_parts,
+    _channel_from_parts,
+    bilocal_inner_check,
+    reduced_tangent_channel,
 )
-from .errors import ConfigError, ToleranceBreachError
-from .geometry import fs_distance, fs_speed, profile
+from .entanglement import MeasurementSetting, bell_decompose, chsh_value, correlation_expansion
+from .errors import ConfigError, DegenerateInputError, ToleranceBreachError, ValidationError
+from .geometry import GeodesicSample, _entropy_or_zero, fs_distance, fs_speed, profile
 from .mixed_witness import (
     VERDICT_INCONCLUSIVE,
     base_state_separability,
@@ -36,7 +37,7 @@ from .mixed_witness import (
     ensemble_witness,
     product_differential,
 )
-from .statespace import Cut, HermitianOp, Ket, tensor_product
+from .statespace import Cut, HermitianOp, Ket
 from .trajectories import (
     BlochCurve,
     Ensemble,
@@ -45,6 +46,7 @@ from .trajectories import (
     RegisterProgram,
     TangentVector,
     UnitaryCurve,
+    _sum_rule,
     differentiate,
     horizontal_tangent,
     infinitesimal_composition,
@@ -134,112 +136,102 @@ def _metadata(cfg: RunConfig, **extra) -> dict:
     return {"tool": "qtangle", "version": __version__, "config": cfg.echo, "resolved": resolved}
 
 
-def _entropy_columns(cuts: Sequence[Cut]) -> list[str]:
-    cols = []
+def _sweep(
+    cfg: RunConfig,
+    traj: ProductTrajectory | RegisterProgram,
+    cuts: Sequence[Cut],
+    columns: Sequence[str] = (),
+    cells: Callable[[GeodesicSample], Sequence] = lambda sample: (),
+    base_entropy: bool = True,
+    **extra,
+) -> TraceReport:
+    """Profile a trajectory over the grid once and write one row per point.
+
+    Every row starts with t (and the step for a register program), the
+    speed and the per-cut entropies; ``cells`` appends the scenario's own
+    columns computed from the same sample.  An input the numerics reject
+    at one grid point is a tolerance breach there, not invalid input.
+    """
+    prof = profile(traj, cfg.grid_points(), cuts, method=cfg.method, h=cfg.h)
+    register = isinstance(traj, RegisterProgram)
+    head = ["t", "step", "fs_speed"] if register else ["t", "fs_speed"]
     for cut in cuts:
-        cols += [f"tangent_entropy_{cut.label()}", f"base_entropy_{cut.label()}"]
-    return cols
+        head.append(f"tangent_entropy_{cut.label()}")
+        if base_entropy:
+            head.append(f"base_entropy_{cut.label()}")
+    rows = []
+    for sample in prof.samples:
+        row = [sample.t, float(traj.resolve_time(sample.t)[0])] if register else [sample.t]
+        row.append(sample.fs_speed)
+        for cut in cuts:
+            row.append(sample.tangent_entropy[cut])
+            if base_entropy:
+                row.append(sample.base_entropy[cut])
+        try:
+            row += cells(sample)
+        except (ValidationError, DegenerateInputError) as exc:
+            raise ToleranceBreachError(f"{exc} at t={sample.t:.6g}") from exc
+        rows.append(tuple(row))
+    meta = _metadata(cfg, cuts=[c.label() for c in cuts], **extra, arc_length=prof.arc_length)
+    return TraceReport(meta, (*head, *columns), tuple(rows))
+
+
+def _pair(cfg: RunConfig) -> tuple[ProductTrajectory, Cut]:
+    """The configured two-factor trajectory and cut, or the demo defaults."""
+    return cfg.trajectory() or demo_trajectory(), (cfg.cuts or (Cut.splitting((0,), 2),))[0]
 
 
 def _run_two_qubit_demo(cfg: RunConfig) -> TraceReport:
-    traj = cfg.trajectory() or demo_trajectory()
-    cut = (cfg.cuts or (Cut.splitting((0,), 2),))[0]
-    grid = cfg.grid_points()
-    prof = profile(traj, grid, (cut,), method=cfg.method, h=cfg.h)
-    columns = ("t", "fs_speed", *_entropy_columns((cut,)), "bell_psi_plus", "bell_phi_minus", "chsh")
-    rows = []
-    for t, sample in zip(grid, prof.samples):
-        tv = horizontal_tangent(product_tangent(traj, t, method=cfg.method, h=cfg.h))
-        direction = tv.normalized_direction()
+    traj, cut = _pair(cfg)
+
+    def cells(sample: GeodesicSample) -> list:
+        direction = horizontal_tangent(sample.tangent).normalized_direction()
         bell = bell_decompose(direction)
-        rows.append(
-            (
-                float(t),
-                sample.fs_speed,
-                sample.tangent_entropy[cut],
-                sample.base_entropy[cut],
-                float(bell[2].real),
-                float(bell[1].real),
-                chsh_value(direction),
-            )
-        )
-    meta = _metadata(cfg, cuts=[cut.label()], arc_length=prof.arc_length)
-    return TraceReport(meta, columns, tuple(rows))
+        return [float(bell[2].real), float(bell[1].real), chsh_value(direction)]
+
+    return _sweep(cfg, traj, (cut,), ("bell_psi_plus", "bell_phi_minus", "chsh"), cells)
 
 
 def _run_product_trace(cfg: RunConfig) -> TraceReport:
     traj = cfg.trajectory()
     cuts = cfg.cuts or (Cut.splitting((0,), traj.n_factors),)
-    grid = cfg.grid_points()
-    prof = profile(traj, grid, cuts, method=cfg.method, h=cfg.h)
-    bipartite = traj.n_factors == 2
-    columns = ["t", "fs_speed", *_entropy_columns(cuts)]
-    if bipartite:
-        columns += ["channel_gap_1", "channel_gap_2", "bilocal_gap"]
-    rows = []
-    for t, sample in zip(grid, prof.samples):
-        row = [float(t), sample.fs_speed]
-        for cut in cuts:
-            row += [sample.tangent_entropy[cut], sample.base_entropy[cut]]
-        if bipartite:
-            gaps = (
-                reduced_tangent_channel(traj, t, 1, method=cfg.method, h=cfg.h).gap,
-                reduced_tangent_channel(traj, t, 2, method=cfg.method, h=cfg.h).gap,
-                bilocal_inner_check(traj, t, method=cfg.method, h=cfg.h).reality_gap,
+    if traj.n_factors != 2:
+        return _sweep(cfg, traj, cuts)
+
+    def cells(sample: GeodesicSample) -> list:
+        parts = _bipartite_parts(traj, sample.t, cfg.method, cfg.h)
+        gaps = [
+            _channel_from_parts(parts, 1).gap,
+            _channel_from_parts(parts, 2).gap,
+            _bilocal_from_parts(parts).reality_gap,
+        ]
+        worst = max(gaps)
+        if worst > cfg.tol:
+            raise ToleranceBreachError(
+                f"channel-decomposition gap {worst:.3e} exceeds tolerance "
+                f"{cfg.tol:g} at t={sample.t:.6g}"
             )
-            worst = max(gaps)
-            if worst > cfg.tol:
-                raise ToleranceBreachError(
-                    f"channel-decomposition gap {worst:.3e} exceeds tolerance "
-                    f"{cfg.tol:g} at t={t:.6g}"
-                )
-            row += list(gaps)
-        rows.append(tuple(row))
-    meta = _metadata(cfg, cuts=[c.label() for c in cuts], arc_length=prof.arc_length)
-    return TraceReport(meta, tuple(columns), tuple(rows))
+        return gaps
+
+    return _sweep(cfg, traj, cuts, ("channel_gap_1", "channel_gap_2", "bilocal_gap"), cells)
 
 
 def _run_register_trace(cfg: RunConfig) -> TraceReport:
-    prog = canonical_register_program()
     cuts = cfg.cuts or (Cut.splitting((0,), 3), Cut.splitting((0, 1), 3))
-    grid = cfg.grid_points()
-    prof = profile(prog, grid, cuts, method=cfg.method, h=cfg.h)
-    columns = ("t", "step", "fs_speed", *_entropy_columns(cuts))
-    rows = []
-    for t, sample in zip(grid, prof.samples):
-        step, _ = prog.resolve_time(t)
-        row = [float(t), float(step), sample.fs_speed]
-        for cut in cuts:
-            row += [sample.tangent_entropy[cut], sample.base_entropy[cut]]
-        rows.append(tuple(row))
-    meta = _metadata(cfg, cuts=[c.label() for c in cuts], arc_length=prof.arc_length)
-    return TraceReport(meta, columns, tuple(rows))
+    return _sweep(cfg, canonical_register_program(), cuts)
 
 
 def _run_pseudo_pure(cfg: RunConfig) -> TraceReport:
-    traj = cfg.trajectory() or demo_trajectory()
-    cut = (cfg.cuts or (Cut.splitting((0,), 2),))[0]
-    grid = cfg.grid_points()
-    prof = profile(traj, grid, (cut,), method=cfg.method, h=cfg.h)
+    traj, cut = _pair(cfg)
     total_dim = math.prod(traj.dims)
-    columns = (
-        "t",
-        "fs_speed",
-        *_entropy_columns((cut,)),
-        "drho_trace",
-        "tr1_norm",
-        "tr2_norm",
-        "verdict",
-        "base_separability",
-    )
-    rows = []
-    for t, sample in zip(grid, prof.samples):
-        tv = product_tangent(traj, t, method=cfg.method, h=cfg.h)
+
+    def cells(sample: GeodesicSample) -> list:
+        tv = sample.tangent
         drho = pseudo_pure_differential(tv.base, tv, cfg.epsilon)
         trace = drho.trace()
         if abs(trace) > TRACE_TOL:
             raise ToleranceBreachError(
-                f"pseudo-pure differential has trace {trace:.3e} at t={t:.6g}; "
+                f"pseudo-pure differential has trace {trace:.3e} at t={sample.t:.6g}; "
                 f"the curve is not norm-preserving at the requested step size"
             )
         witness = differential_trace_witness(drho, tol=cfg.tol)
@@ -248,23 +240,16 @@ def _run_pseudo_pure(cfg: RunConfig) -> TraceReport:
             + cfg.epsilon * tv.base.projector().matrix,
             traj.dims,
         )
-        rows.append(
-            (
-                float(t),
-                sample.fs_speed,
-                sample.tangent_entropy[cut],
-                sample.base_entropy[cut],
-                float(trace),
-                witness.tr1_norm,
-                witness.tr2_norm,
-                witness.verdict,
-                base_state_separability(mixed, cut),
-            )
-        )
-    meta = _metadata(
-        cfg, cuts=[cut.label()], epsilon=cfg.epsilon, arc_length=prof.arc_length
-    )
-    return TraceReport(meta, columns, tuple(rows))
+        return [
+            float(trace),
+            witness.tr1_norm,
+            witness.tr2_norm,
+            witness.verdict,
+            base_state_separability(mixed, cut),
+        ]
+
+    columns = ("drho_trace", "tr1_norm", "tr2_norm", "verdict", "base_separability")
+    return _sweep(cfg, traj, (cut,), columns, cells, epsilon=cfg.epsilon)
 
 
 def _run_separable_mixed(cfg: RunConfig) -> TraceReport:
@@ -279,37 +264,16 @@ def _run_separable_mixed(cfg: RunConfig) -> TraceReport:
 
 
 def _run_chsh_scan(cfg: RunConfig) -> TraceReport:
-    traj = cfg.trajectory() or demo_trajectory()
-    cut = (cfg.cuts or (Cut.splitting((0,), 2),))[0]
+    traj, cut = _pair(cfg)
     setting = MeasurementSetting(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
-    grid = cfg.grid_points()
-    prof = profile(traj, grid, (cut,), method=cfg.method, h=cfg.h)
-    columns = (
-        "t",
-        "fs_speed",
-        f"tangent_entropy_{cut.label()}",
-        "chsh",
-        "corr_c0",
-        "corr_c1",
-        "corr_c2",
-    )
-    rows = []
-    for t, sample in zip(grid, prof.samples):
-        tv = horizontal_tangent(product_tangent(traj, t, method=cfg.method, h=cfg.h))
-        c0, c1, c2 = correlation_expansion(traj, float(t), setting)
-        rows.append(
-            (
-                float(t),
-                sample.fs_speed,
-                sample.tangent_entropy[cut],
-                chsh_value(tv.normalized_direction()),
-                c0,
-                c1,
-                c2,
-            )
-        )
-    meta = _metadata(cfg, cuts=[cut.label()], arc_length=prof.arc_length)
-    return TraceReport(meta, columns, tuple(rows))
+
+    def cells(sample: GeodesicSample) -> list:
+        coefficients = correlation_expansion(traj, sample.t, setting)
+        direction = horizontal_tangent(sample.tangent).normalized_direction()
+        return [chsh_value(direction), *coefficients]
+
+    columns = ("chsh", "corr_c0", "corr_c1", "corr_c2")
+    return _sweep(cfg, traj, (cut,), columns, cells, base_entropy=False)
 
 
 _RUNNERS: dict[str, Callable[[RunConfig], TraceReport]] = {
@@ -367,12 +331,6 @@ def emit(report: TraceReport, out_format: str = "csv", path: str | None = None) 
 # verification sweeps
 
 
-def _safe_entropy(tv: TangentVector, cut: Cut) -> float:
-    if tv.norm() < 1e-12:
-        return 0.0
-    return entanglement_entropy(tv.normalized_direction(), cut)
-
-
 def _random_dims(rng: np.random.Generator) -> tuple[int, ...]:
     n = int(rng.integers(2, 4))
     return tuple(int(rng.integers(2, 4)) for _ in range(n))
@@ -400,29 +358,15 @@ def _check_bilocal_reality(rng: np.random.Generator, trials: int) -> str:
     return f"max imaginary part {worst:.2e} over {trials} trials"
 
 
-def _random_direct_tangent(rng: np.random.Generator, dims: Sequence[int]) -> TangentVector:
-    """Product tangent assembled directly from per-factor (state, direction) pairs."""
-    states = [random_unit_ket(rng, (d,)) for d in dims]
-    directions = [random_admissible_direction(rng, s) for s in states]
-    base = tensor_product(states)
-    total = np.zeros(base.total_dim, dtype=complex)
-    for i in range(len(dims)):
-        slots = [s.amplitudes for s in states]
-        slots[i] = directions[i]
-        term = slots[0]
-        for part in slots[1:]:
-            term = np.kron(term, part)
-        total += term
-    return TangentVector(base, total)
-
-
 def _check_genericity(rng: np.random.Generator, trials: int) -> str:
     lowest = math.inf
     hits = 0
     for _ in range(trials):
         dims = _random_dims(rng)
-        tv = horizontal_tangent(_random_direct_tangent(rng, dims))
-        entropy = _safe_entropy(tv, Cut.splitting((0,), len(dims)))
+        states = [random_unit_ket(rng, (d,)) for d in dims]
+        parts = [TangentVector(s, random_admissible_direction(rng, s)) for s in states]
+        tv = horizontal_tangent(_sum_rule(parts, [False] * len(parts)))
+        entropy = _entropy_or_zero(tv.direction, tv.dims, Cut.splitting((0,), len(dims)))
         lowest = min(lowest, entropy)
         if entropy < 1e-8:
             hits += 1
@@ -440,13 +384,14 @@ def _check_gauge_invariance(rng: np.random.Generator, trials: int) -> str:
         traj = random_product_trajectory(rng, dims)
         t = float(rng.uniform(0.0, 1.0))
         cut = Cut.splitting((0,), len(dims))
-        before = _safe_entropy(horizontal_tangent(product_tangent(traj, t)), cut)
+        before = horizontal_tangent(product_tangent(traj, t)).direction
         k = int(rng.integers(len(dims)))
         factors = list(traj.factors)
         factors[k] = with_global_phase(factors[k], [rng.normal(), rng.normal()])
         modulated = ProductTrajectory(tuple(factors))
-        after = _safe_entropy(horizontal_tangent(product_tangent(modulated, t)), cut)
-        worst = max(worst, abs(after - before))
+        after = horizontal_tangent(product_tangent(modulated, t)).direction
+        shift = _entropy_or_zero(after, traj.dims, cut) - _entropy_or_zero(before, traj.dims, cut)
+        worst = max(worst, abs(shift))
     if worst >= 1e-10:
         raise ToleranceBreachError(f"entropy moved by {worst:.3e} under phase modulation")
     return f"max entropy shift {worst:.2e} over {trials} trials"
@@ -455,8 +400,7 @@ def _check_gauge_invariance(rng: np.random.Generator, trials: int) -> str:
 def _consistency_ratio(rng: np.random.Generator, h: float = 1e-3) -> float:
     """err(h)/err(h/2) for |fs_distance/h - fs_speed| on a constant-speed curve."""
     while True:
-        dims = tuple(int(rng.integers(2, 4)) for _ in range(int(rng.integers(2, 4))))
-        traj = random_product_trajectory(rng, dims, constant_speed=True)
+        traj = random_product_trajectory(rng, _random_dims(rng), constant_speed=True)
         t = float(rng.uniform(0.0, 1.0))
         speed = fs_speed(product_tangent(traj, t))
         if speed > 0.2:
@@ -469,12 +413,27 @@ def _consistency_ratio(rng: np.random.Generator, h: float = 1e-3) -> float:
     return errors[0] / errors[1]
 
 
-def _check_fs_consistency(rng: np.random.Generator, trials: int) -> str:
+def _fd_ratio(rng: np.random.Generator, h: float = 1e-3) -> float:
+    """err(h)/err(h/2) of the central difference against the analytic tangent."""
+    curve = random_factor_curve(rng, int(rng.integers(2, 4)))
+    t = float(rng.uniform(0.0, 1.0))
+    exact = differentiate(curve, t, method="analytic").direction
+    errs = [
+        float(np.linalg.norm(differentiate(curve, t, method="central_fd", h=step).direction - exact))
+        for step in (h, h / 2)
+    ]
+    return errs[0] / errs[1]
+
+
+def _check_median_ratio(
+    ratio: Callable[[np.random.Generator], float], name: str, rng: np.random.Generator, trials: int
+) -> str:
+    """The median of ``ratio`` over at most 60 trials must be 4 +/- 20%."""
     trials = min(trials, 60)
-    ratios = sorted(_consistency_ratio(rng) for _ in range(trials))
+    ratios = sorted(ratio(rng) for _ in range(trials))
     median = ratios[len(ratios) // 2]
     if not 3.2 <= median <= 4.8:
-        raise ToleranceBreachError(f"median halving ratio {median:.3f} outside 4 +/- 20%")
+        raise ToleranceBreachError(f"median {name} ratio {median:.3f} outside 4 +/- 20%")
     return f"median halving ratio {median:.3f} over {trials} trials"
 
 
@@ -517,33 +476,13 @@ def _check_witness_false_positives(rng: np.random.Generator, trials: int) -> str
     return f"max partial-trace norm {worst:.2e} over {trials} trials"
 
 
-def _check_fd_order(rng: np.random.Generator, trials: int) -> str:
-    trials = min(trials, 60)
-    h = 1e-3
-    ratios = []
-    for _ in range(trials):
-        curve = random_factor_curve(rng, int(rng.integers(2, 4)))
-        t = float(rng.uniform(0.0, 1.0))
-        exact = differentiate(curve, t, method="analytic").direction
-        errs = [
-            float(np.linalg.norm(differentiate(curve, t, method="central_fd", h=step).direction - exact))
-            for step in (h, h / 2)
-        ]
-        ratios.append(errs[0] / errs[1])
-    ratios.sort()
-    median = ratios[len(ratios) // 2]
-    if not 3.2 <= median <= 4.8:
-        raise ToleranceBreachError(f"median central-difference ratio {median:.3f} outside 4 +/- 20%")
-    return f"median halving ratio {median:.3f} over {trials} trials"
-
-
 _CHECKS: tuple[tuple[str, Callable[[np.random.Generator, int], str]], ...] = (
     ("channel-identity", _check_channel_identity),
     ("bilocal-reality", _check_bilocal_reality),
     ("tangent-genericity", _check_genericity),
     ("gauge-invariance", _check_gauge_invariance),
-    ("fs-consistency", _check_fs_consistency),
-    ("fd-order", _check_fd_order),
+    ("fs-consistency", partial(_check_median_ratio, _consistency_ratio, "halving")),
+    ("fd-order", partial(_check_median_ratio, _fd_ratio, "central-difference")),
     ("composition-convergence", _check_composition),
     ("witness-no-false-positive", _check_witness_false_positives),
 )

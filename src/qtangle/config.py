@@ -26,6 +26,7 @@ from .trajectories import (
     PhaseCurve,
     ProductTrajectory,
     SampledCurve,
+    resolve_method,
 )
 
 SCENARIOS = (
@@ -55,7 +56,6 @@ _GRID_DEFAULTS: dict[str, tuple[float, float, int]] = {
 }
 
 _FORMATS = ("csv", "json")
-_METHOD_NAMES = ("auto", "analytic", "central_fd", "richardson")
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ def _parse_cuts(value, path: str) -> tuple[Cut, ...]:
     return tuple(cuts)
 
 
-def _parse_method(value, path: str) -> tuple[str, float]:
+def _parse_method(value, path: str, curves: tuple[FactorCurve, ...]) -> tuple[str, float]:
     if isinstance(value, str):
         name, h = value, DEFAULT_STEP
     else:
@@ -256,8 +256,10 @@ def _parse_method(value, path: str) -> tuple[str, float]:
         if not isinstance(name, str):
             _fail(f"{path}.name", "expected a string")
         h = _expect_number(obj.get("h", DEFAULT_STEP), f"{path}.h")
-    if name not in _METHOD_NAMES:
-        _fail(path, f"unknown method {name!r} (use one of {', '.join(_METHOD_NAMES)})")
+    try:
+        name = resolve_method(curves, name)
+    except ValueError as exc:
+        _fail(path, str(exc))
     if h <= 0:
         _fail(f"{path}.h", f"step must be positive, got {h}")
     return name, h
@@ -376,14 +378,7 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
                 except ValueError as exc:
                     _fail(f"cuts[{i}]", str(exc))
 
-    if "method" in doc:
-        method, h = _parse_method(doc["method"], "method")
-    else:
-        method, h = "auto", DEFAULT_STEP
-    if method == "auto":
-        curves = subsystems if subsystems is not None else ()
-        analytic = all(c.has_analytic for c in curves)
-        method = "analytic" if analytic else "richardson"
+    method, h = _parse_method(doc.get("method", "auto"), "method", subsystems or ())
 
     out_format, out_path = "csv", None
     if "outputs" in doc:

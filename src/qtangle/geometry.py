@@ -53,12 +53,17 @@ def fs_speed(tv: TangentVector) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GeodesicSample:
-    """Profile row: speed plus per-cut entropies of tangent and base state."""
+    """Profile row: speed plus per-cut entropies of tangent and base state.
+
+    ``tangent`` is the raw tangent at ``t`` that the speed and entropies
+    were computed from; the tangent entropies use its horizontal part.
+    """
 
     t: float
     fs_speed: float
     tangent_entropy: dict[Cut, float]
     base_entropy: dict[Cut, float]
+    tangent: TangentVector
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +76,7 @@ class TrajectoryProfile:
 def _tangent_at(traj, t: float, method: str, h: float) -> TangentVector:
     if isinstance(traj, RegisterProgram):
         k, local = traj.resolve_time(t)
-        return register_tangent(traj, k, local, method if method != "auto" else "analytic", h)
+        return register_tangent(traj, k, local, method, h)
     return product_tangent(traj, t, method, h)
 
 
@@ -89,14 +94,13 @@ def profile(
     cuts: Sequence[Cut],
     method: str = "auto",
     h: float = DEFAULT_STEP,
-    use_horizontal: bool = True,
 ) -> TrajectoryProfile:
     """Sweep a trajectory over a parameter grid.
 
-    Per grid point: projective speed, entanglement entropy of the (by
-    default horizontal) normalized tangent across each cut, and entropy of
-    the base state itself.  The arc length is the trapezoidal integral of
-    the speed over the grid.
+    Per grid point: projective speed, entanglement entropy of the horizontal
+    normalized tangent across each cut, entropy of the base state itself,
+    and the raw tangent.  The arc length is the trapezoidal integral of the
+    speed over the grid.
     """
     grid = [float(t) for t in grid]
     if len(grid) < 2:
@@ -114,11 +118,11 @@ def profile(
     speeds = []
     for t in grid:
         tv = _tangent_at(traj, t, method, h)
-        reported = horizontal_tangent(tv) if use_horizontal else tv
+        horizontal = horizontal_tangent(tv).direction
         speed = fs_speed(tv)
-        tangent_entropy = {c: _entropy_or_zero(reported.direction, dims, c) for c in cuts}
+        tangent_entropy = {c: _entropy_or_zero(horizontal, dims, c) for c in cuts}
         base_entropy = {c: entanglement_entropy(tv.base, c) for c in cuts}
-        samples.append(GeodesicSample(t, speed, tangent_entropy, base_entropy))
+        samples.append(GeodesicSample(t, speed, tangent_entropy, base_entropy, tv))
         speeds.append(speed)
     arc = float(np.trapezoid(speeds, grid))
     return TrajectoryProfile(tuple(samples), arc, cuts)

@@ -91,7 +91,10 @@ def operator_form_gap(
 ) -> float:
     """Frobenius distance between the honest differential of the mixture and
     the doubly-differential product form built from the same components."""
-    honest = separable_mixed_differential(ens, t, method, h)
+    return _form_gap(separable_mixed_differential(ens, t, method, h), ens, t, method, h)
+
+
+def _form_gap(honest: HermitianOp, ens: Ensemble, t: float, method: str, h: float) -> float:
     product = product_differential(ens, t, method, h)
     return float(np.linalg.norm(honest.matrix - product.matrix))
 
@@ -100,8 +103,9 @@ def ensemble_witness(
     ens: Ensemble, t: float, tol: float = 1e-6, method: str = "auto", h: float = DEFAULT_STEP
 ) -> WitnessReport:
     """Full witness for an ensemble: trace norms plus the operator-form gap."""
-    partial = differential_trace_witness(separable_mixed_differential(ens, t, method, h), tol)
-    gap = operator_form_gap(ens, t, method, h)
+    honest = separable_mixed_differential(ens, t, method, h)
+    partial = differential_trace_witness(honest, tol)
+    gap = _form_gap(honest, ens, t, method, h)
     return WitnessReport(partial.tr1_norm, partial.tr2_norm, gap, partial.verdict, tol)
 
 

@@ -15,7 +15,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -263,22 +263,30 @@ class TangentVector:
         return Ket(self.direction / n, self.dims, unit=True)
 
 
-def eval_curve(curve: FactorCurve, t: float) -> Ket:
-    return curve.state(float(t))
+def resolve_method(curves: Iterable[FactorCurve], method: str) -> str:
+    """Validate a method name and resolve "auto" for the given curves.
 
-
-def _resolve_method(curve: FactorCurve, method: str) -> str:
+    "auto" means analytic when every curve has a closed-form derivative and
+    richardson otherwise; an empty sequence (register steps) is analytic.
+    """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    if method == "auto":
-        return "analytic" if curve.has_analytic else "richardson"
-    return method
+    if method != "auto":
+        return method
+    return "analytic" if all(c.has_analytic for c in curves) else "richardson"
 
 
-def _central(curve: FactorCurve, t: float, h: float) -> np.ndarray:
-    plus = curve.state(t + h).amplitudes
-    minus = curve.state(t - h).amplitudes
-    return (plus - minus) / (2 * h)
+def _stencil(fn: Callable[[float], np.ndarray], t: float, method: str, h: float) -> np.ndarray:
+    """central_fd (error O(h^2)) or richardson (two central stencils, O(h^4)) of fn at t."""
+    if not h > 0:
+        raise ValueError(f"step h must be positive, got {h!r}")
+
+    def central(step: float) -> np.ndarray:
+        return (fn(t + step) - fn(t - step)) / (2 * step)
+
+    if method == "central_fd":
+        return central(h)
+    return (4 * central(h / 2) - central(h)) / 3
 
 
 def differentiate(
@@ -286,20 +294,14 @@ def differentiate(
 ) -> TangentVector:
     """Tangent vector of a curve at parameter t.
 
-    ``method`` is one of auto, analytic, central_fd (error O(h^2)) or
-    richardson (two central stencils extrapolated, error O(h^4)).
+    ``method`` is one of auto, analytic, central_fd or richardson.
     """
     t = float(t)
-    resolved = _resolve_method(curve, method)
-    if resolved == "analytic":
+    method = resolve_method((curve,), method)
+    if method == "analytic":
         direction = curve.velocity(t)
     else:
-        if not h > 0:
-            raise ValueError(f"step h must be positive, got {h!r}")
-        if resolved == "central_fd":
-            direction = _central(curve, t, h)
-        else:
-            direction = (4 * _central(curve, t, h / 2) - _central(curve, t, h)) / 3
+        direction = _stencil(lambda s: curve.state(s).amplitudes, t, method, h)
     return TangentVector(curve.state(t), direction)
 
 
@@ -355,16 +357,20 @@ def factor_tangents(
 def product_tangent(
     traj: ProductTrajectory, t: float, method: str = "auto", h: float = DEFAULT_STEP
 ) -> TangentVector:
-    """Tangent of the product state: one term per unfrozen factor.
+    """Tangent of the product state: one term per unfrozen factor."""
+    return _sum_rule(factor_tangents(traj, t, method, h), traj.frozen)
 
-    Each term tensors the derivative of a single factor with the states of
-    all the others at the same parameter value.
+
+def _sum_rule(parts: Sequence[TangentVector], frozen: Sequence[bool]) -> TangentVector:
+    """Assemble per-factor tangents into the tangent of their product.
+
+    Each term tensors the direction of a single unfrozen factor with the
+    base states of all the others.
     """
-    parts = factor_tangents(traj, t, method, h)
     states = [p.base.amplitudes for p in parts]
-    total = np.zeros(math.prod(traj.dims), dtype=complex)
-    for i, (part, frozen) in enumerate(zip(parts, traj.frozen)):
-        if frozen:
+    total = np.zeros(math.prod(s.size for s in states), dtype=complex)
+    for i, (part, is_frozen) in enumerate(zip(parts, frozen)):
+        if is_frozen:
             continue
         slots = states.copy()
         slots[i] = part.direction
@@ -508,10 +514,7 @@ def register_tangent(
     """Tangent of step k at local parameter t: one term per moving site."""
     if not 1 <= k <= prog.n_steps:
         raise ValueError(f"step index {k} outside 1..{prog.n_steps}")
-    if method == "auto":
-        method = "analytic"
-    if method not in ("analytic", "central_fd", "richardson"):
-        raise ValueError(f"unknown method {method!r}")
+    method = resolve_method((), method)
     prev = prog._accumulated(k - 1)
     chi = reduce(np.kron, prev) @ prog.initial.amplitudes
     step = prog.steps[k - 1]
@@ -520,11 +523,7 @@ def register_tangent(
     def deriv(curve: UnitaryCurve) -> np.ndarray:
         if method == "analytic":
             return curve.derivative(t)
-        if method == "central_fd":
-            return (curve.value(t + h) - curve.value(t - h)) / (2 * h)
-        fine = (curve.value(t + h / 2) - curve.value(t - h / 2)) / h
-        coarse = (curve.value(t + h) - curve.value(t - h)) / (2 * h)
-        return (4 * fine - coarse) / 3
+        return _stencil(curve.value, t, method, h)
 
     total = np.zeros_like(chi)
     for i, curve in enumerate(step):

@@ -2,11 +2,14 @@
 
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
 
-from qtangle import ConfigError, RunConfig, parse_config
+import qtangle.trajectories
+from qtangle import ConfigError, RunConfig, ToleranceBreachError, parse_config
 from qtangle.cli import (
     TRACE_TOL,
     demo_trajectory,
@@ -18,6 +21,31 @@ from qtangle.cli import (
 )
 
 SQ2 = math.sqrt(2)
+
+# inputs the numerics reject partway through a sweep: zero motion at t = 0,
+# and a 1e12-scale outer product that fails an absolute Hermiticity check
+ZERO_MOTION_DEMO = {
+    "scenario": "two_qubit_demo",
+    "subsystems": [
+        {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 0.0, 1.0]}},
+        {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 0.0, 1.0]}},
+    ],
+}
+STIFF_PRODUCT = {
+    "scenario": "product_trace",
+    "method": "central_fd",
+    "subsystems": [
+        {
+            "dim": 2,
+            "curve": {
+                "kind": "hamiltonian",
+                "generator": [[1e6, 0.0], [0.0, -1e6]],
+                "initial": [1.0, 1.0],
+            },
+        },
+        {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 1.0]}},
+    ],
+}
 
 
 def parse(doc, **overrides):
@@ -287,6 +315,38 @@ class TestRendering:
         assert body.endswith(",product-differential-excluded")
 
 
+class TestSweepDriver:
+    @pytest.mark.parametrize("scenario", ["two_qubit_demo", "pseudo_pure", "chsh_scan"])
+    def test_one_product_tangent_per_grid_point(self, scenario, monkeypatch):
+        original = qtangle.trajectories.product_tangent
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        patched = set()
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qtangle") and getattr(module, "product_tangent", None) is original:
+                monkeypatch.setattr(module, "product_tangent", counting)
+                patched.add(name)
+        assert {"qtangle.trajectories", "qtangle.geometry", "qtangle.cli"} <= patched
+        rep = run(parse({"scenario": scenario, "grid": {"steps": 13}}))
+        assert len(rep.rows) == 13
+        assert calls == [row[0] for row in rep.rows]
+
+    @pytest.mark.parametrize(
+        "doc, where",
+        [(ZERO_MOTION_DEMO, "0"), (STIFF_PRODUCT, f"{math.pi / 180:.6g}")],
+        ids=["zero", "stiff"],
+    )
+    def test_numerical_rejection_names_the_grid_point(self, doc, where):
+        with pytest.raises(ToleranceBreachError) as info:
+            run(parse(doc))
+        assert str(info.value).endswith(f" at t={where}")
+        assert isinstance(info.value.__cause__, ValueError)
+
+
 class TestMainExitCodes:
     def write_config(self, tmp_path, doc):
         path = tmp_path / "run.json"
@@ -328,6 +388,11 @@ class TestMainExitCodes:
         }
         assert main(["--config", self.write_config(tmp_path, doc)]) == 3
         assert "trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [ZERO_MOTION_DEMO, STIFF_PRODUCT], ids=["zero", "stiff"])
+    def test_numerical_rejection_mid_sweep_exits_3(self, tmp_path, capsys, doc):
+        assert main(["--config", self.write_config(tmp_path, doc)]) == 3
+        assert re.search(r"^error: .* at t=[0-9.]+$", capsys.readouterr().err, re.M)
 
     def test_unwritable_output_exits_4(self, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "out.csv"

@@ -16,8 +16,10 @@ from qtangle import (
     UnitaryCurve,
     ValidationError,
     differentiate,
+    entanglement_entropy,
     fs_distance,
     fs_speed,
+    horizontal_tangent,
     product_tangent,
     profile,
     with_global_phase,
@@ -119,19 +121,27 @@ class TestProfile:
             assert s.tangent_entropy[cut] == pytest.approx(1.0, abs=1e-10)
             assert s.base_entropy[cut] < 1e-10
 
-    def test_use_horizontal_flag_changes_phase_modulated_runs(self):
+    def test_raw_tangent_entropy_differs_on_phase_modulated_runs(self):
         cut = Cut.splitting((0,), 2)
         traj = ProductTrajectory(
             (with_global_phase(BlochCurve([0.0, 1.0]), [0.0, 2.0]), BlochCurve([0.0, 1.0]))
         )
-        grid = [0.4, 0.8]
-        horiz = profile(traj, grid, [cut], use_horizontal=True)
-        raw = profile(traj, grid, [cut], use_horizontal=False)
-        for h_s, r_s in zip(horiz.samples, raw.samples):
-            assert h_s.tangent_entropy[cut] == pytest.approx(1.0, abs=1e-10)
-            assert r_s.tangent_entropy[cut] < 1.0 - 1e-3
+        for s in profile(traj, [0.4, 0.8], [cut]).samples:
+            assert s.tangent_entropy[cut] == pytest.approx(1.0, abs=1e-10)
+            raw = entanglement_entropy(s.tangent.normalized_direction(), cut)
+            assert raw < 1.0 - 1e-3
             # speed is gauge-invariant either way
-            assert h_s.fs_speed == pytest.approx(r_s.fs_speed, abs=1e-12)
+            assert fs_speed(horizontal_tangent(s.tangent)) == pytest.approx(s.fs_speed, abs=1e-12)
+
+    def test_sample_tangent_is_the_product_tangent(self):
+        traj = ProductTrajectory(
+            (BlochCurve([0.2, 1.1, -0.3], [0.0, 0.7]), with_global_phase(BlochCurve([0.5, -0.4]), [0.0, 1.5]))
+        )
+        grid = np.linspace(0.0, 2.0, 7)
+        for t, s in zip(grid, profile(traj, grid, [Cut.splitting((0,), 2)]).samples):
+            assert s.t == t
+            assert np.array_equal(s.tangent.direction, product_tangent(traj, t).direction)
+            assert np.array_equal(s.tangent.base.amplitudes, traj.state(t).amplitudes)
 
     def test_register_program_profiles_over_global_time(self):
         step1 = (UnitaryCurve.rotation(SY / 2), UnitaryCurve.rotation(SY / 2))

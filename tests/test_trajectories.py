@@ -29,7 +29,6 @@ from qtangle import (
     curve_through,
     differentiate,
     entanglement_entropy,
-    eval_curve,
     horizontal_tangent,
     infinitesimal_composition,
     partial_trace,
@@ -61,24 +60,24 @@ def qubit_arc():
 
 class TestEvalCurve:
     def test_bloch_at_zero_is_ground_state(self):
-        assert np.allclose(eval_curve(qubit_arc(), 0.0).amplitudes, [1.0, 0.0])
+        assert np.allclose(qubit_arc().state(0.0).amplitudes, [1.0, 0.0])
 
     def test_hamiltonian_orbit_closed_form(self):
         curve = LocalHamiltonianCurve(SY / 2, Ket.basis((2,), (0,)))
         for theta in (0.3, 1.1, 2.5):
             expected = [math.cos(theta / 2), math.sin(theta / 2)]
-            assert np.allclose(eval_curve(curve, theta).amplitudes, expected, atol=1e-12)
+            assert np.allclose(curve.state(theta).amplitudes, expected, atol=1e-12)
 
     def test_phase_curve_at_pi_flips_sign(self):
         plus = Ket(np.array([1.0, 1.0]) / math.sqrt(2), (2,))
-        state = eval_curve(PhaseCurve([0.0, 1.0], plus), math.pi)
+        state = PhaseCurve([0.0, 1.0], plus).state(math.pi)
         assert np.allclose(state.amplitudes, -plus.amplitudes, atol=1e-12)
 
     def test_states_stay_normalized(self):
         rng = np.random.default_rng(0)
         curve = BlochCurve([0.4, 1.3, -0.2], [0.1, 0.7])
         for t in rng.uniform(-2, 2, size=20):
-            assert eval_curve(curve, t).norm() == pytest.approx(1.0, abs=1e-10)
+            assert curve.state(t).norm() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestDifferentiate:
@@ -130,21 +129,21 @@ class TestDifferentiate:
 
     def test_analytic_on_sampled_curve_is_unsupported(self):
         grid = np.linspace(0, 1, 9)
-        samples = [eval_curve(qubit_arc(), t) for t in grid]
+        samples = [qubit_arc().state(t) for t in grid]
         curve = SampledCurve(grid, samples)
         with pytest.raises(UnsupportedMethodError):
             differentiate(curve, 0.5, method="analytic")
 
     def test_sampled_range_error(self):
         grid = np.linspace(0, 1, 9)
-        curve = SampledCurve(grid, [eval_curve(qubit_arc(), t) for t in grid])
+        curve = SampledCurve(grid, [qubit_arc().state(t) for t in grid])
         with pytest.raises(ParameterRangeError):
             curve.state(1.5)
 
     def test_sampled_derivative_tracks_source_curve(self):
         grid = np.linspace(0, 2, 41)
         src = BlochCurve([0.1, 1.2])
-        curve = SampledCurve(grid, [eval_curve(src, t) for t in grid])
+        curve = SampledCurve(grid, [src.state(t) for t in grid])
         got = differentiate(curve, 1.0, method="richardson", h=1e-3).direction
         want = differentiate(src, 1.0, method="analytic").direction
         assert np.allclose(got, want, atol=1e-5)
@@ -289,10 +288,30 @@ class TestRegister:
         ket = register_tangent(prog, 1, 0.7).normalized_direction()
         assert entanglement_entropy(ket, Cut.splitting((0,), 2)) > 0.5
 
+    def test_richardson_matches_central_fd_to_second_order(self):
+        prog = self.make_program()
+        for k, t in ((1, 0.4), (2, 0.7)):
+            exact = register_tangent(prog, k, t, "analytic").direction
+            gaps = []
+            for h in (2e-2, 1e-2):
+                rich = register_tangent(prog, k, t, "richardson", h).direction
+                fd = register_tangent(prog, k, t, "central_fd", h).direction
+                assert np.allclose(rich, exact, atol=1e-7)
+                gaps.append(np.linalg.norm(rich - fd))
+            # the two stencils differ by the O(h^2) error that Richardson removes
+            assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.05)
+
     def test_step_index_validated(self):
         prog = self.make_program()
         with pytest.raises(ValueError):
             register_tangent(prog, 3, 0.0)
+
+    def test_method_resolved_like_factor_curves(self):
+        prog = self.make_program()
+        auto = register_tangent(prog, 1, 0.4, "auto").direction
+        assert np.array_equal(auto, register_tangent(prog, 1, 0.4, "analytic").direction)
+        with pytest.raises(ValueError, match="unknown method 'fd'"):
+            register_tangent(prog, 1, 0.4, "fd")
 
     def test_resolve_time_walks_steps(self):
         prog = self.make_program()
