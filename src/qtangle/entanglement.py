@@ -46,15 +46,22 @@ class SchmidtData:
     input_norm: float
 
 
-def _split_matrix(state: Ket, cut: Cut) -> tuple[np.ndarray, list[int], list[int]]:
-    """Amplitudes reshaped to (left block, right block) in ascending position order."""
+def _split_matrix(state: Ket, cut: Cut) -> tuple[np.ndarray, float, list[int], list[int]]:
+    """Normalized amplitudes as a (left block, right block) matrix, the input
+    norm, and each side's positions in ascending order.
+
+    A (near-)zero vector is rejected.
+    """
+    norm = state.norm()
+    if norm < 1e-12:
+        raise DegenerateInputError("cannot decompose a (near-)zero vector")
     cut.validate_for(state.dims)
     left = sorted(cut.left)
     right = sorted(cut.right)
     tensor = state.amplitudes.reshape(state.dims)
     tensor = tensor.transpose(left + right)
     d_left = math.prod(state.dims[i] for i in left)
-    return tensor.reshape(d_left, -1), left, right
+    return tensor.reshape(d_left, -1) / norm, norm, left, right
 
 
 def schmidt(state: Ket, cut: Cut) -> SchmidtData:
@@ -62,11 +69,8 @@ def schmidt(state: Ket, cut: Cut) -> SchmidtData:
 
     Non-unit input is normalized first; a (near-)zero vector is rejected.
     """
-    norm = state.norm()
-    if norm < 1e-12:
-        raise DegenerateInputError("cannot decompose a (near-)zero vector")
-    matrix, left, right = _split_matrix(state, cut)
-    u, s, vh = np.linalg.svd(matrix / norm, full_matrices=False)
+    matrix, norm, left, right = _split_matrix(state, cut)
+    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
     left_dims = tuple(state.dims[i] for i in left)
     right_dims = tuple(state.dims[i] for i in right)
     left_basis, right_basis = [], []
@@ -82,8 +86,11 @@ def schmidt(state: Ket, cut: Cut) -> SchmidtData:
 
 
 def entanglement_entropy(state: Ket, cut: Cut) -> float:
-    """Entropy in bits of the squared Schmidt coefficients across the cut."""
-    p = schmidt(state, cut).coefficients ** 2
+    """Entropy in bits of the squared Schmidt coefficients across the cut.
+
+    Only the singular values are computed; a (near-)zero vector is rejected.
+    """
+    p = np.linalg.svd(_split_matrix(state, cut)[0], compute_uv=False) ** 2
     p = p[p > 0]
     # rounding can push a probability a hair past 1; a negative total is noise
     return max(0.0, float(-(p @ np.log2(p))))

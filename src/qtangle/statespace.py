@@ -249,7 +249,18 @@ def apply_local_unitaries(state: Ket, unitaries: Sequence[np.ndarray]) -> Ket:
                 f"factor {pos + 1}: matrix is not unitary (deviation {dev:.3e})"
             )
         mats.append(mat)
-    psi = state.amplitudes.reshape(state.dims)
+    return Ket(_apply_local(state.amplitudes, state.dims, mats), state.dims)
+
+
+def _apply_local(
+    amplitudes: np.ndarray, dims: tuple[int, ...], mats: Sequence[np.ndarray]
+) -> np.ndarray:
+    """(mats[0] x mats[1] x ...) @ amplitudes, contracting one factor axis at a time.
+
+    No 2^n x 2^n operator is formed.  The matrices are not checked: callers
+    pass derivatives of unitaries as well as unitaries.
+    """
+    psi = amplitudes.reshape(dims)
     for axis, mat in enumerate(mats):
         psi = np.moveaxis(np.tensordot(mat, psi, axes=([1], [axis])), 0, axis)
-    return Ket(psi.reshape(-1), state.dims)
+    return psi.reshape(-1)

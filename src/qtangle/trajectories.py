@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedMethodError,
     ValidationError,
 )
-from .statespace import DEFAULT_TOL, HermitianOp, Ket, tensor_product
+from .statespace import DEFAULT_TOL, HermitianOp, Ket, _apply_local, tensor_product
 
 DEFAULT_STEP = 1e-4
 BASE_NORM_TOL = 1e-10
@@ -192,7 +192,7 @@ class SampledCurve(FactorCurve):
         norm = np.linalg.norm(amps)
         if abs(norm - 1) >= 1e-6:
             raise ValidationError(f"interpolated state at t={t!r} has norm {norm!r}")
-        return Ket(amps, self.dims)
+        return Ket(amps / norm, self.dims, unit=True)
 
 
 class _PhaseModulated(FactorCurve):
@@ -396,7 +396,10 @@ def horizontal_tangent(tv: TangentVector) -> TangentVector:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryCurve:
-    """One-parameter unitary family exp(-i*G*t) @ base."""
+    """One-parameter unitary family exp(-i*G*t) @ base.
+
+    The generator is diagonalised once, on construction.
+    """
 
     generator: np.ndarray
     base: np.ndarray
@@ -415,6 +418,9 @@ class UnitaryCurve:
         base.setflags(write=False)
         object.__setattr__(self, "generator", gen)
         object.__setattr__(self, "base", base)
+        evals, evecs = np.linalg.eigh(gen)
+        object.__setattr__(self, "_evals", evals)
+        object.__setattr__(self, "_evecs", evecs)
 
     @classmethod
     def constant(cls, unitary) -> "UnitaryCurve":
@@ -431,7 +437,9 @@ class UnitaryCurve:
         return self.generator.shape[0]
 
     def value(self, t: float) -> np.ndarray:
-        return propagator(self.generator, t) @ self.base
+        # the same arithmetic as propagator(self.generator, t) @ self.base
+        u = (self._evecs * np.exp(-1j * self._evals * t)) @ self._evecs.conj().T
+        return u @ self.base
 
     def derivative(self, t: float) -> np.ndarray:
         return -1j * (self.generator @ self.value(t))
@@ -480,12 +488,15 @@ class RegisterProgram:
     def n_steps(self) -> int:
         return len(self.steps)
 
-    def _accumulated(self, k: int) -> list[np.ndarray]:
-        """Per-site products of the first k completed steps."""
-        mats = [np.eye(d, dtype=complex) for d in self.initial.dims]
-        for step in self.steps[:k]:
-            mats = [step[i].value(1.0) @ mats[i] for i in range(self.n_sites)]
-        return mats
+    @cached_property
+    def _step_starts(self) -> tuple[np.ndarray, ...]:
+        """Register amplitudes at the start of each step, filled on first use."""
+        starts = [self.initial.amplitudes]
+        for step in self.steps[:-1]:
+            psi = _apply_local(starts[-1], self.initial.dims, [c.value(1.0) for c in step])
+            psi.setflags(write=False)
+            starts.append(psi)
+        return tuple(starts)
 
     def resolve_time(self, s: float) -> tuple[int, float]:
         """Map global program time in [0, n_steps] to (step index, local parameter)."""
@@ -501,11 +512,9 @@ def register_state(prog: RegisterProgram, k: int, t: float) -> Ket:
     """State after steps 1..k-1 completed and step k advanced to parameter t."""
     if not 1 <= k <= prog.n_steps:
         raise ValueError(f"step index {k} outside 1..{prog.n_steps}")
-    prev = prog._accumulated(k - 1)
-    mats = [prog.steps[k - 1][i].value(t) @ prev[i] for i in range(prog.n_sites)]
-    psi = prog.initial.amplitudes
-    full = reduce(np.kron, mats)
-    return Ket(full @ psi, prog.initial.dims)
+    values = [c.value(t) for c in prog.steps[k - 1]]
+    dims = prog.initial.dims
+    return Ket(_apply_local(prog._step_starts[k - 1], dims, values), dims)
 
 
 def register_tangent(
@@ -515,8 +524,8 @@ def register_tangent(
     if not 1 <= k <= prog.n_steps:
         raise ValueError(f"step index {k} outside 1..{prog.n_steps}")
     method = resolve_method((), method)
-    prev = prog._accumulated(k - 1)
-    chi = reduce(np.kron, prev) @ prog.initial.amplitudes
+    chi = prog._step_starts[k - 1]
+    dims = prog.initial.dims
     step = prog.steps[k - 1]
     values = [c.value(t) for c in step]
 
@@ -531,8 +540,8 @@ def register_tangent(
             continue  # constant site contributes exactly zero
         slots = values.copy()
         slots[i] = deriv(curve)
-        total += reduce(np.kron, slots) @ chi
-    base = Ket(reduce(np.kron, values) @ chi, prog.initial.dims)
+        total += _apply_local(chi, dims, slots)
+    base = Ket(_apply_local(chi, dims, values), dims)
     return TangentVector(base, total)
 
 

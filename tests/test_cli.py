@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qtangle
 import qtangle.trajectories
 from qtangle import ConfigError, RunConfig, ToleranceBreachError, parse_config
 from qtangle.cli import (
@@ -393,6 +397,44 @@ class TestMainExitCodes:
     def test_numerical_rejection_mid_sweep_exits_3(self, tmp_path, capsys, doc):
         assert main(["--config", self.write_config(tmp_path, doc)]) == 3
         assert re.search(r"^error: .* at t=[0-9.]+$", capsys.readouterr().err, re.M)
+
+    def test_sampled_curve_between_nodes_exits_0(self, tmp_path):
+        # every grid point but the ends falls between sample nodes, where
+        # the interpolated state is off unit norm by ~1e-8 before normalizing
+        times = [round(x, 3) for x in np.linspace(-0.5, 1.5, 21)]
+        doc = {
+            "scenario": "product_trace",
+            "grid": {"t0": 0.1, "t1": 0.9, "steps": 7},
+            "seed": 3,
+            "subsystems": [
+                {
+                    "dim": 2,
+                    "curve": {
+                        "kind": "sampled",
+                        "times": times,
+                        "states": [[math.cos(t / 2), math.sin(t / 2)] for t in times],
+                    },
+                },
+                {"dim": 3, "curve": {"kind": "phase", "base": [1, 1, 1], "phi": [0.0, 0.7]}},
+            ],
+        }
+        out = tmp_path / "o.json"
+        cfg = self.write_config(tmp_path, doc)
+        assert main(["--config", cfg, "--format", "json", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 7
+        gaps = [row[c] for row in rows for c in ("channel_gap_1", "channel_gap_2", "bilocal_gap")]
+        assert max(gaps) <= parse(doc).tol
+
+    def test_python_m_qtangle_runs_without_warnings(self):
+        src = str(Path(qtangle.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "qtangle"]
+        cmd += ["--scenario", "two_qubit_demo"]
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("t,fs_speed,")
 
     def test_unwritable_output_exits_4(self, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "out.csv"

@@ -120,6 +120,25 @@ class TestEntropy:
             a, b = random_ket(rng, (2,)), random_ket(rng, (2,))
             assert entanglement_entropy(tensor_product((a, b)), CUT2) >= 0.0
 
+    def test_matches_entropy_of_schmidt_coefficients(self):
+        rng = np.random.default_rng(16)
+        dims = (2, 3, 2, 2)
+        cuts = (Cut((0,), (1, 2, 3)), Cut((1,), (0, 2, 3)), Cut((0, 2), (1, 3)), Cut((1, 2, 3), (0,)))
+        for cut in cuts:
+            unit = random_ket(rng, dims)
+            for scale in (1.0, 0.01, 3.7):
+                state = Ket(scale * unit.amplitudes, dims)
+                p = schmidt(state, cut).coefficients ** 2
+                p = p[p > 0]
+                want = max(0.0, float(-(p @ np.log2(p))))
+                got = entanglement_entropy(state, cut)
+                assert got == pytest.approx(want, rel=0, abs=1e-14)
+                assert got == pytest.approx(entanglement_entropy(unit, cut), rel=0, abs=1e-14)
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            entanglement_entropy(Ket(np.zeros(6, dtype=complex), (2, 3)), CUT2)
+
 
 class TestBellDecompose:
     def test_each_bell_state_is_a_unit_axis(self):

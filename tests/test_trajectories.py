@@ -6,10 +6,13 @@ difference of the thing it claims to differentiate.
 """
 
 import math
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
+import qtangle.trajectories as trajectories
 from qtangle import (
     BlochCurve,
     Cut,
@@ -312,6 +315,103 @@ class TestRegister:
         assert np.array_equal(auto, register_tangent(prog, 1, 0.4, "analytic").direction)
         with pytest.raises(ValueError, match="unknown method 'fd'"):
             register_tangent(prog, 1, 0.4, "fd")
+
+    @pytest.mark.parametrize("method", ["analytic", "central_fd", "richardson"])
+    def test_matches_dense_kron_oracle(self, method):
+        """Local contraction against the full 2^n x 2^n operator, built here."""
+        rng = np.random.default_rng(21)
+        dims = (2, 3, 2)
+
+        def unitary(d):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            return np.linalg.qr(a)[0]
+
+        def hermitian(d):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            return (a + a.conj().T) / 2
+
+        def value(curve, s):
+            return propagator(curve.generator, s) @ curve.base
+
+        def deriv(curve, s, h=1e-4):
+            if method == "analytic":
+                return -1j * curve.generator @ value(curve, s)
+            central = lambda step: (value(curve, s + step) - value(curve, s - step)) / (2 * step)
+            if method == "central_fd":
+                return central(h)
+            return (4 * central(h / 2) - central(h)) / 3
+
+        for _ in range(3):
+            steps = [[UnitaryCurve(hermitian(d), unitary(d)) for d in dims] for _ in range(3)]
+            steps[1][1] = UnitaryCurve.constant(unitary(3))
+            amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+            prog = RegisterProgram(steps, Ket(amps / np.linalg.norm(amps), dims, unit=True))
+            chi = prog.initial.amplitudes
+            for k, step in enumerate(steps, start=1):
+                t = rng.uniform(0.05, 0.95)
+                values = [value(c, t) for c in step]
+                terms = []
+                for i, curve in enumerate(step):
+                    slots = values.copy()
+                    slots[i] = deriv(curve, t)
+                    terms.append(reduce(np.kron, slots) @ chi)
+                state = register_state(prog, k, t).amplitudes
+                tv = register_tangent(prog, k, t, method)
+                assert np.allclose(state, reduce(np.kron, values) @ chi, rtol=0, atol=1e-12)
+                assert np.allclose(tv.base.amplitudes, state, rtol=0, atol=1e-12)
+                assert np.allclose(tv.direction, sum(terms), rtol=0, atol=1e-12)
+                chi = reduce(np.kron, [value(c, 1.0) for c in step]) @ chi
+
+    def test_twelve_qubits_without_a_dense_operator(self):
+        n, k, t = 12, 2, 0.35
+        rng = np.random.default_rng(22)
+        steps = [
+            [UnitaryCurve.rotation(rng.normal() * SX + rng.normal() * SY) for _ in range(n)]
+            for _ in range(2)
+        ]
+        prog = RegisterProgram.uniform_superposition(steps, n)
+        tracemalloc.start()
+        try:
+            tv = register_tangent(prog, k, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 2^12 x 2^12 complex operator alone is 268 MB
+        assert peak < 8e6
+        # the register stays a product state, so its tangent obeys the sum rule
+        plus = np.full(2, 1 / math.sqrt(2), dtype=complex)
+        parts = []
+        for first, second in zip(*prog.steps):
+            start = first.value(1.0) @ plus
+            base = Ket(second.value(t) @ start, (2,), unit=True)
+            parts.append(TangentVector(base, second.derivative(t) @ start))
+        want = trajectories._sum_rule(parts, (False,) * n)
+        assert np.allclose(tv.base.amplitudes, want.base.amplitudes, rtol=0, atol=1e-12)
+        assert np.allclose(tv.direction, want.direction, rtol=0, atol=1e-12)
+
+    def test_completed_steps_evaluated_once(self, monkeypatch):
+        prog = self.make_program()
+        calls = []
+        value = UnitaryCurve.value
+
+        def counting(curve, t):
+            calls.append((id(curve), t))
+            return value(curve, t)
+
+        monkeypatch.setattr(UnitaryCurve, "value", counting)
+        for t in (0.1, 0.5, 0.9):
+            register_state(prog, 2, t)
+            register_tangent(prog, 2, t)
+        first = {id(c) for c in prog.steps[0]}
+        assert sorted(t for key, t in calls if key in first) == [1.0] * 3
+
+    def test_unitary_curve_value_is_the_propagator(self):
+        rng = np.random.default_rng(23)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        base = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        curve = UnitaryCurve((a + a.conj().T) / 2, base)
+        for t in (0.0, 0.3, 1.0, -2.5):
+            assert np.array_equal(curve.value(t), propagator(curve.generator, t) @ curve.base)
 
     def test_resolve_time_walks_steps(self):
         prog = self.make_program()
