@@ -19,6 +19,7 @@ from .trajectories import (
     DEFAULT_STEP,
     ProductTrajectory,
     TangentVector,
+    _product_rule,
     factor_tangents,
     resolve_method,
 )
@@ -102,9 +103,8 @@ def _channel_from_parts(parts: list[TangentVector], subsystem: int) -> ChannelRe
     interference = (np.outer(psi, dpsi.conj()) - np.outer(dpsi, psi.conj())) * other_overlap
     noise = np.outer(psi, psi.conj()) * other_speed_sq
 
-    states = [p.base.amplitudes for p in parts]
-    directions = [p.direction for p in parts]
-    full = np.kron(directions[0], states[1]) + np.kron(states[0], directions[1])
+    first, second = ((p.base.amplitudes, p.direction) for p in parts)
+    _, full = _product_rule(*first, [second], np.kron)
     big = HermitianOp(np.outer(full, full.conj()), parts[0].dims + parts[1].dims)
     cut = Cut.splitting([subsystem - 1], 2)
     lhs = partial_trace(big, cut, keep="left")

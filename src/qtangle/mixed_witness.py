@@ -17,13 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .statespace import Cut, HermitianOp, partial_trace
-from .trajectories import (
-    DEFAULT_STEP,
-    Ensemble,
-    factor_tangents,
-    projector_differential,
-    separable_mixed_differential,
-)
+from .trajectories import DEFAULT_STEP, Ensemble, _component_differentials, _mixed_differential
 from .entanglement import ppt_negativity
 
 VERDICT_EXCLUDED = "product-differential-excluded"
@@ -78,12 +72,11 @@ def product_differential(
     ens: Ensemble, t: float, method: str = "auto", h: float = DEFAULT_STEP
 ) -> HermitianOp:
     """The doubly-differential product form: sum_i w_i d(rho_i^1) x d(rho_i^2)."""
-    total = np.zeros((math.prod(ens.dims),) * 2, dtype=complex)
-    for w, comp in zip(ens.weights, ens.components):
-        parts = factor_tangents(comp, t, method, h)
-        drho = [projector_differential(p).matrix for p in parts]
-        total += w * np.kron(drho[0], drho[1])
-    return HermitianOp(total, ens.dims)
+    return _product_form(ens, _component_differentials(ens, t, method, h))
+
+
+def _product_form(ens: Ensemble, components: list[tuple]) -> HermitianOp:
+    return HermitianOp(sum(w * np.kron(drho[0], drho[1]) for w, _, drho in components), ens.dims)
 
 
 def operator_form_gap(
@@ -91,11 +84,8 @@ def operator_form_gap(
 ) -> float:
     """Frobenius distance between the honest differential of the mixture and
     the doubly-differential product form built from the same components."""
-    return _form_gap(separable_mixed_differential(ens, t, method, h), ens, t, method, h)
-
-
-def _form_gap(honest: HermitianOp, ens: Ensemble, t: float, method: str, h: float) -> float:
-    product = product_differential(ens, t, method, h)
+    components = _component_differentials(ens, t, method, h)
+    honest, product = _mixed_differential(ens, components), _product_form(ens, components)
     return float(np.linalg.norm(honest.matrix - product.matrix))
 
 
@@ -103,9 +93,10 @@ def ensemble_witness(
     ens: Ensemble, t: float, tol: float = 1e-6, method: str = "auto", h: float = DEFAULT_STEP
 ) -> WitnessReport:
     """Full witness for an ensemble: trace norms plus the operator-form gap."""
-    honest = separable_mixed_differential(ens, t, method, h)
+    components = _component_differentials(ens, t, method, h)
+    honest = _mixed_differential(ens, components)
     partial = differential_trace_witness(honest, tol)
-    gap = _form_gap(honest, ens, t, method, h)
+    gap = float(np.linalg.norm(honest.matrix - _product_form(ens, components).matrix))
     return WitnessReport(partial.tr1_norm, partial.tr2_norm, gap, partial.verdict, tol)
 
 

@@ -32,12 +32,6 @@ def _dims_tuple(dims: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def _frozen_array(values, dtype=complex) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Ket:
     """A complex amplitude vector tagged with its tensor-factor dimensions.
@@ -257,10 +251,12 @@ def _apply_local(
 ) -> np.ndarray:
     """(mats[0] x mats[1] x ...) @ amplitudes, contracting one factor axis at a time.
 
-    No 2^n x 2^n operator is formed.  The matrices are not checked: callers
-    pass derivatives of unitaries as well as unitaries.
+    No 2^n x 2^n operator is formed, and the matrices are not checked.
     """
-    psi = amplitudes.reshape(dims)
-    for axis, mat in enumerate(mats):
-        psi = np.moveaxis(np.tensordot(mat, psi, axes=([1], [axis])), 0, axis)
-    return psi.reshape(-1)
+    return reduce(_apply_axis, mats, amplitudes.reshape(dims)).reshape(-1)
+
+
+def _apply_axis(psi: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Apply ``mat`` to the leading axis of ``psi`` and move that axis last, so
+    that one matrix per axis, applied in order, restores the axis order."""
+    return np.moveaxis(np.tensordot(mat, psi, axes=([1], [0])), 0, -1)

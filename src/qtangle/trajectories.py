@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedMethodError,
     ValidationError,
 )
-from .statespace import DEFAULT_TOL, HermitianOp, Ket, _apply_local, tensor_product
+from .statespace import DEFAULT_TOL, HermitianOp, Ket, _apply_axis, _apply_local, tensor_product
 
 DEFAULT_STEP = 1e-4
 BASE_NORM_TOL = 1e-10
@@ -229,7 +229,6 @@ class TangentVector:
 
     base: Ket
     direction: np.ndarray
-    parameter_label: str = "t"
 
     def __post_init__(self) -> None:
         direction = np.array(self.direction, dtype=complex)
@@ -365,17 +364,30 @@ def _sum_rule(parts: Sequence[TangentVector], frozen: Sequence[bool]) -> Tangent
     """Assemble per-factor tangents into the tangent of their product.
 
     Each term tensors the direction of a single unfrozen factor with the
-    base states of all the others.
+    base states of all the others; frozen factors add no term.
     """
-    states = [p.base.amplitudes for p in parts]
-    total = np.zeros(math.prod(s.size for s in states), dtype=complex)
-    for i, (part, is_frozen) in enumerate(zip(parts, frozen)):
-        if is_frozen:
-            continue
-        slots = states.copy()
-        slots[i] = part.direction
-        total += reduce(np.kron, slots)
-    return TangentVector(tensor_product([p.base for p in parts]), total)
+    sites = [(p.base.amplitudes, None if f else p.direction) for p, f in zip(parts, frozen)]
+    state, direction = _product_rule(*sites[0], sites[1:], np.kron)
+    return TangentVector(Ket(state, tuple(d for p in parts for d in p.dims)), direction)
+
+
+def _product_rule(
+    base: np.ndarray, tangent: np.ndarray | None, sites: Sequence[tuple], extend: Callable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Leibniz sum of a product over a running prefix, returned as (P, T).
+
+    From the first factor ``base`` and its ``tangent`` (None: not moving),
+    each site (value, deriv) sets P <- extend(P, value) and
+    T <- extend(T, value) + extend(P, deriv), the last term skipped when
+    deriv is None.  T is exactly zero if nothing moved.
+    """
+    for value, deriv in sites:
+        carried = None if tangent is None else extend(tangent, value)
+        if deriv is not None:
+            moved = extend(base, deriv)
+            carried = moved if carried is None else carried + moved
+        tangent, base = carried, extend(base, value)
+    return base, np.zeros_like(base) if tangent is None else tangent
 
 
 def horizontal_tangent(tv: TangentVector) -> TangentVector:
@@ -385,9 +397,7 @@ def horizontal_tangent(tv: TangentVector) -> TangentVector:
     the underlying curve is multiplied by any time-dependent phase.
     """
     overlap = tv.base_overlap()
-    return TangentVector(
-        tv.base, tv.direction - overlap * tv.base.amplitudes, tv.parameter_label
-    )
+    return TangentVector(tv.base, tv.direction - overlap * tv.base.amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -524,25 +534,19 @@ def register_tangent(
     if not 1 <= k <= prog.n_steps:
         raise ValueError(f"step index {k} outside 1..{prog.n_steps}")
     method = resolve_method((), method)
-    chi = prog._step_starts[k - 1]
     dims = prog.initial.dims
-    step = prog.steps[k - 1]
-    values = [c.value(t) for c in step]
-
-    def deriv(curve: UnitaryCurve) -> np.ndarray:
-        if method == "analytic":
-            return curve.derivative(t)
-        return _stencil(curve.value, t, method, h)
-
-    total = np.zeros_like(chi)
-    for i, curve in enumerate(step):
-        if np.max(np.abs(curve.generator)) == 0 and method == "analytic":
-            continue  # constant site contributes exactly zero
-        slots = values.copy()
-        slots[i] = deriv(curve)
-        total += _apply_local(chi, dims, slots)
-    base = Ket(_apply_local(chi, dims, values), dims)
-    return TangentVector(base, total)
+    sites = []
+    for curve in prog.steps[k - 1]:
+        value = curve.value(t)
+        if not np.any(curve.generator):
+            sites.append((value, None))  # constant site: every stencil is exactly zero
+        elif method == "analytic":
+            sites.append((value, -1j * (curve.generator @ value)))
+        else:
+            sites.append((value, _stencil(curve.value, t, method, h)))
+    chi = prog._step_starts[k - 1].reshape(dims)
+    state, direction = _product_rule(chi, None, sites, _apply_axis)
+    return TangentVector(Ket(state.reshape(-1), dims), direction.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -620,15 +624,24 @@ def separable_mixed_differential(
 ) -> HermitianOp:
     """Differential of a separable mixture with fixed weights.
 
-    Per component the product rule gives rho1 x d(rho2) + d(rho1) x rho2;
+    Per component the product rule gives d(rho1) x rho2 + rho1 x d(rho2);
     no second-order d x d term appears.
     """
-    total = np.zeros((math.prod(ens.dims),) * 2, dtype=complex)
-    for w, comp in zip(ens.weights, ens.components):
-        parts = factor_tangents(comp, t, method, h)
+    return _mixed_differential(ens, _component_differentials(ens, t, method, h))
+
+
+def _component_differentials(ens: Ensemble, t: float, method: str, h: float) -> list[tuple]:
+    """(weight, factor tangents, factor projector differentials) of each component."""
+    tangents = [factor_tangents(comp, t, method, h) for comp in ens.components]
+    drhos = [[projector_differential(p).matrix for p in parts] for parts in tangents]
+    return list(zip(ens.weights, tangents, drhos))
+
+
+def _mixed_differential(ens: Ensemble, components: list[tuple]) -> HermitianOp:
+    total = 0
+    for w, parts, drho in components:
         rho = [p.base.projector().matrix for p in parts]
-        drho = [projector_differential(p).matrix for p in parts]
-        total += w * (np.kron(rho[0], drho[1]) + np.kron(drho[0], rho[1]))
+        total = total + w * _product_rule(rho[0], drho[0], [(rho[1], drho[1])], np.kron)[1]
     return HermitianOp(total, ens.dims)
 
 

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import qtangle.mixed_witness as mixed_witness
+import qtangle.trajectories as trajectories
 from qtangle import (
     VERDICT_EXCLUDED,
     VERDICT_INCONCLUSIVE,
@@ -144,6 +146,23 @@ class TestEnsembleWitness:
         rep = ensemble_witness(rotating_pair(), math.pi / 4)
         assert rep.tr2_norm == pytest.approx(math.cos(math.pi / 4) / SQ2, abs=1e-12)
         assert rep.verdict == VERDICT_EXCLUDED
+
+    def test_each_component_differentiated_once(self, monkeypatch):
+        calls = []
+        original = trajectories.factor_tangents
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        for module in (trajectories, mixed_witness):
+            monkeypatch.setattr(module, "factor_tangents", counting, raising=False)
+        ens = moving_pair()
+        rep = ensemble_witness(ens, 0.4)
+        assert calls == list(ens.components)
+        honest = separable_mixed_differential(ens, 0.4).matrix
+        product = product_differential(ens, 0.4).matrix
+        assert rep.operator_gap == np.linalg.norm(honest - product)
 
 
 class TestBaseStateSeparability:

@@ -201,6 +201,35 @@ class TestProductTangent:
         tv = product_tangent(traj, 0.0)
         assert np.allclose(tv.direction, 1.5j * tv.base.amplitudes, atol=1e-13)
 
+    @pytest.mark.parametrize("method", ["analytic", "central_fd", "richardson"])
+    @pytest.mark.parametrize("frozen", [(True, False, False, True), (False,) * 4])
+    def test_matches_dense_kron_oracle(self, method, frozen):
+        """The running-prefix assembly against one full Kronecker term per moving factor."""
+        rng = np.random.default_rng(24)
+        for _ in range(3):
+            traj = trajectories.random_product_trajectory(rng, (2, 3, 2, 4), frozen=frozen)
+            t = float(rng.uniform(0.0, 1.0))
+            states = [c.state(t).amplitudes for c in traj.factors]
+            terms = []
+            for i, curve in enumerate(traj.factors):
+                if not frozen[i]:
+                    slots = states.copy()
+                    slots[i] = differentiate(curve, t, method).direction
+                    terms.append(reduce(np.kron, slots))
+            tv = product_tangent(traj, t, method)
+            assert np.allclose(tv.base.amplitudes, reduce(np.kron, states), rtol=0, atol=1e-12)
+            assert np.allclose(tv.direction, sum(terms), rtol=0, atol=1e-12)
+
+    def test_kron_calls_linear_in_factors(self, monkeypatch):
+        n = 6
+        traj = ProductTrajectory(tuple(BlochCurve([0.1 * i, 1.0]) for i in range(n)))
+        calls = []
+        kron = np.kron
+        monkeypatch.setattr(np, "kron", lambda a, b: calls.append(1) or kron(a, b))
+        product_tangent(traj, 0.3)
+        # a term per factor, each a full Kronecker chain, would take (n + 1)(n - 1)
+        assert len(calls) <= 3 * (n - 1)
+
 
 class TestHorizontalTangent:
     def test_projects_out_base_component(self):
@@ -388,6 +417,39 @@ class TestRegister:
         want = trajectories._sum_rule(parts, (False,) * n)
         assert np.allclose(tv.base.amplitudes, want.base.amplitudes, rtol=0, atol=1e-12)
         assert np.allclose(tv.direction, want.direction, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["central_fd", "richardson"])
+    def test_constant_sites_move_nothing_under_every_method(self, method):
+        """Skipping a constant site is exact: its stencil is exactly zero too."""
+        rng = np.random.default_rng(25)
+        curves = [
+            UnitaryCurve.constant(np.linalg.qr(rng.standard_normal((2, 2)) + 1j * SY)[0])
+            for _ in range(3)
+        ]
+        for curve in curves:
+            assert not np.any(trajectories._stencil(curve.value, 0.4, method, 1e-4))
+        prog = RegisterProgram.uniform_superposition([curves], 3)
+        assert not np.any(register_tangent(prog, 1, 0.4, method).direction)
+
+    def test_tensordot_calls_linear_in_sites(self, monkeypatch):
+        n = 6
+        steps = [[UnitaryCurve.rotation(SY / 2 + 0.1 * i * SX) for i in range(n)]]
+        prog = RegisterProgram.uniform_superposition(steps, n)
+        calls = []
+        tensordot = np.tensordot
+        monkeypatch.setattr(np, "tensordot", lambda *a, **kw: calls.append(1) or tensordot(*a, **kw))
+        register_tangent(prog, 1, 0.4)
+        # a term per site, each contracting every site, would take n(n + 1)
+        assert len(calls) <= 3 * n
+
+    def test_one_value_call_per_site(self, monkeypatch):
+        prog = self.make_program()
+        register_state(prog, 2, 0.5)  # fills the cached step starts
+        calls = []
+        value = UnitaryCurve.value
+        monkeypatch.setattr(UnitaryCurve, "value", lambda curve, t: calls.append(t) or value(curve, t))
+        register_tangent(prog, 2, 0.3)
+        assert calls == [0.3] * prog.n_sites
 
     def test_completed_steps_evaluated_once(self, monkeypatch):
         prog = self.make_program()
