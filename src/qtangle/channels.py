@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .statespace import Cut, HermitianOp, Ket, partial_trace
+from .statespace import Cut, HermitianOp, _check_hermitian, _outer, _partial_trace, _raise_first
 from .trajectories import (
     DEFAULT_STEP,
     ProductTrajectory,
-    TangentVector,
+    _factor_parts,
+    _kron_rows,
+    _overlaps,
     _product_rule,
-    factor_tangents,
     resolve_method,
 )
 
@@ -53,25 +53,26 @@ class BilocalCheck:
     reality_gap: float
 
 
-def _bipartite_parts(
-    traj: ProductTrajectory, t: float, method: str, h: float
-) -> list[TangentVector]:
+def _bipartite_rows(
+    traj: ProductTrajectory, ts: np.ndarray, method: str, h: float
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Both factors' (states, directions) over the grid, norm preservation checked."""
     if traj.n_factors != 2:
         raise ValueError(f"need a two-factor trajectory, got {traj.n_factors} factors")
-    parts = factor_tangents(traj, t, method, h)
+    parts = _factor_parts(traj, ts, method, h)
     tol = _RE_OVERLAP_TOL[resolve_method(traj.factors, method)]
-    for pos, part in enumerate(parts):
-        re = abs(part.base_overlap().real)
-        if re >= tol:
-            raise ValidationError(
-                f"factor {pos + 1} does not preserve norm at t={t!r}: "
-                f"|Re<psi|dpsi>| = {re:.3e}"
-            )
+    for pos, (base, deriv) in enumerate(parts):
+        re = np.abs(_overlaps(base, deriv).real)
+        _raise_first(
+            re >= tol,
+            lambda i: f"factor {pos + 1} does not preserve norm at t={float(ts[i])!r}: "
+            f"|Re<psi|dpsi>| = {re[i]:.3e}",
+        )
     return parts
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.conj().T) / 2
+    return (mat + np.swapaxes(mat, -2, -1).conj()) / 2
 
 
 def reduced_tangent_channel(
@@ -89,35 +90,41 @@ def reduced_tangent_channel(
     """
     if subsystem not in (1, 2):
         raise ValueError(f"subsystem must be 1 or 2, got {subsystem}")
-    return _channel_from_parts(_bipartite_parts(traj, t, method, h), subsystem)
+    parts = _bipartite_rows(traj, np.array([float(t)]), method, h)
+    full = _product_rule(*parts[0], parts[1:], _kron_rows)[1]
+    *terms, gap = _channel_rows(parts, full, (subsystem,))[0]
+    dims = traj.factors[subsystem - 1].dims
+    return ChannelReport(*(HermitianOp(term[0], dims) for term in terms), float(gap[0]))
 
 
-def _channel_from_parts(parts: list[TangentVector], subsystem: int) -> ChannelReport:
-    mine, other = (parts[0], parts[1]) if subsystem == 1 else (parts[1], parts[0])
+def _channel_rows(
+    parts: list[tuple[np.ndarray, np.ndarray]], full: np.ndarray, subsystems: tuple[int, ...]
+) -> list[tuple[np.ndarray, ...]]:
+    """Reduced channel of each requested subsystem over the stack.
 
-    psi, dpsi = mine.base.amplitudes, mine.direction
-    other_overlap = other.base_overlap()
-    other_speed_sq = np.vdot(other.direction, other.direction).real
+    ``full`` holds the tangents of the product, (G, D).  Every subsystem's
+    partial trace comes from the same full tangent operator, checked
+    Hermitian.  Per subsystem: (lhs, differential, interference, noise, gap),
+    each with one row per grid point; lhs and the terms are left unchecked.
+    """
+    big = _outer(full, full)
+    _check_hermitian(big)
+    dims = tuple(base.shape[-1] for base, _ in parts)
+    out = []
+    for subsystem in subsystems:
+        (psi, dpsi), (other, dother) = parts[subsystem - 1], parts[2 - subsystem]
+        other_overlap = _overlaps(other, dother)[:, None, None]
+        other_speed_sq = _overlaps(dother, dother).real[:, None, None]
 
-    differential = np.outer(dpsi, dpsi.conj())
-    interference = (np.outer(psi, dpsi.conj()) - np.outer(dpsi, psi.conj())) * other_overlap
-    noise = np.outer(psi, psi.conj()) * other_speed_sq
+        differential = _outer(dpsi, dpsi)
+        interference = (_outer(psi, dpsi) - _outer(dpsi, psi)) * other_overlap
+        noise = _outer(psi, psi) * other_speed_sq
 
-    first, second = ((p.base.amplitudes, p.direction) for p in parts)
-    _, full = _product_rule(*first, [second], np.kron)
-    big = HermitianOp(np.outer(full, full.conj()), parts[0].dims + parts[1].dims)
-    cut = Cut.splitting([subsystem - 1], 2)
-    lhs = partial_trace(big, cut, keep="left")
-
-    gap = float(np.linalg.norm(lhs.matrix - (differential + interference + noise)))
-    dims = mine.base.dims
-    return ChannelReport(
-        lhs=lhs,
-        differential_term=HermitianOp(_hermitian_part(differential), dims),
-        interference_term=HermitianOp(_hermitian_part(interference), dims),
-        noise_term=HermitianOp(_hermitian_part(noise), dims),
-        gap=gap,
-    )
+        lhs = _partial_trace(big, dims, Cut.splitting([subsystem - 1], 2), "left")
+        gap = np.linalg.norm(lhs - (differential + interference + noise), axis=(-2, -1))
+        terms = [_hermitian_part(m) for m in (differential, interference, noise)]
+        out.append((lhs, *terms, gap))
+    return out
 
 
 def bilocal_inner_check(
@@ -130,10 +137,11 @@ def bilocal_inner_check(
     belongs; the product of two imaginary numbers is real, which is the
     obstruction this check quantifies.
     """
-    return _bilocal_from_parts(_bipartite_parts(traj, t, method, h))
+    parts = _bipartite_rows(traj, np.array([float(t)]), method, h)
+    c1, c2 = (complex(_overlaps(base, deriv)[0]) for base, deriv in parts)
+    return BilocalCheck((c1, c2), c1 * c2, float(_reality_gaps(c1, c2)))
 
 
-def _bilocal_from_parts(parts: list[TangentVector]) -> BilocalCheck:
-    c1, c2 = (p.base_overlap() for p in parts)
-    product = c1 * c2
-    return BilocalCheck((c1, c2), product, abs(product.imag))
+def _reality_gaps(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """|Im(c1 c2)| of each pair of factor overlaps."""
+    return np.abs((c1 * c2).imag)

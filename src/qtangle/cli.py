@@ -1,8 +1,9 @@
 """Command-line front end: scenario sweeps, report emission, verification.
 
-Each scenario walks a parameter grid and writes one row per grid point.
-Columns are fixed per scenario; values are plain floats (12 significant
-digits in CSV) or verdict strings.  Exit codes: 0 success, 2 invalid
+Each scenario sweeps a parameter grid and writes one row per grid point.
+Every column is computed over the whole grid at once.  Columns are fixed
+per scenario; values are plain floats (12 significant digits in CSV) or
+verdict strings.  Exit codes: 0 success, 2 invalid
 input, 3 numerical-tolerance breach, 4 output I/O failure.
 """
 
@@ -21,23 +22,25 @@ import numpy as np
 from . import __version__
 from .config import SCENARIOS, RunConfig, parse_config
 from .channels import (
-    _bilocal_from_parts,
-    _bipartite_parts,
-    _channel_from_parts,
+    _bipartite_rows,
+    _channel_rows,
+    _overlaps,
+    _reality_gaps,
     bilocal_inner_check,
     reduced_tangent_channel,
 )
-from .entanglement import MeasurementSetting, bell_decompose, chsh_value, correlation_expansion
+from .entanglement import MeasurementSetting, _bell_rows, _chsh_rows, _correlation_expansions
 from .errors import ConfigError, DegenerateInputError, ToleranceBreachError, ValidationError
-from .geometry import GeodesicSample, _entropy_or_zero, fs_distance, fs_speed, profile
+from .geometry import _entropy_or_zero, fs_distance, fs_speed, profile
 from .mixed_witness import (
     VERDICT_INCONCLUSIVE,
-    base_state_separability,
+    _ensemble_witness_rows,
+    _separability,
+    _trace_witness,
     differential_trace_witness,
-    ensemble_witness,
     product_differential,
 )
-from .statespace import Cut, HermitianOp, Ket
+from .statespace import Cut, Ket, _check_hermitian, _outer, _raise_first
 from .trajectories import (
     BlochCurve,
     Ensemble,
@@ -46,13 +49,15 @@ from .trajectories import (
     RegisterProgram,
     TangentVector,
     UnitaryCurve,
+    _horizontal,
+    _normalized,
+    _projector_differentials,
     _sum_rule,
     differentiate,
     horizontal_tangent,
     infinitesimal_composition,
     product_tangent,
     propagator,
-    pseudo_pure_differential,
     random_admissible_direction,
     random_factor_curve,
     random_hermitian,
@@ -141,39 +146,55 @@ def _sweep(
     traj: ProductTrajectory | RegisterProgram,
     cuts: Sequence[Cut],
     columns: Sequence[str] = (),
-    cells: Callable[[GeodesicSample], Sequence] = lambda sample: (),
+    cells: Callable[[np.ndarray, np.ndarray, np.ndarray], list] = lambda *rows: [],
     base_entropy: bool = True,
     **extra,
 ) -> TraceReport:
     """Profile a trajectory over the grid once and write one row per point.
 
     Every row starts with t (and the step for a register program), the
-    speed and the per-cut entropies; ``cells`` appends the scenario's own
-    columns computed from the same sample.  An input the numerics reject
-    at one grid point is a tolerance breach there, not invalid input.
+    speed and the per-cut entropies; ``cells(ts, states, directions)``
+    appends the scenario's own columns, each over the whole grid, from the
+    profile's raw tangents.  An input the numerics reject at one grid point
+    is a tolerance breach there, not invalid input.
     """
     prof = profile(traj, cfg.grid_points(), cuts, method=cfg.method, h=cfg.h)
     register = isinstance(traj, RegisterProgram)
     head = ["t", "step", "fs_speed"] if register else ["t", "fs_speed"]
+    cols = [prof.grid, traj.resolve_time(prof.grid)[0].astype(float)] if register else [prof.grid]
+    cols.append(prof.fs_speed)
     for cut in cuts:
         head.append(f"tangent_entropy_{cut.label()}")
+        cols.append(prof.tangent_entropy[cut])
         if base_entropy:
             head.append(f"base_entropy_{cut.label()}")
-    rows = []
-    for sample in prof.samples:
-        row = [sample.t, float(traj.resolve_time(sample.t)[0])] if register else [sample.t]
-        row.append(sample.fs_speed)
-        for cut in cuts:
-            row.append(sample.tangent_entropy[cut])
-            if base_entropy:
-                row.append(sample.base_entropy[cut])
-        try:
-            row += cells(sample)
-        except (ValidationError, DegenerateInputError) as exc:
-            raise ToleranceBreachError(f"{exc} at t={sample.t:.6g}") from exc
-        rows.append(tuple(row))
+            cols.append(prof.base_entropy[cut])
+    try:
+        cols += _first_rejection(cells, prof.grid, prof.states, prof.directions)
+    except (ValidationError, DegenerateInputError) as exc:
+        raise ToleranceBreachError(f"{exc} at t={prof.grid[exc.row]:.6g}") from exc
     meta = _metadata(cfg, cuts=[c.label() for c in cuts], **extra, arc_length=prof.arc_length)
-    return TraceReport(meta, (*head, *columns), tuple(rows))
+    return TraceReport(meta, (*head, *columns), _rows(cols))
+
+
+def _first_rejection(cells: Callable, *rows: np.ndarray) -> list:
+    """``cells(*rows)``, or the rejection a point-by-point sweep would meet first.
+
+    Each check rejects its own first offending row, so a rejection at row r
+    stands only once the rows before r pass every check; no row depends on
+    another, so those rows alone decide that.
+    """
+    try:
+        return cells(*rows)
+    except (ValidationError, DegenerateInputError, ToleranceBreachError) as exc:
+        if exc.row:
+            _first_rejection(cells, *(r[: exc.row] for r in rows))
+        raise
+
+
+def _rows(columns: Sequence[np.ndarray]) -> tuple[tuple, ...]:
+    """Grid-long columns as rows of plain floats and strings."""
+    return tuple(zip(*(np.asarray(col).tolist() for col in columns)))
 
 
 def _pair(cfg: RunConfig) -> tuple[ProductTrajectory, Cut]:
@@ -184,10 +205,10 @@ def _pair(cfg: RunConfig) -> tuple[ProductTrajectory, Cut]:
 def _run_two_qubit_demo(cfg: RunConfig) -> TraceReport:
     traj, cut = _pair(cfg)
 
-    def cells(sample: GeodesicSample) -> list:
-        direction = horizontal_tangent(sample.tangent).normalized_direction()
-        bell = bell_decompose(direction)
-        return [float(bell[2].real), float(bell[1].real), chsh_value(direction)]
+    def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray) -> list:
+        direction = _normalized(_horizontal(states, directions))
+        bell = _bell_rows(direction)
+        return [bell[:, 2].real, bell[:, 1].real, _chsh_rows(direction)]
 
     return _sweep(cfg, traj, (cut,), ("bell_psi_plus", "bell_phi_minus", "chsh"), cells)
 
@@ -198,19 +219,20 @@ def _run_product_trace(cfg: RunConfig) -> TraceReport:
     if traj.n_factors != 2:
         return _sweep(cfg, traj, cuts)
 
-    def cells(sample: GeodesicSample) -> list:
-        parts = _bipartite_parts(traj, sample.t, cfg.method, cfg.h)
-        gaps = [
-            _channel_from_parts(parts, 1).gap,
-            _channel_from_parts(parts, 2).gap,
-            _bilocal_from_parts(parts).reality_gap,
-        ]
-        worst = max(gaps)
-        if worst > cfg.tol:
-            raise ToleranceBreachError(
-                f"channel-decomposition gap {worst:.3e} exceeds tolerance "
-                f"{cfg.tol:g} at t={sample.t:.6g}"
-            )
+    def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray) -> list:
+        parts = _bipartite_rows(traj, ts, cfg.method, cfg.h)
+        sides = _channel_rows(parts, directions, (1, 2))
+        for side in sides:
+            for mat in side[:-1]:
+                _check_hermitian(mat)
+        gaps = [sides[0][-1], sides[1][-1], _reality_gaps(*(_overlaps(*part) for part in parts))]
+        worst = np.max(gaps, axis=0)
+        _raise_first(
+            worst > cfg.tol,
+            lambda i: f"channel-decomposition gap {worst[i]:.3e} exceeds tolerance "
+            f"{cfg.tol:g} at t={ts[i]:.6g}",
+            ToleranceBreachError,
+        )
         return gaps
 
     return _sweep(cfg, traj, cuts, ("channel_gap_1", "channel_gap_2", "bilocal_gap"), cells)
@@ -223,54 +245,46 @@ def _run_register_trace(cfg: RunConfig) -> TraceReport:
 
 def _run_pseudo_pure(cfg: RunConfig) -> TraceReport:
     traj, cut = _pair(cfg)
-    total_dim = math.prod(traj.dims)
+    eps, dims = cfg.epsilon, traj.dims
+    total_dim = math.prod(dims)
 
-    def cells(sample: GeodesicSample) -> list:
-        tv = sample.tangent
-        drho = pseudo_pure_differential(tv.base, tv, cfg.epsilon)
-        trace = drho.trace()
-        if abs(trace) > TRACE_TOL:
-            raise ToleranceBreachError(
-                f"pseudo-pure differential has trace {trace:.3e} at t={sample.t:.6g}; "
-                f"the curve is not norm-preserving at the requested step size"
-            )
-        witness = differential_trace_witness(drho, tol=cfg.tol)
-        mixed = HermitianOp(
-            (1.0 - cfg.epsilon) * np.eye(total_dim) / total_dim
-            + cfg.epsilon * tv.base.projector().matrix,
-            traj.dims,
+    def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray) -> list:
+        drho = _projector_differentials(states, directions)
+        _check_hermitian(drho)
+        drho = eps * drho
+        _check_hermitian(drho)
+        trace = np.trace(drho, axis1=1, axis2=2).real
+        _raise_first(
+            np.abs(trace) > TRACE_TOL,
+            lambda i: f"pseudo-pure differential has trace {trace[i]:.3e} at t={ts[i]:.6g}; "
+            f"the curve is not norm-preserving at the requested step size",
+            ToleranceBreachError,
         )
-        return [
-            float(trace),
-            witness.tr1_norm,
-            witness.tr2_norm,
-            witness.verdict,
-            base_state_separability(mixed, cut),
-        ]
+        tr1, tr2, verdict = _trace_witness(drho, dims, cfg.tol)
+        projector = _outer(states, states)
+        _check_hermitian(projector)
+        mixed = (1.0 - eps) * np.eye(total_dim) / total_dim + eps * projector
+        _check_hermitian(mixed)
+        return [trace, tr1, tr2, verdict, _separability(mixed, dims, cut)]
 
     columns = ("drho_trace", "tr1_norm", "tr2_norm", "verdict", "base_separability")
     return _sweep(cfg, traj, (cut,), columns, cells, epsilon=cfg.epsilon)
 
 
 def _run_separable_mixed(cfg: RunConfig) -> TraceReport:
-    ens = rotating_ensemble()
     grid = cfg.grid_points()
+    witness = _ensemble_witness_rows(rotating_ensemble(), grid, cfg.tol, cfg.method, cfg.h)
     columns = ("t", "tr1_norm", "tr2_norm", "operator_gap", "verdict")
-    rows = []
-    for t in grid:
-        wit = ensemble_witness(ens, float(t), tol=cfg.tol, method=cfg.method, h=cfg.h)
-        rows.append((float(t), wit.tr1_norm, wit.tr2_norm, wit.operator_gap, wit.verdict))
-    return TraceReport(_metadata(cfg), columns, tuple(rows))
+    return TraceReport(_metadata(cfg), columns, _rows([grid, *witness]))
 
 
 def _run_chsh_scan(cfg: RunConfig) -> TraceReport:
     traj, cut = _pair(cfg)
     setting = MeasurementSetting(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
 
-    def cells(sample: GeodesicSample) -> list:
-        coefficients = correlation_expansion(traj, sample.t, setting)
-        direction = horizontal_tangent(sample.tangent).normalized_direction()
-        return [chsh_value(direction), *coefficients]
+    def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray) -> list:
+        coefficients = _correlation_expansions(traj, ts, setting)
+        return [_chsh_rows(_normalized(_horizontal(states, directions))), *coefficients.T]
 
     columns = ("chsh", "corr_c0", "corr_c1", "corr_c2")
     return _sweep(cfg, traj, (cut,), columns, cells, base_entropy=False)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .statespace import Cut, HermitianOp, Ket
+from .statespace import Cut, HermitianOp, Ket, _raise_first
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -30,6 +30,9 @@ BELL_STATES = {
     "psi_plus": Ket(np.array([0, 1, 1, 0]) / _SQ2, (2, 2), unit=True),
     "psi_minus": Ket(np.array([0, 1, -1, 0]) / _SQ2, (2, 2), unit=True),
 }
+_BELL_ROWS = np.array([BELL_STATES[label].amplitudes for label in BELL_LABELS])
+# _PAULI_PAIRS[i, j] = sigma_i x sigma_j over the axes x, y, z
+_PAULI_PAIRS = np.array([[np.kron(PAULI[p], PAULI[q]) for q in "xyz"] for p in "xyz"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,13 +58,27 @@ def _split_matrix(state: Ket, cut: Cut) -> tuple[np.ndarray, float, list[int], l
     norm = state.norm()
     if norm < 1e-12:
         raise DegenerateInputError("cannot decompose a (near-)zero vector")
-    cut.validate_for(state.dims)
-    left = sorted(cut.left)
-    right = sorted(cut.right)
-    tensor = state.amplitudes.reshape(state.dims)
-    tensor = tensor.transpose(left + right)
-    d_left = math.prod(state.dims[i] for i in left)
-    return tensor.reshape(d_left, -1) / norm, norm, left, right
+    matrix = _split(state.amplitudes, state.dims, cut) / norm
+    return matrix, norm, sorted(cut.left), sorted(cut.right)
+
+
+def _split(amps: np.ndarray, dims: tuple[int, ...], cut: Cut) -> np.ndarray:
+    """Each amplitude row (last axis) as a (left block, right block) matrix."""
+    cut.validate_for(dims)
+    lead = amps.shape[:-1]
+    g = len(lead)
+    order = sorted(cut.left) + sorted(cut.right)
+    tensor = amps.reshape(lead + tuple(dims)).transpose(list(range(g)) + [g + i for i in order])
+    return tensor.reshape(lead + (math.prod(dims[i] for i in cut.left), -1))
+
+
+def _entropy_bits(matrices: np.ndarray) -> np.ndarray:
+    """Entropy in bits of the squared singular values of each unit-norm matrix."""
+    p = np.linalg.svd(matrices, compute_uv=False) ** 2
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    entropy = -(p * logs).sum(axis=-1)
+    # rounding can push a probability a hair past 1; a negative total is noise
+    return np.where(entropy > 0, entropy, 0.0)
 
 
 def schmidt(state: Ket, cut: Cut) -> SchmidtData:
@@ -90,19 +107,19 @@ def entanglement_entropy(state: Ket, cut: Cut) -> float:
 
     Only the singular values are computed; a (near-)zero vector is rejected.
     """
-    p = np.linalg.svd(_split_matrix(state, cut)[0], compute_uv=False) ** 2
-    p = p[p > 0]
-    # rounding can push a probability a hair past 1; a negative total is noise
-    return max(0.0, float(-(p @ np.log2(p))))
+    return float(_entropy_bits(_split_matrix(state, cut)[0]))
 
 
 def bell_decompose(state: Ket) -> np.ndarray:
     """Coefficients of a two-qubit state on (phi+, phi-, psi+, psi-)."""
     if state.dims != (2, 2):
         raise ValueError(f"need a two-qubit state, got dims {state.dims}")
-    return np.array(
-        [np.vdot(BELL_STATES[l].amplitudes, state.amplitudes) for l in BELL_LABELS]
-    )
+    return _bell_rows(state.amplitudes)
+
+
+def _bell_rows(amps: np.ndarray) -> np.ndarray:
+    """Bell coefficients (phi+, phi-, psi+, psi-) of each two-qubit row."""
+    return amps @ _BELL_ROWS.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,35 +142,29 @@ class MeasurementSetting:
             object.__setattr__(self, name, vec)
 
 
-def _spin_axis(vec: np.ndarray) -> np.ndarray:
-    return vec[0] * PAULI["x"] + vec[1] * PAULI["y"] + vec[2] * PAULI["z"]
-
-
-def _require_two_qubit_unit(state: Ket) -> None:
+def _require_two_qubit(state: Ket) -> None:
     if state.dims != (2, 2):
         raise ValueError(f"need a two-qubit state, got dims {state.dims}")
-    if abs(state.norm() - 1) >= 1e-10:
-        raise ValidationError(f"state must be unit norm, got {state.norm()!r}")
 
 
 def correlation(state: Ket, setting: MeasurementSetting) -> float:
     """Joint spin expectation <(sigma.a) x (sigma.b)> in the given state."""
-    _require_two_qubit_unit(state)
-    op = np.kron(_spin_axis(setting.a), _spin_axis(setting.b))
-    value = complex(np.vdot(state.amplitudes, op @ state.amplitudes))
-    return float(value.real)
+    return float(setting.a @ correlation_matrix(state) @ setting.b)
 
 
 def correlation_matrix(state: Ket) -> np.ndarray:
     """3x3 matrix of joint Pauli expectations T[i, j] = <sigma_i x sigma_j>."""
-    _require_two_qubit_unit(state)
-    axes = "xyz"
-    out = np.empty((3, 3))
-    for i, p in enumerate(axes):
-        for j, q in enumerate(axes):
-            op = np.kron(PAULI[p], PAULI[q])
-            out[i, j] = np.vdot(state.amplitudes, op @ state.amplitudes).real
-    return out
+    _require_two_qubit(state)
+    return _correlation_rows(state.amplitudes)
+
+
+def _correlation_rows(amps: np.ndarray) -> np.ndarray:
+    """Correlation matrix of each unit two-qubit row, (..., 3, 3)."""
+    norms = np.linalg.norm(amps, axis=-1)
+    _raise_first(
+        np.abs(norms - 1) >= 1e-10, lambda i: f"state must be unit norm, got {norms.flat[i]!r}"
+    )
+    return np.einsum("...a,ijab,...b->...ij", amps.conj(), _PAULI_PAIRS, amps).real
 
 
 def chsh_value(state: Ket) -> float:
@@ -162,8 +173,14 @@ def chsh_value(state: Ket) -> float:
     Closed form: twice the root-sum-square of the two largest singular
     values of the correlation matrix.
     """
-    s = np.linalg.svd(correlation_matrix(state), compute_uv=False)
-    return float(2 * math.sqrt(s[0] ** 2 + s[1] ** 2))
+    _require_two_qubit(state)
+    return float(_chsh_rows(state.amplitudes))
+
+
+def _chsh_rows(amps: np.ndarray) -> np.ndarray:
+    """``chsh_value`` of each unit two-qubit row."""
+    s = np.linalg.svd(_correlation_rows(amps), compute_uv=False)
+    return 2 * np.sqrt(s[..., 0] ** 2 + s[..., 1] ** 2)
 
 
 def correlation_expansion(traj, t: float, setting: MeasurementSetting) -> tuple[float, float, float]:
@@ -173,7 +190,12 @@ def correlation_expansion(traj, t: float, setting: MeasurementSetting) -> tuple[
     Supported for a pair of identical real single-angle qubit curves, where
     the per-side expectations have closed derivatives.
     """
-    from .trajectories import BlochCurve, ProductTrajectory
+    return tuple(float(c) for c in _correlation_expansions(traj, np.array([float(t)]), setting)[0])
+
+
+def _correlation_expansions(traj, ts: np.ndarray, setting: MeasurementSetting) -> np.ndarray:
+    """``correlation_expansion`` at each grid point, (G, 3)."""
+    from .trajectories import BlochCurve, ProductTrajectory, _evaluators
 
     if not isinstance(traj, ProductTrajectory) or traj.n_factors != 2:
         raise ValueError("need a two-factor trajectory")
@@ -189,32 +211,20 @@ def correlation_expansion(traj, t: float, setting: MeasurementSetting) -> tuple[
     if any(traj.frozen):
         raise ValueError("frozen factors are not supported here")
 
-    th = first.theta(t)
-    dth = first.theta.deriv()(t)
-    ddth = first.theta.deriv(2)(t)
+    th = first._theta(ts)
+    dth = first._dtheta(ts)
+    ddth = _evaluators(first.theta, 3)[2](ts)
     ax, _, az = setting.a
     bx, _, bz = setting.b
-    f = ax * math.sin(th) + az * math.cos(th)
-    g = bx * math.sin(th) + bz * math.cos(th)
-    df = ax * math.cos(th) - az * math.sin(th)
-    dg = bx * math.cos(th) - bz * math.sin(th)
+    sin, cos = np.sin(th), np.cos(th)
+    f = ax * sin + az * cos
+    g = bx * sin + bz * cos
+    df = ax * cos - az * sin
+    dg = bx * cos - bz * sin
     value = f * g
     slope = (df * g + f * dg) * dth
     curvature = (-2 * f * g + 2 * df * dg) * dth**2 + (df * g + f * dg) * ddth
-    return float(value), float(slope), float(curvature / 2)
-
-
-def _permuted_blocks(op: HermitianOp, cut: Cut) -> tuple[np.ndarray, int, int]:
-    cut.validate_for(op.dims)
-    left = sorted(cut.left)
-    right = sorted(cut.right)
-    n = op.n_factors
-    order = left + right
-    perm = order + [n + i for i in order]
-    tensor = op.matrix.reshape(op.dims + op.dims).transpose(perm)
-    d_left = math.prod(op.dims[i] for i in left)
-    d_right = math.prod(op.dims[i] for i in right)
-    return tensor.reshape(d_left, d_right, d_left, d_right), d_left, d_right
+    return np.stack([value, slope, curvature / 2], axis=-1)
 
 
 def ppt_negativity(op: HermitianOp, cut: Cut) -> float:
@@ -223,7 +233,20 @@ def ppt_negativity(op: HermitianOp, cut: Cut) -> float:
     Zero is necessary for separability in any dimensions and conclusive only
     when the cut sides have dimensions 2x2 or 2x3.
     """
-    blocks, d_left, d_right = _permuted_blocks(op, cut)
-    transposed = blocks.transpose(0, 3, 2, 1).reshape(d_left * d_right, d_left * d_right)
+    return float(_ppt_negativities(op.matrix, op.dims, cut))
+
+
+def _ppt_negativities(mats: np.ndarray, dims: tuple[int, ...], cut: Cut) -> np.ndarray:
+    """``ppt_negativity`` of each matrix of a stack (last two axes)."""
+    cut.validate_for(dims)
+    lead = mats.shape[:-2]
+    n, g = len(dims), len(lead)
+    order = sorted(cut.left) + sorted(cut.right)
+    perm = order + [n + i for i in order]
+    tensor = mats.reshape(lead + dims + dims).transpose(list(range(g)) + [g + i for i in perm])
+    d_left = math.prod(dims[i] for i in cut.left)
+    d_right = math.prod(dims[i] for i in cut.right)
+    blocks = tensor.reshape(lead + (d_left, d_right, d_left, d_right))
+    transposed = np.swapaxes(blocks, -3, -1).reshape(lead + (d_left * d_right,) * 2)
     eigs = np.linalg.eigvalsh(transposed)
-    return float(-eigs[eigs < 0].sum())
+    return -np.where(eigs < 0, eigs, 0.0).sum(axis=-1)

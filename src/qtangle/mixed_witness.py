@@ -15,10 +15,17 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ValidationError
-from .statespace import Cut, HermitianOp, partial_trace
-from .trajectories import DEFAULT_STEP, Ensemble, _component_differentials, _mixed_differential
-from .entanglement import ppt_negativity
+from .statespace import Cut, HermitianOp, _check_hermitian, _partial_trace, _raise_first
+from .trajectories import (
+    DEFAULT_STEP,
+    Ensemble,
+    _component_differentials,
+    _component_projectors,
+    _factor_parts,
+    _kron_rows,
+    _mixed_differential,
+)
+from .entanglement import _ppt_negativities
 
 VERDICT_EXCLUDED = "product-differential-excluded"
 VERDICT_INCONCLUSIVE = "inconclusive"
@@ -43,12 +50,16 @@ class WitnessReport:
     tol: float
 
 
-def _trace_norms(drho: HermitianOp) -> tuple[float, float]:
-    if drho.n_factors != 2:
-        raise ValueError(f"need a bipartite operator, got {drho.n_factors} factors")
-    tr1 = partial_trace(drho, _BIPARTITE, keep="right").fro_norm()
-    tr2 = partial_trace(drho, _BIPARTITE, keep="left").fro_norm()
-    return tr1, tr2
+def _trace_norms(mats: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Frobenius norms of both partial traces of each matrix of a stack."""
+    if len(dims) != 2:
+        raise ValueError(f"need a bipartite operator, got {len(dims)} factors")
+    norms = []
+    for keep in ("right", "left"):
+        reduced = _partial_trace(mats, dims, _BIPARTITE, keep)
+        _check_hermitian(reduced)
+        norms.append(np.linalg.norm(reduced, axis=(-2, -1)))
+    return norms[0], norms[1]
 
 
 def differential_trace_witness(drho: HermitianOp, tol: float = 1e-6) -> WitnessReport:
@@ -57,26 +68,45 @@ def differential_trace_witness(drho: HermitianOp, tol: float = 1e-6) -> WitnessR
     Either partial-trace norm above ``tol`` excludes the doubly-differential
     product form, which is traceless on both sides.
     """
+    tr1, tr2, verdict = _trace_witness(drho.matrix, drho.dims, tol)
+    return WitnessReport(float(tr1), float(tr2), None, str(verdict), tol)
+
+
+def _trace_witness(
+    mats: np.ndarray, dims: tuple[int, ...], tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partial-trace norms and verdict of each differential of a stack."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if abs(drho.matrix.trace()) >= 1e-8:
-        raise ValidationError(
-            f"differential must be traceless, got trace {drho.matrix.trace():.3e}"
-        )
-    tr1, tr2 = _trace_norms(drho)
-    verdict = VERDICT_EXCLUDED if max(tr1, tr2) > tol else VERDICT_INCONCLUSIVE
-    return WitnessReport(tr1, tr2, None, verdict, tol)
+    traces = np.trace(mats, axis1=-2, axis2=-1)
+    _raise_first(
+        np.abs(traces) >= 1e-8,
+        lambda i: f"differential must be traceless, got trace {traces.flat[i]:.3e}",
+    )
+    tr1, tr2 = _trace_norms(mats, dims)
+    verdict = np.where(np.maximum(tr1, tr2) > tol, VERDICT_EXCLUDED, VERDICT_INCONCLUSIVE)
+    return tr1, tr2, verdict
 
 
 def product_differential(
     ens: Ensemble, t: float, method: str = "auto", h: float = DEFAULT_STEP
 ) -> HermitianOp:
     """The doubly-differential product form: sum_i w_i d(rho_i^1) x d(rho_i^2)."""
-    return _product_form(ens, _component_differentials(ens, t, method, h))
+    return HermitianOp(_product_form(_component_differentials(ens, t, method, h))[0], ens.dims)
 
 
-def _product_form(ens: Ensemble, components: list[tuple]) -> HermitianOp:
-    return HermitianOp(sum(w * np.kron(drho[0], drho[1]) for w, _, drho in components), ens.dims)
+def _product_form(components: list[tuple]) -> np.ndarray:
+    """The doubly-differential product form over the stack."""
+    return sum(w * _kron_rows(drho[0], drho[1]) for w, _, drho in components)
+
+
+def _ensemble_forms(components: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The honest differential and the product form built from the same
+    components, both checked Hermitian."""
+    forms = _mixed_differential(components), _product_form(components)
+    for form in forms:
+        _check_hermitian(form)
+    return forms
 
 
 def operator_form_gap(
@@ -84,20 +114,28 @@ def operator_form_gap(
 ) -> float:
     """Frobenius distance between the honest differential of the mixture and
     the doubly-differential product form built from the same components."""
-    components = _component_differentials(ens, t, method, h)
-    honest, product = _mixed_differential(ens, components), _product_form(ens, components)
-    return float(np.linalg.norm(honest.matrix - product.matrix))
+    honest, product = _ensemble_forms(_component_differentials(ens, t, method, h))
+    return float(np.linalg.norm(honest[0] - product[0]))
 
 
 def ensemble_witness(
     ens: Ensemble, t: float, tol: float = 1e-6, method: str = "auto", h: float = DEFAULT_STEP
 ) -> WitnessReport:
     """Full witness for an ensemble: trace norms plus the operator-form gap."""
-    components = _component_differentials(ens, t, method, h)
-    honest = _mixed_differential(ens, components)
-    partial = differential_trace_witness(honest, tol)
-    gap = float(np.linalg.norm(honest.matrix - _product_form(ens, components).matrix))
-    return WitnessReport(partial.tr1_norm, partial.tr2_norm, gap, partial.verdict, tol)
+    honest, product = _ensemble_forms(_component_differentials(ens, t, method, h))
+    tr1, tr2, verdict = _trace_witness(honest, ens.dims, tol)
+    gap = float(np.linalg.norm(honest[0] - product[0]))  # as operator_form_gap, to the bit
+    return WitnessReport(float(tr1[0]), float(tr2[0]), gap, str(verdict[0]), tol)
+
+
+def _ensemble_witness_rows(
+    ens: Ensemble, ts: np.ndarray, tol: float, method: str, h: float
+) -> tuple[np.ndarray, ...]:
+    """``ensemble_witness`` at each grid point: (tr1, tr2, operator gap, verdict)."""
+    parts = [_factor_parts(comp, ts, method, h) for comp in ens.components]
+    honest, product = _ensemble_forms(_component_projectors(ens, parts))
+    tr1, tr2, verdict = _trace_witness(honest, ens.dims, tol)
+    return tr1, tr2, np.linalg.norm(honest - product, axis=(-2, -1)), verdict
 
 
 def base_state_separability(rho: HermitianOp, cut: Cut) -> SeparabilityVerdict:
@@ -107,16 +145,22 @@ def base_state_separability(rho: HermitianOp, cut: Cut) -> SeparabilityVerdict:
     a positive one certifies separability only for 2x2 and 2x3 sides and is
     otherwise undecided.
     """
-    cut.validate_for(rho.dims)
-    eigs = rho.eigenvalues()
-    if eigs[0] < -1e-10:
-        raise ValidationError(f"operator is not positive (min eigenvalue {eigs[0]:.3e})")
-    if abs(rho.trace() - 1.0) >= 1e-10:
-        raise ValidationError(f"state must have unit trace, got {rho.trace()!r}")
-    if ppt_negativity(rho, cut) > 1e-10:
-        return "entangled"
-    d_left = math.prod(rho.dims[i] for i in cut.left)
-    d_right = math.prod(rho.dims[i] for i in cut.right)
-    if sorted((d_left, d_right)) in ([2, 2], [2, 3]):
-        return "separable"
-    return "undecided"
+    return str(_separability(rho.matrix, rho.dims, cut))
+
+
+def _separability(mats: np.ndarray, dims: tuple[int, ...], cut: Cut) -> np.ndarray:
+    """``base_state_separability`` of each state of a stack."""
+    cut.validate_for(dims)
+    lowest = np.linalg.eigvalsh(mats)[..., 0]
+    _raise_first(
+        lowest < -1e-10, lambda i: f"operator is not positive (min eigenvalue {lowest.flat[i]:.3e})"
+    )
+    traces = np.trace(mats, axis1=-2, axis2=-1).real
+    _raise_first(
+        np.abs(traces - 1.0) >= 1e-10,
+        lambda i: f"state must have unit trace, got {float(traces.flat[i])!r}",
+    )
+    d_left = math.prod(dims[i] for i in cut.left)
+    d_right = math.prod(dims[i] for i in cut.right)
+    positive = "separable" if sorted((d_left, d_right)) in ([2, 2], [2, 3]) else "undecided"
+    return np.where(_ppt_negativities(mats, dims, cut) > 1e-10, "entangled", positive)

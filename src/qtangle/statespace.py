@@ -4,6 +4,10 @@ Amplitude vectors are flat and row-major over the factor dimensions: the
 leftmost factor is the slowest-varying index, so tensor products follow plain
 ``np.kron`` ordering.  Every container is immutable after construction and
 every operation is a pure function, which keeps concurrent use trivially safe.
+
+The private helpers work on stacks: a leading axis holds one row per grid
+point, and a single vector or matrix is the one-row case.  Their checks run
+over the whole stack and reject the first offending row.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 from functools import reduce
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -21,6 +25,52 @@ DEFAULT_TOL = 1e-12
 UNITARY_TOL = 1e-10
 
 Side = Literal["left", "right"]
+
+
+def _raise_first(
+    bad: np.ndarray, message: Callable[[int], str], error: type[Exception] = ValidationError
+) -> None:
+    """Raise ``error(message(i))`` for the first row i of a stack where ``bad`` holds.
+
+    The exception records that row as ``row``, so a caller holding the grid
+    can name the offending point.
+    """
+    if np.count_nonzero(bad):
+        row = int(np.flatnonzero(bad)[0])
+        exc = error(message(row))
+        exc.row = row
+        raise exc
+
+
+def _check_finite(values: np.ndarray, axes: tuple[int, ...], message: str) -> None:
+    """Reject the first row whose entries over ``axes`` are not all finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        _raise_first(~finite.all(axis=axes), lambda i: message, ValueError)
+
+
+def _check_amplitudes(amps: np.ndarray, tol: float | None = None) -> None:
+    """Each row (last axis) finite and, when ``tol`` is given, of unit norm."""
+    _check_finite(amps, (-1,), "amplitudes must all be finite")
+    if tol is not None:
+        norms = np.linalg.norm(amps, axis=-1)
+        _raise_first(
+            abs(norms - 1.0) >= tol, lambda i: f"expected a unit vector, got norm {norms.flat[i]!r}"
+        )
+
+
+def _check_hermitian(mats: np.ndarray, tol: float = DEFAULT_TOL) -> None:
+    """Each matrix (last two axes) finite, Hermitian and of real trace, to ``tol``."""
+    _check_finite(mats, (-2, -1), "matrix entries must all be finite")
+    dev = abs(mats - mats.swapaxes(-2, -1).conj()).max(axis=(-2, -1))
+    _raise_first(dev >= tol, lambda i: f"matrix is not Hermitian (max deviation {dev.flat[i]:.3e})")
+    imag = mats.trace(axis1=-2, axis2=-1).imag
+    _raise_first(abs(imag) >= tol, lambda i: f"trace has imaginary part {imag.flat[i]:.3e}")
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x><y| of each row of two stacks of vectors."""
+    return x[..., :, None] * y.conj()[..., None, :]
 
 
 def _dims_tuple(dims: Iterable[int]) -> tuple[int, ...]:
@@ -57,15 +107,10 @@ class Ket:
                 f"amplitude length {amps.size} does not match dims {dims} "
                 f"(product {math.prod(dims)})"
             )
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must all be finite")
+        _check_amplitudes(amps, tol if unit else None)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
-        if unit:
-            norm = np.linalg.norm(amps)
-            if abs(norm - 1.0) >= tol:
-                raise ValidationError(f"expected a unit vector, got norm {norm!r}")
 
     @classmethod
     def basis(cls, dims: Iterable[int], occupation: Sequence[int]) -> "Ket":
@@ -100,7 +145,7 @@ class Ket:
 
     def projector(self) -> "HermitianOp":
         """Rank-one operator |psi><psi|."""
-        return HermitianOp(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
+        return HermitianOp(_outer(self.amplitudes, self.amplitudes), self.dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,13 +162,7 @@ class HermitianOp:
         side = math.prod(dims)
         if mat.shape != (side, side):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("matrix entries must all be finite")
-        dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if dev >= tol:
-            raise ValidationError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-        if abs(mat.trace().imag) >= tol:
-            raise ValidationError(f"trace has imaginary part {mat.trace().imag:.3e}")
+        _check_hermitian(mat, tol)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
@@ -209,19 +248,26 @@ def partial_trace(op: HermitianOp, cut: Cut, keep: Side = "left") -> HermitianOp
 
     The kept factors appear in the result in their original ascending order.
     """
-    cut.validate_for(op.dims)
+    reduced = _partial_trace(op.matrix, op.dims, cut, keep)
+    kept = sorted(cut.left if keep == "left" else cut.right)
+    return HermitianOp(reduced, tuple(op.dims[i] for i in kept))
+
+
+def _partial_trace(mats: np.ndarray, dims: tuple[int, ...], cut: Cut, keep: Side) -> np.ndarray:
+    """``partial_trace`` of each matrix of a stack (last two axes), unchecked."""
+    cut.validate_for(dims)
     if keep not in ("left", "right"):
         raise ValueError(f"keep must be 'left' or 'right', got {keep!r}")
     kept = sorted(cut.left if keep == "left" else cut.right)
     traced = sorted(cut.right if keep == "left" else cut.left)
-    n = op.n_factors
-    tensor = op.matrix.reshape(op.dims + op.dims)
+    lead = mats.shape[:-2]
+    n, g = len(dims), len(lead)
+    tensor = mats.reshape(lead + dims + dims)
     perm = kept + traced + [n + i for i in kept] + [n + i for i in traced]
-    tensor = tensor.transpose(perm)
-    d_keep = math.prod(op.dims[i] for i in kept)
-    d_out = math.prod(op.dims[i] for i in traced)
-    reduced = np.einsum("abcb->ac", tensor.reshape(d_keep, d_out, d_keep, d_out))
-    return HermitianOp(reduced, tuple(op.dims[i] for i in kept))
+    tensor = tensor.transpose(list(range(g)) + [g + i for i in perm])
+    d_keep = math.prod(dims[i] for i in kept)
+    d_out = math.prod(dims[i] for i in traced)
+    return np.einsum("...abcb->...ac", tensor.reshape(lead + (d_keep, d_out, d_keep, d_out)))
 
 
 def apply_local_unitaries(state: Ket, unitaries: Sequence[np.ndarray]) -> Ket:
@@ -253,10 +299,14 @@ def _apply_local(
 
     No 2^n x 2^n operator is formed, and the matrices are not checked.
     """
-    return reduce(_apply_axis, mats, amplitudes.reshape(dims)).reshape(-1)
+    psi = amplitudes.reshape((1,) + dims)
+    return reduce(_apply_axis, (m[None] for m in mats), psi).reshape(-1)
 
 
 def _apply_axis(psi: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Apply ``mat`` to the leading axis of ``psi`` and move that axis last, so
-    that one matrix per axis, applied in order, restores the axis order."""
-    return np.moveaxis(np.tensordot(mat, psi, axes=([1], [0])), 0, -1)
+    """Row by row, apply ``mat`` (G, d, d) to the first factor axis of ``psi``
+    (G, d, ...) and move that axis last, so that one matrix per axis, applied
+    in order, restores the axis order."""
+    g, d = psi.shape[:2]
+    out = np.matmul(mat, psi.reshape(g, d, -1)).reshape(psi.shape)
+    return np.moveaxis(out, 1, -1)

@@ -7,6 +7,11 @@ differences with Richardson extrapolation otherwise.  The derivative of a
 product of curves distributes over the factors, so the assembled tangent of
 a product trajectory is a sum of terms each moving exactly one factor;
 factors marked frozen contribute exactly zero.
+
+Every kernel works over a whole parameter grid at once: curves return
+``(G, d)`` arrays from ``states(ts)`` and ``velocities(ts)``, and tangents
+are assembled row by row.  The scalar functions (``state``, ``differentiate``,
+``product_tangent``, ``register_tangent``, ...) are the one-row case.
 """
 
 from __future__ import annotations
@@ -27,7 +32,19 @@ from .errors import (
     UnsupportedMethodError,
     ValidationError,
 )
-from .statespace import DEFAULT_TOL, HermitianOp, Ket, _apply_axis, _apply_local, tensor_product
+from .statespace import (
+    DEFAULT_TOL,
+    HermitianOp,
+    Ket,
+    _apply_axis,
+    _apply_local,
+    _check_amplitudes,
+    _check_finite,
+    _check_hermitian,
+    _outer,
+    _raise_first,
+    tensor_product,
+)
 
 DEFAULT_STEP = 1e-4
 BASE_NORM_TOL = 1e-10
@@ -44,6 +61,32 @@ def _as_poly(value, name: str) -> Polynomial:
     if not np.all(np.isfinite(poly.coef)):
         raise ValueError(f"{name}: coefficients must be finite")
     return poly
+
+
+def _evaluators(poly: Polynomial, count: int) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """``poly`` and its first ``count - 1`` derivatives as functions of a grid array.
+
+    They repeat the arithmetic of ``poly.deriv(order)`` and of
+    ``Polynomial.__call__`` (domain map, then Horner) without building
+    polynomial objects, which costs more than evaluating a short grid.
+    """
+    off, scl = poly.mapparms()
+
+    def evaluator(coef: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        def values(ts: np.ndarray) -> np.ndarray:
+            x = off + scl * ts
+            out = coef[-1] + x * 0
+            for c in coef[-2::-1]:
+                out = c + out * x
+            return out
+
+        return values
+
+    out, coef = [evaluator(poly.coef)], poly.coef
+    for _ in range(count - 1):
+        coef = np.arange(1, len(coef)) * (coef[1:] * scl) if len(coef) > 1 else coef[:1] * 0
+        out.append(evaluator(coef))
+    return out
 
 
 def _hermitian_matrix(value, name: str, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -70,15 +113,23 @@ class FactorCurve(ABC):
     has_analytic: bool = True
 
     @abstractmethod
-    def state(self, t: float) -> Ket:
-        """Unit ket at parameter value t."""
+    def states(self, ts: np.ndarray) -> np.ndarray:
+        """Unit amplitudes at each parameter value of a 1-d grid, shape (G, d)."""
 
-    def velocity(self, t: float) -> np.ndarray:
-        """Closed-form derivative of the amplitudes at t."""
+    def velocities(self, ts: np.ndarray) -> np.ndarray:
+        """Closed-form derivative of the amplitudes at each grid point, (G, d)."""
         raise UnsupportedMethodError(
             f"{type(self).__name__} has no closed-form derivative; "
             "use central_fd or richardson"
         )
+
+    def state(self, t: float) -> Ket:
+        """Unit ket at parameter value t."""
+        return Ket(self.states(np.array([float(t)]))[0], self.dims)
+
+    def velocity(self, t: float) -> np.ndarray:
+        """Closed-form derivative of the amplitudes at t."""
+        return self.velocities(np.array([float(t)]))[0]
 
 
 class BlochCurve(FactorCurve):
@@ -91,18 +142,26 @@ class BlochCurve(FactorCurve):
     def __init__(self, theta, phi=0.0) -> None:
         self.theta = _as_poly(theta, "theta")
         self.phi = _as_poly(phi, "phi")
+        self._theta, self._dtheta = _evaluators(self.theta, 2)
+        self._phi, self._dphi = _evaluators(self.phi, 2)
         self.dims = (2,)
 
-    def state(self, t: float) -> Ket:
-        th = self.theta(t)
-        amps = [math.cos(th / 2), np.exp(1j * self.phi(t)) * math.sin(th / 2)]
-        return Ket(amps, (2,), unit=True)
+    def states(self, ts: np.ndarray) -> np.ndarray:
+        half = self._theta(ts) / 2
+        amps = np.empty((len(ts), 2), dtype=complex)
+        amps[:, 0] = np.cos(half)
+        amps[:, 1] = np.exp(1j * self._phi(ts)) * np.sin(half)
+        _check_amplitudes(amps, DEFAULT_TOL)
+        return amps
 
-    def velocity(self, t: float) -> np.ndarray:
-        th, dth = self.theta(t), self.theta.deriv()(t)
-        ph, dph = self.phi(t), self.phi.deriv()(t)
-        half, c, s = dth / 2, math.cos(th / 2), math.sin(th / 2)
-        return np.array([-half * s, np.exp(1j * ph) * (half * c + 1j * dph * s)])
+    def velocities(self, ts: np.ndarray) -> np.ndarray:
+        th, ph = self._theta(ts), self._phi(ts)
+        half, dph = self._dtheta(ts) / 2, self._dphi(ts)
+        c, s = np.cos(th / 2), np.sin(th / 2)
+        out = np.empty((len(ts), 2), dtype=complex)
+        out[:, 0] = -half * s
+        out[:, 1] = np.exp(1j * ph) * (half * c + 1j * dph * s)
+        return out
 
 
 class PhaseCurve(FactorCurve):
@@ -110,16 +169,19 @@ class PhaseCurve(FactorCurve):
 
     def __init__(self, phi, base: Ket) -> None:
         self.phi = _as_poly(phi, "phi")
+        self._phi, self._dphi = _evaluators(self.phi, 2)
         if abs(base.norm() - 1) >= BASE_NORM_TOL:
             raise ValidationError(f"base ket must be unit norm, got {base.norm()!r}")
         self.base = base
         self.dims = base.dims
 
-    def state(self, t: float) -> Ket:
-        return Ket(np.exp(1j * self.phi(t)) * self.base.amplitudes, self.dims, unit=True)
+    def states(self, ts: np.ndarray) -> np.ndarray:
+        amps = np.exp(1j * self._phi(ts))[:, None] * self.base.amplitudes
+        _check_amplitudes(amps, DEFAULT_TOL)
+        return amps
 
-    def velocity(self, t: float) -> np.ndarray:
-        return 1j * self.phi.deriv()(t) * self.state(t).amplitudes
+    def velocities(self, ts: np.ndarray) -> np.ndarray:
+        return 1j * self._dphi(ts)[:, None] * self.states(ts)
 
 
 class LocalHamiltonianCurve(FactorCurve):
@@ -140,14 +202,16 @@ class LocalHamiltonianCurve(FactorCurve):
         self._evals, self._evecs = np.linalg.eigh(mat)
         self._coeffs = self._evecs.conj().T @ initial.amplitudes
 
-    def _amplitudes(self, t: float) -> np.ndarray:
-        return self._evecs @ (np.exp(-1j * self._evals * t) * self._coeffs)
+    def _amplitudes(self, ts: np.ndarray) -> np.ndarray:
+        return _matvec(self._evecs, np.exp(-1j * self._evals * ts[:, None]) * self._coeffs)
 
-    def state(self, t: float) -> Ket:
-        return Ket(self._amplitudes(t), self.dims, unit=True, tol=1e-10)
+    def states(self, ts: np.ndarray) -> np.ndarray:
+        amps = self._amplitudes(ts)
+        _check_amplitudes(amps, 1e-10)
+        return amps
 
-    def velocity(self, t: float) -> np.ndarray:
-        return -1j * (self.generator @ self._amplitudes(t))
+    def velocities(self, ts: np.ndarray) -> np.ndarray:
+        return -1j * _matvec(self.generator, self._amplitudes(ts))
 
 
 class SampledCurve(FactorCurve):
@@ -179,20 +243,22 @@ class SampledCurve(FactorCurve):
         self.dims = dims
         self._spline = CubicSpline(times, np.array([k.amplitudes for k in states]), axis=0)
 
-    def _check_range(self, t: float) -> None:
-        if t < self.times[0] or t > self.times[-1]:
-            raise ParameterRangeError(
-                f"t={t!r} outside the sampled range "
-                f"[{self.times[0]!r}, {self.times[-1]!r}]"
-            )
-
-    def state(self, t: float) -> Ket:
-        self._check_range(t)
-        amps = self._spline(t)
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1) >= 1e-6:
-            raise ValidationError(f"interpolated state at t={t!r} has norm {norm!r}")
-        return Ket(amps / norm, self.dims, unit=True)
+    def states(self, ts: np.ndarray) -> np.ndarray:
+        lo, hi = self.times[0], self.times[-1]
+        _raise_first(
+            (ts < lo) | (ts > hi),
+            lambda i: f"t={float(ts[i])!r} outside the sampled range [{lo!r}, {hi!r}]",
+            ParameterRangeError,
+        )
+        amps = self._spline(ts)
+        norms = np.linalg.norm(amps, axis=-1)
+        _raise_first(
+            np.abs(norms - 1) >= 1e-6,
+            lambda i: f"interpolated state at t={float(ts[i])!r} has norm {norms[i]!r}",
+        )
+        amps = amps / norms[:, None]
+        _check_amplitudes(amps, DEFAULT_TOL)
+        return amps
 
 
 class _PhaseModulated(FactorCurve):
@@ -201,17 +267,20 @@ class _PhaseModulated(FactorCurve):
     def __init__(self, inner: FactorCurve, phi) -> None:
         self.inner = inner
         self.phi = _as_poly(phi, "phi")
+        self._phi, self._dphi = _evaluators(self.phi, 2)
         self.dims = inner.dims
         self.has_analytic = inner.has_analytic
 
-    def state(self, t: float) -> Ket:
-        base = self.inner.state(t)
-        return Ket(np.exp(1j * self.phi(t)) * base.amplitudes, self.dims)
+    def states(self, ts: np.ndarray) -> np.ndarray:
+        amps = np.exp(1j * self._phi(ts))[:, None] * self.inner.states(ts)
+        _check_amplitudes(amps)
+        return amps
 
-    def velocity(self, t: float) -> np.ndarray:
-        phase = np.exp(1j * self.phi(t))
-        inner_state = self.inner.state(t).amplitudes
-        return phase * (1j * self.phi.deriv()(t) * inner_state + self.inner.velocity(t))
+    def velocities(self, ts: np.ndarray) -> np.ndarray:
+        phase = np.exp(1j * self._phi(ts))[:, None]
+        inner_states = self.inner.states(ts)
+        dphi = self._dphi(ts)[:, None]
+        return phase * (1j * dphi * inner_states + self.inner.velocities(ts))
 
 
 def with_global_phase(curve: FactorCurve, phi) -> FactorCurve:
@@ -232,15 +301,7 @@ class TangentVector:
 
     def __post_init__(self) -> None:
         direction = np.array(self.direction, dtype=complex)
-        if direction.shape != self.base.amplitudes.shape:
-            raise ValueError(
-                f"direction shape {direction.shape} does not match base "
-                f"{self.base.amplitudes.shape}"
-            )
-        if not np.all(np.isfinite(direction)):
-            raise ValueError("direction entries must all be finite")
-        if abs(self.base.norm() - 1) >= BASE_NORM_TOL:
-            raise ValidationError(f"base must be unit norm, got {self.base.norm()!r}")
+        _check_tangents(self.base.amplitudes, direction)
         direction.setflags(write=False)
         object.__setattr__(self, "direction", direction)
 
@@ -253,13 +314,46 @@ class TangentVector:
 
     def base_overlap(self) -> complex:
         """<base|direction>."""
-        return complex(np.vdot(self.base.amplitudes, self.direction))
+        return complex(_overlaps(self.base.amplitudes, self.direction))
 
     def normalized_direction(self) -> Ket:
-        n = self.norm()
-        if n < 1e-12:
-            raise DegenerateInputError("direction is (near-)zero; nothing to normalize")
-        return Ket(self.direction / n, self.dims, unit=True)
+        return Ket(_normalized(self.direction), self.dims)
+
+
+def _check_tangents(base: np.ndarray, direction: np.ndarray) -> None:
+    """The TangentVector checks on rows of base amplitudes and directions."""
+    if direction.shape != base.shape:
+        raise ValueError(
+            f"direction shape {direction.shape[-1:]} does not match base {base.shape[-1:]}"
+        )
+    _check_finite(direction, (-1,), "direction entries must all be finite")
+    norms = np.linalg.norm(base, axis=-1)
+    _raise_first(
+        abs(norms - 1) >= BASE_NORM_TOL, lambda i: f"base must be unit norm, got {norms.flat[i]!r}"
+    )
+
+
+def _normalized(directions: np.ndarray) -> np.ndarray:
+    """Each direction row scaled to unit norm; a (near-)zero row is rejected."""
+    norms = np.linalg.norm(directions, axis=-1)
+    _raise_first(
+        norms < 1e-12,
+        lambda i: "direction is (near-)zero; nothing to normalize",
+        DegenerateInputError,
+    )
+    unit = directions / norms[..., None]
+    _check_amplitudes(unit, DEFAULT_TOL)
+    return unit
+
+
+def _overlaps(base: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """<base|direction> of each row, by the same BLAS dot as ``np.vdot``."""
+    return np.matmul(base.conj()[..., None, :], directions[..., :, None])[..., 0, 0]
+
+
+def _matvec(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``mat @ row`` for each row, by the same BLAS matrix-vector product."""
+    return np.matmul(mat, rows[..., :, None])[..., 0]
 
 
 def resolve_method(curves: Iterable[FactorCurve], method: str) -> str:
@@ -275,8 +369,9 @@ def resolve_method(curves: Iterable[FactorCurve], method: str) -> str:
     return "analytic" if all(c.has_analytic for c in curves) else "richardson"
 
 
-def _stencil(fn: Callable[[float], np.ndarray], t: float, method: str, h: float) -> np.ndarray:
-    """central_fd (error O(h^2)) or richardson (two central stencils, O(h^4)) of fn at t."""
+def _stencil(fn: Callable[[np.ndarray], np.ndarray], t, method: str, h: float) -> np.ndarray:
+    """central_fd (error O(h^2)) or richardson (two central stencils, O(h^4)) of fn
+    at t, a number or a grid array."""
     if not h > 0:
         raise ValueError(f"step h must be positive, got {h!r}")
 
@@ -295,13 +390,15 @@ def differentiate(
 
     ``method`` is one of auto, analytic, central_fd or richardson.
     """
-    t = float(t)
+    return TangentVector(curve.state(t), _directions(curve, np.array([float(t)]), method, h)[0])
+
+
+def _directions(curve: FactorCurve, ts: np.ndarray, method: str, h: float) -> np.ndarray:
+    """Derivative of the curve's amplitudes at each grid point, (G, d)."""
     method = resolve_method((curve,), method)
     if method == "analytic":
-        direction = curve.velocity(t)
-    else:
-        direction = _stencil(lambda s: curve.state(s).amplitudes, t, method, h)
-    return TangentVector(curve.state(t), direction)
+        return curve.velocities(ts)
+    return _stencil(curve.states, ts, method, h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,21 +440,52 @@ def factor_tangents(
     traj: ProductTrajectory, t: float, method: str = "auto", h: float = DEFAULT_STEP
 ) -> list[TangentVector]:
     """Per-factor tangents at t; frozen factors get an exactly-zero direction."""
-    out = []
+    parts = _factor_parts(traj, np.array([float(t)]), method, h)
+    return [
+        TangentVector(Ket(base[0], curve.dims), deriv[0])
+        for curve, (base, deriv) in zip(traj.factors, parts)
+    ]
+
+
+def _factor_parts(
+    traj: ProductTrajectory, ts: np.ndarray, method: str, h: float
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``_factor_rows`` with an exactly-zero direction for a frozen factor."""
+    return [
+        (base, np.zeros_like(base) if deriv is None else deriv)
+        for base, deriv in _factor_rows(traj, ts, method, h)
+    ]
+
+
+def _factor_rows(
+    traj: ProductTrajectory, ts: np.ndarray, method: str, h: float
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Each factor's (states, directions) over the grid; None for a frozen factor."""
+    rows = []
     for curve, frozen in zip(traj.factors, traj.frozen):
-        if frozen:
-            base = curve.state(t)
-            out.append(TangentVector(base, np.zeros_like(base.amplitudes)))
-        else:
-            out.append(differentiate(curve, t, method, h))
-    return out
+        base = curve.states(ts)
+        deriv = None
+        if not frozen:
+            deriv = _directions(curve, ts, method, h)
+            _check_tangents(base, deriv)
+        rows.append((base, deriv))
+    return rows
 
 
 def product_tangent(
     traj: ProductTrajectory, t: float, method: str = "auto", h: float = DEFAULT_STEP
 ) -> TangentVector:
     """Tangent of the product state: one term per unfrozen factor."""
-    return _sum_rule(factor_tangents(traj, t, method, h), traj.frozen)
+    state, direction = _product_rows(traj, np.array([float(t)]), method, h)
+    return TangentVector(Ket(state[0], traj.dims), direction[0])
+
+
+def _product_rows(
+    traj: ProductTrajectory, ts: np.ndarray, method: str, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Product states and their tangents over the grid, each (G, D), unchecked."""
+    rows = _factor_rows(traj, ts, method, h)
+    return _product_rule(*rows[0], rows[1:], _kron_rows)
 
 
 def _sum_rule(parts: Sequence[TangentVector], frozen: Sequence[bool]) -> TangentVector:
@@ -366,9 +494,20 @@ def _sum_rule(parts: Sequence[TangentVector], frozen: Sequence[bool]) -> Tangent
     Each term tensors the direction of a single unfrozen factor with the
     base states of all the others; frozen factors add no term.
     """
-    sites = [(p.base.amplitudes, None if f else p.direction) for p, f in zip(parts, frozen)]
-    state, direction = _product_rule(*sites[0], sites[1:], np.kron)
-    return TangentVector(Ket(state, tuple(d for p in parts for d in p.dims)), direction)
+    sites = [
+        (p.base.amplitudes[None], None if f else p.direction[None]) for p, f in zip(parts, frozen)
+    ]
+    state, direction = _product_rule(*sites[0], sites[1:], _kron_rows)
+    return TangentVector(Ket(state[0], tuple(d for p in parts for d in p.dims)), direction[0])
+
+
+def _kron_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product of two stacks of vectors (G, a) and (G, b),
+    or of two stacks of matrices (G, a, a') and (G, b, b')."""
+    if x.ndim == 2:
+        return (x[:, :, None] * y[:, None, :]).reshape(len(x), -1)
+    prod = x[:, :, None, :, None] * y[:, None, :, None, :]
+    return prod.reshape(len(x), x.shape[1] * y.shape[1], -1)
 
 
 def _product_rule(
@@ -379,7 +518,8 @@ def _product_rule(
     From the first factor ``base`` and its ``tangent`` (None: not moving),
     each site (value, deriv) sets P <- extend(P, value) and
     T <- extend(T, value) + extend(P, deriv), the last term skipped when
-    deriv is None.  T is exactly zero if nothing moved.
+    deriv is None.  T is exactly zero if nothing moved.  Every argument is a
+    stack with one row per grid point, and ``extend`` works row by row.
     """
     for value, deriv in sites:
         carried = None if tangent is None else extend(tangent, value)
@@ -396,8 +536,12 @@ def horizontal_tangent(tv: TangentVector) -> TangentVector:
     The result is gauge-fixed: it is unchanged (up to a global phase) when
     the underlying curve is multiplied by any time-dependent phase.
     """
-    overlap = tv.base_overlap()
-    return TangentVector(tv.base, tv.direction - overlap * tv.base.amplitudes)
+    return TangentVector(tv.base, _horizontal(tv.base.amplitudes, tv.direction))
+
+
+def _horizontal(base: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """``horizontal_tangent`` of each row."""
+    return directions - _overlaps(base, directions)[..., None] * base
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +590,14 @@ class UnitaryCurve:
     def dim(self) -> int:
         return self.generator.shape[0]
 
-    def value(self, t: float) -> np.ndarray:
+    def value(self, t) -> np.ndarray:
+        """The unitary at t, (d, d); at each point of a grid array, (G, d, d)."""
         # the same arithmetic as propagator(self.generator, t) @ self.base
-        u = (self._evecs * np.exp(-1j * self._evals * t)) @ self._evecs.conj().T
+        phases = np.exp(-1j * self._evals * np.asarray(t)[..., None])
+        u = (self._evecs * phases[..., None, :]) @ self._evecs.conj().T
         return u @ self.base
 
-    def derivative(self, t: float) -> np.ndarray:
+    def derivative(self, t) -> np.ndarray:
         return -1j * (self.generator @ self.value(t))
 
 
@@ -508,14 +654,20 @@ class RegisterProgram:
             starts.append(psi)
         return tuple(starts)
 
-    def resolve_time(self, s: float) -> tuple[int, float]:
-        """Map global program time in [0, n_steps] to (step index, local parameter)."""
-        if s < 0 or s > self.n_steps:
-            raise ParameterRangeError(
-                f"program time {s!r} outside [0, {self.n_steps}]"
-            )
-        k = min(int(math.floor(s)) + 1, self.n_steps)
-        return k, s - (k - 1)
+    def resolve_time(self, s):
+        """Map global program time in [0, n_steps] to (step index, local parameter).
+
+        On a grid array both come back as arrays, one entry per point.
+        """
+        times = np.asarray(s, dtype=float)
+        _raise_first(
+            (times < 0) | (times > self.n_steps),
+            lambda i: f"program time {float(times.flat[i])!r} outside [0, {self.n_steps}]",
+            ParameterRangeError,
+        )
+        k = np.minimum(np.floor(times).astype(int) + 1, self.n_steps)
+        local = times - (k - 1)
+        return (int(k), float(local)) if times.ndim == 0 else (k, local)
 
 
 def register_state(prog: RegisterProgram, k: int, t: float) -> Ket:
@@ -531,22 +683,30 @@ def register_tangent(
     prog: RegisterProgram, k: int, t: float, method: str = "analytic", h: float = DEFAULT_STEP
 ) -> TangentVector:
     """Tangent of step k at local parameter t: one term per moving site."""
+    state, direction = _register_rows(prog, k, np.array([float(t)]), method, h)
+    return TangentVector(Ket(state[0], prog.initial.dims), direction[0])
+
+
+def _register_rows(
+    prog: RegisterProgram, k: int, ts: np.ndarray, method: str, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Register states and tangents of step k at each local parameter, (G, D), unchecked."""
     if not 1 <= k <= prog.n_steps:
         raise ValueError(f"step index {k} outside 1..{prog.n_steps}")
     method = resolve_method((), method)
     dims = prog.initial.dims
     sites = []
     for curve in prog.steps[k - 1]:
-        value = curve.value(t)
+        value = curve.value(ts)
         if not np.any(curve.generator):
             sites.append((value, None))  # constant site: every stencil is exactly zero
         elif method == "analytic":
             sites.append((value, -1j * (curve.generator @ value)))
         else:
-            sites.append((value, _stencil(curve.value, t, method, h)))
-    chi = prog._step_starts[k - 1].reshape(dims)
+            sites.append((value, _stencil(curve.value, ts, method, h)))
+    chi = np.broadcast_to(prog._step_starts[k - 1].reshape(dims), (len(ts),) + dims)
     state, direction = _product_rule(chi, None, sites, _apply_axis)
-    return TangentVector(Ket(state.reshape(-1), dims), direction.reshape(-1))
+    return state.reshape(len(ts), -1), direction.reshape(len(ts), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +715,12 @@ def register_tangent(
 
 def projector_differential(tv: TangentVector) -> HermitianOp:
     """d(|psi><psi|) = |dpsi><psi| + |psi><dpsi| for the given tangent."""
-    psi, dpsi = tv.base.amplitudes, tv.direction
-    mat = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
-    return HermitianOp(mat, tv.dims)
+    return HermitianOp(_projector_differentials(tv.base.amplitudes, tv.direction), tv.dims)
+
+
+def _projector_differentials(base: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """``projector_differential`` of each row, unchecked."""
+    return _outer(directions, base) + _outer(base, directions)
 
 
 def pseudo_pure_differential(psi: Ket, tangent: TangentVector, epsilon: float) -> HermitianOp:
@@ -627,22 +790,38 @@ def separable_mixed_differential(
     Per component the product rule gives d(rho1) x rho2 + rho1 x d(rho2);
     no second-order d x d term appears.
     """
-    return _mixed_differential(ens, _component_differentials(ens, t, method, h))
+    honest = _mixed_differential(_component_differentials(ens, t, method, h))
+    return HermitianOp(honest[0], ens.dims)
 
 
 def _component_differentials(ens: Ensemble, t: float, method: str, h: float) -> list[tuple]:
-    """(weight, factor tangents, factor projector differentials) of each component."""
+    """``_component_projectors`` at one parameter value, from ``factor_tangents``."""
     tangents = [factor_tangents(comp, t, method, h) for comp in ens.components]
-    drhos = [[projector_differential(p).matrix for p in parts] for parts in tangents]
-    return list(zip(ens.weights, tangents, drhos))
+    parts = [[(p.base.amplitudes[None], p.direction[None]) for p in tv] for tv in tangents]
+    return _component_projectors(ens, parts)
 
 
-def _mixed_differential(ens: Ensemble, components: list[tuple]) -> HermitianOp:
+def _component_projectors(ens: Ensemble, parts: list[list[tuple]]) -> list[tuple]:
+    """(weight, factor states, factor projector differentials) of each
+    component, from its factors' (states, directions) stacks."""
+    out = []
+    for w, factors in zip(ens.weights, parts):
+        drho = [_projector_differentials(base, deriv) for base, deriv in factors]
+        for mat in drho:
+            _check_hermitian(mat)
+        out.append((w, [base for base, _ in factors], drho))
+    return out
+
+
+def _mixed_differential(components: list[tuple]) -> np.ndarray:
+    """The honest differential of the mixture over the stack."""
     total = 0
-    for w, parts, drho in components:
-        rho = [p.base.projector().matrix for p in parts]
-        total = total + w * _product_rule(rho[0], drho[0], [(rho[1], drho[1])], np.kron)[1]
-    return HermitianOp(total, ens.dims)
+    for w, states, drho in components:
+        rho = [_outer(base, base) for base in states]
+        for mat in rho:
+            _check_hermitian(mat)
+        total = total + w * _product_rule(rho[0], drho[0], [(rho[1], drho[1])], _kron_rows)[1]
+    return total
 
 
 def infinitesimal_composition(generator, total: float, n_steps: int) -> np.ndarray:

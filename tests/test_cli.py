@@ -10,17 +10,43 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 import qtangle
 import qtangle.trajectories
-from qtangle import ConfigError, RunConfig, ToleranceBreachError, parse_config
+from qtangle import (
+    ConfigError,
+    Cut,
+    HermitianOp,
+    Ket,
+    MeasurementSetting,
+    RunConfig,
+    ToleranceBreachError,
+    base_state_separability,
+    bell_decompose,
+    bilocal_inner_check,
+    chsh_value,
+    correlation_expansion,
+    differential_trace_witness,
+    ensemble_witness,
+    entanglement_entropy,
+    fs_speed,
+    horizontal_tangent,
+    parse_config,
+    product_tangent,
+    pseudo_pure_differential,
+    reduced_tangent_channel,
+    register_tangent,
+)
 from qtangle.cli import (
     TRACE_TOL,
+    canonical_register_program,
     demo_trajectory,
     emit,
     main,
     render_csv,
     render_json,
+    rotating_ensemble,
     run,
 )
 
@@ -319,25 +345,69 @@ class TestRendering:
         assert body.endswith(",product-differential-excluded")
 
 
+TRAJECTORY_SCENARIOS = ["two_qubit_demo", "product_trace", "register_trace", "pseudo_pure", "chsh_scan"]
+QUTRIT_PAIR = [
+    {"dim": 2, "curve": {"kind": "bloch", "theta": [0.2, 1.1, -0.3], "phi": [0.1, 0.5]}},
+    {"dim": 3, "curve": {"kind": "phase", "base": [1, 1, [0, 1]], "phi": [0.0, 0.7, 0.2]}},
+]
+
+
+def scenario_doc(scenario, steps):
+    doc = {"scenario": scenario, "grid": {"steps": steps}}
+    if scenario == "product_trace":
+        doc["subsystems"] = QUTRIT_PAIR
+    return doc
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count calls of ``owner.name``, also where a qtangle module imported it."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("qtangle") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestSweepDriver:
-    @pytest.mark.parametrize("scenario", ["two_qubit_demo", "pseudo_pure", "chsh_scan"])
-    def test_one_product_tangent_per_grid_point(self, scenario, monkeypatch):
-        original = qtangle.trajectories.product_tangent
-        calls = []
+    @pytest.mark.parametrize("scenario", TRAJECTORY_SCENARIOS)
+    def test_one_tangent_assembly_per_sweep(self, scenario, monkeypatch):
+        """Each grid point's tangent is assembled once: one Leibniz assembly
+        per sweep, or per program step, whatever the grid size."""
+        calls = count_calls(monkeypatch, qtangle.trajectories, "_product_rule")
+        for steps in (13, 26):
+            calls.clear()
+            rep = run(parse(scenario_doc(scenario, steps)))
+            assert len(rep.rows) == steps
+            assert len(calls) == (2 if scenario == "register_trace" else 1)
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
+    @pytest.mark.parametrize("scenario", TRAJECTORY_SCENARIOS + ["separable_mixed"])
+    def test_no_per_point_objects(self, scenario, monkeypatch):
+        counts = {}
+        for cls in (Ket, HermitianOp):
+            counts[cls] = count_calls(monkeypatch, cls, "__post_init__")
+        made = []
+        for steps in (13, 26):
+            for calls in counts.values():
+                calls.clear()
+            run(parse(scenario_doc(scenario, steps)))
+            made.append([len(calls) for calls in counts.values()])
+        assert made[0] == made[1]
 
-        patched = set()
-        for name, module in list(sys.modules.items()):
-            if name.startswith("qtangle") and getattr(module, "product_tangent", None) is original:
-                monkeypatch.setattr(module, "product_tangent", counting)
-                patched.add(name)
-        assert {"qtangle.trajectories", "qtangle.geometry", "qtangle.cli"} <= patched
-        rep = run(parse({"scenario": scenario, "grid": {"steps": 13}}))
-        assert len(rep.rows) == 13
-        assert calls == [row[0] for row in rep.rows]
+    @pytest.mark.parametrize("scenario", ["two_qubit_demo", "chsh_scan"])
+    def test_derivative_polynomials_built_with_the_curves(self, scenario, monkeypatch):
+        arc = {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 1.0]}}
+        doc = {"scenario": scenario, "subsystems": [arc, arc]}
+        cfg = parse(doc)
+        calls = count_calls(monkeypatch, Polynomial, "deriv")
+        run(cfg)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "doc, where",
@@ -349,6 +419,144 @@ class TestSweepDriver:
             run(parse(doc))
         assert str(info.value).endswith(f" at t={where}")
         assert isinstance(info.value.__cause__, ValueError)
+
+
+SAMPLE_TIMES = [round(x, 3) for x in np.linspace(-0.5, 1.5, 21)]
+SAMPLED_QUBIT = {
+    "dim": 2,
+    "curve": {
+        "kind": "sampled",
+        "times": SAMPLE_TIMES,
+        "states": [[math.cos(t / 2), math.sin(t / 2)] for t in SAMPLE_TIMES],
+    },
+}
+HAMILTONIAN_QUBIT = {
+    "dim": 2,
+    "curve": {
+        "kind": "hamiltonian",
+        "generator": [[0.3, [0.1, -0.4]], [[0.1, 0.4], -0.2]],
+        "initial": [1, [0, 1]],
+    },
+}
+INSIDE_SAMPLES = {"t0": 0.1, "t1": 0.9, "steps": 9}
+
+
+def grid_configs():
+    """Configs of every scenario: each method, sampled, frozen and 3-factor inputs."""
+    docs = []
+    for method in ("analytic", "central_fd", "richardson"):
+        docs += [
+            {"scenario": "two_qubit_demo", "method": method, "grid": {"steps": 19}},
+            {"scenario": "chsh_scan", "method": method, "grid": {"steps": 19}},
+            {"scenario": "register_trace", "method": method, "grid": {"steps": 17}},
+            {"scenario": "separable_mixed", "method": method, "grid": {"steps": 11}},
+            {
+                "scenario": "pseudo_pure",
+                "method": method,
+                "epsilon": 0.35,
+                "subsystems": [QUTRIT_PAIR[0], HAMILTONIAN_QUBIT],
+            },
+            {"scenario": "product_trace", "method": method, "subsystems": QUTRIT_PAIR},
+            {
+                "scenario": "product_trace",
+                "method": method,
+                "subsystems": [QUTRIT_PAIR[0], {**QUTRIT_PAIR[1], "frozen": True}, HAMILTONIAN_QUBIT],
+                "cuts": [[[1], [2, 3]], [[1, 3], [2]]],
+            },
+        ]
+    docs += [
+        {"scenario": "product_trace", "grid": INSIDE_SAMPLES, "subsystems": [SAMPLED_QUBIT, QUTRIT_PAIR[1]]},
+        {
+            "scenario": "product_trace",
+            "grid": INSIDE_SAMPLES,
+            "method": "central_fd",
+            "subsystems": [SAMPLED_QUBIT, {**HAMILTONIAN_QUBIT, "frozen": True}, QUTRIT_PAIR[1]],
+        },
+        {"scenario": "pseudo_pure", "grid": INSIDE_SAMPLES, "subsystems": [SAMPLED_QUBIT, QUTRIT_PAIR[0]]},
+        {"scenario": "two_qubit_demo", "subsystems": [QUTRIT_PAIR[0], {**HAMILTONIAN_QUBIT, "frozen": True}]},
+    ]
+    return docs
+
+
+def pointwise_rows(cfg):
+    """The rows of ``run(cfg)``, one grid point at a time from the scalar functions."""
+    method, h = cfg.method, cfg.h
+    if cfg.scenario == "separable_mixed":
+        rows = []
+        for t in cfg.grid_points():
+            wit = ensemble_witness(rotating_ensemble(), t, cfg.tol, method, h)
+            rows.append((t, wit.tr1_norm, wit.tr2_norm, wit.operator_gap, wit.verdict))
+        return rows
+    if cfg.scenario == "register_trace":
+        traj = canonical_register_program()
+        cuts = cfg.cuts or (Cut.splitting((0,), 3), Cut.splitting((0, 1), 3))
+    else:
+        traj = cfg.trajectory() or demo_trajectory()
+        cuts = cfg.cuts or (Cut.splitting((0,), traj.n_factors),)
+    rows = []
+    for t in cfg.grid_points():
+        if cfg.scenario == "register_trace":
+            k, local = traj.resolve_time(t)
+            tv = register_tangent(traj, k, local, method, h)
+            row = [t, k, fs_speed(tv)]
+        else:
+            tv = product_tangent(traj, t, method, h)
+            row = [t, fs_speed(tv)]
+        horizontal = horizontal_tangent(tv)
+        moving = horizontal.norm() >= 1e-12
+        for cut in cuts:
+            row.append(entanglement_entropy(horizontal.normalized_direction(), cut) if moving else 0.0)
+            if cfg.scenario != "chsh_scan":
+                row.append(entanglement_entropy(tv.base, cut))
+        if cfg.scenario == "two_qubit_demo":
+            bell = bell_decompose(horizontal.normalized_direction())
+            row += [bell[2].real, bell[1].real, chsh_value(horizontal.normalized_direction())]
+        elif cfg.scenario == "chsh_scan":
+            setting = MeasurementSetting([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
+            row += [chsh_value(horizontal.normalized_direction())]
+            row += correlation_expansion(traj, t, setting)
+        elif cfg.scenario == "product_trace" and traj.n_factors == 2:
+            row += [reduced_tangent_channel(traj, t, side, method, h).gap for side in (1, 2)]
+            row.append(bilocal_inner_check(traj, t, method, h).reality_gap)
+        elif cfg.scenario == "pseudo_pure":
+            drho = pseudo_pure_differential(tv.base, tv, cfg.epsilon)
+            wit = differential_trace_witness(drho, cfg.tol)
+            dim = tv.base.total_dim
+            eps = cfg.epsilon
+            mixed = HermitianOp((1 - eps) * np.eye(dim) / dim + eps * tv.base.projector().matrix, tv.dims)
+            row += [drho.trace(), wit.tr1_norm, wit.tr2_norm, wit.verdict]
+            row.append(base_state_separability(mixed, cuts[0]))
+        rows.append(row)
+    return rows
+
+
+def assert_rows_equal(got, want):
+    assert len(got) == len(want)
+    for row_got, row_want in zip(got, want):
+        assert len(row_got) == len(row_want)
+        for a, b in zip(row_got, row_want):
+            if isinstance(b, str):
+                assert a == b
+            else:
+                assert a == pytest.approx(b, rel=0, abs=1e-12)
+
+
+class TestGridEqualsPointwise:
+    @pytest.mark.parametrize("doc", grid_configs(), ids=lambda d: f"{d['scenario']}-{d.get('method', 'auto')}")
+    def test_columns_match_scalar_functions(self, doc):
+        cfg = parse(doc)
+        assert_rows_equal(run(cfg).rows, pointwise_rows(cfg))
+
+    @pytest.mark.parametrize(
+        "doc", [d for d in grid_configs() if d.get("method") == "central_fd"], ids=lambda d: d["scenario"]
+    )
+    def test_rows_do_not_depend_on_neighbours(self, doc):
+        cfg = parse(doc)
+        rows = run(cfg).rows
+        grid = cfg.grid_points()
+        for i, j in ((0, len(grid) - 1), (1, 2), (3, len(grid) // 2)):
+            sub = run(parse({**doc, "grid": {"t0": grid[i], "t1": grid[j], "steps": 2}}))
+            assert_rows_equal(sub.rows, [rows[i], rows[j]])
 
 
 class TestMainExitCodes:

@@ -187,6 +187,22 @@ class TestCorrelation:
         m = correlation_matrix(bell("psi_plus"))
         assert np.allclose(m, np.diag([1.0, 1.0, -1.0]), atol=1e-12)
 
+    def test_matches_kron_operator_oracle(self):
+        """The Pauli-pair tensor against one np.kron operator per expectation."""
+        pauli = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+        rng = np.random.default_rng(21)
+        for _ in range(25):
+            state = random_ket(rng, (2, 2))
+            psi = state.amplitudes
+            want = np.array([[np.vdot(psi, np.kron(p, q) @ psi).real for q in pauli] for p in pauli])
+            assert np.allclose(correlation_matrix(state), want, rtol=0, atol=1e-14)
+            axes = rng.standard_normal((2, 3))
+            axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+            spin_a, spin_b = (sum(c * p for c, p in zip(axis, pauli)) for axis in axes)
+            expected = np.vdot(psi, np.kron(spin_a, spin_b) @ psi).real
+            got = correlation(state, MeasurementSetting(axes[0], axes[1]))
+            assert got == pytest.approx(expected, rel=0, abs=1e-14)
+
     def test_axis_validation(self):
         with pytest.raises(ValidationError):
             MeasurementSetting([1.0, 0.0, 0.1], [0.0, 0.0, 1.0])

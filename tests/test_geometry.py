@@ -153,6 +153,14 @@ class TestProfile:
         assert out.samples[0].tangent_entropy[cut] > 0.5
         assert all(s.fs_speed > 0 for s in out.samples)
 
+    def test_motion_below_threshold_carries_exactly_zero_entropy(self):
+        # theta = t^2 moves at speed 2t: below the 1e-12 direction threshold at t = 1e-14
+        traj = ProductTrajectory((BlochCurve([0.0, 0.0, 1.0]), BlochCurve([0.0, 0.0, 1.0])))
+        cut = Cut.splitting((0,), 2)
+        out = profile(traj, [0.0, 1e-14, 0.5], [cut])
+        assert list(out.tangent_entropy[cut][:2]) == [0.0, 0.0]
+        assert out.tangent_entropy[cut][2] == pytest.approx(1.0, abs=1e-10)
+
     def test_grid_validation(self):
         cut = Cut.splitting((0,), 2)
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 import qtangle.trajectories as trajectories
 from qtangle import (
@@ -84,6 +85,23 @@ class TestEvalCurve:
 
 
 class TestDifferentiate:
+    def test_grid_evaluation_repeats_polynomial_arithmetic(self):
+        """Curves evaluate their angle polynomials, and the derivatives, on a
+        grid exactly as Polynomial.__call__ and Polynomial.deriv do, also on a
+        non-default domain."""
+        theta = Polynomial([0.3, -1.2, 0.7, 0.05], domain=[0.0, 2.5])
+        phi = Polynomial([0.4, 0.9])
+        curve = BlochCurve(theta, phi)
+        ts = np.linspace(-1.0, 3.0, 41)
+        th, ph, dth, dph = theta(ts), phi(ts), theta.deriv()(ts), phi.deriv()(ts)
+        c, s = np.cos(th / 2), np.sin(th / 2)
+        assert np.array_equal(curve.states(ts)[:, 0], c)
+        assert np.array_equal(curve.states(ts)[:, 1], np.exp(1j * ph) * s)
+        want = np.exp(1j * ph) * (dth / 2 * c + 1j * dph * s)
+        assert np.array_equal(curve.velocities(ts)[:, 1], want)
+        for row, t in zip(curve.states(ts), ts):
+            assert np.array_equal(curve.state(t).amplitudes, row)
+
     def test_bloch_velocity_at_origin(self):
         tv = differentiate(qubit_arc(), 0.0)
         assert np.allclose(tv.direction, [0.0, 0.5], atol=1e-14)
@@ -142,6 +160,17 @@ class TestDifferentiate:
         curve = SampledCurve(grid, [qubit_arc().state(t) for t in grid])
         with pytest.raises(ParameterRangeError):
             curve.state(1.5)
+
+    def test_grid_checks_name_the_first_offending_point(self):
+        grid = np.linspace(0, 1, 9)
+        curve = SampledCurve(grid, [qubit_arc().state(t) for t in grid])
+        with pytest.raises(ParameterRangeError, match=r"t=1\.25 outside") as info:
+            curve.states(np.array([0.5, 1.25, -0.5, 2.0]))
+        assert info.value.row == 1
+        prog = RegisterProgram.uniform_superposition([[UnitaryCurve.rotation(SY / 2)] * 2], 2)
+        with pytest.raises(ParameterRangeError, match=r"program time -0\.5 outside") as info:
+            prog.resolve_time(np.array([0.5, -0.5, 3.0]))
+        assert info.value.row == 1
 
     def test_sampled_derivative_tracks_source_curve(self):
         grid = np.linspace(0, 2, 41)
