@@ -13,18 +13,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statespace import Cut, HermitianOp, _check_hermitian, _outer, _partial_trace, _raise_first
+from .statespace import (
+    Cut,
+    HermitianOp,
+    _check_hermitian,
+    _check_norm_preserving,
+    _outer,
+    _overlaps,
+    _partial_trace,
+)
 from .trajectories import (
     DEFAULT_STEP,
     ProductTrajectory,
     _factor_parts,
     _kron_rows,
-    _overlaps,
     _product_rule,
     resolve_method,
 )
-
-_RE_OVERLAP_TOL = {"analytic": 1e-12, "central_fd": 1e-8, "richardson": 1e-8}
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,20 +60,17 @@ class BilocalCheck:
 
 def _bipartite_rows(
     traj: ProductTrajectory, ts: np.ndarray, method: str, h: float
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Both factors' (states, directions) over the grid, norm preservation checked."""
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
+    """Both factors' (states, directions) over the grid and their overlaps
+    <psi|dpsi>, norm preservation checked."""
     if traj.n_factors != 2:
         raise ValueError(f"need a two-factor trajectory, got {traj.n_factors} factors")
-    parts = _factor_parts(traj, ts, method, h)
-    tol = _RE_OVERLAP_TOL[resolve_method(traj.factors, method)]
+    parts, overlaps = _factor_parts(traj, ts, method, h), []
+    source = resolve_method(traj.factors, method)
     for pos, (base, deriv) in enumerate(parts):
-        re = np.abs(_overlaps(base, deriv).real)
-        _raise_first(
-            re >= tol,
-            lambda i: f"factor {pos + 1} does not preserve norm at t={float(ts[i])!r}: "
-            f"|Re<psi|dpsi>| = {re[i]:.3e}",
-        )
-    return parts
+        where = lambda i: f"factor {pos + 1} at t={float(ts[i])!r}"
+        overlaps.append(_check_norm_preserving(base, deriv, source, where))
+    return parts, overlaps
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
@@ -90,7 +92,7 @@ def reduced_tangent_channel(
     """
     if subsystem not in (1, 2):
         raise ValueError(f"subsystem must be 1 or 2, got {subsystem}")
-    parts = _bipartite_rows(traj, np.array([float(t)]), method, h)
+    parts = _bipartite_rows(traj, np.array([float(t)]), method, h)[0]
     full = _product_rule(*parts[0], parts[1:], _kron_rows)[1]
     *terms, gap = _channel_rows(parts, full, (subsystem,))[0]
     dims = traj.factors[subsystem - 1].dims
@@ -137,8 +139,8 @@ def bilocal_inner_check(
     belongs; the product of two imaginary numbers is real, which is the
     obstruction this check quantifies.
     """
-    parts = _bipartite_rows(traj, np.array([float(t)]), method, h)
-    c1, c2 = (complex(_overlaps(base, deriv)[0]) for base, deriv in parts)
+    overlaps = _bipartite_rows(traj, np.array([float(t)]), method, h)[1]
+    c1, c2 = (complex(overlap[0]) for overlap in overlaps)
     return BilocalCheck((c1, c2), c1 * c2, float(_reality_gaps(c1, c2)))
 
 

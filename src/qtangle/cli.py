@@ -24,7 +24,6 @@ from .config import SCENARIOS, RunConfig, parse_config
 from .channels import (
     _bipartite_rows,
     _channel_rows,
-    _overlaps,
     _reality_gaps,
     bilocal_inner_check,
     reduced_tangent_channel,
@@ -40,7 +39,8 @@ from .mixed_witness import (
     differential_trace_witness,
     product_differential,
 )
-from .statespace import Cut, Ket, _check_hermitian, _outer, _raise_first
+from .statespace import TRACE_TOL  # noqa: F401  (re-exported: pseudo_pure's trace bound)
+from .statespace import Cut, Ket, _check_hermitian, _normalized, _outer, _raise_first
 from .trajectories import (
     BlochCurve,
     Ensemble,
@@ -50,7 +50,6 @@ from .trajectories import (
     TangentVector,
     UnitaryCurve,
     _horizontal,
-    _normalized,
     _projector_differentials,
     _sum_rule,
     differentiate,
@@ -65,10 +64,6 @@ from .trajectories import (
     random_unit_ket,
     with_global_phase,
 )
-
-# trace of a differential of a norm-preserving curve must vanish; beyond
-# this the differentiation step size is unfit for the requested run
-TRACE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -220,12 +215,12 @@ def _run_product_trace(cfg: RunConfig) -> TraceReport:
         return _sweep(cfg, traj, cuts)
 
     def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray) -> list:
-        parts = _bipartite_rows(traj, ts, cfg.method, cfg.h)
+        parts, overlaps = _bipartite_rows(traj, ts, cfg.method, cfg.h)
         sides = _channel_rows(parts, directions, (1, 2))
         for side in sides:
             for mat in side[:-1]:
                 _check_hermitian(mat)
-        gaps = [sides[0][-1], sides[1][-1], _reality_gaps(*(_overlaps(*part) for part in parts))]
+        gaps = [sides[0][-1], sides[1][-1], _reality_gaps(*overlaps)]
         worst = np.max(gaps, axis=0)
         _raise_first(
             worst > cfg.tol,
@@ -254,12 +249,6 @@ def _run_pseudo_pure(cfg: RunConfig) -> TraceReport:
         drho = eps * drho
         _check_hermitian(drho)
         trace = np.trace(drho, axis1=1, axis2=2).real
-        _raise_first(
-            np.abs(trace) > TRACE_TOL,
-            lambda i: f"pseudo-pure differential has trace {trace[i]:.3e} at t={ts[i]:.6g}; "
-            f"the curve is not norm-preserving at the requested step size",
-            ToleranceBreachError,
-        )
         tr1, tr2, verdict = _trace_witness(drho, dims, cfg.tol)
         projector = _outer(states, states)
         _check_hermitian(projector)

@@ -13,8 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError
-from .statespace import Cut, HermitianOp, Ket, _raise_first
+from .statespace import (
+    BASE_NORM_TOL,
+    DEFAULT_TOL,
+    _ZERO_TOL,
+    Cut,
+    HermitianOp,
+    Ket,
+    _check_amplitudes,
+    _normalized,
+)
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -56,10 +64,8 @@ def _split_matrix(state: Ket, cut: Cut) -> tuple[np.ndarray, float, list[int], l
     A (near-)zero vector is rejected.
     """
     norm = state.norm()
-    if norm < 1e-12:
-        raise DegenerateInputError("cannot decompose a (near-)zero vector")
-    matrix = _split(state.amplitudes, state.dims, cut) / norm
-    return matrix, norm, sorted(cut.left), sorted(cut.right)
+    unit = _normalized(state.amplitudes, "cannot decompose a (near-)zero vector", norms=norm)
+    return _split(unit, state.dims, cut), norm, sorted(cut.left), sorted(cut.right)
 
 
 def _split(amps: np.ndarray, dims: tuple[int, ...], cut: Cut) -> np.ndarray:
@@ -93,12 +99,12 @@ def schmidt(state: Ket, cut: Cut) -> SchmidtData:
     left_basis, right_basis = [], []
     for k in range(s.size):
         lvec, rvec = u[:, k].copy(), vh[k, :].copy()
-        nz = np.flatnonzero(np.abs(lvec) > 1e-12)
+        nz = np.flatnonzero(np.abs(lvec) > _ZERO_TOL)
         if nz.size:
             phase = lvec[nz[0]] / abs(lvec[nz[0]])
             lvec, rvec = lvec / phase, rvec * phase
-        left_basis.append(Ket(lvec, left_dims, unit=True, tol=1e-10))
-        right_basis.append(Ket(rvec, right_dims, unit=True, tol=1e-10))
+        left_basis.append(Ket(lvec, left_dims, unit=True, tol=BASE_NORM_TOL))
+        right_basis.append(Ket(rvec, right_dims, unit=True, tol=BASE_NORM_TOL))
     return SchmidtData(s, tuple(left_basis), tuple(right_basis), float(norm))
 
 
@@ -112,8 +118,7 @@ def entanglement_entropy(state: Ket, cut: Cut) -> float:
 
 def bell_decompose(state: Ket) -> np.ndarray:
     """Coefficients of a two-qubit state on (phi+, phi-, psi+, psi-)."""
-    if state.dims != (2, 2):
-        raise ValueError(f"need a two-qubit state, got dims {state.dims}")
+    _require_two_qubit(state)
     return _bell_rows(state.amplitudes)
 
 
@@ -134,10 +139,7 @@ class MeasurementSetting:
             vec = np.asarray(getattr(self, name), dtype=float)
             if vec.shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector, got shape {vec.shape}")
-            if abs(np.linalg.norm(vec) - 1) >= 1e-12:
-                raise ValidationError(
-                    f"{name} must be a unit vector, got norm {np.linalg.norm(vec)!r}"
-                )
+            _check_amplitudes(vec, DEFAULT_TOL, name)
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
 
@@ -160,10 +162,7 @@ def correlation_matrix(state: Ket) -> np.ndarray:
 
 def _correlation_rows(amps: np.ndarray) -> np.ndarray:
     """Correlation matrix of each unit two-qubit row, (..., 3, 3)."""
-    norms = np.linalg.norm(amps, axis=-1)
-    _raise_first(
-        np.abs(norms - 1) >= 1e-10, lambda i: f"state must be unit norm, got {norms.flat[i]!r}"
-    )
+    _check_amplitudes(amps, BASE_NORM_TOL, "state")
     return np.einsum("...a,ijab,...b->...ij", amps.conj(), _PAULI_PAIRS, amps).real
 
 

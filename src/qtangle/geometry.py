@@ -1,9 +1,10 @@
 """Projective-space geometry of state curves.
 
 Distance between rays is the chordal form 2*sqrt(1 - |<a|b>|^2); the matching
-speed of a moving state is 2*sqrt(<d|d> - |<psi|d>|^2), which subtracts the
-gauge component so that pure phase motion has speed zero.  Short-step
-consistency between the two is an invariant the test suite checks.
+speed of a moving state is twice the norm of its horizontal tangent
+d - <psi|d> psi, which drops the gauge component so that pure phase motion
+has speed zero.  Short-step consistency between the two is an invariant the
+test suite checks.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
-from .statespace import DEFAULT_TOL, Cut, Ket, _check_amplitudes, inner
+from .statespace import BASE_NORM_TOL, Cut, Ket, _check_amplitudes, _normalized, inner
 from .trajectories import (
     DEFAULT_STEP,
     ProductTrajectory,
@@ -23,14 +23,11 @@ from .trajectories import (
     TangentVector,
     _check_tangents,
     _horizontal,
-    _overlaps,
     _product_rows,
     _register_rows,
     product_tangent,  # noqa: F401  (bench/tests/test_bench.py expects the tracer to reach it here)
 )
 from .entanglement import _entropy_bits, _split
-
-_ZERO_DIRECTION = 1e-12
 
 
 def fs_distance(a: Ket, b: Ket) -> float:
@@ -42,24 +39,14 @@ def fs_distance(a: Ket, b: Ket) -> float:
     would cancel catastrophically.
     """
     for name, ket in (("a", a), ("b", b)):
-        if abs(ket.norm() - 1) >= 1e-10:
-            raise ValidationError(f"{name} must be unit norm, got {ket.norm()!r}")
+        _check_amplitudes(ket.amplitudes, BASE_NORM_TOL, name)
     residual = b.amplitudes - inner(a, b) * a.amplitudes
     return 2 * float(np.linalg.norm(residual))
 
 
 def fs_speed(tv: TangentVector) -> float:
     """Projective speed of a tangent: gauge-invariant norm of the motion."""
-    return float(_fs_speeds(tv.base.amplitudes, tv.direction))
-
-
-def _fs_speeds(base: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """``fs_speed`` of each row."""
-    overlaps = _overlaps(base, directions)
-    # |<base|d>| by hypot, not np.abs, whose SIMD loop rounds differently: at
-    # zero speed the difference is pure rounding, which the square root magnifies
-    sq = _overlaps(directions, directions).real - np.hypot(overlaps.real, overlaps.imag) ** 2
-    return 2 * np.sqrt(np.where(sq > 0, sq, 0.0))
+    return float(2 * np.linalg.norm(_horizontal(tv.base.amplitudes, tv.direction), axis=-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,14 +119,11 @@ def _tangent_rows(traj, grid: np.ndarray, method: str, h: float) -> tuple[np.nda
 
 
 def _entropies_or_zero(
-    rows: np.ndarray, dims: tuple[int, ...], cuts: Sequence[Cut]
+    rows: np.ndarray, dims: tuple[int, ...], cuts: Sequence[Cut], norms=None
 ) -> list[np.ndarray]:
     """Entropy of each normalized row across each cut; zero motion carries zero entropy."""
-    norms = np.linalg.norm(rows, axis=-1)
-    moving = norms >= _ZERO_DIRECTION
-    unit = rows / np.where(moving, norms, 1.0)[..., None]
-    _check_amplitudes(unit[moving], DEFAULT_TOL)
-    return [np.where(moving, _entropy_bits(_split(unit, dims, cut)), 0.0) for cut in cuts]
+    unit = _normalized(rows, None, norms=norms)
+    return [_entropy_bits(_split(unit, dims, cut)) for cut in cuts]
 
 
 def _entropy_or_zero(direction: np.ndarray, dims: tuple[int, ...], cut: Cut) -> float:
@@ -174,8 +158,10 @@ def profile(
         cut.validate_for(dims)
 
     states, directions = _tangent_rows(traj, grid, method, h)
-    speeds = _fs_speeds(states, directions)
-    tangent = _entropies_or_zero(_horizontal(states, directions), dims, cuts)
+    horizontal = _horizontal(states, directions)
+    norms = np.linalg.norm(horizontal, axis=-1)
+    speeds = 2 * norms
+    tangent = _entropies_or_zero(horizontal, dims, cuts, norms)
     unit_states = states / np.linalg.norm(states, axis=-1)[:, None]
     base = [_entropy_bits(_split(unit_states, dims, cut)) for cut in cuts]
     for arr in (grid, states, directions, speeds, *tangent, *base):

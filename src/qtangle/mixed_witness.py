@@ -15,7 +15,14 @@ from typing import Literal
 
 import numpy as np
 
-from .statespace import Cut, HermitianOp, _check_hermitian, _partial_trace, _raise_first
+from .statespace import (
+    Cut,
+    HermitianOp,
+    _check_hermitian,
+    _check_traceless,
+    _partial_trace,
+    _raise_first,
+)
 from .trajectories import (
     DEFAULT_STEP,
     Ensemble,
@@ -78,11 +85,7 @@ def _trace_witness(
     """Partial-trace norms and verdict of each differential of a stack."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    traces = np.trace(mats, axis1=-2, axis2=-1)
-    _raise_first(
-        np.abs(traces) >= 1e-8,
-        lambda i: f"differential must be traceless, got trace {traces.flat[i]:.3e}",
-    )
+    _check_traceless(mats)
     tr1, tr2 = _trace_norms(mats, dims)
     verdict = np.where(np.maximum(tr1, tr2) > tol, VERDICT_EXCLUDED, VERDICT_INCONCLUSIVE)
     return tr1, tr2, verdict

@@ -19,53 +19,131 @@ from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DegenerateInputError, ValidationError
 
-DEFAULT_TOL = 1e-12
+# The bounds of the invariants, each checked by one function below.
+DEFAULT_TOL = 1e-12  # unit norm of computed amplitudes; Hermiticity
+BASE_NORM_TOL = 1e-10  # unit norm of a state handed in
+_SPLINE_NORM_TOL = 1e-6  # unit norm of a spline-interpolated state
 UNITARY_TOL = 1e-10
+_ZERO_TOL = 1e-12  # a shorter vector is (near-)zero: it has no direction
+# trace of a differential of a norm-preserving curve must vanish; beyond
+# this the differentiation step size is unfit for the requested run
+TRACE_TOL = 1e-8
+# |Re<psi|dpsi>| of a norm-preserving motion: a direction handed in, or by method
+_RE_OVERLAP_TOL = {"given": 1e-10, "analytic": 1e-12, "central_fd": 1e-8, "richardson": 1e-8}
 
 Side = Literal["left", "right"]
+_Where = str | Callable[[int], str]
 
 
 def _raise_first(
-    bad: np.ndarray, message: Callable[[int], str], error: type[Exception] = ValidationError
+    bad: np.ndarray, message: Callable[[int], str], error=ValidationError, where: _Where = ""
 ) -> None:
-    """Raise ``error(message(i))`` for the first row i of a stack where ``bad`` holds.
+    """Raise ``error(message(i))`` for the first row i of a stack where ``bad`` holds,
+    led by the field ``where`` names: a string, or a function of the row.
 
     The exception records that row as ``row``, so a caller holding the grid
     can name the offending point.
     """
     if np.count_nonzero(bad):
         row = int(np.flatnonzero(bad)[0])
-        exc = error(message(row))
+        name = where(row) if callable(where) else where
+        exc = error(f"{name}: {message(row)}" if name else message(row))
         exc.row = row
         raise exc
 
 
-def _check_finite(values: np.ndarray, axes: tuple[int, ...], message: str) -> None:
+def _check_finite(values: np.ndarray, axes: tuple[int, ...], text: str, where: _Where = "") -> None:
     """Reject the first row whose entries over ``axes`` are not all finite."""
     finite = np.isfinite(values)
     if not finite.all():
-        _raise_first(~finite.all(axis=axes), lambda i: message, ValueError)
+        _raise_first(~finite.all(axis=axes), lambda i: text, ValueError, where)
 
 
-def _check_amplitudes(amps: np.ndarray, tol: float | None = None) -> None:
-    """Each row (last axis) finite and, when ``tol`` is given, of unit norm."""
-    _check_finite(amps, (-1,), "amplitudes must all be finite")
-    if tol is not None:
-        norms = np.linalg.norm(amps, axis=-1)
-        _raise_first(
-            abs(norms - 1.0) >= tol, lambda i: f"expected a unit vector, got norm {norms.flat[i]!r}"
-        )
+def _check_amplitudes(
+    amps: np.ndarray, tol: float | None = None, where: _Where = ""
+) -> np.ndarray | None:
+    """Each row (last axis) finite and, when ``tol`` is given, of unit norm to
+    ``tol``; returns the norms then.  ``where`` names the field in a rejection."""
+    if tol is None:
+        _check_finite(amps, (-1,), "amplitudes must all be finite", where)
+        return None
+    norms = np.linalg.norm(amps, axis=-1)
+    defect = abs(norms - 1.0)
+    # a non-finite entry makes its norm non-finite, so clean rows pass this one test
+    if not (defect < tol).all():
+        _check_finite(amps, (-1,), "amplitudes must all be finite", where)
+        message = lambda i: f"expected a unit vector, got norm {float(norms.flat[i])!r}"
+        _raise_first(defect >= tol, message, where=where)
+    return norms
 
 
-def _check_hermitian(mats: np.ndarray, tol: float = DEFAULT_TOL) -> None:
-    """Each matrix (last two axes) finite, Hermitian and of real trace, to ``tol``."""
-    _check_finite(mats, (-2, -1), "matrix entries must all be finite")
+def _check_hermitian(mats: np.ndarray, where: _Where = "") -> None:
+    """Each matrix (last two axes) finite, Hermitian and of real trace, to DEFAULT_TOL."""
     dev = abs(mats - mats.swapaxes(-2, -1).conj()).max(axis=(-2, -1))
-    _raise_first(dev >= tol, lambda i: f"matrix is not Hermitian (max deviation {dev.flat[i]:.3e})")
+    # a non-finite entry makes its deviation non-finite, so clean rows pass this one test
+    if not (dev < DEFAULT_TOL).all():
+        _check_finite(mats, (-2, -1), "matrix entries must all be finite", where)
+        message = lambda i: f"matrix is not Hermitian (max deviation {dev.flat[i]:.3e})"
+        _raise_first(dev >= DEFAULT_TOL, message, where=where)
     imag = mats.trace(axis1=-2, axis2=-1).imag
-    _raise_first(abs(imag) >= tol, lambda i: f"trace has imaginary part {imag.flat[i]:.3e}")
+    message = lambda i: f"trace has imaginary part {imag.flat[i]:.3e}"
+    _raise_first(abs(imag) >= DEFAULT_TOL, message, where=where)
+
+
+def _check_unitary(mats: np.ndarray, where: _Where = "") -> None:
+    """Each matrix (last two axes) unitary: max |U^H U - I| below UNITARY_TOL."""
+    dev = abs(mats.swapaxes(-2, -1).conj() @ mats - np.eye(mats.shape[-1])).max(axis=(-2, -1))
+    message = lambda i: f"matrix is not unitary (deviation {dev.flat[i]:.3e})"
+    _raise_first(dev >= UNITARY_TOL, message, where=where)
+
+
+def _check_traceless(mats: np.ndarray) -> None:
+    """Each matrix (last two axes) of trace below TRACE_TOL in modulus."""
+    traces = mats.trace(axis1=-2, axis2=-1)
+    _raise_first(
+        abs(traces) >= TRACE_TOL,
+        lambda i: f"differential must be traceless, got trace {traces.flat[i]:.3e}",
+    )
+
+
+def _check_norm_preserving(
+    base: np.ndarray, directions: np.ndarray, source: str, where: _Where = ""
+) -> np.ndarray:
+    """<base|direction> of each row, whose real part a norm-preserving motion
+    keeps below the bound for its ``source``: "given" or a method name."""
+    overlaps = _overlaps(base, directions)
+    re = abs(overlaps.real)
+    message = lambda i: f"norm not preserved, |Re<psi|dpsi>| = {re.flat[i]:.3e}"
+    _raise_first(re >= _RE_OVERLAP_TOL[source], message, where=where)
+    return overlaps
+
+
+def _normalized(
+    vecs: np.ndarray,
+    zero: str | None = "direction is (near-)zero; nothing to normalize",
+    error: type[Exception] = DegenerateInputError,
+    norms=None,
+) -> np.ndarray:
+    """Each row (last axis) divided by its norm (``norms``, if already known).
+
+    A row whose norm is below the zero floor raises ``error(zero)``, or with
+    ``zero`` None becomes exactly zero, so it carries no entropy.
+    """
+    norms = np.linalg.norm(vecs, axis=-1) if norms is None else norms
+    small = np.less(norms, _ZERO_TOL)
+    if zero is not None:
+        _raise_first(small, lambda i: zero, error)
+    unit = vecs / np.where(small, 1.0, norms)[..., None]
+    unit[small] = 0.0
+    _check_amplitudes(unit[~small], DEFAULT_TOL)
+    return unit
+
+
+def _overlaps(base: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """<base|direction> of each row, by the same BLAS dot as ``np.vdot``."""
+    return np.matmul(base.conj()[..., None, :], directions[..., :, None])[..., 0, 0]
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -138,10 +216,8 @@ class Ket:
         return float(np.linalg.norm(self.amplitudes))
 
     def normalized(self) -> "Ket":
-        n = self.norm()
-        if n < DEFAULT_TOL:
-            raise ValidationError("cannot normalize a (near-)zero vector")
-        return Ket(self.amplitudes / n, self.dims, unit=True)
+        message = "cannot normalize a (near-)zero vector"
+        return Ket(_normalized(self.amplitudes, message, ValidationError, self.norm()), self.dims)
 
     def projector(self) -> "HermitianOp":
         """Rank-one operator |psi><psi|."""
@@ -154,15 +230,14 @@ class HermitianOp:
 
     matrix: np.ndarray
     dims: tuple[int, ...]
-    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self, tol: float) -> None:
+    def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=complex)
         dims = _dims_tuple(self.dims)
         side = math.prod(dims)
         if mat.shape != (side, side):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
-        _check_hermitian(mat, tol)
+        _check_hermitian(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
@@ -170,10 +245,6 @@ class HermitianOp:
     @property
     def n_factors(self) -> int:
         return len(self.dims)
-
-    @property
-    def side(self) -> int:
-        return self.matrix.shape[0]
 
     def trace(self) -> float:
         return float(self.matrix.trace().real)
@@ -283,11 +354,7 @@ def apply_local_unitaries(state: Ket, unitaries: Sequence[np.ndarray]) -> Ket:
             raise ValidationError(
                 f"factor {pos + 1}: expected a {d}x{d} matrix, got shape {mat.shape}"
             )
-        dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(d))))
-        if dev >= UNITARY_TOL:
-            raise ValidationError(
-                f"factor {pos + 1}: matrix is not unitary (deviation {dev:.3e})"
-            )
+        _check_unitary(mat, f"factor {pos + 1}")
         mats.append(mat)
     return Ket(_apply_local(state.amplitudes, state.dims, mats), state.dims)
 

@@ -26,14 +26,11 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.interpolate import CubicSpline
 
-from .errors import (
-    DegenerateInputError,
-    ParameterRangeError,
-    UnsupportedMethodError,
-    ValidationError,
-)
+from .errors import ParameterRangeError, UnsupportedMethodError
 from .statespace import (
+    BASE_NORM_TOL,
     DEFAULT_TOL,
+    _SPLINE_NORM_TOL,
     HermitianOp,
     Ket,
     _apply_axis,
@@ -41,13 +38,16 @@ from .statespace import (
     _check_amplitudes,
     _check_finite,
     _check_hermitian,
+    _check_norm_preserving,
+    _check_unitary,
+    _normalized,
     _outer,
+    _overlaps,
     _raise_first,
     tensor_product,
 )
 
 DEFAULT_STEP = 1e-4
-BASE_NORM_TOL = 1e-10
 METHODS = ("auto", "analytic", "central_fd", "richardson")
 
 
@@ -89,19 +89,18 @@ def _evaluators(poly: Polynomial, count: int) -> list[Callable[[np.ndarray], np.
     return out
 
 
-def _hermitian_matrix(value, name: str, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _generator(value) -> np.ndarray:
+    """A generator as a square matrix, checked Hermitian."""
     mat = value.matrix if isinstance(value, HermitianOp) else np.asarray(value, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name}: expected a square matrix, got shape {mat.shape}")
-    dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if dev >= tol:
-        raise ValidationError(f"{name}: matrix is not Hermitian (deviation {dev:.3e})")
+        raise ValueError(f"generator: expected a square matrix, got shape {mat.shape}")
+    _check_hermitian(mat, where="generator")
     return mat
 
 
 def propagator(generator, t: float) -> np.ndarray:
     """exp(-i * generator * t) for a Hermitian generator, via eigendecomposition."""
-    mat = _hermitian_matrix(generator, "generator")
+    mat = _generator(generator)
     w, v = np.linalg.eigh(mat)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
@@ -170,8 +169,7 @@ class PhaseCurve(FactorCurve):
     def __init__(self, phi, base: Ket) -> None:
         self.phi = _as_poly(phi, "phi")
         self._phi, self._dphi = _evaluators(self.phi, 2)
-        if abs(base.norm() - 1) >= BASE_NORM_TOL:
-            raise ValidationError(f"base ket must be unit norm, got {base.norm()!r}")
+        _check_amplitudes(base.amplitudes, BASE_NORM_TOL, "base ket")
         self.base = base
         self.dims = base.dims
 
@@ -188,14 +186,13 @@ class LocalHamiltonianCurve(FactorCurve):
     """Schroedinger orbit exp(-i*H*t)|initial> of a constant Hermitian generator."""
 
     def __init__(self, generator, initial: Ket) -> None:
-        mat = _hermitian_matrix(generator, "generator")
+        mat = _generator(generator)
         if mat.shape[0] != initial.total_dim:
             raise ValueError(
                 f"generator side {mat.shape[0]} does not match state dimension "
                 f"{initial.total_dim}"
             )
-        if abs(initial.norm() - 1) >= BASE_NORM_TOL:
-            raise ValidationError(f"initial ket must be unit norm, got {initial.norm()!r}")
+        _check_amplitudes(initial.amplitudes, BASE_NORM_TOL, "initial ket")
         self.generator = mat
         self.initial = initial
         self.dims = initial.dims
@@ -207,7 +204,7 @@ class LocalHamiltonianCurve(FactorCurve):
 
     def states(self, ts: np.ndarray) -> np.ndarray:
         amps = self._amplitudes(ts)
-        _check_amplitudes(amps, 1e-10)
+        _check_amplitudes(amps, BASE_NORM_TOL)
         return amps
 
     def velocities(self, ts: np.ndarray) -> np.ndarray:
@@ -235,13 +232,11 @@ class SampledCurve(FactorCurve):
         for i, ket in enumerate(states):
             if ket.dims != dims:
                 raise ValueError(f"sample {i} has dims {ket.dims}, expected {dims}")
-            if abs(ket.norm() - 1) >= BASE_NORM_TOL:
-                raise ValidationError(
-                    f"sample {i} (t={times[i]!r}) has norm {ket.norm()!r}, not unit"
-                )
+        amps = np.array([k.amplitudes for k in states])
+        _check_amplitudes(amps, BASE_NORM_TOL, lambda i: f"sample {i} (t={float(times[i])!r})")
         self.times = times
         self.dims = dims
-        self._spline = CubicSpline(times, np.array([k.amplitudes for k in states]), axis=0)
+        self._spline = CubicSpline(times, amps, axis=0)
 
     def states(self, ts: np.ndarray) -> np.ndarray:
         lo, hi = self.times[0], self.times[-1]
@@ -251,14 +246,8 @@ class SampledCurve(FactorCurve):
             ParameterRangeError,
         )
         amps = self._spline(ts)
-        norms = np.linalg.norm(amps, axis=-1)
-        _raise_first(
-            np.abs(norms - 1) >= 1e-6,
-            lambda i: f"interpolated state at t={float(ts[i])!r} has norm {norms[i]!r}",
-        )
-        amps = amps / norms[:, None]
-        _check_amplitudes(amps, DEFAULT_TOL)
-        return amps
+        where = lambda i: f"interpolated state at t={float(ts[i])!r}"
+        return _normalized(amps, norms=_check_amplitudes(amps, _SPLINE_NORM_TOL, where))
 
 
 class _PhaseModulated(FactorCurve):
@@ -327,28 +316,7 @@ def _check_tangents(base: np.ndarray, direction: np.ndarray) -> None:
             f"direction shape {direction.shape[-1:]} does not match base {base.shape[-1:]}"
         )
     _check_finite(direction, (-1,), "direction entries must all be finite")
-    norms = np.linalg.norm(base, axis=-1)
-    _raise_first(
-        abs(norms - 1) >= BASE_NORM_TOL, lambda i: f"base must be unit norm, got {norms.flat[i]!r}"
-    )
-
-
-def _normalized(directions: np.ndarray) -> np.ndarray:
-    """Each direction row scaled to unit norm; a (near-)zero row is rejected."""
-    norms = np.linalg.norm(directions, axis=-1)
-    _raise_first(
-        norms < 1e-12,
-        lambda i: "direction is (near-)zero; nothing to normalize",
-        DegenerateInputError,
-    )
-    unit = directions / norms[..., None]
-    _check_amplitudes(unit, DEFAULT_TOL)
-    return unit
-
-
-def _overlaps(base: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """<base|direction> of each row, by the same BLAS dot as ``np.vdot``."""
-    return np.matmul(base.conj()[..., None, :], directions[..., :, None])[..., 0, 0]
+    _check_amplitudes(base, BASE_NORM_TOL, "base")
 
 
 def _matvec(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -559,13 +527,11 @@ class UnitaryCurve:
     base: np.ndarray
 
     def __post_init__(self) -> None:
-        gen = _hermitian_matrix(self.generator, "generator")
+        gen = _generator(self.generator)
         base = np.asarray(self.base, dtype=complex)
         if base.shape != gen.shape:
             raise ValueError(f"base shape {base.shape} does not match generator {gen.shape}")
-        dev = float(np.max(np.abs(base.conj().T @ base - np.eye(base.shape[0]))))
-        if dev >= BASE_NORM_TOL:
-            raise ValidationError(f"base matrix is not unitary (deviation {dev:.3e})")
+        _check_unitary(base, "base")
         gen = gen.copy()
         gen.setflags(write=False)
         base = base.copy()
@@ -583,7 +549,7 @@ class UnitaryCurve:
 
     @classmethod
     def rotation(cls, generator) -> "UnitaryCurve":
-        gen = _hermitian_matrix(generator, "generator")
+        gen = _generator(generator)
         return cls(gen, np.eye(gen.shape[0], dtype=complex))
 
     @property
@@ -626,8 +592,7 @@ class RegisterProgram:
                         f"step {j + 1}, site {i + 1}: curve dimension {curve.dim} "
                         f"does not match factor dimension {self.initial.dims[i]}"
                     )
-        if abs(self.initial.norm() - 1) >= BASE_NORM_TOL:
-            raise ValidationError("initial register state must be unit norm")
+        _check_amplitudes(self.initial.amplitudes, BASE_NORM_TOL, "initial register state")
         object.__setattr__(self, "steps", steps)
 
     @classmethod
@@ -773,14 +738,6 @@ class Ensemble:
     def dims(self) -> tuple[int, ...]:
         return self.components[0].dims
 
-    def base_operator(self, t: float) -> HermitianOp:
-        """The mixed state itself: sum_i w_i |a_i b_i><a_i b_i| at parameter t."""
-        mat = sum(
-            w * comp.state(t).projector().matrix
-            for w, comp in zip(self.weights, self.components)
-        )
-        return HermitianOp(mat, self.dims)
-
 
 def separable_mixed_differential(
     ens: Ensemble, t: float, method: str = "auto", h: float = DEFAULT_STEP
@@ -829,7 +786,7 @@ def infinitesimal_composition(generator, total: float, n_steps: int) -> np.ndarr
 
     Converges to the exact propagator at rate O(1/n) in operator norm.
     """
-    mat = _hermitian_matrix(generator, "generator")
+    mat = _generator(generator)
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -851,12 +808,8 @@ def curve_through(state: Ket, direction) -> LocalHamiltonianCurve:
     d = np.asarray(direction, dtype=complex)
     if d.shape != state.amplitudes.shape:
         raise ValueError("direction shape does not match the state")
-    overlap = complex(np.vdot(state.amplitudes, d))
-    if abs(overlap.real) >= 1e-10:
-        raise ValidationError(
-            f"direction does not preserve norm: Re<psi|dpsi> = {overlap.real:.3e}"
-        )
     psi = state.amplitudes
+    overlap = complex(_check_norm_preserving(psi, d, "given", "direction"))
     gen = 1j * (np.outer(d, psi.conj()) - np.outer(psi, d.conj()))
     gen += overlap.imag * np.outer(psi, psi.conj())
     return LocalHamiltonianCurve(gen, state)

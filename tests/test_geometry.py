@@ -105,6 +105,16 @@ class TestFsSpeed:
         shifted = TangentVector(state, d + 1.7j * state.amplitudes)
         assert fs_speed(shifted) == pytest.approx(fs_speed(tv), abs=1e-12)
 
+    def test_zero_speed_reads_zero(self):
+        # a still qubit and a phase-only qutrit never move; 2*sqrt(|d|^2 - |<psi|d>|^2)
+        # cancels here and magnifies rounding to ~1e-7
+        qutrit = Ket(np.array([1.0, 1j, 1.0]) / math.sqrt(3), (3,))
+        traj = ProductTrajectory((BlochCurve(0.7, 0.3), PhaseCurve([0.2, 1.3, 0.4], qutrit)))
+        prof = profile(traj, np.linspace(0.0, math.pi, 181), [Cut.splitting((0,), 2)])
+        assert prof.fs_speed.max() <= 1e-14
+        assert prof.arc_length <= 1e-13
+        assert max(fs_speed(s.tangent) for s in prof.samples) <= 1e-14
+
 
 class TestProfile:
     def test_demo_arc_length(self):
