@@ -25,7 +25,7 @@ from .statespace import (
 from .trajectories import (
     DEFAULT_STEP,
     ProductTrajectory,
-    _factor_parts,
+    _factor_rows,
     _kron_rows,
     _product_rule,
     resolve_method,
@@ -65,11 +65,10 @@ def _bipartite_rows(
     <psi|dpsi>, norm preservation checked."""
     if traj.n_factors != 2:
         raise ValueError(f"need a two-factor trajectory, got {traj.n_factors} factors")
-    parts, overlaps = _factor_parts(traj, ts, method, h), []
-    source = resolve_method(traj.factors, method)
+    method = resolve_method(traj.factors, method)
+    parts, overlaps = _factor_rows(traj, ts, method, h), []
     for pos, (base, deriv) in enumerate(parts):
-        where = lambda i: f"factor {pos + 1} at t={float(ts[i])!r}"
-        overlaps.append(_check_norm_preserving(base, deriv, source, where))
+        overlaps.append(_check_norm_preserving(base, deriv, method, f"factor {pos + 1}"))
     return parts, overlaps
 
 

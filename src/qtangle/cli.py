@@ -30,7 +30,7 @@ from .channels import (
 )
 from .entanglement import MeasurementSetting, _bell_rows, _chsh_rows, _correlation_expansions
 from .errors import ConfigError, DegenerateInputError, ToleranceBreachError, ValidationError
-from .geometry import _entropy_or_zero, fs_distance, fs_speed, profile
+from .geometry import _entropies_or_zero, fs_distance, fs_speed, profile
 from .mixed_witness import (
     VERDICT_INCONCLUSIVE,
     _ensemble_witness_rows,
@@ -47,11 +47,11 @@ from .trajectories import (
     PhaseCurve,
     ProductTrajectory,
     RegisterProgram,
-    TangentVector,
     UnitaryCurve,
     _horizontal,
+    _kron_rows,
+    _product_rule,
     _projector_differentials,
-    _sum_rule,
     differentiate,
     horizontal_tangent,
     infinitesimal_composition,
@@ -166,7 +166,7 @@ def _sweep(
             cols.append(prof.base_entropy[cut])
     try:
         cols += _first_rejection(cells, prof.grid, prof.states, prof.directions)
-    except (ValidationError, DegenerateInputError) as exc:
+    except (ValidationError, DegenerateInputError, ToleranceBreachError) as exc:
         raise ToleranceBreachError(f"{exc} at t={prof.grid[exc.row]:.6g}") from exc
     meta = _metadata(cfg, cuts=[c.label() for c in cuts], **extra, arc_length=prof.arc_length)
     return TraceReport(meta, (*head, *columns), _rows(cols))
@@ -224,8 +224,7 @@ def _run_product_trace(cfg: RunConfig) -> TraceReport:
         worst = np.max(gaps, axis=0)
         _raise_first(
             worst > cfg.tol,
-            lambda i: f"channel-decomposition gap {worst[i]:.3e} exceeds tolerance "
-            f"{cfg.tol:g} at t={ts[i]:.6g}",
+            lambda i: f"channel-decomposition gap {worst[i]:.3e} exceeds tolerance {cfg.tol:g}",
             ToleranceBreachError,
         )
         return gaps
@@ -367,9 +366,10 @@ def _check_genericity(rng: np.random.Generator, trials: int) -> str:
     for _ in range(trials):
         dims = _random_dims(rng)
         states = [random_unit_ket(rng, (d,)) for d in dims]
-        parts = [TangentVector(s, random_admissible_direction(rng, s)) for s in states]
-        tv = horizontal_tangent(_sum_rule(parts, [False] * len(parts)))
-        entropy = _entropy_or_zero(tv.direction, tv.dims, Cut.splitting((0,), len(dims)))
+        sites = [(s.amplitudes[None], random_admissible_direction(rng, s)[None]) for s in states]
+        state, direction = _product_rule(*sites[0], sites[1:], _kron_rows)
+        cut = Cut.splitting((0,), len(dims))
+        entropy = float(_entropies_or_zero(_horizontal(state, direction), dims, (cut,))[0][0])
         lowest = min(lowest, entropy)
         if entropy < 1e-8:
             hits += 1
@@ -393,8 +393,8 @@ def _check_gauge_invariance(rng: np.random.Generator, trials: int) -> str:
         factors[k] = with_global_phase(factors[k], [rng.normal(), rng.normal()])
         modulated = ProductTrajectory(tuple(factors))
         after = horizontal_tangent(product_tangent(modulated, t)).direction
-        shift = _entropy_or_zero(after, traj.dims, cut) - _entropy_or_zero(before, traj.dims, cut)
-        worst = max(worst, abs(shift))
+        entropies = _entropies_or_zero(np.array([after, before]), traj.dims, (cut,))[0]
+        worst = max(worst, abs(float(entropies[0] - entropies[1])))
     if worst >= 1e-10:
         raise ToleranceBreachError(f"entropy moved by {worst:.3e} under phase modulation")
     return f"max entropy shift {worst:.2e} over {trials} trials"
@@ -492,7 +492,13 @@ _CHECKS: tuple[tuple[str, Callable[[np.random.Generator, int], str]], ...] = (
 
 
 def verify(trials: int = 1000, seed: int = 0, stream=None) -> int:
-    """Run every randomized property sweep; 0 when all hold, 3 otherwise."""
+    """Run every randomized property sweep; 0 when all hold, 3 otherwise.
+
+    ``trials`` must be at least 1: over no trials every check would hold
+    vacuously.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
     stream = stream if stream is not None else sys.stdout
     rng = np.random.default_rng(seed)
     status = 0

@@ -126,11 +126,6 @@ def _entropies_or_zero(
     return [_entropy_bits(_split(unit, dims, cut)) for cut in cuts]
 
 
-def _entropy_or_zero(direction: np.ndarray, dims: tuple[int, ...], cut: Cut) -> float:
-    """Entropy of the normalized direction; zero motion carries zero entropy."""
-    return float(_entropies_or_zero(direction, dims, (cut,))[0])
-
-
 def profile(
     traj: ProductTrajectory | RegisterProgram,
     grid: Sequence[float],

@@ -27,8 +27,6 @@ from .trajectories import (
     DEFAULT_STEP,
     Ensemble,
     _component_differentials,
-    _component_projectors,
-    _factor_parts,
     _kron_rows,
     _mixed_differential,
 )
@@ -135,8 +133,7 @@ def _ensemble_witness_rows(
     ens: Ensemble, ts: np.ndarray, tol: float, method: str, h: float
 ) -> tuple[np.ndarray, ...]:
     """``ensemble_witness`` at each grid point: (tr1, tr2, operator gap, verdict)."""
-    parts = [_factor_parts(comp, ts, method, h) for comp in ens.components]
-    honest, product = _ensemble_forms(_component_projectors(ens, parts))
+    honest, product = _ensemble_forms(_component_differentials(ens, ts, method, h))
     tr1, tr2, verdict = _trace_witness(honest, ens.dims, tol)
     return tr1, tr2, np.linalg.norm(honest - product, axis=(-2, -1)), verdict
 

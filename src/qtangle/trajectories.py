@@ -169,7 +169,10 @@ class PhaseCurve(FactorCurve):
     def __init__(self, phi, base: Ket) -> None:
         self.phi = _as_poly(phi, "phi")
         self._phi, self._dphi = _evaluators(self.phi, 2)
-        _check_amplitudes(base.amplitudes, BASE_NORM_TOL, "base ket")
+        norms = _check_amplitudes(base.amplitudes, BASE_NORM_TOL, "base ket")
+        # states() checks to DEFAULT_TOL; a base already within it is kept to the bit
+        if abs(norms - 1.0) >= DEFAULT_TOL:
+            base = Ket(_normalized(base.amplitudes, norms=norms), base.dims)
         self.base = base
         self.dims = base.dims
 
@@ -358,12 +361,13 @@ def differentiate(
 
     ``method`` is one of auto, analytic, central_fd or richardson.
     """
+    method = resolve_method((curve,), method)
     return TangentVector(curve.state(t), _directions(curve, np.array([float(t)]), method, h)[0])
 
 
 def _directions(curve: FactorCurve, ts: np.ndarray, method: str, h: float) -> np.ndarray:
-    """Derivative of the curve's amplitudes at each grid point, (G, d)."""
-    method = resolve_method((curve,), method)
+    """Derivative of the curve's amplitudes at each grid point, (G, d), by a
+    resolved method (not "auto")."""
     if method == "analytic":
         return curve.velocities(ts)
     return _stencil(curve.states, ts, method, h)
@@ -408,32 +412,26 @@ def factor_tangents(
     traj: ProductTrajectory, t: float, method: str = "auto", h: float = DEFAULT_STEP
 ) -> list[TangentVector]:
     """Per-factor tangents at t; frozen factors get an exactly-zero direction."""
-    parts = _factor_parts(traj, np.array([float(t)]), method, h)
+    parts = _factor_rows(traj, np.array([float(t)]), method, h)
     return [
         TangentVector(Ket(base[0], curve.dims), deriv[0])
         for curve, (base, deriv) in zip(traj.factors, parts)
     ]
 
 
-def _factor_parts(
-    traj: ProductTrajectory, ts: np.ndarray, method: str, h: float
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``_factor_rows`` with an exactly-zero direction for a frozen factor."""
-    return [
-        (base, np.zeros_like(base) if deriv is None else deriv)
-        for base, deriv in _factor_rows(traj, ts, method, h)
-    ]
-
-
 def _factor_rows(
     traj: ProductTrajectory, ts: np.ndarray, method: str, h: float
-) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Each factor's (states, directions) over the grid; None for a frozen factor."""
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each factor's (states, directions) over the grid; a frozen factor's
+    directions are exactly zero.  "auto" is resolved once for the whole
+    trajectory, so every factor is differentiated by the same method."""
+    method = resolve_method(traj.factors, method)
     rows = []
     for curve, frozen in zip(traj.factors, traj.frozen):
         base = curve.states(ts)
-        deriv = None
-        if not frozen:
+        if frozen:
+            deriv = np.zeros_like(base)
+        else:
             deriv = _directions(curve, ts, method, h)
             _check_tangents(base, deriv)
         rows.append((base, deriv))
@@ -452,21 +450,11 @@ def _product_rows(
     traj: ProductTrajectory, ts: np.ndarray, method: str, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Product states and their tangents over the grid, each (G, D), unchecked."""
-    rows = _factor_rows(traj, ts, method, h)
-    return _product_rule(*rows[0], rows[1:], _kron_rows)
-
-
-def _sum_rule(parts: Sequence[TangentVector], frozen: Sequence[bool]) -> TangentVector:
-    """Assemble per-factor tangents into the tangent of their product.
-
-    Each term tensors the direction of a single unfrozen factor with the
-    base states of all the others; frozen factors add no term.
-    """
-    sites = [
-        (p.base.amplitudes[None], None if f else p.direction[None]) for p, f in zip(parts, frozen)
+    rows = [
+        (base, None if frozen else deriv)
+        for (base, deriv), frozen in zip(_factor_rows(traj, ts, method, h), traj.frozen)
     ]
-    state, direction = _product_rule(*sites[0], sites[1:], _kron_rows)
-    return TangentVector(Ket(state[0], tuple(d for p in parts for d in p.dims)), direction[0])
+    return _product_rule(*rows[0], rows[1:], _kron_rows)
 
 
 def _kron_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -751,18 +739,16 @@ def separable_mixed_differential(
     return HermitianOp(honest[0], ens.dims)
 
 
-def _component_differentials(ens: Ensemble, t: float, method: str, h: float) -> list[tuple]:
-    """``_component_projectors`` at one parameter value, from ``factor_tangents``."""
-    tangents = [factor_tangents(comp, t, method, h) for comp in ens.components]
-    parts = [[(p.base.amplitudes[None], p.direction[None]) for p in tv] for tv in tangents]
-    return _component_projectors(ens, parts)
-
-
-def _component_projectors(ens: Ensemble, parts: list[list[tuple]]) -> list[tuple]:
+def _component_differentials(
+    ens: Ensemble, t: float | np.ndarray, method: str, h: float
+) -> list[tuple]:
     """(weight, factor states, factor projector differentials) of each
-    component, from its factors' (states, directions) stacks."""
+    component at t, a number or a grid array; each a stack with one row per
+    parameter value."""
+    ts = np.array(t, dtype=float).reshape(-1)
     out = []
-    for w, factors in zip(ens.weights, parts):
+    for w, comp in zip(ens.weights, ens.components):
+        factors = _factor_rows(comp, ts, method, h)
         drho = [_projector_differentials(base, deriv) for base, deriv in factors]
         for mat in drho:
             _check_hermitian(mat)

@@ -1,5 +1,6 @@
 """Config parsing, scenario runners, report rendering, and exit codes."""
 
+import io
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from qtangle import (
     horizontal_tangent,
     parse_config,
     product_tangent,
+    profile,
     pseudo_pure_differential,
     reduced_tangent_channel,
     register_tangent,
@@ -48,6 +50,7 @@ from qtangle.cli import (
     render_json,
     rotating_ensemble,
     run,
+    verify,
 )
 
 SQ2 = math.sqrt(2)
@@ -73,6 +76,15 @@ STIFF_PRODUCT = {
                 "initial": [1.0, 1.0],
             },
         },
+        {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 1.0]}},
+    ],
+}
+# a coarse central difference of a fast qubit arc leaves Re<psi|dpsi> = 2.2e-5
+LEAKY_PRODUCT = {
+    "scenario": "product_trace",
+    "method": {"name": "central_fd", "h": 1e-3},
+    "subsystems": [
+        {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 0.0, 50.0], "phi": [0.0, 0.0, 30.0]}},
         {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 1.0]}},
     ],
 }
@@ -411,13 +423,18 @@ class TestSweepDriver:
 
     @pytest.mark.parametrize(
         "doc, where",
-        [(ZERO_MOTION_DEMO, "0"), (STIFF_PRODUCT, f"{math.pi / 180:.6g}")],
-        ids=["zero", "stiff"],
+        [
+            (ZERO_MOTION_DEMO, "0"),
+            (STIFF_PRODUCT, f"{math.pi / 180:.6g}"),
+            (LEAKY_PRODUCT, f"{math.pi / 180:.6g}"),
+        ],
+        ids=["zero", "stiff", "leaky"],
     )
     def test_numerical_rejection_names_the_grid_point(self, doc, where):
         with pytest.raises(ToleranceBreachError) as info:
             run(parse(doc))
         assert str(info.value).endswith(f" at t={where}")
+        assert str(info.value).count(" at t=") == 1
         assert isinstance(info.value.__cause__, ValueError)
 
 
@@ -558,6 +575,17 @@ class TestGridEqualsPointwise:
             sub = run(parse({**doc, "grid": {"t0": grid[i], "t1": grid[j], "steps": 2}}))
             assert_rows_equal(sub.rows, [rows[i], rows[j]])
 
+    def test_library_auto_resolves_once_per_trajectory(self):
+        """Beside a sampled curve a Bloch arc is differentiated by richardson
+        too, in the library as in the CLI, not by its closed form."""
+        arc = {"dim": 2, "curve": {"kind": "bloch", "theta": [0.4, 1.3, 0.7], "phi": [0.0, 2.0]}}
+        cfg = parse({"scenario": "product_trace", "grid": INSIDE_SAMPLES, "subsystems": [arc, SAMPLED_QUBIT]})
+        traj, grid, cuts = cfg.trajectory(), cfg.grid_points(), (Cut.splitting((0,), 2),)
+        auto = profile(traj, grid, cuts)
+        richardson = profile(traj, grid, cuts, method="richardson")
+        assert np.array_equal(auto.directions, richardson.directions)
+        assert auto.fs_speed.tolist() == [row[1] for row in run(cfg).rows]
+
 
 class TestMainExitCodes:
     def write_config(self, tmp_path, doc):
@@ -662,6 +690,12 @@ class TestMainExitCodes:
 
     def test_verify_rejects_zero_trials(self, capsys):
         assert main(["verify", "--trials", "0"]) == 2
+
+    def test_verify_library_call_rejects_zero_trials(self):
+        stream = io.StringIO()
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            verify(trials=0, stream=stream)
+        assert stream.getvalue() == ""
 
 
 class TestEmit:

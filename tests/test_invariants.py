@@ -109,7 +109,11 @@ def case(tol: float, call, name: str, error=ValidationError):
 BOUNDS = [
     # unit norm
     case(1e-12, lambda off: Ket(stretched(off).amplitudes, (2,), unit=True), "Ket"),
-    case(1e-10, lambda off: PhaseCurve(0.3, stretched(off)), "PhaseCurve-base"),
+    case(
+        1e-10,
+        lambda off: PhaseCurve(0.3, stretched(off)).states(np.array([0.0, 1.0])),
+        "PhaseCurve-base",
+    ),
     case(1e-10, lambda off: LocalHamiltonianCurve(SY, stretched(off)), "Hamiltonian-initial"),
     case(
         1e-10,

@@ -149,14 +149,14 @@ class TestEnsembleWitness:
 
     def test_each_component_differentiated_once(self, monkeypatch):
         calls = []
-        original = trajectories.factor_tangents
+        original = trajectories._factor_rows
 
         def counting(*args, **kwargs):
             calls.append(args[0])
             return original(*args, **kwargs)
 
         for module in (trajectories, mixed_witness):
-            monkeypatch.setattr(module, "factor_tangents", counting, raising=False)
+            monkeypatch.setattr(module, "_factor_rows", counting, raising=False)
         ens = moving_pair()
         rep = ensemble_witness(ens, 0.4)
         assert calls == list(ens.components)
