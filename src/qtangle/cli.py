@@ -13,55 +13,50 @@ import argparse
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .config import SCENARIOS, RunConfig, parse_config
-from .channels import (
-    _bipartite_rows,
-    _channel_rows,
-    _reality_gaps,
-    bilocal_inner_check,
-    reduced_tangent_channel,
-)
+from .channels import _bipartite_rows, _channel_rows, _reality_gaps
 from .entanglement import MeasurementSetting, _bell_rows, _chsh_rows, _correlation_expansions
 from .errors import ConfigError, DegenerateInputError, ToleranceBreachError, ValidationError
-from .geometry import _entropies_or_zero, fs_distance, fs_speed, profile
+from .geometry import _entropies_or_zero, _fs_distances, _fs_speeds, _tangent_rows, profile
 from .mixed_witness import (
     VERDICT_INCONCLUSIVE,
     _ensemble_witness_rows,
+    _product_form,
     _separability,
     _trace_witness,
-    differential_trace_witness,
-    product_differential,
 )
 from .statespace import TRACE_TOL  # noqa: F401  (re-exported: pseudo_pure's trace bound)
 from .statespace import Cut, Ket, _check_hermitian, _normalized, _outer, _raise_first
 from .trajectories import (
+    DEFAULT_STEP,
     BlochCurve,
     Ensemble,
     PhaseCurve,
     ProductTrajectory,
     RegisterProgram,
     UnitaryCurve,
+    _admissible_rows,
+    _check_tangents,
+    _directions,
+    _factor_differentials,
     _horizontal,
     _kron_rows,
     _product_rule,
     _projector_differentials,
-    differentiate,
-    horizontal_tangent,
+    _random_curves,
+    _random_hermitians,
+    _random_trajectories,
+    _random_unit_rows,
     infinitesimal_composition,
-    product_tangent,
+    product_tangent,  # noqa: F401  (bench/tests/test_bench.py expects the tracer to reach it here)
     propagator,
-    random_admissible_direction,
-    random_factor_curve,
-    random_hermitian,
-    random_product_trajectory,
-    random_unit_ket,
     with_global_phase,
 )
 
@@ -331,185 +326,271 @@ def emit(report: TraceReport, out_format: str = "csv", path: str | None = None) 
 
 # ---------------------------------------------------------------------------
 # verification sweeps
+#
+# Each check draws its trials as stacks.  Trials are grouped by their factor
+# dims, and each group passes once through the kernels the scenarios use,
+# with its trials on the leading axis.
 
 
-def _random_dims(rng: np.random.Generator) -> tuple[int, ...]:
-    n = int(rng.integers(2, 4))
-    return tuple(int(rng.integers(2, 4)) for _ in range(n))
+@dataclass(frozen=True)
+class CheckResult:
+    """One self-check: its measured ``margin``, which holds below ``bound``,
+    the text of its ``ok`` line, and the failure message when it does not hold."""
+
+    margin: float
+    bound: float
+    detail: str
+    failure: str | None
 
 
-def _check_channel_identity(rng: np.random.Generator, trials: int) -> str:
-    worst = 0.0
-    for _ in range(trials):
-        traj = random_product_trajectory(rng, (int(rng.integers(2, 5)), int(rng.integers(2, 5))))
-        t = float(rng.uniform(0.0, 1.0))
-        for side in (1, 2):
-            worst = max(worst, reduced_tangent_channel(traj, t, side).gap)
-    if worst >= 1e-10:
-        raise ToleranceBreachError(f"channel decomposition gap {worst:.3e} >= 1e-10")
-    return f"max gap {worst:.2e} over {trials} trials"
+def _per_trial(
+    dims: np.ndarray, measure: Callable[[tuple[int, ...], int], np.ndarray]
+) -> np.ndarray:
+    """``measure(group dims, trial count)`` for each group of trials with equal
+    factor dims, in trial order.  ``dims`` holds one row per trial; a zero
+    entry pads a trial with fewer factors."""
+    groups, inverse = np.unique(dims, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    out = None
+    for g, row in enumerate(groups):
+        members = np.flatnonzero(inverse == g)
+        values = measure(tuple(int(d) for d in row if d), members.size)
+        if out is None:
+            out = np.empty((len(dims),) + values.shape[1:], dtype=values.dtype)
+        out[members] = values
+    return out
 
 
-def _check_bilocal_reality(rng: np.random.Generator, trials: int) -> str:
-    worst = 0.0
-    for _ in range(trials):
-        traj = random_product_trajectory(rng, (int(rng.integers(2, 5)), int(rng.integers(2, 5))))
-        worst = max(worst, bilocal_inner_check(traj, float(rng.uniform(0.0, 1.0))).reality_gap)
-    if worst >= 1e-10:
-        raise ToleranceBreachError(f"bilocal overlap product imaginary part {worst:.3e} >= 1e-10")
-    return f"max imaginary part {worst:.2e} over {trials} trials"
+def _random_dims(rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Factor dims of each trial: 2 or 3 factors of dim 2 or 3, zero-padded."""
+    dims = rng.integers(2, 4, size=(trials, 3))
+    dims[rng.integers(2, 4, size=trials) == 2, 2] = 0
+    return dims
 
 
-def _check_genericity(rng: np.random.Generator, trials: int) -> str:
-    lowest = math.inf
-    hits = 0
-    for _ in range(trials):
-        dims = _random_dims(rng)
-        states = [random_unit_ket(rng, (d,)) for d in dims]
-        sites = [(s.amplitudes[None], random_admissible_direction(rng, s)[None]) for s in states]
+def _check_channel_identity(rng: np.random.Generator, trials: int) -> CheckResult:
+    def measure(dims: tuple[int, ...], m: int) -> np.ndarray:
+        traj = _random_trajectories(rng, dims, m)
+        parts = _bipartite_rows(traj, rng.uniform(0.0, 1.0, m), "auto", DEFAULT_STEP)[0]
+        full = _product_rule(*parts[0], parts[1:], _kron_rows)[1]
+        sides = _channel_rows(parts, full, (1, 2))
+        for side in sides:
+            for mat in side[:-1]:
+                _check_hermitian(mat)
+        return np.maximum(sides[0][-1], sides[1][-1])
+
+    worst = float(_per_trial(rng.integers(2, 5, size=(trials, 2)), measure).max())
+    failure = f"channel decomposition gap {worst:.3e} >= 1e-10" if worst >= 1e-10 else None
+    return CheckResult(worst, 1e-10, f"max gap {worst:.2e} over {trials} trials", failure)
+
+
+def _check_bilocal_reality(rng: np.random.Generator, trials: int) -> CheckResult:
+    def measure(dims: tuple[int, ...], m: int) -> np.ndarray:
+        traj = _random_trajectories(rng, dims, m)
+        overlaps = _bipartite_rows(traj, rng.uniform(0.0, 1.0, m), "auto", DEFAULT_STEP)[1]
+        return _reality_gaps(*overlaps)
+
+    worst = float(_per_trial(rng.integers(2, 5, size=(trials, 2)), measure).max())
+    failure = f"bilocal overlap product imaginary part {worst:.3e} >= 1e-10"
+    detail = f"max imaginary part {worst:.2e} over {trials} trials"
+    return CheckResult(worst, 1e-10, detail, failure if worst >= 1e-10 else None)
+
+
+def _check_genericity(rng: np.random.Generator, trials: int) -> CheckResult:
+    """The margin is the negated lowest entropy, so that it too holds below its bound."""
+
+    def measure(dims: tuple[int, ...], m: int) -> np.ndarray:
+        sites = []
+        for d in dims:
+            psi = _random_unit_rows(rng, m, d)
+            sites.append((psi, _admissible_rows(rng, psi)))
         state, direction = _product_rule(*sites[0], sites[1:], _kron_rows)
         cut = Cut.splitting((0,), len(dims))
-        entropy = float(_entropies_or_zero(_horizontal(state, direction), dims, (cut,))[0][0])
-        lowest = min(lowest, entropy)
-        if entropy < 1e-8:
-            hits += 1
-    if hits:
-        raise ToleranceBreachError(
-            f"{hits}/{trials} random tangents fell below entropy 1e-8 (min {lowest:.3g})"
+        return _entropies_or_zero(_horizontal(state, direction), dims, (cut,))[0]
+
+    entropy = _per_trial(_random_dims(rng, trials), measure)
+    lowest, hits = float(entropy.min()), int(np.count_nonzero(entropy < 1e-8))
+    failure = f"{hits}/{trials} random tangents fell below entropy 1e-8 (min {lowest:.3g})"
+    detail = f"min entropy {lowest:.3g} over {trials} trials"
+    return CheckResult(-lowest, -1e-8, detail, failure if hits else None)
+
+
+def _check_gauge_invariance(rng: np.random.Generator, trials: int) -> CheckResult:
+    def measure(dims: tuple[int, ...], m: int) -> np.ndarray:
+        traj = _random_trajectories(rng, dims, m)
+        ts = rng.uniform(0.0, 1.0, m)
+        picked = rng.integers(len(dims), size=m)[:, None]
+        phi = rng.normal(size=(m, 2))
+        # a factor's rows where it was not picked carry phase e^(i*0): unchanged to the bit
+        modulated = ProductTrajectory(
+            tuple(
+                with_global_phase(curve, np.where(picked == k, phi, 0.0))
+                for k, curve in enumerate(traj.factors)
+            )
         )
-    return f"min entropy {lowest:.3g} over {trials} trials"
-
-
-def _check_gauge_invariance(rng: np.random.Generator, trials: int) -> str:
-    worst = 0.0
-    for _ in range(trials):
-        dims = _random_dims(rng)
-        traj = random_product_trajectory(rng, dims)
-        t = float(rng.uniform(0.0, 1.0))
+        rows = [
+            _horizontal(*_tangent_rows(tr, ts, "auto", DEFAULT_STEP)) for tr in (modulated, traj)
+        ]
         cut = Cut.splitting((0,), len(dims))
-        before = horizontal_tangent(product_tangent(traj, t)).direction
-        k = int(rng.integers(len(dims)))
-        factors = list(traj.factors)
-        factors[k] = with_global_phase(factors[k], [rng.normal(), rng.normal()])
-        modulated = ProductTrajectory(tuple(factors))
-        after = horizontal_tangent(product_tangent(modulated, t)).direction
-        entropies = _entropies_or_zero(np.array([after, before]), traj.dims, (cut,))[0]
-        worst = max(worst, abs(float(entropies[0] - entropies[1])))
-    if worst >= 1e-10:
-        raise ToleranceBreachError(f"entropy moved by {worst:.3e} under phase modulation")
-    return f"max entropy shift {worst:.2e} over {trials} trials"
+        after, before = np.split(_entropies_or_zero(np.concatenate(rows), dims, (cut,))[0], 2)
+        return abs(after - before)
+
+    worst = float(_per_trial(_random_dims(rng, trials), measure).max())
+    failure = f"entropy moved by {worst:.3e} under phase modulation"
+    detail = f"max entropy shift {worst:.2e} over {trials} trials"
+    return CheckResult(worst, 1e-10, detail, failure if worst >= 1e-10 else None)
 
 
-def _consistency_ratio(rng: np.random.Generator, h: float = 1e-3) -> float:
-    """err(h)/err(h/2) for |fs_distance/h - fs_speed| on a constant-speed curve."""
-    while True:
-        traj = random_product_trajectory(rng, _random_dims(rng), constant_speed=True)
-        t = float(rng.uniform(0.0, 1.0))
-        speed = fs_speed(product_tangent(traj, t))
-        if speed > 0.2:
-            break
-    base = traj.state(t)
-    errors = []
-    for step in (h, h / 2):
-        dist = fs_distance(base, traj.state(t + step))
-        errors.append(abs(dist / step - speed))
-    return errors[0] / errors[1]
+def _median_ratio(ratios: np.ndarray, name: str) -> CheckResult:
+    """The median of the halving ratios must be 4 +/- 20%."""
+    median = float(np.sort(ratios)[len(ratios) // 2])
+    failure = f"median {name} ratio {median:.3f} outside 4 +/- 20%"
+    detail = f"median halving ratio {median:.3f} over {len(ratios)} trials"
+    return CheckResult(abs(median - 4.0), 0.8, detail, None if 3.2 <= median <= 4.8 else failure)
 
 
-def _fd_ratio(rng: np.random.Generator, h: float = 1e-3) -> float:
+def _check_fs_consistency(rng: np.random.Generator, trials: int, h: float = 1e-3) -> CheckResult:
+    """err(h)/err(h/2) for |fs_distance/h - fs_speed| on constant-speed
+    trajectories of speed above 0.2, drawn in batches until ``trials`` pass."""
+
+    def measure(dims: tuple[int, ...], m: int) -> np.ndarray:
+        traj = _random_trajectories(rng, dims, m, constant_speed=True)
+        ts = rng.uniform(0.0, 1.0, m)
+        states, directions = _tangent_rows(traj, ts, "auto", DEFAULT_STEP)
+        speed = _fs_speeds(states, directions)
+        errors = []
+        for step in (h, h / 2):
+            errors.append(abs(_fs_distances(states, traj.states(ts + step)) / step - speed))
+        return np.column_stack([speed, *errors])
+
+    ratios = np.empty(0)
+    while ratios.size < trials:
+        rows = _per_trial(_random_dims(rng, 2 * (trials - ratios.size)), measure)
+        kept = rows[rows[:, 0] > 0.2]
+        ratios = np.concatenate([ratios, kept[:, 1] / kept[:, 2]])
+    return _median_ratio(ratios[:trials], "halving")
+
+
+def _check_fd_order(rng: np.random.Generator, trials: int, h: float = 1e-3) -> CheckResult:
     """err(h)/err(h/2) of the central difference against the analytic tangent."""
-    curve = random_factor_curve(rng, int(rng.integers(2, 4)))
-    t = float(rng.uniform(0.0, 1.0))
-    exact = differentiate(curve, t, method="analytic").direction
-    errs = [
-        float(np.linalg.norm(differentiate(curve, t, method="central_fd", h=step).direction - exact))
-        for step in (h, h / 2)
-    ]
-    return errs[0] / errs[1]
+
+    def measure(dims: tuple[int, ...], m: int) -> np.ndarray:
+        curve = _random_curves(rng, dims[0], m)
+        ts = rng.uniform(0.0, 1.0, m)
+        base = curve.states(ts)
+        exact = _directions(curve, ts, "analytic", h)
+        _check_tangents(base, exact)
+        errors = []
+        for step in (h, h / 2):
+            approx = _directions(curve, ts, "central_fd", step)
+            _check_tangents(base, approx)
+            errors.append(np.linalg.norm(approx - exact, axis=-1))
+        return errors[0] / errors[1]
+
+    ratios = _per_trial(rng.integers(2, 4, size=(trials, 1)), measure)
+    return _median_ratio(ratios, "central-difference")
 
 
-def _check_median_ratio(
-    ratio: Callable[[np.random.Generator], float], name: str, rng: np.random.Generator, trials: int
-) -> str:
-    """The median of ``ratio`` over at most 60 trials must be 4 +/- 20%."""
-    trials = min(trials, 60)
-    ratios = sorted(ratio(rng) for _ in range(trials))
-    median = ratios[len(ratios) // 2]
-    if not 3.2 <= median <= 4.8:
-        raise ToleranceBreachError(f"median {name} ratio {median:.3f} outside 4 +/- 20%")
-    return f"median halving ratio {median:.3f} over {trials} trials"
-
-
-def _check_composition(rng: np.random.Generator, trials: int) -> str:
-    trials = min(trials, 60)
-    ratios = []
-    for _ in range(trials):
-        dim = int(rng.integers(2, 5))
-        gen = random_hermitian(rng, dim)
-        exact = propagator(gen, 1.0)
+def _check_composition(rng: np.random.Generator, trials: int) -> CheckResult:
+    def measure(dims: tuple[int, ...], m: int) -> np.ndarray:
+        gens = _random_hermitians(rng, (m,), dims[0])
+        exact = propagator(gens, 1.0)
         dists = [
-            float(np.linalg.norm(infinitesimal_composition(gen, 1.0, n) - exact, ord=2))
+            np.linalg.norm(infinitesimal_composition(gens, 1.0, n) - exact, ord=2, axis=(-2, -1))
             for n in (64, 128)
         ]
-        ratios.append(dists[0] / dists[1])
-    bad = [r for r in ratios if not 1.7 <= r <= 2.3]
-    if bad:
-        raise ToleranceBreachError(
-            f"{len(bad)}/{trials} doubling ratios outside 2 +/- 15% (e.g. {bad[0]:.3f})"
-        )
-    return f"doubling ratios within 2 +/- 15% over {trials} trials"
+        return dists[0] / dists[1]
+
+    ratios = _per_trial(rng.integers(2, 5, size=(trials, 1)), measure)
+    bad = ratios[~((1.7 <= ratios) & (ratios <= 2.3))]
+    failure = None
+    if bad.size:
+        failure = f"{bad.size}/{trials} doubling ratios outside 2 +/- 15% (e.g. {bad[0]:.3f})"
+    detail = f"doubling ratios within 2 +/- 15% over {trials} trials"
+    return CheckResult(float(np.max(abs(ratios - 2.0))), 0.3, detail, failure)
 
 
-def _check_witness_false_positives(rng: np.random.Generator, trials: int) -> str:
-    worst = 0.0
-    for _ in range(trials):
-        dims = (int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-        weight = float(rng.uniform(0.2, 0.8))
-        ens = Ensemble(
-            (weight, 1.0 - weight),
-            (random_product_trajectory(rng, dims), random_product_trajectory(rng, dims)),
-        )
-        drho = product_differential(ens, float(rng.uniform(0.0, 1.0)))
-        report = differential_trace_witness(drho, tol=1e-6)
-        if report.verdict != VERDICT_INCONCLUSIVE:
-            raise ToleranceBreachError("witness flagged an honest product-differential form")
-        worst = max(worst, report.tr1_norm, report.tr2_norm)
-    if worst >= 1e-10:
-        raise ToleranceBreachError(f"partial-trace norm {worst:.3e} >= 1e-10 on product form")
-    return f"max partial-trace norm {worst:.2e} over {trials} trials"
+def _check_witness_false_positives(rng: np.random.Generator, trials: int) -> CheckResult:
+    def measure(dims: tuple[int, ...], m: int) -> np.ndarray:
+        weight = rng.uniform(0.2, 0.8, m)[:, None, None]
+        comps = (_random_trajectories(rng, dims, m), _random_trajectories(rng, dims, m))
+        ts = rng.uniform(0.0, 1.0, m)
+        components = [
+            (w, *_factor_differentials(comp, ts, "auto", DEFAULT_STEP))
+            for w, comp in zip((weight, 1.0 - weight), comps)
+        ]
+        drho = _product_form(components)
+        _check_hermitian(drho)
+        tr1, tr2, verdict = _trace_witness(drho, dims, 1e-6)
+        return np.column_stack([np.maximum(tr1, tr2), verdict != VERDICT_INCONCLUSIVE])
+
+    rows = _per_trial(rng.integers(2, 4, size=(trials, 2)), measure)
+    worst = float(rows[:, 0].max())
+    failure = None
+    if rows[:, 1].any():
+        failure = "witness flagged an honest product-differential form"
+    elif worst >= 1e-10:
+        failure = f"partial-trace norm {worst:.3e} >= 1e-10 on product form"
+    detail = f"max partial-trace norm {worst:.2e} over {trials} trials"
+    return CheckResult(worst, 1e-10, detail, failure)
 
 
-_CHECKS: tuple[tuple[str, Callable[[np.random.Generator, int], str]], ...] = (
-    ("channel-identity", _check_channel_identity),
-    ("bilocal-reality", _check_bilocal_reality),
-    ("tangent-genericity", _check_genericity),
-    ("gauge-invariance", _check_gauge_invariance),
-    ("fs-consistency", partial(_check_median_ratio, _consistency_ratio, "halving")),
-    ("fd-order", partial(_check_median_ratio, _fd_ratio, "central-difference")),
-    ("composition-convergence", _check_composition),
-    ("witness-no-false-positive", _check_witness_false_positives),
+# (name, check, most trials it runs; None: all requested)
+_CHECKS: tuple[tuple[str, Callable[[np.random.Generator, int], CheckResult], int | None], ...] = (
+    ("channel-identity", _check_channel_identity, None),
+    ("bilocal-reality", _check_bilocal_reality, None),
+    ("tangent-genericity", _check_genericity, None),
+    ("gauge-invariance", _check_gauge_invariance, None),
+    ("fs-consistency", _check_fs_consistency, 60),
+    ("fd-order", _check_fd_order, 60),
+    ("composition-convergence", _check_composition, 60),
+    ("witness-no-false-positive", _check_witness_false_positives, None),
 )
+VERIFY_FORMATS = ("text", "json")
 
 
-def verify(trials: int = 1000, seed: int = 0, stream=None) -> int:
-    """Run every randomized property sweep; 0 when all hold, 3 otherwise.
+def verify(trials: int = 1000, seed: int = 0, stream=None, out_format: str = "text") -> int:
+    """Run every randomized property check; 0 when all hold, 3 otherwise.
 
     ``trials`` must be at least 1: over no trials every check would hold
-    vacuously.
+    vacuously.  With ``out_format`` "text" each check that holds prints one
+    ``ok`` line; with "json" one JSON object gives each check's status,
+    trials, margin, bound and seconds.  Each failing check prints ``FAIL`` to
+    stderr in both.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
+    if out_format not in VERIFY_FORMATS:
+        raise ValueError(f"out_format must be one of {VERIFY_FORMATS}, got {out_format!r}")
     stream = stream if stream is not None else sys.stdout
     rng = np.random.default_rng(seed)
-    status = 0
-    for name, check in _CHECKS:
+    status, report = 0, {}
+    for name, check, cap in _CHECKS:
+        n = trials if cap is None else min(trials, cap)
+        start = time.perf_counter()
         try:
-            detail = check(rng, trials)
-        except (ToleranceBreachError, ValueError) as exc:
-            print(f"FAIL {name}: {exc}", file=sys.stderr)
+            result = check(rng, n)
+            failure = result.failure
+        except ValueError as exc:
+            result, failure = None, str(exc)
+        entry = {
+            "status": "fail" if failure else "ok",
+            "trials": n,
+            "margin": None if result is None else result.margin,
+            "bound": None if result is None else result.bound,
+            "seconds": time.perf_counter() - start,
+        }
+        if failure:
+            entry["message"] = failure
+            print(f"FAIL {name}: {failure}", file=sys.stderr)
             status = 3
-            continue
-        print(f"ok {name}: {detail}", file=stream)
+        elif out_format == "text":
+            print(f"ok {name}: {result.detail}", file=stream)
+        report[name] = entry
+    if out_format == "json":
+        doc = {"tool": "qtangle", "version": __version__, "seed": seed, "trials": trials}
+        doc.update(status="fail" if status else "ok", checks=report)
+        print(json.dumps(doc, indent=2), file=stream)
     return status
 
 
@@ -521,11 +602,12 @@ def _verify_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="qtangle verify")
     parser.add_argument("--trials", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--format", choices=VERIFY_FORMATS, default="text", dest="out_format")
     args = parser.parse_args(argv)
     if args.trials < 1:
         print("error: --trials must be at least 1", file=sys.stderr)
         return 2
-    return verify(trials=args.trials, seed=args.seed)
+    return verify(trials=args.trials, seed=args.seed, out_format=args.out_format)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

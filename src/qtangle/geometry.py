@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statespace import BASE_NORM_TOL, Cut, Ket, _check_amplitudes, _normalized, inner
+from .statespace import BASE_NORM_TOL, Cut, Ket, _check_amplitudes, _normalized, _overlaps
 from .trajectories import (
     DEFAULT_STEP,
     ProductTrajectory,
@@ -38,15 +38,26 @@ def fs_distance(a: Ket, b: Ket) -> float:
     when the rays are close, where the subtraction under the square root
     would cancel catastrophically.
     """
-    for name, ket in (("a", a), ("b", b)):
-        _check_amplitudes(ket.amplitudes, BASE_NORM_TOL, name)
-    residual = b.amplitudes - inner(a, b) * a.amplitudes
-    return 2 * float(np.linalg.norm(residual))
+    if a.total_dim != b.total_dim:
+        raise ValueError(f"total dimensions differ: {a.total_dim} vs {b.total_dim}")
+    return float(_fs_distances(a.amplitudes, b.amplitudes))
+
+
+def _fs_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``fs_distance`` between each pair of rows of two stacks of unit amplitudes."""
+    for name, amps in (("a", a), ("b", b)):
+        _check_amplitudes(amps, BASE_NORM_TOL, name)
+    return 2 * np.linalg.norm(b - _overlaps(a, b)[..., None] * a, axis=-1)
 
 
 def fs_speed(tv: TangentVector) -> float:
     """Projective speed of a tangent: gauge-invariant norm of the motion."""
-    return float(2 * np.linalg.norm(_horizontal(tv.base.amplitudes, tv.direction), axis=-1))
+    return float(_fs_speeds(tv.base.amplitudes, tv.direction))
+
+
+def _fs_speeds(base: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """``fs_speed`` of each row."""
+    return 2 * np.linalg.norm(_horizontal(base, directions), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)

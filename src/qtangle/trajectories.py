@@ -12,6 +12,10 @@ Every kernel works over a whole parameter grid at once: curves return
 ``(G, d)`` arrays from ``states(ts)`` and ``velocities(ts)``, and tangents
 are assembled row by row.  The scalar functions (``state``, ``differentiate``,
 ``product_tangent``, ``register_tangent``, ...) are the one-row case.
+
+The analytic curves also take their parameters stacked, one per trial along
+a leading axis; evaluated at one parameter value per trial, such a curve
+gives one row per trial, so randomized checks run all their trials at once.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -44,33 +48,44 @@ from .statespace import (
     _outer,
     _overlaps,
     _raise_first,
-    tensor_product,
 )
 
 DEFAULT_STEP = 1e-4
 METHODS = ("auto", "analytic", "central_fd", "richardson")
 
 
-def _as_poly(value, name: str) -> Polynomial:
+def _as_poly(value, name: str) -> Polynomial | np.ndarray:
+    """A polynomial given as a scalar, a coefficient sequence (constant first)
+    or a numpy Polynomial; a 2-d array is a stack of coefficient rows (M, k),
+    one polynomial per trial, kept as that array."""
     if isinstance(value, Polynomial):
         poly = value
+    elif np.ndim(value) == 2:
+        poly = np.array(value, dtype=float)
     elif np.isscalar(value):
         poly = Polynomial([float(value)])
     else:
         poly = Polynomial([float(c) for c in value])
-    if not np.all(np.isfinite(poly.coef)):
+    if not np.all(np.isfinite(getattr(poly, "coef", poly))):
         raise ValueError(f"{name}: coefficients must be finite")
     return poly
 
 
-def _evaluators(poly: Polynomial, count: int) -> list[Callable[[np.ndarray], np.ndarray]]:
+def _evaluators(
+    poly: Polynomial | np.ndarray, count: int
+) -> list[Callable[[np.ndarray], np.ndarray]]:
     """``poly`` and its first ``count - 1`` derivatives as functions of a grid array.
 
     They repeat the arithmetic of ``poly.deriv(order)`` and of
     ``Polynomial.__call__`` (domain map, then Horner) without building
-    polynomial objects, which costs more than evaluating a short grid.
+    polynomial objects, which costs more than evaluating a short grid.  A
+    stack of coefficient rows (M, k) gives functions of one parameter value
+    per trial, (M,).
     """
-    off, scl = poly.mapparms()
+    if isinstance(poly, Polynomial):
+        (off, scl), coef = poly.mapparms(), poly.coef
+    else:
+        off, scl, coef = 0.0, 1.0, poly.T
 
     def evaluator(coef: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         def values(ts: np.ndarray) -> np.ndarray:
@@ -82,27 +97,41 @@ def _evaluators(poly: Polynomial, count: int) -> list[Callable[[np.ndarray], np.
 
         return values
 
-    out, coef = [evaluator(poly.coef)], poly.coef
+    out = [evaluator(coef)]
     for _ in range(count - 1):
-        coef = np.arange(1, len(coef)) * (coef[1:] * scl) if len(coef) > 1 else coef[:1] * 0
+        if len(coef) > 1:
+            order = np.arange(1, len(coef)).reshape((-1,) + (1,) * (coef.ndim - 1))
+            coef = order * (coef[1:] * scl)
+        else:
+            coef = coef[:1] * 0
         out.append(evaluator(coef))
     return out
 
 
 def _generator(value) -> np.ndarray:
-    """A generator as a square matrix, checked Hermitian."""
+    """A generator as a square matrix, or a stack of them (M, d, d), checked Hermitian."""
     mat = value.matrix if isinstance(value, HermitianOp) else np.asarray(value, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"generator: expected a square matrix, got shape {mat.shape}")
     _check_hermitian(mat, where="generator")
     return mat
 
 
+def _amplitude_rows(state) -> tuple[np.ndarray, tuple[int, ...]]:
+    """A Ket's amplitudes and dims, or a stack of one factor's amplitude rows
+    (M, d) and (d,)."""
+    if isinstance(state, Ket):
+        return state.amplitudes, state.dims
+    amps = np.asarray(state, dtype=complex)
+    return amps, amps.shape[-1:]
+
+
 def propagator(generator, t: float) -> np.ndarray:
-    """exp(-i * generator * t) for a Hermitian generator, via eigendecomposition."""
+    """exp(-i * generator * t) for a Hermitian generator, or for each of a
+    stack of them, via eigendecomposition."""
     mat = _generator(generator)
     w, v = np.linalg.eigh(mat)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    return (v * np.exp(-1j * w * t)[..., None, :]) @ np.swapaxes(v.conj(), -2, -1)
 
 
 class FactorCurve(ABC):
@@ -135,7 +164,8 @@ class BlochCurve(FactorCurve):
     """Qubit curve cos(theta/2)|0> + e^(i*phi) sin(theta/2)|1>.
 
     ``theta`` and ``phi`` are polynomials in the parameter, given as a scalar,
-    a coefficient sequence (constant first), or a numpy Polynomial.
+    a coefficient sequence (constant first), or a numpy Polynomial; or both
+    as stacks of coefficient rows (M, k), one curve per trial.
     """
 
     def __init__(self, theta, phi=0.0) -> None:
@@ -164,20 +194,26 @@ class BlochCurve(FactorCurve):
 
 
 class PhaseCurve(FactorCurve):
-    """A fixed ket acquiring the global phase e^(i*phi(t))."""
+    """A fixed ket acquiring the global phase e^(i*phi(t)).
 
-    def __init__(self, phi, base: Ket) -> None:
+    ``base`` is a Ket, or a stack of amplitude rows (M, d) with ``phi`` a
+    stack of coefficient rows (M, k), one curve per trial.
+    """
+
+    def __init__(self, phi, base: Ket | np.ndarray) -> None:
         self.phi = _as_poly(phi, "phi")
         self._phi, self._dphi = _evaluators(self.phi, 2)
-        norms = _check_amplitudes(base.amplitudes, BASE_NORM_TOL, "base ket")
+        amps, self.dims = _amplitude_rows(base)
+        norms = _check_amplitudes(amps, BASE_NORM_TOL, "base ket")
         # states() checks to DEFAULT_TOL; a base already within it is kept to the bit
-        if abs(norms - 1.0) >= DEFAULT_TOL:
-            base = Ket(_normalized(base.amplitudes, norms=norms), base.dims)
-        self.base = base
-        self.dims = base.dims
+        off = abs(norms - 1.0) >= DEFAULT_TOL
+        if np.any(off):
+            amps = np.where(off[..., None], _normalized(amps, norms=norms), amps)
+            base = Ket(amps, self.dims) if isinstance(base, Ket) else amps
+        self.base, self._amps = base, amps
 
     def states(self, ts: np.ndarray) -> np.ndarray:
-        amps = np.exp(1j * self._phi(ts))[:, None] * self.base.amplitudes
+        amps = np.exp(1j * self._phi(ts))[:, None] * self._amps
         _check_amplitudes(amps, DEFAULT_TOL)
         return amps
 
@@ -186,21 +222,25 @@ class PhaseCurve(FactorCurve):
 
 
 class LocalHamiltonianCurve(FactorCurve):
-    """Schroedinger orbit exp(-i*H*t)|initial> of a constant Hermitian generator."""
+    """Schroedinger orbit exp(-i*H*t)|initial> of a constant Hermitian generator.
 
-    def __init__(self, generator, initial: Ket) -> None:
+    ``generator`` and ``initial`` may be stacks, (M, d, d) and (M, d), one
+    orbit per trial.
+    """
+
+    def __init__(self, generator, initial: Ket | np.ndarray) -> None:
         mat = _generator(generator)
-        if mat.shape[0] != initial.total_dim:
+        amps, self.dims = _amplitude_rows(initial)
+        if mat.shape[-1] != amps.shape[-1]:
             raise ValueError(
-                f"generator side {mat.shape[0]} does not match state dimension "
-                f"{initial.total_dim}"
+                f"generator side {mat.shape[-1]} does not match state dimension "
+                f"{amps.shape[-1]}"
             )
-        _check_amplitudes(initial.amplitudes, BASE_NORM_TOL, "initial ket")
+        _check_amplitudes(amps, BASE_NORM_TOL, "initial ket")
         self.generator = mat
         self.initial = initial
-        self.dims = initial.dims
         self._evals, self._evecs = np.linalg.eigh(mat)
-        self._coeffs = self._evecs.conj().T @ initial.amplitudes
+        self._coeffs = _matvec(np.swapaxes(self._evecs.conj(), -2, -1), amps)
 
     def _amplitudes(self, ts: np.ndarray) -> np.ndarray:
         return _matvec(self._evecs, np.exp(-1j * self._evals * ts[:, None]) * self._coeffs)
@@ -254,7 +294,8 @@ class SampledCurve(FactorCurve):
 
 
 class _PhaseModulated(FactorCurve):
-    """A curve multiplied by the global phase e^(i*phi(t))."""
+    """A curve multiplied by the global phase e^(i*phi(t)); a stacked curve
+    takes a stack of coefficient rows."""
 
     def __init__(self, inner: FactorCurve, phi) -> None:
         self.inner = inner
@@ -278,6 +319,28 @@ class _PhaseModulated(FactorCurve):
 def with_global_phase(curve: FactorCurve, phi) -> FactorCurve:
     """Multiply a curve by the time-dependent global phase e^(i*phi(t))."""
     return _PhaseModulated(curve, phi)
+
+
+class _Interleaved(FactorCurve):
+    """Stacked curves of one dimension sharing one trial axis: each part
+    supplies its own rows of it, so curves of several kinds form one stack."""
+
+    def __init__(self, parts: Sequence[tuple[FactorCurve, np.ndarray]]) -> None:
+        self.parts = tuple(parts)
+        self.dims = self.parts[0][0].dims
+        self.has_analytic = all(curve.has_analytic for curve, _ in self.parts)
+
+    def _merged(self, ts: np.ndarray, evaluate: Callable) -> np.ndarray:
+        out = np.empty((len(ts),) + self.dims, dtype=complex)
+        for curve, rows in self.parts:
+            out[rows] = evaluate(curve, ts[rows])
+        return out
+
+    def states(self, ts: np.ndarray) -> np.ndarray:
+        return self._merged(ts, lambda curve, t: curve.states(t))
+
+    def velocities(self, ts: np.ndarray) -> np.ndarray:
+        return self._merged(ts, lambda curve, t: curve.velocities(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,8 +467,12 @@ class ProductTrajectory:
     def dims(self) -> tuple[int, ...]:
         return tuple(d for f in self.factors for d in f.dims)
 
+    def states(self, ts: np.ndarray) -> np.ndarray:
+        """Product amplitudes at each grid point, (G, D)."""
+        return reduce(_kron_rows, [curve.states(ts) for curve in self.factors])
+
     def state(self, t: float) -> Ket:
-        return tensor_product([f.state(t) for f in self.factors])
+        return Ket(self.states(np.array([float(t)]))[0], self.dims)
 
 
 def factor_tangents(
@@ -516,6 +583,8 @@ class UnitaryCurve:
 
     def __post_init__(self) -> None:
         gen = _generator(self.generator)
+        if gen.ndim != 2:
+            raise ValueError(f"generator: expected a square matrix, got shape {gen.shape}")
         base = np.asarray(self.base, dtype=complex)
         if base.shape != gen.shape:
             raise ValueError(f"base shape {base.shape} does not match generator {gen.shape}")
@@ -746,14 +815,22 @@ def _component_differentials(
     component at t, a number or a grid array; each a stack with one row per
     parameter value."""
     ts = np.array(t, dtype=float).reshape(-1)
-    out = []
-    for w, comp in zip(ens.weights, ens.components):
-        factors = _factor_rows(comp, ts, method, h)
-        drho = [_projector_differentials(base, deriv) for base, deriv in factors]
-        for mat in drho:
-            _check_hermitian(mat)
-        out.append((w, [base for base, _ in factors], drho))
-    return out
+    return [
+        (w, *_factor_differentials(comp, ts, method, h))
+        for w, comp in zip(ens.weights, ens.components)
+    ]
+
+
+def _factor_differentials(
+    traj: ProductTrajectory, ts: np.ndarray, method: str, h: float
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each factor's states and projector differentials over the grid, the
+    differentials checked Hermitian."""
+    factors = _factor_rows(traj, ts, method, h)
+    drho = [_projector_differentials(base, deriv) for base, deriv in factors]
+    for mat in drho:
+        _check_hermitian(mat)
+    return [base for base, _ in factors], drho
 
 
 def _mixed_differential(components: list[tuple]) -> np.ndarray:
@@ -768,7 +845,8 @@ def _mixed_differential(components: list[tuple]) -> np.ndarray:
 
 
 def infinitesimal_composition(generator, total: float, n_steps: int) -> np.ndarray:
-    """Compose n identical first-order steps: (I - i*G*total/n)^n.
+    """Compose n identical first-order steps: (I - i*G*total/n)^n, for one
+    generator or each of a stack.
 
     Converges to the exact propagator at rate O(1/n) in operator norm.
     """
@@ -776,7 +854,7 @@ def infinitesimal_composition(generator, total: float, n_steps: int) -> np.ndarr
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    step = np.eye(mat.shape[0], dtype=complex) - 1j * mat * (float(total) / n_steps)
+    step = np.eye(mat.shape[-1], dtype=complex) - 1j * mat * (float(total) / n_steps)
     return np.linalg.matrix_power(step, n_steps)
 
 
@@ -801,27 +879,56 @@ def curve_through(state: Ket, direction) -> LocalHamiltonianCurve:
     return LocalHamiltonianCurve(gen, state)
 
 
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard complex Gaussian entries: all real parts drawn, then all imaginary."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def random_unit_ket(rng: np.random.Generator, dims: Iterable[int]) -> Ket:
     dims = tuple(int(d) for d in dims)
-    size = math.prod(dims)
-    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    amps = _complex_normal(rng, math.prod(dims))
     return Ket(amps / np.linalg.norm(amps), dims, unit=True)
 
 
+def _random_unit_rows(rng: np.random.Generator, m: int, dim: int) -> np.ndarray:
+    """m random unit amplitude rows (m, dim), checked unit to DEFAULT_TOL."""
+    amps = _complex_normal(rng, (m, dim))
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    _check_amplitudes(amps, DEFAULT_TOL)
+    return amps
+
+
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (a + a.conj().T) / 2
+    return _random_hermitians(rng, (), dim, scale)
+
+
+def _random_hermitians(
+    rng: np.random.Generator, lead: tuple[int, ...], dim: int, scale: float = 1.0
+) -> np.ndarray:
+    """Random Hermitian matrices of shape ``lead + (dim, dim)``."""
+    a = _complex_normal(rng, lead + (dim, dim))
+    return scale * (a + np.swapaxes(a.conj(), -2, -1)) / 2
 
 
 def random_admissible_direction(rng: np.random.Generator, state: Ket) -> np.ndarray:
     """Random direction with Re<psi|d> = 0 and a non-trivial part off the state ray."""
-    psi = state.amplitudes
-    while True:
-        d = rng.standard_normal(psi.size) + 1j * rng.standard_normal(psi.size)
-        d -= np.vdot(psi, d).real * psi
-        perp = d - np.vdot(psi, d) * psi
-        if np.linalg.norm(perp) > 1e-6:
-            return d
+    return _admissible_rows(rng, state.amplitudes[None])[0]
+
+
+def _admissible_rows(rng: np.random.Generator, psi: np.ndarray) -> np.ndarray:
+    """``random_admissible_direction`` for each unit row of ``psi`` (M, d); the
+    rows whose part off the ray is 1e-6 or shorter are drawn again, in batches."""
+    out = np.empty_like(psi)
+    todo = np.arange(len(psi))
+    while todo.size:
+        rows = psi[todo]
+        d = _complex_normal(rng, rows.shape)
+        d -= _overlaps(rows, d).real[:, None] * rows
+        perp = d - _overlaps(rows, d)[:, None] * rows
+        kept = np.linalg.norm(perp, axis=-1) > 1e-6
+        out[todo[kept]] = d[kept]
+        todo = todo[~kept]
+    return out
 
 
 def random_factor_curve(
@@ -862,3 +969,43 @@ def random_product_trajectory(
 ) -> ProductTrajectory:
     curves = tuple(random_factor_curve(rng, d, constant_speed) for d in dims)
     return ProductTrajectory(curves, tuple(frozen) if frozen else ())
+
+
+def _random_curves(
+    rng: np.random.Generator, dim: int, m: int, constant_speed: bool = False
+) -> FactorCurve:
+    """m random analytic factor curves, of the kinds and laws of
+    ``random_factor_curve``, as one stacked curve: at m parameter values, row
+    i is curve i at the i-th value.  The draw order is not that of m calls."""
+    kinds = rng.integers(3 if dim == 2 else 2, size=m)  # hamiltonian, phase, bloch
+    parts = []
+    for kind in np.unique(kinds):
+        rows = np.flatnonzero(kinds == kind)
+        n = rows.size
+        if kind == 0:
+            gens = _random_hermitians(rng, (n,), dim, scale=1.0 / math.sqrt(dim))
+            curve = LocalHamiltonianCurve(gens, _random_unit_rows(rng, n, dim))
+        elif kind == 1:
+            curve = PhaseCurve(rng.normal(size=(n, 2)), _random_unit_rows(rng, n, dim))
+        elif constant_speed:
+            # one angle affine, the other constant (a zero slope)
+            theta_moves = rng.integers(2, size=n).astype(bool)[:, None]
+            affine = rng.normal(scale=(1.0, 0.8), size=(n, 2))
+            still = np.where(theta_moves[:, 0], rng.normal(size=n), rng.uniform(0.4, 2.7, size=n))
+            still = np.column_stack([still, np.zeros(n)])
+            curve = BlochCurve(
+                np.where(theta_moves, affine, still), np.where(theta_moves, still, affine)
+            )
+        else:
+            scale = (1.0, 1.0, 0.5)
+            theta, phi = rng.normal(scale=scale, size=(2, n, 3))
+            curve = BlochCurve(theta, phi)
+        parts.append((curve, rows))
+    return _Interleaved(parts)
+
+
+def _random_trajectories(
+    rng: np.random.Generator, dims: Sequence[int], m: int, constant_speed: bool = False
+) -> ProductTrajectory:
+    """m random product trajectories of the given factor dims, stacked."""
+    return ProductTrajectory(tuple(_random_curves(rng, d, m, constant_speed) for d in dims))

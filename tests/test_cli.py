@@ -698,6 +698,103 @@ class TestMainExitCodes:
         assert stream.getvalue() == ""
 
 
+VERIFY_CHECKS = (
+    "channel-identity",
+    "bilocal-reality",
+    "tangent-genericity",
+    "gauge-invariance",
+    "fs-consistency",
+    "fd-order",
+    "composition-convergence",
+    "witness-no-false-positive",
+)
+
+
+def _shift_first_half(entropies_or_zero):
+    """Add 1e-9 to the entropies of the first half of the rows: the modulated
+    half in the gauge check; harmless to the genericity floor of 1e-8."""
+
+    def shifted(rows, *args, **kwargs):
+        out = entropies_or_zero(rows, *args, **kwargs)
+        return [e + 1e-9 * (np.arange(len(e)) < len(e) // 2) for e in out]
+
+    return shifted
+
+
+# check -> (kernel its stacked trials pass through, breach of 10x its bound, message)
+VERIFY_BREACHES = {
+    "channel-identity": (
+        "_channel_rows",
+        lambda kernel: lambda *a: [(*side[:-1], side[-1] + 1e-9) for side in kernel(*a)],
+        "channel decomposition gap 1.000e-09 >= 1e-10",
+    ),
+    "bilocal-reality": (
+        "_reality_gaps",
+        lambda kernel: lambda *a: kernel(*a) + 1e-9,
+        "bilocal overlap product imaginary part 1.000e-09 >= 1e-10",
+    ),
+    "gauge-invariance": (
+        "_entropies_or_zero",
+        _shift_first_half,
+        "entropy moved by 1.000e-09 under phase modulation",
+    ),
+    "witness-no-false-positive": (
+        "_trace_witness",
+        lambda kernel: lambda *a: (kernel(*a)[0] + 1e-9, *kernel(*a)[1:]),
+        "partial-trace norm 1.000e-09 >= 1e-10 on product form",
+    ),
+}
+
+
+class TestVerify:
+    def test_every_check_holds_over_seeds(self):
+        for seed in range(10):
+            stream = io.StringIO()
+            assert verify(200, seed=seed, stream=stream) == 0
+            lines = stream.getvalue().splitlines()
+            assert [line.split(":")[0] for line in lines] == [f"ok {n}" for n in VERIFY_CHECKS]
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_BREACHES))
+    def test_stacked_check_still_fails(self, name, monkeypatch, capsys):
+        """A kernel pushed 10x past the bound fails its check, and only it."""
+        kernel, breach, message = VERIFY_BREACHES[name]
+        monkeypatch.setattr(qtangle.cli, kernel, breach(getattr(qtangle.cli, kernel)))
+        assert verify(50, seed=2) == 3
+        out, err = capsys.readouterr()
+        assert err == f"FAIL {name}: {message}\n"
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            f"ok {other}" for other in VERIFY_CHECKS if other != name
+        ]
+
+    def test_json_report(self, capsys):
+        assert main(["verify", "--trials", "30", "--seed", "4", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["status"], doc["seed"], doc["trials"]) == ("ok", 4, 30)
+        assert list(doc["checks"]) == list(VERIFY_CHECKS)
+        for entry in doc["checks"].values():
+            assert entry["status"] == "ok"
+            assert entry["trials"] == 30
+            assert entry["margin"] < entry["bound"]
+            assert entry["seconds"] >= 0
+
+    def test_json_report_of_a_failure(self, monkeypatch, capsys):
+        kernel, breach, message = VERIFY_BREACHES["channel-identity"]
+        monkeypatch.setattr(qtangle.cli, kernel, breach(getattr(qtangle.cli, kernel)))
+        assert main(["verify", "--trials", "100", "--format", "json"]) == 3
+        out, err = capsys.readouterr()
+        entry = json.loads(out)["checks"]["channel-identity"]
+        assert (entry["status"], entry["message"]) == ("fail", message)
+        assert entry["margin"] >= entry["bound"] == 1e-10
+        assert json.loads(out)["checks"]["fd-order"]["trials"] == 60
+        assert err == f"FAIL channel-identity: {message}\n"
+
+    def test_bad_format_is_invalid_input(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--format", "xml"])
+        assert exc.value.code == 2
+        with pytest.raises(ValueError, match="out_format"):
+            verify(3, out_format="xml", stream=io.StringIO())
+
 class TestEmit:
     def test_stdout_default(self, capsys):
         rep = run(parse({"scenario": "two_qubit_demo", "grid": {"steps": 2}}))

@@ -652,3 +652,117 @@ class TestCurveThrough:
         state = Ket.basis((2,), (0,))
         with pytest.raises(ValueError):
             curve_through(state, state.amplitudes * 0.3)
+
+
+def unit_rows(rng, m, d):
+    amps = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+
+
+def hermitian_stack(rng, m, d):
+    a = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+    return (a + np.swapaxes(a.conj(), -2, -1)) / 4
+
+
+STACKED_KINDS = ["bloch", "phase", "hamiltonian", "modulated", "interleaved"]
+
+
+def stacked_and_singles(kind, m=7, seed=60):
+    """A stacked curve of m trials and the m scalar curves of its rows."""
+    rng = np.random.default_rng(seed)
+    theta, phi = rng.normal(size=(m, 3)), rng.normal(size=(m, 2))
+    bases, gens = unit_rows(rng, m, 3), hermitian_stack(rng, m, 3)
+    hamiltonian = [LocalHamiltonianCurve(gens[i], Ket(bases[i], (3,))) for i in range(m)]
+    if kind == "bloch":
+        return BlochCurve(theta, phi), [BlochCurve(theta[i], phi[i]) for i in range(m)]
+    if kind == "phase":
+        return PhaseCurve(phi, bases), [PhaseCurve(phi[i], Ket(bases[i], (3,))) for i in range(m)]
+    if kind == "hamiltonian":
+        return LocalHamiltonianCurve(gens, bases), hamiltonian
+    if kind == "modulated":
+        stacked = with_global_phase(LocalHamiltonianCurve(gens, bases), theta)
+        return stacked, [with_global_phase(c, theta[i]) for i, c in enumerate(hamiltonian)]
+    # qubit arcs on the even trials, phase curves on the odd ones
+    even, odd = np.arange(0, m, 2), np.arange(1, m, 2)
+    qubits = unit_rows(rng, m, 2)
+    parts = [(BlochCurve(theta[even], phi[even]), even), (PhaseCurve(phi[odd], qubits[odd]), odd)]
+    singles = [
+        BlochCurve(theta[i], phi[i]) if i % 2 == 0 else PhaseCurve(phi[i], Ket(qubits[i], (2,)))
+        for i in range(m)
+    ]
+    return trajectories._Interleaved(parts), singles
+
+
+class TestStackedCurves:
+    """A curve whose parameters carry a leading trial axis is, row by row,
+    the scalar curve of that trial at that trial's parameter value."""
+
+    EVALUATIONS = {
+        "states": lambda curve, ts: curve.states(ts),
+        "velocities": lambda curve, ts: curve.velocities(ts),
+        "central_fd": lambda curve, ts: trajectories._directions(curve, ts, "central_fd", 1e-4),
+        "richardson": lambda curve, ts: trajectories._directions(curve, ts, "richardson", 1e-4),
+    }
+
+    @pytest.mark.parametrize("evaluation", sorted(EVALUATIONS))
+    @pytest.mark.parametrize("kind", STACKED_KINDS)
+    def test_row_i_is_trial_i_at_its_own_time(self, kind, evaluation):
+        stacked, singles = stacked_and_singles(kind)
+        ts = np.random.default_rng(61).uniform(-1.0, 2.0, len(singles))
+        evaluate = self.EVALUATIONS[evaluation]
+        got = evaluate(stacked, ts)
+        want = np.array([evaluate(curve, ts[i : i + 1])[0] for i, curve in enumerate(singles)])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_one_dimensional_parameters_keep_their_grid_arithmetic(self):
+        """Scalar phase, Hamiltonian and phase-modulated curves evaluate a grid
+        by exactly the parent formulas."""
+        rng = np.random.default_rng(62)
+        ts = np.linspace(-1.0, 2.0, 23)
+        base = Ket(unit_rows(rng, 1, 3)[0], (3,))
+        gen = hermitian_stack(rng, 1, 3)[0]
+        phi = Polynomial([0.3, -0.8, 0.25])
+        phase = np.exp(1j * phi(ts))[:, None]
+        assert np.array_equal(PhaseCurve(phi, base).states(ts), phase * base.amplitudes)
+
+        curve = LocalHamiltonianCurve(gen, base)
+        w, v = np.linalg.eigh(gen)
+        coeffs = v.conj().T @ base.amplitudes
+        orbit = np.array([v @ (np.exp(-1j * w * t) * coeffs) for t in ts])
+        assert np.array_equal(curve.states(ts), orbit)
+        assert np.array_equal(curve.velocities(ts), np.array([-1j * (gen @ row) for row in orbit]))
+
+        modulated = with_global_phase(curve, phi)
+        assert np.array_equal(modulated.states(ts), phase * orbit)
+        dphi = phi.deriv()(ts)[:, None]
+        want = phase * (1j * dphi * orbit + curve.velocities(ts))
+        assert np.array_equal(modulated.velocities(ts), want)
+
+    def test_stacked_generators_propagate_and_compose_per_trial(self):
+        gens = hermitian_stack(np.random.default_rng(63), 5, 3)
+        stacked = propagator(gens, 0.7), infinitesimal_composition(gens, 0.7, 16)
+        for i, gen in enumerate(gens):
+            assert np.array_equal(stacked[0][i], propagator(gen, 0.7))
+            assert np.array_equal(stacked[1][i], infinitesimal_composition(gen, 0.7, 16))
+
+    def test_unitary_curve_still_takes_one_generator(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            UnitaryCurve.rotation(hermitian_stack(np.random.default_rng(64), 2, 2))
+
+
+def test_scalar_random_draws_keep_their_seeded_sequences():
+    """random_hermitian and random_admissible_direction draw and compute as
+    their loop forms do, value for value."""
+    ours, ref = np.random.default_rng(65), np.random.default_rng(65)
+    for dim in (2, 3, 4):
+        a = ref.standard_normal((dim, dim)) + 1j * ref.standard_normal((dim, dim))
+        want = 0.5 * (a + a.conj().T) / 2
+        assert np.array_equal(trajectories.random_hermitian(ours, dim, 0.5), want)
+        state = trajectories.random_unit_ket(ours, (dim,))
+        amps = ref.standard_normal(dim) + 1j * ref.standard_normal(dim)
+        assert np.array_equal(state.amplitudes, amps / np.linalg.norm(amps))
+        psi = state.amplitudes
+        d = ref.standard_normal(dim) + 1j * ref.standard_normal(dim)
+        d -= np.vdot(psi, d).real * psi
+        assert np.array_equal(trajectories.random_admissible_direction(ours, state), d)
