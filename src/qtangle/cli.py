@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -598,16 +599,34 @@ def verify(trials: int = 1000, seed: int = 0, stream=None, out_format: str = "te
 # entry point
 
 
+def _output_failed(exc: OSError) -> int:
+    """Report an output failure on stderr; exit code 4.
+
+    After a broken pipe, stdout still holds text it could not write, and the
+    interpreter's flush at exit would fail on it again with a traceback, so
+    stdout is pointed at the null device first.
+    """
+    print(f"error: {exc}", file=sys.stderr)
+    if isinstance(exc, BrokenPipeError):
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 4
+
+
 def _verify_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="qtangle verify")
     parser.add_argument("--trials", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=VERIFY_FORMATS, default="text", dest="out_format")
     args = parser.parse_args(argv)
-    if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
+    try:
+        status = verify(trials=args.trials, seed=args.seed, out_format=args.out_format)
+        sys.stdout.flush()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    return verify(trials=args.trials, seed=args.seed, out_format=args.out_format)
+    except OSError as exc:
+        return _output_failed(exc)
+    return status
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -659,9 +678,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         emit(report, config.out_format, config.out_path)
+        sys.stdout.flush()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _output_failed(exc)
     return 0
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -29,31 +30,51 @@ from .trajectories import (
     resolve_method,
 )
 
-SCENARIOS = (
-    "two_qubit_demo",
-    "product_trace",
-    "register_trace",
-    "pseudo_pure",
-    "separable_mixed",
-    "chsh_scan",
-)
 
-# Scenarios that run on a product trajectory.  register_trace and
-# separable_mixed use their canonical built-in objects instead; a
-# "subsystems" entry there would be silently dead weight, so it is refused.
-_CURVE_SCENARIOS = ("two_qubit_demo", "product_trace", "pseudo_pure", "chsh_scan")
+class _Scenario(NamedTuple):
+    """What one scenario accepts besides the fields every scenario takes.
 
-_GRID_DEFAULTS: dict[str, tuple[float, float, int]] = {
-    "two_qubit_demo": (0.0, math.pi, 181),
-    "product_trace": (0.0, math.pi, 181),
-    "pseudo_pure": (0.0, math.pi, 181),
-    "chsh_scan": (0.0, math.pi, 181),
+    ``subsystems`` is "required", "optional" (the scenario falls back to its
+    canonical trajectory) or "refused" (it runs a built-in object, where a
+    trajectory would be dead weight).  ``count`` and ``dim``, when set, fix
+    how many subsystems it takes and the dim of each.  ``factors`` is the
+    factor count that cuts are checked against without subsystems; None
+    refuses cuts.
+    """
+
+    grid: tuple[float, float, int]
+    subsystems: str = "optional"
+    count: int | None = None
+    dim: int | None = None
+    factors: int | None = 2
+    epsilon: bool = False
+
+
+_HALF_TURN = (0.0, math.pi, 181)
+_SCENARIO_TABLE = {
+    "two_qubit_demo": _Scenario(_HALF_TURN, count=2, dim=2),
+    "product_trace": _Scenario(_HALF_TURN, subsystems="required"),
     # global step time: two program steps, each on a unit interval
-    "register_trace": (0.0, 2.0, 81),
+    "register_trace": _Scenario((0.0, 2.0, 81), subsystems="refused", factors=3),
+    "pseudo_pure": _Scenario(_HALF_TURN, count=2, epsilon=True),
     # the rotating ensemble's reduced-trace norm falls like cos(t); stay on
     # the quarter period where the witness verdict is uniform
-    "separable_mixed": (0.0, math.pi / 4.0, 46),
+    "separable_mixed": _Scenario((0.0, math.pi / 4.0, 46), subsystems="refused", factors=None),
+    "chsh_scan": _Scenario(_HALF_TURN, count=2, dim=2),
 }
+SCENARIOS = tuple(_SCENARIO_TABLE)
+
+# curve kind: (required fields, optional fields) besides "kind"
+_CURVE_FIELDS = {
+    "bloch": (("theta",), ("phi",)),
+    "phase": (("base",), ("phi",)),
+    "hamiltonian": (("generator", "initial"), ()),
+    "sampled": (("times", "states"), ()),
+}
+
+_TOP_FIELDS = (
+    "v", "scenario", "subsystems", "grid", "cuts", "method", "outputs", "seed", "tol", "epsilon"
+)
 
 _FORMATS = ("csv", "json")
 
@@ -96,9 +117,27 @@ def _expect_object(value, path: str) -> dict:
     return value
 
 
+def _fields(value, path: str, known, required=()) -> dict:
+    """``value`` as an object with no field outside ``known`` and every field
+    in ``required``; ``path`` is empty at the top level."""
+    obj = _expect_object(value, path or "top level")
+    prefix = f"{path}." if path else ""
+    for key in obj:
+        if key not in known:
+            _fail(prefix + key, "unknown field")
+    for key in required:
+        if key not in obj:
+            _fail(prefix + key, "required")
+    return obj
+
+
 def _expect_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
+    # NaN fails the comparison too, and an int past the float range is
+    # refused here instead of overflowing in float()
+    if not abs(value) <= sys.float_info.max:
+        _fail(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -111,7 +150,7 @@ def _expect_int(value, path: str) -> int:
 def _complex_entry(value, path: str) -> complex:
     """Amplitudes are written as plain numbers or [re, im] pairs."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_expect_number(value, path))
     if isinstance(value, list) and len(value) == 2:
         return complex(_expect_number(value[0], path), _expect_number(value[1], path))
     _fail(path, "expected a number or a [re, im] pair")
@@ -137,66 +176,48 @@ def _complex_matrix(value, path: str) -> np.ndarray:
 def _poly_coefficients(value, path: str) -> list[float]:
     """A parameter function is a constant or ascending coefficient list."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [float(value)]
+        return [_expect_number(value, path)]
     if isinstance(value, list) and value:
         return [_expect_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
     _fail(path, "expected a number or a non-empty coefficient array")
 
 
 def _parse_curve(entry, path: str) -> tuple[FactorCurve, bool]:
-    entry = _expect_object(entry, path)
-    known = {"dim", "curve", "frozen"}
-    for key in entry:
-        if key not in known:
-            _fail(f"{path}.{key}", "unknown field")
-    if "dim" not in entry:
-        _fail(f"{path}.dim", "required")
+    entry = _fields(entry, path, ("dim", "curve", "frozen"), ("dim", "curve"))
     dim = _expect_int(entry["dim"], f"{path}.dim")
     if dim < 2:
         _fail(f"{path}.dim", f"must be at least 2, got {dim}")
-    if "curve" not in entry:
-        _fail(f"{path}.curve", "required")
-    spec = _expect_object(entry["curve"], f"{path}.curve")
+    cpath = f"{path}.curve"
+    spec = _expect_object(entry["curve"], cpath)
     frozen = entry.get("frozen", False)
     if not isinstance(frozen, bool):
         _fail(f"{path}.frozen", "expected true or false")
 
     kind = spec.get("kind")
-    if kind is None:
-        _fail(f"{path}.curve.kind", "required")
-    cpath = f"{path}.curve"
+    if kind is not None and kind not in tuple(_CURVE_FIELDS):
+        _fail(f"{cpath}.kind", f"unknown curve kind {kind!r}")
+    # without a kind no field can be told unknown; only the kind is missing
+    required, optional = _CURVE_FIELDS.get(kind, ((), tuple(spec)))
+    _fields(spec, cpath, ("kind", *required, *optional), ("kind", *required))
     try:
         if kind == "bloch":
             if dim != 2:
                 _fail(cpath, "BlochCurve requires dim 2")
-            if "theta" not in spec:
-                _fail(f"{cpath}.theta", "required")
             theta = _poly_coefficients(spec["theta"], f"{cpath}.theta")
             phi = _poly_coefficients(spec.get("phi", 0.0), f"{cpath}.phi")
             curve: FactorCurve = BlochCurve(theta=theta, phi=phi)
         elif kind == "phase":
-            if "base" not in spec:
-                _fail(f"{cpath}.base", "required")
             base = _complex_vector(spec["base"], f"{cpath}.base")
             phi = _poly_coefficients(spec.get("phi", 0.0), f"{cpath}.phi")
             curve = PhaseCurve(phi, Ket(base, (len(base),), unit=False).normalized())
         elif kind == "hamiltonian":
-            if "generator" not in spec:
-                _fail(f"{cpath}.generator", "required")
-            if "initial" not in spec:
-                _fail(f"{cpath}.initial", "required")
             gen = _complex_matrix(spec["generator"], f"{cpath}.generator")
             initial = _complex_vector(spec["initial"], f"{cpath}.initial")
             curve = LocalHamiltonianCurve(
                 gen, Ket(initial, (len(initial),), unit=False).normalized()
             )
-        elif kind == "sampled":
-            if "times" not in spec:
-                _fail(f"{cpath}.times", "required")
-            if "states" not in spec:
-                _fail(f"{cpath}.states", "required")
-            times = spec["times"]
-            states = spec["states"]
+        else:  # sampled
+            times, states = spec["times"], spec["states"]
             if not isinstance(times, list) or not isinstance(states, list):
                 _fail(cpath, "times and states must be arrays")
             if len(times) != len(states):
@@ -207,8 +228,6 @@ def _parse_curve(entry, path: str) -> tuple[FactorCurve, bool]:
                 for i, s in enumerate(states)
             ]
             curve = SampledCurve(grid, kets)
-        else:
-            _fail(f"{cpath}.kind", f"unknown curve kind {kind!r}")
     except ConfigError:
         raise
     except ValueError as exc:
@@ -246,12 +265,7 @@ def _parse_method(value, path: str, curves: tuple[FactorCurve, ...]) -> tuple[st
     if isinstance(value, str):
         name, h = value, DEFAULT_STEP
     else:
-        obj = _expect_object(value, path)
-        for key in obj:
-            if key not in ("name", "h"):
-                _fail(f"{path}.{key}", "unknown field")
-        if "name" not in obj:
-            _fail(f"{path}.name", "required")
+        obj = _fields(value, path, ("name", "h"), ("name",))
         name = obj["name"]
         if not isinstance(name, str):
             _fail(f"{path}.name", "expected a string")
@@ -295,39 +309,29 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
         if outputs:
             doc["outputs"] = outputs
 
-    known = {
-        "v",
-        "scenario",
-        "subsystems",
-        "grid",
-        "cuts",
-        "method",
-        "outputs",
-        "seed",
-        "tol",
-        "epsilon",
-    }
-    for key in doc:
-        if key not in known:
-            _fail(key, "unknown field")
-
+    _fields(doc, "", _TOP_FIELDS, ("scenario",))
     version = doc.get("v", 1)
     if version != 1:
         _fail("v", f"unsupported config version {version!r}")
-
-    if "scenario" not in doc:
-        _fail("scenario", "required")
     scenario = doc["scenario"]
     if not isinstance(scenario, str):
         _fail("scenario", "expected a string")
     if scenario not in SCENARIOS:
         _fail("scenario", f"unknown scenario {scenario!r} (use one of {', '.join(SCENARIOS)})")
 
+    row = _SCENARIO_TABLE[scenario]
+    for field, refused in (
+        ("subsystems", row.subsystems == "refused"),
+        ("cuts", row.factors is None),
+    ):
+        if refused and field in doc:
+            _fail(field, f"not supported for scenario {scenario!r}")
+    if row.subsystems == "required":
+        _fields(doc, "", _TOP_FIELDS, ("subsystems",))
+
     subsystems: tuple[FactorCurve, ...] | None = None
     frozen: tuple[bool, ...] | None = None
     if "subsystems" in doc:
-        if scenario not in _CURVE_SCENARIOS:
-            _fail("subsystems", f"not supported for scenario {scenario!r}")
         entries = doc["subsystems"]
         if not isinstance(entries, list) or len(entries) < 2:
             _fail("subsystems", "expected an array of at least 2 subsystem entries")
@@ -336,21 +340,15 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
         frozen = tuple(flag for _, flag in parsed)
         if all(frozen):
             _fail("subsystems", "at least one subsystem must be unfrozen")
-        if scenario in ("two_qubit_demo", "chsh_scan", "pseudo_pure") and len(parsed) != 2:
-            _fail("subsystems", f"scenario {scenario!r} needs exactly 2 subsystems")
-        if scenario in ("two_qubit_demo", "chsh_scan") and any(
-            c.dims != (2,) for c in subsystems
-        ):
-            _fail("subsystems", f"scenario {scenario!r} needs two dim-2 subsystems")
-    elif scenario == "product_trace":
-        _fail("subsystems", "required")
+        if row.count is not None and len(parsed) != row.count:
+            _fail("subsystems", f"scenario {scenario!r} needs exactly {row.count} subsystems")
+        if row.dim is not None and any(c.dims != (row.dim,) for c in subsystems):
+            count = "two" if row.count == 2 else row.count
+            _fail("subsystems", f"scenario {scenario!r} needs {count} dim-{row.dim} subsystems")
 
-    t0, t1, steps = _GRID_DEFAULTS[scenario]
+    t0, t1, steps = row.grid
     if "grid" in doc:
-        grid = _expect_object(doc["grid"], "grid")
-        for key in grid:
-            if key not in ("t0", "t1", "steps"):
-                _fail(f"grid.{key}", "unknown field")
+        grid = _fields(doc["grid"], "grid", ("t0", "t1", "steps"))
         t0 = _expect_number(grid.get("t0", t0), "grid.t0")
         t1 = _expect_number(grid.get("t1", t1), "grid.t1")
         steps = _expect_int(grid.get("steps", steps), "grid.steps")
@@ -359,33 +357,21 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
     if not t0 < t1:
         _fail("grid", f"t0 must be less than t1, got t0={t0!r}, t1={t1!r}")
 
-    n_factors = len(subsystems) if subsystems is not None else None
-    if scenario == "register_trace":
-        n_factors = 3
-    elif subsystems is None and scenario != "separable_mixed":
-        n_factors = 2
-
     cuts = None
     if "cuts" in doc:
-        if scenario == "separable_mixed":
-            _fail("cuts", "not supported for scenario 'separable_mixed'")
         cuts = _parse_cuts(doc["cuts"], "cuts")
-        if n_factors is not None:
-            dims = tuple(c.dims[0] for c in subsystems) if subsystems else (2,) * n_factors
-            for i, cut in enumerate(cuts):
-                try:
-                    cut.validate_for(dims)
-                except ValueError as exc:
-                    _fail(f"cuts[{i}]", str(exc))
+        dims = tuple(c.dims[0] for c in subsystems) if subsystems else (2,) * row.factors
+        for i, cut in enumerate(cuts):
+            try:
+                cut.validate_for(dims)
+            except ValueError as exc:
+                _fail(f"cuts[{i}]", str(exc))
 
     method, h = _parse_method(doc.get("method", "auto"), "method", subsystems or ())
 
     out_format, out_path = "csv", None
     if "outputs" in doc:
-        outputs = _expect_object(doc["outputs"], "outputs")
-        for key in outputs:
-            if key not in ("format", "path"):
-                _fail(f"outputs.{key}", "unknown field")
+        outputs = _fields(doc["outputs"], "outputs", ("format", "path"))
         out_format = outputs.get("format", "csv")
         if out_format not in _FORMATS:
             _fail("outputs.format", f"expected one of {', '.join(_FORMATS)}, got {out_format!r}")
@@ -403,8 +389,9 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
 
     epsilon = 0.1
     if "epsilon" in doc:
-        if scenario != "pseudo_pure":
-            _fail("epsilon", "only supported for scenario 'pseudo_pure'")
+        if not row.epsilon:
+            takers = ", ".join(repr(name) for name, r in _SCENARIO_TABLE.items() if r.epsilon)
+            _fail("epsilon", f"only supported for scenario {takers}")
         epsilon = _expect_number(doc["epsilon"], "epsilon")
         if not 0 < epsilon <= 1:
             _fail("epsilon", f"must lie in (0, 1], got {epsilon}")

@@ -245,6 +245,572 @@ class TestParseConfig:
         assert cfg.out_path == "x.json"
 
 
+# One document per diagnostic of `parse_config`, each with a single error,
+# and the full message it must produce.
+QUBIT = {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 1.0]}}
+GENERATOR = {"kind": "hamiltonian", "generator": [[0, 1], [1, 0]], "initial": [1, 0]}
+SAMPLES = {
+    "kind": "sampled",
+    "times": [0.0, 0.5, 1.0, 1.5],
+    "states": [[1, 0], [0.6, 0.8], [0, 1], [0.8, -0.6]],
+}
+QUTRIT = {"dim": 3, "curve": {"kind": "phase", "base": [1, 0, 0], "phi": [0, 1]}}
+
+
+def entry(dim=2, **curve):
+    return {"dim": dim, "curve": curve}
+
+
+def first_of(*entries, scenario="product_trace", **extra):
+    """``entries`` ahead of one valid qubit in a ``subsystems`` array."""
+    return {"scenario": scenario, "subsystems": [*entries, QUBIT], **extra}
+
+
+def demo(**extra):
+    return {"scenario": "two_qubit_demo", **extra}
+
+
+def diag(case, doc, message, **overrides):
+    return pytest.param(doc, overrides or None, message, id=case)
+
+
+S0 = "subsystems[0]"
+C0 = "subsystems[0].curve"
+SCENARIO_LIST = (
+    "two_qubit_demo, product_trace, register_trace, pseudo_pure, separable_mixed, chsh_scan"
+)
+CONFIG_DIAGNOSTICS = [
+    diag("bad-json", '{"scenario": }', "parse error at line 1, column 14: Expecting value"),
+    diag("top-list", "[]", "top level: expected an object, got list"),
+    diag("top-unknown", demo(bogus=1), "bogus: unknown field"),
+    diag("version", {"v": 2, "scenario": "two_qubit_demo"}, "v: unsupported config version 2"),
+    diag("scenario-missing", {}, "scenario: required"),
+    diag("scenario-type", {"scenario": 3}, "scenario: expected a string"),
+    diag(
+        "scenario-unknown",
+        {"scenario": "nope"},
+        f"scenario: unknown scenario 'nope' (use one of {SCENARIO_LIST})",
+    ),
+    diag(
+        "subsystems-register",
+        {"scenario": "register_trace", "subsystems": [QUBIT, QUBIT]},
+        "subsystems: not supported for scenario 'register_trace'",
+    ),
+    diag(
+        "subsystems-separable",
+        {"scenario": "separable_mixed", "subsystems": [QUBIT, QUBIT]},
+        "subsystems: not supported for scenario 'separable_mixed'",
+    ),
+    diag(
+        "subsystems-object",
+        {"scenario": "product_trace", "subsystems": {}},
+        "subsystems: expected an array of at least 2 subsystem entries",
+    ),
+    diag(
+        "subsystems-one",
+        {"scenario": "product_trace", "subsystems": [QUBIT]},
+        "subsystems: expected an array of at least 2 subsystem entries",
+    ),
+    diag("subsystems-required", {"scenario": "product_trace"}, "subsystems: required"),
+    diag(
+        "all-frozen",
+        {"scenario": "product_trace", "subsystems": [{**QUBIT, "frozen": True}] * 2},
+        "subsystems: at least one subsystem must be unfrozen",
+    ),
+    diag(
+        "demo-count",
+        first_of(QUBIT, QUBIT, scenario="two_qubit_demo"),
+        "subsystems: scenario 'two_qubit_demo' needs exactly 2 subsystems",
+    ),
+    diag(
+        "chsh-count",
+        first_of(QUBIT, QUBIT, scenario="chsh_scan"),
+        "subsystems: scenario 'chsh_scan' needs exactly 2 subsystems",
+    ),
+    diag(
+        "pseudo-count",
+        first_of(QUBIT, QUBIT, scenario="pseudo_pure"),
+        "subsystems: scenario 'pseudo_pure' needs exactly 2 subsystems",
+    ),
+    diag(
+        "demo-dims",
+        first_of(QUTRIT, scenario="two_qubit_demo"),
+        "subsystems: scenario 'two_qubit_demo' needs two dim-2 subsystems",
+    ),
+    diag(
+        "chsh-dims",
+        first_of(QUTRIT, scenario="chsh_scan"),
+        "subsystems: scenario 'chsh_scan' needs two dim-2 subsystems",
+    ),
+    diag("entry-type", first_of(5), f"{S0}: expected an object, got int"),
+    diag("entry-unknown", first_of({**QUBIT, "extra": 1}), f"{S0}.extra: unknown field"),
+    diag("dim-missing", first_of({"curve": QUBIT["curve"]}), f"{S0}.dim: required"),
+    diag("dim-str", first_of({**QUBIT, "dim": "2"}), f"{S0}.dim: expected an integer, got str"),
+    diag(
+        "dim-float", first_of({**QUBIT, "dim": 2.0}), f"{S0}.dim: expected an integer, got float"
+    ),
+    diag("dim-small", first_of({**QUBIT, "dim": 1}), f"{S0}.dim: must be at least 2, got 1"),
+    diag("curve-missing", first_of({"dim": 2}), f"{C0}: required"),
+    diag("curve-type", first_of({"dim": 2, "curve": []}), f"{C0}: expected an object, got list"),
+    diag(
+        "frozen-type", first_of({**QUBIT, "frozen": "yes"}), f"{S0}.frozen: expected true or false"
+    ),
+    diag("kind-missing", first_of(entry(theta=[0, 1])), f"{C0}.kind: required"),
+    diag("kind-missing-empty", first_of(entry()), f"{C0}.kind: required"),
+    diag("kind-unknown", first_of(entry(kind="spline")), f"{C0}.kind: unknown curve kind 'spline'"),
+    diag(
+        "kind-unknown-fields",
+        first_of(entry(kind="spline", knots=[0, 1])),
+        f"{C0}.kind: unknown curve kind 'spline'",
+    ),
+    diag("kind-type", first_of(entry(kind=[1])), f"{C0}.kind: unknown curve kind [1]"),
+    diag(
+        "bloch-dim",
+        first_of(entry(3, kind="bloch", theta=[0, 1])),
+        f"{C0}: BlochCurve requires dim 2",
+    ),
+    diag("theta-missing", first_of(entry(kind="bloch", phi=0.3)), f"{C0}.theta: required"),
+    diag(
+        "theta-str",
+        first_of(entry(kind="bloch", theta="x")),
+        f"{C0}.theta: expected a number or a non-empty coefficient array",
+    ),
+    diag(
+        "theta-empty",
+        first_of(entry(kind="bloch", theta=[])),
+        f"{C0}.theta: expected a number or a non-empty coefficient array",
+    ),
+    diag(
+        "theta-entry",
+        first_of(entry(kind="bloch", theta=[0, "a"])),
+        f"{C0}.theta[1]: expected a number, got str",
+    ),
+    diag(
+        "phi-bool",
+        first_of(entry(kind="bloch", theta=[0, 1], phi=True)),
+        f"{C0}.phi: expected a number or a non-empty coefficient array",
+    ),
+    diag("base-missing", first_of(entry(kind="phase", phi=[0, 1])), f"{C0}.base: required"),
+    diag(
+        "base-empty",
+        first_of(entry(kind="phase", base=[])),
+        f"{C0}.base: expected a non-empty array of amplitudes",
+    ),
+    diag(
+        "base-str",
+        first_of(entry(kind="phase", base="1")),
+        f"{C0}.base: expected a non-empty array of amplitudes",
+    ),
+    diag(
+        "base-entry",
+        first_of(entry(kind="phase", base=[1, "x"])),
+        f"{C0}.base[1]: expected a number or a [re, im] pair",
+    ),
+    diag(
+        "base-triple",
+        first_of(entry(kind="phase", base=[1, [0, 1, 2]])),
+        f"{C0}.base[1]: expected a number or a [re, im] pair",
+    ),
+    diag(
+        "base-pair-str",
+        first_of(entry(kind="phase", base=[1, ["a", 1]])),
+        f"{C0}.base[1]: expected a number, got str",
+    ),
+    diag(
+        "base-zero",
+        first_of(entry(kind="phase", base=[0, 0], phi=[0, 1])),
+        f"{C0}: cannot normalize a (near-)zero vector",
+    ),
+    diag(
+        "phase-phi",
+        first_of(entry(kind="phase", base=[1, 0], phi="x")),
+        f"{C0}.phi: expected a number or a non-empty coefficient array",
+    ),
+    diag(
+        "phase-dim",
+        first_of(entry(kind="phase", base=[1, 0, 0], phi=[0, 1])),
+        f"{C0}: curve has dim 3, subsystem declares 2",
+    ),
+    diag(
+        "generator-missing",
+        first_of(entry(kind="hamiltonian", initial=[1, 0])),
+        f"{C0}.generator: required",
+    ),
+    diag(
+        "initial-missing",
+        first_of(entry(kind="hamiltonian", generator=[[0, 1], [1, 0]])),
+        f"{C0}.initial: required",
+    ),
+    diag(
+        "generator-str",
+        first_of(entry(**{**GENERATOR, "generator": "x"})),
+        f"{C0}.generator: expected a non-empty array of rows",
+    ),
+    diag(
+        "generator-empty",
+        first_of(entry(**{**GENERATOR, "generator": []})),
+        f"{C0}.generator: expected a non-empty array of rows",
+    ),
+    diag(
+        "generator-short-row",
+        first_of(entry(**{**GENERATOR, "generator": [[0, 1], [1]]})),
+        f"{C0}.generator[1]: expected a row of length 2",
+    ),
+    diag(
+        "generator-row-type",
+        first_of(entry(**{**GENERATOR, "generator": [[0, 1], 5]})),
+        f"{C0}.generator[1]: expected a row of length 2",
+    ),
+    diag(
+        "generator-entry",
+        first_of(entry(**{**GENERATOR, "generator": [[0, "a"], [1, 0]]})),
+        f"{C0}.generator[0][1]: expected a number or a [re, im] pair",
+    ),
+    diag(
+        "generator-hermitian",
+        first_of(entry(**{**GENERATOR, "generator": [[0, 1], [0, 0]]})),
+        f"{C0}: generator: matrix is not Hermitian (max deviation 1.000e+00)",
+    ),
+    diag(
+        "initial-empty",
+        first_of(entry(**{**GENERATOR, "initial": []})),
+        f"{C0}.initial: expected a non-empty array of amplitudes",
+    ),
+    diag(
+        "initial-entry",
+        first_of(entry(**{**GENERATOR, "initial": [1, None]})),
+        f"{C0}.initial[1]: expected a number or a [re, im] pair",
+    ),
+    diag(
+        "initial-length",
+        first_of(entry(**{**GENERATOR, "initial": [1, 0, 0]})),
+        f"{C0}: generator side 2 does not match state dimension 3",
+    ),
+    diag(
+        "initial-zero",
+        first_of(entry(**{**GENERATOR, "initial": [0, 0]})),
+        f"{C0}: cannot normalize a (near-)zero vector",
+    ),
+    diag(
+        "hamiltonian-dim",
+        first_of(
+            entry(**{**GENERATOR, "generator": np.diag([1, 0, -1]).tolist(), "initial": [1, 0, 0]})
+        ),
+        f"{C0}: curve has dim 3, subsystem declares 2",
+    ),
+    diag(
+        "times-missing",
+        first_of(entry(kind="sampled", states=SAMPLES["states"])),
+        f"{C0}.times: required",
+    ),
+    diag(
+        "states-missing",
+        first_of(entry(kind="sampled", times=SAMPLES["times"])),
+        f"{C0}.states: required",
+    ),
+    diag(
+        "times-type",
+        first_of(entry(**{**SAMPLES, "times": "x"})),
+        f"{C0}: times and states must be arrays",
+    ),
+    diag(
+        "states-type",
+        first_of(entry(**{**SAMPLES, "states": 3})),
+        f"{C0}: times and states must be arrays",
+    ),
+    diag(
+        "times-count",
+        first_of(entry(**{**SAMPLES, "times": [0.0, 1.0]})),
+        f"{C0}: 2 times for 4 states",
+    ),
+    diag(
+        "times-entry",
+        first_of(entry(**{**SAMPLES, "times": [0.0, "a", 1.0, 1.5]})),
+        f"{C0}.times[1]: expected a number, got str",
+    ),
+    diag(
+        "states-entry",
+        first_of(entry(**{**SAMPLES, "states": [[1, 0], "x", [0, 1], [1, 0]]})),
+        f"{C0}.states[1]: expected a non-empty array of amplitudes",
+    ),
+    diag(
+        "states-length",
+        first_of(entry(**{**SAMPLES, "states": [[1, 0], [0.6, 0.8, 0], [0, 1], [1, 0]]})),
+        f"{C0}: amplitude length 3 does not match dims (2,) (product 2)",
+    ),
+    diag(
+        "states-norm",
+        first_of(entry(**{**SAMPLES, "states": [[1, 0], [1, 1], [0, 1], [1, 0]]})),
+        f"{C0}: sample 1 (t=0.5): expected a unit vector, got norm {math.sqrt(2)!r}",
+    ),
+    diag(
+        "times-order",
+        first_of(entry(**{**SAMPLES, "times": [0.0, 1.0, 0.5, 1.5]})),
+        f"{C0}: sample times must be strictly increasing",
+    ),
+    diag(
+        "times-few",
+        first_of(entry(**{**SAMPLES, "times": [0.0], "states": [[1, 0]]})),
+        f"{C0}: need a 1-d grid of at least 4 sample times",
+    ),
+    diag(
+        "sampled-dim",
+        first_of(entry(3, **SAMPLES)),
+        f"{C0}: amplitude length 2 does not match dims (3,) (product 3)",
+    ),
+    diag("grid-type", demo(grid=[]), "grid: expected an object, got list"),
+    diag("grid-unknown", demo(grid={"pts": 3}), "grid.pts: unknown field"),
+    diag("grid-t0", demo(grid={"t0": "a"}), "grid.t0: expected a number, got str"),
+    diag("grid-t1", demo(grid={"t1": None}), "grid.t1: expected a number, got NoneType"),
+    diag(
+        "grid-steps-float", demo(grid={"steps": 2.5}), "grid.steps: expected an integer, got float"
+    ),
+    diag(
+        "grid-steps-bool", demo(grid={"steps": True}), "grid.steps: expected an integer, got bool"
+    ),
+    diag("grid-steps-small", demo(grid={"steps": 1}), "grid.steps: must be at least 2, got 1"),
+    diag(
+        "grid-order",
+        demo(grid={"t0": 2.0, "t1": 1.0}),
+        "grid: t0 must be less than t1, got t0=2.0, t1=1.0",
+    ),
+    diag(
+        "grid-order-default",
+        {"scenario": "register_trace", "grid": {"t0": 2.0}},
+        "grid: t0 must be less than t1, got t0=2.0, t1=2.0",
+    ),
+    diag(
+        "cuts-separable",
+        {"scenario": "separable_mixed", "cuts": [[[1], [2]]]},
+        "cuts: not supported for scenario 'separable_mixed'",
+    ),
+    diag(
+        "cuts-empty",
+        demo(cuts=[]),
+        "cuts: expected a non-empty array of [[left], [right]] partitions",
+    ),
+    diag(
+        "cuts-object",
+        demo(cuts={"a": 1}),
+        "cuts: expected a non-empty array of [[left], [right]] partitions",
+    ),
+    diag("cut-single", demo(cuts=[[[1]]]), "cuts[0]: expected [[left indices], [right indices]]"),
+    diag("cut-number", demo(cuts=[5]), "cuts[0]: expected [[left indices], [right indices]]"),
+    diag(
+        "cut-side-empty",
+        demo(cuts=[[[1], []]]),
+        "cuts[0][1]: expected a non-empty array of 1-based indices",
+    ),
+    diag("cut-index-str", demo(cuts=[[[1], ["2"]]]), "cuts[0][1][0]: expected an integer, got str"),
+    diag("cut-zero-based", demo(cuts=[[[0], [1]]]), "cuts[0][0]: factor indices are 1-based"),
+    diag("cut-overlap", demo(cuts=[[[1], [1, 2]]]), "cuts[0]: cut sides overlap: [0]"),
+    diag(
+        "cut-demo-range",
+        demo(cuts=[[[1], [3]]]),
+        "cuts[0]: cut 1|3 does not partition the 2 factor positions",
+    ),
+    diag(
+        "cut-register-range",
+        {"scenario": "register_trace", "cuts": [[[1], [2, 3]], [[1], [4]]]},
+        "cuts[1]: cut 1|4 does not partition the 3 factor positions",
+    ),
+    diag(
+        "cut-register-cover",
+        {"scenario": "register_trace", "cuts": [[[1], [2]]]},
+        "cuts[0]: cut 1|2 does not partition the 3 factor positions",
+    ),
+    diag(
+        "cut-subsystems-cover",
+        first_of(QUBIT, QUBIT, cuts=[[[1], [2]]]),
+        "cuts[0]: cut 1|2 does not partition the 3 factor positions",
+    ),
+    diag("method-type", demo(method=5), "method: expected an object, got int"),
+    diag(
+        "method-unknown-field",
+        demo(method={"name": "central_fd", "step": 1}),
+        "method.step: unknown field",
+    ),
+    diag("method-name-missing", demo(method={"h": 0.01}), "method.name: required"),
+    diag("method-name-type", demo(method={"name": 3}), "method.name: expected a string"),
+    diag(
+        "method-unknown",
+        demo(method="fd"),
+        "method: unknown method 'fd', expected one of "
+        "('auto', 'analytic', 'central_fd', 'richardson')",
+    ),
+    diag(
+        "method-h-type",
+        demo(method={"name": "central_fd", "h": "x"}),
+        "method.h: expected a number, got str",
+    ),
+    diag(
+        "method-h-zero",
+        demo(method={"name": "central_fd", "h": 0}),
+        "method.h: step must be positive, got 0.0",
+    ),
+    diag(
+        "method-h-negative",
+        demo(method={"name": "richardson", "h": -1}),
+        "method.h: step must be positive, got -1.0",
+    ),
+    diag("outputs-type", demo(outputs=[]), "outputs: expected an object, got list"),
+    diag("outputs-unknown", demo(outputs={"fmt": "csv"}), "outputs.fmt: unknown field"),
+    diag(
+        "outputs-format",
+        demo(outputs={"format": "xml"}),
+        "outputs.format: expected one of csv, json, got 'xml'",
+    ),
+    diag("outputs-path", demo(outputs={"path": 3}), "outputs.path: expected a string or null"),
+    diag("seed-str", demo(seed="1"), "seed: expected an integer, got str"),
+    diag("seed-float", demo(seed=1.5), "seed: expected an integer, got float"),
+    diag("seed-negative", demo(seed=-1), "seed: must be non-negative, got -1"),
+    diag("tol-str", demo(tol="x"), "tol: expected a number, got str"),
+    diag("tol-zero", demo(tol=0), "tol: must be positive, got 0.0"),
+    diag("tol-negative", demo(tol=-1e-3), "tol: must be positive, got -0.001"),
+    diag("epsilon-demo", demo(epsilon=0.2), "epsilon: only supported for scenario 'pseudo_pure'"),
+    diag(
+        "epsilon-separable",
+        {"scenario": "separable_mixed", "epsilon": 0.2},
+        "epsilon: only supported for scenario 'pseudo_pure'",
+    ),
+    diag(
+        "epsilon-type",
+        {"scenario": "pseudo_pure", "epsilon": "x"},
+        "epsilon: expected a number, got str",
+    ),
+    diag(
+        "epsilon-zero",
+        {"scenario": "pseudo_pure", "epsilon": 0},
+        "epsilon: must lie in (0, 1], got 0.0",
+    ),
+    diag(
+        "epsilon-large",
+        {"scenario": "pseudo_pure", "epsilon": 1.5},
+        "epsilon: must lie in (0, 1], got 1.5",
+    ),
+    diag(
+        "flag-outputs-type",
+        demo(outputs=3),
+        "outputs: expected an object, got int",
+        format="json",
+    ),
+    diag(
+        "flag-scenario",
+        {},
+        f"scenario: unknown scenario 'nope' (use one of {SCENARIO_LIST})",
+        scenario="nope",
+    ),
+    diag("flag-tol", demo(), "tol: must be positive, got -1.0", tol=-1.0),
+    diag("flag-seed", demo(), "seed: must be non-negative, got -2", seed=-2),
+    diag(
+        "flag-format",
+        demo(),
+        "outputs.format: expected one of csv, json, got 'xml'",
+        format="xml",
+    ),
+    diag(
+        "flag-path-kept",
+        demo(outputs={"path": 3}),
+        "outputs.path: expected a string or null",
+        seed=1,
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, overrides, message", CONFIG_DIAGNOSTICS)
+def test_config_diagnostic(doc, overrides, message):
+    """Each single-error document fails with its full, path-first message."""
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text, overrides)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "curve, field",
+    [
+        ({"kind": "bloch", "theta": [0, 1], "phii": [0, 3]}, "phii"),
+        ({"kind": "bloch", "theta": [0, 1], "base": [1, 0]}, "base"),
+        ({"kind": "phase", "base": [1, 0], "theta": [0, 1]}, "theta"),
+        ({**GENERATOR, "phi": [0, 1]}, "phi"),
+        ({**SAMPLES, "generator": [[0, 1], [1, 0]]}, "generator"),
+    ],
+    ids=["typo", "bloch-base", "phase-theta", "hamiltonian-phi", "sampled-generator"],
+)
+def test_curve_rejects_fields_of_other_kinds(curve, field):
+    with pytest.raises(ConfigError) as exc:
+        parse(first_of({"dim": 2, "curve": curve}))
+    assert str(exc.value) == f"{C0}.{field}: unknown field"
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "doc, path, shown",
+    [
+        (demo(tol=NAN), "tol", "nan"),
+        (demo(tol=INF), "tol", "inf"),
+        (demo(tol=10**400), "tol", str(10**400)),
+        (demo(grid={"t1": INF}), "grid.t1", "inf"),
+        (demo(grid={"t0": -INF}), "grid.t0", "-inf"),
+        (demo(method={"name": "central_fd", "h": NAN}), "method.h", "nan"),
+        ({"scenario": "pseudo_pure", "epsilon": NAN}, "epsilon", "nan"),
+        (first_of(entry(kind="bloch", theta=NAN)), f"{C0}.theta", "nan"),
+        (first_of(entry(kind="bloch", theta=[0, INF])), f"{C0}.theta[1]", "inf"),
+        (first_of(entry(kind="phase", base=[1, NAN])), f"{C0}.base[1]", "nan"),
+        (first_of(entry(kind="phase", base=[1, [0, INF]])), f"{C0}.base[1]", "inf"),
+        (first_of(entry(**{**SAMPLES, "times": [0, 1, 2, NAN]})), f"{C0}.times[3]", "nan"),
+    ],
+    ids=[
+        "tol-nan",
+        "tol-inf",
+        "tol-huge-int",
+        "grid-t1",
+        "grid-t0",
+        "method-h",
+        "epsilon",
+        "theta-constant",
+        "theta-entry",
+        "amplitude",
+        "amplitude-pair",
+        "sample-time",
+    ],
+)
+def test_non_finite_numbers_rejected(doc, path, shown):
+    with pytest.raises(ConfigError) as exc:
+        parse(doc)
+    assert str(exc.value) == f"{path}: expected a finite number, got {shown}"
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_non_finite_tol_flag_exits_2(value, capsys):
+    assert main(["--scenario", "separable_mixed", f"--tol={value}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: tol: expected a finite number, got {float(value)!r}\n"
+
+
+def test_readme_config_example_runs():
+    """The documented example parses and runs as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    schema = readme.split("## Configuration schema", 1)[1]
+    cfg = parse_config(re.search(r"```json\n(.*?)```", schema, re.S).group(1))
+    report = run(cfg)
+    assert (cfg.scenario, cfg.method, cfg.h, cfg.tol) == ("product_trace", "richardson", 1e-3, 1e-8)
+    assert cfg.frozen == (False, False, True)
+    assert [cut.label() for cut in cfg.cuts] == ["1|23", "13|2"]
+    assert report.columns == (
+        "t",
+        "fs_speed",
+        "tangent_entropy_1|23",
+        "base_entropy_1|23",
+        "tangent_entropy_13|2",
+        "base_entropy_13|2",
+    )
+    assert len(report.rows) == 31
+
+
 class TestRunners:
     def small(self, scenario, **extra):
         doc = {"scenario": scenario, "grid": {"steps": 5}, **extra}
@@ -690,6 +1256,42 @@ class TestMainExitCodes:
 
     def test_verify_rejects_zero_trials(self, capsys):
         assert main(["verify", "--trials", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "args, unbuffered",
+        [
+            (["--config", "SMALL"], False),
+            (["--config", "SMALL", "--format", "json"], True),
+            (["verify", "--trials", "5"], False),
+            (["verify", "--trials", "5", "--format", "json"], True),
+        ],
+        ids=["scenario", "scenario-json-unbuffered", "verify", "verify-json-unbuffered"],
+    )
+    def test_closed_stdout_exits_4(self, tmp_path, args, unbuffered):
+        """A reader that closed stdout gets exit 4 and one error line, whether
+        the write fails at once or only when stdout is flushed."""
+        small = self.write_config(tmp_path, {"scenario": "chsh_scan", "grid": {"steps": 2}})
+        args = [small if a == "SMALL" else a for a in args]
+        src = str(Path(qtangle.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qtangle", *args],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (4, "error: [Errno 32] Broken pipe\n")
 
     def test_verify_library_call_rejects_zero_trials(self):
         stream = io.StringIO()
