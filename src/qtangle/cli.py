@@ -58,6 +58,7 @@ from .trajectories import (
     infinitesimal_composition,
     product_tangent,  # noqa: F401  (bench/tests/test_bench.py expects the tracer to reach it here)
     propagator,
+    resolve_method,
     with_global_phase,
 )
 
@@ -236,6 +237,7 @@ def _run_register_trace(cfg: RunConfig) -> TraceReport:
 def _run_pseudo_pure(cfg: RunConfig) -> TraceReport:
     traj, cut = _pair(cfg)
     eps, dims = cfg.epsilon, traj.dims
+    method = resolve_method(traj.factors, cfg.method)
     total_dim = math.prod(dims)
 
     def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray) -> list:
@@ -244,7 +246,7 @@ def _run_pseudo_pure(cfg: RunConfig) -> TraceReport:
         drho = eps * drho
         _check_hermitian(drho)
         trace = np.trace(drho, axis1=1, axis2=2).real
-        tr1, tr2, verdict = _trace_witness(drho, dims, cfg.tol)
+        tr1, tr2, verdict = _trace_witness(drho, dims, cfg.tol, method)
         projector = _outer(states, states)
         _check_hermitian(projector)
         mixed = (1.0 - eps) * np.eye(total_dim) / total_dim + eps * projector
@@ -430,7 +432,8 @@ def _check_gauge_invariance(rng: np.random.Generator, trials: int) -> CheckResul
             )
         )
         rows = [
-            _horizontal(*_tangent_rows(tr, ts, "auto", DEFAULT_STEP)) for tr in (modulated, traj)
+            _horizontal(*_tangent_rows(tr, ts, "auto", DEFAULT_STEP)[:2])
+            for tr in (modulated, traj)
         ]
         cut = Cut.splitting((0,), len(dims))
         after, before = np.split(_entropies_or_zero(np.concatenate(rows), dims, (cut,))[0], 2)
@@ -457,7 +460,7 @@ def _check_fs_consistency(rng: np.random.Generator, trials: int, h: float = 1e-3
     def measure(dims: tuple[int, ...], m: int) -> np.ndarray:
         traj = _random_trajectories(rng, dims, m, constant_speed=True)
         ts = rng.uniform(0.0, 1.0, m)
-        states, directions = _tangent_rows(traj, ts, "auto", DEFAULT_STEP)
+        states, directions, _ = _tangent_rows(traj, ts, "auto", DEFAULT_STEP)
         speed = _fs_speeds(states, directions)
         errors = []
         for step in (h, h / 2):
@@ -522,7 +525,7 @@ def _check_witness_false_positives(rng: np.random.Generator, trials: int) -> Che
         ]
         drho = _product_form(components)
         _check_hermitian(drho)
-        tr1, tr2, verdict = _trace_witness(drho, dims, 1e-6)
+        tr1, tr2, verdict = _trace_witness(drho, dims, 1e-6, "analytic")
         return np.column_stack([np.maximum(tr1, tr2), verdict != VERDICT_INCONCLUSIVE])
 
     rows = _per_trial(rng.integers(2, 4, size=(trials, 2)), measure)

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -261,7 +261,9 @@ def _parse_cuts(value, path: str) -> tuple[Cut, ...]:
     return tuple(cuts)
 
 
-def _parse_method(value, path: str, curves: tuple[FactorCurve, ...]) -> tuple[str, float]:
+def _parse_method(
+    value, path: str, curves: tuple[FactorCurve, ...], frozen: tuple[bool, ...]
+) -> tuple[str, float]:
     if isinstance(value, str):
         name, h = value, DEFAULT_STEP
     else:
@@ -276,7 +278,33 @@ def _parse_method(value, path: str, curves: tuple[FactorCurve, ...]) -> tuple[st
         _fail(path, str(exc))
     if h <= 0:
         _fail(f"{path}.h", f"step must be positive, got {h}")
+    if name == "analytic":
+        # a frozen subsystem is never differentiated
+        for i, (curve, still) in enumerate(zip(curves, frozen)):
+            if not (curve.has_analytic or still):
+                _fail(
+                    path,
+                    f"analytic needs a closed-form derivative, but subsystems[{i}] is sampled;"
+                    " use central_fd or richardson",
+                )
     return name, h
+
+
+def _json_int(text: str) -> Callable[[str], int]:
+    """``parse_int`` for ``json.loads(text)``: a literal with more digits than
+    int() converts is refused at its line and column."""
+
+    def parse(literal: str) -> int:
+        try:
+            return int(literal)
+        except ValueError:
+            pos = text.find(literal)
+            line, column = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+            digits = len(literal.lstrip("-"))
+            message = f"integer of {digits} digits is too long"
+            raise ConfigError(f"parse error at line {line}, column {column}: {message}") from None
+
+    return parse
 
 
 def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfig:
@@ -286,7 +314,7 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
     seed, tol); flags win over the document.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int(text))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -367,7 +395,7 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
             except ValueError as exc:
                 _fail(f"cuts[{i}]", str(exc))
 
-    method, h = _parse_method(doc.get("method", "auto"), "method", subsystems or ())
+    method, h = _parse_method(doc.get("method", "auto"), "method", subsystems or (), frozen or ())
 
     out_format, out_path = "csv", None
     if "outputs" in doc:

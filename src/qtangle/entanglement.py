@@ -80,7 +80,11 @@ def _split(amps: np.ndarray, dims: tuple[int, ...], cut: Cut) -> np.ndarray:
 
 def _entropy_bits(matrices: np.ndarray) -> np.ndarray:
     """Entropy in bits of the squared singular values of each unit-norm matrix."""
-    p = np.linalg.svd(matrices, compute_uv=False) ** 2
+    return _weights_bits(np.linalg.svd(matrices, compute_uv=False) ** 2)
+
+
+def _weights_bits(p: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of weights (last axis); p*log2(p) is 0 at p = 0."""
     logs = np.log2(p, out=np.zeros_like(p), where=p > 0)
     entropy = -(p * logs).sum(axis=-1)
     # rounding can push a probability a hair past 1; a negative total is noise

@@ -5,6 +5,17 @@ speed of a moving state is twice the norm of its horizontal tangent
 d - <psi|d> psi, which drops the gauge component so that pure phase motion
 has speed zero.  Short-step consistency between the two is an invariant the
 test suite checks.
+
+A product base a_1 x ... x a_n moving with factor velocities d_i has a
+horizontal tangent that is a sum of mutually orthogonal one-factor
+excitations.  Across a cut L|R its Schmidt weights are therefore S_L/S and
+S_R/S, where S_i = ||d_i - <a_i|d_i> a_i||^2 is factor i's squared
+perpendicular speed and S_L, S_R, S sum it over the left side, the right side
+and all factors: the tangent entropy is the binary entropy of S_L/S, and the
+base entropy is 0.  ``profile`` takes both from that speed-share law; it
+keeps the Schmidt decomposition of the dense rows for a register program
+whose initial state is entangled and for a cut that splits a multi-site
+factor.
 """
 
 from __future__ import annotations
@@ -15,7 +26,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .statespace import BASE_NORM_TOL, Cut, Ket, _check_amplitudes, _normalized, _overlaps
+from .statespace import (
+    BASE_NORM_TOL,
+    _ZERO_TOL,
+    Cut,
+    Ket,
+    _check_amplitudes,
+    _normalized,
+    _overlaps,
+)
 from .trajectories import (
     DEFAULT_STEP,
     ProductTrajectory,
@@ -27,7 +46,7 @@ from .trajectories import (
     _register_rows,
     product_tangent,  # noqa: F401  (bench/tests/test_bench.py expects the tracer to reach it here)
 )
-from .entanglement import _entropy_bits, _split
+from .entanglement import _entropy_bits, _split, _weights_bits
 
 
 def fs_distance(a: Ket, b: Ket) -> float:
@@ -114,19 +133,59 @@ class TrajectoryProfile:
         )
 
 
-def _tangent_rows(traj, grid: np.ndarray, method: str, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Raw tangents over the grid, checked; a register program's points go by step."""
-    if isinstance(traj, RegisterProgram):
-        ks, local = traj.resolve_time(grid)
-        states = np.empty((grid.size, traj.initial.total_dim), dtype=complex)
-        directions = np.empty_like(states)
-        for k in np.unique(ks):
-            rows = ks == k
-            states[rows], directions[rows] = _register_rows(traj, int(k), local[rows], method, h)
-    else:
-        states, directions = _product_rows(traj, grid, method, h)
+def _tangent_rows(traj, grid: np.ndarray, method: str, h: float) -> tuple[
+    np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]] | None
+]:
+    """Raw tangents over the grid, checked, and the (states, directions) rows
+    of each factor (register site, for a program) whose product they are;
+    None for a program whose initial state is entangled.  A program's points
+    go by step."""
+    if not isinstance(traj, RegisterProgram):
+        states, directions, factors = _product_rows(traj, grid, method, h)
+        _check_tangents(states, directions)
+        return states, directions, factors
+    ks, local = traj.resolve_time(grid)
+    states = np.empty((grid.size, traj.initial.total_dim), dtype=complex)
+    directions = np.empty_like(states)
+    sites = None
+    if traj._site_starts is not None:
+        empty = lambda d: np.empty((grid.size, d), dtype=complex)
+        sites = [(empty(d), empty(d)) for d in traj.initial.dims]
+    for k in np.unique(ks):
+        rows = ks == k
+        states[rows], directions[rows], step_sites = _register_rows(
+            traj, int(k), local[rows], method, h
+        )
+        for (site, velocity), (step_site, step_velocity) in zip(sites or (), step_sites or ()):
+            site[rows], velocity[rows] = step_site, step_velocity
     _check_tangents(states, directions)
-    return states, directions
+    return states, directions, sites
+
+
+def _squared_speeds(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """||d - <a|d> a||^2 of each (states a, directions d) part, one column each."""
+    return np.column_stack([np.linalg.norm(_horizontal(a, d), axis=-1) ** 2 for a, d in parts])
+
+
+def _left_factors(cut: Cut, sizes: Sequence[int]) -> np.ndarray | None:
+    """Whether each factor, a run of ``sizes[i]`` consecutive positions, lies
+    left of the cut; None when the cut splits a factor."""
+    left, start = [], 0
+    for size in sizes:
+        sides = {pos in cut.left for pos in range(start, start + size)}
+        if len(sides) > 1:
+            return None
+        left.append(sides.pop())
+        start += size
+    return np.array(left)
+
+
+def _speed_share_bits(speeds: np.ndarray, left: np.ndarray, moving: np.ndarray) -> np.ndarray:
+    """Binary entropy of the left side's share of the squared speed in each
+    row; zero where nothing moves."""
+    sides = np.column_stack([speeds[:, left].sum(axis=-1), speeds[:, ~left].sum(axis=-1)])
+    total = sides.sum(axis=-1, keepdims=True)
+    return _weights_bits(np.divide(sides, total, out=np.zeros_like(sides), where=moving[:, None]))
 
 
 def _entropies_or_zero(
@@ -163,20 +222,37 @@ def profile(
     for cut in cuts:
         cut.validate_for(dims)
 
-    states, directions = _tangent_rows(traj, grid, method, h)
+    states, directions, factors = _tangent_rows(traj, grid, method, h)
+    factor_speeds = None if factors is None else _squared_speeds(factors)
     horizontal = _horizontal(states, directions)
     norms = np.linalg.norm(horizontal, axis=-1)
     speeds = 2 * norms
-    tangent = _entropies_or_zero(horizontal, dims, cuts, norms)
-    unit_states = states / np.linalg.norm(states, axis=-1)[:, None]
-    base = [_entropy_bits(_split(unit_states, dims, cut)) for cut in cuts]
-    for arr in (grid, states, directions, speeds, *tangent, *base):
+    if isinstance(traj, RegisterProgram):
+        sizes = [1] * traj.n_sites
+    else:
+        sizes = [len(curve.dims) for curve in traj.factors]
+    left = {cut: None if factor_speeds is None else _left_factors(cut, sizes) for cut in cuts}
+    dense = [cut for cut in cuts if left[cut] is None]
+    dense_tangent, dense_base = {}, {}
+    if dense:
+        dense_tangent = dict(zip(dense, _entropies_or_zero(horizontal, dims, dense, norms)))
+        unit_states = states / np.linalg.norm(states, axis=-1)[:, None]
+        dense_base = {cut: _entropy_bits(_split(unit_states, dims, cut)) for cut in dense}
+    # the zero-motion rule of _entropies_or_zero: below the zero floor nothing moves
+    moving = ~np.less(norms, _ZERO_TOL)
+    tangent = {
+        cut: dense_tangent[cut] if left[cut] is None
+        else _speed_share_bits(factor_speeds, left[cut], moving)
+        for cut in cuts
+    }
+    base = {cut: dense_base[cut] if left[cut] is None else np.zeros(grid.size) for cut in cuts}
+    for arr in (grid, states, directions, speeds, *tangent.values(), *base.values()):
         arr.setflags(write=False)
     return TrajectoryProfile(
         grid,
         speeds,
-        dict(zip(cuts, tangent)),
-        dict(zip(cuts, base)),
+        tangent,
+        base,
         states,
         directions,
         dims,

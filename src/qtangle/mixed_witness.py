@@ -29,6 +29,7 @@ from .trajectories import (
     _component_differentials,
     _kron_rows,
     _mixed_differential,
+    resolve_method,
 )
 from .entanglement import _ppt_negativities
 
@@ -73,17 +74,18 @@ def differential_trace_witness(drho: HermitianOp, tol: float = 1e-6) -> WitnessR
     Either partial-trace norm above ``tol`` excludes the doubly-differential
     product form, which is traceless on both sides.
     """
-    tr1, tr2, verdict = _trace_witness(drho.matrix, drho.dims, tol)
+    tr1, tr2, verdict = _trace_witness(drho.matrix, drho.dims, tol, "given")
     return WitnessReport(float(tr1), float(tr2), None, str(verdict), tol)
 
 
 def _trace_witness(
-    mats: np.ndarray, dims: tuple[int, ...], tol: float
+    mats: np.ndarray, dims: tuple[int, ...], tol: float, source: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partial-trace norms and verdict of each differential of a stack."""
+    """Partial-trace norms and verdict of each differential of a stack; its
+    trace bound is that of ``source``, "given" or the method that built it."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    _check_traceless(mats)
+    _check_traceless(mats, source)
     tr1, tr2 = _trace_norms(mats, dims)
     verdict = np.where(np.maximum(tr1, tr2) > tol, VERDICT_EXCLUDED, VERDICT_INCONCLUSIVE)
     return tr1, tr2, verdict
@@ -124,7 +126,7 @@ def ensemble_witness(
 ) -> WitnessReport:
     """Full witness for an ensemble: trace norms plus the operator-form gap."""
     honest, product = _ensemble_forms(_component_differentials(ens, t, method, h))
-    tr1, tr2, verdict = _trace_witness(honest, ens.dims, tol)
+    tr1, tr2, verdict = _trace_witness(honest, ens.dims, tol, _ensemble_method(ens, method))
     gap = float(np.linalg.norm(honest[0] - product[0]))  # as operator_form_gap, to the bit
     return WitnessReport(float(tr1[0]), float(tr2[0]), gap, str(verdict[0]), tol)
 
@@ -134,8 +136,14 @@ def _ensemble_witness_rows(
 ) -> tuple[np.ndarray, ...]:
     """``ensemble_witness`` at each grid point: (tr1, tr2, operator gap, verdict)."""
     honest, product = _ensemble_forms(_component_differentials(ens, ts, method, h))
-    tr1, tr2, verdict = _trace_witness(honest, ens.dims, tol)
+    tr1, tr2, verdict = _trace_witness(honest, ens.dims, tol, _ensemble_method(ens, method))
     return tr1, tr2, np.linalg.norm(honest - product, axis=(-2, -1)), verdict
+
+
+def _ensemble_method(ens: Ensemble, method: str) -> str:
+    """``method`` resolved over every component's factors: "auto" reads as a
+    finite-difference method, whose bounds are the wider, if any needs one."""
+    return resolve_method([curve for comp in ens.components for curve in comp.factors], method)
 
 
 def base_state_separability(rho: HermitianOp, cut: Cut) -> SeparabilityVerdict:

@@ -32,6 +32,9 @@ _ZERO_TOL = 1e-12  # a shorter vector is (near-)zero: it has no direction
 TRACE_TOL = 1e-8
 # |Re<psi|dpsi>| of a norm-preserving motion: a direction handed in, or by method
 _RE_OVERLAP_TOL = {"given": 1e-10, "analytic": 1e-12, "central_fd": 1e-8, "richardson": 1e-8}
+# |trace| of a mixture sum_k p_k d(|psi_k><psi_k|), which is 2 sum_k p_k Re<psi_k|dpsi_k>:
+# twice the bound on each Re<psi_k|dpsi_k>, and never below TRACE_TOL
+_TRACE_TOL = {source: max(TRACE_TOL, 2 * tol) for source, tol in _RE_OVERLAP_TOL.items()}
 
 Side = Literal["left", "right"]
 _Where = str | Callable[[int], str]
@@ -99,11 +102,12 @@ def _check_unitary(mats: np.ndarray, where: _Where = "") -> None:
     _raise_first(dev >= UNITARY_TOL, message, where=where)
 
 
-def _check_traceless(mats: np.ndarray) -> None:
-    """Each matrix (last two axes) of trace below TRACE_TOL in modulus."""
+def _check_traceless(mats: np.ndarray, source: str) -> None:
+    """Each matrix (last two axes) of trace below the bound for its ``source``
+    in modulus: "given" or the method that differentiated it."""
     traces = mats.trace(axis1=-2, axis2=-1)
     _raise_first(
-        abs(traces) >= TRACE_TOL,
+        abs(traces) >= _TRACE_TOL[source],
         lambda i: f"differential must be traceless, got trace {traces.flat[i]:.3e}",
     )
 

@@ -509,19 +509,18 @@ def product_tangent(
     traj: ProductTrajectory, t: float, method: str = "auto", h: float = DEFAULT_STEP
 ) -> TangentVector:
     """Tangent of the product state: one term per unfrozen factor."""
-    state, direction = _product_rows(traj, np.array([float(t)]), method, h)
+    state, direction, _ = _product_rows(traj, np.array([float(t)]), method, h)
     return TangentVector(Ket(state[0], traj.dims), direction[0])
 
 
 def _product_rows(
     traj: ProductTrajectory, ts: np.ndarray, method: str, h: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Product states and their tangents over the grid, each (G, D), unchecked."""
-    rows = [
-        (base, None if frozen else deriv)
-        for (base, deriv), frozen in zip(_factor_rows(traj, ts, method, h), traj.frozen)
-    ]
-    return _product_rule(*rows[0], rows[1:], _kron_rows)
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Product states and their tangents over the grid, each (G, D), unchecked,
+    and the factor rows (``_factor_rows``) they are assembled from."""
+    factors = _factor_rows(traj, ts, method, h)
+    rows = [(base, None if still else deriv) for (base, deriv), still in zip(factors, traj.frozen)]
+    return (*_product_rule(*rows[0], rows[1:], _kron_rows), factors)
 
 
 def _kron_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -667,14 +666,44 @@ class RegisterProgram:
         return len(self.steps)
 
     @cached_property
+    def _site_starts(self) -> tuple[tuple[np.ndarray, ...], ...] | None:
+        """Each site's factor at the start of each step, filled on first use;
+        None when the initial state is not a product of site factors.
+
+        The factors are the rank-1 slices of the initial amplitude tensor
+        through its largest entry, normalized, with the global phase put on
+        the first.  They stand only if their Kronecker product reproduces the
+        initial amplitudes to DEFAULT_TOL.
+        """
+        dims = self.initial.dims
+        tensor = self.initial.amplitudes.reshape(dims)
+        peak = np.unravel_index(np.argmax(abs(tensor)), dims)
+        factors = []
+        for i in range(len(dims)):
+            line = tensor[peak[:i] + (slice(None),) + peak[i + 1 :]]
+            factors.append(line / np.linalg.norm(line))
+        factors[0] = factors[0] * (tensor[peak] / math.prod(f[p] for f, p in zip(factors, peak)))
+        if np.linalg.norm(reduce(np.kron, factors) - self.initial.amplitudes) >= DEFAULT_TOL:
+            return None
+        starts = [tuple(factors)]
+        for ends in self._step_ends:
+            starts.append(tuple(u @ f for u, f in zip(ends, starts[-1])))
+        return tuple(starts)
+
+    @cached_property
     def _step_starts(self) -> tuple[np.ndarray, ...]:
         """Register amplitudes at the start of each step, filled on first use."""
         starts = [self.initial.amplitudes]
-        for step in self.steps[:-1]:
-            psi = _apply_local(starts[-1], self.initial.dims, [c.value(1.0) for c in step])
+        for ends in self._step_ends:
+            psi = _apply_local(starts[-1], self.initial.dims, ends)
             psi.setflags(write=False)
             starts.append(psi)
         return tuple(starts)
+
+    @cached_property
+    def _step_ends(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Each completed step's unitaries at parameter 1, filled on first use."""
+        return tuple(tuple(c.value(1.0) for c in step) for step in self.steps[:-1])
 
     def resolve_time(self, s):
         """Map global program time in [0, n_steps] to (step index, local parameter).
@@ -705,14 +734,17 @@ def register_tangent(
     prog: RegisterProgram, k: int, t: float, method: str = "analytic", h: float = DEFAULT_STEP
 ) -> TangentVector:
     """Tangent of step k at local parameter t: one term per moving site."""
-    state, direction = _register_rows(prog, k, np.array([float(t)]), method, h)
+    state, direction, _ = _register_rows(prog, k, np.array([float(t)]), method, h)
     return TangentVector(Ket(state[0], prog.initial.dims), direction[0])
 
 
 def _register_rows(
     prog: RegisterProgram, k: int, ts: np.ndarray, method: str, h: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Register states and tangents of step k at each local parameter, (G, D), unchecked."""
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]] | None]:
+    """Register states and tangents of step k at each local parameter, (G, D),
+    unchecked, and each site's (states, directions) rows when the initial
+    state is a product of site factors (else None): the step's curve and its
+    derivative applied to the site's factor at the start of the step."""
     if not 1 <= k <= prog.n_steps:
         raise ValueError(f"step index {k} outside 1..{prog.n_steps}")
     method = resolve_method((), method)
@@ -728,7 +760,13 @@ def _register_rows(
             sites.append((value, _stencil(curve.value, ts, method, h)))
     chi = np.broadcast_to(prog._step_starts[k - 1].reshape(dims), (len(ts),) + dims)
     state, direction = _product_rule(chi, None, sites, _apply_axis)
-    return state.reshape(len(ts), -1), direction.reshape(len(ts), -1)
+    parts = None
+    if prog._site_starts is not None:
+        parts = []
+        for (value, deriv), start in zip(sites, prog._site_starts[k - 1]):
+            site = _matvec(value, start)
+            parts.append((site, np.zeros_like(site) if deriv is None else _matvec(deriv, start)))
+    return state.reshape(len(ts), -1), direction.reshape(len(ts), -1), parts
 
 
 # ---------------------------------------------------------------------------

@@ -653,6 +653,23 @@ CONFIG_DIAGNOSTICS = [
         demo(method={"name": "richardson", "h": -1}),
         "method.h: step must be positive, got -1.0",
     ),
+    diag(
+        "method-analytic-sampled",
+        first_of(entry(**SAMPLES), method="analytic"),
+        "method: analytic needs a closed-form derivative, but subsystems[0] is sampled;"
+        " use central_fd or richardson",
+    ),
+    diag(
+        "method-name-analytic-sampled",
+        first_of(entry(**SAMPLES), scenario="pseudo_pure", method={"name": "analytic"}),
+        "method: analytic needs a closed-form derivative, but subsystems[0] is sampled;"
+        " use central_fd or richardson",
+    ),
+    diag(
+        "long-integer",
+        '{"scenario": "two_qubit_demo",\n "tol": 1' + "0" * 5000 + "}",
+        "parse error at line 2, column 9: integer of 5001 digits is too long",
+    ),
     diag("outputs-type", demo(outputs=[]), "outputs: expected an object, got list"),
     diag("outputs-unknown", demo(outputs={"fmt": "csv"}), "outputs.fmt: unknown field"),
     diag(
@@ -781,6 +798,35 @@ def test_non_finite_numbers_rejected(doc, path, shown):
     with pytest.raises(ConfigError) as exc:
         parse(doc)
     assert str(exc.value) == f"{path}: expected a finite number, got {shown}"
+
+
+def test_analytic_beside_a_frozen_sampled_subsystem_runs():
+    """A frozen subsystem is never differentiated, so it needs no closed form."""
+    doc = first_of({**SAMPLED_QUBIT, "frozen": True}, method="analytic", grid=INSIDE_SAMPLES)
+    cfg = parse(doc)
+    assert cfg.method == "analytic"
+    assert len(run(cfg).rows) == INSIDE_SAMPLES["steps"]
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('{"scenario": "two_qubit_demo", "seed": -1' + "0" * 4400 + "}", "line 1, column 40"),
+        (
+            '{"scenario": "two_qubit_demo",\n "grid": {"steps": 2' + "0" * 4400 + "}}",
+            "line 2, column 20",
+        ),
+        ('[\n\n 5' + "5" * 4400 + "]", "line 3, column 2"),
+    ],
+    ids=["negative-seed", "grid-steps", "top-level-array"],
+)
+def test_long_integer_exits_2_naming_its_position(text, where, tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert main(["--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: parse error at {where}: integer of 4401 digits is too long\n"
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])

@@ -43,6 +43,7 @@ from qtangle import (
     propagator,
     run,
 )
+from qtangle.mixed_witness import _trace_witness
 
 SY = np.array([[0.0, -1j], [1j, 0.0]])
 E0 = np.array([1.0, 0.0])
@@ -151,6 +152,16 @@ BOUNDS = [
         1e-8,
         lambda off: differential_trace_witness(HermitianOp(np.diag([off, 0.0, 0.0, 0.0]), (2, 2))),
         "differential_trace_witness",
+    ),
+    *(
+        case(
+            bound,
+            lambda off, method=method: _trace_witness(
+                np.diag([off, 0.0, 0.0, 0.0]).astype(complex), (2, 2), 1e-6, method
+            ),
+            f"trace-{method}",
+        )
+        for method, bound in (("analytic", 1e-8), ("central_fd", 2e-8), ("richardson", 2e-8))
     ),
     # norm preservation, Re<psi|dpsi>
     case(1e-10, lambda off: curve_through(Ket(E0, (2,)), np.array([off, 1j])), "curve_through"),

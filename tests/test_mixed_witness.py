@@ -194,3 +194,45 @@ class TestBaseStateSeparability:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValidationError):
             base_state_separability(HermitianOp(np.eye(4), (2, 2)), CUT)
+
+
+class TestTraceBoundByMethod:
+    """The trace of an honest differential, 2 sum_k p_k Re<psi_k|dpsi_k>, is
+    bounded by twice the norm-preservation bound of the method."""
+
+    def test_analytic_and_given_keep_the_fixed_bound(self):
+        from qtangle.statespace import _TRACE_TOL, TRACE_TOL
+
+        assert TRACE_TOL == 1e-8
+        assert _TRACE_TOL["analytic"] == _TRACE_TOL["given"] == 1e-8
+        assert _TRACE_TOL["central_fd"] == _TRACE_TOL["richardson"] == 2e-8
+
+    def test_central_fd_ensembles_rejected_only_past_twice_the_overlap_bound(self):
+        rng = np.random.default_rng(7)
+        rescued = 0
+        for _ in range(100):
+            comps = tuple(trajectories.random_product_trajectory(rng, (2, 2)) for _ in range(2))
+            w = float(rng.uniform(0.2, 0.8))
+            ens, t = Ensemble((w, 1.0 - w), comps), float(rng.uniform(0.0, 1.0))
+            honest = separable_mixed_differential(ens, t, method="central_fd").matrix
+            trace = abs(np.trace(honest))
+            assert operator_form_gap(ens, t, method="central_fd") > 0
+            if trace < 2e-8:
+                ensemble_witness(ens, t, method="central_fd")
+                rescued += trace >= 1e-8
+            else:
+                with pytest.raises(ValidationError, match="differential must be traceless"):
+                    ensemble_witness(ens, t, method="central_fd")
+                # then some component itself moves off the unit sphere past its bound
+                overlaps = [
+                    trajectories.product_tangent(comp, t, "central_fd").base_overlap().real
+                    for comp in comps
+                ]
+                assert max(abs(x) for x in overlaps) >= 1e-8
+        # a single bound of 1e-8 rejected these
+        assert rescued == 4
+
+    def test_given_differential_keeps_the_fixed_bound(self):
+        drho = np.diag([1.5e-8, 0.0, 0.0, 0.0]).astype(complex)
+        with pytest.raises(ValidationError, match="differential must be traceless"):
+            differential_trace_witness(HermitianOp(drho, (2, 2)))

@@ -1,0 +1,230 @@
+"""The speed-share law of ``profile`` against the dense Schmidt decomposition.
+
+For a product base the tangent entropy across a cut is the binary entropy
+of the left side's share of the squared perpendicular factor speeds, and
+the base entropy is 0.  Every case here compares ``profile`` with the SVD
+entropy (``_entropy_bits``) of the profile's own dense rows.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qtangle import (
+    BlochCurve,
+    Cut,
+    Ket,
+    LocalHamiltonianCurve,
+    PhaseCurve,
+    ProductTrajectory,
+    RegisterProgram,
+    UnitaryCurve,
+    profile,
+    run,
+)
+from qtangle.cli import demo_trajectory, parse_config
+from qtangle.entanglement import _entropy_bits, _split
+from qtangle.geometry import _entropies_or_zero
+from qtangle.trajectories import _horizontal, random_product_trajectory
+
+ORACLE_TOL = 1e-12
+
+
+def dense_entropies(prof, cut):
+    """Tangent and base entropy of each row by the SVD of its dense amplitudes."""
+    horizontal = _horizontal(prof.states, prof.directions)
+    tangent = _entropies_or_zero(horizontal, prof.dims, (cut,))[0]
+    unit = prof.states / np.linalg.norm(prof.states, axis=-1)[:, None]
+    return tangent, _entropy_bits(_split(unit, prof.dims, cut))
+
+
+def assert_speed_share(prof):
+    """Every cut: the closed form within ORACLE_TOL of the SVD, at most one
+    bit, and a base entropy of exactly 0."""
+    for cut in prof.cuts:
+        tangent, base = dense_entropies(prof, cut)
+        assert np.max(abs(prof.tangent_entropy[cut] - tangent)) <= ORACLE_TOL
+        assert np.all(prof.tangent_entropy[cut] <= 1.0)
+        assert np.all(prof.base_entropy[cut] == 0.0)
+        assert np.max(base) <= ORACLE_TOL
+
+
+def random_generator(rng, d):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (a + a.conj().T) / (2 * math.sqrt(d))
+
+
+def random_ket(rng, dims):
+    amps = rng.standard_normal(math.prod(dims)) + 1j * rng.standard_normal(math.prod(dims))
+    return Ket(amps / np.linalg.norm(amps), dims)
+
+
+def random_program(rng, dims, initial, n_steps=2):
+    """Steps of random rotations, some sites held constant."""
+    steps = []
+    for _ in range(n_steps):
+        steps.append(
+            tuple(
+                UnitaryCurve.constant(np.eye(d)) if rng.uniform() < 0.2
+                else UnitaryCurve.rotation(random_generator(rng, d))
+                for d in dims
+            )
+        )
+    return RegisterProgram(tuple(steps), initial)
+
+
+def product_ket(rng, dims):
+    """A random product of site factors times a random global phase."""
+    amps = np.exp(1j * rng.uniform(0, 2 * math.pi))
+    for d in dims:
+        amps = np.kron(amps, random_ket(rng, (d,)).amplitudes)
+    return Ket(amps, dims, unit=True)
+
+
+def all_cuts(n):
+    """Every contiguous cut, and one that is not contiguous when n > 2."""
+    cuts = [Cut.splitting(range(k), n) for k in range(1, n)]
+    if n > 2:
+        cuts.append(Cut.splitting((0, n - 1), n))
+    return cuts
+
+
+class TestProductTrajectories:
+    def test_random_trajectories_match_the_svd(self):
+        rng = np.random.default_rng(31)
+        for n in range(2, 6):
+            for _ in range(6):
+                dims = tuple(int(d) for d in rng.integers(2, 5, size=n))
+                frozen = tuple(bool(f) for f in rng.uniform(size=n) < 0.25)
+                if all(frozen):
+                    frozen = ()
+                traj = random_product_trajectory(rng, dims, frozen=frozen)
+                assert_speed_share(profile(traj, np.linspace(0.0, 1.5, 7), all_cuts(n)))
+
+    @pytest.mark.parametrize("method", ["central_fd", "richardson"])
+    def test_stencil_tangents_match_the_svd(self, method):
+        rng = np.random.default_rng(32)
+        traj = random_product_trajectory(rng, (2, 3, 4))
+        assert_speed_share(profile(traj, np.linspace(0.0, 1.0, 5), all_cuts(3), method=method))
+
+    def test_profile_calls_no_svd(self, monkeypatch):
+        def svd(*args, **kwargs):
+            raise AssertionError("the speed-share law needs no SVD")
+
+        traj = random_product_trajectory(np.random.default_rng(33), (2, 2, 3))
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        prof = profile(traj, np.linspace(0.0, 1.0, 5), all_cuts(3))
+        assert all(np.all(prof.base_entropy[cut] == 0.0) for cut in prof.cuts)
+
+    def test_cut_splitting_a_multi_site_factor_takes_the_svd(self):
+        rng = np.random.default_rng(34)
+        traj = ProductTrajectory(
+            (
+                LocalHamiltonianCurve(random_generator(rng, 4), random_ket(rng, (2, 2))),
+                BlochCurve([0.3, 1.0, -0.4], [0.1, 0.8]),
+                PhaseCurve([0.0, 1.3], random_ket(rng, (2, 2))),
+            )
+        )
+        splits = (Cut.splitting((0,), 5), Cut.splitting((0, 1, 3), 5))
+        aligned = (Cut.splitting((0, 1), 5), Cut.splitting((2,), 5), Cut.splitting((0, 1, 2), 5))
+        prof = profile(traj, np.linspace(0.0, 1.0, 6), splits + aligned)
+        for cut in splits:
+            tangent, base = dense_entropies(prof, cut)
+            assert np.array_equal(prof.tangent_entropy[cut], tangent)
+            assert np.array_equal(prof.base_entropy[cut], base)
+            assert np.min(base) > 1e-3
+        for cut in aligned:
+            tangent, base = dense_entropies(prof, cut)
+            assert np.max(abs(prof.tangent_entropy[cut] - tangent)) <= ORACLE_TOL
+            assert np.all(prof.base_entropy[cut] == 0.0)
+
+    def test_zero_motion_rows_read_zero(self):
+        # theta = t^2 moves at speed 2t: below the zero floor at t = 0 and t = 1e-14
+        still = BlochCurve([0.0, 0.0, 1.0])
+        traj = ProductTrajectory((still, still, BlochCurve([0.4, 1.0])), (False, False, True))
+        cuts = all_cuts(3)
+        prof = profile(traj, [0.0, 1e-14, 0.5], cuts)
+        for cut in cuts:
+            assert list(prof.tangent_entropy[cut][:2]) == [0.0, 0.0]
+        assert prof.tangent_entropy[cuts[0]][2] == pytest.approx(1.0, abs=1e-12)
+        assert_speed_share(prof)
+
+    def test_demo_is_exactly_one_ebit(self):
+        cut = Cut.splitting((0,), 2)
+        prof = profile(demo_trajectory(), np.linspace(0.0, math.pi, 181), [cut])
+        assert np.all(prof.tangent_entropy[cut] == 1.0)
+        report = run(parse_config('{"scenario": "two_qubit_demo"}'))
+        column = report.columns.index("tangent_entropy_1|2")
+        assert {row[column] for row in report.rows} == {1.0}
+
+
+class TestRegisterPrograms:
+    @pytest.mark.parametrize("method", ["analytic", "central_fd", "richardson"])
+    def test_product_initial_registers_match_the_svd(self, method):
+        rng = np.random.default_rng(41)
+        for dims in ((2, 2), (2, 3, 2), (3, 2, 2, 2)):
+            uniform = np.full(math.prod(dims), math.prod(dims) ** -0.5, dtype=complex)
+            for initial in (product_ket(rng, dims), Ket(uniform, dims, unit=True)):
+                prog = random_program(rng, dims, initial, n_steps=3)
+                assert prog._site_starts is not None
+                grid = np.linspace(0.0, 3.0, 13)
+                assert_speed_share(profile(prog, grid, all_cuts(len(dims)), method=method))
+
+    def test_initial_factors_reproduce_the_initial_state(self):
+        rng = np.random.default_rng(42)
+        dims = (2, 3, 2)
+        initial = product_ket(rng, dims)
+        prog = random_program(rng, dims, initial)
+        factors = prog._site_starts[0]
+        assert [f.shape for f in factors] == [(2,), (3,), (2,)]
+        kron = np.kron(np.kron(factors[0], factors[1]), factors[2])
+        assert np.linalg.norm(kron - initial.amplitudes) < 1e-14
+
+    def test_nearly_product_initial_state_is_not_factored(self):
+        rng = np.random.default_rng(43)
+        dims = (2, 2)
+        amps = product_ket(rng, dims).amplitudes + 1e-9 * random_ket(rng, dims).amplitudes
+        prog = random_program(rng, dims, Ket(amps / np.linalg.norm(amps), dims))
+        assert prog._site_starts is None
+
+    def test_entangled_initial_register_takes_the_svd(self):
+        rng = np.random.default_rng(44)
+        dims = (2, 2, 3)
+        prog = random_program(rng, dims, random_ket(rng, dims))
+        assert prog._site_starts is None
+        prof = profile(prog, np.linspace(0.0, 2.0, 9), all_cuts(3))
+        for cut in prof.cuts:
+            tangent, base = dense_entropies(prof, cut)
+            assert np.array_equal(prof.tangent_entropy[cut], tangent)
+            assert np.array_equal(prof.base_entropy[cut], base)
+            assert np.min(base) > 1e-3
+
+    def test_still_register_reads_zero(self):
+        dims = (2, 2, 2)
+        prog = RegisterProgram.uniform_superposition(
+            [[UnitaryCurve.constant(np.eye(2))] * 3], 3
+        )
+        prof = profile(prog, [0.0, 0.5, 1.0], all_cuts(3))
+        assert np.all(prof.fs_speed == 0.0)
+        for cut in prof.cuts:
+            assert np.all(prof.tangent_entropy[cut] == 0.0)
+        assert prof.dims == dims
+
+    def test_sixteen_qubit_register_runs_without_an_svd(self, monkeypatch):
+        def svd(*args, **kwargs):
+            raise AssertionError("the speed-share law needs no SVD")
+
+        rng = np.random.default_rng(45)
+        n = 16
+        steps = [
+            [UnitaryCurve.rotation(random_generator(rng, 2)) for _ in range(n)] for _ in range(2)
+        ]
+        prog = RegisterProgram.uniform_superposition(steps, n)
+        cuts = [Cut.splitting(range(k), n) for k in range(1, n)]
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        prof = profile(prog, [0.25, 1.0, 1.75], cuts)
+        assert np.all(prof.fs_speed > 0)
+        for cut in cuts:
+            assert np.all((prof.tangent_entropy[cut] >= 0.0) & (prof.tangent_entropy[cut] <= 1.0))
+            assert np.all(prof.base_entropy[cut] == 0.0)
