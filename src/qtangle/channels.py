@@ -66,10 +66,13 @@ def _bipartite_rows(
     if traj.n_factors != 2:
         raise ValueError(f"need a two-factor trajectory, got {traj.n_factors} factors")
     method = resolve_method(traj.factors, method)
-    parts, overlaps = _factor_rows(traj, ts, method, h), []
-    for pos, (base, deriv) in enumerate(parts):
-        overlaps.append(_check_norm_preserving(base, deriv, method, f"factor {pos + 1}"))
-    return parts, overlaps
+    parts = _factor_rows(traj, ts, method, h)
+    return parts, _factor_overlaps(parts, method)
+
+
+def _factor_overlaps(parts: list[tuple[np.ndarray, np.ndarray]], method: str) -> list[np.ndarray]:
+    """<psi|dpsi> of each factor's rows, norm preservation checked to the resolved ``method``."""
+    return [_check_norm_preserving(*part, method, f"factor {i}") for i, part in enumerate(parts, 1)]
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
@@ -104,9 +107,9 @@ def _channel_rows(
     """Reduced channel of each requested subsystem over the stack.
 
     ``full`` holds the tangents of the product, (G, D).  Every subsystem's
-    partial trace comes from the same full tangent operator, checked
-    Hermitian.  Per subsystem: (lhs, differential, interference, noise, gap),
-    each with one row per grid point; lhs and the terms are left unchecked.
+    partial trace comes from the same full tangent operator.  Per subsystem:
+    (lhs, differential, interference, noise, gap), each with one row per grid
+    point; that operator, then each lhs and term, is checked Hermitian.
     """
     big = _outer(full, full)
     _check_hermitian(big)
@@ -125,6 +128,8 @@ def _channel_rows(
         gap = np.linalg.norm(lhs - (differential + interference + noise), axis=(-2, -1))
         terms = [_hermitian_part(m) for m in (differential, interference, noise)]
         out.append((lhs, *terms, gap))
+    for mat in [m for side in out for m in side[:-1]]:
+        _check_hermitian(mat)
     return out
 
 

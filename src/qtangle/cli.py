@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .config import SCENARIOS, RunConfig, parse_config
-from .channels import _bipartite_rows, _channel_rows, _reality_gaps
+from .channels import _bipartite_rows, _channel_rows, _factor_overlaps, _reality_gaps
 from .entanglement import MeasurementSetting, _bell_rows, _chsh_rows, _correlation_expansions
 from .errors import ConfigError, DegenerateInputError, ToleranceBreachError, ValidationError
 from .geometry import _entropies_or_zero, _fs_distances, _fs_speeds, _tangent_rows, profile
@@ -58,7 +58,6 @@ from .trajectories import (
     infinitesimal_composition,
     product_tangent,  # noqa: F401  (bench/tests/test_bench.py expects the tracer to reach it here)
     propagator,
-    resolve_method,
     with_global_phase,
 )
 
@@ -138,17 +137,17 @@ def _sweep(
     traj: ProductTrajectory | RegisterProgram,
     cuts: Sequence[Cut],
     columns: Sequence[str] = (),
-    cells: Callable[[np.ndarray, np.ndarray, np.ndarray], list] = lambda *rows: [],
+    cells: Callable[..., list] = lambda *rows: [],
     base_entropy: bool = True,
     **extra,
 ) -> TraceReport:
     """Profile a trajectory over the grid once and write one row per point.
 
     Every row starts with t (and the step for a register program), the
-    speed and the per-cut entropies; ``cells(ts, states, directions)``
-    appends the scenario's own columns, each over the whole grid, from the
-    profile's raw tangents.  An input the numerics reject at one grid point
-    is a tolerance breach there, not invalid input.
+    speed and the per-cut entropies; ``cells(ts, states, directions,
+    factors)`` appends the scenario's own columns, each over the whole grid,
+    from the profile's rows, so no cell differentiates a curve again.  An
+    input the numerics reject at one grid point is a tolerance breach there.
     """
     prof = profile(traj, cfg.grid_points(), cuts, method=cfg.method, h=cfg.h)
     register = isinstance(traj, RegisterProgram)
@@ -162,25 +161,26 @@ def _sweep(
             head.append(f"base_entropy_{cut.label()}")
             cols.append(prof.base_entropy[cut])
     try:
-        cols += _first_rejection(cells, prof.grid, prof.states, prof.directions)
+        cols += _first_rejection(cells, prof.grid, prof.states, prof.directions, prof.factors)
     except (ValidationError, DegenerateInputError, ToleranceBreachError) as exc:
         raise ToleranceBreachError(f"{exc} at t={prof.grid[exc.row]:.6g}") from exc
     meta = _metadata(cfg, cuts=[c.label() for c in cuts], **extra, arc_length=prof.arc_length)
     return TraceReport(meta, (*head, *columns), _rows(cols))
 
 
-def _first_rejection(cells: Callable, *rows: np.ndarray) -> list:
+def _first_rejection(cells: Callable, *rows) -> list:
     """``cells(*rows)``, or the rejection a point-by-point sweep would meet first.
 
     Each check rejects its own first offending row, so a rejection at row r
     stands only once the rows before r pass every check; no row depends on
-    another, so those rows alone decide that.
+    another, so the first r rows of every array, factor rows too, decide that.
     """
     try:
         return cells(*rows)
     except (ValidationError, DegenerateInputError, ToleranceBreachError) as exc:
         if exc.row:
-            _first_rejection(cells, *(r[: exc.row] for r in rows))
+            head = lambda r: r[: exc.row] if isinstance(r, np.ndarray) else r and [*map(head, r)]
+            _first_rejection(cells, *map(head, rows))
         raise
 
 
@@ -197,7 +197,7 @@ def _pair(cfg: RunConfig) -> tuple[ProductTrajectory, Cut]:
 def _run_two_qubit_demo(cfg: RunConfig) -> TraceReport:
     traj, cut = _pair(cfg)
 
-    def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray) -> list:
+    def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray, factors) -> list:
         direction = _normalized(_horizontal(states, directions))
         bell = _bell_rows(direction)
         return [bell[:, 2].real, bell[:, 1].real, _chsh_rows(direction)]
@@ -211,12 +211,9 @@ def _run_product_trace(cfg: RunConfig) -> TraceReport:
     if traj.n_factors != 2:
         return _sweep(cfg, traj, cuts)
 
-    def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray) -> list:
-        parts, overlaps = _bipartite_rows(traj, ts, cfg.method, cfg.h)
-        sides = _channel_rows(parts, directions, (1, 2))
-        for side in sides:
-            for mat in side[:-1]:
-                _check_hermitian(mat)
+    def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray, factors) -> list:
+        overlaps = _factor_overlaps(factors, cfg.method)
+        sides = _channel_rows(factors, directions, (1, 2))
         gaps = [sides[0][-1], sides[1][-1], _reality_gaps(*overlaps)]
         worst = np.max(gaps, axis=0)
         _raise_first(
@@ -237,16 +234,15 @@ def _run_register_trace(cfg: RunConfig) -> TraceReport:
 def _run_pseudo_pure(cfg: RunConfig) -> TraceReport:
     traj, cut = _pair(cfg)
     eps, dims = cfg.epsilon, traj.dims
-    method = resolve_method(traj.factors, cfg.method)
     total_dim = math.prod(dims)
 
-    def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray) -> list:
+    def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray, factors) -> list:
         drho = _projector_differentials(states, directions)
         _check_hermitian(drho)
         drho = eps * drho
         _check_hermitian(drho)
         trace = np.trace(drho, axis1=1, axis2=2).real
-        tr1, tr2, verdict = _trace_witness(drho, dims, cfg.tol, method)
+        tr1, tr2, verdict = _trace_witness(drho, dims, cfg.tol, cfg.method)
         projector = _outer(states, states)
         _check_hermitian(projector)
         mixed = (1.0 - eps) * np.eye(total_dim) / total_dim + eps * projector
@@ -268,7 +264,7 @@ def _run_chsh_scan(cfg: RunConfig) -> TraceReport:
     traj, cut = _pair(cfg)
     setting = MeasurementSetting(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
 
-    def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray) -> list:
+    def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray, factors) -> list:
         coefficients = _correlation_expansions(traj, ts, setting)
         return [_chsh_rows(_normalized(_horizontal(states, directions))), *coefficients.T]
 
@@ -295,17 +291,12 @@ def run(config: RunConfig) -> TraceReport:
 # emission
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".12g")
-
-
 def render_csv(report: TraceReport) -> str:
-    lines = [",".join(report.columns)]
-    for row in report.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """A header line, then one line per row from one template per report:
+    each number column to 12 significant digits, each string column as is."""
+    first = report.rows[0] if report.rows else ()
+    template = ",".join("%s" if isinstance(v, str) else "%.12g" for v in first)
+    return "\n".join([",".join(report.columns), *(template % row for row in report.rows)]) + "\n"
 
 
 def render_json(report: TraceReport) -> str:
@@ -376,11 +367,7 @@ def _check_channel_identity(rng: np.random.Generator, trials: int) -> CheckResul
         traj = _random_trajectories(rng, dims, m)
         parts = _bipartite_rows(traj, rng.uniform(0.0, 1.0, m), "auto", DEFAULT_STEP)[0]
         full = _product_rule(*parts[0], parts[1:], _kron_rows)[1]
-        sides = _channel_rows(parts, full, (1, 2))
-        for side in sides:
-            for mat in side[:-1]:
-                _check_hermitian(mat)
-        return np.maximum(sides[0][-1], sides[1][-1])
+        return np.maximum(*(side[-1] for side in _channel_rows(parts, full, (1, 2))))
 
     worst = float(_per_trial(rng.integers(2, 5, size=(trials, 2)), measure).max())
     failure = f"channel decomposition gap {worst:.3e} >= 1e-10" if worst >= 1e-10 else None

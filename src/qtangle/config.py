@@ -78,6 +78,10 @@ _TOP_FIELDS = (
 
 _FORMATS = ("csv", "json")
 
+# most grid points a run takes, far above the 181-point defaults; every
+# scenario holds a few (steps, D) or (steps, D, D) arrays at once
+MAX_GRID_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -382,6 +386,8 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
         steps = _expect_int(grid.get("steps", steps), "grid.steps")
     if steps < 2:
         _fail("grid.steps", f"must be at least 2, got {steps}")
+    if steps > MAX_GRID_STEPS:
+        _fail("grid.steps", f"must be at most {MAX_GRID_STEPS}, got {steps}")
     if not t0 < t1:
         _fail("grid", f"t0 must be less than t1, got t0={t0!r}, t1={t1!r}")
 

@@ -105,7 +105,9 @@ class TrajectoryProfile:
     """A sweep over a grid, one entry per grid point in each array.
 
     ``states`` and ``directions`` are the raw tangents, (G, D); the tangent
-    entropies use their horizontal parts.
+    entropies use their horizontal parts.  ``factors`` holds the (states,
+    directions) rows of each factor (register site) they are the product of;
+    None for a program whose initial state is entangled.
     """
 
     grid: np.ndarray
@@ -117,6 +119,7 @@ class TrajectoryProfile:
     dims: tuple[int, ...]
     arc_length: float
     cuts: tuple[Cut, ...]
+    factors: tuple[tuple[np.ndarray, np.ndarray], ...] | None
 
     @cached_property
     def samples(self) -> tuple[GeodesicSample, ...]:
@@ -134,7 +137,7 @@ class TrajectoryProfile:
 
 
 def _tangent_rows(traj, grid: np.ndarray, method: str, h: float) -> tuple[
-    np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]] | None
+    np.ndarray, np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...] | None
 ]:
     """Raw tangents over the grid, checked, and the (states, directions) rows
     of each factor (register site, for a program) whose product they are;
@@ -143,14 +146,13 @@ def _tangent_rows(traj, grid: np.ndarray, method: str, h: float) -> tuple[
     if not isinstance(traj, RegisterProgram):
         states, directions, factors = _product_rows(traj, grid, method, h)
         _check_tangents(states, directions)
-        return states, directions, factors
+        return states, directions, tuple(factors)
     ks, local = traj.resolve_time(grid)
-    states = np.empty((grid.size, traj.initial.total_dim), dtype=complex)
-    directions = np.empty_like(states)
+    empty = lambda d: np.empty((grid.size, d), dtype=complex)
+    states, directions = empty(traj.initial.total_dim), empty(traj.initial.total_dim)
     sites = None
     if traj._site_starts is not None:
-        empty = lambda d: np.empty((grid.size, d), dtype=complex)
-        sites = [(empty(d), empty(d)) for d in traj.initial.dims]
+        sites = tuple((empty(d), empty(d)) for d in traj.initial.dims)
     for k in np.unique(ks):
         rows = ks == k
         states[rows], directions[rows], step_sites = _register_rows(
@@ -218,7 +220,10 @@ def profile(
     cuts = tuple(cuts)
     if not cuts:
         raise ValueError("need at least one cut")
-    dims = traj.initial.dims if isinstance(traj, RegisterProgram) else traj.dims
+    if isinstance(traj, RegisterProgram):
+        dims, sizes = traj.initial.dims, [1] * traj.n_sites
+    else:
+        dims, sizes = traj.dims, [len(curve.dims) for curve in traj.factors]
     for cut in cuts:
         cut.validate_for(dims)
 
@@ -227,10 +232,6 @@ def profile(
     horizontal = _horizontal(states, directions)
     norms = np.linalg.norm(horizontal, axis=-1)
     speeds = 2 * norms
-    if isinstance(traj, RegisterProgram):
-        sizes = [1] * traj.n_sites
-    else:
-        sizes = [len(curve.dims) for curve in traj.factors]
     left = {cut: None if factor_speeds is None else _left_factors(cut, sizes) for cut in cuts}
     dense = [cut for cut in cuts if left[cut] is None]
     dense_tangent, dense_base = {}, {}
@@ -246,7 +247,8 @@ def profile(
         for cut in cuts
     }
     base = {cut: dense_base[cut] if left[cut] is None else np.zeros(grid.size) for cut in cuts}
-    for arr in (grid, states, directions, speeds, *tangent.values(), *base.values()):
+    factor_rows = [arr for factor in factors or () for arr in factor]
+    for arr in (grid, states, directions, speeds, *tangent.values(), *base.values(), *factor_rows):
         arr.setflags(write=False)
     return TrajectoryProfile(
         grid,
@@ -258,4 +260,5 @@ def profile(
         dims,
         float(np.trapezoid(speeds, grid)),
         cuts,
+        factors,
     )

@@ -42,6 +42,7 @@ from qtangle import (
 )
 from qtangle.cli import (
     TRACE_TOL,
+    TraceReport,
     canonical_register_program,
     demo_trajectory,
     emit,
@@ -52,6 +53,7 @@ from qtangle.cli import (
     run,
     verify,
 )
+from qtangle.config import MAX_GRID_STEPS
 
 SQ2 = math.sqrt(2)
 
@@ -570,6 +572,16 @@ CONFIG_DIAGNOSTICS = [
     ),
     diag("grid-steps-small", demo(grid={"steps": 1}), "grid.steps: must be at least 2, got 1"),
     diag(
+        "grid-steps-huge",
+        demo(grid={"steps": 10**12}),
+        "grid.steps: must be at most 1000000, got 1000000000000",
+    ),
+    diag(
+        "grid-steps-4300-digits",
+        demo(grid={"steps": 10**4299}),
+        f"grid.steps: must be at most 1000000, got {10**4299}",
+    ),
+    diag(
         "grid-order",
         demo(grid={"t0": 2.0, "t1": 1.0}),
         "grid: t0 must be less than t1, got t0=2.0, t1=1.0",
@@ -829,6 +841,20 @@ def test_long_integer_exits_2_naming_its_position(text, where, tmp_path, capsys)
     assert err == f"error: parse error at {where}: integer of 4401 digits is too long\n"
 
 
+@pytest.mark.parametrize("steps", [10**12, 10**4299], ids=["1e12", "4300-digits"])
+def test_grid_steps_above_the_bound_exit_2(steps, tmp_path, capsys):
+    path = tmp_path / "steps.json"
+    path.write_text(json.dumps({"scenario": "two_qubit_demo", "grid": {"steps": steps}}))
+    assert main(["--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: grid.steps: must be at most {MAX_GRID_STEPS}, got {steps}\n"
+
+
+def test_grid_steps_bound_is_inclusive():
+    assert parse(demo(grid={"steps": MAX_GRID_STEPS})).grid[2] == MAX_GRID_STEPS
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
 def test_non_finite_tol_flag_exits_2(value, capsys):
     assert main(["--scenario", "separable_mixed", f"--tol={value}"]) == 2
@@ -968,6 +994,14 @@ class TestRendering:
         body = render_csv(rep).splitlines()[1]
         assert body.endswith(",product-differential-excluded")
 
+    def test_special_floats_render_like_format(self):
+        values = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1 / 3, -2.5e-300, 1e17, 7]
+        rep = TraceReport({}, ("x", "minus_x", "verdict"), tuple((v, -v, "ok") for v in values))
+        lines = render_csv(rep).splitlines()
+        assert lines[0] == "x,minus_x,verdict"
+        assert lines[1:] == [f"{format(v, '.12g')},{format(-v, '.12g')},ok" for v in values]
+        assert render_csv(TraceReport({}, ("t",), ())) == "t\n"
+
 
 TRAJECTORY_SCENARIOS = ["two_qubit_demo", "product_trace", "register_trace", "pseudo_pure", "chsh_scan"]
 QUTRIT_PAIR = [
@@ -1010,6 +1044,44 @@ class TestSweepDriver:
             rep = run(parse(scenario_doc(scenario, steps)))
             assert len(rep.rows) == steps
             assert len(calls) == (2 if scenario == "register_trace" else 1)
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["moving", "frozen"])
+    @pytest.mark.parametrize(
+        "method, states, velocities",
+        [("analytic", 1, 1), ("central_fd", 3, 0), ("richardson", 5, 0)],
+    )
+    def test_each_curve_differentiated_once_per_run(
+        self, method, states, velocities, frozen, monkeypatch
+    ):
+        """A product_trace run evaluates each factor curve as often as one
+        differentiation by its method needs (the base rows and each stencil
+        point, or the base and closed-form rows): its channel and bilocal
+        columns reuse the profile's factor rows.  A frozen factor is only
+        evaluated."""
+        arc = {"dim": 2, "curve": {"kind": "bloch", "theta": [0.2, 1.1, -0.3], "phi": [0.1, 0.5]}}
+        doc = {
+            "scenario": "product_trace",
+            "method": method,
+            "grid": {"steps": 13},
+            "subsystems": [arc, {**HAMILTONIAN_QUBIT, "frozen": frozen}],
+        }
+        cfg = parse(doc)
+        counts = []
+        for curve in cfg.subsystems:
+            calls = {"states": 0, "velocities": 0}
+            for name in calls:
+                original = getattr(curve, name)
+
+                def counting(ts, name=name, original=original, calls=calls):
+                    calls[name] += 1
+                    return original(ts)
+
+                monkeypatch.setattr(curve, name, counting)
+            counts.append(calls)
+        assert len(run(cfg).rows) == 13
+        moved = {"states": states, "velocities": velocities}
+        assert counts[0] == moved
+        assert counts[1] == ({"states": 1, "velocities": 0} if frozen else moved)
 
     @pytest.mark.parametrize("scenario", TRAJECTORY_SCENARIOS + ["separable_mixed"])
     def test_no_per_point_objects(self, scenario, monkeypatch):
@@ -1197,6 +1269,18 @@ class TestGridEqualsPointwise:
         richardson = profile(traj, grid, cuts, method="richardson")
         assert np.array_equal(auto.directions, richardson.directions)
         assert auto.fs_speed.tolist() == [row[1] for row in run(cfg).rows]
+
+
+@pytest.mark.parametrize("doc", grid_configs(), ids=lambda d: f"{d['scenario']}-{d.get('method', 'auto')}")
+def test_parse_config_never_hands_run_auto(doc, monkeypatch):
+    """Runners use ``cfg.method`` as a resolved name: bounds are looked up by it."""
+    seen = []
+    runner = qtangle.cli._RUNNERS[doc["scenario"]]
+    monkeypatch.setitem(qtangle.cli._RUNNERS, doc["scenario"], lambda cfg: seen.append(cfg) or runner(cfg))
+    cfg = parse({**doc, "method": "auto"})
+    assert cfg.method in ("analytic", "central_fd", "richardson")
+    assert len(run(cfg).rows) == cfg.grid[2]
+    assert [c.method for c in seen] == [cfg.method]
 
 
 class TestMainExitCodes:

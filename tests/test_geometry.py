@@ -24,6 +24,12 @@ from qtangle import (
     profile,
     with_global_phase,
 )
+from qtangle.trajectories import (
+    DEFAULT_STEP,
+    _factor_rows,
+    _register_rows,
+    random_product_trajectory,
+)
 
 SQ2 = math.sqrt(2)
 SY = np.array([[0.0, -1j], [1j, 0.0]])
@@ -183,3 +189,63 @@ class TestProfile:
     def test_cut_validation(self):
         with pytest.raises(ValueError):
             profile(pair(), [0.0, 1.0], [Cut((0,), (1, 2))])
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def kron_rows(parts):
+    """Row-wise Kronecker product of the states of each (states, directions) part."""
+    out = parts[0][0]
+    for states, _ in parts[1:]:
+        out = (out[:, :, None] * states[:, None, :]).reshape(len(out), -1)
+    return out
+
+
+class TestProfileFactors:
+    """``TrajectoryProfile.factors``: the factor rows its tangents are built from."""
+
+    @staticmethod
+    def assert_read_only(factors):
+        assert isinstance(factors, tuple)
+        for rows in factors:
+            assert isinstance(rows, tuple) and len(rows) == 2
+            assert not any(arr.flags.writeable for arr in rows)
+
+    @pytest.mark.parametrize("method", ["auto", "analytic", "central_fd", "richardson"])
+    def test_product_factors_are_the_factor_rows(self, method):
+        rng = np.random.default_rng(51)
+        traj = random_product_trajectory(rng, (2, 3, 2, 4), frozen=(False, True, False, False))
+        grid = np.linspace(0.0, 1.5, 9)
+        prof = profile(traj, grid, [Cut.splitting((0,), 4)], method=method)
+        expected = _factor_rows(traj, grid, method, DEFAULT_STEP)
+        assert len(prof.factors) == len(expected) == 4
+        for rows, want in zip(prof.factors, expected):
+            assert same_bits(rows[0], want[0]) and same_bits(rows[1], want[1])
+        assert np.all(prof.factors[1][1] == 0.0)  # the frozen factor does not move
+        self.assert_read_only(prof.factors)
+
+    @pytest.mark.parametrize("method", ["analytic", "richardson"])
+    def test_product_initial_register_factors_are_the_site_rows(self, method):
+        gen = np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.5]])
+        step1 = (UnitaryCurve.rotation(SY / 2), UnitaryCurve.constant(np.eye(2)), UnitaryCurve.rotation(gen))
+        step2 = (UnitaryCurve.rotation(gen), UnitaryCurve.rotation(SY / 2), UnitaryCurve.constant(np.eye(2)))
+        prog = RegisterProgram.uniform_superposition((step1, step2), 3)
+        grid = np.linspace(0.0, 2.0, 9)
+        prof = profile(prog, grid, [Cut.splitting((0,), 3)], method=method)
+        assert len(prof.factors) == 3
+        ks, local = prog.resolve_time(grid)
+        for k in np.unique(ks):
+            rows = ks == k
+            sites = _register_rows(prog, int(k), local[rows], method, DEFAULT_STEP)[2]
+            for got, want in zip(prof.factors, sites, strict=True):
+                assert same_bits(got[0][rows], want[0]) and same_bits(got[1][rows], want[1])
+        assert np.max(abs(kron_rows(prof.factors) - prof.states)) < 1e-14
+        self.assert_read_only(prof.factors)
+
+    def test_entangled_initial_register_has_no_factors(self):
+        bell = Ket(np.array([1.0, 0.0, 0.0, 1.0]) / SQ2, (2, 2))
+        prog = RegisterProgram(((UnitaryCurve.rotation(SY / 2), UnitaryCurve.rotation(SY / 2)),), bell)
+        prof = profile(prog, [0.0, 0.5, 1.0], [Cut.splitting((0,), 2)])
+        assert prog._site_starts is None and prof.factors is None
