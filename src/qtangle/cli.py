@@ -137,7 +137,7 @@ def _sweep(
     traj: ProductTrajectory | RegisterProgram,
     cuts: Sequence[Cut],
     columns: Sequence[str] = (),
-    cells: Callable[..., list] = lambda *rows: [],
+    cells: Callable[..., list] | None = None,
     base_entropy: bool = True,
     **extra,
 ) -> TraceReport:
@@ -148,6 +148,7 @@ def _sweep(
     factors)`` appends the scenario's own columns, each over the whole grid,
     from the profile's rows, so no cell differentiates a curve again.  An
     input the numerics reject at one grid point is a tolerance breach there.
+    Without cells the profile's dense rows are never built.
     """
     prof = profile(traj, cfg.grid_points(), cuts, method=cfg.method, h=cfg.h)
     register = isinstance(traj, RegisterProgram)
@@ -160,11 +161,17 @@ def _sweep(
         if base_entropy:
             head.append(f"base_entropy_{cut.label()}")
             cols.append(prof.base_entropy[cut])
-    try:
-        cols += _first_rejection(cells, prof.grid, prof.states, prof.directions, prof.factors)
-    except (ValidationError, DegenerateInputError, ToleranceBreachError) as exc:
-        raise ToleranceBreachError(f"{exc} at t={prof.grid[exc.row]:.6g}") from exc
-    meta = _metadata(cfg, cuts=[c.label() for c in cuts], **extra, arc_length=prof.arc_length)
+    if cells is not None:
+        # a rejection while the dense rows are assembled is the profile's, not a cell's
+        rows = (prof.grid, prof.states, prof.directions, prof.factors)
+        try:
+            cols += _first_rejection(cells, *rows)
+        except (ValidationError, DegenerateInputError, ToleranceBreachError) as exc:
+            raise ToleranceBreachError(f"{exc} at t={prof.grid[exc.row]:.6g}") from exc
+    paths = {cut.label(): path for cut, path in prof.entropy_path.items()}
+    meta = _metadata(
+        cfg, cuts=[c.label() for c in cuts], **extra, arc_length=prof.arc_length, entropy_path=paths
+    )
     return TraceReport(meta, (*head, *columns), _rows(cols))
 
 

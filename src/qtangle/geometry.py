@@ -11,18 +11,19 @@ horizontal tangent that is a sum of mutually orthogonal one-factor
 excitations.  Across a cut L|R its Schmidt weights are therefore S_L/S and
 S_R/S, where S_i = ||d_i - <a_i|d_i> a_i||^2 is factor i's squared
 perpendicular speed and S_L, S_R, S sum it over the left side, the right side
-and all factors: the tangent entropy is the binary entropy of S_L/S, and the
-base entropy is 0.  ``profile`` takes both from that speed-share law; it
-keeps the Schmidt decomposition of the dense rows for a register program
-whose initial state is entangled and for a cut that splits a multi-site
-factor.
+and all factors: the tangent entropy is the binary entropy of S_L/S, the
+base entropy is 0, and the speed is 2*sqrt(S).  ``profile`` takes all three
+from the per-factor rows and assembles the dense (G, D) tangent rows only
+when a caller reads them.  It keeps the Schmidt decomposition of the dense
+rows, built at once, for a register program whose initial state is
+entangled and for a cut that splits a multi-site factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .statespace import (
     Cut,
     Ket,
     _check_amplitudes,
+    _check_product_amplitudes,
     _normalized,
     _overlaps,
 )
@@ -41,9 +43,11 @@ from .trajectories import (
     RegisterProgram,
     TangentVector,
     _check_tangents,
+    _factor_rows,
     _horizontal,
     _product_rows,
     _register_rows,
+    _register_site_rows,
     product_tangent,  # noqa: F401  (bench/tests/test_bench.py expects the tracer to reach it here)
 )
 from .entanglement import _entropy_bits, _split, _weights_bits
@@ -84,42 +88,60 @@ class GeodesicSample:
     """Profile row: speed plus per-cut entropies of tangent and base state.
 
     ``tangent`` is the raw tangent at ``t`` that the speed and entropies
-    were computed from, built on access; the tangent entropies use its
-    horizontal part.
+    were computed from, built on access from the profile's rows; the tangent
+    entropies use its horizontal part.
     """
 
     t: float
     fs_speed: float
     tangent_entropy: dict[Cut, float]
     base_entropy: dict[Cut, float]
-    _rows: tuple[np.ndarray, np.ndarray, tuple[int, ...]] = field(repr=False)
+    _profile: "TrajectoryProfile" = field(repr=False)
+    _row: int = field(repr=False)
 
     @property
     def tangent(self) -> TangentVector:
-        base, direction, dims = self._rows
-        return TangentVector(Ket(base, dims), direction)
+        prof, i = self._profile, self._row
+        return TangentVector(Ket(prof.states[i], prof.dims), prof.directions[i])
 
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryProfile:
     """A sweep over a grid, one entry per grid point in each array.
 
-    ``states`` and ``directions`` are the raw tangents, (G, D); the tangent
+    ``states`` and ``directions`` are the raw tangents, (G, D), assembled on
+    first access unless the profile needed them itself; the tangent
     entropies use their horizontal parts.  ``factors`` holds the (states,
     directions) rows of each factor (register site) they are the product of;
-    None for a program whose initial state is entangled.
+    None for a program whose initial state is entangled.  ``entropy_path``
+    names how each cut's entropies were computed: "speed_share" or "svd".
     """
 
     grid: np.ndarray
     fs_speed: np.ndarray
     tangent_entropy: dict[Cut, np.ndarray]
     base_entropy: dict[Cut, np.ndarray]
-    states: np.ndarray
-    directions: np.ndarray
     dims: tuple[int, ...]
     arc_length: float
     cuts: tuple[Cut, ...]
     factors: tuple[tuple[np.ndarray, np.ndarray], ...] | None
+    entropy_path: dict[Cut, str]
+    _assemble: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False)
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        rows = self._assemble()
+        for arr in rows:
+            arr.setflags(write=False)
+        return rows
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        return self._rows[0]
+
+    @cached_property
+    def directions(self) -> np.ndarray:
+        return self._rows[1]
 
     @cached_property
     def samples(self) -> tuple[GeodesicSample, ...]:
@@ -130,7 +152,8 @@ class TrajectoryProfile:
                 float(self.fs_speed[i]),
                 {c: float(self.tangent_entropy[c][i]) for c in self.cuts},
                 {c: float(self.base_entropy[c][i]) for c in self.cuts},
-                (self.states[i], self.directions[i], self.dims),
+                self,
+                i,
             )
             for i, t in enumerate(self.grid)
         )
@@ -139,29 +162,54 @@ class TrajectoryProfile:
 def _tangent_rows(traj, grid: np.ndarray, method: str, h: float) -> tuple[
     np.ndarray, np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...] | None
 ]:
-    """Raw tangents over the grid, checked, and the (states, directions) rows
-    of each factor (register site, for a program) whose product they are;
-    None for a program whose initial state is entangled.  A program's points
-    go by step."""
+    """Raw tangents over the grid, checked, and the factor rows
+    (``_factor_tangents``) of which they are the product."""
+    factors = _factor_tangents(traj, grid, method, h)
+    return (*_dense_rows(traj, grid, method, h, factors), factors)
+
+
+def _factor_tangents(
+    traj, grid: np.ndarray, method: str, h: float
+) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
+    """The (states, directions) rows of each factor over the grid (register
+    site, for a program), each checked as a tangent; None for a program
+    whose initial state is entangled."""
     if not isinstance(traj, RegisterProgram):
-        states, directions, factors = _product_rows(traj, grid, method, h)
-        _check_tangents(states, directions)
-        return states, directions, tuple(factors)
-    ks, local = traj.resolve_time(grid)
-    empty = lambda d: np.empty((grid.size, d), dtype=complex)
-    states, directions = empty(traj.initial.total_dim), empty(traj.initial.total_dim)
-    sites = None
-    if traj._site_starts is not None:
-        sites = tuple((empty(d), empty(d)) for d in traj.initial.dims)
+        return tuple(_factor_rows(traj, grid, method, h))
+    if traj._site_starts is None:
+        return None
+    site_rows = lambda k, ts: [arr for site in _register_site_rows(traj, k, ts, method, h) for arr in site]
+    rows = _stepwise(traj, grid, site_rows, [w for d in traj.initial.dims for w in (d, d)])
+    sites = tuple(zip(rows[::2], rows[1::2]))
+    for site in sites:
+        _check_tangents(*site)
+    return sites
+
+
+def _dense_rows(traj, grid: np.ndarray, method: str, h: float, factors) -> tuple[np.ndarray, np.ndarray]:
+    """Raw tangents over the grid, (G, D), checked: the product rule over a
+    product trajectory's factor rows, or over each program step's sites."""
+    if isinstance(traj, RegisterProgram):
+        dense_rows = lambda k, ts: _register_rows(traj, k, ts, method, h)
+        states, directions = _stepwise(traj, grid, dense_rows, [traj.initial.total_dim] * 2)
+    else:
+        states, directions = _product_rows(traj, factors)
+    _check_tangents(states, directions)
+    return states, directions
+
+
+def _stepwise(
+    prog: RegisterProgram, grid: np.ndarray, rows_of: Callable, widths: Sequence[int]
+) -> list[np.ndarray]:
+    """A program's rows over the grid, step by step: ``rows_of(k, local)``
+    gives step k's arrays at its local parameters, one per entry of ``widths``."""
+    ks, local = prog.resolve_time(grid)
+    out = [np.empty((grid.size, width), dtype=complex) for width in widths]
     for k in np.unique(ks):
         rows = ks == k
-        states[rows], directions[rows], step_sites = _register_rows(
-            traj, int(k), local[rows], method, h
-        )
-        for (site, velocity), (step_site, step_velocity) in zip(sites or (), step_sites or ()):
-            site[rows], velocity[rows] = step_site, step_velocity
-    _check_tangents(states, directions)
-    return states, directions, sites
+        for arr, part in zip(out, rows_of(int(k), local[rows])):
+            arr[rows] = part
+    return out
 
 
 def _squared_speeds(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -174,10 +222,13 @@ def _left_factors(cut: Cut, sizes: Sequence[int]) -> np.ndarray | None:
     left of the cut; None when the cut splits a factor."""
     left, start = [], 0
     for size in sizes:
-        sides = {pos in cut.left for pos in range(start, start + size)}
-        if len(sides) > 1:
+        span = range(start, start + size)
+        if cut.left.issuperset(span):
+            left.append(True)
+        elif cut.left.isdisjoint(span):
+            left.append(False)
+        else:
             return None
-        left.append(sides.pop())
         start += size
     return np.array(left)
 
@@ -209,8 +260,9 @@ def profile(
 
     Per grid point: projective speed, entanglement entropy of the horizontal
     normalized tangent across each cut, entropy of the base state itself,
-    and the raw tangent.  The arc length is the trapezoidal integral of the
-    speed over the grid.  The whole grid is computed at once.
+    and the raw tangent, assembled when first read.  The arc length is the
+    trapezoidal integral of the speed over the grid.  The whole grid is
+    computed at once.
     """
     grid = np.array(grid, dtype=float).reshape(-1)
     if grid.size < 2:
@@ -227,18 +279,26 @@ def profile(
     for cut in cuts:
         cut.validate_for(dims)
 
-    states, directions, factors = _tangent_rows(traj, grid, method, h)
+    factors = _factor_tangents(traj, grid, method, h)
     factor_speeds = None if factors is None else _squared_speeds(factors)
-    horizontal = _horizontal(states, directions)
-    norms = np.linalg.norm(horizontal, axis=-1)
-    speeds = 2 * norms
-    left = {cut: None if factor_speeds is None else _left_factors(cut, sizes) for cut in cuts}
+    left = {cut: None if factors is None else _left_factors(cut, sizes) for cut in cuts}
     dense = [cut for cut in cuts if left[cut] is None]
+    assemble = lambda: _dense_rows(traj, grid, method, h, factors)
     dense_tangent, dense_base = {}, {}
     if dense:
+        states, directions = assemble()
+        assemble = lambda: (states, directions)
+        horizontal = _horizontal(states, directions)
+        norms = np.linalg.norm(horizontal, axis=-1)
         dense_tangent = dict(zip(dense, _entropies_or_zero(horizontal, dims, dense, norms)))
         unit_states = states / np.linalg.norm(states, axis=-1)[:, None]
         dense_base = {cut: _entropy_bits(_split(unit_states, dims, cut)) for cut in dense}
+    else:
+        # the dense rows' base check, on their norm: the product of the factors' norms
+        _check_product_amplitudes([a for a, _ in factors], BASE_NORM_TOL, "base")
+        # the one-factor excitations are mutually orthogonal, so their squared speeds add
+        norms = np.sqrt(factor_speeds.sum(axis=-1))
+    speeds = 2 * norms
     # the zero-motion rule of _entropies_or_zero: below the zero floor nothing moves
     moving = ~np.less(norms, _ZERO_TOL)
     tangent = {
@@ -248,17 +308,17 @@ def profile(
     }
     base = {cut: dense_base[cut] if left[cut] is None else np.zeros(grid.size) for cut in cuts}
     factor_rows = [arr for factor in factors or () for arr in factor]
-    for arr in (grid, states, directions, speeds, *tangent.values(), *base.values(), *factor_rows):
+    for arr in (grid, speeds, *tangent.values(), *base.values(), *factor_rows):
         arr.setflags(write=False)
     return TrajectoryProfile(
         grid,
         speeds,
         tangent,
         base,
-        states,
-        directions,
         dims,
         float(np.trapezoid(speeds, grid)),
         cuts,
         factors,
+        {cut: "svd" if left[cut] is None else "speed_share" for cut in cuts},
+        assemble,
     )

@@ -57,6 +57,9 @@ def _raise_first(
         raise exc
 
 
+_NOT_FINITE = "amplitudes must all be finite"
+
+
 def _check_finite(values: np.ndarray, axes: tuple[int, ...], text: str, where: _Where = "") -> None:
     """Reject the first row whose entries over ``axes`` are not all finite."""
     finite = np.isfinite(values)
@@ -70,13 +73,25 @@ def _check_amplitudes(
     """Each row (last axis) finite and, when ``tol`` is given, of unit norm to
     ``tol``; returns the norms then.  ``where`` names the field in a rejection."""
     if tol is None:
-        _check_finite(amps, (-1,), "amplitudes must all be finite", where)
+        _check_finite(amps, (-1,), _NOT_FINITE, where)
         return None
-    norms = np.linalg.norm(amps, axis=-1)
+    return _check_product_amplitudes([amps], tol, where)
+
+
+def _check_product_amplitudes(
+    factors: Sequence[np.ndarray], tol: float, where: _Where = ""
+) -> np.ndarray:
+    """``_check_amplitudes`` of the row-wise tensor product of the factor
+    stacks, from the factors alone: its norm is the product of theirs, and it
+    has a non-finite entry where one of them does.  Returns the norms."""
+    norms = np.linalg.norm(factors[0], axis=-1)
+    for factor in factors[1:]:
+        norms = norms * np.linalg.norm(factor, axis=-1)
     defect = abs(norms - 1.0)
     # a non-finite entry makes its norm non-finite, so clean rows pass this one test
     if not (defect < tol).all():
-        _check_finite(amps, (-1,), "amplitudes must all be finite", where)
+        finite = np.logical_and.reduce([np.isfinite(factor).all(axis=-1) for factor in factors])
+        _raise_first(~finite, lambda i: _NOT_FINITE, ValueError, where)
         message = lambda i: f"expected a unit vector, got norm {float(norms.flat[i])!r}"
         _raise_first(defect >= tol, message, where=where)
     return norms

@@ -159,6 +159,11 @@ class FactorCurve(ABC):
         """Closed-form derivative of the amplitudes at t."""
         return self.velocities(np.array([float(t)]))[0]
 
+    def _states_and_velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``states(ts)`` and ``velocities(ts)``; a curve whose velocities
+        re-evaluate its states overrides this to evaluate them once."""
+        return self.states(ts), self.velocities(ts)
+
 
 class BlochCurve(FactorCurve):
     """Qubit curve cos(theta/2)|0> + e^(i*phi) sin(theta/2)|1>.
@@ -310,10 +315,15 @@ class _PhaseModulated(FactorCurve):
         return amps
 
     def velocities(self, ts: np.ndarray) -> np.ndarray:
+        return self._states_and_velocities(ts)[1]
+
+    def _states_and_velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phase = np.exp(1j * self._phi(ts))[:, None]
-        inner_states = self.inner.states(ts)
+        inner_states, inner_velocities = self.inner._states_and_velocities(ts)
+        amps = phase * inner_states
+        _check_amplitudes(amps)
         dphi = self._dphi(ts)[:, None]
-        return phase * (1j * dphi * inner_states + self.inner.velocities(ts))
+        return amps, phase * (1j * dphi * inner_states + inner_velocities)
 
 
 def with_global_phase(curve: FactorCurve, phi) -> FactorCurve:
@@ -495,12 +505,15 @@ def _factor_rows(
     method = resolve_method(traj.factors, method)
     rows = []
     for curve, frozen in zip(traj.factors, traj.frozen):
-        base = curve.states(ts)
         if frozen:
-            deriv = np.zeros_like(base)
+            base = curve.states(ts)
+            rows.append((base, np.zeros_like(base)))
+            continue
+        if method == "analytic":
+            base, deriv = curve._states_and_velocities(ts)
         else:
-            deriv = _directions(curve, ts, method, h)
-            _check_tangents(base, deriv)
+            base, deriv = curve.states(ts), _directions(curve, ts, method, h)
+        _check_tangents(base, deriv)
         rows.append((base, deriv))
     return rows
 
@@ -509,18 +522,18 @@ def product_tangent(
     traj: ProductTrajectory, t: float, method: str = "auto", h: float = DEFAULT_STEP
 ) -> TangentVector:
     """Tangent of the product state: one term per unfrozen factor."""
-    state, direction, _ = _product_rows(traj, np.array([float(t)]), method, h)
+    state, direction = _product_rows(traj, _factor_rows(traj, np.array([float(t)]), method, h))
     return TangentVector(Ket(state[0], traj.dims), direction[0])
 
 
 def _product_rows(
-    traj: ProductTrajectory, ts: np.ndarray, method: str, h: float
-) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    traj: ProductTrajectory, factors: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
     """Product states and their tangents over the grid, each (G, D), unchecked,
-    and the factor rows (``_factor_rows``) they are assembled from."""
-    factors = _factor_rows(traj, ts, method, h)
+    assembled from the trajectory's factor rows (``_factor_rows``); a frozen
+    factor adds no term."""
     rows = [(base, None if still else deriv) for (base, deriv), still in zip(factors, traj.frozen)]
-    return (*_product_rule(*rows[0], rows[1:], _kron_rows), factors)
+    return _product_rule(*rows[0], rows[1:], _kron_rows)
 
 
 def _kron_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -734,21 +747,18 @@ def register_tangent(
     prog: RegisterProgram, k: int, t: float, method: str = "analytic", h: float = DEFAULT_STEP
 ) -> TangentVector:
     """Tangent of step k at local parameter t: one term per moving site."""
-    state, direction, _ = _register_rows(prog, k, np.array([float(t)]), method, h)
+    state, direction = _register_rows(prog, k, np.array([float(t)]), method, h)
     return TangentVector(Ket(state[0], prog.initial.dims), direction[0])
 
 
-def _register_rows(
+def _step_sites(
     prog: RegisterProgram, k: int, ts: np.ndarray, method: str, h: float
-) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]] | None]:
-    """Register states and tangents of step k at each local parameter, (G, D),
-    unchecked, and each site's (states, directions) rows when the initial
-    state is a product of site factors (else None): the step's curve and its
-    derivative applied to the site's factor at the start of the step."""
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Each site's unitary of step k at each local parameter and its
+    derivative, (G, d, d); None for a constant site."""
     if not 1 <= k <= prog.n_steps:
         raise ValueError(f"step index {k} outside 1..{prog.n_steps}")
     method = resolve_method((), method)
-    dims = prog.initial.dims
     sites = []
     for curve in prog.steps[k - 1]:
         value = curve.value(ts)
@@ -758,15 +768,34 @@ def _register_rows(
             sites.append((value, -1j * (curve.generator @ value)))
         else:
             sites.append((value, _stencil(curve.value, ts, method, h)))
+    return sites
+
+
+def _register_rows(
+    prog: RegisterProgram, k: int, ts: np.ndarray, method: str, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Register states and tangents of step k at each local parameter, (G, D),
+    unchecked: the product rule over the step's sites, applied to the
+    register at the start of the step."""
+    sites = _step_sites(prog, k, ts, method, h)
+    dims = prog.initial.dims
     chi = np.broadcast_to(prog._step_starts[k - 1].reshape(dims), (len(ts),) + dims)
     state, direction = _product_rule(chi, None, sites, _apply_axis)
-    parts = None
-    if prog._site_starts is not None:
-        parts = []
-        for (value, deriv), start in zip(sites, prog._site_starts[k - 1]):
-            site = _matvec(value, start)
-            parts.append((site, np.zeros_like(site) if deriv is None else _matvec(deriv, start)))
-    return state.reshape(len(ts), -1), direction.reshape(len(ts), -1), parts
+    return state.reshape(len(ts), -1), direction.reshape(len(ts), -1)
+
+
+def _register_site_rows(
+    prog: RegisterProgram, k: int, ts: np.ndarray, method: str, h: float
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each site's (states, directions) rows of step k, unchecked, for a
+    program whose initial state is a product of site factors: the step's
+    curve and its derivative applied to the site's factor at the start of
+    the step."""
+    parts = []
+    for (value, deriv), start in zip(_step_sites(prog, k, ts, method, h), prog._site_starts[k - 1]):
+        site = _matvec(value, start)
+        parts.append((site, np.zeros_like(site) if deriv is None else _matvec(deriv, start)))
+    return parts
 
 
 # ---------------------------------------------------------------------------

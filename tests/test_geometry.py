@@ -27,7 +27,7 @@ from qtangle import (
 from qtangle.trajectories import (
     DEFAULT_STEP,
     _factor_rows,
-    _register_rows,
+    _register_site_rows,
     random_product_trajectory,
 )
 
@@ -238,7 +238,7 @@ class TestProfileFactors:
         ks, local = prog.resolve_time(grid)
         for k in np.unique(ks):
             rows = ks == k
-            sites = _register_rows(prog, int(k), local[rows], method, DEFAULT_STEP)[2]
+            sites = _register_site_rows(prog, int(k), local[rows], method, DEFAULT_STEP)
             for got, want in zip(prof.factors, sites, strict=True):
                 assert same_bits(got[0][rows], want[0]) and same_bits(got[1][rows], want[1])
         assert np.max(abs(kron_rows(prof.factors) - prof.states)) < 1e-14

@@ -6,27 +6,31 @@ the base entropy is 0.  Every case here compares ``profile`` with the SVD
 entropy (``_entropy_bits``) of the profile's own dense rows.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import qtangle.trajectories as trajectories
 from qtangle import (
     BlochCurve,
     Cut,
+    FactorCurve,
     Ket,
     LocalHamiltonianCurve,
     PhaseCurve,
     ProductTrajectory,
     RegisterProgram,
     UnitaryCurve,
+    ValidationError,
     profile,
     run,
 )
 from qtangle.cli import demo_trajectory, parse_config
 from qtangle.entanglement import _entropy_bits, _split
-from qtangle.geometry import _entropies_or_zero
-from qtangle.trajectories import _horizontal, random_product_trajectory
+from qtangle.geometry import _entropies_or_zero, _tangent_rows
+from qtangle.trajectories import DEFAULT_STEP, _horizontal, random_product_trajectory
 
 ORACLE_TOL = 1e-12
 
@@ -80,6 +84,10 @@ def product_ket(rng, dims):
     for d in dims:
         amps = np.kron(amps, random_ket(rng, (d,)).amplitudes)
     return Ket(amps, dims, unit=True)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def all_cuts(n):
@@ -228,3 +236,147 @@ class TestRegisterPrograms:
         for cut in cuts:
             assert np.all((prof.tangent_entropy[cut] >= 0.0) & (prof.tangent_entropy[cut] <= 1.0))
             assert np.all(prof.base_entropy[cut] == 0.0)
+
+
+DENSE_KERNELS = ("_kron_rows", "_apply_axis", "_product_rule")
+
+
+def forbid_dense_rows(monkeypatch):
+    """Make every dense 2^n kernel and the SVD raise."""
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a factor-aligned profile builds no dense row")
+
+    for name in DENSE_KERNELS:
+        monkeypatch.setattr(trajectories, name, dense)
+    monkeypatch.setattr(np.linalg, "svd", dense)
+
+
+def wide_product(rng, n):
+    return ProductTrajectory(
+        tuple(BlochCurve(rng.normal(size=3), rng.normal(size=2)) for _ in range(n))
+    )
+
+
+def wide_register(rng, n):
+    steps = [[UnitaryCurve.rotation(random_generator(rng, 2)) for _ in range(n)] for _ in range(2)]
+    return RegisterProgram.uniform_superposition(steps, n)
+
+
+def contiguous_cuts(n):
+    return [Cut.splitting(range(k), n) for k in range(1, n)]
+
+
+class OffNormCurve(FactorCurve):
+    """A qubit curve whose states are 1 + 1e-9 long."""
+
+    dims = (2,)
+
+    def states(self, ts):
+        return np.tile([1.0 + 1e-9, 0.0j], (len(ts), 1))
+
+    def velocities(self, ts):
+        return np.zeros((len(ts), 2), dtype=complex)
+
+
+class NonFiniteVelocityCurve(FactorCurve):
+    dims = (2,)
+
+    def states(self, ts):
+        return np.tile([1.0, 0.0j], (len(ts), 1))
+
+    def velocities(self, ts):
+        out = np.zeros((len(ts), 2), dtype=complex)
+        out[1:, 1] = np.inf
+        return out
+
+
+class TestNoDenseRows:
+    """A profile whose every cut is factor-aligned takes its speeds and
+    entropies from the factor rows and builds its dense rows only when read."""
+
+    WIDE = {
+        "product_12": lambda rng: (wide_product(rng, 12), np.linspace(0.0, 1.0, 9), contiguous_cuts(12)),
+        **{
+            f"register_{n}": lambda rng, n=n: (wide_register(rng, n), np.linspace(0.0, 2.0, 9), contiguous_cuts(n))
+            for n in (8, 10, 16)
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(WIDE))
+    def test_wide_profiles_read_only_the_factor_rows(self, name, monkeypatch):
+        traj, grid, cuts = self.WIDE[name](np.random.default_rng(46))
+        forbid_dense_rows(monkeypatch)
+        prof = profile(traj, grid, cuts)
+        assert set(prof.entropy_path.values()) == {"speed_share"}
+        assert np.all(prof.fs_speed > 0) and prof.arc_length > 0
+        for sample in prof.samples:
+            assert all(0.0 <= sample.tangent_entropy[cut] <= 1.0 for cut in cuts)
+            assert all(sample.base_entropy[cut] == 0.0 for cut in cuts)
+        monkeypatch.undo()
+        states, directions, _ = _tangent_rows(traj, prof.grid, "auto", DEFAULT_STEP)
+        assert same_bits(prof.states, states) and same_bits(prof.directions, directions)
+        for i in (0, len(grid) // 2, len(grid) - 1):
+            tangent = prof.samples[i].tangent
+            assert same_bits(tangent.base.amplitudes, states[i])
+            assert same_bits(tangent.direction, directions[i])
+        assert not (prof.states.flags.writeable or prof.directions.flags.writeable)
+        speeds = 2 * np.linalg.norm(_horizontal(states, directions), axis=-1)
+        assert np.max(abs(prof.fs_speed - speeds) / speeds) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"scenario": "register_trace"},
+            {
+                "scenario": "product_trace",
+                "subsystems": [
+                    {"dim": 2, "curve": {"kind": "bloch", "theta": [0.2, 1.1, -0.3], "phi": [0.1, 0.5]}},
+                    {"dim": 3, "curve": {"kind": "phase", "base": [1, 1, [0, 1]], "phi": [0.0, 0.7]}},
+                    {"dim": 2, "curve": {"kind": "bloch", "theta": [0.9, -0.6]}},
+                ],
+                "cuts": [[[1], [2, 3]], [[1, 3], [2]]],
+            },
+        ],
+        ids=["register_trace", "product_trace_3"],
+    )
+    def test_scenarios_without_cells_build_no_dense_row(self, doc, monkeypatch):
+        cfg = parse_config(json.dumps(doc))
+        want = run(cfg)
+        forbid_dense_rows(monkeypatch)
+        got = run(cfg)
+        assert got.rows == want.rows
+        paths = got.metadata["resolved"]["entropy_path"]
+        assert list(paths) == got.metadata["resolved"]["cuts"]
+        assert set(paths.values()) == {"speed_share"}
+
+    def test_entangled_register_and_split_factor_build_their_rows_eagerly(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        prog = random_program(rng, (2, 2), random_ket(rng, (2, 2)))
+        split = ProductTrajectory(
+            (PhaseCurve([0.0, 1.3], random_ket(rng, (2, 2))), BlochCurve([0.3, 1.0]))
+        )
+        cases = [(prog, Cut.splitting((0,), 2)), (split, Cut.splitting((0,), 3))]
+        for traj, cut in cases:
+            assert profile(traj, [0.0, 0.5], [cut]).entropy_path == {cut: "svd"}
+        forbid_dense_rows(monkeypatch)
+        for traj, cut in cases:
+            with pytest.raises(AssertionError, match="no dense row"):
+                profile(traj, [0.0, 0.5], [cut])
+
+    @pytest.mark.parametrize(
+        "factors, frozen, error, message",
+        [
+            ((NonFiniteVelocityCurve(), BlochCurve([0.3, 1.0])), (), ValueError, "direction entries must all be finite"),
+            ((OffNormCurve(), BlochCurve([0.3, 1.0])), (True, False), ValidationError, "base: expected a unit vector"),
+        ],
+        ids=["non_finite_velocity", "off_norm_frozen_factor"],
+    )
+    def test_factor_checks_keep_their_messages(self, factors, frozen, error, message, monkeypatch):
+        traj = ProductTrajectory(factors, frozen)
+        forbid_dense_rows(monkeypatch)
+        with pytest.raises(error, match=message):
+            profile(traj, [0.0, 0.5, 1.0], [Cut.splitting((0,), 2)], method="analytic")
+        monkeypatch.undo()
+        with pytest.raises(error, match=message):
+            _tangent_rows(traj, np.array([0.0, 0.5, 1.0]), "analytic", DEFAULT_STEP)

@@ -739,6 +739,25 @@ class TestStackedCurves:
         want = phase * (1j * dphi * orbit + curve.velocities(ts))
         assert np.array_equal(modulated.velocities(ts), want)
 
+    def test_phase_modulated_factor_evaluates_its_inner_curve_once(self, monkeypatch):
+        """One analytic differentiation of a phase-modulated factor evaluates
+        its inner curve once per row kind, and gives the rows of ``states``
+        and ``velocities`` to the bit."""
+        rng = np.random.default_rng(66)
+        inner = LocalHamiltonianCurve(hermitian_stack(rng, 1, 3)[0], Ket(unit_rows(rng, 1, 3)[0], (3,)))
+        modulated = with_global_phase(inner, [0.3, -0.8, 0.25])
+        traj = ProductTrajectory((modulated, BlochCurve([0.2, 1.1])))
+        ts = np.linspace(-1.0, 2.0, 11)
+        want = modulated.states(ts), modulated.velocities(ts)
+        calls = []
+        for name in ("states", "velocities"):
+            original = getattr(inner, name)
+            counting = lambda ts, name=name, original=original: calls.append(name) or original(ts)
+            monkeypatch.setattr(inner, name, counting)
+        (base, deriv), _ = trajectories._factor_rows(traj, ts, "analytic", 1e-4)
+        assert calls == ["states", "velocities"]
+        assert np.array_equal(base, want[0]) and np.array_equal(deriv, want[1])
+
     def test_stacked_generators_propagate_and_compose_per_trial(self):
         gens = hermitian_stack(np.random.default_rng(63), 5, 3)
         stacked = propagator(gens, 0.7), infinitesimal_composition(gens, 0.7, 16)
