@@ -16,16 +16,17 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .config import SCENARIOS, RunConfig, parse_config
-from .channels import _bipartite_rows, _channel_rows, _factor_overlaps, _reality_gaps
+from .channels import _channel_rows, _factor_overlaps, _reality_gaps
 from .entanglement import MeasurementSetting, _bell_rows, _chsh_rows, _correlation_expansions
 from .errors import ConfigError, DegenerateInputError, ToleranceBreachError, ValidationError
-from .geometry import _entropies_or_zero, _fs_distances, _fs_speeds, _tangent_rows, profile
+from .geometry import _entropies_or_zero, _fs_distances, _fs_speeds, profile
 from .mixed_witness import (
     VERDICT_INCONCLUSIVE,
     _ensemble_witness_rows,
@@ -45,6 +46,7 @@ from .trajectories import (
     UnitaryCurve,
     _admissible_rows,
     _check_tangents,
+    _curve_rows,
     _directions,
     _factor_differentials,
     _horizontal,
@@ -53,7 +55,6 @@ from .trajectories import (
     _projector_differentials,
     _random_curves,
     _random_hermitians,
-    _random_trajectories,
     _random_unit_rows,
     infinitesimal_composition,
     product_tangent,  # noqa: F401  (bench/tests/test_bench.py expects the tracer to reach it here)
@@ -328,9 +329,12 @@ def emit(report: TraceReport, out_format: str = "csv", path: str | None = None) 
 # ---------------------------------------------------------------------------
 # verification sweeps
 #
-# Each check draws its trials as stacks.  Trials are grouped by their factor
-# dims, and each group passes once through the kernels the scenarios use,
-# with its trials on the leading axis.
+# Each check draws its trials as stacks.  A check that combines factors draws
+# one stack of random curves per factor dim, covering every factor slot of
+# that dim over all trials, and evaluates it once, each row at its own
+# trial's t.  Trials are then grouped by their factor dims, and each group
+# assembles its products from those rows and passes once through the kernels
+# the scenarios use, with its trials on the leading axis.
 
 
 @dataclass(frozen=True)
@@ -345,17 +349,17 @@ class CheckResult:
 
 
 def _per_trial(
-    dims: np.ndarray, measure: Callable[[tuple[int, ...], int], np.ndarray]
+    dims: np.ndarray, measure: Callable[[tuple[int, ...], np.ndarray], np.ndarray]
 ) -> np.ndarray:
-    """``measure(group dims, trial count)`` for each group of trials with equal
-    factor dims, in trial order.  ``dims`` holds one row per trial; a zero
-    entry pads a trial with fewer factors."""
+    """``measure(group dims, member trials)`` for each group of trials with
+    equal factor dims, in trial order.  ``dims`` holds one row per trial; a
+    zero entry pads a trial with fewer factors."""
     groups, inverse = np.unique(dims, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
     out = None
     for g, row in enumerate(groups):
         members = np.flatnonzero(inverse == g)
-        values = measure(tuple(int(d) for d in row if d), members.size)
+        values = measure(tuple(int(d) for d in row if d), members)
         if out is None:
             out = np.empty((len(dims),) + values.shape[1:], dtype=values.dtype)
         out[members] = values
@@ -369,25 +373,76 @@ def _random_dims(rng: np.random.Generator, trials: int) -> np.ndarray:
     return dims
 
 
+def _slot_rows(dims: np.ndarray, rows_of: Callable[..., tuple]) -> list[np.ndarray]:
+    """Rows of every factor slot of every trial, zero-padded to (trials,
+    slots, largest dim), one array per array ``rows_of`` returns.
+
+    ``dims`` holds one row of slot dims per trial, zero for an empty slot.
+    ``rows_of(d, trial, slot)`` is called once per dim d and gives one row
+    per slot of that dim, for the (trial, slot) pairs in row-major order.
+    """
+    out = []
+    for d in np.unique(dims[dims > 0]):
+        trial, slot = np.nonzero(dims == d)
+        arrays = rows_of(int(d), trial, slot)
+        if not out:
+            out = [np.zeros(dims.shape + (dims.max(),), dtype=complex) for _ in arrays]
+        for arr, rows in zip(out, arrays):
+            arr[trial, slot, :d] = rows
+    return out
+
+
+def _group_rows(
+    rows: Sequence[np.ndarray], group: tuple[int, ...], members: np.ndarray
+) -> list[tuple[np.ndarray, ...]]:
+    """The member trials' rows of each slot of one dims group, cut to the
+    slot's dim: one tuple per slot, with one entry per array of ``rows``."""
+    return [tuple(arr[members, k, :d] for arr in rows) for k, d in enumerate(group)]
+
+
+def _curve_slot_rows(
+    rng: np.random.Generator, dims: np.ndarray, ts: np.ndarray
+) -> list[np.ndarray]:
+    """(states, directions) of one random curve per factor slot, each
+    evaluated at its trial's t: one stack of curves per dim."""
+
+    def rows_of(d: int, trial: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        curve = _random_curves(rng, d, trial.size)
+        return _curve_rows(curve, ts[trial], "analytic", DEFAULT_STEP)
+
+    return _slot_rows(dims, rows_of)
+
+
+def _product_tangents(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Product states and tangents of factor rows, checked as tangents."""
+    states, directions = _product_rule(*parts[0], parts[1:], _kron_rows)
+    _check_tangents(states, directions)
+    return states, directions
+
+
 def _check_channel_identity(rng: np.random.Generator, trials: int) -> CheckResult:
-    def measure(dims: tuple[int, ...], m: int) -> np.ndarray:
-        traj = _random_trajectories(rng, dims, m)
-        parts = _bipartite_rows(traj, rng.uniform(0.0, 1.0, m), "auto", DEFAULT_STEP)[0]
-        full = _product_rule(*parts[0], parts[1:], _kron_rows)[1]
+    dims = rng.integers(2, 5, size=(trials, 2))
+    rows = _curve_slot_rows(rng, dims, rng.uniform(0.0, 1.0, trials))
+
+    def measure(group: tuple[int, ...], members: np.ndarray) -> np.ndarray:
+        parts = _group_rows(rows, group, members)
+        _factor_overlaps(parts, "analytic")  # norm preservation, as the scenarios check it
+        full = _product_tangents(parts)[1]
         return np.maximum(*(side[-1] for side in _channel_rows(parts, full, (1, 2))))
 
-    worst = float(_per_trial(rng.integers(2, 5, size=(trials, 2)), measure).max())
+    worst = float(_per_trial(dims, measure).max())
     failure = f"channel decomposition gap {worst:.3e} >= 1e-10" if worst >= 1e-10 else None
     return CheckResult(worst, 1e-10, f"max gap {worst:.2e} over {trials} trials", failure)
 
 
 def _check_bilocal_reality(rng: np.random.Generator, trials: int) -> CheckResult:
-    def measure(dims: tuple[int, ...], m: int) -> np.ndarray:
-        traj = _random_trajectories(rng, dims, m)
-        overlaps = _bipartite_rows(traj, rng.uniform(0.0, 1.0, m), "auto", DEFAULT_STEP)[1]
-        return _reality_gaps(*overlaps)
+    dims = rng.integers(2, 5, size=(trials, 2))
+    rows = _curve_slot_rows(rng, dims, rng.uniform(0.0, 1.0, trials))
 
-    worst = float(_per_trial(rng.integers(2, 5, size=(trials, 2)), measure).max())
+    def measure(group: tuple[int, ...], members: np.ndarray) -> np.ndarray:
+        return _reality_gaps(*_factor_overlaps(_group_rows(rows, group, members), "analytic"))
+
+    worst = float(_per_trial(dims, measure).max())
     failure = f"bilocal overlap product imaginary part {worst:.3e} >= 1e-10"
     detail = f"max imaginary part {worst:.2e} over {trials} trials"
     return CheckResult(worst, 1e-10, detail, failure if worst >= 1e-10 else None)
@@ -396,16 +451,19 @@ def _check_bilocal_reality(rng: np.random.Generator, trials: int) -> CheckResult
 def _check_genericity(rng: np.random.Generator, trials: int) -> CheckResult:
     """The margin is the negated lowest entropy, so that it too holds below its bound."""
 
-    def measure(dims: tuple[int, ...], m: int) -> np.ndarray:
-        sites = []
-        for d in dims:
-            psi = _random_unit_rows(rng, m, d)
-            sites.append((psi, _admissible_rows(rng, psi)))
-        state, direction = _product_rule(*sites[0], sites[1:], _kron_rows)
-        cut = Cut.splitting((0,), len(dims))
-        return _entropies_or_zero(_horizontal(state, direction), dims, (cut,))[0]
+    def rows_of(d: int, trial: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        psi = _random_unit_rows(rng, trial.size, d)
+        return psi, _admissible_rows(rng, psi)
 
-    entropy = _per_trial(_random_dims(rng, trials), measure)
+    dims = _random_dims(rng, trials)
+    rows = _slot_rows(dims, rows_of)
+
+    def measure(group: tuple[int, ...], members: np.ndarray) -> np.ndarray:
+        tangents = _product_tangents(_group_rows(rows, group, members))
+        cut = Cut.splitting((0,), len(group))
+        return _entropies_or_zero(_horizontal(*tangents), group, (cut,))[0]
+
+    entropy = _per_trial(dims, measure)
     lowest, hits = float(entropy.min()), int(np.count_nonzero(entropy < 1e-8))
     failure = f"{hits}/{trials} random tangents fell below entropy 1e-8 (min {lowest:.3g})"
     detail = f"min entropy {lowest:.3g} over {trials} trials"
@@ -413,27 +471,34 @@ def _check_genericity(rng: np.random.Generator, trials: int) -> CheckResult:
 
 
 def _check_gauge_invariance(rng: np.random.Generator, trials: int) -> CheckResult:
-    def measure(dims: tuple[int, ...], m: int) -> np.ndarray:
-        traj = _random_trajectories(rng, dims, m)
-        ts = rng.uniform(0.0, 1.0, m)
-        picked = rng.integers(len(dims), size=m)[:, None]
-        phi = rng.normal(size=(m, 2))
-        # a factor's rows where it was not picked carry phase e^(i*0): unchanged to the bit
-        modulated = ProductTrajectory(
-            tuple(
-                with_global_phase(curve, np.where(picked == k, phi, 0.0))
-                for k, curve in enumerate(traj.factors)
-            )
+    dims = _random_dims(rng, trials)
+    ts = rng.uniform(0.0, 1.0, trials)
+    picked = rng.integers(np.count_nonzero(dims, axis=1))
+    phi = rng.normal(size=(trials, 2))
+
+    def rows_of(d: int, trial: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, ...]:
+        curve = _random_curves(rng, d, trial.size)
+        # a slot not picked carries phase e^(i*0): unchanged to the bit
+        phase = np.where((picked[trial] == slot)[:, None], phi[trial], 0.0)
+        modulated = with_global_phase(curve, phase)
+        return (
+            *_curve_rows(modulated, ts[trial], "analytic", DEFAULT_STEP),
+            *_curve_rows(curve, ts[trial], "analytic", DEFAULT_STEP),
         )
-        rows = [
-            _horizontal(*_tangent_rows(tr, ts, "auto", DEFAULT_STEP)[:2])
-            for tr in (modulated, traj)
+
+    rows = _slot_rows(dims, rows_of)
+
+    def measure(group: tuple[int, ...], members: np.ndarray) -> np.ndarray:
+        horizontal = [
+            _horizontal(*_product_tangents(_group_rows(pair, group, members)))
+            for pair in (rows[:2], rows[2:])
         ]
-        cut = Cut.splitting((0,), len(dims))
-        after, before = np.split(_entropies_or_zero(np.concatenate(rows), dims, (cut,))[0], 2)
+        cut = Cut.splitting((0,), len(group))
+        entropy = _entropies_or_zero(np.concatenate(horizontal), group, (cut,))[0]
+        after, before = np.split(entropy, 2)
         return abs(after - before)
 
-    worst = float(_per_trial(_random_dims(rng, trials), measure).max())
+    worst = float(_per_trial(dims, measure).max())
     failure = f"entropy moved by {worst:.3e} under phase modulation"
     detail = f"max entropy shift {worst:.2e} over {trials} trials"
     return CheckResult(worst, 1e-10, detail, failure if worst >= 1e-10 else None)
@@ -450,20 +515,31 @@ def _median_ratio(ratios: np.ndarray, name: str) -> CheckResult:
 def _check_fs_consistency(rng: np.random.Generator, trials: int, h: float = 1e-3) -> CheckResult:
     """err(h)/err(h/2) for |fs_distance/h - fs_speed| on constant-speed
     trajectories of speed above 0.2, drawn in batches until ``trials`` pass."""
+    steps = (h, h / 2)
 
-    def measure(dims: tuple[int, ...], m: int) -> np.ndarray:
-        traj = _random_trajectories(rng, dims, m, constant_speed=True)
-        ts = rng.uniform(0.0, 1.0, m)
-        states, directions, _ = _tangent_rows(traj, ts, "auto", DEFAULT_STEP)
-        speed = _fs_speeds(states, directions)
-        errors = []
-        for step in (h, h / 2):
-            errors.append(abs(_fs_distances(states, traj.states(ts + step)) / step - speed))
-        return np.column_stack([speed, *errors])
+    def batch(dims: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        def rows_of(d: int, trial: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, ...]:
+            curve = _random_curves(rng, d, trial.size, constant_speed=True)
+            now = _curve_rows(curve, ts[trial], "analytic", DEFAULT_STEP)
+            return (*now, *(curve.states(ts[trial] + step) for step in steps))
+
+        rows = _slot_rows(dims, rows_of)
+
+        def measure(group: tuple[int, ...], members: np.ndarray) -> np.ndarray:
+            base, tangent = _product_tangents(_group_rows(rows[:2], group, members))
+            speed = _fs_speeds(base, tangent)
+            errors = []
+            for step, later in zip(steps, zip(*_group_rows(rows[2:], group, members))):
+                later_states = reduce(_kron_rows, later)
+                errors.append(abs(_fs_distances(base, later_states) / step - speed))
+            return np.column_stack([speed, *errors])
+
+        return _per_trial(dims, measure)
 
     ratios = np.empty(0)
     while ratios.size < trials:
-        rows = _per_trial(_random_dims(rng, 2 * (trials - ratios.size)), measure)
+        m = 2 * (trials - ratios.size)
+        rows = batch(_random_dims(rng, m), rng.uniform(0.0, 1.0, m))
         kept = rows[rows[:, 0] > 0.2]
         ratios = np.concatenate([ratios, kept[:, 1] / kept[:, 2]])
     return _median_ratio(ratios[:trials], "halving")
@@ -472,9 +548,9 @@ def _check_fs_consistency(rng: np.random.Generator, trials: int, h: float = 1e-3
 def _check_fd_order(rng: np.random.Generator, trials: int, h: float = 1e-3) -> CheckResult:
     """err(h)/err(h/2) of the central difference against the analytic tangent."""
 
-    def measure(dims: tuple[int, ...], m: int) -> np.ndarray:
-        curve = _random_curves(rng, dims[0], m)
-        ts = rng.uniform(0.0, 1.0, m)
+    def measure(dims: tuple[int, ...], members: np.ndarray) -> np.ndarray:
+        curve = _random_curves(rng, dims[0], members.size)
+        ts = rng.uniform(0.0, 1.0, members.size)
         base = curve.states(ts)
         exact = _directions(curve, ts, "analytic", h)
         _check_tangents(base, exact)
@@ -490,8 +566,8 @@ def _check_fd_order(rng: np.random.Generator, trials: int, h: float = 1e-3) -> C
 
 
 def _check_composition(rng: np.random.Generator, trials: int) -> CheckResult:
-    def measure(dims: tuple[int, ...], m: int) -> np.ndarray:
-        gens = _random_hermitians(rng, (m,), dims[0])
+    def measure(dims: tuple[int, ...], members: np.ndarray) -> np.ndarray:
+        gens = _random_hermitians(rng, (members.size,), dims[0])
         exact = propagator(gens, 1.0)
         dists = [
             np.linalg.norm(infinitesimal_composition(gens, 1.0, n) - exact, ord=2, axis=(-2, -1))
@@ -509,20 +585,25 @@ def _check_composition(rng: np.random.Generator, trials: int) -> CheckResult:
 
 
 def _check_witness_false_positives(rng: np.random.Generator, trials: int) -> CheckResult:
-    def measure(dims: tuple[int, ...], m: int) -> np.ndarray:
-        weight = rng.uniform(0.2, 0.8, m)[:, None, None]
-        comps = (_random_trajectories(rng, dims, m), _random_trajectories(rng, dims, m))
-        ts = rng.uniform(0.0, 1.0, m)
+    pair = rng.integers(2, 4, size=(trials, 2))
+    weight = rng.uniform(0.2, 0.8, trials)
+    # slots 0 and 1 are the first component's factors, 2 and 3 the second's
+    dims = np.hstack([pair, pair])
+    rows = _curve_slot_rows(rng, dims, rng.uniform(0.0, 1.0, trials))
+
+    def measure(group: tuple[int, ...], members: np.ndarray) -> np.ndarray:
+        parts = _group_rows(rows, group, members)
+        w = weight[members, None, None]
         components = [
-            (w, *_factor_differentials(comp, ts, "auto", DEFAULT_STEP))
-            for w, comp in zip((weight, 1.0 - weight), comps)
+            (w, *_factor_differentials(parts[:2])),
+            (1.0 - w, *_factor_differentials(parts[2:])),
         ]
         drho = _product_form(components)
         _check_hermitian(drho)
-        tr1, tr2, verdict = _trace_witness(drho, dims, 1e-6, "analytic")
+        tr1, tr2, verdict = _trace_witness(drho, group[:2], 1e-6, "analytic")
         return np.column_stack([np.maximum(tr1, tr2), verdict != VERDICT_INCONCLUSIVE])
 
-    rows = _per_trial(rng.integers(2, 4, size=(trials, 2)), measure)
+    rows = _per_trial(dims, measure)
     worst = float(rows[:, 0].max())
     failure = None
     if rows[:, 1].any():

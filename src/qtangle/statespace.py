@@ -294,6 +294,11 @@ class Cut:
             raise ValueError("factor positions must be non-negative")
         object.__setattr__(self, "left", lset)
         object.__setattr__(self, "right", rset)
+        # profiles key every per-cut dict by a cut: hash it once, not per lookup
+        object.__setattr__(self, "_hash", hash((lset, rset)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def splitting(cls, left: Iterable[int], n_factors: int) -> "Cut":

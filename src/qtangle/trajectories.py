@@ -223,7 +223,11 @@ class PhaseCurve(FactorCurve):
         return amps
 
     def velocities(self, ts: np.ndarray) -> np.ndarray:
-        return 1j * self._dphi(ts)[:, None] * self.states(ts)
+        return self._states_and_velocities(ts)[1]
+
+    def _states_and_velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        amps = self.states(ts)
+        return amps, 1j * self._dphi(ts)[:, None] * amps
 
 
 class LocalHamiltonianCurve(FactorCurve):
@@ -351,6 +355,13 @@ class _Interleaved(FactorCurve):
 
     def velocities(self, ts: np.ndarray) -> np.ndarray:
         return self._merged(ts, lambda curve, t: curve.velocities(t))
+
+    def _states_and_velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        states = np.empty((len(ts),) + self.dims, dtype=complex)
+        velocities = np.empty_like(states)
+        for curve, rows in self.parts:
+            states[rows], velocities[rows] = curve._states_and_velocities(ts[rows])
+        return states, velocities
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,14 +519,22 @@ def _factor_rows(
         if frozen:
             base = curve.states(ts)
             rows.append((base, np.zeros_like(base)))
-            continue
-        if method == "analytic":
-            base, deriv = curve._states_and_velocities(ts)
         else:
-            base, deriv = curve.states(ts), _directions(curve, ts, method, h)
-        _check_tangents(base, deriv)
-        rows.append((base, deriv))
+            rows.append(_curve_rows(curve, ts, method, h))
     return rows
+
+
+def _curve_rows(
+    curve: FactorCurve, ts: np.ndarray, method: str, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """A curve's (states, directions) over the grid by a resolved method (not
+    "auto"), checked as tangents."""
+    if method == "analytic":
+        base, deriv = curve._states_and_velocities(ts)
+    else:
+        base, deriv = curve.states(ts), _directions(curve, ts, method, h)
+    _check_tangents(base, deriv)
+    return base, deriv
 
 
 def product_tangent(
@@ -883,17 +902,16 @@ def _component_differentials(
     parameter value."""
     ts = np.array(t, dtype=float).reshape(-1)
     return [
-        (w, *_factor_differentials(comp, ts, method, h))
+        (w, *_factor_differentials(_factor_rows(comp, ts, method, h)))
         for w, comp in zip(ens.weights, ens.components)
     ]
 
 
 def _factor_differentials(
-    traj: ProductTrajectory, ts: np.ndarray, method: str, h: float
+    factors: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Each factor's states and projector differentials over the grid, the
-    differentials checked Hermitian."""
-    factors = _factor_rows(traj, ts, method, h)
+    """Each factor's states and projector differentials from its (states,
+    directions) rows, the differentials checked Hermitian."""
     drho = [_projector_differentials(base, deriv) for base, deriv in factors]
     for mat in drho:
         _check_hermitian(mat)
@@ -1069,10 +1087,3 @@ def _random_curves(
             curve = BlochCurve(theta, phi)
         parts.append((curve, rows))
     return _Interleaved(parts)
-
-
-def _random_trajectories(
-    rng: np.random.Generator, dims: Sequence[int], m: int, constant_speed: bool = False
-) -> ProductTrajectory:
-    """m random product trajectories of the given factor dims, stacked."""
-    return ProductTrajectory(tuple(_random_curves(rng, d, m, constant_speed) for d in dims))

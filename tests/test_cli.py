@@ -1528,6 +1528,88 @@ class TestVerify:
         with pytest.raises(ValueError, match="out_format"):
             verify(3, out_format="xml", stream=io.StringIO())
 
+# check that combines factors -> (the draw it makes per factor dim, that draw's dim argument)
+VERIFY_DRAWS = {
+    "channel-identity": ("_random_curves", 1),
+    "bilocal-reality": ("_random_curves", 1),
+    "tangent-genericity": ("_random_unit_rows", 2),
+    "gauge-invariance": ("_random_curves", 1),
+    "fs-consistency": ("_random_curves", 1),
+    "witness-no-false-positive": ("_random_curves", 1),
+}
+
+
+class TestVerifyDraw:
+    """Each check that combines factors draws one stack per factor dim and
+    evaluates it once, each row at its own trial's t."""
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_DRAWS))
+    def test_one_draw_per_factor_dim_in_each_round(self, name, monkeypatch):
+        cli = qtangle.cli
+        draw, dim_arg = VERIFY_DRAWS[name]
+        original_draw, original_dims = getattr(cli, draw), cli._random_dims
+        events = []
+
+        def drawing(*args, **kwargs):
+            events.append(args[dim_arg])
+            return original_draw(*args, **kwargs)
+
+        def drawing_dims(*args):
+            events.append("round")  # a check that redraws its trials starts a round here
+            return original_dims(*args)
+
+        monkeypatch.setattr(cli, draw, drawing)
+        monkeypatch.setattr(cli, "_random_dims", drawing_dims)
+        check = {n: c for n, c, _ in cli._CHECKS}[name]
+        assert check(np.random.default_rng(3), 200).failure is None
+        rounds = []
+        for event in events:
+            if event == "round" or not rounds:
+                rounds.append([])
+            if event != "round":
+                rounds[-1].append(int(event))
+        assert rounds
+        for drawn in rounds:
+            assert drawn and len(drawn) == len(set(drawn)) <= 3
+
+    def test_each_slot_row_is_its_trials_curve_at_its_trials_t(self, monkeypatch):
+        cli = qtangle.cli
+        stacks = {}
+        original = cli._random_curves
+
+        def recording(rng, dim, m, *args):
+            stacks[dim] = original(rng, dim, m, *args)
+            return stacks[dim]
+
+        monkeypatch.setattr(cli, "_random_curves", recording)
+        rng = np.random.default_rng(8)
+        dims = cli._random_dims(rng, 40)
+        ts = rng.uniform(0.0, 1.0, 40)
+        states, directions = cli._curve_slot_rows(rng, dims, ts)
+        assert states.shape == directions.shape == (40, 3, 3)
+        for i in (0, 7, 19, 39):
+            for k, d in enumerate(dims[i]):
+                if not d:
+                    assert not states[i, k].any() and not directions[i, k].any()
+                    continue
+                trial, slot = np.nonzero(dims == d)
+                j = int(np.flatnonzero((trial == i) & (slot == k))[0])
+                at = np.full(trial.size, ts[i])
+                want = stacks[d].states(at)[j], stacks[d].velocities(at)[j]
+                assert np.max(np.abs(states[i, k, :d] - want[0])) <= 1e-15
+                assert np.max(np.abs(directions[i, k, :d] - want[1])) <= 1e-15
+                assert not states[i, k, d:].any() and not directions[i, k, d:].any()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_a_seed_prints_the_same_bytes_every_run(self, seed):
+        outputs = []
+        for _ in range(2):
+            stream = io.StringIO()
+            assert verify(200, seed=seed, stream=stream) == 0
+            outputs.append(stream.getvalue())
+        assert outputs[0] == outputs[1]
+
+
 class TestEmit:
     def test_stdout_default(self, capsys):
         rep = run(parse({"scenario": "two_qubit_demo", "grid": {"steps": 2}}))

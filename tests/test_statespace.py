@@ -182,6 +182,21 @@ class TestCut:
         with pytest.raises(ValueError):
             Cut((0,), (1,)).validate_for((2, 2, 2))
 
+    def test_equal_cuts_hash_equal_and_share_a_dict_entry(self):
+        ways = [
+            Cut((0,), (1, 2)),
+            Cut([0], (2, 1)),
+            Cut.splitting((0,), 3),
+            Cut(np.array([0]), range(1, 3)),
+            Cut((1, 2), (0,)).swapped(),
+        ]
+        assert len({hash(cut) for cut in ways}) == 1
+        table = {}
+        for i, cut in enumerate(ways):
+            table[cut] = i
+        assert table == {ways[0]: len(ways) - 1}
+        assert Cut((0, 1), (2,)) not in table
+
 
 class TestModuleInvariants:
     def test_partial_trace_preserves_trace_and_hermiticity(self):

@@ -715,6 +715,17 @@ class TestStackedCurves:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-15
 
+    @pytest.mark.parametrize("kind", STACKED_KINDS)
+    def test_states_and_velocities_are_those_of_the_separate_calls(self, kind):
+        """One joint evaluation gives the rows of ``states`` and ``velocities``
+        to the bit, for the stacked curve and each of its scalar rows."""
+        stacked, singles = stacked_and_singles(kind)
+        ts = np.random.default_rng(67).uniform(-1.0, 2.0, len(singles))
+        for curve, at in [(stacked, ts), *((c, ts[i : i + 1]) for i, c in enumerate(singles))]:
+            states, velocities = curve._states_and_velocities(at)
+            assert np.array_equal(states, curve.states(at))
+            assert np.array_equal(velocities, curve.velocities(at))
+
     def test_one_dimensional_parameters_keep_their_grid_arithmetic(self):
         """Scalar phase, Hamiltonian and phase-modulated curves evaluate a grid
         by exactly the parent formulas."""
