@@ -34,7 +34,6 @@ from .mixed_witness import (
     _separability,
     _trace_witness,
 )
-from .statespace import TRACE_TOL  # noqa: F401  (re-exported: pseudo_pure's trace bound)
 from .statespace import Cut, Ket, _check_hermitian, _normalized, _outer, _raise_first
 from .trajectories import (
     DEFAULT_STEP,
@@ -47,7 +46,6 @@ from .trajectories import (
     _admissible_rows,
     _check_tangents,
     _curve_rows,
-    _directions,
     _factor_differentials,
     _horizontal,
     _kron_rows,
@@ -348,18 +346,20 @@ class CheckResult:
     failure: str | None
 
 
-def _per_trial(
-    dims: np.ndarray, measure: Callable[[tuple[int, ...], np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """``measure(group dims, member trials)`` for each group of trials with
-    equal factor dims, in trial order.  ``dims`` holds one row per trial; a
-    zero entry pads a trial with fewer factors."""
+def _per_trial(dims: np.ndarray, rows: Sequence[np.ndarray], measure: Callable) -> np.ndarray:
+    """``measure(group dims, member trials, parts)`` for each group of trials
+    with equal factor dims, in trial order.  ``dims`` holds one row per trial;
+    a zero entry pads a trial with fewer factors.  ``parts`` holds one tuple
+    per slot of the group: the member trials' rows of that slot, cut to its
+    dim, one entry per array of ``rows`` (``_slot_rows``)."""
     groups, inverse = np.unique(dims, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
     out = None
     for g, row in enumerate(groups):
         members = np.flatnonzero(inverse == g)
-        values = measure(tuple(int(d) for d in row if d), members)
+        group = tuple(int(d) for d in row if d)
+        parts = [tuple(arr[members, k, :d] for arr in rows) for k, d in enumerate(group)]
+        values = measure(group, members, parts)
         if out is None:
             out = np.empty((len(dims),) + values.shape[1:], dtype=values.dtype)
         out[members] = values
@@ -392,14 +392,6 @@ def _slot_rows(dims: np.ndarray, rows_of: Callable[..., tuple]) -> list[np.ndarr
     return out
 
 
-def _group_rows(
-    rows: Sequence[np.ndarray], group: tuple[int, ...], members: np.ndarray
-) -> list[tuple[np.ndarray, ...]]:
-    """The member trials' rows of each slot of one dims group, cut to the
-    slot's dim: one tuple per slot, with one entry per array of ``rows``."""
-    return [tuple(arr[members, k, :d] for arr in rows) for k, d in enumerate(group)]
-
-
 def _curve_slot_rows(
     rng: np.random.Generator, dims: np.ndarray, ts: np.ndarray
 ) -> list[np.ndarray]:
@@ -424,13 +416,12 @@ def _check_channel_identity(rng: np.random.Generator, trials: int) -> CheckResul
     dims = rng.integers(2, 5, size=(trials, 2))
     rows = _curve_slot_rows(rng, dims, rng.uniform(0.0, 1.0, trials))
 
-    def measure(group: tuple[int, ...], members: np.ndarray) -> np.ndarray:
-        parts = _group_rows(rows, group, members)
+    def measure(group: tuple[int, ...], members: np.ndarray, parts: list) -> np.ndarray:
         _factor_overlaps(parts, "analytic")  # norm preservation, as the scenarios check it
         full = _product_tangents(parts)[1]
         return np.maximum(*(side[-1] for side in _channel_rows(parts, full, (1, 2))))
 
-    worst = float(_per_trial(dims, measure).max())
+    worst = float(_per_trial(dims, rows, measure).max())
     failure = f"channel decomposition gap {worst:.3e} >= 1e-10" if worst >= 1e-10 else None
     return CheckResult(worst, 1e-10, f"max gap {worst:.2e} over {trials} trials", failure)
 
@@ -439,10 +430,10 @@ def _check_bilocal_reality(rng: np.random.Generator, trials: int) -> CheckResult
     dims = rng.integers(2, 5, size=(trials, 2))
     rows = _curve_slot_rows(rng, dims, rng.uniform(0.0, 1.0, trials))
 
-    def measure(group: tuple[int, ...], members: np.ndarray) -> np.ndarray:
-        return _reality_gaps(*_factor_overlaps(_group_rows(rows, group, members), "analytic"))
+    def measure(group: tuple[int, ...], members: np.ndarray, parts: list) -> np.ndarray:
+        return _reality_gaps(*_factor_overlaps(parts, "analytic"))
 
-    worst = float(_per_trial(dims, measure).max())
+    worst = float(_per_trial(dims, rows, measure).max())
     failure = f"bilocal overlap product imaginary part {worst:.3e} >= 1e-10"
     detail = f"max imaginary part {worst:.2e} over {trials} trials"
     return CheckResult(worst, 1e-10, detail, failure if worst >= 1e-10 else None)
@@ -456,14 +447,13 @@ def _check_genericity(rng: np.random.Generator, trials: int) -> CheckResult:
         return psi, _admissible_rows(rng, psi)
 
     dims = _random_dims(rng, trials)
-    rows = _slot_rows(dims, rows_of)
 
-    def measure(group: tuple[int, ...], members: np.ndarray) -> np.ndarray:
-        tangents = _product_tangents(_group_rows(rows, group, members))
+    def measure(group: tuple[int, ...], members: np.ndarray, parts: list) -> np.ndarray:
+        tangents = _product_tangents(parts)
         cut = Cut.splitting((0,), len(group))
         return _entropies_or_zero(_horizontal(*tangents), group, (cut,))[0]
 
-    entropy = _per_trial(dims, measure)
+    entropy = _per_trial(dims, _slot_rows(dims, rows_of), measure)
     lowest, hits = float(entropy.min()), int(np.count_nonzero(entropy < 1e-8))
     failure = f"{hits}/{trials} random tangents fell below entropy 1e-8 (min {lowest:.3g})"
     detail = f"min entropy {lowest:.3g} over {trials} trials"
@@ -486,19 +476,18 @@ def _check_gauge_invariance(rng: np.random.Generator, trials: int) -> CheckResul
             *_curve_rows(curve, ts[trial], "analytic", DEFAULT_STEP),
         )
 
-    rows = _slot_rows(dims, rows_of)
-
-    def measure(group: tuple[int, ...], members: np.ndarray) -> np.ndarray:
+    def measure(group: tuple[int, ...], members: np.ndarray, parts: list) -> np.ndarray:
+        # each slot holds the modulated curve's rows, then the unmodulated one's
         horizontal = [
-            _horizontal(*_product_tangents(_group_rows(pair, group, members)))
-            for pair in (rows[:2], rows[2:])
+            _horizontal(*_product_tangents([part[pair] for part in parts]))
+            for pair in (slice(0, 2), slice(2, 4))
         ]
         cut = Cut.splitting((0,), len(group))
         entropy = _entropies_or_zero(np.concatenate(horizontal), group, (cut,))[0]
         after, before = np.split(entropy, 2)
         return abs(after - before)
 
-    worst = float(_per_trial(dims, measure).max())
+    worst = float(_per_trial(dims, _slot_rows(dims, rows_of), measure).max())
     failure = f"entropy moved by {worst:.3e} under phase modulation"
     detail = f"max entropy shift {worst:.2e} over {trials} trials"
     return CheckResult(worst, 1e-10, detail, failure if worst >= 1e-10 else None)
@@ -523,18 +512,17 @@ def _check_fs_consistency(rng: np.random.Generator, trials: int, h: float = 1e-3
             now = _curve_rows(curve, ts[trial], "analytic", DEFAULT_STEP)
             return (*now, *(curve.states(ts[trial] + step) for step in steps))
 
-        rows = _slot_rows(dims, rows_of)
-
-        def measure(group: tuple[int, ...], members: np.ndarray) -> np.ndarray:
-            base, tangent = _product_tangents(_group_rows(rows[:2], group, members))
+        def measure(group: tuple[int, ...], members: np.ndarray, parts: list) -> np.ndarray:
+            # each slot holds its states and directions at t, then its states at t + step
+            base, tangent = _product_tangents([part[:2] for part in parts])
             speed = _fs_speeds(base, tangent)
             errors = []
-            for step, later in zip(steps, zip(*_group_rows(rows[2:], group, members))):
+            for step, later in zip(steps, zip(*(part[2:] for part in parts))):
                 later_states = reduce(_kron_rows, later)
                 errors.append(abs(_fs_distances(base, later_states) / step - speed))
             return np.column_stack([speed, *errors])
 
-        return _per_trial(dims, measure)
+        return _per_trial(dims, _slot_rows(dims, rows_of), measure)
 
     ratios = np.empty(0)
     while ratios.size < trials:
@@ -548,25 +536,22 @@ def _check_fs_consistency(rng: np.random.Generator, trials: int, h: float = 1e-3
 def _check_fd_order(rng: np.random.Generator, trials: int, h: float = 1e-3) -> CheckResult:
     """err(h)/err(h/2) of the central difference against the analytic tangent."""
 
-    def measure(dims: tuple[int, ...], members: np.ndarray) -> np.ndarray:
+    def measure(dims: tuple[int, ...], members: np.ndarray, parts: list) -> np.ndarray:
         curve = _random_curves(rng, dims[0], members.size)
         ts = rng.uniform(0.0, 1.0, members.size)
-        base = curve.states(ts)
-        exact = _directions(curve, ts, "analytic", h)
-        _check_tangents(base, exact)
+        exact = _curve_rows(curve, ts, "analytic", h)[1]
         errors = []
         for step in (h, h / 2):
-            approx = _directions(curve, ts, "central_fd", step)
-            _check_tangents(base, approx)
+            approx = _curve_rows(curve, ts, "central_fd", step)[1]
             errors.append(np.linalg.norm(approx - exact, axis=-1))
         return errors[0] / errors[1]
 
-    ratios = _per_trial(rng.integers(2, 4, size=(trials, 1)), measure)
+    ratios = _per_trial(rng.integers(2, 4, size=(trials, 1)), (), measure)
     return _median_ratio(ratios, "central-difference")
 
 
 def _check_composition(rng: np.random.Generator, trials: int) -> CheckResult:
-    def measure(dims: tuple[int, ...], members: np.ndarray) -> np.ndarray:
+    def measure(dims: tuple[int, ...], members: np.ndarray, parts: list) -> np.ndarray:
         gens = _random_hermitians(rng, (members.size,), dims[0])
         exact = propagator(gens, 1.0)
         dists = [
@@ -575,7 +560,7 @@ def _check_composition(rng: np.random.Generator, trials: int) -> CheckResult:
         ]
         return dists[0] / dists[1]
 
-    ratios = _per_trial(rng.integers(2, 5, size=(trials, 1)), measure)
+    ratios = _per_trial(rng.integers(2, 5, size=(trials, 1)), (), measure)
     bad = ratios[~((1.7 <= ratios) & (ratios <= 2.3))]
     failure = None
     if bad.size:
@@ -591,8 +576,7 @@ def _check_witness_false_positives(rng: np.random.Generator, trials: int) -> Che
     dims = np.hstack([pair, pair])
     rows = _curve_slot_rows(rng, dims, rng.uniform(0.0, 1.0, trials))
 
-    def measure(group: tuple[int, ...], members: np.ndarray) -> np.ndarray:
-        parts = _group_rows(rows, group, members)
+    def measure(group: tuple[int, ...], members: np.ndarray, parts: list) -> np.ndarray:
         w = weight[members, None, None]
         components = [
             (w, *_factor_differentials(parts[:2])),
@@ -603,10 +587,10 @@ def _check_witness_false_positives(rng: np.random.Generator, trials: int) -> Che
         tr1, tr2, verdict = _trace_witness(drho, group[:2], 1e-6, "analytic")
         return np.column_stack([np.maximum(tr1, tr2), verdict != VERDICT_INCONCLUSIVE])
 
-    rows = _per_trial(dims, measure)
-    worst = float(rows[:, 0].max())
+    values = _per_trial(dims, rows, measure)
+    worst = float(values[:, 0].max())
     failure = None
-    if rows[:, 1].any():
+    if values[:, 1].any():
         failure = "witness flagged an honest product-differential form"
     elif worst >= 1e-10:
         failure = f"partial-trace norm {worst:.3e} >= 1e-10 on product form"

@@ -22,6 +22,7 @@ from .statespace import (
     Ket,
     _check_amplitudes,
     _normalized,
+    _split,
 )
 
 PAULI = {
@@ -65,17 +66,7 @@ def _split_matrix(state: Ket, cut: Cut) -> tuple[np.ndarray, float, list[int], l
     """
     norm = state.norm()
     unit = _normalized(state.amplitudes, "cannot decompose a (near-)zero vector", norms=norm)
-    return _split(unit, state.dims, cut), norm, sorted(cut.left), sorted(cut.right)
-
-
-def _split(amps: np.ndarray, dims: tuple[int, ...], cut: Cut) -> np.ndarray:
-    """Each amplitude row (last axis) as a (left block, right block) matrix."""
-    cut.validate_for(dims)
-    lead = amps.shape[:-1]
-    g = len(lead)
-    order = sorted(cut.left) + sorted(cut.right)
-    tensor = amps.reshape(lead + tuple(dims)).transpose(list(range(g)) + [g + i for i in order])
-    return tensor.reshape(lead + (math.prod(dims[i] for i in cut.left), -1))
+    return _split(unit, state.dims, cut, 1), norm, sorted(cut.left), sorted(cut.right)
 
 
 def _entropy_bits(matrices: np.ndarray) -> np.ndarray:
@@ -241,15 +232,7 @@ def ppt_negativity(op: HermitianOp, cut: Cut) -> float:
 
 def _ppt_negativities(mats: np.ndarray, dims: tuple[int, ...], cut: Cut) -> np.ndarray:
     """``ppt_negativity`` of each matrix of a stack (last two axes)."""
-    cut.validate_for(dims)
-    lead = mats.shape[:-2]
-    n, g = len(dims), len(lead)
-    order = sorted(cut.left) + sorted(cut.right)
-    perm = order + [n + i for i in order]
-    tensor = mats.reshape(lead + dims + dims).transpose(list(range(g)) + [g + i for i in perm])
-    d_left = math.prod(dims[i] for i in cut.left)
-    d_right = math.prod(dims[i] for i in cut.right)
-    blocks = tensor.reshape(lead + (d_left, d_right, d_left, d_right))
-    transposed = np.swapaxes(blocks, -3, -1).reshape(lead + (d_left * d_right,) * 2)
-    eigs = np.linalg.eigvalsh(transposed)
+    blocks = _split(mats, dims, cut, 2)
+    # the partial transpose of the right side, as a matrix of the input's shape
+    eigs = np.linalg.eigvalsh(np.swapaxes(blocks, -3, -1).reshape(mats.shape))
     return -np.where(eigs < 0, eigs, 0.0).sum(axis=-1)

@@ -36,6 +36,7 @@ from .statespace import (
     _check_product_amplitudes,
     _normalized,
     _overlaps,
+    _split,
 )
 from .trajectories import (
     DEFAULT_STEP,
@@ -50,7 +51,7 @@ from .trajectories import (
     _register_site_rows,
     product_tangent,  # noqa: F401  (bench/tests/test_bench.py expects the tracer to reach it here)
 )
-from .entanglement import _entropy_bits, _split, _weights_bits
+from .entanglement import _entropy_bits, _weights_bits
 
 
 def fs_distance(a: Ket, b: Ket) -> float:
@@ -246,7 +247,7 @@ def _entropies_or_zero(
 ) -> list[np.ndarray]:
     """Entropy of each normalized row across each cut; zero motion carries zero entropy."""
     unit = _normalized(rows, None, norms=norms)
-    return [_entropy_bits(_split(unit, dims, cut)) for cut in cuts]
+    return [_entropy_bits(_split(unit, dims, cut, 1)) for cut in cuts]
 
 
 def profile(
@@ -292,7 +293,7 @@ def profile(
         norms = np.linalg.norm(horizontal, axis=-1)
         dense_tangent = dict(zip(dense, _entropies_or_zero(horizontal, dims, dense, norms)))
         unit_states = states / np.linalg.norm(states, axis=-1)[:, None]
-        dense_base = {cut: _entropy_bits(_split(unit_states, dims, cut)) for cut in dense}
+        dense_base = {cut: _entropy_bits(_split(unit_states, dims, cut, 1)) for cut in dense}
     else:
         # the dense rows' base check, on their norm: the product of the factors' norms
         _check_product_amplitudes([a for a, _ in factors], BASE_NORM_TOL, "base")

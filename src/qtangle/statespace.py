@@ -348,21 +348,31 @@ def partial_trace(op: HermitianOp, cut: Cut, keep: Side = "left") -> HermitianOp
     return HermitianOp(reduced, tuple(op.dims[i] for i in kept))
 
 
+# the einsum that traces one side out of (..., L, R, L, R) blocks, by the side kept
+_TRACE_OUT = {"left": "...abcb->...ac", "right": "...abad->...bd"}
+
+
 def _partial_trace(mats: np.ndarray, dims: tuple[int, ...], cut: Cut, keep: Side) -> np.ndarray:
     """``partial_trace`` of each matrix of a stack (last two axes), unchecked."""
-    cut.validate_for(dims)
-    if keep not in ("left", "right"):
+    blocks = _split(mats, dims, cut, 2)
+    if keep not in _TRACE_OUT:
         raise ValueError(f"keep must be 'left' or 'right', got {keep!r}")
-    kept = sorted(cut.left if keep == "left" else cut.right)
-    traced = sorted(cut.right if keep == "left" else cut.left)
-    lead = mats.shape[:-2]
-    n, g = len(dims), len(lead)
-    tensor = mats.reshape(lead + dims + dims)
-    perm = kept + traced + [n + i for i in kept] + [n + i for i in traced]
-    tensor = tensor.transpose(list(range(g)) + [g + i for i in perm])
-    d_keep = math.prod(dims[i] for i in kept)
-    d_out = math.prod(dims[i] for i in traced)
-    return np.einsum("...abcb->...ac", tensor.reshape(lead + (d_keep, d_out, d_keep, d_out)))
+    return np.einsum(_TRACE_OUT[keep], blocks)
+
+
+def _split(stack: np.ndarray, dims: tuple[int, ...], cut: Cut, axes: int) -> np.ndarray:
+    """The last ``axes`` axes of a stack regrouped by the cut: amplitude rows
+    (axes 1) as (..., L, R), operators (axes 2) as (..., L, R, L, R), where L
+    and R are the products of the left and right factor dimensions, each side
+    in ascending factor order."""
+    cut.validate_for(dims)
+    lead = stack.shape[: stack.ndim - axes]
+    g, n = len(lead), len(dims)
+    order = sorted(cut.left) + sorted(cut.right)
+    perm = [g + k * n + i for k in range(axes) for i in order]
+    sides = (math.prod(dims[i] for i in cut.left), math.prod(dims[i] for i in cut.right))
+    tensor = stack.reshape(lead + tuple(dims) * axes).transpose(list(range(g)) + perm)
+    return tensor.reshape(lead + sides * axes)
 
 
 def apply_local_unitaries(state: Ket, unitaries: Sequence[np.ndarray]) -> Ket:

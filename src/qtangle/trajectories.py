@@ -260,7 +260,11 @@ class LocalHamiltonianCurve(FactorCurve):
         return amps
 
     def velocities(self, ts: np.ndarray) -> np.ndarray:
-        return -1j * _matvec(self.generator, self._amplitudes(ts))
+        return self._states_and_velocities(ts)[1]
+
+    def _states_and_velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        amps = self.states(ts)
+        return amps, -1j * _matvec(self.generator, amps)
 
 
 class SampledCurve(FactorCurve):
@@ -445,16 +449,8 @@ def differentiate(
 
     ``method`` is one of auto, analytic, central_fd or richardson.
     """
-    method = resolve_method((curve,), method)
-    return TangentVector(curve.state(t), _directions(curve, np.array([float(t)]), method, h)[0])
-
-
-def _directions(curve: FactorCurve, ts: np.ndarray, method: str, h: float) -> np.ndarray:
-    """Derivative of the curve's amplitudes at each grid point, (G, d), by a
-    resolved method (not "auto")."""
-    if method == "analytic":
-        return curve.velocities(ts)
-    return _stencil(curve.states, ts, method, h)
+    base, deriv = _curve_rows(curve, np.array([float(t)]), resolve_method((curve,), method), h)
+    return TangentVector(Ket(base[0], curve.dims), deriv[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -528,11 +524,12 @@ def _curve_rows(
     curve: FactorCurve, ts: np.ndarray, method: str, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """A curve's (states, directions) over the grid by a resolved method (not
-    "auto"), checked as tangents."""
+    "auto"), checked as tangents: the only place a method differentiates a
+    factor curve."""
     if method == "analytic":
         base, deriv = curve._states_and_velocities(ts)
     else:
-        base, deriv = curve.states(ts), _directions(curve, ts, method, h)
+        base, deriv = curve.states(ts), _stencil(curve.states, ts, method, h)
     _check_tangents(base, deriv)
     return base, deriv
 

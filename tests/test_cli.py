@@ -41,7 +41,6 @@ from qtangle import (
     register_tangent,
 )
 from qtangle.cli import (
-    TRACE_TOL,
     TraceReport,
     canonical_register_program,
     demo_trajectory,
@@ -54,6 +53,7 @@ from qtangle.cli import (
     verify,
 )
 from qtangle.config import MAX_GRID_STEPS
+from qtangle.statespace import TRACE_TOL
 
 SQ2 = math.sqrt(2)
 
@@ -1048,17 +1048,17 @@ class TestSweepDriver:
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["moving", "frozen"])
     @pytest.mark.parametrize(
-        "method, states, velocities",
-        [("analytic", 1, 1), ("central_fd", 3, 0), ("richardson", 5, 0)],
+        "method, states, joint",
+        [("analytic", 0, 1), ("central_fd", 3, 0), ("richardson", 5, 0)],
     )
     def test_each_curve_differentiated_once_per_run(
-        self, method, states, velocities, frozen, monkeypatch
+        self, method, states, joint, frozen, count_evaluations
     ):
         """A product_trace run evaluates each factor curve as often as one
         differentiation by its method needs (the base rows and each stencil
-        point, or the base and closed-form rows): its channel and bilocal
-        columns reuse the profile's factor rows.  A frozen factor is only
-        evaluated."""
+        point, or one joint evaluation of the base and closed-form rows): its
+        channel and bilocal columns reuse the profile's factor rows.  A frozen
+        factor is only evaluated."""
         arc = {"dim": 2, "curve": {"kind": "bloch", "theta": [0.2, 1.1, -0.3], "phi": [0.1, 0.5]}}
         doc = {
             "scenario": "product_trace",
@@ -1067,22 +1067,12 @@ class TestSweepDriver:
             "subsystems": [arc, {**HAMILTONIAN_QUBIT, "frozen": frozen}],
         }
         cfg = parse(doc)
-        counts = []
-        for curve in cfg.subsystems:
-            calls = {"states": 0, "velocities": 0}
-            for name in calls:
-                original = getattr(curve, name)
-
-                def counting(ts, name=name, original=original, calls=calls):
-                    calls[name] += 1
-                    return original(ts)
-
-                monkeypatch.setattr(curve, name, counting)
-            counts.append(calls)
+        counts = [count_evaluations(curve) for curve in cfg.subsystems]
         assert len(run(cfg).rows) == 13
-        moved = {"states": states, "velocities": velocities}
+        moved = {"states": states, "velocities": 0, "_states_and_velocities": joint}
         assert counts[0] == moved
-        assert counts[1] == ({"states": 1, "velocities": 0} if frozen else moved)
+        still = {"states": 1, "velocities": 0, "_states_and_velocities": 0}
+        assert counts[1] == (still if frozen else moved)
 
     @pytest.mark.parametrize("scenario", TRAJECTORY_SCENARIOS + ["separable_mixed"])
     def test_no_per_point_objects(self, scenario, monkeypatch):

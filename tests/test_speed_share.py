@@ -28,8 +28,9 @@ from qtangle import (
     run,
 )
 from qtangle.cli import demo_trajectory, parse_config
-from qtangle.entanglement import _entropy_bits, _split
+from qtangle.entanglement import _entropy_bits
 from qtangle.geometry import _entropies_or_zero, _tangent_rows
+from qtangle.statespace import _split
 from qtangle.trajectories import DEFAULT_STEP, _horizontal, random_product_trajectory
 
 ORACLE_TOL = 1e-12
@@ -40,7 +41,7 @@ def dense_entropies(prof, cut):
     horizontal = _horizontal(prof.states, prof.directions)
     tangent = _entropies_or_zero(horizontal, prof.dims, (cut,))[0]
     unit = prof.states / np.linalg.norm(prof.states, axis=-1)[:, None]
-    return tangent, _entropy_bits(_split(unit, prof.dims, cut))
+    return tangent, _entropy_bits(_split(unit, prof.dims, cut, 1))
 
 
 def assert_speed_share(prof):

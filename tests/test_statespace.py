@@ -1,5 +1,8 @@
 """State-space primitives checked against explicit index-loop oracles."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,11 @@ from qtangle import (
     apply_local_unitaries,
     inner,
     partial_trace,
+    ppt_negativity,
     tensor_product,
 )
+from qtangle.entanglement import _ppt_negativities
+from qtangle.statespace import _outer, _partial_trace, _split
 
 
 def kron_oracle(a, b):
@@ -244,3 +250,102 @@ class TestApplyLocalUnitaries:
         state = random_ket(rng, (2, 2, 2))
         got = apply_local_unitaries(state, [np.eye(2)] * 3)
         assert np.allclose(got.amplitudes, state.amplitudes)
+
+
+def bipartitions(n):
+    """Every cut of n factor positions, each once up to swapping the sides:
+    contiguous and non-contiguous left groups alike."""
+    return [
+        Cut.splitting([i for i in range(n) if mask >> i & 1], n) for mask in range(1, 2 ** (n - 1))
+    ]
+
+
+def cut_index(dims, cut, left, right):
+    """Flat amplitude index of the left and right multi-indices of a cut,
+    each over its side's positions in ascending order."""
+    digits = dict(zip(sorted(cut.left), left)) | dict(zip(sorted(cut.right), right))
+    return int(np.ravel_multi_index([digits[i] for i in range(len(dims))], dims))
+
+
+def side_indices(dims, side):
+    return list(itertools.product(*(range(dims[i]) for i in sorted(side))))
+
+
+class TestCutLayout:
+    """The cut-layout kernels on stacks of unequal dims, over every
+    bipartition, against the defining index sums."""
+
+    DIMS = [(2, 3, 2), (3, 2, 2, 2)]
+
+    @staticmethod
+    def stacks(rng, dims):
+        side = math.prod(dims)
+        amps = rng.standard_normal((3, side)) + 1j * rng.standard_normal((3, side))
+        a = rng.standard_normal((3, side, side)) + 1j * rng.standard_normal((3, side, side))
+        return amps, a @ a.conj().swapaxes(-2, -1) / side
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_split_rows(self, dims):
+        amps, _ = self.stacks(np.random.default_rng(71), dims)
+        for cut in bipartitions(len(dims)):
+            lefts, rights = side_indices(dims, cut.left), side_indices(dims, cut.right)
+            want = np.array(
+                [
+                    [[row[cut_index(dims, cut, l, r)] for r in rights] for l in lefts]
+                    for row in amps
+                ]
+            )
+            assert np.array_equal(_split(amps, dims, cut, 1), want)
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_partial_trace_keeps_either_side(self, dims):
+        _, mats = self.stacks(np.random.default_rng(72), dims)
+        for cut in bipartitions(len(dims)):
+            for keep, kept, traced in (("left", cut.left, cut.right), ("right", cut.right, cut.left)):
+                at = lambda k, t: (
+                    cut_index(dims, cut, k, t) if keep == "left" else cut_index(dims, cut, t, k)
+                )
+                rows, sums = side_indices(dims, kept), side_indices(dims, traced)
+                want = np.array(
+                    [
+                        [[sum(m[at(a, s), at(b, s)] for s in sums) for b in rows] for a in rows]
+                        for m in mats
+                    ]
+                )
+                got = _partial_trace(mats, dims, cut, keep)
+                assert np.max(np.abs(got - want)) < 1e-12
+                single = partial_trace(HermitianOp(mats[1], dims), cut, keep)
+                assert single.dims == tuple(dims[i] for i in sorted(kept))
+                assert np.array_equal(single.matrix, got[1])
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_ppt_negativity_of_the_partial_transpose(self, dims):
+        _, mats = self.stacks(np.random.default_rng(73), dims)
+        # a rank-one state is entangled across every cut, so each negativity is positive
+        psi = np.random.default_rng(74).standard_normal(mats.shape[-1]) + 0j
+        mats = np.concatenate([mats, _outer(psi, psi)[None] / (psi @ psi)])
+        for cut in bipartitions(len(dims)):
+            lefts, rights = side_indices(dims, cut.left), side_indices(dims, cut.right)
+            pairs = [(l, r) for l in lefts for r in rights]
+            transposed = np.array(
+                [
+                    [
+                        [m[cut_index(dims, cut, l1, r2), cut_index(dims, cut, l2, r1)] for l2, r2 in pairs]
+                        for l1, r1 in pairs
+                    ]
+                    for m in mats
+                ]
+            )
+            eigs = np.linalg.eigvalsh(transposed)
+            want = -np.where(eigs < 0, eigs, 0.0).sum(axis=-1)
+            assert want[-1] > 0.1
+            got = _ppt_negativities(mats, dims, cut)
+            assert np.max(np.abs(got - want)) < 1e-12
+            assert ppt_negativity(HermitianOp(mats[0], dims), cut) == got[0]
+
+    def test_cut_is_checked_before_keep(self):
+        mats = np.eye(12, dtype=complex)[None]
+        with pytest.raises(ValueError, match="does not partition"):
+            _partial_trace(mats, (2, 3, 2), Cut((0,), (1,)), "middle")
+        with pytest.raises(ValueError, match="keep must be 'left' or 'right', got 'middle'"):
+            _partial_trace(mats, (2, 3, 2), Cut((0,), (1, 2)), "middle")

@@ -700,8 +700,8 @@ class TestStackedCurves:
     EVALUATIONS = {
         "states": lambda curve, ts: curve.states(ts),
         "velocities": lambda curve, ts: curve.velocities(ts),
-        "central_fd": lambda curve, ts: trajectories._directions(curve, ts, "central_fd", 1e-4),
-        "richardson": lambda curve, ts: trajectories._directions(curve, ts, "richardson", 1e-4),
+        "central_fd": lambda curve, ts: trajectories._curve_rows(curve, ts, "central_fd", 1e-4)[1],
+        "richardson": lambda curve, ts: trajectories._curve_rows(curve, ts, "richardson", 1e-4)[1],
     }
 
     @pytest.mark.parametrize("evaluation", sorted(EVALUATIONS))
@@ -750,23 +750,24 @@ class TestStackedCurves:
         want = phase * (1j * dphi * orbit + curve.velocities(ts))
         assert np.array_equal(modulated.velocities(ts), want)
 
-    def test_phase_modulated_factor_evaluates_its_inner_curve_once(self, monkeypatch):
+    def test_phase_modulated_factor_evaluates_its_inner_curve_once(
+        self, count_evaluations, monkeypatch
+    ):
         """One analytic differentiation of a phase-modulated factor evaluates
-        its inner curve once per row kind, and gives the rows of ``states``
-        and ``velocities`` to the bit."""
+        its inner curve once, jointly, computing the inner orbit once, and
+        gives the rows of ``states`` and ``velocities`` to the bit."""
         rng = np.random.default_rng(66)
         inner = LocalHamiltonianCurve(hermitian_stack(rng, 1, 3)[0], Ket(unit_rows(rng, 1, 3)[0], (3,)))
         modulated = with_global_phase(inner, [0.3, -0.8, 0.25])
         traj = ProductTrajectory((modulated, BlochCurve([0.2, 1.1])))
         ts = np.linspace(-1.0, 2.0, 11)
         want = modulated.states(ts), modulated.velocities(ts)
-        calls = []
-        for name in ("states", "velocities"):
-            original = getattr(inner, name)
-            counting = lambda ts, name=name, original=original: calls.append(name) or original(ts)
-            monkeypatch.setattr(inner, name, counting)
+        calls = count_evaluations(inner)
+        orbits, orbit = [], inner._amplitudes
+        monkeypatch.setattr(inner, "_amplitudes", lambda ts: orbits.append(ts) or orbit(ts))
         (base, deriv), _ = trajectories._factor_rows(traj, ts, "analytic", 1e-4)
-        assert calls == ["states", "velocities"]
+        assert calls == {"states": 0, "velocities": 0, "_states_and_velocities": 1}
+        assert len(orbits) == 1
         assert np.array_equal(base, want[0]) and np.array_equal(deriv, want[1])
 
     def test_stacked_generators_propagate_and_compose_per_trial(self):
