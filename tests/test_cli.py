@@ -1359,6 +1359,69 @@ class TestMainExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("t,fs_speed,")
 
+    def test_scipy_is_imported_only_for_a_sampled_curve(self, tmp_path):
+        """Importing qtangle, every scenario shorthand and verify load no scipy
+        module (importing scipy.interpolate costs about 0.6 s); the first
+        sampled curve loads scipy.interpolate."""
+        script = """if True:
+            import io, sys
+            import numpy as np
+            import qtangle
+            from qtangle.cli import main
+            from qtangle.config import SCENARIOS
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+            out, product_config = sys.argv[1:]
+            assert len(SCENARIOS) == 6
+            codes = {name: main(["--scenario", name, "--out", out]) for name in SCENARIOS}
+            # the product_trace shorthand has no default subsystems
+            assert codes == {name: 2 * (name == "product_trace") for name in SCENARIOS}, codes
+            assert main(["--config", product_config, "--out", out]) == 0
+            assert qtangle.verify(trials=5, seed=0, stream=io.StringIO()) == 0
+            assert not scipy_modules(), scipy_modules()[:5]
+            times = np.linspace(0.0, 1.0, 21)
+            kets = [qtangle.Ket([np.cos(t / 2), np.sin(t / 2)], (2,)) for t in times]
+            rows = qtangle.SampledCurve(times, kets).states(np.array([0.3, 0.6]))
+            assert rows.shape == (2, 2)
+            assert "scipy.interpolate" in sys.modules
+        """
+        product = {
+            "scenario": "product_trace",
+            "subsystems": [HAMILTONIAN_QUBIT, {"dim": 2, "curve": {"kind": "bloch", "theta": [0, 1]}}],
+        }
+        product_config = self.write_config(tmp_path, product)
+        src = str(Path(qtangle.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        cmd = [sys.executable, "-c", script, str(tmp_path / "out.csv"), product_config]
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_sampled_range_message_prints_plain_floats(self, tmp_path, capsys):
+        # richardson's first stencil point past the last grid point is t1 + h/2
+        times = [round(x, 3) for x in np.linspace(0.0, 1.0, 21)]
+        doc = {
+            "scenario": "product_trace",
+            "grid": {"t0": 0.0, "t1": 1.0},
+            "subsystems": [
+                {
+                    "dim": 2,
+                    "curve": {
+                        "kind": "sampled",
+                        "times": times,
+                        "states": [[math.cos(t / 2), math.sin(t / 2)] for t in times],
+                    },
+                },
+                {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 1.0], "phi": 0.0}},
+            ],
+        }
+        assert main(["--config", self.write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: t=1.00005 outside the sampled range [0.0, 1.0]\n"
+
     def test_unwritable_output_exits_4(self, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert main(["--scenario", "two_qubit_demo", "--out", str(target)]) == 4
