@@ -701,7 +701,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         description="Entanglement of tangent vectors along product-state trajectories.",
     )
     parser.add_argument("--config", metavar="PATH", help="JSON run configuration")
-    parser.add_argument("--scenario", choices=SCENARIOS, help="scenario shorthand with defaults")
+    note = "scenario shorthand with defaults (product_trace has none: run it by --config)"
+    parser.add_argument("--scenario", choices=[s for s in SCENARIOS if s != "product_trace"], help=note)
     parser.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), dest="out_format")
     parser.add_argument("--seed", type=int)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -165,26 +166,34 @@ def _tangent_rows(traj, grid: np.ndarray, method: str, h: float) -> tuple[
 ]:
     """Raw tangents over the grid, checked, and the factor rows
     (``_factor_tangents``) of which they are the product."""
-    factors = _factor_tangents(traj, grid, method, h)
+    factors = _unstacked(_factor_tangents(traj, grid, method, h))
     return (*_dense_rows(traj, grid, method, h, factors), factors)
 
 
-def _factor_tangents(
-    traj, grid: np.ndarray, method: str, h: float
-) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
-    """The (states, directions) rows of each factor over the grid (register
-    site, for a program), each checked as a tangent; None for a program
-    whose initial state is entangled."""
+def _factor_tangents(traj, grid: np.ndarray, method: str, h: float) -> list[tuple] | None:
+    """Stacks (factors, states, directions) of the factor rows over the grid
+    (register sites, for a program), (S, G, d) each, checked as tangents;
+    None for a program whose initial state is entangled."""
     if not isinstance(traj, RegisterProgram):
-        return tuple(_factor_rows(traj, grid, method, h))
+        rows = _factor_rows(traj, grid, method, h)
+        if len({base.shape for base, _ in rows}) > 1:
+            return [(np.array([i]), base[None], deriv[None]) for i, (base, deriv) in enumerate(rows)]
+        return [(np.arange(len(rows)), *map(np.array, zip(*rows)))]
     if traj._site_starts is None:
         return None
-    site_rows = lambda k, ts: [arr for site in _register_site_rows(traj, k, ts, method, h) for arr in site]
-    rows = _stepwise(traj, grid, site_rows, [w for d in traj.initial.dims for w in (d, d)])
-    sites = tuple(zip(rows[::2], rows[1::2]))
-    for site in sites:
-        _check_tangents(*site)
-    return sites
+    groups = [sites for sites, *_ in traj._step_stacks[0]]
+    shapes = [(len(g), grid.size, traj.initial.dims[g[0]]) for g in groups for _ in (0, 1)]
+    site_rows = lambda k, ts: [a for _, *pair in _register_site_rows(traj, k, ts, method, h) for a in pair]
+    rows = _stepwise(traj, grid, site_rows, shapes)
+    for states, directions in zip(rows[::2], rows[1::2]):
+        _check_tangents(states, directions)  # site-major: the first offending site's message
+    return list(zip(groups, rows[::2], rows[1::2]))
+
+
+def _unstacked(stacks: list[tuple] | None) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
+    """Each factor's (states, directions) rows, views of its stack, in factor order."""
+    rows = sorted((i, (a, d)) for sites, *stack in stacks or () for i, a, d in zip(sites, *stack))
+    return None if stacks is None else tuple(pair for _, pair in rows)
 
 
 def _dense_rows(traj, grid: np.ndarray, method: str, h: float, factors) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +201,7 @@ def _dense_rows(traj, grid: np.ndarray, method: str, h: float, factors) -> tuple
     product trajectory's factor rows, or over each program step's sites."""
     if isinstance(traj, RegisterProgram):
         dense_rows = lambda k, ts: _register_rows(traj, k, ts, method, h)
-        states, directions = _stepwise(traj, grid, dense_rows, [traj.initial.total_dim] * 2)
+        states, directions = _stepwise(traj, grid, dense_rows, [(grid.size, traj.initial.total_dim)] * 2)
     else:
         states, directions = _product_rows(traj, factors)
     _check_tangents(states, directions)
@@ -200,46 +209,45 @@ def _dense_rows(traj, grid: np.ndarray, method: str, h: float, factors) -> tuple
 
 
 def _stepwise(
-    prog: RegisterProgram, grid: np.ndarray, rows_of: Callable, widths: Sequence[int]
+    prog: RegisterProgram, grid: np.ndarray, rows_of: Callable, shapes: Sequence[tuple]
 ) -> list[np.ndarray]:
-    """A program's rows over the grid, step by step: ``rows_of(k, local)``
-    gives step k's arrays at its local parameters, one per entry of ``widths``."""
+    """A program's rows over the grid, step by step: ``rows_of(k, local)`` gives
+    step k's arrays at its local parameters, shaped as ``shapes`` (grid axis second to last)."""
     ks, local = prog.resolve_time(grid)
-    out = [np.empty((grid.size, width), dtype=complex) for width in widths]
+    out = [np.empty(shape, dtype=complex) for shape in shapes]
     for k in np.unique(ks):
         rows = ks == k
         for arr, part in zip(out, rows_of(int(k), local[rows])):
-            arr[rows] = part
+            arr[..., rows, :] = part
     return out
 
 
-def _squared_speeds(parts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """||d - <a|d> a||^2 of each (states a, directions d) part, one column each."""
-    return np.column_stack([np.linalg.norm(_horizontal(a, d), axis=-1) ** 2 for a, d in parts])
+def _squared_speeds(stacks: list[tuple], n: int) -> np.ndarray:
+    """||d - <a|d> a||^2 of each of the n factors (states a, directions d),
+    one norm per stack, as a C-contiguous (G, n) array."""
+    speeds = np.empty((n, stacks[0][1].shape[1]))
+    for sites, a, d in stacks:
+        speeds[sites] = np.linalg.norm(_horizontal(a, d), axis=-1) ** 2
+    return np.ascontiguousarray(speeds.T)
 
 
-def _left_factors(cut: Cut, sizes: Sequence[int]) -> np.ndarray | None:
+def _left_factors(cuts: Sequence[Cut], sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Whether each factor, a run of ``sizes[i]`` consecutive positions, lies
-    left of the cut; None when the cut splits a factor."""
-    left, start = [], 0
-    for size in sizes:
-        span = range(start, start + size)
-        if cut.left.issuperset(span):
-            left.append(True)
-        elif cut.left.isdisjoint(span):
-            left.append(False)
-        else:
-            return None
-        start += size
-    return np.array(left)
+    left of each cut, (cuts, factors); and whether each cut splits no factor."""
+    spans = [range(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
+    whole = [all(cut.left.issuperset(span) or cut.left.isdisjoint(span) for span in spans) for cut in cuts]
+    return np.array([[cut.left.issuperset(span) for span in spans] for cut in cuts]), np.array(whole)
 
 
 def _speed_share_bits(speeds: np.ndarray, left: np.ndarray, moving: np.ndarray) -> np.ndarray:
     """Binary entropy of the left side's share of the squared speed in each
-    row; zero where nothing moves."""
-    sides = np.column_stack([speeds[:, left].sum(axis=-1), speeds[:, ~left].sum(axis=-1)])
-    total = sides.sum(axis=-1, keepdims=True)
-    return _weights_bits(np.divide(sides, total, out=np.zeros_like(sides), where=moving[:, None]))
+    row, for each cut (row of ``left``), (G, cuts); zero where nothing moves."""
+    sides = left.T[:, None, :, None] != np.array([False, True])  # (factors, 1, cuts, 2)
+    # each side's speeds added one factor after another, in order, as
+    # speeds[:, side].sum(axis=-1) adds its gathered columns; adding 0 is exact
+    sums = sum(np.where(sides, speeds.T[..., None, None], 0.0))  # (G, cuts, 2)
+    total = sums.sum(axis=-1, keepdims=True)
+    return _weights_bits(np.divide(sums, total, out=np.zeros_like(sums), where=moving[:, None, None]))
 
 
 def _entropies_or_zero(
@@ -280,10 +288,12 @@ def profile(
     for cut in cuts:
         cut.validate_for(dims)
 
-    factors = _factor_tangents(traj, grid, method, h)
-    factor_speeds = None if factors is None else _squared_speeds(factors)
-    left = {cut: None if factors is None else _left_factors(cut, sizes) for cut in cuts}
-    dense = [cut for cut in cuts if left[cut] is None]
+    stacks = _factor_tangents(traj, grid, method, h)
+    factors = _unstacked(stacks)
+    factor_speeds = None if stacks is None else _squared_speeds(stacks, len(sizes))
+    left, aligned = _left_factors(cuts, sizes)
+    aligned &= stacks is not None
+    dense = [cut for cut, whole in zip(cuts, aligned) if not whole]
     assemble = lambda: _dense_rows(traj, grid, method, h, factors)
     dense_tangent, dense_base = {}, {}
     if dense:
@@ -296,18 +306,16 @@ def profile(
         dense_base = {cut: _entropy_bits(_split(unit_states, dims, cut, 1)) for cut in dense}
     else:
         # the dense rows' base check, on their norm: the product of the factors' norms
-        _check_product_amplitudes([a for a, _ in factors], BASE_NORM_TOL, "base")
+        bases = stacks[0][1] if len(stacks) == 1 else [a for a, _ in factors]
+        _check_product_amplitudes(bases, BASE_NORM_TOL, "base")
         # the one-factor excitations are mutually orthogonal, so their squared speeds add
         norms = np.sqrt(factor_speeds.sum(axis=-1))
     speeds = 2 * norms
     # the zero-motion rule of _entropies_or_zero: below the zero floor nothing moves
     moving = ~np.less(norms, _ZERO_TOL)
-    tangent = {
-        cut: dense_tangent[cut] if left[cut] is None
-        else _speed_share_bits(factor_speeds, left[cut], moving)
-        for cut in cuts
-    }
-    base = {cut: dense_base[cut] if left[cut] is None else np.zeros(grid.size) for cut in cuts}
+    shared = iter(() if stacks is None else _speed_share_bits(factor_speeds, left[aligned], moving).T)
+    tangent = {cut: next(shared) if whole else dense_tangent[cut] for cut, whole in zip(cuts, aligned)}
+    base = {cut: np.zeros(grid.size) if whole else dense_base[cut] for cut, whole in zip(cuts, aligned)}
     factor_rows = [arr for factor in factors or () for arr in factor]
     for arr in (grid, speeds, *tangent.values(), *base.values(), *factor_rows):
         arr.setflags(write=False)
@@ -320,6 +328,6 @@ def profile(
         float(np.trapezoid(speeds, grid)),
         cuts,
         factors,
-        {cut: "svd" if left[cut] is None else "speed_share" for cut in cuts},
+        {cut: "speed_share" if whole else "svd" for cut, whole in zip(cuts, aligned)},
         assemble,
     )

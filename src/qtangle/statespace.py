@@ -83,10 +83,10 @@ def _check_product_amplitudes(
 ) -> np.ndarray:
     """``_check_amplitudes`` of the row-wise tensor product of the factor
     stacks, from the factors alone: its norm is the product of theirs, and it
-    has a non-finite entry where one of them does.  Returns the norms."""
-    norms = np.linalg.norm(factors[0], axis=-1)
-    for factor in factors[1:]:
-        norms = norms * np.linalg.norm(factor, axis=-1)
+    has a non-finite entry where one of them does.  Returns the norms.  One
+    array stacking factors of one dim takes one norm."""
+    norm = lambda f: np.linalg.norm(f, axis=-1)
+    norms = reduce(np.multiply, norm(factors) if isinstance(factors, np.ndarray) else map(norm, factors))
     defect = abs(norms - 1.0)
     # a non-finite entry makes its norm non-finite, so clean rows pass this one test
     if not (defect < tol).all():

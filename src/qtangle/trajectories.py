@@ -532,7 +532,12 @@ def _curve_rows(
     if method == "analytic":
         base, deriv = curve._states_and_velocities(ts)
     else:
-        base, deriv = curve.states(ts), _stencil(curve.states, ts, method, h)
+        base = curve.states(ts)
+        try:
+            deriv = _stencil(curve.states, ts, method, h)
+        except ParameterRangeError as exc:  # name the grid point the stencil was taken at
+            point = f"the {method} stencil (h={h!r}) of grid point t={float(ts[exc.row])!r}"
+            raise ParameterRangeError(f"{exc}, a point of {point}") from exc
     _check_tangents(base, deriv)
     return base, deriv
 
@@ -646,13 +651,18 @@ class UnitaryCurve:
 
     def value(self, t) -> np.ndarray:
         """The unitary at t, (d, d); at each point of a grid array, (G, d, d)."""
-        # the same arithmetic as propagator(self.generator, t) @ self.base
-        phases = np.exp(-1j * self._evals * np.asarray(t)[..., None])
-        u = (self._evecs * phases[..., None, :]) @ self._evecs.conj().T
-        return u @ self.base
+        return _unitaries(self._evals, self._evecs, self.base, t)
 
     def derivative(self, t) -> np.ndarray:
         return -1j * (self.generator @ self.value(t))
+
+
+def _unitaries(evals: np.ndarray, evecs: np.ndarray, base: np.ndarray, t) -> np.ndarray:
+    """exp(-i*G*t) @ base from the eigenpairs of G, at t or each point of a
+    grid array; curves stacked as (S, 1, d), (S, 1, d, d) give (S, G, d, d)."""
+    # the same arithmetic as propagator(generator, t) @ base
+    phases = np.exp(-1j * evals * np.asarray(t)[..., None])
+    return (evecs * phases[..., None, :]) @ np.swapaxes(evecs.conj(), -2, -1) @ base
 
 
 @dataclass(frozen=True, eq=False)
@@ -723,6 +733,15 @@ class RegisterProgram:
         return tuple(starts)
 
     @cached_property
+    def _step_stacks(self) -> tuple[tuple[tuple[np.ndarray, ...], ...], ...]:
+        """Each step's curves stacked once per site dim, filled on first use: (sites,
+        eigenvalues, eigenvectors, base, generator), a grid axis of 1 after the site axis."""
+        dims, fields = self.initial.dims, ("_evals", "_evecs", "base", "generator")
+        groups = [np.flatnonzero(np.equal(dims, d)) for d in dict.fromkeys(dims)]
+        stack = lambda step, g, name: np.array([getattr(step[i], name) for i in g])[:, None]
+        return tuple(tuple((g, *(stack(step, g, f) for f in fields)) for g in groups) for step in self.steps)
+
+    @cached_property
     def _step_starts(self) -> tuple[np.ndarray, ...]:
         """Register amplitudes at the start of each step, filled on first use."""
         starts = [self.initial.amplitudes]
@@ -772,22 +791,20 @@ def register_tangent(
 
 def _step_sites(
     prog: RegisterProgram, k: int, ts: np.ndarray, method: str, h: float
-) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Each site's unitary of step k at each local parameter and its
-    derivative, (G, d, d); None for a constant site."""
+) -> list[tuple[np.ndarray, ...]]:
+    """Step k's site unitaries at each local parameter and their derivatives,
+    one stack per site dim: (sites, values, derivatives, moving), the arrays
+    (S, G, d, d); a constant site (not moving) has no derivative to read."""
     if not 1 <= k <= prog.n_steps:
         raise ValueError(f"step index {k} outside 1..{prog.n_steps}")
     method = resolve_method((), method)
-    sites = []
-    for curve in prog.steps[k - 1]:
-        value = curve.value(ts)
-        if not np.any(curve.generator):
-            sites.append((value, None))  # constant site: every stencil is exactly zero
-        elif method == "analytic":
-            sites.append((value, -1j * (curve.generator @ value)))
-        else:
-            sites.append((value, _stencil(curve.value, ts, method, h)))
-    return sites
+    out = []
+    for sites, evals, evecs, base, gen in prog._step_stacks[k - 1]:
+        unitaries = lambda t: _unitaries(evals, evecs, base, t)
+        values = unitaries(ts)
+        derivs = -1j * (gen @ values) if method == "analytic" else _stencil(unitaries, ts, method, h)
+        out.append((sites, values, derivs, np.any(gen, axis=(1, 2, 3))))
+    return out
 
 
 def _register_rows(
@@ -796,25 +813,29 @@ def _register_rows(
     """Register states and tangents of step k at each local parameter, (G, D),
     unchecked: the product rule over the step's sites, applied to the
     register at the start of the step."""
-    sites = _step_sites(prog, k, ts, method, h)
+    stacks = _step_sites(prog, k, ts, method, h)
+    sites = sorted((i, v, d if m else None) for g, *stack in stacks for i, v, d, m in zip(g, *stack))
     dims = prog.initial.dims
     chi = np.broadcast_to(prog._step_starts[k - 1].reshape(dims), (len(ts),) + dims)
-    state, direction = _product_rule(chi, None, sites, _apply_axis)
+    state, direction = _product_rule(chi, None, [site[1:] for site in sites], _apply_axis)
     return state.reshape(len(ts), -1), direction.reshape(len(ts), -1)
 
 
 def _register_site_rows(
     prog: RegisterProgram, k: int, ts: np.ndarray, method: str, h: float
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each site's (states, directions) rows of step k, unchecked, for a
-    program whose initial state is a product of site factors: the step's
-    curve and its derivative applied to the site's factor at the start of
-    the step."""
-    parts = []
-    for (value, deriv), start in zip(_step_sites(prog, k, ts, method, h), prog._site_starts[k - 1]):
-        site = _matvec(value, start)
-        parts.append((site, np.zeros_like(site) if deriv is None else _matvec(deriv, start)))
-    return parts
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Step k's site rows, unchecked, for a program whose initial state is a
+    product of site factors: per site dim, (sites, states, directions), (S, G, d),
+    the step's curves and their derivatives applied to the sites' factors at
+    the start of the step; a constant site's directions are exactly zero."""
+    starts = prog._site_starts[k - 1]
+    out = []
+    for sites, values, derivs, moving in _step_sites(prog, k, ts, method, h):
+        start = np.array([starts[i] for i in sites])[:, None, :]
+        rows = _matvec(np.array([values, derivs]), start)
+        rows[1, ~moving] = 0.0
+        out.append((sites, *rows))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1375,9 +1375,10 @@ class TestMainExitCodes:
 
             out, product_config = sys.argv[1:]
             assert len(SCENARIOS) == 6
-            codes = {name: main(["--scenario", name, "--out", out]) for name in SCENARIOS}
-            # the product_trace shorthand has no default subsystems
-            assert codes == {name: 2 * (name == "product_trace") for name in SCENARIOS}, codes
+            # product_trace has no default subsystems, so it is no shorthand
+            shorthands = [name for name in SCENARIOS if name != "product_trace"]
+            codes = {name: main(["--scenario", name, "--out", out]) for name in shorthands}
+            assert codes == dict.fromkeys(shorthands, 0), codes
             assert main(["--config", product_config, "--out", out]) == 0
             assert qtangle.verify(trials=5, seed=0, stream=io.StringIO()) == 0
             assert not scipy_modules(), scipy_modules()[:5]
@@ -1420,7 +1421,22 @@ class TestMainExitCodes:
         assert main(["--config", self.write_config(tmp_path, doc)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: t=1.00005 outside the sampled range [0.0, 1.0]\n"
+        assert captured.err == (
+            "error: t=1.00005 outside the sampled range [0.0, 1.0], a point of the richardson"
+            " stencil (h=0.0001) of grid point t=1.0\n"
+        )
+
+    def test_product_trace_is_no_scenario_shorthand(self, capsys, monkeypatch):
+        """It has no default subsystems: argparse refuses it, and --help says why."""
+        monkeypatch.setenv("COLUMNS", "200")  # no help line wraps
+        with pytest.raises(SystemExit) as exc:
+            main(["--scenario", "product_trace"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'product_trace'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "(product_trace has none: run it by --config)" in capsys.readouterr().out
 
     def test_unwritable_output_exits_4(self, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "out.csv"

@@ -238,9 +238,10 @@ class TestProfileFactors:
         ks, local = prog.resolve_time(grid)
         for k in np.unique(ks):
             rows = ks == k
-            sites = _register_site_rows(prog, int(k), local[rows], method, DEFAULT_STEP)
-            for got, want in zip(prof.factors, sites, strict=True):
-                assert same_bits(got[0][rows], want[0]) and same_bits(got[1][rows], want[1])
+            (sites, states, directions), = _register_site_rows(prog, int(k), local[rows], method, DEFAULT_STEP)
+            assert list(sites) == [0, 1, 2]
+            for got, state, direction in zip(prof.factors, states, directions, strict=True):
+                assert same_bits(got[0][rows], state) and same_bits(got[1][rows], direction)
         assert np.max(abs(kron_rows(prof.factors) - prof.states)) < 1e-14
         self.assert_read_only(prof.factors)
 

@@ -28,10 +28,17 @@ from qtangle import (
     run,
 )
 from qtangle.cli import demo_trajectory, parse_config
-from qtangle.entanglement import _entropy_bits
-from qtangle.geometry import _entropies_or_zero, _tangent_rows
+from qtangle.entanglement import _entropy_bits, _weights_bits
+from qtangle.geometry import _entropies_or_zero, _left_factors, _speed_share_bits, _tangent_rows
 from qtangle.statespace import _split
-from qtangle.trajectories import DEFAULT_STEP, _horizontal, random_product_trajectory
+from qtangle.trajectories import (
+    DEFAULT_STEP,
+    _horizontal,
+    _matvec,
+    _register_site_rows,
+    _stencil,
+    random_product_trajectory,
+)
 
 ORACLE_TOL = 1e-12
 
@@ -381,3 +388,114 @@ class TestNoDenseRows:
         monkeypatch.undo()
         with pytest.raises(error, match=message):
             _tangent_rows(traj, np.array([0.0, 0.5, 1.0]), "analytic", DEFAULT_STEP)
+
+
+def per_cut_bits(speeds, left, moving):
+    """The speed-share law of one cut, one side sum at a time."""
+    sides = np.column_stack([speeds[:, left].sum(axis=-1), speeds[:, ~left].sum(axis=-1)])
+    total = sides.sum(axis=-1, keepdims=True)
+    return _weights_bits(np.divide(sides, total, out=np.zeros_like(sides), where=moving[:, None]))
+
+
+class TestStackedSites:
+    """A step's sites are evaluated as one stack per site dim, and the
+    speed share of every cut comes from one pass over the factor speeds."""
+
+    @pytest.mark.parametrize("method", ["analytic", "central_fd", "richardson"])
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2, 2)])
+    def test_site_rows_are_each_curve_applied_to_its_start(self, dims, method):
+        rng = np.random.default_rng(61)
+        prog = random_program(rng, dims, product_ket(rng, dims), n_steps=2)
+        ts = np.linspace(0.0, 1.0, 7)
+        for k in (1, 2):
+            seen = []
+            for sites, states, directions in _register_site_rows(prog, k, ts, method, DEFAULT_STEP):
+                assert states.shape == directions.shape == (len(sites), len(ts), dims[sites[0]])
+                for i, state, direction in zip(sites, states, directions):
+                    curve, start = prog.steps[k - 1][i], prog._site_starts[k - 1][i]
+                    if method == "analytic":
+                        deriv = curve.derivative(ts)
+                    else:
+                        deriv = _stencil(curve.value, ts, method, DEFAULT_STEP)
+                    want = _matvec(deriv, start) if np.any(curve.generator) else np.zeros_like(state)
+                    assert same_bits(state, _matvec(curve.value(ts), start))
+                    assert same_bits(direction, want)
+                    seen.append(int(i))
+            assert sorted(seen) == list(range(len(dims)))
+
+    @pytest.mark.parametrize("method", ["analytic", "central_fd", "richardson"])
+    def test_constant_sites_have_exactly_zero_directions(self, method):
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+        step = (
+            UnitaryCurve.constant(hadamard),
+            UnitaryCurve(np.zeros((3, 3)), np.eye(3)[[2, 0, 1]]),
+            UnitaryCurve.rotation(np.diag([0.4, -0.4])),
+            UnitaryCurve.constant(np.eye(2)),
+        )
+        rng = np.random.default_rng(62)
+        prog = RegisterProgram((step,), product_ket(rng, (2, 3, 2, 2)))
+        assert "_step_stacks" not in vars(prog)  # stacked on first use, not on construction
+        stacks = _register_site_rows(prog, 1, np.array([0.0, 0.3, 1.0]), method, DEFAULT_STEP)
+        assert "_step_stacks" in vars(prog)
+        directions = {int(i): d for sites, _, dirs in stacks for i, d in zip(sites, dirs)}
+        for i in (0, 1, 3):
+            assert same_bits(directions[i], np.zeros_like(directions[i]))
+        assert np.all(abs(directions[2]) > 0.0)
+
+    def test_all_cuts_share_equals_the_per_cut_law(self):
+        rng = np.random.default_rng(63)
+        for n in (2, 3, 4, 7, 9, 10, 12, 17, 140):
+            speeds = rng.uniform(size=(6, n)) ** 3 * 10.0 ** rng.integers(-4, 3, size=(6, n))
+            speeds[1] = 0.0
+            moving = np.array([True, False, True, True, True, True])
+            cuts = [Cut.splitting(range(k), n) for k in range(1, n)][:20]
+            for _ in range(20):
+                left = rng.uniform(size=n) < rng.uniform()
+                if 0 < left.sum() < n:
+                    cuts.append(Cut.splitting(np.flatnonzero(left), n))
+            left, aligned = _left_factors(cuts, [1] * n)
+            assert aligned.all()
+            bits = _speed_share_bits(speeds, left, moving)
+            assert bits.shape == (6, len(cuts))
+            for j, side in enumerate(left):
+                assert same_bits(bits[:, j], per_cut_bits(speeds, side, moving))
+            assert np.all(bits[1] == 0.0)
+
+    def test_left_factors_mark_cuts_that_split_a_factor(self):
+        cuts = [Cut.splitting(left, 5) for left in ((0, 1), (0,), (2, 0, 1), (1, 2), (2, 3, 4))]
+        left, aligned = _left_factors(cuts, [2, 1, 2])
+        assert aligned.tolist() == [True, False, True, False, True]
+        assert left[aligned].tolist() == [[True, False, False], [True, True, False], [False, True, True]]
+
+    def test_profile_mixes_shared_and_split_cuts(self):
+        rng = np.random.default_rng(64)
+        traj = ProductTrajectory(
+            (
+                BlochCurve([0.3, 1.0, -0.4], [0.1, 0.8]),
+                LocalHamiltonianCurve(random_generator(rng, 4), random_ket(rng, (2, 2))),
+                BlochCurve([0.9, -0.6]),
+            )
+        )
+        cuts = (Cut.splitting((0,), 4), Cut.splitting((0, 1), 4), Cut.splitting((1, 2), 4), Cut.splitting((3,), 4))
+        prof = profile(traj, np.linspace(0.0, 1.0, 5), cuts)
+        assert [prof.entropy_path[cut] for cut in cuts] == ["speed_share", "svd", "speed_share", "speed_share"]
+        for cut in cuts:
+            assert np.max(abs(prof.tangent_entropy[cut] - dense_entropies(prof, cut)[0])) <= ORACLE_TOL
+
+    def test_non_finite_site_velocity_keeps_its_message(self):
+        prog = wide_register(np.random.default_rng(65), 4)
+        # a generator whose velocity overflows, while its unitaries stay finite
+        object.__setattr__(prog.steps[1][2], "generator", np.array([[np.inf, 0.0], [0.0, 0.0]]))
+        with pytest.MonkeyPatch.context() as monkeypatch, np.errstate(invalid="ignore"):
+            forbid_dense_rows(monkeypatch)
+            with pytest.raises(ValueError, match="^direction entries must all be finite$"):
+                profile(prog, [0.5, 1.5], contiguous_cuts(4), method="analytic")
+
+    def test_off_norm_start_keeps_its_message_and_the_first_site(self):
+        prog = wide_register(np.random.default_rng(66), 4)
+        first, second = (list(starts) for starts in prog._site_starts)
+        # site 2 is off norm in step 1; site 1, the first site to fail, only in step 2
+        first[2], second[1] = first[2] * (1 + 2e-9), second[1] * (1 + 1e-9)
+        vars(prog)["_site_starts"] = (tuple(first), tuple(second))
+        with pytest.raises(ValidationError, match=r"^base: expected a unit vector, got norm 1\.0000000009"):
+            profile(prog, [0.5, 1.5], contiguous_cuts(4))

@@ -473,13 +473,20 @@ class TestRegister:
         assert len(calls) <= 3 * n
 
     def test_one_value_call_per_site(self, monkeypatch):
+        """A step's sites are evaluated once each, all in one stacked call."""
         prog = self.make_program()
         register_state(prog, 2, 0.5)  # fills the cached step starts
         calls = []
-        value = UnitaryCurve.value
-        monkeypatch.setattr(UnitaryCurve, "value", lambda curve, t: calls.append(t) or value(curve, t))
+        unitaries = trajectories._unitaries
+
+        def counting(evals, evecs, base, t):
+            out = unitaries(evals, evecs, base, t)
+            calls.append((np.asarray(t).tolist(), out.shape[:-3]))
+            return out
+
+        monkeypatch.setattr(trajectories, "_unitaries", counting)
         register_tangent(prog, 2, 0.3)
-        assert calls == [0.3] * prog.n_sites
+        assert calls == [([0.3], (prog.n_sites,))]
 
     def test_completed_steps_evaluated_once(self, monkeypatch):
         prog = self.make_program()
