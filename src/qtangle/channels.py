@@ -4,7 +4,10 @@ Tracing the other side out of the tangent's rank-one operator leaves three
 pieces: the moving side's own differential, an interference piece scaled by
 the other side's (purely imaginary) base overlap, and a noise piece scaled by
 the other side's squared speed.  The report carries all three along with the
-Frobenius gap between the literal partial trace and their sum.
+Frobenius gap between the literal partial trace and their sum.  That partial
+trace is taken from the tangent's coefficient matrix M (T = sum M_ab |a>|b>):
+M M^H on the first side and M^T M^* on the second, without forming the
+rank-one operator itself.
 """
 
 from __future__ import annotations
@@ -13,15 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statespace import (
-    Cut,
-    HermitianOp,
-    _check_hermitian,
-    _check_norm_preserving,
-    _outer,
-    _overlaps,
-    _partial_trace,
-)
+from .statespace import HermitianOp, _check_hermitian, _check_norm_preserving, _outer, _overlaps
 from .trajectories import (
     DEFAULT_STEP,
     ProductTrajectory,
@@ -106,14 +101,14 @@ def _channel_rows(
 ) -> list[tuple[np.ndarray, ...]]:
     """Reduced channel of each requested subsystem over the stack.
 
-    ``full`` holds the tangents of the product, (G, D).  Every subsystem's
-    partial trace comes from the same full tangent operator.  Per subsystem:
-    (lhs, differential, interference, noise, gap), each with one row per grid
-    point; that operator, then each lhs and term, is checked Hermitian.
+    ``full`` holds the tangents T of the product, (G, D).  Each lhs is the
+    literal partial trace of |T><T|, taken from T's coefficient matrix
+    M = T.reshape(G, d1, d2): M M^H keeps factor 1 and M^T M^* keeps factor
+    2, so the (G, D, D) operator is never formed.  Per subsystem: (lhs,
+    differential, interference, noise, gap), each with one row per grid
+    point; each lhs and term is checked Hermitian.
     """
-    big = _outer(full, full)
-    _check_hermitian(big)
-    dims = tuple(base.shape[-1] for base, _ in parts)
+    coefficients = full.reshape(len(full), *(base.shape[-1] for base, _ in parts))
     out = []
     for subsystem in subsystems:
         (psi, dpsi), (other, dother) = parts[subsystem - 1], parts[2 - subsystem]
@@ -124,7 +119,8 @@ def _channel_rows(
         interference = (_outer(psi, dpsi) - _outer(dpsi, psi)) * other_overlap
         noise = _outer(psi, psi) * other_speed_sq
 
-        lhs = _partial_trace(big, dims, Cut.splitting([subsystem - 1], 2), "left")
+        kept = coefficients if subsystem == 1 else np.swapaxes(coefficients, -2, -1)
+        lhs = kept @ np.swapaxes(kept, -2, -1).conj()
         gap = np.linalg.norm(lhs - (differential + interference + noise), axis=(-2, -1))
         terms = [_hermitian_part(m) for m in (differential, interference, noise)]
         out.append((lhs, *terms, gap))

@@ -96,6 +96,10 @@ def canonical_register_program() -> RegisterProgram:
     return RegisterProgram.uniform_superposition((step1, step2), 3)
 
 
+# built once, at import: every register_trace run reuses it and the site rows it caches
+_REGISTER_PROGRAM = canonical_register_program()
+
+
 def rotating_ensemble() -> Ensemble:
     """Equal mixture of |0>|+> and |1>|-> with factor 1 rotating.
 
@@ -234,7 +238,7 @@ def _run_product_trace(cfg: RunConfig) -> TraceReport:
 
 def _run_register_trace(cfg: RunConfig) -> TraceReport:
     cuts = cfg.cuts or (Cut.splitting((0,), 3), Cut.splitting((0, 1), 3))
-    return _sweep(cfg, canonical_register_program(), cuts)
+    return _sweep(cfg, _REGISTER_PROGRAM, cuts)
 
 
 def _run_pseudo_pure(cfg: RunConfig) -> TraceReport:
@@ -330,9 +334,12 @@ def emit(report: TraceReport, out_format: str = "csv", path: str | None = None) 
 # Each check draws its trials as stacks.  A check that combines factors draws
 # one stack of random curves per factor dim, covering every factor slot of
 # that dim over all trials, and evaluates it once, each row at its own
-# trial's t.  Trials are then grouped by their factor dims, and each group
-# assembles its products from those rows and passes once through the kernels
-# the scenarios use, with its trials on the leading axis.
+# trial's t.  The rows are held zero-padded to (trials, slots, largest dim),
+# and the empty third slot of a two-factor trial holds a still |0>, so every
+# trial's product lives in one space of (largest dim)^slots: each check then
+# passes once through the kernels the scenarios use, with all its trials on
+# the leading axis.  Zero padding adds nothing to a norm, an overlap or a
+# Schmidt spectrum, and the still |0> adds no motion.
 
 
 @dataclass(frozen=True)
@@ -346,24 +353,8 @@ class CheckResult:
     failure: str | None
 
 
-def _per_trial(dims: np.ndarray, rows: Sequence[np.ndarray], measure: Callable) -> np.ndarray:
-    """``measure(group dims, member trials, parts)`` for each group of trials
-    with equal factor dims, in trial order.  ``dims`` holds one row per trial;
-    a zero entry pads a trial with fewer factors.  ``parts`` holds one tuple
-    per slot of the group: the member trials' rows of that slot, cut to its
-    dim, one entry per array of ``rows`` (``_slot_rows``)."""
-    groups, inverse = np.unique(dims, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    out = None
-    for g, row in enumerate(groups):
-        members = np.flatnonzero(inverse == g)
-        group = tuple(int(d) for d in row if d)
-        parts = [tuple(arr[members, k, :d] for arr in rows) for k, d in enumerate(group)]
-        values = measure(group, members, parts)
-        if out is None:
-            out = np.empty((len(dims),) + values.shape[1:], dtype=values.dtype)
-        out[members] = values
-    return out
+# the larger of the two steps whose errors the halving-ratio checks compare
+_HALVING_STEP = 1e-3
 
 
 def _random_dims(rng: np.random.Generator, trials: int) -> np.ndarray:
@@ -375,7 +366,8 @@ def _random_dims(rng: np.random.Generator, trials: int) -> np.ndarray:
 
 def _slot_rows(dims: np.ndarray, rows_of: Callable[..., tuple]) -> list[np.ndarray]:
     """Rows of every factor slot of every trial, zero-padded to (trials,
-    slots, largest dim), one array per array ``rows_of`` returns.
+    slots, largest dim), one array per array ``rows_of`` returns; a stack of
+    d x d matrices is padded to (trials, slots, largest dim, largest dim).
 
     ``dims`` holds one row of slot dims per trial, zero for an empty slot.
     ``rows_of(d, trial, slot)`` is called once per dim d and gives one row
@@ -386,10 +378,22 @@ def _slot_rows(dims: np.ndarray, rows_of: Callable[..., tuple]) -> list[np.ndarr
         trial, slot = np.nonzero(dims == d)
         arrays = rows_of(int(d), trial, slot)
         if not out:
-            out = [np.zeros(dims.shape + (dims.max(),), dtype=complex) for _ in arrays]
+            width = (dims.max(),)
+            out = [np.zeros(dims.shape + width * (a.ndim - 1), dtype=complex) for a in arrays]
         for arr, rows in zip(out, arrays):
-            arr[trial, slot, :d] = rows
+            arr[(trial, slot) + (slice(d),) * (rows.ndim - 1)] = rows
     return out
+
+
+def _slot_parts(
+    dims: np.ndarray, rows: list[np.ndarray], states: tuple[int, ...] = (0,)
+) -> list[tuple[np.ndarray, ...]]:
+    """Each slot's rows over all trials, one entry per array of ``rows``
+    (``_slot_rows``), after giving each empty slot the still |0> in place:
+    state e0 in each array ``states`` names, zero in the others."""
+    for i in states:
+        rows[i][dims == 0, 0] = 1.0
+    return [tuple(arr[:, k] for arr in rows) for k in range(dims.shape[1])]
 
 
 def _curve_slot_rows(
@@ -412,28 +416,27 @@ def _product_tangents(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.nd
     return states, directions
 
 
+def _first_slot_entropies(rows: np.ndarray, parts: list[tuple[np.ndarray, ...]]) -> np.ndarray:
+    """Entropy of each normalized row of a product over the padded slots
+    (``_slot_parts``) across 1|rest."""
+    dims = (parts[0][0].shape[-1],) * len(parts)
+    return _entropies_or_zero(rows, dims, (Cut.splitting((0,), len(parts)),))[0]
+
+
 def _check_channel_identity(rng: np.random.Generator, trials: int) -> CheckResult:
     dims = rng.integers(2, 5, size=(trials, 2))
-    rows = _curve_slot_rows(rng, dims, rng.uniform(0.0, 1.0, trials))
-
-    def measure(group: tuple[int, ...], members: np.ndarray, parts: list) -> np.ndarray:
-        _factor_overlaps(parts, "analytic")  # norm preservation, as the scenarios check it
-        full = _product_tangents(parts)[1]
-        return np.maximum(*(side[-1] for side in _channel_rows(parts, full, (1, 2))))
-
-    worst = float(_per_trial(dims, rows, measure).max())
+    parts = _slot_parts(dims, _curve_slot_rows(rng, dims, rng.uniform(0.0, 1.0, trials)))
+    _factor_overlaps(parts, "analytic")  # norm preservation, as the scenarios check it
+    full = _product_tangents(parts)[1]
+    worst = float(max(side[-1].max() for side in _channel_rows(parts, full, (1, 2))))
     failure = f"channel decomposition gap {worst:.3e} >= 1e-10" if worst >= 1e-10 else None
     return CheckResult(worst, 1e-10, f"max gap {worst:.2e} over {trials} trials", failure)
 
 
 def _check_bilocal_reality(rng: np.random.Generator, trials: int) -> CheckResult:
     dims = rng.integers(2, 5, size=(trials, 2))
-    rows = _curve_slot_rows(rng, dims, rng.uniform(0.0, 1.0, trials))
-
-    def measure(group: tuple[int, ...], members: np.ndarray, parts: list) -> np.ndarray:
-        return _reality_gaps(*_factor_overlaps(parts, "analytic"))
-
-    worst = float(_per_trial(dims, rows, measure).max())
+    parts = _slot_parts(dims, _curve_slot_rows(rng, dims, rng.uniform(0.0, 1.0, trials)))
+    worst = float(_reality_gaps(*_factor_overlaps(parts, "analytic")).max())
     failure = f"bilocal overlap product imaginary part {worst:.3e} >= 1e-10"
     detail = f"max imaginary part {worst:.2e} over {trials} trials"
     return CheckResult(worst, 1e-10, detail, failure if worst >= 1e-10 else None)
@@ -447,13 +450,8 @@ def _check_genericity(rng: np.random.Generator, trials: int) -> CheckResult:
         return psi, _admissible_rows(rng, psi)
 
     dims = _random_dims(rng, trials)
-
-    def measure(group: tuple[int, ...], members: np.ndarray, parts: list) -> np.ndarray:
-        tangents = _product_tangents(parts)
-        cut = Cut.splitting((0,), len(group))
-        return _entropies_or_zero(_horizontal(*tangents), group, (cut,))[0]
-
-    entropy = _per_trial(dims, _slot_rows(dims, rows_of), measure)
+    parts = _slot_parts(dims, _slot_rows(dims, rows_of))
+    entropy = _first_slot_entropies(_horizontal(*_product_tangents(parts)), parts)
     lowest, hits = float(entropy.min()), int(np.count_nonzero(entropy < 1e-8))
     failure = f"{hits}/{trials} random tangents fell below entropy 1e-8 (min {lowest:.3g})"
     detail = f"min entropy {lowest:.3g} over {trials} trials"
@@ -476,18 +474,14 @@ def _check_gauge_invariance(rng: np.random.Generator, trials: int) -> CheckResul
             *_curve_rows(curve, ts[trial], "analytic", DEFAULT_STEP),
         )
 
-    def measure(group: tuple[int, ...], members: np.ndarray, parts: list) -> np.ndarray:
-        # each slot holds the modulated curve's rows, then the unmodulated one's
-        horizontal = [
-            _horizontal(*_product_tangents([part[pair] for part in parts]))
-            for pair in (slice(0, 2), slice(2, 4))
-        ]
-        cut = Cut.splitting((0,), len(group))
-        entropy = _entropies_or_zero(np.concatenate(horizontal), group, (cut,))[0]
-        after, before = np.split(entropy, 2)
-        return abs(after - before)
-
-    worst = float(_per_trial(dims, _slot_rows(dims, rows_of), measure).max())
+    # each slot holds the modulated curve's rows, then the unmodulated one's
+    parts = _slot_parts(dims, _slot_rows(dims, rows_of), states=(0, 2))
+    horizontal = [
+        _horizontal(*_product_tangents([part[pair] for part in parts]))
+        for pair in (slice(0, 2), slice(2, 4))
+    ]
+    after, before = np.split(_first_slot_entropies(np.concatenate(horizontal), parts), 2)
+    worst = float(abs(after - before).max())
     failure = f"entropy moved by {worst:.3e} under phase modulation"
     detail = f"max entropy shift {worst:.2e} over {trials} trials"
     return CheckResult(worst, 1e-10, detail, failure if worst >= 1e-10 else None)
@@ -501,10 +495,10 @@ def _median_ratio(ratios: np.ndarray, name: str) -> CheckResult:
     return CheckResult(abs(median - 4.0), 0.8, detail, None if 3.2 <= median <= 4.8 else failure)
 
 
-def _check_fs_consistency(rng: np.random.Generator, trials: int, h: float = 1e-3) -> CheckResult:
+def _check_fs_consistency(rng: np.random.Generator, trials: int) -> CheckResult:
     """err(h)/err(h/2) for |fs_distance/h - fs_speed| on constant-speed
     trajectories of speed above 0.2, drawn in batches until ``trials`` pass."""
-    steps = (h, h / 2)
+    steps = (_HALVING_STEP, _HALVING_STEP / 2)
 
     def batch(dims: np.ndarray, ts: np.ndarray) -> np.ndarray:
         def rows_of(d: int, trial: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -512,17 +506,14 @@ def _check_fs_consistency(rng: np.random.Generator, trials: int, h: float = 1e-3
             now = _curve_rows(curve, ts[trial], "analytic", DEFAULT_STEP)
             return (*now, *(curve.states(ts[trial] + step) for step in steps))
 
-        def measure(group: tuple[int, ...], members: np.ndarray, parts: list) -> np.ndarray:
-            # each slot holds its states and directions at t, then its states at t + step
-            base, tangent = _product_tangents([part[:2] for part in parts])
-            speed = _fs_speeds(base, tangent)
-            errors = []
-            for step, later in zip(steps, zip(*(part[2:] for part in parts))):
-                later_states = reduce(_kron_rows, later)
-                errors.append(abs(_fs_distances(base, later_states) / step - speed))
-            return np.column_stack([speed, *errors])
-
-        return _per_trial(dims, _slot_rows(dims, rows_of), measure)
+        # each slot holds its states and directions at t, then its states at t + step
+        parts = _slot_parts(dims, _slot_rows(dims, rows_of), states=(0, 2, 3))
+        base, tangent = _product_tangents([part[:2] for part in parts])
+        speed = _fs_speeds(base, tangent)
+        errors = []
+        for step, later in zip(steps, zip(*(part[2:] for part in parts))):
+            errors.append(abs(_fs_distances(base, reduce(_kron_rows, later)) / step - speed))
+        return np.column_stack([speed, *errors])
 
     ratios = np.empty(0)
     while ratios.size < trials:
@@ -533,34 +524,37 @@ def _check_fs_consistency(rng: np.random.Generator, trials: int, h: float = 1e-3
     return _median_ratio(ratios[:trials], "halving")
 
 
-def _check_fd_order(rng: np.random.Generator, trials: int, h: float = 1e-3) -> CheckResult:
+def _check_fd_order(rng: np.random.Generator, trials: int) -> CheckResult:
     """err(h)/err(h/2) of the central difference against the analytic tangent."""
+    # the exact tangent, then the central difference at h and at h/2
+    steps = (
+        ("analytic", _HALVING_STEP),
+        ("central_fd", _HALVING_STEP),
+        ("central_fd", _HALVING_STEP / 2),
+    )
 
-    def measure(dims: tuple[int, ...], members: np.ndarray, parts: list) -> np.ndarray:
-        curve = _random_curves(rng, dims[0], members.size)
-        ts = rng.uniform(0.0, 1.0, members.size)
-        exact = _curve_rows(curve, ts, "analytic", h)[1]
-        errors = []
-        for step in (h, h / 2):
-            approx = _curve_rows(curve, ts, "central_fd", step)[1]
-            errors.append(np.linalg.norm(approx - exact, axis=-1))
-        return errors[0] / errors[1]
+    def rows_of(d: int, trial: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, ...]:
+        curve = _random_curves(rng, d, trial.size)
+        ts = rng.uniform(0.0, 1.0, trial.size)
+        return tuple(_curve_rows(curve, ts, method, step)[1] for method, step in steps)
 
-    ratios = _per_trial(rng.integers(2, 4, size=(trials, 1)), (), measure)
-    return _median_ratio(ratios, "central-difference")
+    exact, *approx = _slot_rows(rng.integers(2, 4, size=(trials, 1)), rows_of)
+    errors = [np.linalg.norm(rows - exact, axis=-1)[:, 0] for rows in approx]
+    return _median_ratio(errors[0] / errors[1], "central-difference")
 
 
 def _check_composition(rng: np.random.Generator, trials: int) -> CheckResult:
-    def measure(dims: tuple[int, ...], members: np.ndarray, parts: list) -> np.ndarray:
-        gens = _random_hermitians(rng, (members.size,), dims[0])
-        exact = propagator(gens, 1.0)
-        dists = [
-            np.linalg.norm(infinitesimal_composition(gens, 1.0, n) - exact, ord=2, axis=(-2, -1))
-            for n in (64, 128)
-        ]
-        return dists[0] / dists[1]
+    def rows_of(d: int, trial: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray]:
+        return (_random_hermitians(rng, (trial.size,), d),)
 
-    ratios = _per_trial(rng.integers(2, 5, size=(trials, 1)), (), measure)
+    # a zero-padded generator propagates as a block identity on the padding
+    gens = _slot_rows(rng.integers(2, 5, size=(trials, 1)), rows_of)[0][:, 0]
+    exact = propagator(gens, 1.0)
+    dists = [
+        np.linalg.norm(infinitesimal_composition(gens, 1.0, n) - exact, ord=2, axis=(-2, -1))
+        for n in (64, 128)
+    ]
+    ratios = dists[0] / dists[1]
     bad = ratios[~((1.7 <= ratios) & (ratios <= 2.3))]
     failure = None
     if bad.size:
@@ -571,26 +565,20 @@ def _check_composition(rng: np.random.Generator, trials: int) -> CheckResult:
 
 def _check_witness_false_positives(rng: np.random.Generator, trials: int) -> CheckResult:
     pair = rng.integers(2, 4, size=(trials, 2))
-    weight = rng.uniform(0.2, 0.8, trials)
+    w = rng.uniform(0.2, 0.8, trials)[:, None, None]
     # slots 0 and 1 are the first component's factors, 2 and 3 the second's
     dims = np.hstack([pair, pair])
-    rows = _curve_slot_rows(rng, dims, rng.uniform(0.0, 1.0, trials))
-
-    def measure(group: tuple[int, ...], members: np.ndarray, parts: list) -> np.ndarray:
-        w = weight[members, None, None]
-        components = [
-            (w, *_factor_differentials(parts[:2])),
-            (1.0 - w, *_factor_differentials(parts[2:])),
-        ]
-        drho = _product_form(components)
-        _check_hermitian(drho)
-        tr1, tr2, verdict = _trace_witness(drho, group[:2], 1e-6, "analytic")
-        return np.column_stack([np.maximum(tr1, tr2), verdict != VERDICT_INCONCLUSIVE])
-
-    values = _per_trial(dims, rows, measure)
-    worst = float(values[:, 0].max())
+    parts = _slot_parts(dims, _curve_slot_rows(rng, dims, rng.uniform(0.0, 1.0, trials)))
+    components = [
+        (w, *_factor_differentials(parts[:2])),
+        (1.0 - w, *_factor_differentials(parts[2:])),
+    ]
+    drho = _product_form(components)
+    _check_hermitian(drho)
+    tr1, tr2, verdict = _trace_witness(drho, (int(dims.max()),) * 2, 1e-6, "analytic")
+    worst = float(np.maximum(tr1, tr2).max())
     failure = None
-    if values[:, 1].any():
+    if (verdict != VERDICT_INCONCLUSIVE).any():
         failure = "witness flagged an honest product-differential form"
     elif worst >= 1e-10:
         failure = f"partial-trace norm {worst:.3e} >= 1e-10 on product form"

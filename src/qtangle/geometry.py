@@ -161,15 +161,6 @@ class TrajectoryProfile:
         )
 
 
-def _tangent_rows(traj, grid: np.ndarray, method: str, h: float) -> tuple[
-    np.ndarray, np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...] | None
-]:
-    """Raw tangents over the grid, checked, and the factor rows
-    (``_factor_tangents``) of which they are the product."""
-    factors = _unstacked(_factor_tangents(traj, grid, method, h))
-    return (*_dense_rows(traj, grid, method, h, factors), factors)
-
-
 def _factor_tangents(traj, grid: np.ndarray, method: str, h: float) -> list[tuple] | None:
     """Stacks (factors, states, directions) of the factor rows over the grid
     (register sites, for a program), (S, G, d) each, checked as tangents;

@@ -13,6 +13,7 @@ import pytest
 from qtangle import (
     BlochCurve,
     Cut,
+    HermitianOp,
     Ket,
     LocalHamiltonianCurve,
     PhaseCurve,
@@ -24,6 +25,8 @@ from qtangle import (
     product_tangent,
     reduced_tangent_channel,
 )
+from qtangle.channels import _channel_rows
+from qtangle.trajectories import _admissible_rows, _kron_rows, _product_rule, _random_unit_rows
 
 SY = np.array([[0.0, -1j], [1j, 0.0]])
 
@@ -73,6 +76,25 @@ class TestReducedTangentChannel:
         for side, keep_first in ((1, True), (2, False)):
             rep = reduced_tangent_channel(traj, t, side)
             assert np.allclose(rep.lhs.matrix, traced_oracle(tv, traj.dims, keep_first), atol=1e-12)
+
+    @pytest.mark.parametrize("d1", [2, 3, 4])
+    @pytest.mark.parametrize("d2", [2, 3, 4])
+    def test_stacked_lhs_is_the_partial_trace_of_the_tangent_operator(self, d1, d2):
+        """The lhs taken from the tangent's coefficient matrix is the partial
+        trace of the dense operator |T><T|, on each side."""
+        rng = np.random.default_rng(10 * d1 + d2)
+        parts = []
+        for d in (d1, d2):
+            psi = _random_unit_rows(rng, 16, d)
+            parts.append((psi, _admissible_rows(rng, psi)))
+        full = _product_rule(*parts[0], parts[1:], _kron_rows)[1]
+        sides = _channel_rows(parts, full, (1, 2))
+        for subsystem, (lhs, *_) in zip((1, 2), sides):
+            cut = Cut.splitting([subsystem - 1], 2)
+            for row, tangent in zip(lhs, full):
+                op = HermitianOp(np.outer(tangent, tangent.conj()), (d1, d2))
+                want = partial_trace(op, cut, "left").matrix
+                assert np.max(np.abs(row - want)) <= 1e-14
 
     def test_terms_against_closed_form_at_known_angle(self):
         theta = math.pi / 3

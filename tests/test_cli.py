@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -1087,6 +1089,15 @@ class TestSweepDriver:
             made.append([len(calls) for calls in counts.values()])
         assert made[0] == made[1]
 
+    def test_register_trace_runs_build_no_program(self, monkeypatch):
+        """Every register_trace run reuses the canonical program built at import."""
+        made = count_calls(monkeypatch, qtangle.trajectories.UnitaryCurve, "__post_init__")
+        for method in ("analytic", "central_fd"):
+            run(parse({"scenario": "register_trace", "method": method}))
+        assert made == []
+        assert canonical_register_program() is not canonical_register_program()
+        assert made
+
     @pytest.mark.parametrize("scenario", ["two_qubit_demo", "chsh_scan"])
     def test_derivative_polynomials_built_with_the_curves(self, scenario, monkeypatch):
         arc = {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 1.0]}}
@@ -1677,6 +1688,75 @@ class TestVerifyDraw:
             assert verify(200, seed=seed, stream=stream) == 0
             outputs.append(stream.getvalue())
         assert outputs[0] == outputs[1]
+
+
+# check that combines factors -> its kernel calls in each draw round
+VERIFY_KERNEL_CALLS = {
+    "channel-identity": {"_product_tangents": 1, "_channel_rows": 1},
+    "bilocal-reality": {"_reality_gaps": 1},
+    "tangent-genericity": {"_product_tangents": 1, "_entropies_or_zero": 1},
+    "gauge-invariance": {"_product_tangents": 2, "_entropies_or_zero": 1},
+    "fs-consistency": {"_product_tangents": 1, "_fs_distances": 2},
+    "witness-no-false-positive": {"_trace_witness": 1},
+}
+VERIFY_KERNELS = sorted({kernel for calls in VERIFY_KERNEL_CALLS.values() for kernel in calls})
+
+
+def tensor_tangent(factors):
+    """The state and tangent of a product, from its (state, direction) factors by np.kron."""
+    state = reduce(np.kron, [a for a, _ in factors])
+    moved = lambda k: reduce(np.kron, [d if j == k else a for j, (a, d) in enumerate(factors)])
+    return state, sum(moved(k) for k in range(len(factors)))
+
+
+class TestVerifyPass:
+    """Each check pads its trials' factor rows to one stack and passes it once
+    through its kernels."""
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_KERNEL_CALLS))
+    def test_each_kernel_runs_once_per_draw_round(self, name, monkeypatch):
+        cli = qtangle.cli
+        calls = {kernel: count_calls(monkeypatch, cli, kernel) for kernel in VERIFY_KERNELS}
+        rounds = count_calls(monkeypatch, cli, "_random_dims")
+        check = {n: c for n, c, _ in cli._CHECKS}[name]
+        assert check(np.random.default_rng(3), 200).failure is None
+        per_round = {kernel: len(made) / max(len(rounds), 1) for kernel, made in calls.items()}
+        assert per_round == {kernel: VERIFY_KERNEL_CALLS[name].get(kernel, 0) for kernel in VERIFY_KERNELS}
+
+    def test_padded_entropy_is_the_unpadded_tangents(self):
+        """A still |0> in the empty slot keeps a two-factor tangent's Schmidt
+        spectrum across 1|23, and zero padding keeps every trial's."""
+        cli = qtangle.cli
+        rng = np.random.default_rng(11)
+        dims = cli._random_dims(rng, 60)
+        assert {np.count_nonzero(row) for row in dims} == {2, 3}
+
+        def rows_of(d, trial, slot):
+            psi = qtangle.trajectories._random_unit_rows(rng, trial.size, d)
+            return psi, qtangle.trajectories._admissible_rows(rng, psi)
+
+        states, directions = cli._slot_rows(dims, rows_of)
+        trials = [
+            [(states[i, k, :d].copy(), directions[i, k, :d].copy()) for k, d in enumerate(row) if d]
+            for i, row in enumerate(dims)
+        ]
+        parts = cli._slot_parts(dims, [states, directions])
+        tangents = cli._product_tangents(parts)
+        entropy = cli._first_slot_entropies(qtangle.trajectories._horizontal(*tangents), parts)
+        for i, factors in enumerate(trials):
+            state, direction = tensor_tangent(factors)
+            tangent = qtangle.TangentVector(Ket(state, tuple(a.size for a, _ in factors)), direction)
+            unit = horizontal_tangent(tangent).normalized_direction()
+            assert abs(entropy[i] - entanglement_entropy(unit, Cut.splitting((0,), len(factors)))) <= 1e-12
+
+    def test_peak_memory_of_a_thousand_trials(self):
+        tracemalloc.start()
+        try:
+            assert verify(1000, seed=0, stream=io.StringIO()) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestEmit:

@@ -29,7 +29,7 @@ from qtangle import (
 )
 from qtangle.cli import demo_trajectory, parse_config
 from qtangle.entanglement import _entropy_bits, _weights_bits
-from qtangle.geometry import _entropies_or_zero, _left_factors, _speed_share_bits, _tangent_rows
+from qtangle.geometry import _entropies_or_zero, _left_factors, _speed_share_bits
 from qtangle.statespace import _split
 from qtangle.trajectories import (
     DEFAULT_STEP,
@@ -322,7 +322,8 @@ class TestNoDenseRows:
             assert all(0.0 <= sample.tangent_entropy[cut] <= 1.0 for cut in cuts)
             assert all(sample.base_entropy[cut] == 0.0 for cut in cuts)
         monkeypatch.undo()
-        states, directions, _ = _tangent_rows(traj, prof.grid, "auto", DEFAULT_STEP)
+        unpatched = profile(traj, grid, cuts)
+        states, directions = unpatched.states, unpatched.directions
         assert same_bits(prof.states, states) and same_bits(prof.directions, directions)
         for i in (0, len(grid) // 2, len(grid) - 1):
             tangent = prof.samples[i].tangent
@@ -385,9 +386,6 @@ class TestNoDenseRows:
         forbid_dense_rows(monkeypatch)
         with pytest.raises(error, match=message):
             profile(traj, [0.0, 0.5, 1.0], [Cut.splitting((0,), 2)], method="analytic")
-        monkeypatch.undo()
-        with pytest.raises(error, match=message):
-            _tangent_rows(traj, np.array([0.0, 0.5, 1.0]), "analytic", DEFAULT_STEP)
 
 
 def per_cut_bits(speeds, left, moving):
