@@ -23,6 +23,7 @@ from .trajectories import (
     _factor_rows,
     _kron_rows,
     _product_rule,
+    _unstacked,
     resolve_method,
 )
 
@@ -55,13 +56,13 @@ class BilocalCheck:
 
 def _bipartite_rows(
     traj: ProductTrajectory, ts: np.ndarray, method: str, h: float
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
+) -> tuple[tuple[tuple[np.ndarray, ...], ...], list[np.ndarray]]:
     """Both factors' (states, directions) over the grid and their overlaps
     <psi|dpsi>, norm preservation checked."""
     if traj.n_factors != 2:
         raise ValueError(f"need a two-factor trajectory, got {traj.n_factors} factors")
     method = resolve_method(traj.factors, method)
-    parts = _factor_rows(traj, ts, method, h)
+    parts = _unstacked(_factor_rows(traj, ts, method, h))
     return parts, _factor_overlaps(parts, method)
 
 

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,10 +96,6 @@ def canonical_register_program() -> RegisterProgram:
     return RegisterProgram.uniform_superposition((step1, step2), 3)
 
 
-# built once, at import: every register_trace run reuses it and the site rows it caches
-_REGISTER_PROGRAM = canonical_register_program()
-
-
 def rotating_ensemble() -> Ensemble:
     """Equal mixture of |0>|+> and |1>|-> with factor 1 rotating.
 
@@ -115,6 +111,14 @@ def rotating_ensemble() -> Ensemble:
         (BlochCurve([math.pi, -1.0]), PhaseCurve(0.0, minus)), frozen=(False, True)
     )
     return Ensemble((0.5, 0.5), (comp1, comp2))
+
+
+@cache
+def _canonical(build: Callable[[], object]):
+    """``build()``, built on first use and shared by every run after it: the
+    canonical inputs are immutable, and the runs reuse the stacks and rows
+    they cache.  The public functions still return a fresh object each call."""
+    return build()
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +205,7 @@ def _rows(columns: Sequence[np.ndarray]) -> tuple[tuple, ...]:
 
 def _pair(cfg: RunConfig) -> tuple[ProductTrajectory, Cut]:
     """The configured two-factor trajectory and cut, or the demo defaults."""
-    return cfg.trajectory() or demo_trajectory(), (cfg.cuts or (Cut.splitting((0,), 2),))[0]
+    return cfg.trajectory() or _canonical(demo_trajectory), (cfg.cuts or (Cut.splitting((0,), 2),))[0]
 
 
 def _run_two_qubit_demo(cfg: RunConfig) -> TraceReport:
@@ -238,7 +242,7 @@ def _run_product_trace(cfg: RunConfig) -> TraceReport:
 
 def _run_register_trace(cfg: RunConfig) -> TraceReport:
     cuts = cfg.cuts or (Cut.splitting((0,), 3), Cut.splitting((0, 1), 3))
-    return _sweep(cfg, _REGISTER_PROGRAM, cuts)
+    return _sweep(cfg, _canonical(canonical_register_program), cuts)
 
 
 def _run_pseudo_pure(cfg: RunConfig) -> TraceReport:
@@ -265,7 +269,7 @@ def _run_pseudo_pure(cfg: RunConfig) -> TraceReport:
 
 def _run_separable_mixed(cfg: RunConfig) -> TraceReport:
     grid = cfg.grid_points()
-    witness = _ensemble_witness_rows(rotating_ensemble(), grid, cfg.tol, cfg.method, cfg.h)
+    witness = _ensemble_witness_rows(_canonical(rotating_ensemble), grid, cfg.tol, cfg.method, cfg.h)
     columns = ("t", "tr1_norm", "tr2_norm", "operator_gap", "verdict")
     return TraceReport(_metadata(cfg), columns, _rows([grid, *witness]))
 

@@ -165,7 +165,9 @@ def chsh_value(state: Ket) -> float:
     """Largest CHSH combination the state allows over all measurement choices.
 
     Closed form: twice the root-sum-square of the two largest singular
-    values of the correlation matrix.
+    values of the correlation matrix (Horodecki).  For a pure state a of
+    squared norm n^2 those are n^2 and 2|det|, det = a00*a11 - a01*a10, so
+    the value is 2*sqrt(n^4 + 4|det|^2), with no matrix formed.
     """
     _require_two_qubit(state)
     return float(_chsh_rows(state.amplitudes))
@@ -173,8 +175,9 @@ def chsh_value(state: Ket) -> float:
 
 def _chsh_rows(amps: np.ndarray) -> np.ndarray:
     """``chsh_value`` of each unit two-qubit row."""
-    s = np.linalg.svd(_correlation_rows(amps), compute_uv=False)
-    return 2 * np.sqrt(s[..., 0] ** 2 + s[..., 1] ** 2)
+    norms = _check_amplitudes(amps, BASE_NORM_TOL, "state")
+    det = amps[..., 0] * amps[..., 3] - amps[..., 1] * amps[..., 2]
+    return 2 * np.sqrt(norms**4 + 4 * abs(det) ** 2)
 
 
 def correlation_expansion(traj, t: float, setting: MeasurementSetting) -> tuple[float, float, float]:

@@ -50,6 +50,7 @@ from .trajectories import (
     _product_rows,
     _register_rows,
     _register_site_rows,
+    _unstacked,
     product_tangent,  # noqa: F401  (bench/tests/test_bench.py expects the tracer to reach it here)
 )
 from .entanglement import _entropy_bits, _weights_bits
@@ -162,14 +163,12 @@ class TrajectoryProfile:
 
 
 def _factor_tangents(traj, grid: np.ndarray, method: str, h: float) -> list[tuple] | None:
-    """Stacks (factors, states, directions) of the factor rows over the grid
-    (register sites, for a program), (S, G, d) each, checked as tangents;
-    None for a program whose initial state is entangled."""
+    """Stacks (factors, states, directions) of the factor rows over the grid,
+    (S, G, d) each, checked as tangents: one per group of a product
+    trajectory's factors (``_factor_rows``), or per site dim of a program's
+    register sites; None for a program whose initial state is entangled."""
     if not isinstance(traj, RegisterProgram):
-        rows = _factor_rows(traj, grid, method, h)
-        if len({base.shape for base, _ in rows}) > 1:
-            return [(np.array([i]), base[None], deriv[None]) for i, (base, deriv) in enumerate(rows)]
-        return [(np.arange(len(rows)), *map(np.array, zip(*rows)))]
+        return _factor_rows(traj, grid, method, h)
     if traj._site_starts is None:
         return None
     groups = [sites for sites, *_ in traj._step_stacks[0]]
@@ -179,12 +178,6 @@ def _factor_tangents(traj, grid: np.ndarray, method: str, h: float) -> list[tupl
     for states, directions in zip(rows[::2], rows[1::2]):
         _check_tangents(states, directions)  # site-major: the first offending site's message
     return list(zip(groups, rows[::2], rows[1::2]))
-
-
-def _unstacked(stacks: list[tuple] | None) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
-    """Each factor's (states, directions) rows, views of its stack, in factor order."""
-    rows = sorted((i, (a, d)) for sites, *stack in stacks or () for i, a, d in zip(sites, *stack))
-    return None if stacks is None else tuple(pair for _, pair in rows)
 
 
 def _dense_rows(traj, grid: np.ndarray, method: str, h: float, factors) -> tuple[np.ndarray, np.ndarray]:
@@ -280,7 +273,7 @@ def profile(
         cut.validate_for(dims)
 
     stacks = _factor_tangents(traj, grid, method, h)
-    factors = _unstacked(stacks)
+    factors = None if stacks is None else _unstacked(stacks)
     factor_speeds = None if stacks is None else _squared_speeds(stacks, len(sizes))
     left, aligned = _left_factors(cuts, sizes)
     aligned &= stacks is not None
@@ -296,8 +289,11 @@ def profile(
         unit_states = states / np.linalg.norm(states, axis=-1)[:, None]
         dense_base = {cut: _entropy_bits(_split(unit_states, dims, cut, 1)) for cut in dense}
     else:
-        # the dense rows' base check, on their norm: the product of the factors' norms
-        bases = stacks[0][1] if len(stacks) == 1 else [a for a, _ in factors]
+        # the dense rows' base check, on their norm: the product of the factors'
+        # norms in factor order, from one zero-padded array (zeros add nothing to a norm)
+        bases = np.zeros((len(sizes), grid.size, max(a.shape[-1] for _, a, _ in stacks)), dtype=complex)
+        for sites, a, _ in stacks:
+            bases[sites, :, : a.shape[-1]] = a
         _check_product_amplitudes(bases, BASE_NORM_TOL, "base")
         # the one-factor excitations are mutually orthogonal, so their squared speeds add
         norms = np.sqrt(factor_speeds.sum(axis=-1))

@@ -16,6 +16,10 @@ are assembled row by row.  The scalar functions (``state``, ``differentiate``,
 The analytic curves also take their parameters stacked, one per trial along
 a leading axis; evaluated at one parameter value per trial, such a curve
 gives one row per trial, so randomized checks run all their trials at once.
+A product trajectory stacks its factor curves the same way, once per curve
+kind, dims and frozen flag, with a grid axis of 1 after the factor axis:
+one evaluation at a grid (G,) gives the rows of every factor of the group,
+(S, G, d), and a sweep evaluates each group once.
 """
 
 from __future__ import annotations
@@ -55,11 +59,12 @@ METHODS = ("auto", "analytic", "central_fd", "richardson")
 
 def _as_poly(value, name: str) -> Polynomial | np.ndarray:
     """A polynomial given as a scalar, a coefficient sequence (constant first)
-    or a numpy Polynomial; a 2-d array is a stack of coefficient rows (M, k),
-    one polynomial per trial, kept as that array."""
+    or a numpy Polynomial; an array of 2 or more axes is a stack of
+    coefficient rows (..., k), one polynomial per trial or factor, kept as
+    that array."""
     if isinstance(value, Polynomial):
         poly = value
-    elif np.ndim(value) == 2:
+    elif np.ndim(value) >= 2:
         poly = np.array(value, dtype=float)
     elif np.isscalar(value):
         poly = Polynomial([float(value)])
@@ -79,12 +84,12 @@ def _evaluators(
     ``Polynomial.__call__`` (domain map, then Horner) without building
     polynomial objects, which costs more than evaluating a short grid.  A
     stack of coefficient rows (M, k) gives functions of one parameter value
-    per trial, (M,).
+    per trial, (M,); a stack (S, 1, k) gives functions of a grid (G,), (S, G).
     """
     if isinstance(poly, Polynomial):
         (off, scl), coef = poly.mapparms(), poly.coef
     else:
-        off, scl, coef = 0.0, 1.0, poly.T
+        off, scl, coef = 0.0, 1.0, poly.transpose(-1, *range(poly.ndim - 1))
 
     def evaluator(coef: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         def values(ts: np.ndarray) -> np.ndarray:
@@ -101,9 +106,26 @@ def _evaluators(
         if len(coef) > 1:
             order = np.arange(1, len(coef)).reshape((-1,) + (1,) * (coef.ndim - 1))
             coef = order * (coef[1:] * scl)
-        else:
-            coef = coef[:1] * 0
+        else:  # +0.0 whatever the sign of the constant, as a zero-padded stack's rows give
+            coef = np.zeros_like(coef[:1])
         out.append(evaluator(coef))
+    return out
+
+
+def _plain_coefs(*polys) -> tuple[np.ndarray, ...] | None:
+    """The coefficients of polynomials that evaluate as a stack of coefficient
+    rows does (Polynomials of the default domain and window), else None."""
+    if all(isinstance(p, Polynomial) and p.mapparms() == (0, 1) for p in polys):
+        return tuple(p.coef for p in polys)
+    return None
+
+
+def _padded(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Coefficient rows as one stack (S, 1, k), zero-padded to the longest:
+    leading zeros are exact in Horner's scheme."""
+    out = np.zeros((len(rows), 1, max(map(len, rows))))
+    for i, row in enumerate(rows):
+        out[i, 0, : len(row)] = row
     return out
 
 
@@ -163,6 +185,14 @@ class FactorCurve(ABC):
         re-evaluate its states overrides this to evaluate them once."""
         return self.states(ts), self.velocities(ts)
 
+    def _stack_row(self) -> tuple | None:
+        """This curve's parameters as one row of a stack of curves of its
+        kind, or None for a curve that cannot stack.  A class whose curves
+        stack builds one curve of several such rows with ``_stacked(rows)``:
+        the rows stacked along a factor axis with a grid axis of 1 after it,
+        so that at a grid (G,) it gives each curve's rows, (S, G, d)."""
+        return None
+
 
 class BlochCurve(FactorCurve):
     """Qubit curve cos(theta/2)|0> + e^(i*phi) sin(theta/2)|1>.
@@ -180,21 +210,38 @@ class BlochCurve(FactorCurve):
         self.dims = (2,)
 
     def states(self, ts: np.ndarray) -> np.ndarray:
+        return self._amplitudes(*self._angles(ts))
+
+    def _angles(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """cos and sin of half the polar angle, and e^(i*phi), at each point."""
         half = self._theta(ts) / 2
-        amps = np.empty((len(ts), 2), dtype=complex)
-        amps[:, 0] = np.cos(half)
-        amps[:, 1] = np.exp(1j * self._phi(ts)) * np.sin(half)
+        return np.cos(half), np.sin(half), np.exp(1j * self._phi(ts))
+
+    @staticmethod
+    def _amplitudes(c: np.ndarray, s: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        amps = np.empty(c.shape + (2,), dtype=complex)
+        amps[..., 0] = c
+        amps[..., 1] = phase * s
         _check_amplitudes(amps, DEFAULT_TOL)
         return amps
 
     def velocities(self, ts: np.ndarray) -> np.ndarray:
-        th, ph = self._theta(ts), self._phi(ts)
+        return self._states_and_velocities(ts)[1]
+
+    def _states_and_velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        c, s, phase = self._angles(ts)
         half, dph = self._dtheta(ts) / 2, self._dphi(ts)
-        c, s = np.cos(th / 2), np.sin(th / 2)
-        out = np.empty((len(ts), 2), dtype=complex)
-        out[:, 0] = -half * s
-        out[:, 1] = np.exp(1j * ph) * (half * c + 1j * dph * s)
-        return out
+        out = np.empty(c.shape + (2,), dtype=complex)
+        out[..., 0] = -half * s
+        out[..., 1] = phase * (half * c + 1j * dph * s)
+        return self._amplitudes(c, s, phase), out
+
+    def _stack_row(self) -> tuple | None:
+        return _plain_coefs(self.theta, self.phi)
+
+    @classmethod
+    def _stacked(cls, rows: Sequence[tuple]) -> "BlochCurve":
+        return cls(*map(_padded, zip(*rows)))
 
 
 class PhaseCurve(FactorCurve):
@@ -217,7 +264,7 @@ class PhaseCurve(FactorCurve):
         self.base, self._amps = base, amps
 
     def states(self, ts: np.ndarray) -> np.ndarray:
-        amps = np.exp(1j * self._phi(ts))[:, None] * self._amps
+        amps = np.exp(1j * self._phi(ts))[..., None] * self._amps
         _check_amplitudes(amps, DEFAULT_TOL)
         return amps
 
@@ -226,7 +273,16 @@ class PhaseCurve(FactorCurve):
 
     def _states_and_velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         amps = self.states(ts)
-        return amps, 1j * self._dphi(ts)[:, None] * amps
+        return amps, 1j * self._dphi(ts)[..., None] * amps
+
+    def _stack_row(self) -> tuple | None:
+        phi = _plain_coefs(self.phi)
+        return None if phi is None or self._amps.ndim > 1 else (*phi, self._amps)
+
+    @classmethod
+    def _stacked(cls, rows: Sequence[tuple]) -> "PhaseCurve":
+        phis, amps = zip(*rows)
+        return cls(_padded(phis), np.array(amps)[:, None])
 
 
 class LocalHamiltonianCurve(FactorCurve):
@@ -264,6 +320,19 @@ class LocalHamiltonianCurve(FactorCurve):
     def _states_and_velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         amps = self.states(ts)
         return amps, -1j * _matvec(self.generator, amps)
+
+    def _stack_row(self) -> tuple | None:
+        if self.generator.ndim > 2:
+            return None
+        return self.generator, self._evals, self._evecs, self._coeffs
+
+    @classmethod
+    def _stacked(cls, rows: Sequence[tuple]) -> "LocalHamiltonianCurve":
+        """The members' eigenpairs are stacked as they are, not computed again."""
+        stack = cls.__new__(cls)
+        fields = (np.array(field)[:, None] for field in zip(*rows))
+        stack.generator, stack._evals, stack._evecs, stack._coeffs = fields
+        return stack
 
 
 class SampledCurve(FactorCurve):
@@ -489,17 +558,41 @@ class ProductTrajectory:
 
     def states(self, ts: np.ndarray) -> np.ndarray:
         """Product amplitudes at each grid point, (G, D)."""
-        return reduce(_kron_rows, [curve.states(ts) for curve in self.factors])
+        stacks = _grouped(self, ts, lambda curve, frozen: (curve.states(ts),))
+        return reduce(_kron_rows, [rows[0] for rows in _unstacked(stacks)])
 
     def state(self, t: float) -> Ket:
         return Ket(self.states(np.array([float(t)]))[0], self.dims)
+
+    @cached_property
+    def _stacks(self) -> tuple[tuple[np.ndarray, FactorCurve, bool], ...]:
+        """The factors in groups, filled on first use: (factors, curve, frozen)
+        per group, in order of each group's first factor.  Factors of one
+        curve class, dims and frozen flag that can stack share one curve of
+        their stacked parameters (their class's ``_stacked``); a factor whose
+        curve cannot stack is a group of its own, its curve as given."""
+        groups: dict = {}
+        for i, (curve, frozen) in enumerate(zip(self.factors, self.frozen)):
+            row = curve._stack_row()
+            key = i if row is None else (type(curve), curve.dims, frozen)
+            groups.setdefault(key, []).append((i, row))
+        out = []
+        for key, members in groups.items():
+            factors = np.array([i for i, _ in members])
+            if isinstance(key, int):
+                curve = self.factors[key]
+            else:
+                curve = key[0]._stacked([row for _, row in members])
+                curve.dims = key[1]
+            out.append((factors, curve, self.frozen[factors[0]]))
+        return tuple(out)
 
 
 def factor_tangents(
     traj: ProductTrajectory, t: float, method: str = "auto", h: float = DEFAULT_STEP
 ) -> list[TangentVector]:
     """Per-factor tangents at t; frozen factors get an exactly-zero direction."""
-    parts = _factor_rows(traj, np.array([float(t)]), method, h)
+    parts = _unstacked(_factor_rows(traj, np.array([float(t)]), method, h))
     return [
         TangentVector(Ket(base[0], curve.dims), deriv[0])
         for curve, (base, deriv) in zip(traj.factors, parts)
@@ -508,19 +601,56 @@ def factor_tangents(
 
 def _factor_rows(
     traj: ProductTrajectory, ts: np.ndarray, method: str, h: float
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each factor's (states, directions) over the grid; a frozen factor's
-    directions are exactly zero.  "auto" is resolved once for the whole
-    trajectory, so every factor is differentiated by the same method."""
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(factors, states, directions) of each group of the trajectory's factors
+    (``ProductTrajectory._stacks``) over the grid, (S, G, d) each: one
+    evaluation, one curve check and one tangent check per group.  A frozen
+    group is only evaluated, and its directions are exactly zero.  "auto" is
+    resolved once for the whole trajectory, so every factor is
+    differentiated by the same method; ``_unstacked`` gives each factor's rows."""
     method = resolve_method(traj.factors, method)
-    rows = []
-    for curve, frozen in zip(traj.factors, traj.frozen):
+
+    def evaluate(curve: FactorCurve, frozen: bool) -> tuple[np.ndarray, np.ndarray]:
         if frozen:
             base = curve.states(ts)
-            rows.append((base, np.zeros_like(base)))
-        else:
-            rows.append(_curve_rows(curve, ts, method, h))
-    return rows
+            return base, np.zeros_like(base)
+        return _curve_rows(curve, ts, method, h)
+
+    return _grouped(traj, ts, evaluate)
+
+
+def _grouped(traj: ProductTrajectory, ts: np.ndarray, evaluate: Callable) -> list[tuple[np.ndarray, ...]]:
+    """(factors, *arrays) of each group of the trajectory's factors, in order:
+    the arrays ``evaluate(curve, frozen)`` gives for the group's curve, each
+    shaped (S, G, d).
+
+    A rejection is the one a loop over the factors in order meets first,
+    with ``row`` naming its grid point.  A group rejects the lowest factor
+    that fails its first failing check; every factor before that one in
+    this group (which may fail a later check) or a later group is then
+    evaluated alone, in order, and the first rejection among them stands
+    instead.
+    """
+    out = []
+    for k, (factors, curve, frozen) in enumerate(traj._stacks):
+        try:
+            arrays = evaluate(curve, frozen)
+        except ValueError as exc:
+            row = getattr(exc, "row", None)
+            if row is not None:  # a row of the group's (S, G) stack
+                exc.row = row % ts.size
+            first = factors[0 if row is None else row // ts.size]
+            for i in sorted(i for group, *_ in traj._stacks[k:] for i in group if i < first):
+                evaluate(traj.factors[i], traj.frozen[i])
+            raise
+        out.append((factors, *(a.reshape((len(factors),) + a.shape[-2:]) for a in arrays)))
+    return out
+
+
+def _unstacked(stacks: Iterable[tuple]) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Each factor's arrays from stacks (factors, *arrays), views of them, in factor order."""
+    rows = [(i, arrays) for factors, *stack in stacks for i, *arrays in zip(factors, *stack)]
+    return tuple(tuple(arrays) for _, arrays in sorted(rows, key=lambda row: row[0]))
 
 
 def _curve_rows(
@@ -546,7 +676,8 @@ def product_tangent(
     traj: ProductTrajectory, t: float, method: str = "auto", h: float = DEFAULT_STEP
 ) -> TangentVector:
     """Tangent of the product state: one term per unfrozen factor."""
-    state, direction = _product_rows(traj, _factor_rows(traj, np.array([float(t)]), method, h))
+    rows = _unstacked(_factor_rows(traj, np.array([float(t)]), method, h))
+    state, direction = _product_rows(traj, rows)
     return TangentVector(Ket(state[0], traj.dims), direction[0])
 
 
@@ -554,8 +685,8 @@ def _product_rows(
     traj: ProductTrajectory, factors: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Product states and their tangents over the grid, each (G, D), unchecked,
-    assembled from the trajectory's factor rows (``_factor_rows``); a frozen
-    factor adds no term."""
+    assembled from each factor's (states, directions) rows in factor order
+    (``_unstacked``); a frozen factor adds no term."""
     rows = [(base, None if still else deriv) for (base, deriv), still in zip(factors, traj.frozen)]
     return _product_rule(*rows[0], rows[1:], _kron_rows)
 
@@ -923,7 +1054,7 @@ def _component_differentials(
     parameter value."""
     ts = np.array(t, dtype=float).reshape(-1)
     return [
-        (w, *_factor_differentials(_factor_rows(comp, ts, method, h)))
+        (w, *_factor_differentials(_unstacked(_factor_rows(comp, ts, method, h))))
         for w, comp in zip(ens.weights, ens.components)
     ]
 

@@ -1054,13 +1054,13 @@ class TestSweepDriver:
         [("analytic", 0, 1), ("central_fd", 3, 0), ("richardson", 5, 0)],
     )
     def test_each_curve_differentiated_once_per_run(
-        self, method, states, joint, frozen, count_evaluations
+        self, method, states, joint, frozen, count_evaluations, monkeypatch
     ):
-        """A product_trace run evaluates each factor curve as often as one
-        differentiation by its method needs (the base rows and each stencil
-        point, or one joint evaluation of the base and closed-form rows): its
-        channel and bilocal columns reuse the profile's factor rows.  A frozen
-        factor is only evaluated."""
+        """A product_trace run evaluates each factor's curve, the stack of its
+        group, as often as one differentiation by its method needs (the base
+        rows and each stencil point, or one joint evaluation of the base and
+        closed-form rows): its channel and bilocal columns reuse the
+        profile's factor rows.  A frozen factor is only evaluated."""
         arc = {"dim": 2, "curve": {"kind": "bloch", "theta": [0.2, 1.1, -0.3], "phi": [0.1, 0.5]}}
         doc = {
             "scenario": "product_trace",
@@ -1069,7 +1069,9 @@ class TestSweepDriver:
             "subsystems": [arc, {**HAMILTONIAN_QUBIT, "frozen": frozen}],
         }
         cfg = parse(doc)
-        counts = [count_evaluations(curve) for curve in cfg.subsystems]
+        traj = cfg.trajectory()
+        monkeypatch.setattr(type(cfg), "trajectory", lambda self: traj)
+        counts = [count_evaluations(curve) for _, curve, _ in traj._stacks]
         assert len(run(cfg).rows) == 13
         moved = {"states": states, "velocities": 0, "_states_and_velocities": joint}
         assert counts[0] == moved
@@ -1090,13 +1092,51 @@ class TestSweepDriver:
         assert made[0] == made[1]
 
     def test_register_trace_runs_build_no_program(self, monkeypatch):
-        """Every register_trace run reuses the canonical program built at import."""
+        """Every register_trace run reuses the canonical program the first one built."""
+        run(parse({"scenario": "register_trace"}))
         made = count_calls(monkeypatch, qtangle.trajectories.UnitaryCurve, "__post_init__")
         for method in ("analytic", "central_fd"):
             run(parse({"scenario": "register_trace", "method": method}))
         assert made == []
         assert canonical_register_program() is not canonical_register_program()
         assert made
+
+    def test_canonical_runs_reuse_their_curves(self, monkeypatch):
+        """After a first run, the canonical scenarios build no curve: they
+        reuse one demo trajectory and one ensemble, and the factor stacks
+        those cache.  The public functions still give fresh objects."""
+        scenarios = ("two_qubit_demo", "chsh_scan", "pseudo_pure", "separable_mixed")
+        for scenario in scenarios:
+            run(parse({"scenario": scenario}))
+        made = count_calls(monkeypatch, qtangle.trajectories.BlochCurve, "__init__")
+        for scenario in scenarios:
+            run(parse({"scenario": scenario}))
+        assert made == []
+        assert demo_trajectory() is not demo_trajectory()
+        assert rotating_ensemble() is not rotating_ensemble()
+        assert made
+
+    def test_importing_the_cli_builds_no_program(self):
+        """The canonical register program is built by the first register_trace
+        run, not when qtangle.cli is imported."""
+        script = """if True:
+            import gc
+            import qtangle.cli
+            from qtangle.trajectories import UnitaryCurve
+
+            def curves():
+                return sum(isinstance(obj, UnitaryCurve) for obj in gc.get_objects())
+
+            assert curves() == 0, curves()
+            qtangle.cli.run(qtangle.cli.parse_config('{"scenario": "register_trace"}'))
+            assert curves() == 6, curves()
+        """
+        src = str(Path(qtangle.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        cmd = [sys.executable, "-c", script]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("scenario", ["two_qubit_demo", "chsh_scan"])
     def test_derivative_polynomials_built_with_the_curves(self, scenario, monkeypatch):

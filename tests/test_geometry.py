@@ -26,9 +26,10 @@ from qtangle import (
 )
 from qtangle.trajectories import (
     DEFAULT_STEP,
-    _factor_rows,
+    _curve_rows,
     _register_site_rows,
     random_product_trajectory,
+    resolve_method,
 )
 
 SQ2 = math.sqrt(2)
@@ -219,7 +220,13 @@ class TestProfileFactors:
         traj = random_product_trajectory(rng, (2, 3, 2, 4), frozen=(False, True, False, False))
         grid = np.linspace(0.0, 1.5, 9)
         prof = profile(traj, grid, [Cut.splitting((0,), 4)], method=method)
-        expected = _factor_rows(traj, grid, method, DEFAULT_STEP)
+        resolved = resolve_method(traj.factors, method)
+        expected = [
+            (curve.states(grid), np.zeros((grid.size, curve.dims[0]), dtype=complex))
+            if still
+            else _curve_rows(curve, grid, resolved, DEFAULT_STEP)
+            for curve, still in zip(traj.factors, traj.frozen)
+        ]
         assert len(prof.factors) == len(expected) == 4
         for rows, want in zip(prof.factors, expected):
             assert same_bits(rows[0], want[0]) and same_bits(rows[1], want[1])

@@ -5,6 +5,7 @@ tangent or operator differential must match a Richardson-extrapolated central
 difference of the thing it claims to differentiate.
 """
 
+import json
 import math
 import tracemalloc
 from functools import reduce
@@ -37,6 +38,7 @@ from qtangle import (
     infinitesimal_composition,
     partial_trace,
     product_tangent,
+    profile,
     projector_differential,
     propagator,
     pseudo_pure_differential,
@@ -772,7 +774,7 @@ class TestStackedCurves:
         calls = count_evaluations(inner)
         orbits, orbit = [], inner._amplitudes
         monkeypatch.setattr(inner, "_amplitudes", lambda ts: orbits.append(ts) or orbit(ts))
-        (base, deriv), _ = trajectories._factor_rows(traj, ts, "analytic", 1e-4)
+        (base, deriv), _ = trajectories._unstacked(trajectories._factor_rows(traj, ts, "analytic", 1e-4))
         assert calls == {"states": 0, "velocities": 0, "_states_and_velocities": 1}
         assert len(orbits) == 1
         assert np.array_equal(base, want[0]) and np.array_equal(deriv, want[1])
@@ -787,6 +789,254 @@ class TestStackedCurves:
     def test_unitary_curve_still_takes_one_generator(self):
         with pytest.raises(ValueError, match="expected a square matrix"):
             UnitaryCurve.rotation(hermitian_stack(np.random.default_rng(64), 2, 2))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SAMPLE_TIMES = np.linspace(-1.5, 1.5, 25)
+
+
+def factor_curve(kind, rng):
+    """One factor curve of the given kind, drawn from ``rng``."""
+    if kind == "bloch":  # theta of degree 0 to 3, phi of degree 0 to 2
+        return BlochCurve(rng.normal(size=rng.integers(1, 5)), rng.normal(size=rng.integers(1, 4)))
+    if kind.startswith("phase"):
+        d = int(kind[-1])
+        return PhaseCurve(rng.normal(size=rng.integers(1, 4)), Ket(unit_rows(rng, 1, d)[0], (d,)))
+    if kind.startswith("hamiltonian"):
+        d = int(kind[-1])
+        return LocalHamiltonianCurve(hermitian_stack(rng, 1, d)[0], Ket(unit_rows(rng, 1, d)[0], (d,)))
+    if kind == "modulated":
+        return with_global_phase(factor_curve("hamiltonian2", rng), rng.normal(size=3))
+    arc = BlochCurve([rng.normal(), 1.0], [rng.normal(), 0.5])
+    return SampledCurve(SAMPLE_TIMES, [arc.state(t) for t in SAMPLE_TIMES])
+
+
+FACTOR_KINDS = (
+    "bloch", "hamiltonian2", "phase3", "bloch", "hamiltonian3", "modulated", "phase2", "sampled"
+)
+
+
+def interleaved_trajectory(n, method, seed=70):
+    """n factors of the kinds in turn, every third one frozen; sampled curves
+    have no closed form, so an analytic trajectory has none."""
+    rng = np.random.default_rng(seed)
+    kinds = [k for k in FACTOR_KINDS if method != "analytic" or k != "sampled"]
+    curves = tuple(factor_curve(kinds[i % len(kinds)], rng) for i in range(n))
+    return ProductTrajectory(curves, tuple(i % 3 == 2 for i in range(n)))
+
+
+def loop_rows(traj, ts, method, h=1e-4):
+    """Each factor's rows by the loop over its curves the stacks replace."""
+    rows = []
+    for curve, frozen in zip(traj.factors, traj.frozen):
+        if frozen:
+            base = curve.states(ts)
+            rows.append((base, np.zeros_like(base)))
+        else:
+            rows.append(trajectories._curve_rows(curve, ts, method, h))
+    return rows
+
+
+def loop_rejection(traj, ts, method, h=1e-4):
+    """(type, message, grid point) of the rejection that loop meets first."""
+    try:
+        loop_rows(traj, ts, method, h)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+    raise AssertionError("no factor was rejected")
+
+
+class TestFactorStacks:
+    """A product trajectory evaluates its factors once per group of one curve
+    kind, dims and frozen flag; each factor's rows are those of its own curve."""
+
+    GRID = np.linspace(-1.0, 1.0, 7)
+
+    @pytest.mark.parametrize("method", ["analytic", "central_fd", "richardson"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 16])
+    def test_stacked_rows_are_each_curves_own_rows(self, n, method):
+        traj = interleaved_trajectory(n, method)
+        got = trajectories._unstacked(trajectories._factor_rows(traj, self.GRID, method, 1e-4))
+        want = loop_rows(traj, self.GRID, method)
+        assert len(got) == n
+        for (base, deriv), (want_base, want_deriv) in zip(got, want):
+            assert same_bits(base, want_base) and same_bits(deriv, want_deriv)
+        product = reduce(trajectories._kron_rows, [base for base, _ in want])
+        assert same_bits(traj.states(self.GRID), product)
+
+    def test_groups_by_kind_dims_and_frozen_flag_in_order_of_first_factor(self):
+        traj = interleaved_trajectory(16, "richardson")
+        assert "_stacks" not in vars(traj)  # stacked on first use, not on construction
+        groups = [list(factors) for factors, _, _ in traj._stacks]
+        assert groups == [
+            [0, 3],  # moving qubit arcs
+            [1, 9],  # qubit orbits
+            [2],  # a frozen qutrit phase curve
+            [4, 12],  # qutrit orbits
+            [5],  # phase-modulated curves do not stack
+            [6],  # a moving qubit phase curve
+            [7],  # sampled curves do not stack
+            [8, 11],  # frozen qubit arcs
+            [10],  # a moving qutrit phase curve
+            [13],
+            [14],  # a frozen qubit phase curve
+            [15],
+        ]
+        stacked = [curve for _, curve, _ in traj._stacks]
+        assert stacked[5] is not traj.factors[6] and stacked[4] is traj.factors[5]
+        assert stacked[6] is traj.factors[7]
+        assert [curve.dims for curve in stacked] == [traj.factors[g[0]].dims for g in groups]
+        assert [frozen for _, _, frozen in traj._stacks] == [traj.frozen[g[0]] for g in groups]
+
+    @pytest.mark.parametrize("method", ["analytic", "central_fd"])
+    def test_one_evaluation_per_group(self, method, monkeypatch, count_evaluations):
+        """Each moving group is differentiated by one ``_curve_rows`` call and
+        each frozen group evaluated by one ``states`` call, whatever its size."""
+        traj = interleaved_trajectory(12, method)
+        calls, original = [], trajectories._curve_rows
+        counting = lambda curve, *args: calls.append(curve) or original(curve, *args)
+        monkeypatch.setattr(trajectories, "_curve_rows", counting)
+        frozen = [count_evaluations(curve) for _, curve, still in traj._stacks if still]
+        trajectories._factor_rows(traj, self.GRID, method, 1e-4)
+        moving = [curve for _, curve, still in traj._stacks if not still]
+        assert calls == moving
+        assert frozen == [{"states": 1, "velocities": 0, "_states_and_velocities": 0}] * len(frozen) != []
+        assert len(moving) < sum(not f for f in traj.frozen)
+
+    @staticmethod
+    def breaking(kind, at):
+        """A curve of the kind whose amplitudes are first non-finite at grid
+        point t > ``at``: its angle or phase overflows there."""
+        if kind == "sampled":
+            ts = np.linspace(-2.0, at, 9)
+            return SampledCurve(ts, [qubit_arc().state(t) for t in ts])
+        rate = np.finfo(float).max / at
+        if kind == "bloch":
+            return BlochCurve([0.0, rate])
+        if kind == "phase":
+            return PhaseCurve([0.0, rate], Ket(np.array([0.6, 0.8]), (2,)))
+        return LocalHamiltonianCurve(np.diag([rate, -rate]), Ket(np.array([0.6, 0.8]), (2,)))
+
+    @pytest.mark.parametrize("method", ["richardson", "central_fd"])
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            # (kind, grid value past which it fails; None: it never does)
+            [("hamiltonian", 2.5), ("bloch", 1.5)],
+            [("bloch", 2.5), ("hamiltonian", 1.5)],
+            [("bloch", None), ("hamiltonian", 1.5), ("bloch", 2.5)],
+            [("bloch", None), ("hamiltonian", 2.5), ("bloch", 1.5)],
+            [("phase", None), ("bloch", 3.5), ("sampled", 2.5), ("phase", 1.5), ("hamiltonian", None)],
+            [("hamiltonian", None), ("phase", 3.5), ("hamiltonian", 2.5), ("sampled", 1.5)],
+            [("bloch", None), ("bloch", 2.5), ("hamiltonian", None), ("bloch", 1.5)],
+        ],
+        ids=[
+            "first",
+            "first-stacks-later",
+            "later-group",
+            "later-group-later-point",
+            "mixed",
+            "sampled",
+            "in-stack",
+        ],
+    )
+    def test_rejection_is_the_factor_loops_first(self, factors, method, monkeypatch):
+        """Message, class and grid point are those of the lowest failing
+        factor, as a loop over the factors rejects them; a rejection at the
+        first factor evaluates no group after it."""
+        rng = np.random.default_rng(73)
+        still = lambda kind: factor_curve(kind if kind == "bloch" else f"{kind}2", rng)
+        curves = tuple(self.breaking(kind, at) if at else still(kind) for kind, at in factors)
+        traj = ProductTrajectory(curves)
+        grid = np.arange(0.0, 5.0)
+        calls, original = [], trajectories._curve_rows
+        monkeypatch.setattr(trajectories, "_curve_rows", lambda *args: calls.append(1) or original(*args))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = loop_rejection(traj, grid, method)
+            calls.clear()
+            with pytest.raises(ValueError) as info:
+                trajectories._factor_rows(traj, grid, method, 1e-4)
+        assert (type(info.value), str(info.value), getattr(info.value, "row", None)) == want
+        if factors[0][1]:
+            assert len(calls) == 1
+
+    def test_a_lower_factor_failing_a_later_check_is_rejected_first(self):
+        """In one group, factor 1 fails the amplitude check and factor 0 only
+        the later direction check: the loop rejects factor 0."""
+        grid = np.array([0.0, 0.5, 1.0, 1.2])
+        big = np.finfo(float).max
+        # theta = big/2 * t^2 stays finite on the grid; its derivative, big * t, not at t = 1.2
+        traj = ProductTrajectory((BlochCurve([0.0, 0.0, big / 2]), self.breaking("bloch", 1.1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = loop_rejection(traj, grid, "analytic")
+            with pytest.raises(ValueError) as info:
+                trajectories._factor_rows(traj, grid, "analytic", 1e-4)
+        assert len(traj._stacks) == 1
+        assert want == (ValueError, "direction entries must all be finite", 3)
+        assert (type(info.value), str(info.value), info.value.row) == want
+
+    def test_profile_rejects_as_the_factor_loop(self):
+        curves = (qubit_arc(), self.breaking("hamiltonian", 2.5), self.breaking("bloch", 1.5))
+        traj = ProductTrajectory(curves)
+        grid = np.arange(0.0, 5.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = loop_rejection(traj, grid, "analytic")
+            with pytest.raises(ValueError) as info:
+                profile(traj, grid, [Cut.splitting((0,), 3)])
+        assert (type(info.value), str(info.value), info.value.row) == want == (ValueError, want[1], 3)
+
+
+class TestFactorRowsOfTheCallers:
+    """Channels, ensembles and product_trace cells read each factor's rows
+    from the group stacks, as the factor's own curve gives them."""
+
+    @pytest.mark.parametrize("method", ["analytic", "central_fd", "richardson"])
+    def test_channel_rows(self, method):
+        from qtangle.channels import _bipartite_rows
+
+        rng = np.random.default_rng(71)
+        traj = ProductTrajectory((factor_curve("hamiltonian3", rng), factor_curve("bloch", rng)))
+        ts = np.linspace(0.0, 1.0, 5)
+        for got, want in zip(_bipartite_rows(traj, ts, method, 1e-4)[0], loop_rows(traj, ts, method)):
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    @pytest.mark.parametrize("method", ["analytic", "richardson"])
+    def test_ensemble_rows(self, method):
+        rng = np.random.default_rng(72)
+        components = tuple(
+            ProductTrajectory((factor_curve("bloch", rng), factor_curve("phase3", rng)), (False, True))
+            for _ in range(2)
+        )
+        ens = Ensemble((0.3, 0.7), components)
+        ts = np.linspace(0.0, 1.0, 5)
+        got = trajectories._component_differentials(ens, ts, method, 1e-4)
+        for (w, states, drho), comp in zip(got, components):
+            rows = loop_rows(comp, ts, method)
+            for state, mat, (base, deriv) in zip(states, drho, rows):
+                assert same_bits(state, base)
+                assert same_bits(mat, trajectories._projector_differentials(base, deriv))
+
+    @pytest.mark.parametrize("method", ["analytic", "central_fd"])
+    def test_product_trace_cells(self, method, monkeypatch):
+        import qtangle.cli as cli
+        from qtangle.cli import parse_config
+
+        arc = {"dim": 2, "curve": {"kind": "bloch", "theta": [0.2, 1.1, -0.3], "phi": [0.1, 0.5]}}
+        generator = [[1, 0, 0], [0, -1, 0.5], [0, 0.5, 0]]
+        orbit = {"dim": 3, "curve": {"kind": "hamiltonian", "generator": generator, "initial": [1, 0, 1]}}
+        doc = {"scenario": "product_trace", "method": method, "subsystems": [arc, orbit]}
+        cfg = parse_config(json.dumps(doc))
+        seen, original = [], cli._channel_rows
+        recording = lambda parts, *args: seen.append(parts) or original(parts, *args)
+        monkeypatch.setattr(cli, "_channel_rows", recording)
+        cli.run(cfg)
+        want = loop_rows(cfg.trajectory(), cfg.grid_points(), method)
+        assert len(seen) == 1
+        for got, rows in zip(seen[0], want):
+            assert same_bits(got[0], rows[0]) and same_bits(got[1], rows[1])
 
 
 def test_scalar_random_draws_keep_their_seeded_sequences():
