@@ -253,14 +253,11 @@ def _run_pseudo_pure(cfg: RunConfig) -> TraceReport:
     def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray, factors) -> list:
         drho = _projector_differentials(states, directions)
         _check_hermitian(drho)
+        # eps * drho and the mixed state are Hermitian as built, from the checked drho and states
         drho = eps * drho
-        _check_hermitian(drho)
         trace = np.trace(drho, axis1=1, axis2=2).real
         tr1, tr2, verdict = _trace_witness(drho, dims, cfg.tol, cfg.method)
-        projector = _outer(states, states)
-        _check_hermitian(projector)
-        mixed = (1.0 - eps) * np.eye(total_dim) / total_dim + eps * projector
-        _check_hermitian(mixed)
+        mixed = (1.0 - eps) * np.eye(total_dim) / total_dim + eps * _outer(states, states)
         return [trace, tr1, tr2, verdict, _separability(mixed, dims, cut)]
 
     columns = ("drho_trace", "tr1_norm", "tr2_norm", "verdict", "base_separability")

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -39,7 +40,7 @@ class _Scenario(NamedTuple):
     trajectory would be dead weight).  ``count`` and ``dim``, when set, fix
     how many subsystems it takes and the dim of each.  ``factors`` is the
     factor count that cuts are checked against without subsystems; None
-    refuses cuts.
+    refuses cuts.  ``one_cut`` refuses a second cut.
     """
 
     grid: tuple[float, float, int]
@@ -47,20 +48,21 @@ class _Scenario(NamedTuple):
     count: int | None = None
     dim: int | None = None
     factors: int | None = 2
+    one_cut: bool = False
     epsilon: bool = False
 
 
 _HALF_TURN = (0.0, math.pi, 181)
 _SCENARIO_TABLE = {
-    "two_qubit_demo": _Scenario(_HALF_TURN, count=2, dim=2),
+    "two_qubit_demo": _Scenario(_HALF_TURN, count=2, dim=2, one_cut=True),
     "product_trace": _Scenario(_HALF_TURN, subsystems="required"),
     # global step time: two program steps, each on a unit interval
     "register_trace": _Scenario((0.0, 2.0, 81), subsystems="refused", factors=3),
-    "pseudo_pure": _Scenario(_HALF_TURN, count=2, epsilon=True),
+    "pseudo_pure": _Scenario(_HALF_TURN, count=2, one_cut=True, epsilon=True),
     # the rotating ensemble's reduced-trace norm falls like cos(t); stay on
     # the quarter period where the witness verdict is uniform
     "separable_mixed": _Scenario((0.0, math.pi / 4.0, 46), subsystems="refused", factors=None),
-    "chsh_scan": _Scenario(_HALF_TURN, count=2, dim=2),
+    "chsh_scan": _Scenario(_HALF_TURN, count=2, dim=2, one_cut=True),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
 
@@ -106,6 +108,12 @@ class RunConfig:
         return np.linspace(t0, t1, steps)
 
     def trajectory(self) -> ProductTrajectory | None:
+        return self._trajectory
+
+    @cached_property
+    def _trajectory(self) -> ProductTrajectory | None:
+        """Built on first use and kept: the config is immutable, and every run
+        of it reuses the factor stacks the trajectory caches."""
         if self.subsystems is None:
             return None
         return ProductTrajectory(self.subsystems, frozen=self.frozen or ())
@@ -394,6 +402,8 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
     cuts = None
     if "cuts" in doc:
         cuts = _parse_cuts(doc["cuts"], "cuts")
+        if row.one_cut and len(cuts) > 1:
+            _fail("cuts", f"scenario {scenario!r} takes one cut, got {len(cuts)}")
         dims = tuple(c.dims[0] for c in subsystems) if subsystems else (2,) * row.factors
         for i, cut in enumerate(cuts):
             try:

@@ -260,7 +260,7 @@ def profile(
     grid = np.array(grid, dtype=float).reshape(-1)
     if grid.size < 2:
         raise ValueError("grid needs at least 2 points")
-    if np.any(np.diff(grid) <= 0):
+    if not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be strictly increasing")
     cuts = tuple(cuts)
     if not cuts:

@@ -104,12 +104,12 @@ def _product_form(components: list[tuple]) -> np.ndarray:
 
 
 def _ensemble_forms(components: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """The honest differential and the product form built from the same
-    components, both checked Hermitian."""
+    """The honest differential at each grid point and its Frobenius distance
+    from the product form of the same components, both checked Hermitian."""
     forms = _mixed_differential(components), _product_form(components)
     for form in forms:
         _check_hermitian(form)
-    return forms
+    return forms[0], np.linalg.norm(forms[0] - forms[1], axis=(-2, -1))
 
 
 def operator_form_gap(
@@ -117,27 +117,24 @@ def operator_form_gap(
 ) -> float:
     """Frobenius distance between the honest differential of the mixture and
     the doubly-differential product form built from the same components."""
-    honest, product = _ensemble_forms(_component_differentials(ens, t, method, h))
-    return float(np.linalg.norm(honest[0] - product[0]))
+    return float(_ensemble_forms(_component_differentials(ens, t, method, h))[1][0])
 
 
 def ensemble_witness(
     ens: Ensemble, t: float, tol: float = 1e-6, method: str = "auto", h: float = DEFAULT_STEP
 ) -> WitnessReport:
     """Full witness for an ensemble: trace norms plus the operator-form gap."""
-    honest, product = _ensemble_forms(_component_differentials(ens, t, method, h))
-    tr1, tr2, verdict = _trace_witness(honest, ens.dims, tol, _ensemble_method(ens, method))
-    gap = float(np.linalg.norm(honest[0] - product[0]))  # as operator_form_gap, to the bit
-    return WitnessReport(float(tr1[0]), float(tr2[0]), gap, str(verdict[0]), tol)
+    tr1, tr2, gap, verdict = _ensemble_witness_rows(ens, np.array([float(t)]), tol, method, h)
+    return WitnessReport(float(tr1[0]), float(tr2[0]), float(gap[0]), str(verdict[0]), tol)
 
 
 def _ensemble_witness_rows(
     ens: Ensemble, ts: np.ndarray, tol: float, method: str, h: float
 ) -> tuple[np.ndarray, ...]:
     """``ensemble_witness`` at each grid point: (tr1, tr2, operator gap, verdict)."""
-    honest, product = _ensemble_forms(_component_differentials(ens, ts, method, h))
+    honest, gap = _ensemble_forms(_component_differentials(ens, ts, method, h))
     tr1, tr2, verdict = _trace_witness(honest, ens.dims, tol, _ensemble_method(ens, method))
-    return tr1, tr2, np.linalg.norm(honest - product, axis=(-2, -1)), verdict
+    return tr1, tr2, gap, verdict
 
 
 def _ensemble_method(ens: Ensemble, method: str) -> str:

@@ -75,22 +75,19 @@ def _check_amplitudes(
     if tol is None:
         _check_finite(amps, (-1,), _NOT_FINITE, where)
         return None
-    return _check_product_amplitudes([amps], tol, where)
+    return _check_product_amplitudes(amps[None], tol, where)
 
 
-def _check_product_amplitudes(
-    factors: Sequence[np.ndarray], tol: float, where: _Where = ""
-) -> np.ndarray:
+def _check_product_amplitudes(factors: np.ndarray, tol: float, where: _Where = "") -> np.ndarray:
     """``_check_amplitudes`` of the row-wise tensor product of the factor
-    stacks, from the factors alone: its norm is the product of theirs, and it
-    has a non-finite entry where one of them does.  Returns the norms.  One
-    array stacking factors of one dim takes one norm."""
-    norm = lambda f: np.linalg.norm(f, axis=-1)
-    norms = reduce(np.multiply, norm(factors) if isinstance(factors, np.ndarray) else map(norm, factors))
+    stacks along the first axis (zero-padded to one dim, if need be), from
+    the factors alone: its norm is the product of theirs, and it has a
+    non-finite entry where one of them does.  Returns the norms."""
+    norms = reduce(np.multiply, np.linalg.norm(factors, axis=-1))
     defect = abs(norms - 1.0)
     # a non-finite entry makes its norm non-finite, so clean rows pass this one test
     if not (defect < tol).all():
-        finite = np.logical_and.reduce([np.isfinite(factor).all(axis=-1) for factor in factors])
+        finite = np.isfinite(factors).all(axis=-1).all(axis=0)
         _raise_first(~finite, lambda i: _NOT_FINITE, ValueError, where)
         message = lambda i: f"expected a unit vector, got norm {float(norms.flat[i])!r}"
         _raise_first(defect >= tol, message, where=where)
@@ -114,7 +111,7 @@ def _check_unitary(mats: np.ndarray, where: _Where = "") -> None:
     """Each matrix (last two axes) unitary: max |U^H U - I| below UNITARY_TOL."""
     dev = abs(mats.swapaxes(-2, -1).conj() @ mats - np.eye(mats.shape[-1])).max(axis=(-2, -1))
     message = lambda i: f"matrix is not unitary (deviation {dev.flat[i]:.3e})"
-    _raise_first(dev >= UNITARY_TOL, message, where=where)
+    _raise_first(~(dev < UNITARY_TOL), message, where=where)
 
 
 def _check_traceless(mats: np.ndarray, source: str) -> None:
@@ -122,7 +119,7 @@ def _check_traceless(mats: np.ndarray, source: str) -> None:
     in modulus: "given" or the method that differentiated it."""
     traces = mats.trace(axis1=-2, axis2=-1)
     _raise_first(
-        abs(traces) >= _TRACE_TOL[source],
+        ~(abs(traces) < _TRACE_TOL[source]),
         lambda i: f"differential must be traceless, got trace {traces.flat[i]:.3e}",
     )
 
@@ -135,7 +132,7 @@ def _check_norm_preserving(
     overlaps = _overlaps(base, directions)
     re = abs(overlaps.real)
     message = lambda i: f"norm not preserved, |Re<psi|dpsi>| = {re.flat[i]:.3e}"
-    _raise_first(re >= _RE_OVERLAP_TOL[source], message, where=where)
+    _raise_first(~(re < _RE_OVERLAP_TOL[source]), message, where=where)
     return overlaps
 
 

@@ -151,8 +151,7 @@ def propagator(generator, t: float) -> np.ndarray:
     """exp(-i * generator * t) for a Hermitian generator, or for each of a
     stack of them, via eigendecomposition."""
     mat = _generator(generator)
-    w, v = np.linalg.eigh(mat)
-    return (v * np.exp(-1j * w * t)[..., None, :]) @ np.swapaxes(v.conj(), -2, -1)
+    return _unitaries(*np.linalg.eigh(mat), np.eye(mat.shape[-1], dtype=complex), t)
 
 
 class FactorCurve(ABC):
@@ -369,7 +368,7 @@ class SampledCurve(FactorCurve):
     def states(self, ts: np.ndarray) -> np.ndarray:
         lo, hi = float(self.times[0]), float(self.times[-1])
         _raise_first(
-            (ts < lo) | (ts > hi),
+            ~((ts >= lo) & (ts <= hi)),
             lambda i: f"t={float(ts[i])!r} outside the sampled range [{lo!r}, {hi!r}]",
             ParameterRangeError,
         )
@@ -791,7 +790,6 @@ class UnitaryCurve:
 def _unitaries(evals: np.ndarray, evecs: np.ndarray, base: np.ndarray, t) -> np.ndarray:
     """exp(-i*G*t) @ base from the eigenpairs of G, at t or each point of a
     grid array; curves stacked as (S, 1, d), (S, 1, d, d) give (S, G, d, d)."""
-    # the same arithmetic as propagator(generator, t) @ base
     phases = np.exp(-1j * evals * np.asarray(t)[..., None])
     return (evecs * phases[..., None, :]) @ np.swapaxes(evecs.conj(), -2, -1) @ base
 
@@ -894,7 +892,7 @@ class RegisterProgram:
         """
         times = np.asarray(s, dtype=float)
         _raise_first(
-            (times < 0) | (times > self.n_steps),
+            ~((times >= 0) & (times <= self.n_steps)),
             lambda i: f"program time {float(times.flat[i])!r} outside [0, {self.n_steps}]",
             ParameterRangeError,
         )
@@ -905,11 +903,8 @@ class RegisterProgram:
 
 def register_state(prog: RegisterProgram, k: int, t: float) -> Ket:
     """State after steps 1..k-1 completed and step k advanced to parameter t."""
-    if not 1 <= k <= prog.n_steps:
-        raise ValueError(f"step index {k} outside 1..{prog.n_steps}")
-    values = [c.value(t) for c in prog.steps[k - 1]]
-    dims = prog.initial.dims
-    return Ket(_apply_local(prog._step_starts[k - 1], dims, values), dims)
+    state, _ = _register_rows(prog, k, np.array([float(t)]), "analytic", DEFAULT_STEP)
+    return Ket(state[0], prog.initial.dims)
 
 
 def register_tangent(
@@ -994,8 +989,8 @@ def pseudo_pure_differential(psi: Ket, tangent: TangentVector, epsilon: float) -
         np.abs(psi.amplitudes - tangent.base.amplitudes)
     ) >= 1e-10:
         raise ValueError("tangent is not attached to the given state")
-    mat = epsilon * projector_differential(tangent).matrix
-    return HermitianOp(mat, psi.dims)
+    drho = _projector_differentials(tangent.base.amplitudes, tangent.direction)
+    return HermitianOp(epsilon * drho, psi.dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1075,8 +1070,6 @@ def _mixed_differential(components: list[tuple]) -> np.ndarray:
     total = 0
     for w, states, drho in components:
         rho = [_outer(base, base) for base in states]
-        for mat in rho:
-            _check_hermitian(mat)
         total = total + w * _product_rule(rho[0], drho[0], [(rho[1], drho[1])], _kron_rows)[1]
     return total
 
@@ -1128,10 +1121,10 @@ def random_unit_ket(rng: np.random.Generator, dims: Iterable[int]) -> Ket:
 
 
 def _random_unit_rows(rng: np.random.Generator, m: int, dim: int) -> np.ndarray:
-    """m random unit amplitude rows (m, dim), checked unit to DEFAULT_TOL."""
+    """m random unit amplitude rows (m, dim), unchecked: a curve built on them,
+    or a tangent assembled from them, checks them."""
     amps = _complex_normal(rng, (m, dim))
     amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
-    _check_amplitudes(amps, DEFAULT_TOL)
     return amps
 
 

@@ -1,4 +1,19 @@
+import sys
+from collections import Counter
+
 import pytest
+
+# the invariant checks: each statespace check, and the tangent check built on them
+CHECKS = (
+    "_check_finite",
+    "_check_amplitudes",
+    "_check_product_amplitudes",
+    "_check_hermitian",
+    "_check_unitary",
+    "_check_traceless",
+    "_check_norm_preserving",
+    "_check_tangents",
+)
 
 
 @pytest.fixture
@@ -23,6 +38,38 @@ def count_evaluations(monkeypatch):
                     running.pop()
 
             monkeypatch.setattr(curve, name, counting)
+        return calls
+
+    return count
+
+
+@pytest.fixture
+def count_checks(monkeypatch):
+    """``count_checks()`` starts counting calls of the invariant checks
+    (``CHECKS``) by name, in every qtangle module that holds one, and returns
+    the counter.  A check called while another runs is part of that one and
+    is not counted."""
+
+    def count() -> Counter:
+        calls, running = Counter(), []
+
+        def counted(name, original):
+            def counting(*args, **kwargs):
+                if not running:
+                    calls[name] += 1
+                running.append(name)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    running.pop()
+
+            return counting
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("qtangle"):
+                for name in CHECKS:
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         return calls
 
     return count

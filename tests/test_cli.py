@@ -16,6 +16,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 import qtangle
+import qtangle.config
 import qtangle.trajectories
 from qtangle import (
     ConfigError,
@@ -23,6 +24,7 @@ from qtangle import (
     HermitianOp,
     Ket,
     MeasurementSetting,
+    ProductTrajectory,
     RunConfig,
     ToleranceBreachError,
     base_state_separability,
@@ -638,6 +640,21 @@ CONFIG_DIAGNOSTICS = [
         first_of(QUBIT, QUBIT, cuts=[[[1], [2]]]),
         "cuts[0]: cut 1|2 does not partition the 3 factor positions",
     ),
+    diag(
+        "cuts-demo-two",
+        {"scenario": "two_qubit_demo", "cuts": [[[1], [2]], [[2], [1]]]},
+        "cuts: scenario 'two_qubit_demo' takes one cut, got 2",
+    ),
+    diag(
+        "cuts-pseudo-two",
+        {"scenario": "pseudo_pure", "cuts": [[[1], [2]], [[2], [1]]]},
+        "cuts: scenario 'pseudo_pure' takes one cut, got 2",
+    ),
+    diag(
+        "cuts-chsh-two",
+        {"scenario": "chsh_scan", "cuts": [[[1], [2]], [[2], [1]]]},
+        "cuts: scenario 'chsh_scan' takes one cut, got 2",
+    ),
     diag("method-type", demo(method=5), "method: expected an object, got int"),
     diag(
         "method-unknown-field",
@@ -969,6 +986,64 @@ class TestRunners:
         assert first[cols.index("corr_c2")] == pytest.approx(-1.0, abs=1e-12)
         for row in rep.rows:
             assert row[cols.index("chsh")] == pytest.approx(2 * SQ2, abs=1e-9)
+
+
+    def test_runs_of_one_config_share_one_trajectory(self, monkeypatch):
+        built = []
+
+        def building(*args, **kwargs):
+            built.append(ProductTrajectory(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(qtangle.config, "ProductTrajectory", building)
+        cfg = parse({"scenario": "product_trace", "grid": {"steps": 5}, "subsystems": QUTRIT_PAIR})
+        first, second = run(cfg), run(cfg)
+        assert len(built) == 1 and cfg.trajectory() is built[0]
+        assert first.rows == second.rows
+
+
+# top-level calls of each invariant check in one run (conftest ``count_checks``),
+# after a first run has built the canonical inputs, whose constructors check them
+RUN_CHECK_CALLS = {
+    "pseudo_pure": {
+        "_check_amplitudes": 1,
+        "_check_product_amplitudes": 1,
+        "_check_tangents": 2,
+        "_check_hermitian": 3,
+        "_check_traceless": 1,
+    },
+    "separable_mixed": {
+        "_check_amplitudes": 4,
+        "_check_tangents": 2,
+        "_check_hermitian": 8,
+        "_check_traceless": 1,
+    },
+}
+VERIFY_CHECK_CALLS = {
+    "_check_amplitudes": 102,
+    "_check_tangents": 25,
+    "_check_hermitian": 30,
+    "_check_norm_preserving": 4,
+    "_check_traceless": 1,
+}
+
+
+class TestCheckCounts:
+    """Each array is checked once, where it is made: a check of an array
+    built exactly from one already checked cannot fail, so none is made."""
+
+    @pytest.mark.parametrize("scenario", sorted(RUN_CHECK_CALLS))
+    def test_scenario_run(self, scenario, count_checks):
+        cfg = parse({"scenario": scenario})
+        run(cfg)
+        calls = count_checks()
+        run(cfg)
+        assert dict(calls) == RUN_CHECK_CALLS[scenario]
+
+    def test_verify(self, count_checks):
+        calls = count_checks()
+        assert verify(trials=5, seed=0, stream=io.StringIO()) == 0
+        assert dict(calls) == VERIFY_CHECK_CALLS
 
 
 class TestRendering:

@@ -23,6 +23,7 @@ from qtangle import (
     Ket,
     LocalHamiltonianCurve,
     MeasurementSetting,
+    ParameterRangeError,
     PhaseCurve,
     ProductTrajectory,
     RegisterProgram,
@@ -180,6 +181,64 @@ def test_bound(tol, error, call, factor):
     with pytest.raises(error) as info:
         call(factor * tol)
     assert info.type is error
+
+
+NAN = float("nan")
+# checks whose defect is NaN on a non-finite input, each with the message it rejects it by
+NAN_DEFECTS = [
+    pytest.param(
+        lambda: UnitaryCurve(np.zeros((2, 2)), [[NAN, 0.0], [0.0, 1.0]]),
+        ValidationError,
+        "base: matrix is not unitary (deviation nan)",
+        id="UnitaryCurve-base",
+    ),
+    pytest.param(
+        lambda: apply_local_unitaries(Ket.basis((2, 2), (0, 0)), [np.diag([NAN, 1.0]), np.eye(2)]),
+        ValidationError,
+        "factor 1: matrix is not unitary (deviation nan)",
+        id="apply_local_unitaries",
+    ),
+    pytest.param(
+        lambda: _trace_witness(np.diag([NAN, 0.0, 0.0, 0.0]).astype(complex), (2, 2), 1e-6, "given"),
+        ValidationError,
+        "differential must be traceless, got trace nan+0.000e+00j",
+        id="traceless",
+    ),
+    pytest.param(
+        lambda: curve_through(Ket(E0, (2,)), np.array([NAN, 0.0])),
+        ValidationError,
+        "direction: norm not preserved, |Re<psi|dpsi>| = nan",
+        id="curve_through",
+    ),
+    pytest.param(
+        lambda: RegisterProgram(((UnitaryCurve.rotation(SY),) * 2,) * 2, Ket.basis((2, 2), (0, 0)))
+        .resolve_time([0.2, NAN]),
+        ParameterRangeError,
+        "program time nan outside [0, 2]",
+        id="resolve_time",
+    ),
+    pytest.param(
+        lambda: profile(ProductTrajectory((BlochCurve([0.0, 1.0]),) * 2), [0.0, NAN, 1.0], [CUT]),
+        ValueError,
+        "grid must be strictly increasing",
+        id="profile-grid",
+    ),
+    pytest.param(
+        lambda: SampledCurve([0.0, 1.0, 2.0, 3.0], [Ket(E0, (2,))] * 4).states(np.array([0.5, NAN])),
+        ParameterRangeError,
+        "t=nan outside the sampled range [0.0, 3.0]",
+        id="SampledCurve-range",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", NAN_DEFECTS)
+def test_nan_defect_is_not_below_the_bound(call, error, message):
+    """A NaN defect compares false with every bound, so each check rejects
+    unless its defect is below the bound, and it rejects with its own message."""
+    with pytest.raises(error) as info:
+        call()
+    assert info.type is error and str(info.value) == message
 
 
 def unit_direction(norm: float) -> Ket:

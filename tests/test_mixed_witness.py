@@ -25,6 +25,7 @@ from qtangle import (
     product_differential,
     separable_mixed_differential,
 )
+from qtangle.cli import rotating_ensemble
 
 SQ2 = math.sqrt(2)
 CUT = Cut.splitting((0,), 2)
@@ -163,6 +164,17 @@ class TestEnsembleWitness:
         honest = separable_mixed_differential(ens, 0.4).matrix
         product = product_differential(ens, 0.4).matrix
         assert rep.operator_gap == np.linalg.norm(honest - product)
+
+    @pytest.mark.parametrize("method", ["analytic", "central_fd", "richardson"])
+    def test_scalar_gaps_are_the_rows_gap_to_the_bit(self, method):
+        """ensemble_witness and operator_form_gap are the one-row case of the
+        grid kernel: each gives the gap its row gives, not a recomputation."""
+        ens = rotating_ensemble()
+        grid = np.linspace(0.0, 0.7, 15)
+        rows = mixed_witness._ensemble_witness_rows(ens, grid, 1e-6, method, trajectories.DEFAULT_STEP)
+        for t, gap in zip(grid, rows[2]):
+            assert ensemble_witness(ens, t, method=method).operator_gap == gap
+            assert operator_form_gap(ens, t, method) == gap
 
 
 class TestBaseStateSeparability:
