@@ -37,32 +37,31 @@ class _Scenario(NamedTuple):
 
     ``subsystems`` is "required", "optional" (the scenario falls back to its
     canonical trajectory) or "refused" (it runs a built-in object, where a
-    trajectory would be dead weight).  ``count`` and ``dim``, when set, fix
-    how many subsystems it takes and the dim of each.  ``factors`` is the
-    factor count that cuts are checked against without subsystems; None
-    refuses cuts.  ``one_cut`` refuses a second cut.
+    trajectory would be dead weight).  A ``pair`` scenario takes exactly two
+    subsystems and one cut; ``dim``, when set, fixes the dim of each
+    subsystem.  ``factors`` is the factor count that cuts are checked against
+    without subsystems; None refuses cuts.
     """
 
     grid: tuple[float, float, int]
     subsystems: str = "optional"
-    count: int | None = None
+    pair: bool = False
     dim: int | None = None
     factors: int | None = 2
-    one_cut: bool = False
     epsilon: bool = False
 
 
 _HALF_TURN = (0.0, math.pi, 181)
 _SCENARIO_TABLE = {
-    "two_qubit_demo": _Scenario(_HALF_TURN, count=2, dim=2, one_cut=True),
+    "two_qubit_demo": _Scenario(_HALF_TURN, pair=True, dim=2),
     "product_trace": _Scenario(_HALF_TURN, subsystems="required"),
     # global step time: two program steps, each on a unit interval
     "register_trace": _Scenario((0.0, 2.0, 81), subsystems="refused", factors=3),
-    "pseudo_pure": _Scenario(_HALF_TURN, count=2, one_cut=True, epsilon=True),
+    "pseudo_pure": _Scenario(_HALF_TURN, pair=True, epsilon=True),
     # the rotating ensemble's reduced-trace norm falls like cos(t); stay on
     # the quarter period where the witness verdict is uniform
     "separable_mixed": _Scenario((0.0, math.pi / 4.0, 46), subsystems="refused", factors=None),
-    "chsh_scan": _Scenario(_HALF_TURN, count=2, dim=2, one_cut=True),
+    "chsh_scan": _Scenario(_HALF_TURN, pair=True, dim=2),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
 
@@ -380,11 +379,10 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
         frozen = tuple(flag for _, flag in parsed)
         if all(frozen):
             _fail("subsystems", "at least one subsystem must be unfrozen")
-        if row.count is not None and len(parsed) != row.count:
-            _fail("subsystems", f"scenario {scenario!r} needs exactly {row.count} subsystems")
+        if row.pair and len(parsed) != 2:
+            _fail("subsystems", f"scenario {scenario!r} needs exactly 2 subsystems")
         if row.dim is not None and any(c.dims != (row.dim,) for c in subsystems):
-            count = "two" if row.count == 2 else row.count
-            _fail("subsystems", f"scenario {scenario!r} needs {count} dim-{row.dim} subsystems")
+            _fail("subsystems", f"scenario {scenario!r} needs two dim-{row.dim} subsystems")
 
     t0, t1, steps = row.grid
     if "grid" in doc:
@@ -402,7 +400,7 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
     cuts = None
     if "cuts" in doc:
         cuts = _parse_cuts(doc["cuts"], "cuts")
-        if row.one_cut and len(cuts) > 1:
+        if row.pair and len(cuts) > 1:
             _fail("cuts", f"scenario {scenario!r} takes one cut, got {len(cuts)}")
         dims = tuple(c.dims[0] for c in subsystems) if subsystems else (2,) * row.factors
         for i, cut in enumerate(cuts):

@@ -172,9 +172,8 @@ def _factor_tangents(traj, grid: np.ndarray, method: str, h: float) -> list[tupl
     if traj._site_starts is None:
         return None
     groups = [sites for sites, *_ in traj._step_stacks[0]]
-    shapes = [(len(g), grid.size, traj.initial.dims[g[0]]) for g in groups for _ in (0, 1)]
     site_rows = lambda k, ts: [a for _, *pair in _register_site_rows(traj, k, ts, method, h) for a in pair]
-    rows = _stepwise(traj, grid, site_rows, shapes)
+    rows = _stepwise(traj, grid, site_rows)
     for states, directions in zip(rows[::2], rows[1::2]):
         _check_tangents(states, directions)  # site-major: the first offending site's message
     return list(zip(groups, rows[::2], rows[1::2]))
@@ -185,25 +184,21 @@ def _dense_rows(traj, grid: np.ndarray, method: str, h: float, factors) -> tuple
     product trajectory's factor rows, or over each program step's sites."""
     if isinstance(traj, RegisterProgram):
         dense_rows = lambda k, ts: _register_rows(traj, k, ts, method, h)
-        states, directions = _stepwise(traj, grid, dense_rows, [(grid.size, traj.initial.total_dim)] * 2)
+        states, directions = _stepwise(traj, grid, dense_rows)
     else:
         states, directions = _product_rows(traj, factors)
     _check_tangents(states, directions)
     return states, directions
 
 
-def _stepwise(
-    prog: RegisterProgram, grid: np.ndarray, rows_of: Callable, shapes: Sequence[tuple]
-) -> list[np.ndarray]:
+def _stepwise(prog: RegisterProgram, grid: np.ndarray, rows_of: Callable) -> list[np.ndarray]:
     """A program's rows over the grid, step by step: ``rows_of(k, local)`` gives
-    step k's arrays at its local parameters, shaped as ``shapes`` (grid axis second to last)."""
+    step k's arrays at its local parameters (grid axis second to last).  The
+    grid is strictly increasing, so it meets the steps in order, and each
+    array is its steps' parts joined along the grid axis."""
     ks, local = prog.resolve_time(grid)
-    out = [np.empty(shape, dtype=complex) for shape in shapes]
-    for k in np.unique(ks):
-        rows = ks == k
-        for arr, part in zip(out, rows_of(int(k), local[rows])):
-            arr[..., rows, :] = part
-    return out
+    parts = [rows_of(int(k), local[ks == k]) for k in np.unique(ks)]
+    return [np.concatenate(arrs, axis=-2) for arrs in zip(*parts)]
 
 
 def _squared_speeds(stacks: list[tuple], n: int) -> np.ndarray:

@@ -419,17 +419,14 @@ class _Interleaved(FactorCurve):
         self.dims = self.parts[0][0].dims
         self.has_analytic = all(curve.has_analytic for curve, _ in self.parts)
 
-    def _merged(self, ts: np.ndarray, evaluate: Callable) -> np.ndarray:
+    def states(self, ts: np.ndarray) -> np.ndarray:
         out = np.empty((len(ts),) + self.dims, dtype=complex)
         for curve, rows in self.parts:
-            out[rows] = evaluate(curve, ts[rows])
+            out[rows] = curve.states(ts[rows])
         return out
 
-    def states(self, ts: np.ndarray) -> np.ndarray:
-        return self._merged(ts, lambda curve, t: curve.states(t))
-
     def velocities(self, ts: np.ndarray) -> np.ndarray:
-        return self._merged(ts, lambda curve, t: curve.velocities(t))
+        return self._states_and_velocities(ts)[1]
 
     def _states_and_velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         states = np.empty((len(ts),) + self.dims, dtype=complex)
@@ -1009,9 +1006,9 @@ class Ensemble:
             raise ValueError(
                 f"{len(weights)} weights for {len(components)} components"
             )
-        if any(w <= 0 for w in weights):
+        if not all(w > 0 for w in weights):
             raise ValueError("weights must all be positive")
-        if abs(sum(weights) - 1.0) >= 1e-12:
+        if not abs(sum(weights) - 1.0) < 1e-12:
             raise ValueError(f"weights must sum to 1, got {sum(weights)!r}")
         dims = components[0].dims
         for i, comp in enumerate(components):
@@ -1164,31 +1161,19 @@ def _admissible_rows(rng: np.random.Generator, psi: np.ndarray) -> np.ndarray:
 def random_factor_curve(
     rng: np.random.Generator, dim: int, constant_speed: bool = False
 ) -> FactorCurve:
-    """A random analytic factor curve.
+    """A random analytic factor curve: the one curve ``_random_curves`` draws
+    for m=1, as a plain curve.
 
     With ``constant_speed`` the curve is restricted to constant-generator
     families (Schroedinger orbits and affine single-angle qubit arcs), whose
     projective speed is constant in the parameter.
     """
-    kinds = ["hamiltonian", "phase"]
-    if dim == 2:
-        kinds.append("bloch")
-    kind = kinds[rng.integers(len(kinds))]
-    if kind == "phase":
-        return PhaseCurve([rng.normal(), rng.normal()], random_unit_ket(rng, (dim,)))
-    if kind == "bloch":
-        if constant_speed:
-            if rng.integers(2):
-                return BlochCurve([rng.normal(), rng.normal(scale=0.8)], rng.normal())
-            return BlochCurve(rng.uniform(0.4, 2.7), [rng.normal(), rng.normal(scale=0.8)])
-        return BlochCurve(
-            [rng.normal(), rng.normal(), rng.normal(scale=0.5)],
-            [rng.normal(), rng.normal(), rng.normal(scale=0.5)],
-        )
-    return LocalHamiltonianCurve(
-        random_hermitian(rng, dim, scale=1.0 / math.sqrt(dim)),
-        random_unit_ket(rng, (dim,)),
-    )
+    ((curve, _),) = _random_curves(rng, dim, 1, constant_speed).parts
+    if isinstance(curve, BlochCurve):
+        return BlochCurve(curve.theta[0], curve.phi[0])
+    if isinstance(curve, PhaseCurve):
+        return PhaseCurve(curve.phi[0], Ket(curve.base[0], curve.dims))
+    return LocalHamiltonianCurve(curve.generator[0], Ket(curve.initial[0], curve.dims))
 
 
 def random_product_trajectory(
@@ -1204,9 +1189,9 @@ def random_product_trajectory(
 def _random_curves(
     rng: np.random.Generator, dim: int, m: int, constant_speed: bool = False
 ) -> FactorCurve:
-    """m random analytic factor curves, of the kinds and laws of
-    ``random_factor_curve``, as one stacked curve: at m parameter values, row
-    i is curve i at the i-th value.  The draw order is not that of m calls."""
+    """m random analytic factor curves as one stacked curve: at m parameter
+    values, row i is curve i at the i-th value.  The draw order is not that
+    of m calls of ``random_factor_curve``."""
     kinds = rng.integers(3 if dim == 2 else 2, size=m)  # hamiltonian, phase, bloch
     parts = []
     for kind in np.unique(kinds):

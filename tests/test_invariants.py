@@ -18,6 +18,7 @@ from qtangle import (
     BlochCurve,
     Cut,
     DegenerateInputError,
+    Ensemble,
     FactorCurve,
     HermitianOp,
     Ket,
@@ -228,6 +229,12 @@ NAN_DEFECTS = [
         ParameterRangeError,
         "t=nan outside the sampled range [0.0, 3.0]",
         id="SampledCurve-range",
+    ),
+    pytest.param(
+        lambda: Ensemble((NAN, 0.5), (ProductTrajectory((BlochCurve([0.0, 1.0]),) * 2),) * 2),
+        ValueError,
+        "weights must all be positive",
+        id="Ensemble-weight",
     ),
 ]
 

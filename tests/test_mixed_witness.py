@@ -163,7 +163,7 @@ class TestEnsembleWitness:
         assert calls == list(ens.components)
         honest = separable_mixed_differential(ens, 0.4).matrix
         product = product_differential(ens, 0.4).matrix
-        assert rep.operator_gap == np.linalg.norm(honest - product)
+        assert rep.operator_gap == np.linalg.norm(honest - product, axis=(-2, -1))
 
     @pytest.mark.parametrize("method", ["analytic", "central_fd", "richardson"])
     def test_scalar_gaps_are_the_rows_gap_to_the_bit(self, method):

@@ -1054,3 +1054,25 @@ def test_scalar_random_draws_keep_their_seeded_sequences():
         d = ref.standard_normal(dim) + 1j * ref.standard_normal(dim)
         d -= np.vdot(psi, d).real * psi
         assert np.array_equal(trajectories.random_admissible_direction(ours, state), d)
+
+
+def test_random_factor_curve_is_the_one_row_stacked_draw():
+    """random_factor_curve draws by the law of _random_curves: a plain curve
+    with the rows of the stacked draw of one curve, bit for bit, after which
+    both generators are in the same state."""
+    kinds = set()
+    for dim in (2, 3, 4):
+        for constant_speed in (False, True):
+            for seed in range(40):
+                ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                curve = trajectories.random_factor_curve(ours, dim, constant_speed)
+                stack = trajectories._random_curves(ref, dim, 1, constant_speed)
+                assert ours.bit_generator.state == ref.bit_generator.state
+                kinds.add((type(curve), dim == 2))
+                for t in (0.0, 0.37, 1.3):
+                    ts = np.array([t])
+                    for got, want in zip(curve._states_and_velocities(ts), stack._states_and_velocities(ts)):
+                        assert same_bits(got, want)
+    assert kinds == {
+        (kind, two) for kind in (LocalHamiltonianCurve, PhaseCurve) for two in (False, True)
+    } | {(BlochCurve, True)}
