@@ -92,9 +92,10 @@ def reduced_tangent_channel(
         raise ValueError(f"subsystem must be 1 or 2, got {subsystem}")
     parts = _bipartite_rows(traj, np.array([float(t)]), method, h)[0]
     full = _product_rule(*parts[0], parts[1:], _kron_rows)[1]
-    *terms, gap = _channel_rows(parts, full, (subsystem,))[0]
+    lhs, *terms, gap = _channel_rows(parts, full, (subsystem,))[0]
     dims = traj.factors[subsystem - 1].dims
-    return ChannelReport(*(HermitianOp(term[0], dims) for term in terms), float(gap[0]))
+    ops = [HermitianOp(m[0], dims) for m in (lhs, *map(_hermitian_part, terms))]
+    return ChannelReport(*ops, float(gap[0]))
 
 
 def _channel_rows(
@@ -107,7 +108,7 @@ def _channel_rows(
     M = T.reshape(G, d1, d2): M M^H keeps factor 1 and M^T M^* keeps factor
     2, so the (G, D, D) operator is never formed.  Per subsystem: (lhs,
     differential, interference, noise, gap), each with one row per grid
-    point; each lhs and term is checked Hermitian.
+    point; each lhs is checked Hermitian, and the terms are as the gap reads them.
     """
     coefficients = full.reshape(len(full), *(base.shape[-1] for base, _ in parts))
     out = []
@@ -122,11 +123,9 @@ def _channel_rows(
 
         kept = coefficients if subsystem == 1 else np.swapaxes(coefficients, -2, -1)
         lhs = kept @ np.swapaxes(kept, -2, -1).conj()
+        _check_hermitian(lhs)
         gap = np.linalg.norm(lhs - (differential + interference + noise), axis=(-2, -1))
-        terms = [_hermitian_part(m) for m in (differential, interference, noise)]
-        out.append((lhs, *terms, gap))
-    for mat in [m for side in out for m in side[:-1]]:
-        _check_hermitian(mat)
+        out.append((lhs, differential, interference, noise, gap))
     return out
 
 

@@ -171,34 +171,24 @@ def _factor_tangents(traj, grid: np.ndarray, method: str, h: float) -> list[tupl
         return _factor_rows(traj, grid, method, h)
     if traj._site_starts is None:
         return None
-    groups = [sites for sites, *_ in traj._step_stacks[0]]
-    site_rows = lambda k, ts: [a for _, *pair in _register_site_rows(traj, k, ts, method, h) for a in pair]
-    rows = _stepwise(traj, grid, site_rows)
-    for states, directions in zip(rows[::2], rows[1::2]):
+    stacks = _register_site_rows(traj, grid, method, h)
+    for _, states, directions in stacks:
         _check_tangents(states, directions)  # site-major: the first offending site's message
-    return list(zip(groups, rows[::2], rows[1::2]))
+    return stacks
 
 
 def _dense_rows(traj, grid: np.ndarray, method: str, h: float, factors) -> tuple[np.ndarray, np.ndarray]:
     """Raw tangents over the grid, (G, D), checked: the product rule over a
     product trajectory's factor rows, or over each program step's sites."""
     if isinstance(traj, RegisterProgram):
-        dense_rows = lambda k, ts: _register_rows(traj, k, ts, method, h)
-        states, directions = _stepwise(traj, grid, dense_rows)
+        # the grid is strictly increasing, so it meets the steps in order
+        ks, local = traj.resolve_time(grid)
+        parts = [_register_rows(traj, int(k), local[ks == k], method, h) for k in np.unique(ks)]
+        states, directions = (np.concatenate(arrs) for arrs in zip(*parts))
     else:
         states, directions = _product_rows(traj, factors)
     _check_tangents(states, directions)
     return states, directions
-
-
-def _stepwise(prog: RegisterProgram, grid: np.ndarray, rows_of: Callable) -> list[np.ndarray]:
-    """A program's rows over the grid, step by step: ``rows_of(k, local)`` gives
-    step k's arrays at its local parameters (grid axis second to last).  The
-    grid is strictly increasing, so it meets the steps in order, and each
-    array is its steps' parts joined along the grid axis."""
-    ks, local = prog.resolve_time(grid)
-    parts = [rows_of(int(k), local[ks == k]) for k in np.unique(ks)]
-    return [np.concatenate(arrs, axis=-2) for arrs in zip(*parts)]
 
 
 def _squared_speeds(stacks: list[tuple], n: int) -> np.ndarray:
@@ -212,19 +202,21 @@ def _squared_speeds(stacks: list[tuple], n: int) -> np.ndarray:
 
 def _left_factors(cuts: Sequence[Cut], sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Whether each factor, a run of ``sizes[i]`` consecutive positions, lies
-    left of each cut, (cuts, factors); and whether each cut splits no factor."""
-    spans = [range(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
-    whole = [all(cut.left.issuperset(span) or cut.left.isdisjoint(span) for span in spans) for cut in cuts]
-    return np.array([[cut.left.issuperset(span) for span in spans] for cut in cuts]), np.array(whole)
+    left of each cut, (cuts, factors); and whether each cut splits no factor,
+    its positions all left or none.  The cuts are valid for the positions."""
+    rows = np.array([cut._left_row for cut in cuts])
+    starts = list(accumulate(sizes, initial=0))[:-1]
+    left = np.logical_and.reduceat(rows, starts, axis=1)
+    return left, np.all(left == np.logical_or.reduceat(rows, starts, axis=1), axis=1)
 
 
 def _speed_share_bits(speeds: np.ndarray, left: np.ndarray, moving: np.ndarray) -> np.ndarray:
     """Binary entropy of the left side's share of the squared speed in each
     row, for each cut (row of ``left``), (G, cuts); zero where nothing moves."""
-    sides = left.T[:, None, :, None] != np.array([False, True])  # (factors, 1, cuts, 2)
-    # each side's speeds added one factor after another, in order, as
-    # speeds[:, side].sum(axis=-1) adds its gathered columns; adding 0 is exact
-    sums = sum(np.where(sides, speeds.T[..., None, None], 0.0))  # (G, cuts, 2)
+    sides = (left.T[:, :, None] != np.array([False, True])).reshape(len(left.T), -1)  # (factors, cuts * 2)
+    # one weighted sum adds each side's speeds one factor after another, in order,
+    # as speeds[:, side].sum(axis=-1) adds its gathered columns; 0/1 weights are exact
+    sums = np.einsum("gf,fs->gs", speeds, sides).reshape(len(speeds), -1, 2)  # (G, cuts, 2)
     total = sums.sum(axis=-1, keepdims=True)
     return _weights_bits(np.divide(sums, total, out=np.zeros_like(sums), where=moving[:, None, None]))
 

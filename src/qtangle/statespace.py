@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
@@ -293,6 +293,8 @@ class Cut:
         object.__setattr__(self, "right", rset)
         # profiles key every per-cut dict by a cut: hash it once, not per lookup
         object.__setattr__(self, "_hash", hash((lset, rset)))
+        # the sides are disjoint and non-negative: n positions below n are range(n)
+        object.__setattr__(self, "_span", max(lset | rset) + 1)
 
     def __hash__(self) -> int:
         return self._hash
@@ -305,10 +307,15 @@ class Cut:
         return cls(lset, rset)
 
     def validate_for(self, dims: Sequence[int]) -> None:
-        if self.left | self.right != frozenset(range(len(dims))):
+        if not self._span == len(self.left) + len(self.right) == len(dims):
             raise ValueError(
                 f"cut {self.label()} does not partition the {len(dims)} factor positions"
             )
+
+    @cached_property
+    def _left_row(self) -> np.ndarray:
+        """Whether each position lies left; built on first use, after ``validate_for``."""
+        return np.bincount(list(self.left), minlength=self._span) > 0
 
     def swapped(self) -> "Cut":
         return Cut(self.right, self.left)

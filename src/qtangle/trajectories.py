@@ -166,10 +166,12 @@ class FactorCurve(ABC):
 
     def velocities(self, ts: np.ndarray) -> np.ndarray:
         """Closed-form derivative of the amplitudes at each grid point, (G, d)."""
-        raise UnsupportedMethodError(
-            f"{type(self).__name__} has no closed-form derivative; "
-            "use central_fd or richardson"
-        )
+        if type(self)._states_and_velocities is FactorCurve._states_and_velocities:
+            raise UnsupportedMethodError(
+                f"{type(self).__name__} has no closed-form derivative; "
+                "use central_fd or richardson"
+            )
+        return self._states_and_velocities(ts)[1]
 
     def state(self, t: float) -> Ket:
         """Unit ket at parameter value t."""
@@ -224,9 +226,6 @@ class BlochCurve(FactorCurve):
         _check_amplitudes(amps, DEFAULT_TOL)
         return amps
 
-    def velocities(self, ts: np.ndarray) -> np.ndarray:
-        return self._states_and_velocities(ts)[1]
-
     def _states_and_velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c, s, phase = self._angles(ts)
         half, dph = self._dtheta(ts) / 2, self._dphi(ts)
@@ -267,9 +266,6 @@ class PhaseCurve(FactorCurve):
         _check_amplitudes(amps, DEFAULT_TOL)
         return amps
 
-    def velocities(self, ts: np.ndarray) -> np.ndarray:
-        return self._states_and_velocities(ts)[1]
-
     def _states_and_velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         amps = self.states(ts)
         return amps, 1j * self._dphi(ts)[..., None] * amps
@@ -303,18 +299,15 @@ class LocalHamiltonianCurve(FactorCurve):
         self.generator = mat
         self.initial = initial
         self._evals, self._evecs = np.linalg.eigh(mat)
-        self._coeffs = _matvec(np.swapaxes(self._evecs.conj(), -2, -1), amps)
+        self._coeffs = _orbit_coefficients(self._evecs, amps)
 
     def _amplitudes(self, ts: np.ndarray) -> np.ndarray:
-        return _matvec(self._evecs, np.exp(-1j * self._evals * ts[:, None]) * self._coeffs)
+        return _orbit(self._evals, self._evecs, self._coeffs, ts[:, None])
 
     def states(self, ts: np.ndarray) -> np.ndarray:
         amps = self._amplitudes(ts)
         _check_amplitudes(amps, BASE_NORM_TOL)
         return amps
-
-    def velocities(self, ts: np.ndarray) -> np.ndarray:
-        return self._states_and_velocities(ts)[1]
 
     def _states_and_velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         amps = self.states(ts)
@@ -393,9 +386,6 @@ class _PhaseModulated(FactorCurve):
         _check_amplitudes(amps)
         return amps
 
-    def velocities(self, ts: np.ndarray) -> np.ndarray:
-        return self._states_and_velocities(ts)[1]
-
     def _states_and_velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phase = np.exp(1j * self._phi(ts))[:, None]
         inner_states, inner_velocities = self.inner._states_and_velocities(ts)
@@ -424,9 +414,6 @@ class _Interleaved(FactorCurve):
         for curve, rows in self.parts:
             out[rows] = curve.states(ts[rows])
         return out
-
-    def velocities(self, ts: np.ndarray) -> np.ndarray:
-        return self._states_and_velocities(ts)[1]
 
     def _states_and_velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         states = np.empty((len(ts),) + self.dims, dtype=complex)
@@ -481,6 +468,16 @@ def _check_tangents(base: np.ndarray, direction: np.ndarray) -> None:
 def _matvec(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``mat @ row`` for each row, by the same BLAS matrix-vector product."""
     return np.matmul(mat, rows[..., :, None])[..., 0]
+
+
+def _orbit(evals: np.ndarray, evecs: np.ndarray, coeffs: np.ndarray, t) -> np.ndarray:
+    """V (exp(-i*lambda*t) * c): the orbit of a generator of eigenpairs (lambda, V) through c."""
+    return _matvec(evecs, np.exp(-1j * evals * t) * coeffs)
+
+
+def _orbit_coefficients(evecs: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """c = V^H a, the eigenbasis coefficients of a: the ``_orbit`` through c starts at a."""
+    return _matvec(np.swapaxes(evecs.conj(), -2, -1), amps)
 
 
 def resolve_method(curves: Iterable[FactorCurve], method: str) -> str:
@@ -853,34 +850,39 @@ class RegisterProgram:
         factors[0] = factors[0] * (tensor[peak] / math.prod(f[p] for f, p in zip(factors, peak)))
         if np.linalg.norm(reduce(np.kron, factors) - self.initial.amplitudes) >= DEFAULT_TOL:
             return None
+        orbit = lambda c, f: _orbit(c._evals, c._evecs, _orbit_coefficients(c._evecs, c.base @ f), 1.0)
         starts = [tuple(factors)]
-        for ends in self._step_ends:
-            starts.append(tuple(u @ f for u, f in zip(ends, starts[-1])))
+        for step in self.steps[:-1]:
+            starts.append(tuple(orbit(c, f) for c, f in zip(step, starts[-1])))
         return tuple(starts)
 
     @cached_property
-    def _step_stacks(self) -> tuple[tuple[tuple[np.ndarray, ...], ...], ...]:
-        """Each step's curves stacked once per site dim, filled on first use: (sites,
-        eigenvalues, eigenvectors, base, generator), a grid axis of 1 after the site axis."""
+    def _step_stacks(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The program's curves stacked once per site dim, filled on first use: (sites,
+        eigenvalues, eigenvectors, base, generator), a step axis after the site axis."""
         dims, fields = self.initial.dims, ("_evals", "_evecs", "base", "generator")
         groups = [np.flatnonzero(np.equal(dims, d)) for d in dict.fromkeys(dims)]
-        stack = lambda step, g, name: np.array([getattr(step[i], name) for i in g])[:, None]
-        return tuple(tuple((g, *(stack(step, g, f) for f in fields)) for g in groups) for step in self.steps)
+        stack = lambda g, name: np.array([[getattr(step[i], name) for step in self.steps] for i in g])
+        return tuple((g, *(stack(g, f) for f in fields)) for g in groups)
+
+    @cached_property
+    def _site_orbits(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per site dim: each site's start a of each step and the coefficients of B a, (S, K, d)."""
+        out = []
+        for sites, _, evecs, base, _ in self._step_stacks:
+            starts = np.array([[step[i] for step in self._site_starts] for i in sites])
+            out.append((starts, _orbit_coefficients(evecs, _matvec(base, starts))))
+        return tuple(out)
 
     @cached_property
     def _step_starts(self) -> tuple[np.ndarray, ...]:
         """Register amplitudes at the start of each step, filled on first use."""
         starts = [self.initial.amplitudes]
-        for ends in self._step_ends:
-            psi = _apply_local(starts[-1], self.initial.dims, ends)
+        for step in self.steps[:-1]:
+            psi = _apply_local(starts[-1], self.initial.dims, [c.value(1.0) for c in step])
             psi.setflags(write=False)
             starts.append(psi)
         return tuple(starts)
-
-    @cached_property
-    def _step_ends(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Each completed step's unitaries at parameter 1, filled on first use."""
-        return tuple(tuple(c.value(1.0) for c in step) for step in self.steps[:-1])
 
     def resolve_time(self, s):
         """Map global program time in [0, n_steps] to (step index, local parameter).
@@ -912,52 +914,52 @@ def register_tangent(
     return TangentVector(Ket(state[0], prog.initial.dims), direction[0])
 
 
-def _step_sites(
-    prog: RegisterProgram, k: int, ts: np.ndarray, method: str, h: float
-) -> list[tuple[np.ndarray, ...]]:
-    """Step k's site unitaries at each local parameter and their derivatives,
-    one stack per site dim: (sites, values, derivatives, moving), the arrays
-    (S, G, d, d); a constant site (not moving) has no derivative to read."""
-    if not 1 <= k <= prog.n_steps:
-        raise ValueError(f"step index {k} outside 1..{prog.n_steps}")
-    method = resolve_method((), method)
-    out = []
-    for sites, evals, evecs, base, gen in prog._step_stacks[k - 1]:
-        unitaries = lambda t: _unitaries(evals, evecs, base, t)
-        values = unitaries(ts)
-        derivs = -1j * (gen @ values) if method == "analytic" else _stencil(unitaries, ts, method, h)
-        out.append((sites, values, derivs, np.any(gen, axis=(1, 2, 3))))
-    return out
-
-
 def _register_rows(
     prog: RegisterProgram, k: int, ts: np.ndarray, method: str, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Register states and tangents of step k at each local parameter, (G, D),
-    unchecked: the product rule over the step's sites, applied to the
-    register at the start of the step."""
-    stacks = _step_sites(prog, k, ts, method, h)
-    sites = sorted((i, v, d if m else None) for g, *stack in stacks for i, v, d, m in zip(g, *stack))
+    """Register states and tangents of step k at each local parameter in [0, 1], (G, D),
+    unchecked: the product rule over the step's site unitaries and their derivatives,
+    applied to the register at the start of the step; a constant site has none."""
+    if not 1 <= k <= prog.n_steps:
+        raise ValueError(f"step index {k} outside 1..{prog.n_steps}")
+    message = lambda i: f"step parameter {float(ts[i])!r} outside [0, 1]"
+    _raise_first(~((ts >= 0) & (ts <= 1)), message, ParameterRangeError)
+    method = resolve_method((), method)
+    sites = []
+    for g, *stack in prog._step_stacks:
+        evals, evecs, base, gen = (arr[:, k - 1 : k] for arr in stack)
+        unitaries = lambda t: _unitaries(evals, evecs, base, t)
+        values = unitaries(ts)
+        derivs = -1j * (gen @ values) if method == "analytic" else _stencil(unitaries, ts, method, h)
+        sites += [(i, v, d if np.any(m) else None) for i, v, d, m in zip(g, values, derivs, gen)]
     dims = prog.initial.dims
     chi = np.broadcast_to(prog._step_starts[k - 1].reshape(dims), (len(ts),) + dims)
-    state, direction = _product_rule(chi, None, [site[1:] for site in sites], _apply_axis)
+    state, direction = _product_rule(chi, None, [site[1:] for site in sorted(sites)], _apply_axis)
     return state.reshape(len(ts), -1), direction.reshape(len(ts), -1)
 
 
 def _register_site_rows(
-    prog: RegisterProgram, k: int, ts: np.ndarray, method: str, h: float
+    prog: RegisterProgram, grid: np.ndarray, method: str, h: float
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Step k's site rows, unchecked, for a program whose initial state is a
-    product of site factors: per site dim, (sites, states, directions), (S, G, d),
-    the step's curves and their derivatives applied to the sites' factors at
-    the start of the step; a constant site's directions are exactly zero."""
-    starts = prog._site_starts[k - 1]
+    """A product-initial program's site rows over a grid of program times, every
+    step in one pass, unchecked: per site dim, (sites, states, directions), (S, G, d).
+    A site's states are its step's ``_orbit`` from its start a (``_site_orbits``),
+    its analytic directions the orbit through -i*lambda*c; a stencil differentiates
+    the step's unitaries and applies them to a.  A constant site's directions are 0."""
+    method = resolve_method((), method)
+    ks, local = prog.resolve_time(grid)
+    at, ts = ks - 1, local[:, None]
     out = []
-    for sites, values, derivs, moving in _step_sites(prog, k, ts, method, h):
-        start = np.array([starts[i] for i in sites])[:, None, :]
-        rows = _matvec(np.array([values, derivs]), start)
-        rows[1, ~moving] = 0.0
-        out.append((sites, *rows))
+    for (sites, evals, evecs, base, gen), (starts, coeffs) in zip(prog._step_stacks, prog._site_orbits):
+        evals, evecs, coeffs = evals[:, at], evecs[:, at], coeffs[:, at]
+        states = _orbit(evals, evecs, coeffs, ts)
+        if method == "analytic":
+            directions = _orbit(evals, evecs, -1j * evals * coeffs, ts)
+        else:
+            unitaries = lambda t: _unitaries(evals, evecs, base[:, at], t)
+            directions = _matvec(_stencil(unitaries, local, method, h), starts[:, at])
+        directions[~np.any(gen, axis=(-2, -1))[:, at]] = 0.0
+        out.append((sites, states, directions))
     return out
 
 

@@ -1022,7 +1022,7 @@ RUN_CHECK_CALLS = {
 VERIFY_CHECK_CALLS = {
     "_check_amplitudes": 102,
     "_check_tangents": 25,
-    "_check_hermitian": 30,
+    "_check_hermitian": 24,
     "_check_norm_preserving": 4,
     "_check_traceless": 1,
 }

@@ -242,13 +242,10 @@ class TestProfileFactors:
         grid = np.linspace(0.0, 2.0, 9)
         prof = profile(prog, grid, [Cut.splitting((0,), 3)], method=method)
         assert len(prof.factors) == 3
-        ks, local = prog.resolve_time(grid)
-        for k in np.unique(ks):
-            rows = ks == k
-            (sites, states, directions), = _register_site_rows(prog, int(k), local[rows], method, DEFAULT_STEP)
-            assert list(sites) == [0, 1, 2]
-            for got, state, direction in zip(prof.factors, states, directions, strict=True):
-                assert same_bits(got[0][rows], state) and same_bits(got[1][rows], direction)
+        (sites, states, directions), = _register_site_rows(prog, grid, method, DEFAULT_STEP)
+        assert list(sites) == [0, 1, 2]
+        for got, state, direction in zip(prof.factors, states, directions, strict=True):
+            assert same_bits(got[0], state) and same_bits(got[1], direction)
         assert np.max(abs(kron_rows(prof.factors) - prof.states)) < 1e-14
         self.assert_read_only(prof.factors)
 

@@ -43,6 +43,7 @@ from qtangle import (
     parse_config,
     profile,
     propagator,
+    register_state,
     run,
 )
 from qtangle.mixed_witness import _trace_witness
@@ -217,6 +218,12 @@ NAN_DEFECTS = [
         ParameterRangeError,
         "program time nan outside [0, 2]",
         id="resolve_time",
+    ),
+    pytest.param(
+        lambda: register_state(RegisterProgram(((UnitaryCurve.rotation(SY),) * 2,), Ket.basis((2, 2), (0, 0))), 1, NAN),
+        ParameterRangeError,
+        "step parameter nan outside [0, 1]",
+        id="register_state",
     ),
     pytest.param(
         lambda: profile(ProductTrajectory((BlochCurve([0.0, 1.0]),) * 2), [0.0, NAN, 1.0], [CUT]),

@@ -35,9 +35,13 @@ from qtangle.trajectories import (
     DEFAULT_STEP,
     _horizontal,
     _matvec,
+    _kron_rows,
+    _product_rule,
     _register_site_rows,
     _stencil,
     random_product_trajectory,
+    register_state,
+    register_tangent,
 )
 
 ORACLE_TOL = 1e-12
@@ -388,6 +392,46 @@ class TestNoDenseRows:
             profile(traj, [0.0, 0.5, 1.0], [Cut.splitting((0,), 2)], method="analytic")
 
 
+class TestSiteOrbits:
+    """A product-initial program's site rows come from one pass over every
+    step: Hamiltonian orbits under ``analytic``, the unitaries' stencils
+    otherwise, and no dense row or site unitary in an analytic profile."""
+
+    @pytest.mark.parametrize("method", ["analytic", "central_fd", "richardson"])
+    def test_site_rows_give_the_register_rows(self, method):
+        rng = np.random.default_rng(67)
+        for dims in ((2, 3, 2), (3, 2, 2, 2)):
+            for n_steps in (1, 2, 3):
+                prog = random_program(rng, dims, product_ket(rng, dims), n_steps)
+                # every step boundary and both ends, and points between them
+                grid = np.union1d(np.arange(n_steps + 1.0), rng.uniform(0, n_steps, 7))
+                stacks = _register_site_rows(prog, grid, method, DEFAULT_STEP)
+                sites = sorted((i, a, d) for g, states, dirs in stacks for i, a, d in zip(g, states, dirs))
+                states, directions = _product_rule(*sites[0][1:], [s[1:] for s in sites[1:]], _kron_rows)
+                ks, local = prog.resolve_time(grid)
+                for state, direction, k, t in zip(states, directions, ks, local):
+                    tv = register_tangent(prog, k, t, method)
+                    assert np.max(abs(state - register_state(prog, k, t).amplitudes)) <= 1e-14
+                    assert np.max(abs(state - tv.base.amplitudes)) <= 1e-14
+                    tol = 1e-14 if method == "analytic" else ORACLE_TOL
+                    assert np.max(abs(direction - tv.direction)) <= tol
+
+    @pytest.mark.parametrize("n", [8, 10, 16])
+    def test_analytic_profile_builds_no_site_unitary(self, n, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an analytic product-initial profile builds no unitary")
+
+        prog = wide_register(np.random.default_rng(68), n)
+        for name in ("_unitaries", "_apply_axis"):
+            monkeypatch.setattr(trajectories, name, forbidden)
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        prof = profile(prog, np.linspace(0.0, 2.0, 9), contiguous_cuts(n), method="analytic")
+        assert set(prof.entropy_path.values()) == {"speed_share"}
+        assert np.all(prof.fs_speed > 0)
+        with pytest.raises(AssertionError, match="builds no unitary"):
+            profile(prog, np.linspace(0.0, 2.0, 9), contiguous_cuts(n), method="central_fd")
+
+
 def per_cut_bits(speeds, left, moving):
     """The speed-share law of one cut, one side sum at a time."""
     sides = np.column_stack([speeds[:, left].sum(axis=-1), speeds[:, ~left].sum(axis=-1)])
@@ -402,24 +446,31 @@ class TestStackedSites:
     @pytest.mark.parametrize("method", ["analytic", "central_fd", "richardson"])
     @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2, 2)])
     def test_site_rows_are_each_curve_applied_to_its_start(self, dims, method):
+        """Every step in one pass: each site's rows are its step's curve applied
+        to the site's factor at the start of the step, the states by the
+        orbit to rounding and a stencil's directions as the stencil of the
+        curve's unitaries, bit for bit."""
         rng = np.random.default_rng(61)
         prog = random_program(rng, dims, product_ket(rng, dims), n_steps=2)
-        ts = np.linspace(0.0, 1.0, 7)
-        for k in (1, 2):
-            seen = []
-            for sites, states, directions in _register_site_rows(prog, k, ts, method, DEFAULT_STEP):
-                assert states.shape == directions.shape == (len(sites), len(ts), dims[sites[0]])
-                for i, state, direction in zip(sites, states, directions):
+        grid = np.linspace(0.0, 2.0, 13)  # both ends and the step boundary at 1
+        ks, local = prog.resolve_time(grid)
+        seen = []
+        for sites, states, directions in _register_site_rows(prog, grid, method, DEFAULT_STEP):
+            assert states.shape == directions.shape == (len(sites), len(grid), dims[sites[0]])
+            for i, state, direction in zip(sites, states, directions):
+                for k in (1, 2):
+                    rows, ts = ks == k, local[ks == k]
                     curve, start = prog.steps[k - 1][i], prog._site_starts[k - 1][i]
-                    if method == "analytic":
-                        deriv = curve.derivative(ts)
+                    assert np.max(abs(state[rows] - _matvec(curve.value(ts), start))) <= 1e-14
+                    if not np.any(curve.generator):
+                        assert same_bits(direction[rows], np.zeros_like(direction[rows]))
+                    elif method == "analytic":
+                        assert np.max(abs(direction[rows] - _matvec(curve.derivative(ts), start))) <= 1e-14
                     else:
-                        deriv = _stencil(curve.value, ts, method, DEFAULT_STEP)
-                    want = _matvec(deriv, start) if np.any(curve.generator) else np.zeros_like(state)
-                    assert same_bits(state, _matvec(curve.value(ts), start))
-                    assert same_bits(direction, want)
-                    seen.append(int(i))
-            assert sorted(seen) == list(range(len(dims)))
+                        want = _matvec(_stencil(curve.value, ts, method, DEFAULT_STEP), start)
+                        assert same_bits(direction[rows], want)
+                seen.append(int(i))
+        assert sorted(seen) == list(range(len(dims)))
 
     @pytest.mark.parametrize("method", ["analytic", "central_fd", "richardson"])
     def test_constant_sites_have_exactly_zero_directions(self, method):
@@ -433,7 +484,7 @@ class TestStackedSites:
         rng = np.random.default_rng(62)
         prog = RegisterProgram((step,), product_ket(rng, (2, 3, 2, 2)))
         assert "_step_stacks" not in vars(prog)  # stacked on first use, not on construction
-        stacks = _register_site_rows(prog, 1, np.array([0.0, 0.3, 1.0]), method, DEFAULT_STEP)
+        stacks = _register_site_rows(prog, np.array([0.0, 0.3, 1.0]), method, DEFAULT_STEP)
         assert "_step_stacks" in vars(prog)
         directions = {int(i): d for sites, _, dirs in stacks for i, d in zip(sites, dirs)}
         for i in (0, 1, 3):
@@ -482,8 +533,9 @@ class TestStackedSites:
 
     def test_non_finite_site_velocity_keeps_its_message(self):
         prog = wide_register(np.random.default_rng(65), 4)
-        # a generator whose velocity overflows, while its unitaries stay finite
-        object.__setattr__(prog.steps[1][2], "generator", np.array([[np.inf, 0.0], [0.0, 0.0]]))
+        # an eigenvalue, which the site's orbit reads, that is not finite: the
+        # velocity is checked before the state, so its message is the one seen
+        object.__setattr__(prog.steps[1][2], "_evals", np.array([np.inf, 0.0]))
         with pytest.MonkeyPatch.context() as monkeypatch, np.errstate(invalid="ignore"):
             forbid_dense_rows(monkeypatch)
             with pytest.raises(ValueError, match="^direction entries must all be finite$"):

@@ -369,6 +369,18 @@ class TestRegister:
         with pytest.raises(ValueError):
             register_tangent(prog, 3, 0.0)
 
+    def test_step_parameter_validated(self):
+        """A local parameter outside the step's [0, 1] is rejected, not extrapolated."""
+        prog = self.make_program()
+        with pytest.raises(ParameterRangeError, match=r"^step parameter 2\.5 outside \[0, 1\]$"):
+            register_state(prog, 1, 2.5)
+        with pytest.raises(ParameterRangeError, match=r"^step parameter -0\.5 outside \[0, 1\]$"):
+            register_tangent(prog, 2, -0.5, "central_fd")
+        # the stencil points t +- h leave [0, 1] at its ends, and are not checked
+        for method in ("analytic", "central_fd", "richardson"):
+            for t in (0.0, 1.0):
+                assert register_tangent(prog, 2, t, method).norm() > 0
+
     def test_method_resolved_like_factor_curves(self):
         prog = self.make_program()
         auto = register_tangent(prog, 1, 0.4, "auto").direction
