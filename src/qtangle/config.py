@@ -272,9 +272,7 @@ def _parse_cuts(value, path: str) -> tuple[Cut, ...]:
     return tuple(cuts)
 
 
-def _parse_method(
-    value, path: str, curves: tuple[FactorCurve, ...], frozen: tuple[bool, ...]
-) -> tuple[str, float]:
+def _parse_method(value, path: str, curves: tuple[FactorCurve, ...]) -> tuple[str, float]:
     if isinstance(value, str):
         name, h = value, DEFAULT_STEP
     else:
@@ -289,15 +287,6 @@ def _parse_method(
         _fail(path, str(exc))
     if h <= 0:
         _fail(f"{path}.h", f"step must be positive, got {h}")
-    if name == "analytic":
-        # a frozen subsystem is never differentiated
-        for i, (curve, still) in enumerate(zip(curves, frozen)):
-            if not (curve.has_analytic or still):
-                _fail(
-                    path,
-                    f"analytic needs a closed-form derivative, but subsystems[{i}] is sampled;"
-                    " use central_fd or richardson",
-                )
     return name, h
 
 
@@ -409,7 +398,7 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
             except ValueError as exc:
                 _fail(f"cuts[{i}]", str(exc))
 
-    method, h = _parse_method(doc.get("method", "auto"), "method", subsystems or (), frozen or ())
+    method, h = _parse_method(doc.get("method", "auto"), "method", subsystems or ())
 
     out_format, out_path = "csv", None
     if "outputs" in doc:

@@ -1,9 +1,9 @@
 """Parameterized state curves and the tangent vectors they sweep out.
 
 A factor curve maps a real parameter to a unit ket for one particle; a
-product trajectory moves several particles independently.  Differentiation
-is analytic where the curve has a closed form and falls back to central
-differences with Richardson extrapolation otherwise.  The derivative of a
+product trajectory moves several particles independently.  Every built-in
+curve has an exact derivative; stencils run when named, or under "auto" for
+a user curve without velocities.  The derivative of a
 product of curves distributes over the factors, so the assembled tangent of
 a product trajectory is a sum of terms each moving exactly one factor;
 factors marked frozen contribute exactly zero.
@@ -331,10 +331,9 @@ class SampledCurve(FactorCurve):
     """Curve tabulated on a parameter grid, evaluated by cubic interpolation.
 
     Norm validation happens pointwise at the samples; fidelity between nodes
-    is set by the grid density.  No closed-form derivative exists.
+    is set by the grid density.  The state u = s/|s| normalizes the spline s,
+    and u' = s'/|s| - u*Re<u|s'/|s|> is exact on the whole sampled range.
     """
-
-    has_analytic = False
 
     def __init__(self, times: Sequence[float], states: Sequence[Ket]) -> None:
         times = np.asarray(times, dtype=float)
@@ -359,6 +358,15 @@ class SampledCurve(FactorCurve):
         self._spline = CubicSpline(times, amps, axis=0)
 
     def states(self, ts: np.ndarray) -> np.ndarray:
+        return self._interpolated(ts)[0]
+
+    def _states_and_velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        unit, norms = self._interpolated(ts)
+        slopes = self._spline(ts, 1) / norms[:, None]
+        return unit, slopes - _overlaps(unit, slopes).real[:, None] * unit
+
+    def _interpolated(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The normalized spline at each point of the sampled range, and the spline's norms."""
         lo, hi = float(self.times[0]), float(self.times[-1])
         _raise_first(
             ~((ts >= lo) & (ts <= hi)),
@@ -367,7 +375,8 @@ class SampledCurve(FactorCurve):
         )
         amps = self._spline(ts)
         where = lambda i: f"interpolated state at t={float(ts[i])!r}"
-        return _normalized(amps, norms=_check_amplitudes(amps, _SPLINE_NORM_TOL, where))
+        norms = _check_amplitudes(amps, _SPLINE_NORM_TOL, where)
+        return _normalized(amps, norms=norms), norms
 
 
 class _PhaseModulated(FactorCurve):
@@ -407,7 +416,6 @@ class _Interleaved(FactorCurve):
     def __init__(self, parts: Sequence[tuple[FactorCurve, np.ndarray]]) -> None:
         self.parts = tuple(parts)
         self.dims = self.parts[0][0].dims
-        self.has_analytic = all(curve.has_analytic for curve, _ in self.parts)
 
     def states(self, ts: np.ndarray) -> np.ndarray:
         out = np.empty((len(ts),) + self.dims, dtype=complex)
@@ -483,8 +491,8 @@ def _orbit_coefficients(evecs: np.ndarray, amps: np.ndarray) -> np.ndarray:
 def resolve_method(curves: Iterable[FactorCurve], method: str) -> str:
     """Validate a method name and resolve "auto" for the given curves.
 
-    "auto" means analytic when every curve has a closed-form derivative and
-    richardson otherwise; an empty sequence (register steps) is analytic.
+    "auto" means analytic when every curve has a closed-form derivative, as every
+    built-in one has, else richardson; an empty sequence (register steps) is analytic.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -920,6 +928,8 @@ def _register_rows(
     """Register states and tangents of step k at each local parameter in [0, 1], (G, D),
     unchecked: the product rule over the step's site unitaries and their derivatives,
     applied to the register at the start of the step; a constant site has none."""
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"step index must be an integer, got {k}")
     if not 1 <= k <= prog.n_steps:
         raise ValueError(f"step index {k} outside 1..{prog.n_steps}")
     message = lambda i: f"step parameter {float(ts[i])!r} outside [0, 1]"

@@ -1,7 +1,10 @@
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
+
+from qtangle import FactorCurve
 
 # the invariant checks: each statespace check, and the tangent check built on them
 CHECKS = (
@@ -14,6 +17,24 @@ CHECKS = (
     "_check_norm_preserving",
     "_check_tangents",
 )
+
+
+class StatesOnly(FactorCurve):
+    """A curve's states alone: a user curve with no closed-form derivative."""
+
+    has_analytic = False
+
+    def __init__(self, curve: FactorCurve) -> None:
+        self.curve, self.dims = curve, curve.dims
+
+    def states(self, ts: np.ndarray) -> np.ndarray:
+        return self.curve.states(ts)
+
+
+@pytest.fixture
+def states_only():
+    """``states_only(curve)``: the curve's states as a ``FactorCurve`` with no velocities."""
+    return StatesOnly
 
 
 @pytest.fixture

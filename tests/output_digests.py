@@ -20,6 +20,12 @@ It prints one sha256 per output family, then one over all of them:
 - ``wide_registers``: ``fs_speed``, the entropies and ``factors`` of the
   benchmark's ``wide_registers`` profiles for seeds 1-3.
 
+Name a family to print one sha256 per document of it instead, each led by
+the document's label (its index, diagnostic id, seed or name), so that a
+declared move can be named document by document:
+
+    PYTHONPATH=src python tests/output_digests.py grid_configs
+
 pytest does not collect this file: its name does not start with ``test_``.
 """
 
@@ -32,6 +38,7 @@ import json
 import os
 import sys
 import tempfile
+from typing import Callable
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [HERE, os.path.join(HERE, os.pardir, "bench")]
@@ -55,7 +62,7 @@ def _cli(argv: list[str]) -> bytes:
     return f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode()
 
 
-def _documents(docs) -> list[bytes]:
+def _documents(docs) -> list[list[bytes]]:
     """Each document's CSV and JSON runs through the CLI."""
     outputs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -63,62 +70,79 @@ def _documents(docs) -> list[bytes]:
         for doc in docs:
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(doc, handle)
-            outputs += [_cli(["--config", path, "--format", fmt]) for fmt in ("csv", "json")]
+            outputs.append([_cli(["--config", path, "--format", fmt]) for fmt in ("csv", "json")])
     return outputs
 
 
-def _diagnostics() -> list[bytes]:
-    outputs = []
-    for param in test_cli.CONFIG_DIAGNOSTICS:
-        doc, overrides, _ = param.values
-        text = doc if isinstance(doc, str) else json.dumps(doc)
-        try:
-            qtangle.parse_config(text, overrides)
-            outputs.append(b"accepted")
-        except ConfigError as exc:
-            outputs.append(str(exc).encode())
-    return outputs
+def _diagnostic(param) -> list[bytes]:
+    doc, overrides, _ = param.values
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    try:
+        qtangle.parse_config(text, overrides)
+        return [b"accepted"]
+    except ConfigError as exc:
+        return [str(exc).encode()]
 
 
-def _profiles() -> list[bytes]:
-    outputs = []
+def _profiles(seed: int) -> list[tuple[str, list[bytes]]]:
+    out = []
+    built = workloads.build("wide_registers", workloads.make_inputs("wide_registers", seed))
+    for op in built.operations:
+        prof = op.call()
+        arrays = [prof.fs_speed]
+        for cut in prof.cuts:
+            arrays += [prof.tangent_entropy[cut], prof.base_entropy[cut]]
+        for rows in prof.factors or ():
+            arrays += rows
+        out.append((f"seed {seed} {op.name}", [np.ascontiguousarray(a).tobytes() for a in arrays]))
+    return out
+
+
+def _scenarios() -> list[tuple[str, list[bytes]]]:
+    out = []
     for seed in SEEDS:
-        built = workloads.build("wide_registers", workloads.make_inputs("wide_registers", seed))
-        for op in built.operations:
-            prof = op.call()
-            arrays = [prof.fs_speed]
-            for cut in prof.cuts:
-                arrays += [prof.tangent_entropy[cut], prof.base_entropy[cut]]
-            for rows in prof.factors or ():
-                arrays += rows
-            outputs += [np.ascontiguousarray(a).tobytes() for a in arrays]
-    return outputs
+        configs = workloads.make_inputs("cli_scenarios", seed)["configs"]
+        out += zip((f"seed {seed} {name}" for name in configs), _documents(configs.values()))
+    return out
 
 
-def families() -> dict[str, list[bytes]]:
-    scenarios = [
-        doc for seed in SEEDS for doc in workloads.make_inputs("cli_scenarios", seed)["configs"].values()
-    ]
-    return {
-        "grid_configs": _documents(test_cli.grid_configs()),
-        "cli_scenarios": _documents(scenarios),
-        "known_degenerate": _documents(workloads.KNOWN_DEGENERATE.values()),
-        "config_diagnostics": _diagnostics(),
-        "verify": [_cli(["verify", "--trials", "200", "--seed", str(s)]) for s in range(10)],
-        "wide_registers": _profiles(),
-    }
+FAMILIES: dict[str, Callable[[], list[tuple[str, list[bytes]]]]] = {
+    "grid_configs": lambda: list(enumerate(_documents(test_cli.grid_configs()))),
+    "cli_scenarios": _scenarios,
+    "known_degenerate": lambda: list(
+        zip(workloads.KNOWN_DEGENERATE, _documents(workloads.KNOWN_DEGENERATE.values()))
+    ),
+    "config_diagnostics": lambda: [(p.id, _diagnostic(p)) for p in test_cli.CONFIG_DIAGNOSTICS],
+    "verify": lambda: [
+        (f"seed {s}", [_cli(["verify", "--trials", "200", "--seed", str(s)])]) for s in range(10)
+    ],
+    "wide_registers": lambda: [doc for seed in SEEDS for doc in _profiles(seed)],
+}
+"""Per family, its documents in order: (label, outputs) each."""
 
 
-def main_digests() -> None:
+def _digest(outputs: list[bytes]) -> bytes:
+    digest = hashlib.sha256()
+    for output in outputs:
+        digest.update(hashlib.sha256(output).digest())
+    return digest.digest()
+
+
+def main_digests(family: str | None = None) -> None:
+    if family is not None:
+        for label, outputs in FAMILIES[family]():
+            print(f"{label} {_digest(outputs).hex()}")
+        return
     total = hashlib.sha256()
-    for name, outputs in families().items():
-        digest = hashlib.sha256()
-        for output in outputs:
-            digest.update(hashlib.sha256(output).digest())
-        total.update(digest.digest())
-        print(f"{name} {len(outputs)} {digest.hexdigest()}")
+    for name, build in FAMILIES.items():
+        outputs = [output for _, doc in build() for output in doc]
+        digest = _digest(outputs)
+        total.update(digest)
+        print(f"{name} {len(outputs)} {digest.hex()}")
     print(f"total {total.hexdigest()}")
 
 
 if __name__ == "__main__":
-    main_digests()
+    if len(sys.argv) > 2 or sys.argv[1:] and sys.argv[1] not in FAMILIES:
+        sys.exit(f"usage: output_digests.py [{'|'.join(FAMILIES)}]")
+    main_digests(*sys.argv[1:])

@@ -164,7 +164,8 @@ class TestParseConfig:
         traj = cfg.trajectory()
         assert traj.dims == (2, 3, 2)
 
-    def test_sampled_curve_switches_method_to_richardson(self):
+    def test_sampled_curve_resolves_to_analytic(self):
+        """A sampled curve has its spline's exact derivative, like every built-in kind."""
         times = list(np.linspace(0, 1, 9))
         states = [[math.cos(t / 2), math.sin(t / 2)] for t in times]
         doc = {
@@ -174,7 +175,7 @@ class TestParseConfig:
                 {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 1.0]}},
             ],
         }
-        assert parse(doc).method == "richardson"
+        assert parse(doc).method == "analytic"
 
     def test_explicit_method_object(self):
         doc = {"scenario": "two_qubit_demo", "method": {"name": "central_fd", "h": 1e-3}}
@@ -685,18 +686,6 @@ CONFIG_DIAGNOSTICS = [
         "method.h: step must be positive, got -1.0",
     ),
     diag(
-        "method-analytic-sampled",
-        first_of(entry(**SAMPLES), method="analytic"),
-        "method: analytic needs a closed-form derivative, but subsystems[0] is sampled;"
-        " use central_fd or richardson",
-    ),
-    diag(
-        "method-name-analytic-sampled",
-        first_of(entry(**SAMPLES), scenario="pseudo_pure", method={"name": "analytic"}),
-        "method: analytic needs a closed-form derivative, but subsystems[0] is sampled;"
-        " use central_fd or richardson",
-    ),
-    diag(
         "long-integer",
         '{"scenario": "two_qubit_demo",\n "tol": 1' + "0" * 5000 + "}",
         "parse error at line 2, column 9: integer of 5001 digits is too long",
@@ -831,9 +820,11 @@ def test_non_finite_numbers_rejected(doc, path, shown):
     assert str(exc.value) == f"{path}: expected a finite number, got {shown}"
 
 
-def test_analytic_beside_a_frozen_sampled_subsystem_runs():
-    """A frozen subsystem is never differentiated, so it needs no closed form."""
-    doc = first_of({**SAMPLED_QUBIT, "frozen": True}, method="analytic", grid=INSIDE_SAMPLES)
+@pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "moving"])
+def test_analytic_beside_a_sampled_subsystem_runs(frozen):
+    """A sampled subsystem is differentiated by its spline's exact derivative;
+    a frozen one is never differentiated."""
+    doc = first_of({**SAMPLED_QUBIT, "frozen": frozen}, method="analytic", grid=INSIDE_SAMPLES)
     cfg = parse(doc)
     assert cfg.method == "analytic"
     assert len(run(cfg).rows) == INSIDE_SAMPLES["steps"]
@@ -1376,16 +1367,21 @@ class TestGridEqualsPointwise:
             sub = run(parse({**doc, "grid": {"t0": grid[i], "t1": grid[j], "steps": 2}}))
             assert_rows_equal(sub.rows, [rows[i], rows[j]])
 
-    def test_library_auto_resolves_once_per_trajectory(self):
-        """Beside a sampled curve a Bloch arc is differentiated by richardson
-        too, in the library as in the CLI, not by its closed form."""
+    def test_library_auto_resolves_once_per_trajectory(self, states_only):
+        """Beside a curve with no closed-form derivative a Bloch arc is
+        differentiated by richardson too, not by its closed form.  A sampled
+        curve has one, so beside it auto is analytic, in the library as in
+        the CLI."""
         arc = {"dim": 2, "curve": {"kind": "bloch", "theta": [0.4, 1.3, 0.7], "phi": [0.0, 2.0]}}
         cfg = parse({"scenario": "product_trace", "grid": INSIDE_SAMPLES, "subsystems": [arc, SAMPLED_QUBIT]})
         traj, grid, cuts = cfg.trajectory(), cfg.grid_points(), (Cut.splitting((0,), 2),)
         auto = profile(traj, grid, cuts)
-        richardson = profile(traj, grid, cuts, method="richardson")
-        assert np.array_equal(auto.directions, richardson.directions)
+        assert cfg.method == "analytic"
+        assert np.array_equal(auto.directions, profile(traj, grid, cuts, method="analytic").directions)
         assert auto.fs_speed.tolist() == [row[1] for row in run(cfg).rows]
+        mixed = ProductTrajectory((traj.factors[0], states_only(traj.factors[1])))
+        richardson = profile(mixed, grid, cuts, method="richardson")
+        assert np.array_equal(profile(mixed, grid, cuts).directions, richardson.directions)
 
 
 @pytest.mark.parametrize("doc", grid_configs(), ids=lambda d: f"{d['scenario']}-{d.get('method', 'auto')}")
@@ -1526,10 +1522,11 @@ class TestMainExitCodes:
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
-    def test_sampled_range_message_prints_plain_floats(self, tmp_path, capsys):
-        # richardson's first stencil point past the last grid point is t1 + h/2
+    @staticmethod
+    def whole_sampled_range(**extra):
+        """A sampled qubit swept over its whole sampled range [0, 1]."""
         times = [round(x, 3) for x in np.linspace(0.0, 1.0, 21)]
-        doc = {
+        return {
             "scenario": "product_trace",
             "grid": {"t0": 0.0, "t1": 1.0},
             "subsystems": [
@@ -1543,7 +1540,20 @@ class TestMainExitCodes:
                 },
                 {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 1.0], "phi": 0.0}},
             ],
+            **extra,
         }
+
+    def test_sampled_curve_runs_over_its_whole_range(self, tmp_path, capsys):
+        """auto differentiates the spline exactly, so no point leaves the range."""
+        doc = self.whole_sampled_range()
+        assert main(["--config", self.write_config(tmp_path, doc)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert len(out.splitlines()) == 1 + parse(doc).grid[2]
+
+    def test_sampled_range_message_prints_plain_floats(self, tmp_path, capsys):
+        # richardson's first stencil point past the last grid point is t1 + h/2
+        doc = self.whole_sampled_range(method="richardson")
         assert main(["--config", self.write_config(tmp_path, doc)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

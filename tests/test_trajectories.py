@@ -64,6 +64,13 @@ def qubit_arc():
     return BlochCurve([0.0, 1.0])
 
 
+def phased_samples():
+    """A qubit arc with a global phase, sampled at 21 points of [0, 1]."""
+    arc = with_global_phase(BlochCurve([0.3, 1.1, -0.4], [0.2, 1.7]), [0.5, 2.0])
+    times = np.linspace(0.0, 1.0, 21)
+    return SampledCurve(times, [arc.state(t) for t in times])
+
+
 class TestEvalCurve:
     def test_bloch_at_zero_is_ground_state(self):
         assert np.allclose(qubit_arc().state(0.0).amplitudes, [1.0, 0.0])
@@ -150,12 +157,37 @@ class TestDifferentiate:
             assert abs(exact.base_overlap().real) < 1e-12
             assert abs(fd.base_overlap().real) < 1e-8
 
-    def test_analytic_on_sampled_curve_is_unsupported(self):
-        grid = np.linspace(0, 1, 9)
-        samples = [qubit_arc().state(t) for t in grid]
-        curve = SampledCurve(grid, samples)
+    def test_analytic_on_a_curve_without_velocities_is_unsupported(self, states_only):
+        """A user curve that gives only its states is differenced under auto."""
+        curve = states_only(qubit_arc())
+        assert trajectories.resolve_method((curve, qubit_arc()), "auto") == "richardson"
         with pytest.raises(UnsupportedMethodError):
             differentiate(curve, 0.5, method="analytic")
+
+    def test_sampled_derivative_is_the_splines(self):
+        """At interior points the exact rows match a Richardson oracle built
+        from the curve's own states."""
+        curve = phased_samples()
+        ts = np.linspace(0.05, 0.95, 19)
+        states, velocities = trajectories._curve_rows(curve, ts, "analytic", 1e-4)
+        assert np.array_equal(states, curve.states(ts))
+        assert np.max(abs(velocities - richardson_fd(curve.states, ts))) <= 1e-10
+        assert np.array_equal(differentiate(curve, 0.4).direction, curve.velocity(0.4))
+
+    def test_sampled_derivative_holds_at_the_range_ends(self):
+        curve = phased_samples()
+        for t in (0.0, 1.0):
+            tv = differentiate(curve, t, method="analytic")
+            assert np.all(np.isfinite(tv.direction)) and tv.norm() > 0
+            assert abs(tv.base_overlap().real) < 1e-12
+
+    def test_phase_modulated_sampled_curve_is_analytic(self):
+        curve = with_global_phase(phased_samples(), [0.3, -1.2, 0.8])
+        assert curve.has_analytic
+        assert trajectories.resolve_method((curve,), "auto") == "analytic"
+        ts = np.array([0.2, 0.5, 0.85])
+        got = np.array([differentiate(curve, t).direction for t in ts])
+        assert np.max(abs(got - richardson_fd(curve.states, ts))) <= 1e-10
 
     def test_sampled_range_error(self):
         grid = np.linspace(0, 1, 9)
@@ -380,6 +412,15 @@ class TestRegister:
         for method in ("analytic", "central_fd", "richardson"):
             for t in (0.0, 1.0):
                 assert register_tangent(prog, 2, t, method).norm() > 0
+
+    @pytest.mark.parametrize("call, rows", [(register_state, "amplitudes"), (register_tangent, "direction")])
+    def test_step_index_must_be_an_integer(self, call, rows):
+        """A fractional step index is refused by name; a numpy integer is an index."""
+        prog = self.make_program()
+        with pytest.raises(ValueError, match=r"^step index must be an integer, got 1\.5$"):
+            call(prog, 1.5, 0.5)
+        got, want = (getattr(call(prog, k, 0.5), rows) for k in (np.int64(2), 2))
+        assert np.array_equal(got, want)
 
     def test_method_resolved_like_factor_curves(self):
         prog = self.make_program()
