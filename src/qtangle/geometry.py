@@ -47,6 +47,7 @@ from .trajectories import (
     _check_tangents,
     _factor_rows,
     _horizontal,
+    _in_factor_order,
     _product_rows,
     _register_rows,
     _register_site_rows,
@@ -166,14 +167,19 @@ def _factor_tangents(traj, grid: np.ndarray, method: str, h: float) -> list[tupl
     """Stacks (factors, states, directions) of the factor rows over the grid,
     (S, G, d) each, checked as tangents: one per group of a product
     trajectory's factors (``_factor_rows``), or per site dim of a program's
-    register sites; None for a program whose initial state is entangled."""
+    register sites; None for a program whose initial state is entangled.  A
+    rejection is ``_in_factor_order``'s, site by site across the site dims."""
     if not isinstance(traj, RegisterProgram):
         return _factor_rows(traj, grid, method, h)
-    if traj._site_starts is None:
+    if traj._site_orbits is None:
         return None
     stacks = _register_site_rows(traj, grid, method, h)
-    for _, states, directions in stacks:
-        _check_tangents(states, directions)  # site-major: the first offending site's message
+    _in_factor_order(
+        [sites for sites, _, _ in stacks],
+        lambda k: _check_tangents(*stacks[k][1:]),
+        lambda k, j: _check_tangents(stacks[k][1][j], stacks[k][2][j]),
+        grid.size,
+    )
     return stacks
 
 

@@ -133,14 +133,10 @@ def _ensemble_witness_rows(
 ) -> tuple[np.ndarray, ...]:
     """``ensemble_witness`` at each grid point: (tr1, tr2, operator gap, verdict)."""
     honest, gap = _ensemble_forms(_component_differentials(ens, ts, method, h))
-    tr1, tr2, verdict = _trace_witness(honest, ens.dims, tol, _ensemble_method(ens, method))
+    # "auto" takes a stencil's wider trace bound if any component's factor needs a stencil
+    source = resolve_method([curve for comp in ens.components for curve in comp.factors], method)
+    tr1, tr2, verdict = _trace_witness(honest, ens.dims, tol, source)
     return tr1, tr2, gap, verdict
-
-
-def _ensemble_method(ens: Ensemble, method: str) -> str:
-    """``method`` resolved over every component's factors: "auto" reads as a
-    finite-difference method, whose bounds are the wider, if any needs one."""
-    return resolve_method([curve for comp in ens.components for curve in comp.factors], method)
 
 
 def base_state_separability(rho: HermitianOp, cut: Cut) -> SeparabilityVerdict:

@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyval
 
 from .errors import ParameterRangeError, UnsupportedMethodError
 from .statespace import (
@@ -81,7 +82,7 @@ def _evaluators(
     """``poly`` and its first ``count - 1`` derivatives as functions of a grid array.
 
     They repeat the arithmetic of ``poly.deriv(order)`` and of
-    ``Polynomial.__call__`` (domain map, then Horner) without building
+    ``Polynomial.__call__`` (domain map, then ``polyval``) without building
     polynomial objects, which costs more than evaluating a short grid.  A
     stack of coefficient rows (M, k) gives functions of one parameter value
     per trial, (M,); a stack (S, 1, k) gives functions of a grid (G,), (S, G).
@@ -91,25 +92,15 @@ def _evaluators(
     else:
         off, scl, coef = 0.0, 1.0, poly.transpose(-1, *range(poly.ndim - 1))
 
-    def evaluator(coef: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        def values(ts: np.ndarray) -> np.ndarray:
-            x = off + scl * ts
-            out = coef[-1] + x * 0
-            for c in coef[-2::-1]:
-                out = c + out * x
-            return out
-
-        return values
-
-    out = [evaluator(coef)]
+    coefs = [coef]
     for _ in range(count - 1):
         if len(coef) > 1:
             order = np.arange(1, len(coef)).reshape((-1,) + (1,) * (coef.ndim - 1))
             coef = order * (coef[1:] * scl)
         else:  # +0.0 whatever the sign of the constant, as a zero-padded stack's rows give
             coef = np.zeros_like(coef[:1])
-        out.append(evaluator(coef))
-    return out
+        coefs.append(coef)
+    return [lambda ts, coef=coef: polyval(off + scl * ts, coef, tensor=False) for coef in coefs]
 
 
 def _plain_coefs(*polys) -> tuple[np.ndarray, ...] | None:
@@ -158,7 +149,13 @@ class FactorCurve(ABC):
     """One particle's state as a function of a real parameter."""
 
     dims: tuple[int, ...]
-    has_analytic: bool = True
+
+    @property
+    def has_analytic(self) -> bool:
+        """Whether the curve has a closed-form derivative: its class defines
+        ``velocities`` or ``_states_and_velocities``."""
+        own = lambda name: getattr(type(self), name) is not getattr(FactorCurve, name)
+        return own("velocities") or own("_states_and_velocities")
 
     @abstractmethod
     def states(self, ts: np.ndarray) -> np.ndarray:
@@ -166,7 +163,7 @@ class FactorCurve(ABC):
 
     def velocities(self, ts: np.ndarray) -> np.ndarray:
         """Closed-form derivative of the amplitudes at each grid point, (G, d)."""
-        if type(self)._states_and_velocities is FactorCurve._states_and_velocities:
+        if not self.has_analytic:
             raise UnsupportedMethodError(
                 f"{type(self).__name__} has no closed-form derivative; "
                 "use central_fd or richardson"
@@ -388,7 +385,8 @@ class _PhaseModulated(FactorCurve):
         self.phi = _as_poly(phi, "phi")
         self._phi, self._dphi = _evaluators(self.phi, 2)
         self.dims = inner.dims
-        self.has_analytic = inner.has_analytic
+
+    has_analytic = property(lambda self: self.inner.has_analytic)
 
     def states(self, ts: np.ndarray) -> np.ndarray:
         amps = np.exp(1j * self._phi(ts))[:, None] * self.inner.states(ts)
@@ -594,10 +592,7 @@ def factor_tangents(
 ) -> list[TangentVector]:
     """Per-factor tangents at t; frozen factors get an exactly-zero direction."""
     parts = _unstacked(_factor_rows(traj, np.array([float(t)]), method, h))
-    return [
-        TangentVector(Ket(base[0], curve.dims), deriv[0])
-        for curve, (base, deriv) in zip(traj.factors, parts)
-    ]
+    return [TangentVector(Ket(a[0], c.dims), d[0]) for c, (a, d) in zip(traj.factors, parts)]
 
 
 def _factor_rows(
@@ -623,28 +618,40 @@ def _factor_rows(
 def _grouped(traj: ProductTrajectory, ts: np.ndarray, evaluate: Callable) -> list[tuple[np.ndarray, ...]]:
     """(factors, *arrays) of each group of the trajectory's factors, in order:
     the arrays ``evaluate(curve, frozen)`` gives for the group's curve, each
-    shaped (S, G, d).
+    shaped (S, G, d); a rejection is ``_in_factor_order``'s."""
+    stacks = traj._stacks
 
-    A rejection is the one a loop over the factors in order meets first,
-    with ``row`` naming its grid point.  A group rejects the lowest factor
-    that fails its first failing check; every factor before that one in
-    this group (which may fail a later check) or a later group is then
-    evaluated alone, in order, and the first rejection among them stands
-    instead.
+    def group(k: int) -> tuple[np.ndarray, ...]:
+        factors, curve, frozen = stacks[k]
+        return (factors, *(a.reshape((len(factors),) + a.shape[-2:]) for a in evaluate(curve, frozen)))
+
+    one = lambda k, j: evaluate(traj.factors[stacks[k][0][j]], stacks[k][2])
+    return _in_factor_order([factors for factors, _, _ in stacks], group, one, ts.size)
+
+
+def _in_factor_order(groups: Sequence[np.ndarray], group: Callable, one: Callable, size: int) -> list:
+    """``group(k)`` for each group k of factor indices in turn, rejecting as a
+    loop over the factors in order would, with ``row`` a grid point of ``size``.
+
+    ``group(k)`` checks the group's (S, G) rows at once, so it rejects the
+    lowest factor that fails its first failing check.  Each factor before that
+    one in this group (it may fail a later check) or a later group is then
+    checked alone, ``one(k, j)`` for the j-th factor of group k, in factor
+    order, and the first rejection among them stands instead.
     """
     out = []
-    for k, (factors, curve, frozen) in enumerate(traj._stacks):
+    for k, factors in enumerate(groups):
         try:
-            arrays = evaluate(curve, frozen)
+            out.append(group(k))
         except ValueError as exc:
             row = getattr(exc, "row", None)
             if row is not None:  # a row of the group's (S, G) stack
-                exc.row = row % ts.size
-            first = factors[0 if row is None else row // ts.size]
-            for i in sorted(i for group, *_ in traj._stacks[k:] for i in group if i < first):
-                evaluate(traj.factors[i], traj.frozen[i])
+                exc.row = row % size
+            first = factors[0 if row is None else row // size]
+            lower = [(i, g, j) for g in range(k, len(groups)) for j, i in enumerate(groups[g]) if i < first]
+            for _, g, j in sorted(lower):
+                one(g, j)
             raise
-        out.append((factors, *(a.reshape((len(factors),) + a.shape[-2:]) for a in arrays)))
     return out
 
 
@@ -839,32 +846,6 @@ class RegisterProgram:
         return len(self.steps)
 
     @cached_property
-    def _site_starts(self) -> tuple[tuple[np.ndarray, ...], ...] | None:
-        """Each site's factor at the start of each step, filled on first use;
-        None when the initial state is not a product of site factors.
-
-        The factors are the rank-1 slices of the initial amplitude tensor
-        through its largest entry, normalized, with the global phase put on
-        the first.  They stand only if their Kronecker product reproduces the
-        initial amplitudes to DEFAULT_TOL.
-        """
-        dims = self.initial.dims
-        tensor = self.initial.amplitudes.reshape(dims)
-        peak = np.unravel_index(np.argmax(abs(tensor)), dims)
-        factors = []
-        for i in range(len(dims)):
-            line = tensor[peak[:i] + (slice(None),) + peak[i + 1 :]]
-            factors.append(line / np.linalg.norm(line))
-        factors[0] = factors[0] * (tensor[peak] / math.prod(f[p] for f, p in zip(factors, peak)))
-        if np.linalg.norm(reduce(np.kron, factors) - self.initial.amplitudes) >= DEFAULT_TOL:
-            return None
-        orbit = lambda c, f: _orbit(c._evals, c._evecs, _orbit_coefficients(c._evecs, c.base @ f), 1.0)
-        starts = [tuple(factors)]
-        for step in self.steps[:-1]:
-            starts.append(tuple(orbit(c, f) for c, f in zip(step, starts[-1])))
-        return tuple(starts)
-
-    @cached_property
     def _step_stacks(self) -> tuple[tuple[np.ndarray, ...], ...]:
         """The program's curves stacked once per site dim, filled on first use: (sites,
         eigenvalues, eigenvectors, base, generator), a step axis after the site axis."""
@@ -874,12 +855,28 @@ class RegisterProgram:
         return tuple((g, *(stack(g, f) for f in fields)) for g in groups)
 
     @cached_property
-    def _site_orbits(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per site dim: each site's start a of each step and the coefficients of B a, (S, K, d)."""
+    def _site_orbits(self) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
+        """Per site dim (``_step_stacks``): each site's factor a at the start of
+        each step and the coefficients of B a, (S, K, d), filled on first use.
+        The initial factors are the rank-1 slices of the initial amplitude tensor
+        through its largest entry, normalized, the global phase on the first; if
+        their Kronecker product is off the initial state by DEFAULT_TOL, this is
+        None.  Each later step starts at the previous step's orbit at parameter 1."""
+        dims = self.initial.dims
+        tensor = self.initial.amplitudes.reshape(dims)
+        peak = np.unravel_index(np.argmax(abs(tensor)), dims)
+        factors = [tensor[peak[:i] + (slice(None),) + peak[i + 1 :]] for i in range(len(dims))]
+        factors = [line / np.linalg.norm(line) for line in factors]
+        factors[0] = factors[0] * (tensor[peak] / math.prod(f[p] for f, p in zip(factors, peak)))
+        if np.linalg.norm(reduce(np.kron, factors) - self.initial.amplitudes) >= DEFAULT_TOL:
+            return None
         out = []
-        for sites, _, evecs, base, _ in self._step_stacks:
-            starts = np.array([[step[i] for step in self._site_starts] for i in sites])
-            out.append((starts, _orbit_coefficients(evecs, _matvec(base, starts))))
+        for sites, evals, evecs, base, _ in self._step_stacks:
+            starts, coeffs = [np.array([factors[i] for i in sites])], []
+            for k in range(self.n_steps):
+                coeffs.append(_orbit_coefficients(evecs[:, k], _matvec(base[:, k], starts[-1])))
+                starts.append(_orbit(evals[:, k], evecs[:, k], coeffs[-1], 1.0))
+            out.append((np.stack(starts[:-1], axis=1), np.stack(coeffs, axis=1)))
         return tuple(out)
 
     @cached_property

@@ -22,8 +22,6 @@ CHECKS = (
 class StatesOnly(FactorCurve):
     """A curve's states alone: a user curve with no closed-form derivative."""
 
-    has_analytic = False
-
     def __init__(self, curve: FactorCurve) -> None:
         self.curve, self.dims = curve, curve.dims
 

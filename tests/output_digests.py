@@ -18,7 +18,11 @@ It prints one sha256 per output family, then one over all of them:
 - ``verify``: stdout, stderr and exit code of ``qtangle verify --trials 200``
   for seeds 0-9;
 - ``wide_registers``: ``fs_speed``, the entropies and ``factors`` of the
-  benchmark's ``wide_registers`` profiles for seeds 1-3.
+  benchmark's ``wide_registers`` profiles for seeds 1-3;
+- ``rejections``: class, message and ``row`` of the rejection of each
+  ``test_trajectories.REJECTION_LAYOUTS`` trajectory under richardson and
+  central_fd, of ``test_speed_share.off_norm_sites()`` and of the sampled
+  document of ``test_cli.TestMainExitCodes`` swept past its range by richardson.
 
 Name a family to print one sha256 per document of it instead, each led by
 the document's label (its index, diagnostic id, seed or name), so that a
@@ -46,7 +50,10 @@ sys.path[:0] = [HERE, os.path.join(HERE, os.pardir, "bench")]
 import numpy as np  # noqa: E402
 
 import qtangle  # noqa: E402
+import qtangle.trajectories as trajectories  # noqa: E402
 import test_cli  # noqa: E402
+import test_speed_share  # noqa: E402
+import test_trajectories  # noqa: E402
 import workloads  # noqa: E402
 from qtangle.cli import main  # noqa: E402
 from qtangle.errors import ConfigError  # noqa: E402
@@ -106,6 +113,32 @@ def _scenarios() -> list[tuple[str, list[bytes]]]:
     return out
 
 
+def _rejection(call: Callable[[], object]) -> list[bytes]:
+    """Class, message and ``row`` of the rejection a call raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            call()
+        except ValueError as exc:
+            return [f"{type(exc).__name__}\n{exc}\n{getattr(exc, 'row', None)}".encode()]
+    return [b"accepted"]
+
+
+def _rejections() -> list[tuple[str, list[bytes]]]:
+    out = []
+    for name, factors in test_trajectories.REJECTION_LAYOUTS.items():
+        traj, grid = test_trajectories.rejecting_trajectory(factors), test_trajectories.REJECTION_GRID
+        for method in ("richardson", "central_fd"):
+            rows = lambda: trajectories._factor_rows(traj, grid, method, 1e-4)
+            out.append((f"{name}-{method}", _rejection(rows)))
+    out.append(("register-sites", _rejection(lambda: qtangle.profile(*test_speed_share.off_norm_sites()))))
+    doc = test_cli.TestMainExitCodes.whole_sampled_range(method="richardson")
+    cfg = qtangle.parse_config(json.dumps(doc))
+    cuts = [qtangle.Cut.splitting((0,), 2)]
+    sweep = lambda: qtangle.profile(cfg.trajectory(), cfg.grid_points(), cuts, "richardson")
+    out.append(("sampled-range", _rejection(sweep)))
+    return out
+
+
 FAMILIES: dict[str, Callable[[], list[tuple[str, list[bytes]]]]] = {
     "grid_configs": lambda: list(enumerate(_documents(test_cli.grid_configs()))),
     "cli_scenarios": _scenarios,
@@ -117,6 +150,7 @@ FAMILIES: dict[str, Callable[[], list[tuple[str, list[bytes]]]]] = {
         (f"seed {s}", [_cli(["verify", "--trials", "200", "--seed", str(s)])]) for s in range(10)
     ],
     "wide_registers": lambda: [doc for seed in SEEDS for doc in _profiles(seed)],
+    "rejections": _rejections,
 }
 """Per family, its documents in order: (label, outputs) each."""
 

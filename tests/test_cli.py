@@ -1726,6 +1726,26 @@ class TestVerify:
         assert json.loads(out)["checks"]["fd-order"]["trials"] == 60
         assert err == f"FAIL channel-identity: {message}\n"
 
+    def test_a_check_that_raises_fails_with_its_message(self, monkeypatch, capsys):
+        """A check that raises ValueError fails as a breach does: FAIL and its
+        message on stderr, exit 3, and the message in JSON, with no margin."""
+
+        def raising(rng, trials):
+            raise ValueError("no closed form here")
+
+        checks = tuple((n, raising if n == "fd-order" else c, cap) for n, c, cap in qtangle.cli._CHECKS)
+        monkeypatch.setattr(qtangle.cli, "_CHECKS", checks)
+        stream = io.StringIO()
+        assert verify(20, seed=1, stream=stream) == 3
+        assert capsys.readouterr().err == "FAIL fd-order: no closed form here\n"
+        assert "fd-order" not in stream.getvalue()
+        assert main(["verify", "--trials", "20", "--format", "json"]) == 3
+        out, err = capsys.readouterr()
+        entry = json.loads(out)["checks"]["fd-order"]
+        assert (entry["status"], entry["message"]) == ("fail", "no closed form here")
+        assert entry["margin"] is None and entry["bound"] is None
+        assert err == "FAIL fd-order: no closed form here\n"
+
     def test_bad_format_is_invalid_input(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--format", "xml"])

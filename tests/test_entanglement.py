@@ -32,13 +32,10 @@ from qtangle import (
     tensor_product,
 )
 
+from helpers import random_ket
+
 SQ2 = math.sqrt(2)
 CUT2 = Cut.splitting((0,), 2)
-
-
-def random_ket(rng, dims):
-    amps = rng.standard_normal(math.prod(dims)) + 1j * rng.standard_normal(math.prod(dims))
-    return Ket(amps / np.linalg.norm(amps), tuple(dims))
 
 
 def bell(label):

@@ -32,13 +32,10 @@ from qtangle.trajectories import (
     resolve_method,
 )
 
+from helpers import random_ket, same_bits
+
 SQ2 = math.sqrt(2)
 SY = np.array([[0.0, -1j], [1j, 0.0]])
-
-
-def random_ket(rng, dim):
-    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return Ket(amps / np.linalg.norm(amps), (dim,))
 
 
 def pair():
@@ -51,14 +48,14 @@ class TestFsDistance:
 
     def test_same_ray_at_zero(self):
         rng = np.random.default_rng(30)
-        state = random_ket(rng, 4)
+        state = random_ket(rng, (4,))
         rotated = Ket(np.exp(0.9j) * state.amplitudes, (4,))
         assert fs_distance(state, rotated) < 1e-12
 
     def test_projector_norm_oracle(self):
         rng = np.random.default_rng(31)
         for _ in range(30):
-            a, b = random_ket(rng, 3), random_ket(rng, 3)
+            a, b = random_ket(rng, (3,)), random_ket(rng, (3,))
             pa = np.outer(a.amplitudes, a.amplitudes.conj())
             pb = np.outer(b.amplitudes, b.amplitudes.conj())
             want = SQ2 * np.linalg.norm(pa - pb)
@@ -67,7 +64,7 @@ class TestFsDistance:
     def test_triangle_inequality(self):
         rng = np.random.default_rng(32)
         for _ in range(200):
-            a, b, c = (random_ket(rng, 3) for _ in range(3))
+            a, b, c = (random_ket(rng, (3,)) for _ in range(3))
             assert fs_distance(a, c) <= fs_distance(a, b) + fs_distance(b, c) + 1e-12
 
     def test_requires_unit_norm(self):
@@ -106,7 +103,7 @@ class TestFsSpeed:
 
     def test_gauge_invariance(self):
         rng = np.random.default_rng(34)
-        state = random_ket(rng, 4)
+        state = random_ket(rng, (4,))
         d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         tv = TangentVector(state, d)
         shifted = TangentVector(state, d + 1.7j * state.amplitudes)
@@ -192,10 +189,6 @@ class TestProfile:
             profile(pair(), [0.0, 1.0], [Cut((0,), (1, 2))])
 
 
-def same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def kron_rows(parts):
     """Row-wise Kronecker product of the states of each (states, directions) part."""
     out = parts[0][0]
@@ -253,4 +246,4 @@ class TestProfileFactors:
         bell = Ket(np.array([1.0, 0.0, 0.0, 1.0]) / SQ2, (2, 2))
         prog = RegisterProgram(((UnitaryCurve.rotation(SY / 2), UnitaryCurve.rotation(SY / 2)),), bell)
         prof = profile(prog, [0.0, 0.5, 1.0], [Cut.splitting((0,), 2)])
-        assert prog._site_starts is None and prof.factors is None
+        assert prog._site_orbits is None and prof.factors is None

@@ -1,0 +1,243 @@
+"""The input rejections of the public constructors and functions, one row each.
+
+Each row is a call on malformed input, the exception class it must raise
+(exactly that class, not a subclass) and its whole message.
+"""
+
+import numpy as np
+import pytest
+
+from qtangle import (
+    BlochCurve,
+    Cut,
+    Ensemble,
+    HermitianOp,
+    Ket,
+    LocalHamiltonianCurve,
+    MeasurementSetting,
+    PhaseCurve,
+    ProductTrajectory,
+    RegisterProgram,
+    SampledCurve,
+    TangentVector,
+    UnitaryCurve,
+    ValidationError,
+    apply_local_unitaries,
+    correlation_expansion,
+    curve_through,
+    fs_distance,
+    infinitesimal_composition,
+    inner,
+    tensor_product,
+)
+
+QUBIT = Ket(np.array([1.0, 0.0]), (2,))
+QUTRIT = Ket(np.array([1.0, 0.0, 0.0]), (3,))
+PAIR = Ket.basis((2, 2), (0, 0))
+ARC = BlochCurve([0.0, 1.0])
+Z_X = MeasurementSetting(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+STILL_QUBIT = UnitaryCurve.constant(np.eye(2))
+STILL_QUTRIT = UnitaryCurve.constant(np.eye(3))
+ORBIT3 = LocalHamiltonianCurve(np.eye(3), QUTRIT)
+
+REJECTIONS = [
+    pytest.param(
+        lambda: Ket(np.eye(2), (2,)),
+        ValueError,
+        "amplitudes must be one-dimensional, got shape (2, 2)",
+        id="Ket-2d",
+    ),
+    pytest.param(
+        lambda: Ket([], ()),
+        ValueError,
+        "dims must contain at least one factor",
+        id="Ket-no-dims",
+    ),
+    pytest.param(
+        lambda: Ket([1.0], (1,)),
+        ValueError,
+        "every factor dimension must be >= 2, got (1,)",
+        id="Ket-dim-1",
+    ),
+    pytest.param(
+        lambda: Ket.basis((2, 2), (0,)),
+        ValueError,
+        "occupation must give one index per factor",
+        id="basis-occupation-length",
+    ),
+    pytest.param(
+        lambda: Ket.basis((2, 3), (1, 3)),
+        ValueError,
+        "basis index 3 out of range for dimension 3",
+        id="basis-index",
+    ),
+    pytest.param(
+        lambda: HermitianOp(np.eye(3), (2,)),
+        ValueError,
+        "matrix shape (3, 3) does not match dims (2,)",
+        id="HermitianOp-shape",
+    ),
+    pytest.param(
+        lambda: Cut((-1,), (0,)),
+        ValueError,
+        "factor positions must be non-negative",
+        id="Cut-negative",
+    ),
+    pytest.param(
+        lambda: tensor_product([]),
+        ValueError,
+        "tensor_product needs at least one factor",
+        id="tensor_product-empty",
+    ),
+    pytest.param(
+        lambda: inner(QUBIT, QUTRIT),
+        ValueError,
+        "total dimensions differ: 2 vs 3",
+        id="inner-dims",
+    ),
+    pytest.param(
+        lambda: fs_distance(QUBIT, QUTRIT),
+        ValueError,
+        "total dimensions differ: 2 vs 3",
+        id="fs_distance-dims",
+    ),
+    pytest.param(
+        lambda: apply_local_unitaries(PAIR, [np.eye(2)]),
+        ValueError,
+        "need one unitary per factor (2), got 1",
+        id="apply_local_unitaries-count",
+    ),
+    pytest.param(
+        lambda: apply_local_unitaries(PAIR, [np.eye(2), np.eye(3)]),
+        ValidationError,
+        "factor 2: expected a 2x2 matrix, got shape (3, 3)",
+        id="apply_local_unitaries-shape",
+    ),
+    pytest.param(
+        lambda: BlochCurve([0.0, np.inf]),
+        ValueError,
+        "theta: coefficients must be finite",
+        id="polynomial-finite",
+    ),
+    pytest.param(
+        lambda: LocalHamiltonianCurve(np.zeros((2, 3)), QUBIT),
+        ValueError,
+        "generator: expected a square matrix, got shape (2, 3)",
+        id="generator-square",
+    ),
+    pytest.param(
+        lambda: SampledCurve([0.0, 1.0, 2.0, 3.0], [QUBIT] * 3),
+        ValueError,
+        "4 times but 3 states",
+        id="SampledCurve-count",
+    ),
+    pytest.param(
+        lambda: SampledCurve([0.0, 1.0, 2.0, 3.0], [QUBIT] * 3 + [QUTRIT]),
+        ValueError,
+        "sample 3 has dims (3,), expected (2,)",
+        id="SampledCurve-dims",
+    ),
+    pytest.param(
+        lambda: TangentVector(QUBIT, np.zeros(3)),
+        ValueError,
+        "direction shape (3,) does not match base (2,)",
+        id="TangentVector-shape",
+    ),
+    pytest.param(
+        lambda: UnitaryCurve(np.zeros((2, 2)), np.eye(3)),
+        ValueError,
+        "base shape (3, 3) does not match generator (2, 2)",
+        id="UnitaryCurve-base-shape",
+    ),
+    pytest.param(
+        lambda: ProductTrajectory((ARC,)),
+        ValueError,
+        "a product trajectory needs at least 2 factors",
+        id="ProductTrajectory-one-factor",
+    ),
+    pytest.param(
+        lambda: ProductTrajectory((ARC, ARC), (True,)),
+        ValueError,
+        "frozen flags must match the number of factors",
+        id="ProductTrajectory-frozen-length",
+    ),
+    pytest.param(
+        lambda: ProductTrajectory((ARC, ARC), (True, True)),
+        ValueError,
+        "at least one factor must be unfrozen",
+        id="ProductTrajectory-all-frozen",
+    ),
+    pytest.param(
+        lambda: RegisterProgram((), PAIR),
+        ValueError,
+        "a register program needs at least one step",
+        id="RegisterProgram-no-steps",
+    ),
+    pytest.param(
+        lambda: RegisterProgram(((STILL_QUBIT,),), PAIR),
+        ValueError,
+        "step 1 has 1 curves, expected 2",
+        id="RegisterProgram-step-length",
+    ),
+    pytest.param(
+        lambda: RegisterProgram(((STILL_QUBIT, STILL_QUTRIT),), PAIR),
+        ValueError,
+        "step 1, site 2: curve dimension 3 does not match factor dimension 2",
+        id="RegisterProgram-site-dim",
+    ),
+    pytest.param(
+        lambda: Ensemble((), ()),
+        ValueError,
+        "an ensemble needs at least one component",
+        id="Ensemble-empty",
+    ),
+    pytest.param(
+        lambda: Ensemble((1.0,), (ProductTrajectory((ARC, ARC)),) * 2),
+        ValueError,
+        "1 weights for 2 components",
+        id="Ensemble-weight-count",
+    ),
+    pytest.param(
+        lambda: Ensemble((0.5, 0.5), (ProductTrajectory((ARC, ARC)), ProductTrajectory((ARC, ORBIT3)))),
+        ValueError,
+        "component 2 has dims (2, 3), expected (2, 2)",
+        id="Ensemble-dims",
+    ),
+    pytest.param(
+        lambda: infinitesimal_composition(np.eye(2), 1.0, 0),
+        ValueError,
+        "n_steps must be >= 1, got 0",
+        id="infinitesimal_composition-steps",
+    ),
+    pytest.param(
+        lambda: curve_through(QUBIT, np.zeros(3)),
+        ValueError,
+        "direction shape does not match the state",
+        id="curve_through-shape",
+    ),
+    pytest.param(
+        lambda: correlation_expansion(ProductTrajectory((ARC,) * 3), 0.3, Z_X),
+        ValueError,
+        "need a two-factor trajectory",
+        id="correlation_expansion-three-factors",
+    ),
+    pytest.param(
+        lambda: correlation_expansion(ProductTrajectory((PhaseCurve(0.0, QUBIT), ARC)), 0.3, Z_X),
+        ValueError,
+        "factor 1: only single-angle qubit curves are supported",
+        id="correlation_expansion-not-bloch",
+    ),
+    pytest.param(
+        lambda: correlation_expansion(ProductTrajectory((ARC, ARC), (False, True)), 0.3, Z_X),
+        ValueError,
+        "frozen factors are not supported here",
+        id="correlation_expansion-frozen",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REJECTIONS)
+def test_input_is_rejected_with_its_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert info.type is error and str(info.value) == message

@@ -37,15 +37,6 @@ def plus_minus():
     return plus, minus
 
 
-def rotating_pair():
-    plus, minus = plus_minus()
-    comp1 = ProductTrajectory((BlochCurve([0.0, 1.0]), PhaseCurve(0.0, plus)), frozen=(False, True))
-    comp2 = ProductTrajectory(
-        (BlochCurve([math.pi, -1.0]), PhaseCurve(0.0, minus)), frozen=(False, True)
-    )
-    return Ensemble((0.5, 0.5), (comp1, comp2))
-
-
 def moving_pair():
     """Both components move both factors: the product form is nonzero too."""
     comp1 = ProductTrajectory((BlochCurve([0.0, 1.0]), BlochCurve([0.3, 0.8])))
@@ -55,7 +46,7 @@ def moving_pair():
 
 class TestDifferentialTraceWitness:
     def test_rotating_pair_excluded(self):
-        drho = separable_mixed_differential(rotating_pair(), 0.0)
+        drho = separable_mixed_differential(rotating_ensemble(), 0.0)
         rep = differential_trace_witness(drho)
         assert rep.verdict == VERDICT_EXCLUDED
         assert rep.tr1_norm < 1e-12
@@ -80,7 +71,7 @@ class TestDifferentialTraceWitness:
             differential_trace_witness(HermitianOp(np.zeros((4, 4)), (4,)))
 
     def test_verdict_follows_tol(self):
-        drho = separable_mixed_differential(rotating_pair(), 0.0)
+        drho = separable_mixed_differential(rotating_ensemble(), 0.0)
         assert differential_trace_witness(drho, tol=0.5).verdict == VERDICT_EXCLUDED
         assert differential_trace_witness(drho, tol=0.9).verdict == VERDICT_INCONCLUSIVE
 
@@ -104,13 +95,13 @@ class TestProductDifferential:
                 assert partial_trace(op, CUT, keep=keep).fro_norm() < 1e-10
 
     def test_frozen_factor_kills_product_form(self):
-        op = product_differential(rotating_pair(), 0.4)
+        op = product_differential(rotating_ensemble(), 0.4)
         assert np.linalg.norm(op.matrix) < 1e-14
 
 
 class TestOperatorFormGap:
     def test_rotating_pair_gap_is_half_everywhere(self):
-        ens = rotating_pair()
+        ens = rotating_ensemble()
         for t in (0.0, 0.3, 1.1, math.pi / 2):
             assert operator_form_gap(ens, t) == pytest.approx(0.5, abs=1e-12)
 
@@ -132,7 +123,7 @@ class TestOperatorFormGap:
 
 class TestEnsembleWitness:
     def test_rotating_pair_full_report(self):
-        rep = ensemble_witness(rotating_pair(), 0.0)
+        rep = ensemble_witness(rotating_ensemble(), 0.0)
         assert rep.verdict == VERDICT_EXCLUDED
         assert rep.tr2_norm == pytest.approx(1 / SQ2, abs=1e-12)
         assert rep.operator_gap == pytest.approx(0.5, abs=1e-12)
@@ -144,7 +135,7 @@ class TestEnsembleWitness:
         assert max(rep.tr1_norm, rep.tr2_norm) > 0.01
 
     def test_quarter_turn_norm_drops_but_stays_excluded(self):
-        rep = ensemble_witness(rotating_pair(), math.pi / 4)
+        rep = ensemble_witness(rotating_ensemble(), math.pi / 4)
         assert rep.tr2_norm == pytest.approx(math.cos(math.pi / 4) / SQ2, abs=1e-12)
         assert rep.verdict == VERDICT_EXCLUDED
 

@@ -44,6 +44,8 @@ from qtangle.trajectories import (
     register_tangent,
 )
 
+from helpers import random_ket, same_bits
+
 ORACLE_TOL = 1e-12
 
 
@@ -71,11 +73,6 @@ def random_generator(rng, d):
     return (a + a.conj().T) / (2 * math.sqrt(d))
 
 
-def random_ket(rng, dims):
-    amps = rng.standard_normal(math.prod(dims)) + 1j * rng.standard_normal(math.prod(dims))
-    return Ket(amps / np.linalg.norm(amps), dims)
-
-
 def random_program(rng, dims, initial, n_steps=2):
     """Steps of random rotations, some sites held constant."""
     steps = []
@@ -98,8 +95,26 @@ def product_ket(rng, dims):
     return Ket(amps, dims, unit=True)
 
 
-def same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+def site_starts(prog):
+    """Each site's factor at the start of each step, (K, d), read from the
+    program's site cache, in site order."""
+    starts = {}
+    for (sites, *_), (stack, _) in zip(prog._step_stacks, prog._site_orbits):
+        starts.update(zip(sites.tolist(), stack))
+    return [starts[i] for i in range(prog.n_sites)]
+
+
+def off_norm_sites():
+    """(program, grid, cuts) of a program of site dims (2, 3, 2) whose sites 1
+    and 2 are off norm in step 1, site 2 the further, on a grid in step 1."""
+    rng = np.random.default_rng(67)
+    dims = (2, 3, 2)
+    prog = random_program(rng, dims, product_ket(rng, dims))
+    for site, scale in ((1, 1 + 5e-10), (2, 1 + 1e-9)):
+        curve = prog.steps[0][site]
+        # eigenvectors scaled by s scale the site's orbit by s^2
+        object.__setattr__(curve, "_evecs", curve._evecs * scale)
+    return prog, np.array([0.25, 0.5]), all_cuts(3)
 
 
 def all_cuts(n):
@@ -187,7 +202,7 @@ class TestRegisterPrograms:
             uniform = np.full(math.prod(dims), math.prod(dims) ** -0.5, dtype=complex)
             for initial in (product_ket(rng, dims), Ket(uniform, dims, unit=True)):
                 prog = random_program(rng, dims, initial, n_steps=3)
-                assert prog._site_starts is not None
+                assert prog._site_orbits is not None
                 grid = np.linspace(0.0, 3.0, 13)
                 assert_speed_share(profile(prog, grid, all_cuts(len(dims)), method=method))
 
@@ -196,7 +211,7 @@ class TestRegisterPrograms:
         dims = (2, 3, 2)
         initial = product_ket(rng, dims)
         prog = random_program(rng, dims, initial)
-        factors = prog._site_starts[0]
+        factors = [starts[0] for starts in site_starts(prog)]
         assert [f.shape for f in factors] == [(2,), (3,), (2,)]
         kron = np.kron(np.kron(factors[0], factors[1]), factors[2])
         assert np.linalg.norm(kron - initial.amplitudes) < 1e-14
@@ -206,13 +221,13 @@ class TestRegisterPrograms:
         dims = (2, 2)
         amps = product_ket(rng, dims).amplitudes + 1e-9 * random_ket(rng, dims).amplitudes
         prog = random_program(rng, dims, Ket(amps / np.linalg.norm(amps), dims))
-        assert prog._site_starts is None
+        assert prog._site_orbits is None
 
     def test_entangled_initial_register_takes_the_svd(self):
         rng = np.random.default_rng(44)
         dims = (2, 2, 3)
         prog = random_program(rng, dims, random_ket(rng, dims))
-        assert prog._site_starts is None
+        assert prog._site_orbits is None
         prof = profile(prog, np.linspace(0.0, 2.0, 9), all_cuts(3))
         for cut in prof.cuts:
             tangent, base = dense_entropies(prof, cut)
@@ -460,7 +475,7 @@ class TestStackedSites:
             for i, state, direction in zip(sites, states, directions):
                 for k in (1, 2):
                     rows, ts = ks == k, local[ks == k]
-                    curve, start = prog.steps[k - 1][i], prog._site_starts[k - 1][i]
+                    curve, start = prog.steps[k - 1][i], site_starts(prog)[i][k - 1]
                     assert np.max(abs(state[rows] - _matvec(curve.value(ts), start))) <= 1e-14
                     if not np.any(curve.generator):
                         assert same_bits(direction[rows], np.zeros_like(direction[rows]))
@@ -541,11 +556,22 @@ class TestStackedSites:
             with pytest.raises(ValueError, match="^direction entries must all be finite$"):
                 profile(prog, [0.5, 1.5], contiguous_cuts(4), method="analytic")
 
+    def test_off_norm_sites_reject_the_lowest_site_at_its_grid_point(self):
+        """Across site dims the rejection is the one a loop over the sites meets
+        first: site 1, not site 2 that its site dim's stack reaches first, with
+        ``row`` a point of the grid, not a (site, point) index."""
+        prog, grid, cuts = off_norm_sites()
+        with pytest.raises(ValidationError) as info:
+            profile(prog, grid, cuts)
+        assert str(info.value) == "base: expected a unit vector, got norm 1.000000001"
+        assert info.value.row == 0
+
     def test_off_norm_start_keeps_its_message_and_the_first_site(self):
         prog = wide_register(np.random.default_rng(66), 4)
-        first, second = (list(starts) for starts in prog._site_starts)
+        ((starts, coeffs),) = prog._site_orbits  # one site dim: (site, step, d) each
         # site 2 is off norm in step 1; site 1, the first site to fail, only in step 2
-        first[2], second[1] = first[2] * (1 + 2e-9), second[1] * (1 + 1e-9)
-        vars(prog)["_site_starts"] = (tuple(first), tuple(second))
+        for arr in (starts, coeffs):  # a start and the coefficients of its orbit
+            arr[2, 0] *= 1 + 2e-9
+            arr[1, 1] *= 1 + 1e-9
         with pytest.raises(ValidationError, match=r"^base: expected a unit vector, got norm 1\.0000000009"):
             profile(prog, [0.5, 1.5], contiguous_cuts(4))

@@ -20,6 +20,8 @@ from qtangle import (
 from qtangle.entanglement import _ppt_negativities
 from qtangle.statespace import _outer, _partial_trace, _split
 
+from helpers import random_ket
+
 
 def kron_oracle(a, b):
     """Tensor product written as the defining double loop."""
@@ -44,11 +46,6 @@ def partial_trace_oracle(mat, dims, keep_first):
             for j in range(d2):
                 out[i, j] = sum(mat[k * d2 + i, k * d2 + j] for k in range(d1))
     return out
-
-
-def random_ket(rng, dims):
-    amps = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(int(np.prod(dims)))
-    return Ket(amps / np.linalg.norm(amps), dims)
 
 
 def random_hermitian_op(rng, dims):

@@ -20,6 +20,7 @@ from qtangle import (
     Cut,
     DegenerateInputError,
     Ensemble,
+    FactorCurve,
     Ket,
     LocalHamiltonianCurve,
     ParameterRangeError,
@@ -34,6 +35,7 @@ from qtangle import (
     curve_through,
     differentiate,
     entanglement_entropy,
+    factor_tangents,
     horizontal_tangent,
     infinitesimal_composition,
     partial_trace,
@@ -47,6 +49,9 @@ from qtangle import (
     separable_mixed_differential,
     with_global_phase,
 )
+from qtangle.cli import rotating_ensemble
+
+from helpers import same_bits
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]])
@@ -163,6 +168,39 @@ class TestDifferentiate:
         assert trajectories.resolve_method((curve, qubit_arc()), "auto") == "richardson"
         with pytest.raises(UnsupportedMethodError):
             differentiate(curve, 0.5, method="analytic")
+
+    def test_auto_on_a_curve_without_velocities_is_richardson(self, states_only):
+        """A user curve that defines only ``states`` has no closed form, with no
+        flag set: alone, under a global phase and beside a built-in curve in a
+        profile, ``auto`` gives the richardson rows."""
+        curve = states_only(qubit_arc())
+        for c in (curve, with_global_phase(curve, [0.0, 1.0])):
+            assert not c.has_analytic
+            got, want = differentiate(c, 0.3), differentiate(c, 0.3, method="richardson")
+            assert same_bits(got.direction, want.direction)
+        traj = ProductTrajectory((curve, BlochCurve([0.0, 1.0])))
+        grid, cuts = np.linspace(0.0, 1.0, 5), [Cut.splitting((0,), 2)]
+        got, want = profile(traj, grid, cuts), profile(traj, grid, cuts, method="richardson")
+        assert same_bits(got.fs_speed, want.fs_speed)
+
+    def test_has_analytic_is_read_from_the_class(self, states_only):
+        """A class that defines ``velocities`` or ``_states_and_velocities`` has
+        a closed form; the flag cannot be set on a curve."""
+
+        class VelocitiesOnly(FactorCurve):
+            dims = (2,)
+
+            def states(self, ts):
+                return qubit_arc().states(ts)
+
+            def velocities(self, ts):
+                return qubit_arc().velocities(ts)
+
+        assert VelocitiesOnly().has_analytic and qubit_arc().has_analytic
+        assert not states_only(qubit_arc()).has_analytic
+        assert trajectories.resolve_method((VelocitiesOnly(),), "auto") == "analytic"
+        with pytest.raises(AttributeError):
+            qubit_arc().has_analytic = False
 
     def test_sampled_derivative_is_the_splines(self):
         """At interior points the exact rows match a Richardson oracle built
@@ -622,16 +660,6 @@ class TestPseudoPureDifferential:
             pseudo_pure_differential(other, tv, 0.5)
 
 
-def rotating_pair():
-    plus = Ket(np.array([1.0, 1.0]) / math.sqrt(2), (2,))
-    minus = Ket(np.array([1.0, -1.0]) / math.sqrt(2), (2,))
-    comp1 = ProductTrajectory((qubit_arc(), PhaseCurve(0.0, plus)), frozen=(False, True))
-    comp2 = ProductTrajectory(
-        (BlochCurve([math.pi, -1.0]), PhaseCurve(0.0, minus)), frozen=(False, True)
-    )
-    return Ensemble((0.5, 0.5), (comp1, comp2))
-
-
 class TestSeparableMixedDifferential:
     def test_single_component_matches_projector_fd_oracle(self):
         comp = ProductTrajectory((qubit_arc(), BlochCurve([0.2, 0.7], [0.0, 0.3])))
@@ -651,7 +679,7 @@ class TestSeparableMixedDifferential:
         assert np.linalg.norm(drho.matrix) < 1e-14
 
     def test_rotating_pair_reduced_norm(self):
-        ens = rotating_pair()
+        ens = rotating_ensemble()
         for t in (0.0, 0.4, 0.7):
             drho = separable_mixed_differential(ens, t)
             reduced = partial_trace(drho, Cut.splitting((0,), 2), keep="left")
@@ -659,7 +687,7 @@ class TestSeparableMixedDifferential:
             assert np.linalg.norm(reduced.matrix) == pytest.approx(want, abs=1e-12)
 
     def test_trace_and_hermiticity(self):
-        ens = rotating_pair()
+        ens = rotating_ensemble()
         drho = separable_mixed_differential(ens, 0.3)
         assert abs(drho.trace()) < 1e-10
         assert np.max(np.abs(drho.matrix - drho.matrix.conj().T)) < 1e-12
@@ -844,10 +872,6 @@ class TestStackedCurves:
             UnitaryCurve.rotation(hermitian_stack(np.random.default_rng(64), 2, 2))
 
 
-def same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 SAMPLE_TIMES = np.linspace(-1.5, 1.5, 25)
 
 
@@ -872,12 +896,10 @@ FACTOR_KINDS = (
 )
 
 
-def interleaved_trajectory(n, method, seed=70):
-    """n factors of the kinds in turn, every third one frozen; sampled curves
-    have no closed form, so an analytic trajectory has none."""
+def interleaved_trajectory(n, seed=70):
+    """n factors of every kind in turn, every third one frozen."""
     rng = np.random.default_rng(seed)
-    kinds = [k for k in FACTOR_KINDS if method != "analytic" or k != "sampled"]
-    curves = tuple(factor_curve(kinds[i % len(kinds)], rng) for i in range(n))
+    curves = tuple(factor_curve(FACTOR_KINDS[i % len(FACTOR_KINDS)], rng) for i in range(n))
     return ProductTrajectory(curves, tuple(i % 3 == 2 for i in range(n)))
 
 
@@ -902,6 +924,28 @@ def loop_rejection(traj, ts, method, h=1e-4):
     raise AssertionError("no factor was rejected")
 
 
+# (kind, grid value past which it fails; None: it never does) of each factor
+REJECTION_LAYOUTS = {
+    "first": [("hamiltonian", 2.5), ("bloch", 1.5)],
+    "first-stacks-later": [("bloch", 2.5), ("hamiltonian", 1.5)],
+    "later-group": [("bloch", None), ("hamiltonian", 1.5), ("bloch", 2.5)],
+    "later-group-later-point": [("bloch", None), ("hamiltonian", 2.5), ("bloch", 1.5)],
+    "mixed": [("phase", None), ("bloch", 3.5), ("sampled", 2.5), ("phase", 1.5), ("hamiltonian", None)],
+    "sampled": [("hamiltonian", None), ("phase", 3.5), ("hamiltonian", 2.5), ("sampled", 1.5)],
+    "in-stack": [("bloch", None), ("bloch", 2.5), ("hamiltonian", None), ("bloch", 1.5)],
+}
+REJECTION_GRID = np.arange(0.0, 5.0)
+
+
+def rejecting_trajectory(factors):
+    """The qubit trajectory of a ``REJECTION_LAYOUTS`` layout: a failing factor
+    is ``TestFactorStacks.breaking``, the others are drawn from a fixed seed."""
+    rng = np.random.default_rng(73)
+    still = lambda kind: factor_curve(kind if kind == "bloch" else f"{kind}2", rng)
+    breaking = TestFactorStacks.breaking
+    return ProductTrajectory(tuple(breaking(kind, at) if at else still(kind) for kind, at in factors))
+
+
 class TestFactorStacks:
     """A product trajectory evaluates its factors once per group of one curve
     kind, dims and frozen flag; each factor's rows are those of its own curve."""
@@ -911,7 +955,7 @@ class TestFactorStacks:
     @pytest.mark.parametrize("method", ["analytic", "central_fd", "richardson"])
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 16])
     def test_stacked_rows_are_each_curves_own_rows(self, n, method):
-        traj = interleaved_trajectory(n, method)
+        traj = interleaved_trajectory(n)
         got = trajectories._unstacked(trajectories._factor_rows(traj, self.GRID, method, 1e-4))
         want = loop_rows(traj, self.GRID, method)
         assert len(got) == n
@@ -921,7 +965,7 @@ class TestFactorStacks:
         assert same_bits(traj.states(self.GRID), product)
 
     def test_groups_by_kind_dims_and_frozen_flag_in_order_of_first_factor(self):
-        traj = interleaved_trajectory(16, "richardson")
+        traj = interleaved_trajectory(16)
         assert "_stacks" not in vars(traj)  # stacked on first use, not on construction
         groups = [list(factors) for factors, _, _ in traj._stacks]
         assert groups == [
@@ -948,7 +992,7 @@ class TestFactorStacks:
     def test_one_evaluation_per_group(self, method, monkeypatch, count_evaluations):
         """Each moving group is differentiated by one ``_curve_rows`` call and
         each frozen group evaluated by one ``states`` call, whatever its size."""
-        traj = interleaved_trajectory(12, method)
+        traj = interleaved_trajectory(12)
         calls, original = [], trajectories._curve_rows
         counting = lambda curve, *args: calls.append(curve) or original(curve, *args)
         monkeypatch.setattr(trajectories, "_curve_rows", counting)
@@ -974,37 +1018,12 @@ class TestFactorStacks:
         return LocalHamiltonianCurve(np.diag([rate, -rate]), Ket(np.array([0.6, 0.8]), (2,)))
 
     @pytest.mark.parametrize("method", ["richardson", "central_fd"])
-    @pytest.mark.parametrize(
-        "factors",
-        [
-            # (kind, grid value past which it fails; None: it never does)
-            [("hamiltonian", 2.5), ("bloch", 1.5)],
-            [("bloch", 2.5), ("hamiltonian", 1.5)],
-            [("bloch", None), ("hamiltonian", 1.5), ("bloch", 2.5)],
-            [("bloch", None), ("hamiltonian", 2.5), ("bloch", 1.5)],
-            [("phase", None), ("bloch", 3.5), ("sampled", 2.5), ("phase", 1.5), ("hamiltonian", None)],
-            [("hamiltonian", None), ("phase", 3.5), ("hamiltonian", 2.5), ("sampled", 1.5)],
-            [("bloch", None), ("bloch", 2.5), ("hamiltonian", None), ("bloch", 1.5)],
-        ],
-        ids=[
-            "first",
-            "first-stacks-later",
-            "later-group",
-            "later-group-later-point",
-            "mixed",
-            "sampled",
-            "in-stack",
-        ],
-    )
+    @pytest.mark.parametrize("factors", REJECTION_LAYOUTS.values(), ids=REJECTION_LAYOUTS)
     def test_rejection_is_the_factor_loops_first(self, factors, method, monkeypatch):
         """Message, class and grid point are those of the lowest failing
         factor, as a loop over the factors rejects them; a rejection at the
         first factor evaluates no group after it."""
-        rng = np.random.default_rng(73)
-        still = lambda kind: factor_curve(kind if kind == "bloch" else f"{kind}2", rng)
-        curves = tuple(self.breaking(kind, at) if at else still(kind) for kind, at in factors)
-        traj = ProductTrajectory(curves)
-        grid = np.arange(0.0, 5.0)
+        traj, grid = rejecting_trajectory(factors), REJECTION_GRID
         calls, original = [], trajectories._curve_rows
         monkeypatch.setattr(trajectories, "_curve_rows", lambda *args: calls.append(1) or original(*args))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -1040,6 +1059,22 @@ class TestFactorStacks:
             with pytest.raises(ValueError) as info:
                 profile(traj, grid, [Cut.splitting((0,), 3)])
         assert (type(info.value), str(info.value), info.value.row) == want == (ValueError, want[1], 3)
+
+
+class TestFactorTangents:
+    """The public per-factor tangents: a moving factor's is its own curve's
+    ``differentiate`` by the method named, a frozen factor's is exactly zero."""
+
+    @pytest.mark.parametrize("method, h", [("auto", 1e-4), ("central_fd", 1e-3), ("richardson", 1e-3)])
+    def test_each_factor_is_its_curves_tangent(self, method, h):
+        traj = interleaved_trajectory(8)
+        tangents = factor_tangents(traj, 0.3, method, h)
+        assert len(tangents) == traj.n_factors and any(traj.frozen)
+        for tv, curve, frozen in zip(tangents, traj.factors, traj.frozen, strict=True):
+            want = differentiate(curve, 0.3, method, h)
+            assert tv.dims == curve.dims
+            assert same_bits(tv.base.amplitudes, want.base.amplitudes)
+            assert same_bits(tv.direction, np.zeros_like(want.direction) if frozen else want.direction)
 
 
 class TestFactorRowsOfTheCallers:
