@@ -34,7 +34,7 @@ from .mixed_witness import (
     _separability,
     _trace_witness,
 )
-from .statespace import Cut, Ket, _check_hermitian, _normalized, _outer, _raise_first
+from .statespace import Cut, Ket, _check_hermitian, _first_rejection, _normalized, _outer, _raise_first
 from .trajectories import (
     DEFAULT_STEP,
     BlochCurve,
@@ -154,8 +154,9 @@ def _sweep(
     speed and the per-cut entropies; ``cells(ts, states, directions,
     factors)`` appends the scenario's own columns, each over the whole grid,
     from the profile's rows, so no cell differentiates a curve again.  An
-    input the numerics reject at one grid point is a tolerance breach there.
-    Without cells the profile's dense rows are never built.
+    input the numerics reject is a tolerance breach at the first grid point
+    a point-by-point sweep would reject.  Without cells the profile's dense
+    rows are never built.
     """
     prof = profile(traj, cfg.grid_points(), cuts, method=cfg.method, h=cfg.h)
     register = isinstance(traj, RegisterProgram)
@@ -172,7 +173,8 @@ def _sweep(
         # a rejection while the dense rows are assembled is the profile's, not a cell's
         rows = (prof.grid, prof.states, prof.directions, prof.factors)
         try:
-            cols += _first_rejection(cells, *rows)
+            with _first_rejection():
+                cols += cells(*rows)
         except (ValidationError, DegenerateInputError, ToleranceBreachError) as exc:
             raise ToleranceBreachError(f"{exc} at t={prof.grid[exc.row]:.6g}") from exc
     paths = {cut.label(): path for cut, path in prof.entropy_path.items()}
@@ -180,22 +182,6 @@ def _sweep(
         cfg, cuts=[c.label() for c in cuts], **extra, arc_length=prof.arc_length, entropy_path=paths
     )
     return TraceReport(meta, (*head, *columns), _rows(cols))
-
-
-def _first_rejection(cells: Callable, *rows) -> list:
-    """``cells(*rows)``, or the rejection a point-by-point sweep would meet first.
-
-    Each check rejects its own first offending row, so a rejection at row r
-    stands only once the rows before r pass every check; no row depends on
-    another, so the first r rows of every array, factor rows too, decide that.
-    """
-    try:
-        return cells(*rows)
-    except (ValidationError, DegenerateInputError, ToleranceBreachError) as exc:
-        if exc.row:
-            head = lambda r: r[: exc.row] if isinstance(r, np.ndarray) else r and [*map(head, r)]
-            _first_rejection(cells, *map(head, rows))
-        raise
 
 
 def _rows(columns: Sequence[np.ndarray]) -> tuple[tuple, ...]:
@@ -612,6 +598,8 @@ def verify(trials: int = 1000, seed: int = 0, stream=None, out_format: str = "te
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
+    if seed < 0:
+        raise ValueError(f"seed: must be non-negative, got {seed!r}")
     if out_format not in VERIFY_FORMATS:
         raise ValueError(f"out_format must be one of {VERIFY_FORMATS}, got {out_format!r}")
     stream = stream if stream is not None else sys.stdout

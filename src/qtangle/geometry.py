@@ -174,12 +174,8 @@ def _factor_tangents(traj, grid: np.ndarray, method: str, h: float) -> list[tupl
     if traj._site_orbits is None:
         return None
     stacks = _register_site_rows(traj, grid, method, h)
-    _in_factor_order(
-        [sites for sites, _, _ in stacks],
-        lambda k: _check_tangents(*stacks[k][1:]),
-        lambda k, j: _check_tangents(stacks[k][1][j], stacks[k][2][j]),
-        grid.size,
-    )
+    check = lambda k: _check_tangents(*stacks[k][1:])
+    _in_factor_order([sites for sites, _, _ in stacks], check, grid.size)
     return stacks
 
 

@@ -7,15 +7,18 @@ every operation is a pure function, which keeps concurrent use trivially safe.
 
 The private helpers work on stacks: a leading axis holds one row per grid
 point, and a single vector or matrix is the one-row case.  Their checks run
-over the whole stack and reject the first offending row.
+over the whole stack and reject the first offending row, or inside a
+``_first_rejection`` block record it for the block to raise.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import InitVar, dataclass
 from functools import cached_property, reduce
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -47,14 +50,47 @@ def _raise_first(
     led by the field ``where`` names: a string, or a function of the row.
 
     The exception records that row as ``row``, so a caller holding the grid
-    can name the offending point.
+    can name the offending point.  Inside a ``_first_rejection`` block it is
+    recorded there instead of raised.
     """
     if np.count_nonzero(bad):
         row = int(np.flatnonzero(bad)[0])
         name = where(row) if callable(where) else where
         exc = error(f"{name}: {message(row)}" if name else message(row))
         exc.row = row
-        raise exc
+        if (deferred := _DEFERRED.get()) is None:
+            raise exc
+        deferred.append(exc)
+
+
+# the rejections of the innermost open ``_first_rejection`` block; None outside one
+_DEFERRED: ContextVar[list | None] = ContextVar("_DEFERRED", default=None)
+
+
+@contextmanager
+def _first_rejection(order: Callable[[Exception], object] = lambda exc: exc.row) -> Iterator[list]:
+    """A block whose checks record their rejections in the list it yields;
+    leaving it raises the least by ``order`` (the row), at a tie the earlier
+    check's: the one a loop over the rows (or factors) in order meets first.
+
+    A block nested in another hands its rejections on to that block.
+    Arithmetic goes on over rejected rows, so floating-point warnings are off
+    inside, and an error it raises there gives way to the rejection.
+    """
+    outer, rejected = _DEFERRED.get(), []
+    token = _DEFERRED.set(rejected)
+    try:
+        with np.errstate(all="ignore"):
+            yield rejected
+    except Exception:
+        if outer is not None or not rejected:
+            raise
+    finally:
+        _DEFERRED.reset(token)
+        if outer is not None:
+            outer += rejected
+    if outer is None and rejected:
+        raise min(rejected, key=order)
 
 
 _NOT_FINITE = "amplitudes must all be finite"

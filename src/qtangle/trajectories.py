@@ -48,6 +48,7 @@ from .statespace import (
     _check_hermitian,
     _check_norm_preserving,
     _check_unitary,
+    _first_rejection,
     _normalized,
     _outer,
     _overlaps,
@@ -625,33 +626,27 @@ def _grouped(traj: ProductTrajectory, ts: np.ndarray, evaluate: Callable) -> lis
         factors, curve, frozen = stacks[k]
         return (factors, *(a.reshape((len(factors),) + a.shape[-2:]) for a in evaluate(curve, frozen)))
 
-    one = lambda k, j: evaluate(traj.factors[stacks[k][0][j]], stacks[k][2])
-    return _in_factor_order([factors for factors, _, _ in stacks], group, one, ts.size)
+    return _in_factor_order([factors for factors, _, _ in stacks], group, ts.size)
 
 
-def _in_factor_order(groups: Sequence[np.ndarray], group: Callable, one: Callable, size: int) -> list:
-    """``group(k)`` for each group k of factor indices in turn, rejecting as a
-    loop over the factors in order would, with ``row`` a grid point of ``size``.
+def _in_factor_order(groups: Sequence[np.ndarray], group: Callable, size: int) -> list:
+    """``group(k)`` for each group k of (ascending) factor indices in turn,
+    rejecting as a loop over the factors in order would: the lowest failing
+    factor, at its first failing check, with ``row`` a grid point of ``size``.
 
-    ``group(k)`` checks the group's (S, G) rows at once, so it rejects the
-    lowest factor that fails its first failing check.  Each factor before that
-    one in this group (it may fail a later check) or a later group is then
-    checked alone, ``one(k, j)`` for the j-th factor of group k, in factor
-    order, and the first rejection among them stands instead.
+    ``group(k)`` checks the group's (S, G) rows at once; each rejection it
+    records is tagged with its ``factor``.  A group whose factors all follow
+    a factor already rejected is not evaluated.
     """
     out = []
-    for k, factors in enumerate(groups):
-        try:
+    with _first_rejection(lambda exc: exc.factor) as rejected:
+        for k, factors in enumerate(groups):
+            if rejected and factors[0] > min(exc.factor for exc in rejected):
+                continue
+            seen = len(rejected)
             out.append(group(k))
-        except ValueError as exc:
-            row = getattr(exc, "row", None)
-            if row is not None:  # a row of the group's (S, G) stack
-                exc.row = row % size
-            first = factors[0 if row is None else row // size]
-            lower = [(i, g, j) for g in range(k, len(groups)) for j, i in enumerate(groups[g]) if i < first]
-            for _, g, j in sorted(lower):
-                one(g, j)
-            raise
+            for exc in rejected[seen:]:  # a row of the group's (S, G) stack
+                exc.factor, exc.row = factors[exc.row // size], exc.row % size
     return out
 
 
@@ -671,11 +666,12 @@ def _curve_rows(
         base, deriv = curve._states_and_velocities(ts)
     else:
         base = curve.states(ts)
-        try:
+        with _first_rejection() as rejected:
             deriv = _stencil(curve.states, ts, method, h)
-        except ParameterRangeError as exc:  # name the grid point the stencil was taken at
-            point = f"the {method} stencil (h={h!r}) of grid point t={float(ts[exc.row])!r}"
-            raise ParameterRangeError(f"{exc}, a point of {point}") from exc
+            for exc in rejected:  # name the grid point the stencil was taken at
+                if isinstance(exc, ParameterRangeError):
+                    point = f"the {method} stencil (h={h!r}) of grid point t={float(ts[exc.row])!r}"
+                    exc.args = (f"{exc}, a point of {point}",)
     _check_tangents(base, deriv)
     return base, deriv
 

@@ -22,7 +22,11 @@ It prints one sha256 per output family, then one over all of them:
 - ``rejections``: class, message and ``row`` of the rejection of each
   ``test_trajectories.REJECTION_LAYOUTS`` trajectory under richardson and
   central_fd, of ``test_speed_share.off_norm_sites()`` and of the sampled
-  document of ``test_cli.TestMainExitCodes`` swept past its range by richardson.
+  document of ``test_cli.TestMainExitCodes`` swept past its range by
+  richardson; then class and message of the tolerance breach, and ``row``
+  of its cause, of the runs a scenario's cells reject:
+  ``test_cli.ZERO_MOTION_DEMO``, ``test_cli.STIFF_PRODUCT`` under each
+  method and ``test_cli.LEAKY_PRODUCT``.
 
 Name a family to print one sha256 per document of it instead, each led by
 the document's label (its index, diagnostic id, seed or name), so that a
@@ -55,8 +59,8 @@ import test_cli  # noqa: E402
 import test_speed_share  # noqa: E402
 import test_trajectories  # noqa: E402
 import workloads  # noqa: E402
-from qtangle.cli import main  # noqa: E402
-from qtangle.errors import ConfigError  # noqa: E402
+from qtangle.cli import main, run  # noqa: E402
+from qtangle.errors import ConfigError, ToleranceBreachError  # noqa: E402
 
 SEEDS = (1, 2, 3)
 
@@ -114,12 +118,14 @@ def _scenarios() -> list[tuple[str, list[bytes]]]:
 
 
 def _rejection(call: Callable[[], object]) -> list[bytes]:
-    """Class, message and ``row`` of the rejection a call raises."""
+    """Class, message and ``row`` of the rejection a call raises (of a
+    tolerance breach, the ``row`` of its cause)."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             call()
-        except ValueError as exc:
-            return [f"{type(exc).__name__}\n{exc}\n{getattr(exc, 'row', None)}".encode()]
+        except (ValueError, ToleranceBreachError) as exc:
+            cause = exc.__cause__ if isinstance(exc, ToleranceBreachError) else exc
+            return [f"{type(exc).__name__}\n{exc}\n{getattr(cause, 'row', None)}".encode()]
     return [b"accepted"]
 
 
@@ -136,6 +142,11 @@ def _rejections() -> list[tuple[str, list[bytes]]]:
     cuts = [qtangle.Cut.splitting((0,), 2)]
     sweep = lambda: qtangle.profile(cfg.trajectory(), cfg.grid_points(), cuts, "richardson")
     out.append(("sampled-range", _rejection(sweep)))
+    cells = {"zero-motion": test_cli.ZERO_MOTION_DEMO, "leaky": test_cli.LEAKY_PRODUCT}
+    for method in ("analytic", "central_fd", "richardson"):
+        cells[f"stiff-{method}"] = dict(test_cli.STIFF_PRODUCT, method=method)
+    for name, doc in cells.items():
+        out.append((name, _rejection(lambda: run(qtangle.parse_config(json.dumps(doc))))))
     return out
 
 

@@ -1562,6 +1562,20 @@ class TestMainExitCodes:
             " stencil (h=0.0001) of grid point t=1.0\n"
         )
 
+    @pytest.mark.parametrize("method", ["richardson", "central_fd"])
+    def test_stencil_rejection_keeps_its_grid_point(self, method):
+        """A stencil point past the sampled range is rejected with ``row`` the
+        grid point the stencil was taken at: the last one of a sweep, the
+        only one of ``differentiate``."""
+        cfg = parse(self.whole_sampled_range(method=method))
+        traj, grid = cfg.trajectory(), cfg.grid_points()
+        with pytest.raises(qtangle.ParameterRangeError, match="of grid point t=1.0$") as info:
+            profile(traj, grid, [Cut.splitting((0,), 2)], method)
+        assert info.value.row == grid.size - 1 == 180
+        with pytest.raises(qtangle.ParameterRangeError, match="of grid point t=1.0$") as info:
+            qtangle.differentiate(traj.factors[0], 1.0, method)
+        assert info.value.row == 0
+
     def test_product_trace_is_no_scenario_shorthand(self, capsys, monkeypatch):
         """It has no default subsystems: argparse refuses it, and --help says why."""
         monkeypatch.setenv("COLUMNS", "200")  # no help line wraps
@@ -1634,6 +1648,14 @@ class TestMainExitCodes:
         with pytest.raises(ValueError, match="trials must be at least 1"):
             verify(trials=0, stream=stream)
         assert stream.getvalue() == ""
+
+    def test_verify_names_the_seed_it_refuses(self, capsys):
+        stream = io.StringIO()
+        with pytest.raises(ValueError, match="^seed: must be non-negative, got -3$"):
+            verify(trials=1, seed=-3, stream=stream)
+        assert stream.getvalue() == ""
+        assert main(["verify", "--seed", "-3"]) == 2
+        assert capsys.readouterr() == ("", "error: seed: must be non-negative, got -3\n")
 
 
 VERIFY_CHECKS = (

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from qtangle import (
     tensor_product,
 )
 from qtangle.entanglement import _ppt_negativities
-from qtangle.statespace import _outer, _partial_trace, _split
+from qtangle.errors import DegenerateInputError
+from qtangle.statespace import _first_rejection, _outer, _partial_trace, _raise_first, _split
 
 from helpers import random_ket
 
@@ -225,6 +227,94 @@ class TestModuleInvariants:
         op = HermitianOp(np.kron(r1.matrix, r2.matrix), (3, 2))
         reduced = partial_trace(op, Cut.splitting((0,), 2), keep="left")
         assert np.allclose(reduced.matrix, r1.matrix * r2.trace(), atol=1e-12)
+
+
+def check(bad_rows, text, size=5, error=ValidationError):
+    """A check over ``size`` rows rejecting each of ``bad_rows`` as ``text``."""
+    _raise_first(np.isin(np.arange(size), bad_rows), lambda i: f"{text} at {i}", error)
+
+
+def rejection(block):
+    """Message and ``row`` of what ``block()`` raises."""
+    with pytest.raises(ValueError) as info:
+        block()
+    return str(info.value), info.value.row
+
+
+class TestFirstRejection:
+    """Inside a block checks record their rejections, and the block raises
+    the one a loop over the rows in order meets first."""
+
+    def test_the_least_row_wins_and_at_a_tie_the_earlier_check(self):
+        def sweep():
+            with _first_rejection() as rejected:
+                check([3, 4], "norm")
+                check([1, 3], "hermiticity", error=DegenerateInputError)
+                check([1], "trace")
+                assert [exc.row for exc in rejected] == [3, 1, 1]
+
+        assert rejection(sweep) == ("hermiticity at 1", 1)
+
+    def test_order_is_the_blocks_own(self):
+        def sweep():
+            with _first_rejection(lambda exc: -exc.row):
+                check([2], "norm")
+                check([4], "trace")
+                check([4], "hermiticity")
+
+        assert rejection(sweep) == ("trace at 4", 4)
+
+    def test_an_inner_block_hands_its_rejections_to_the_outer_one(self):
+        def sweep():
+            with _first_rejection() as outer:
+                check([3], "norm")
+                with _first_rejection() as inner:
+                    check([2], "trace")
+                    check([0], "hermiticity")
+                assert [str(exc) for exc in inner] == ["trace at 2", "hermiticity at 0"]
+                assert outer[1:] == inner
+                check([1], "unitarity")
+
+        assert rejection(sweep) == ("hermiticity at 0", 0)
+
+    def test_a_block_left_by_another_error_raises_at_once_after(self):
+        with pytest.raises(KeyError):
+            with _first_rejection():
+                raise KeyError("not a rejection")
+        assert rejection(lambda: check([2], "norm")) == ("norm at 2", 2)
+
+    def test_an_error_after_a_rejection_gives_way_to_it(self):
+        """Arithmetic goes on over rejected rows; an error it raises there is
+        not the first defect, the rejection is."""
+
+        def sweep():
+            with _first_rejection():
+                check([2], "norm")
+                np.linalg.inv(np.zeros((2, 2)))  # LinAlgError: singular matrix
+
+        assert rejection(sweep) == ("norm at 2", 2)
+        assert rejection(lambda: check([1], "trace")) == ("trace at 1", 1)
+
+    def test_a_check_in_another_thread_raises_at_once(self):
+        seen = []
+
+        def other():
+            try:
+                check([1], "trace")
+            except ValidationError as exc:
+                seen.append(str(exc))
+
+        with _first_rejection() as rejected:
+            thread = threading.Thread(target=other)
+            thread.start()
+            thread.join()
+        assert seen == ["trace at 1"]
+        assert rejected == []
+
+    def test_arithmetic_warnings_are_off_inside_a_block_only(self):
+        with _first_rejection():
+            assert np.geterr() == dict.fromkeys(["divide", "over", "under", "invalid"], "ignore")
+        assert np.geterr()["invalid"] != "ignore"
 
 
 class TestApplyLocalUnitaries:
