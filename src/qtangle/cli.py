@@ -25,7 +25,7 @@ from . import __version__
 from .config import SCENARIOS, RunConfig, parse_config
 from .channels import _channel_rows, _factor_overlaps, _reality_gaps
 from .entanglement import MeasurementSetting, _bell_rows, _chsh_rows, _correlation_expansions
-from .errors import ConfigError, DegenerateInputError, ToleranceBreachError, ValidationError
+from .errors import DegenerateInputError, ToleranceBreachError, ValidationError
 from .geometry import _entropies_or_zero, _fs_distances, _fs_speeds, profile
 from .mixed_witness import (
     VERDICT_INCONCLUSIVE,
@@ -153,10 +153,9 @@ def _sweep(
     Every row starts with t (and the step for a register program), the
     speed and the per-cut entropies; ``cells(ts, states, directions,
     factors)`` appends the scenario's own columns, each over the whole grid,
-    from the profile's rows, so no cell differentiates a curve again.  An
-    input the numerics reject is a tolerance breach at the first grid point
-    a point-by-point sweep would reject.  Without cells the profile's dense
-    rows are never built.
+    from the profile's rows, so no cell differentiates a curve again.  The
+    cells reject the first grid point a point-by-point sweep would reject.
+    Without cells the profile's dense rows are never built.
     """
     prof = profile(traj, cfg.grid_points(), cuts, method=cfg.method, h=cfg.h)
     register = isinstance(traj, RegisterProgram)
@@ -170,13 +169,9 @@ def _sweep(
             head.append(f"base_entropy_{cut.label()}")
             cols.append(prof.base_entropy[cut])
     if cells is not None:
-        # a rejection while the dense rows are assembled is the profile's, not a cell's
         rows = (prof.grid, prof.states, prof.directions, prof.factors)
-        try:
-            with _first_rejection():
-                cols += cells(*rows)
-        except (ValidationError, DegenerateInputError, ToleranceBreachError) as exc:
-            raise ToleranceBreachError(f"{exc} at t={prof.grid[exc.row]:.6g}") from exc
+        with _first_rejection():
+            cols += cells(*rows)
     paths = {cut.label(): path for cut, path in prof.entropy_path.items()}
     meta = _metadata(
         cfg, cuts=[c.label() for c in cuts], **extra, arc_length=prof.arc_length, entropy_path=paths
@@ -219,7 +214,6 @@ def _run_product_trace(cfg: RunConfig) -> TraceReport:
         _raise_first(
             worst > cfg.tol,
             lambda i: f"channel-decomposition gap {worst[i]:.3e} exceeds tolerance {cfg.tol:g}",
-            ToleranceBreachError,
         )
         return gaps
 
@@ -280,8 +274,15 @@ _RUNNERS: dict[str, Callable[[RunConfig], TraceReport]] = {
 
 
 def run(config: RunConfig) -> TraceReport:
-    """Execute one scenario sweep over the configured grid."""
-    return _RUNNERS[config.scenario](config)
+    """Execute one scenario sweep over the configured grid.  A check that
+    rejects a grid point, in any layer, is a tolerance breach naming it."""
+    try:
+        with np.errstate(all="ignore"):
+            return _RUNNERS[config.scenario](config)
+    except (ValidationError, DegenerateInputError) as exc:
+        if not hasattr(exc, "row"):
+            raise
+        raise ToleranceBreachError(f"{exc} at t={config.grid_points()[exc.row]:.6g}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -585,19 +586,22 @@ _CHECKS: tuple[tuple[str, Callable[[np.random.Generator, int], CheckResult], int
     ("witness-no-false-positive", _check_witness_false_positives, None),
 )
 VERIFY_FORMATS = ("text", "json")
+MAX_TRIALS = 10**5  # a run at the cap peaks at about 0.55 GB
 
 
 def verify(trials: int = 1000, seed: int = 0, stream=None, out_format: str = "text") -> int:
     """Run every randomized property check; 0 when all hold, 3 otherwise.
 
-    ``trials`` must be at least 1: over no trials every check would hold
-    vacuously.  With ``out_format`` "text" each check that holds prints one
-    ``ok`` line; with "json" one JSON object gives each check's status,
-    trials, margin, bound and seconds.  Each failing check prints ``FAIL`` to
-    stderr in both.
+    ``trials`` must lie in 1..``MAX_TRIALS``: over no trials every check
+    would hold vacuously.  With ``out_format`` "text" each check that holds
+    prints one ``ok`` line; with "json" one JSON object gives each check's
+    status, trials, margin, bound and seconds.  Each failing check prints
+    ``FAIL`` to stderr in both.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials!r}")
     if seed < 0:
         raise ValueError(f"seed: must be non-negative, got {seed!r}")
     if out_format not in VERIFY_FORMATS:
@@ -651,15 +655,16 @@ def _output_failed(exc: OSError) -> int:
     return 4
 
 
-def _verify_main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="qtangle verify")
-    parser.add_argument("--trials", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=VERIFY_FORMATS, default="text", dest="out_format")
-    args = parser.parse_args(argv)
+def _exit_code(command: Callable[[], int]) -> int:
+    """The exit code of ``command()``: its own, or 3 for a tolerance breach, 2
+    for other invalid input and 4 for an output failure, each reported in
+    one line on stderr."""
     try:
-        status = verify(trials=args.trials, seed=args.seed, out_format=args.out_format)
+        status = command()
         sys.stdout.flush()
+    except ToleranceBreachError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -671,7 +676,12 @@ def _verify_main(argv: list[str]) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] == "verify":
-        return _verify_main(argv[1:])
+        parser = argparse.ArgumentParser(prog="qtangle verify")
+        parser.add_argument("--trials", type=int, default=1000)
+        parser.add_argument("--seed", type=int, default=0)
+        parser.add_argument("--format", choices=VERIFY_FORMATS, default="text", dest="out_format")
+        args = parser.parse_args(argv[1:])
+        return _exit_code(lambda: verify(trials=args.trials, seed=args.seed, out_format=args.out_format))
 
     parser = argparse.ArgumentParser(
         prog="qtangle",
@@ -706,22 +716,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         "seed": args.seed,
         "tol": args.tol,
     }
-    try:
-        config = parse_config(text, overrides)
-        report = run(config)
-    except ToleranceBreachError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
-    try:
-        emit(report, config.out_format, config.out_path)
-        sys.stdout.flush()
-    except OSError as exc:
-        return _output_failed(exc)
-    return 0
+    def scenario() -> int:
+        config = parse_config(text, overrides)
+        emit(run(config), config.out_format, config.out_path)
+        return 0
+
+    return _exit_code(scenario)
 
 
 if __name__ == "__main__":

@@ -22,4 +22,5 @@ class ConfigError(ValueError):
 
 
 class ToleranceBreachError(RuntimeError):
-    """A numerical invariant exceeded its tolerance while a scenario was running."""
+    """A numerical check rejected a grid point of a scenario run: raised by
+    ``cli.run`` alone, naming the point, from the check's rejection."""

@@ -37,6 +37,7 @@ from .statespace import (
     _check_product_amplitudes,
     _normalized,
     _overlaps,
+    _raise_first,
     _split,
 )
 from .trajectories import (
@@ -287,6 +288,7 @@ def profile(
         # the one-factor excitations are mutually orthogonal, so their squared speeds add
         norms = np.sqrt(factor_speeds.sum(axis=-1))
     speeds = 2 * norms
+    _raise_first(~np.isfinite(speeds), lambda i: "fs_speed overflows double precision")
     # the zero-motion rule of _entropies_or_zero: below the zero floor nothing moves
     moving = ~np.less(norms, _ZERO_TOL)
     shared = iter(() if stacks is None else _speed_share_bits(factor_speeds, left[aligned], moving).T)

@@ -100,7 +100,7 @@ def _check_finite(values: np.ndarray, axes: tuple[int, ...], text: str, where: _
     """Reject the first row whose entries over ``axes`` are not all finite."""
     finite = np.isfinite(values)
     if not finite.all():
-        _raise_first(~finite.all(axis=axes), lambda i: text, ValueError, where)
+        _raise_first(~finite.all(axis=axes), lambda i: text, where=where)
 
 
 def _check_amplitudes(
@@ -124,7 +124,7 @@ def _check_product_amplitudes(factors: np.ndarray, tol: float, where: _Where = "
     # a non-finite entry makes its norm non-finite, so clean rows pass this one test
     if not (defect < tol).all():
         finite = np.isfinite(factors).all(axis=-1).all(axis=0)
-        _raise_first(~finite, lambda i: _NOT_FINITE, ValueError, where)
+        _raise_first(~finite, lambda i: _NOT_FINITE, where=where)
         message = lambda i: f"expected a unit vector, got norm {float(norms.flat[i])!r}"
         _raise_first(defect >= tol, message, where=where)
     return norms

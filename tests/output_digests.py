@@ -23,10 +23,12 @@ It prints one sha256 per output family, then one over all of them:
   ``test_trajectories.REJECTION_LAYOUTS`` trajectory under richardson and
   central_fd, of ``test_speed_share.off_norm_sites()`` and of the sampled
   document of ``test_cli.TestMainExitCodes`` swept past its range by
-  richardson; then class and message of the tolerance breach, and ``row``
-  of its cause, of the runs a scenario's cells reject:
+  richardson; then class and message of the error ``run`` raises, and
+  class and ``row`` of its cause, of the runs the numerics reject:
   ``test_cli.ZERO_MOTION_DEMO``, ``test_cli.STIFF_PRODUCT`` under each
-  method and ``test_cli.LEAKY_PRODUCT``.
+  method, ``test_cli.LEAKY_PRODUCT``, ``test_cli.STENCIL_MIXED``,
+  ``test_cli.COARSE_SAMPLED`` and both ``test_cli.OVERFLOWING_SPEED``
+  documents.
 
 Name a family to print one sha256 per document of it instead, each led by
 the document's label (its index, diagnostic id, seed or name), so that a
@@ -118,14 +120,17 @@ def _scenarios() -> list[tuple[str, list[bytes]]]:
 
 
 def _rejection(call: Callable[[], object]) -> list[bytes]:
-    """Class, message and ``row`` of the rejection a call raises (of a
-    tolerance breach, the ``row`` of its cause)."""
+    """Class, message and ``row`` of the rejection a call raises; of a
+    tolerance breach, also the class of its cause, and the ``row`` of it."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             call()
         except (ValueError, ToleranceBreachError) as exc:
-            cause = exc.__cause__ if isinstance(exc, ToleranceBreachError) else exc
-            return [f"{type(exc).__name__}\n{exc}\n{getattr(cause, 'row', None)}".encode()]
+            text = f"{type(exc).__name__}\n{exc}\n"
+            if isinstance(exc, ToleranceBreachError):
+                exc = exc.__cause__
+                text += f"{type(exc).__name__}\n"
+            return [f"{text}{getattr(exc, 'row', None)}".encode()]
     return [b"accepted"]
 
 
@@ -142,10 +147,12 @@ def _rejections() -> list[tuple[str, list[bytes]]]:
     cuts = [qtangle.Cut.splitting((0,), 2)]
     sweep = lambda: qtangle.profile(cfg.trajectory(), cfg.grid_points(), cuts, "richardson")
     out.append(("sampled-range", _rejection(sweep)))
-    cells = {"zero-motion": test_cli.ZERO_MOTION_DEMO, "leaky": test_cli.LEAKY_PRODUCT}
+    runs = {"zero-motion": test_cli.ZERO_MOTION_DEMO, "leaky": test_cli.LEAKY_PRODUCT}
     for method in ("analytic", "central_fd", "richardson"):
-        cells[f"stiff-{method}"] = dict(test_cli.STIFF_PRODUCT, method=method)
-    for name, doc in cells.items():
+        runs[f"stiff-{method}"] = dict(test_cli.STIFF_PRODUCT, method=method)
+    runs.update({"stencil-mixed": test_cli.STENCIL_MIXED, "coarse-sampled": test_cli.COARSE_SAMPLED})
+    runs.update({f"overflow-{n}": doc for n, doc in test_cli.OVERFLOWING_SPEED.items()})
+    for name, doc in runs.items():
         out.append((name, _rejection(lambda: run(qtangle.parse_config(json.dumps(doc))))))
     return out
 

@@ -95,6 +95,37 @@ LEAKY_PRODUCT = {
     ],
 }
 
+# rejections a run names the grid point of, from below the cells: a stencil
+# differential of the mixture off traceless by 4e-8 at the second grid point,
+# and a sampled qubit that flips between nodes, so its spline halves its norm
+STENCIL_MIXED = {"scenario": "separable_mixed", "method": {"name": "central_fd", "h": 1e-9}}
+COARSE_SAMPLED = {
+    "scenario": "product_trace",
+    "grid": {"t0": 0.0, "t1": 3.0, "steps": 7},
+    "subsystems": [
+        {
+            "dim": 2,
+            "curve": {"kind": "sampled", "times": [0, 1, 2, 3], "states": [[1, 0], [0, 1], [1, 0], [0, 1]]},
+        },
+        {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 1.0]}},
+    ],
+}
+# a qubit whose squared speed overflows double precision, beside one or two Bloch arcs
+OVERFLOWING_SPEED = {
+    n: {
+        "scenario": "product_trace",
+        "grid": {"steps": 5},
+        "subsystems": [
+            {
+                "dim": 2,
+                "curve": {"kind": "hamiltonian", "generator": [[1e160, 0], [0, -1e160]], "initial": [1, 1]},
+            },
+            *[{"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 1.0]}}] * (n - 1),
+        ],
+    }
+    for n in (2, 3)
+}
+
 
 def parse(doc, **overrides):
     return parse_config(json.dumps(doc), overrides or None)
@@ -1576,6 +1607,32 @@ class TestMainExitCodes:
             qtangle.differentiate(traj.factors[0], 1.0, method)
         assert info.value.row == 0
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (STENCIL_MIXED, "differential must be traceless, got trace -4.013e-08+0.000e+00j at t=0.0174533"),
+            (
+                COARSE_SAMPLED,
+                "interpolated state at t=1.5: expected a unit vector, got norm 0.7071067811865475 at t=1.5",
+            ),
+            (OVERFLOWING_SPEED[2], "fs_speed overflows double precision at t=0"),
+            (OVERFLOWING_SPEED[3], "fs_speed overflows double precision at t=0"),
+        ],
+        ids=["stencil-mixed", "coarse-sampled", "overflow-2", "overflow-3"],
+    )
+    def test_rejection_below_the_cells_exits_3_at_its_grid_point(self, tmp_path, capsys, doc, message):
+        """A grid point rejected in ``profile`` or in the ensemble witness is a
+        tolerance breach there, as one rejected in a scenario's cells is; no
+        floating-point warning is printed on the way."""
+        assert main(["--config", self.write_config(tmp_path, doc)]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_overflowing_speed_is_rejected_by_profile(self):
+        traj = parse(OVERFLOWING_SPEED[3]).trajectory()
+        with np.errstate(over="ignore"), pytest.raises(qtangle.ValidationError) as info:
+            profile(traj, np.linspace(0.0, 1.0, 5), [Cut.splitting((0,), 3)])
+        assert (str(info.value), info.value.row) == ("fs_speed overflows double precision", 0)
+
     def test_product_trace_is_no_scenario_shorthand(self, capsys, monkeypatch):
         """It has no default subsystems: argparse refuses it, and --help says why."""
         monkeypatch.setenv("COLUMNS", "200")  # no help line wraps
@@ -1648,6 +1705,14 @@ class TestMainExitCodes:
         with pytest.raises(ValueError, match="trials must be at least 1"):
             verify(trials=0, stream=stream)
         assert stream.getvalue() == ""
+
+    def test_verify_refuses_more_than_max_trials(self, capsys):
+        stream = io.StringIO()
+        with pytest.raises(ValueError, match="^trials must be at most 100000, got 100001$"):
+            verify(trials=100001, stream=stream)
+        assert stream.getvalue() == ""
+        assert main(["verify", "--trials", "1000000000000000"]) == 2
+        assert capsys.readouterr() == ("", "error: trials must be at most 100000, got 1000000000000000\n")
 
     def test_verify_names_the_seed_it_refuses(self, capsys):
         stream = io.StringIO()

@@ -1047,7 +1047,7 @@ class TestFactorStacks:
             with pytest.raises(ValueError) as info:
                 trajectories._factor_rows(traj, grid, "analytic", 1e-4)
         assert len(traj._stacks) == 1
-        assert want == (ValueError, "direction entries must all be finite", 3)
+        assert want == (ValidationError, "direction entries must all be finite", 3)
         assert (type(info.value), str(info.value), info.value.row) == want
 
     def test_profile_rejects_as_the_factor_loop(self):
@@ -1058,7 +1058,7 @@ class TestFactorStacks:
             want = loop_rejection(traj, grid, "analytic")
             with pytest.raises(ValueError) as info:
                 profile(traj, grid, [Cut.splitting((0,), 3)])
-        assert (type(info.value), str(info.value), info.value.row) == want == (ValueError, want[1], 3)
+        assert (type(info.value), str(info.value), info.value.row) == want == (ValidationError, want[1], 3)
 
 
 class TestFactorTangents:
