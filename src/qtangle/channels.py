@@ -21,8 +21,7 @@ from .trajectories import (
     DEFAULT_STEP,
     ProductTrajectory,
     _factor_rows,
-    _kron_rows,
-    _product_rule,
+    _product_tangents,
     _unstacked,
     resolve_method,
 )
@@ -91,7 +90,7 @@ def reduced_tangent_channel(
     if subsystem not in (1, 2):
         raise ValueError(f"subsystem must be 1 or 2, got {subsystem}")
     parts = _bipartite_rows(traj, np.array([float(t)]), method, h)[0]
-    full = _product_rule(*parts[0], parts[1:], _kron_rows)[1]
+    full = _product_tangents(parts)[1]
     lhs, *terms, gap = _channel_rows(parts, full, (subsystem,))[0]
     dims = traj.factors[subsystem - 1].dims
     ops = [HermitianOp(m[0], dims) for m in (lhs, *map(_hermitian_part, terms))]

@@ -44,12 +44,11 @@ from .trajectories import (
     RegisterProgram,
     UnitaryCurve,
     _admissible_rows,
-    _check_tangents,
     _curve_rows,
     _factor_differentials,
     _horizontal,
     _kron_rows,
-    _product_rule,
+    _product_tangents,
     _projector_differentials,
     _random_curves,
     _random_hermitians,
@@ -395,13 +394,6 @@ def _curve_slot_rows(
         return _curve_rows(curve, ts[trial], "analytic", DEFAULT_STEP)
 
     return _slot_rows(dims, rows_of)
-
-
-def _product_tangents(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Product states and tangents of factor rows, checked as tangents."""
-    states, directions = _product_rule(*parts[0], parts[1:], _kron_rows)
-    _check_tangents(states, directions)
-    return states, directions
 
 
 def _first_slot_entropies(rows: np.ndarray, parts: list[tuple[np.ndarray, ...]]) -> np.ndarray:

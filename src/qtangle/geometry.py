@@ -49,7 +49,7 @@ from .trajectories import (
     _factor_rows,
     _horizontal,
     _in_factor_order,
-    _product_rows,
+    _product_tangents,
     _register_rows,
     _register_site_rows,
     _unstacked,
@@ -183,13 +183,12 @@ def _factor_tangents(traj, grid: np.ndarray, method: str, h: float) -> list[tupl
 def _dense_rows(traj, grid: np.ndarray, method: str, h: float, factors) -> tuple[np.ndarray, np.ndarray]:
     """Raw tangents over the grid, (G, D), checked: the product rule over a
     product trajectory's factor rows, or over each program step's sites."""
-    if isinstance(traj, RegisterProgram):
-        # the grid is strictly increasing, so it meets the steps in order
-        ks, local = traj.resolve_time(grid)
-        parts = [_register_rows(traj, int(k), local[ks == k], method, h) for k in np.unique(ks)]
-        states, directions = (np.concatenate(arrs) for arrs in zip(*parts))
-    else:
-        states, directions = _product_rows(traj, factors)
+    if not isinstance(traj, RegisterProgram):
+        return _product_tangents(factors)
+    # the grid is strictly increasing, so it meets the steps in order
+    ks, local = traj.resolve_time(grid)
+    parts = [_register_rows(traj, int(k), local[ks == k], method, h) for k in np.unique(ks)]
+    states, directions = (np.concatenate(arrs) for arrs in zip(*parts))
     _check_tangents(states, directions)
     return states, directions
 

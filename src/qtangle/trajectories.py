@@ -679,20 +679,20 @@ def _curve_rows(
 def product_tangent(
     traj: ProductTrajectory, t: float, method: str = "auto", h: float = DEFAULT_STEP
 ) -> TangentVector:
-    """Tangent of the product state: one term per unfrozen factor."""
+    """Tangent of the product state: one term per factor, a frozen factor's exactly zero."""
     rows = _unstacked(_factor_rows(traj, np.array([float(t)]), method, h))
-    state, direction = _product_rows(traj, rows)
+    state, direction = _product_tangents(rows)
     return TangentVector(Ket(state[0], traj.dims), direction[0])
 
 
-def _product_rows(
-    traj: ProductTrajectory, factors: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Product states and their tangents over the grid, each (G, D), unchecked,
-    assembled from each factor's (states, directions) rows in factor order
-    (``_unstacked``); a frozen factor adds no term."""
-    rows = [(base, None if still else deriv) for (base, deriv), still in zip(factors, traj.frozen)]
-    return _product_rule(*rows[0], rows[1:], _kron_rows)
+def _product_tangents(factors: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Product states and their tangents over the grid, each (G, D), checked as
+    tangents: the product rule over each factor's (states, directions) rows in
+    factor order (``_unstacked``), where a still factor's zero directions add
+    an exactly-zero term.  The one place a product tangent is assembled."""
+    states, directions = _product_rule(*factors[0], factors[1:], _kron_rows)
+    _check_tangents(states, directions)
+    return states, directions
 
 
 def _kron_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -709,19 +709,18 @@ def _product_rule(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Leibniz sum of a product over a running prefix, returned as (P, T).
 
-    From the first factor ``base`` and its ``tangent`` (None: not moving),
-    each site (value, deriv) sets P <- extend(P, value) and
-    T <- extend(T, value) + extend(P, deriv), the last term skipped when
-    deriv is None.  T is exactly zero if nothing moved.  Every argument is a
-    stack with one row per grid point, and ``extend`` works row by row.
+    From the first factor ``base`` and its ``tangent``, each site (value,
+    deriv) sets P <- extend(P, value) and T <- extend(T, value) + extend(P, deriv);
+    with ``tangent`` None (a register's state at the start of a step, which
+    does not move) the first site's term starts T.  A still site's deriv is
+    exactly zero, so its term is too.  Every argument is a stack with one row
+    per grid point, and ``extend`` works row by row.
     """
     for value, deriv in sites:
-        carried = None if tangent is None else extend(tangent, value)
-        if deriv is not None:
-            moved = extend(base, deriv)
-            carried = moved if carried is None else carried + moved
-        tangent, base = carried, extend(base, value)
-    return base, np.zeros_like(base) if tangent is None else tangent
+        moved = extend(base, deriv)
+        tangent = moved if tangent is None else extend(tangent, value) + moved
+        base = extend(base, value)
+    return base, tangent
 
 
 def horizontal_tangent(tv: TangentVector) -> TangentVector:
@@ -920,7 +919,7 @@ def _register_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Register states and tangents of step k at each local parameter in [0, 1], (G, D),
     unchecked: the product rule over the step's site unitaries and their derivatives,
-    applied to the register at the start of the step; a constant site has none."""
+    applied to the register at the start of the step; a constant site's derivatives are 0."""
     if not isinstance(k, (int, np.integer)):
         raise ValueError(f"step index must be an integer, got {k}")
     if not 1 <= k <= prog.n_steps:
@@ -934,7 +933,8 @@ def _register_rows(
         unitaries = lambda t: _unitaries(evals, evecs, base, t)
         values = unitaries(ts)
         derivs = -1j * (gen @ values) if method == "analytic" else _stencil(unitaries, ts, method, h)
-        sites += [(i, v, d if np.any(m) else None) for i, v, d, m in zip(g, values, derivs, gen)]
+        derivs[~np.any(gen, axis=(-2, -1))[:, 0]] = 0.0
+        sites += zip(g, values, derivs)
     dims = prog.initial.dims
     chi = np.broadcast_to(prog._step_starts[k - 1].reshape(dims), (len(ts),) + dims)
     state, direction = _product_rule(chi, None, [site[1:] for site in sorted(sites)], _apply_axis)
