@@ -21,6 +21,7 @@ entangled and for a cut that splits a multi-site factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -55,7 +56,7 @@ from .trajectories import (
     _unstacked,
     product_tangent,  # noqa: F401  (bench/tests/test_bench.py expects the tracer to reach it here)
 )
-from .entanglement import _entropy_bits, _weights_bits
+from .entanglement import _entropy_bits
 
 
 def fs_distance(a: Ket, b: Ket) -> float:
@@ -214,13 +215,17 @@ def _left_factors(cuts: Sequence[Cut], sizes: Sequence[int]) -> tuple[np.ndarray
 
 def _speed_share_bits(speeds: np.ndarray, left: np.ndarray, moving: np.ndarray) -> np.ndarray:
     """Binary entropy of the left side's share of the squared speed in each
-    row, for each cut (row of ``left``), (G, cuts); zero where nothing moves."""
+    row, for each cut (row of ``left``), (G, cuts); zero where nothing moves.
+    It is taken from the smaller share p, as -(p log2 p + (1-p) log1p(-p) / ln 2):
+    the larger share, 1 - p in float, would lose the digits p carries."""
     sides = (left.T[:, :, None] != np.array([False, True])).reshape(len(left.T), -1)  # (factors, cuts * 2)
     # one weighted sum adds each side's speeds one factor after another, in order,
     # as speeds[:, side].sum(axis=-1) adds its gathered columns; 0/1 weights are exact
     sums = np.einsum("gf,fs->gs", speeds, sides).reshape(len(speeds), -1, 2)  # (G, cuts, 2)
-    total = sums.sum(axis=-1, keepdims=True)
-    return _weights_bits(np.divide(sums, total, out=np.zeros_like(sums), where=moving[:, None, None]))
+    p = np.divide(sums.min(axis=-1), sums.sum(axis=-1), out=np.zeros(sums.shape[:-1]), where=moving[:, None])
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    bits = -(p * logs + (1 - p) * np.log1p(-p) / math.log(2))
+    return np.where(p > 0, bits, 0.0)  # +0.0, not -0.0, where a side is still
 
 
 def _entropies_or_zero(

@@ -28,7 +28,7 @@ from qtangle import (
     run,
 )
 from qtangle.cli import demo_trajectory, parse_config
-from qtangle.entanglement import _entropy_bits, _weights_bits
+from qtangle.entanglement import _entropy_bits
 from qtangle.geometry import _entropies_or_zero, _left_factors, _speed_share_bits
 from qtangle.statespace import _split
 from qtangle.trajectories import (
@@ -448,10 +448,12 @@ class TestSiteOrbits:
 
 
 def per_cut_bits(speeds, left, moving):
-    """The speed-share law of one cut, one side sum at a time."""
+    """The speed-share law of one cut, one side sum at a time: the binary
+    entropy of the smaller side's share p, -(p log2 p + (1-p) log1p(-p) / ln 2)."""
     sides = np.column_stack([speeds[:, left].sum(axis=-1), speeds[:, ~left].sum(axis=-1)])
-    total = sides.sum(axis=-1, keepdims=True)
-    return _weights_bits(np.divide(sides, total, out=np.zeros_like(sides), where=moving[:, None]))
+    p = np.divide(sides.min(axis=-1), sides.sum(axis=-1), out=np.zeros(len(sides)), where=moving)
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    return np.where(p > 0, -(p * logs + (1 - p) * np.log1p(-p) / math.log(2)), 0.0)
 
 
 class TestStackedSites:
@@ -575,3 +577,24 @@ class TestStackedSites:
             arr[1, 1] *= 1 + 1e-9
         with pytest.raises(ValidationError, match=r"^base: expected a unit vector, got norm 1\.0000000009"):
             profile(prog, [0.5, 1.5], contiguous_cuts(4))
+
+
+class TestSmallShares:
+    """A small share keeps its digits: the speed-share entropy is the binary
+    entropy of the smaller share, held to a 50-digit value."""
+
+    @pytest.mark.parametrize("slope", [1e-3, 1e-6, 1e-8, 1e-10])
+    def test_entropy_of_a_slow_qubit_beside_a_fast_one(self, slope):
+        """Bloch qubits with theta slopes a and 1 share the squared speed as
+        a^2 : 1, so across 1|2 the tangent entropy is h2(a^2 / (a^2 + 1)) at
+        every grid point."""
+        mpmath = pytest.importorskip("mpmath")
+        traj = ProductTrajectory((BlochCurve([0.0, slope]), BlochCurve([0.0, 1.0])))
+        cut = Cut.splitting((0,), 2)
+        prof = profile(traj, np.linspace(0.1, 1.0, 10), (cut,), method="analytic")
+        assert prof.entropy_path[cut] == "speed_share"
+        with mpmath.workdps(50):
+            a = mpmath.mpf(slope)
+            p = a**2 / (a**2 + 1)
+            exact = float(-(p * mpmath.log(p, 2) + (1 - p) * mpmath.log(1 - p, 2)))
+        assert np.max(abs(prof.tangent_entropy[cut] / exact - 1.0)) <= 1e-14
