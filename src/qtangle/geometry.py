@@ -223,9 +223,10 @@ def _speed_share_bits(speeds: np.ndarray, left: np.ndarray, moving: np.ndarray) 
     # as speeds[:, side].sum(axis=-1) adds its gathered columns; 0/1 weights are exact
     sums = np.einsum("gf,fs->gs", speeds, sides).reshape(len(speeds), -1, 2)  # (G, cuts, 2)
     p = np.divide(sums.min(axis=-1), sums.sum(axis=-1), out=np.zeros(sums.shape[:-1]), where=moving[:, None])
-    logs = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    shared = p > 0
+    logs = np.log2(p, out=np.zeros_like(p), where=shared)
     bits = -(p * logs + (1 - p) * np.log1p(-p) / math.log(2))
-    return np.where(p > 0, bits, 0.0)  # +0.0, not -0.0, where a side is still
+    return np.where(shared, bits, 0.0)  # +0.0, not -0.0, where a side is still
 
 
 def _entropies_or_zero(

@@ -46,6 +46,7 @@ from qtangle import (
 )
 from qtangle.cli import (
     TraceReport,
+    _HALVING_STEP,
     canonical_register_program,
     demo_trajectory,
     emit,
@@ -57,6 +58,7 @@ from qtangle.cli import (
     verify,
 )
 from qtangle.config import MAX_GRID_STEPS
+from qtangle.mixed_witness import VERDICT_EXCLUDED
 from qtangle.statespace import TRACE_TOL
 
 SQ2 = math.sqrt(2)
@@ -1627,6 +1629,17 @@ class TestMainExitCodes:
         assert main(["--config", self.write_config(tmp_path, doc)]) == 3
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_rejection_without_a_grid_point_exits_2(self, capsys, monkeypatch):
+        """A rejection that names no grid point passes ``run`` unchanged: bad
+        input, one stderr line."""
+
+        def rejecting(cfg):
+            raise qtangle.ValidationError("subsystems: no grid point to name")
+
+        monkeypatch.setitem(qtangle.cli._RUNNERS, "two_qubit_demo", rejecting)
+        assert main(["--scenario", "two_qubit_demo"]) == 2
+        assert capsys.readouterr() == ("", "error: subsystems: no grid point to name\n")
+
     def test_overflowing_speed_is_rejected_by_profile(self):
         traj = parse(OVERFLOWING_SPEED[3]).trajectory()
         with np.errstate(over="ignore"), pytest.raises(qtangle.ValidationError) as info:
@@ -1746,7 +1759,8 @@ def _shift_first_half(entropies_or_zero):
     return shifted
 
 
-# check -> (kernel its stacked trials pass through, breach of 10x its bound, message)
+# check -> (kernel its stacked trials pass through, a breach of its bound, message):
+# 10x the bound of a margin check; a halving or doubling ratio of exactly 1 otherwise
 VERIFY_BREACHES = {
     "channel-identity": (
         "_channel_rows",
@@ -1758,10 +1772,33 @@ VERIFY_BREACHES = {
         lambda kernel: lambda *a: kernel(*a) + 1e-9,
         "bilocal overlap product imaginary part 1.000e-09 >= 1e-10",
     ),
+    "tangent-genericity": (
+        "_entropies_or_zero",
+        lambda kernel: lambda *a: [np.full_like(e, 1e-9) for e in kernel(*a)],
+        "50/50 random tangents fell below entropy 1e-8 (min 1e-09)",
+    ),
     "gauge-invariance": (
         "_entropies_or_zero",
         _shift_first_half,
         "entropy moved by 1.000e-09 under phase modulation",
+    ),
+    "fs-consistency": (
+        "_fs_distances",
+        # no distance covered, so each step's error is the speed itself
+        lambda kernel: lambda *a: 0.0 * kernel(*a),
+        "median halving ratio 1.000 outside 4 +/- 20%",
+    ),
+    "fd-order": (
+        "_curve_rows",
+        # one step for every stencil, so the h and h/2 rows are the same rows
+        lambda kernel: lambda curve, ts, method, h: kernel(curve, ts, method, _HALVING_STEP),
+        "median central-difference ratio 1.000 outside 4 +/- 20%",
+    ),
+    "composition-convergence": (
+        "infinitesimal_composition",
+        # 64 steps for n = 64 and for n = 128, so the two distances are the same
+        lambda kernel: lambda gens, total, n: kernel(gens, total, 64),
+        "50/50 doubling ratios outside 2 +/- 15% (e.g. 1.000)",
     ),
     "witness-no-false-positive": (
         "_trace_witness",
@@ -1789,6 +1826,23 @@ class TestVerify:
         assert err == f"FAIL {name}: {message}\n"
         assert [line.split(":")[0] for line in out.splitlines()] == [
             f"ok {other}" for other in VERIFY_CHECKS if other != name
+        ]
+
+    def test_flagged_verdict_fails_the_witness_check(self, monkeypatch, capsys):
+        """The witness check's verdict branch: an honest product form flagged
+        as excluded fails it, and only it, whatever its partial-trace norms."""
+        witness = qtangle.cli._trace_witness
+
+        def flagged(*args):
+            tr1, tr2, verdict = witness(*args)
+            return tr1, tr2, np.full(verdict.shape, VERDICT_EXCLUDED)
+
+        monkeypatch.setattr(qtangle.cli, "_trace_witness", flagged)
+        assert verify(50, seed=2) == 3
+        out, err = capsys.readouterr()
+        assert err == "FAIL witness-no-false-positive: witness flagged an honest product-differential form\n"
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            f"ok {other}" for other in VERIFY_CHECKS if other != "witness-no-false-positive"
         ]
 
     def test_json_report(self, capsys):
