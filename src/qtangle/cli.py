@@ -361,7 +361,7 @@ def _slot_rows(dims: np.ndarray, rows_of: Callable[..., tuple]) -> list[np.ndarr
     per slot of that dim, for the (trial, slot) pairs in row-major order.
     """
     out = []
-    for d in np.unique(dims[dims > 0]):
+    for d in np.flatnonzero(np.bincount(dims[dims > 0])):
         trial, slot = np.nonzero(dims == d)
         arrays = rows_of(int(d), trial, slot)
         if not out:

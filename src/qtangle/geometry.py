@@ -13,10 +13,12 @@ S_R/S, where S_i = ||d_i - <a_i|d_i> a_i||^2 is factor i's squared
 perpendicular speed and S_L, S_R, S sum it over the left side, the right side
 and all factors: the tangent entropy is the binary entropy of S_L/S, the
 base entropy is 0, and the speed is 2*sqrt(S).  ``profile`` takes all three
-from the per-factor rows and assembles the dense (G, D) tangent rows only
-when a caller reads them.  It keeps the Schmidt decomposition of the dense
-rows, built at once, for a register program whose initial state is
-entangled and for a cut that splits a multi-site factor.
+from the per-factor rows, or for a product-initial register program under
+"analytic" from each step's site variances, and assembles the dense (G, D)
+tangent rows only when a caller reads them.  It keeps the Schmidt
+decomposition of the dense rows, built at once, for a register program
+whose initial state is entangled and for a cut that splits a multi-site
+factor.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .trajectories import (
     _product_tangents,
     _register_rows,
     _register_site_rows,
+    _register_step_speeds,
     _unstacked,
     product_tangent,  # noqa: F401  (bench/tests/test_bench.py expects the tracer to reach it here)
 )
@@ -118,9 +121,10 @@ class TrajectoryProfile:
     ``states`` and ``directions`` are the raw tangents, (G, D), assembled on
     first access unless the profile needed them itself; the tangent
     entropies use their horizontal parts.  ``factors`` holds the (states,
-    directions) rows of each factor (register site) they are the product of;
-    None for a program whose initial state is entangled.  ``entropy_path``
-    names how each cut's entropies were computed: "speed_share" or "svd".
+    directions) rows of each factor (register site) they are the product of,
+    built on first access; None for a program whose initial state is
+    entangled.  ``entropy_path`` names how each cut's entropies were
+    computed: "speed_share" or "svd".
     """
 
     grid: np.ndarray
@@ -130,9 +134,9 @@ class TrajectoryProfile:
     dims: tuple[int, ...]
     arc_length: float
     cuts: tuple[Cut, ...]
-    factors: tuple[tuple[np.ndarray, np.ndarray], ...] | None
     entropy_path: dict[Cut, str]
     _assemble: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    _factors: Callable[[], tuple[tuple[np.ndarray, np.ndarray], ...] | None] = field(repr=False)
 
     @cached_property
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -140,6 +144,13 @@ class TrajectoryProfile:
         for arr in rows:
             arr.setflags(write=False)
         return rows
+
+    @cached_property
+    def factors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
+        factors = self._factors()
+        for arr in (arr for rows in factors or () for arr in rows):
+            arr.setflags(write=False)
+        return factors
 
     @cached_property
     def states(self) -> np.ndarray:
@@ -181,14 +192,15 @@ def _factor_tangents(traj, grid: np.ndarray, method: str, h: float) -> list[tupl
     return stacks
 
 
-def _dense_rows(traj, grid: np.ndarray, method: str, h: float, factors) -> tuple[np.ndarray, np.ndarray]:
+def _dense_rows(traj, grid: np.ndarray, method: str, h: float, stacks) -> tuple[np.ndarray, np.ndarray]:
     """Raw tangents over the grid, (G, D), checked: the product rule over a
-    product trajectory's factor rows, or over each program step's sites."""
+    product trajectory's factor rows (``_factor_rows`` stacks), or over each
+    program step's sites."""
     if not isinstance(traj, RegisterProgram):
-        return _product_tangents(factors)
+        return _product_tangents(_unstacked(stacks))
     # the grid is strictly increasing, so it meets the steps in order
     ks, local = traj.resolve_time(grid)
-    parts = [_register_rows(traj, int(k), local[ks == k], method, h) for k in np.unique(ks)]
+    parts = [_register_rows(traj, int(k), local[ks == k], method, h) for k in np.flatnonzero(np.bincount(ks))]
     states, directions = (np.concatenate(arrs) for arrs in zip(*parts))
     _check_tangents(states, directions)
     return states, directions
@@ -248,9 +260,17 @@ def profile(
 
     Per grid point: projective speed, entanglement entropy of the horizontal
     normalized tangent across each cut, entropy of the base state itself,
-    and the raw tangent, assembled when first read.  The arc length is the
-    trapezoidal integral of the speed over the grid.  The whole grid is
+    and the raw tangent, assembled when first read.  The whole grid is
     computed at once.
+
+    Under "analytic" a register program whose initial state is a product is
+    evaluated once per step: within a step its speed and every cut's
+    entropy are constant (``_register_step_speeds``), so they are taken once
+    per step and spread over the step's grid points, and no per-point row is
+    built.  Its speed is then a step function, and the arc length is exact,
+    the sum over the steps of each step's speed times its length within the
+    grid.  Otherwise the arc length is the trapezoidal integral of the speed
+    over the grid.
     """
     grid = np.array(grid, dtype=float).reshape(-1)
     if grid.size < 2:
@@ -267,13 +287,19 @@ def profile(
     for cut in cuts:
         cut.validate_for(dims)
 
-    stacks = _factor_tangents(traj, grid, method, h)
-    factors = None if stacks is None else _unstacked(stacks)
-    factor_speeds = None if stacks is None else _squared_speeds(stacks, len(sizes))
+    steps = _register_step_speeds(traj, grid, method) if isinstance(traj, RegisterProgram) else None
+    if steps is not None:
+        # one row of squared site speeds per step; `at` is each grid point's row
+        stacks, (factor_speeds, at, lengths) = None, steps
+        factors = lambda: _unstacked(_factor_tangents(traj, grid, method, h))
+    else:
+        stacks, at = _factor_tangents(traj, grid, method, h), slice(None)
+        factor_speeds = None if stacks is None else _squared_speeds(stacks, len(sizes))
+        factors = lambda: None if stacks is None else _unstacked(stacks)
     left, aligned = _left_factors(cuts, sizes)
-    aligned &= stacks is not None
+    aligned &= factor_speeds is not None
     dense = [cut for cut, whole in zip(cuts, aligned) if not whole]
-    assemble = lambda: _dense_rows(traj, grid, method, h, factors)
+    assemble = lambda: _dense_rows(traj, grid, method, h, stacks)
     dense_tangent, dense_base = {}, {}
     if dense:
         states, directions = assemble()
@@ -284,23 +310,23 @@ def profile(
         unit_states = states / np.linalg.norm(states, axis=-1)[:, None]
         dense_base = {cut: _entropy_bits(_split(unit_states, dims, cut, 1)) for cut in dense}
     else:
-        # the dense rows' base check, on their norm: the product of the factors'
-        # norms in factor order, from one zero-padded array (zeros add nothing to a norm)
-        bases = np.zeros((len(sizes), grid.size, max(a.shape[-1] for _, a, _ in stacks)), dtype=complex)
-        for sites, a, _ in stacks:
-            bases[sites, :, : a.shape[-1]] = a
-        _check_product_amplitudes(bases, BASE_NORM_TOL, "base")
+        if stacks is not None:
+            # the dense rows' base check, on their norm: the product of the factors'
+            # norms in factor order, from one zero-padded array (zeros add nothing to a norm)
+            bases = np.zeros((len(sizes), grid.size, max(a.shape[-1] for _, a, _ in stacks)), dtype=complex)
+            for sites, a, _ in stacks:
+                bases[sites, :, : a.shape[-1]] = a
+            _check_product_amplitudes(bases, BASE_NORM_TOL, "base")
         # the one-factor excitations are mutually orthogonal, so their squared speeds add
         norms = np.sqrt(factor_speeds.sum(axis=-1))
-    speeds = 2 * norms
+    speeds = 2 * norms[at]
     _raise_first(~np.isfinite(speeds), lambda i: "fs_speed overflows double precision")
     # the zero-motion rule of _entropies_or_zero: below the zero floor nothing moves
     moving = ~np.less(norms, _ZERO_TOL)
-    shared = iter(() if stacks is None else _speed_share_bits(factor_speeds, left[aligned], moving).T)
+    shared = iter(() if factor_speeds is None else _speed_share_bits(factor_speeds, left[aligned], moving).T[:, at])
     tangent = {cut: next(shared) if whole else dense_tangent[cut] for cut, whole in zip(cuts, aligned)}
     base = {cut: np.zeros(grid.size) if whole else dense_base[cut] for cut, whole in zip(cuts, aligned)}
-    factor_rows = [arr for factor in factors or () for arr in factor]
-    for arr in (grid, speeds, *tangent.values(), *base.values(), *factor_rows):
+    for arr in (grid, speeds, *tangent.values(), *base.values()):
         arr.setflags(write=False)
     return TrajectoryProfile(
         grid,
@@ -308,9 +334,9 @@ def profile(
         tangent,
         base,
         dims,
-        float(np.trapezoid(speeds, grid)),
+        float(np.trapezoid(speeds, grid) if steps is None else 2 * norms @ lengths),
         cuts,
-        factors,
         {cut: "speed_share" if whole else "svd" for cut, whole in zip(cuts, aligned)},
         assemble,
+        factors,
     )

@@ -603,9 +603,10 @@ def _factor_rows(
     (``ProductTrajectory._stacks``) over the grid, (S, G, d) each: one
     evaluation, one curve check and one tangent check per group.  A frozen
     group is only evaluated, and its directions are exactly zero.  "auto" is
-    resolved once for the whole trajectory, so every factor is
-    differentiated by the same method; ``_unstacked`` gives each factor's rows."""
-    method = resolve_method(traj.factors, method)
+    resolved once for the whole trajectory, over the groups' curves (a group
+    shares one curve class), so every factor is differentiated by the same
+    method; ``_unstacked`` gives each factor's rows."""
+    method = resolve_method([curve for _, curve, _ in traj._stacks], method)
 
     def evaluate(curve: FactorCurve, frozen: bool) -> tuple[np.ndarray, np.ndarray]:
         if frozen:
@@ -681,7 +682,7 @@ def product_tangent(
 ) -> TangentVector:
     """Tangent of the product state: one term per factor, a frozen factor's exactly zero."""
     rows = _unstacked(_factor_rows(traj, np.array([float(t)]), method, h))
-    state, direction = _product_tangents(rows)
+    state, direction = _product_rule(*rows[0], rows[1:], _kron_rows)
     return TangentVector(Ket(state[0], traj.dims), direction[0])
 
 
@@ -689,7 +690,8 @@ def _product_tangents(factors: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple
     """Product states and their tangents over the grid, each (G, D), checked as
     tangents: the product rule over each factor's (states, directions) rows in
     factor order (``_unstacked``), where a still factor's zero directions add
-    an exactly-zero term.  The one place a product tangent is assembled."""
+    an exactly-zero term.  ``product_tangent`` takes the same product rule and
+    leaves its one check to ``TangentVector``."""
     states, directions = _product_rule(*factors[0], factors[1:], _kron_rows)
     _check_tangents(states, directions)
     return states, directions
@@ -966,6 +968,46 @@ def _register_site_rows(
     return out
 
 
+def _register_step_speeds(
+    prog: RegisterProgram, grid: np.ndarray, method: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """A product-initial program's squared site speeds under "analytic", one
+    row per step from the grid's first step to its last, (K, n); the row of
+    each grid point, (G,); and each step's length within [grid[0], grid[-1]],
+    (K,).  None where the per-point rows decide: under a stencil, for an
+    entangled initial state, or where a check fails, so that the site rows
+    (``_register_site_rows``) name the rejection.
+
+    Through a step each site follows the orbit of its generator, so its
+    squared speed is the variance of the generator's eigenvalues lambda under
+    the orbit's populations |c|^2, sum |c|^2 (lambda - <lambda>)^2 with
+    <lambda> = sum |c|^2 lambda, which the orbit keeps (Anandan and Aharonov,
+    PRL 65, 1697 (1990)).  Its eigenvector matrix is unitary, so the orbit
+    keeps its norm too: the site rows' checks hold through a step when each
+    site's norm, and their product, pass at the step's first grid point.
+    The speeds are checked finite in every step, for the arc length."""
+    if prog._site_orbits is None or resolve_method((), method) != "analytic":
+        return None
+    ks, local = prog.resolve_time(grid)
+    k0, k1 = int(ks[0]), int(ks[-1])
+    first = np.flatnonzero(np.diff(ks, prepend=0))  # the first grid point of each step met
+    at, ts = ks[first] - 1, local[first][:, None]
+    squared = np.empty((k1 - k0 + 1, prog.n_sites))
+    norms = np.empty((prog.n_sites, first.size))
+    with np.errstate(all="ignore"):  # a speed that overflows fails its check
+        for (sites, evals, evecs, _, _), (_, coeffs) in zip(prog._step_stacks, prog._site_orbits):
+            lam, pops = evals[:, k0 - 1 : k1], abs(coeffs[:, k0 - 1 : k1]) ** 2
+            mean = np.sum(pops * lam, axis=-1, keepdims=True)
+            squared[:, sites] = np.sum(pops * (lam - mean) ** 2, axis=-1).T
+            norms[sites] = np.linalg.norm(_orbit(evals[:, at], evecs[:, at], coeffs[:, at], ts), axis=-1)
+        finite = np.isfinite(squared.sum(axis=-1)).all()
+    defects = abs(np.concatenate([norms, np.prod(norms, axis=0, keepdims=True)]) - 1.0)
+    if not (finite and (defects < BASE_NORM_TOL).all()):
+        return None
+    steps = np.arange(k0, k1 + 1)
+    return squared, ks - k0, np.minimum(grid[-1], steps) - np.maximum(grid[0], steps - 1)
+
+
 # ---------------------------------------------------------------------------
 # differentials of density operators
 
@@ -1199,7 +1241,7 @@ def _random_curves(
     of m calls of ``random_factor_curve``."""
     kinds = rng.integers(3 if dim == 2 else 2, size=m)  # hamiltonian, phase, bloch
     parts = []
-    for kind in np.unique(kinds):
+    for kind in np.flatnonzero(np.bincount(kinds)):
         rows = np.flatnonzero(kinds == kind)
         n = rows.size
         if kind == 0:

@@ -1069,6 +1069,13 @@ class TestCheckCounts:
         assert verify(trials=5, seed=0, stream=io.StringIO()) == 0
         assert dict(calls) == VERIFY_CHECK_CALLS
 
+    def test_product_tangent(self, count_checks):
+        """One tangent check for the factor group and one, by ``TangentVector``, for the product row."""
+        traj = ProductTrajectory((qtangle.BlochCurve([0.3, 1.0]), qtangle.BlochCurve([0.1, -0.7], [0.2, 0.5])))
+        calls = count_checks()
+        product_tangent(traj, 0.4)
+        assert calls["_check_tangents"] == 2
+
 
 class TestRendering:
     def report(self):
@@ -1516,8 +1523,9 @@ class TestMainExitCodes:
 
     def test_scipy_is_imported_only_for_a_sampled_curve(self, tmp_path):
         """Importing qtangle, every scenario shorthand and verify load no scipy
-        module (importing scipy.interpolate costs about 0.6 s); the first
-        sampled curve loads scipy.interpolate."""
+        module (importing scipy.interpolate costs about 0.6 s), and verify
+        loads no numpy.ma (which np.unique imports); the first sampled curve
+        loads scipy.interpolate."""
         script = """if True:
             import io, sys
             import numpy as np
@@ -1536,6 +1544,7 @@ class TestMainExitCodes:
             assert codes == dict.fromkeys(shorthands, 0), codes
             assert main(["--config", product_config, "--out", out]) == 0
             assert qtangle.verify(trials=5, seed=0, stream=io.StringIO()) == 0
+            assert "numpy.ma" not in sys.modules
             assert not scipy_modules(), scipy_modules()[:5]
             times = np.linspace(0.0, 1.0, 21)
             kets = [qtangle.Ket([np.cos(t / 2), np.sin(t / 2)], (2,)) for t in times]

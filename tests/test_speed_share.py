@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import qtangle.geometry as geometry
 import qtangle.trajectories as trajectories
 from qtangle import (
     BlochCurve,
@@ -24,6 +25,7 @@ from qtangle import (
     RegisterProgram,
     UnitaryCurve,
     ValidationError,
+    fs_speed,
     profile,
     run,
 )
@@ -38,6 +40,7 @@ from qtangle.trajectories import (
     _kron_rows,
     _product_rule,
     _register_site_rows,
+    _register_step_speeds,
     _stencil,
     random_product_trajectory,
     register_state,
@@ -577,6 +580,115 @@ class TestStackedSites:
             arr[1, 1] *= 1 + 1e-9
         with pytest.raises(ValidationError, match=r"^base: expected a unit vector, got norm 1\.0000000009"):
             profile(prog, [0.5, 1.5], contiguous_cuts(4))
+
+
+def program_with_a_constant_site(rng, dims, n_steps):
+    """``random_program`` from a random product, its site 1 constant in every step."""
+    prog = random_program(rng, dims, product_ket(rng, dims), n_steps)
+    steps = [(step[0], UnitaryCurve.constant(np.eye(dims[1])), *step[2:]) for step in prog.steps]
+    return RegisterProgram(tuple(steps), prog.initial)
+
+
+def assert_dense_speeds(prof):
+    """The speeds within ORACLE_TOL, relative, of those of the profile's dense rows."""
+    dense = 2 * np.linalg.norm(_horizontal(prof.states, prof.directions), axis=-1)
+    assert np.all(abs(prof.fs_speed - dense) <= ORACLE_TOL * dense)
+
+
+class TestRegisterSteps:
+    """Under "analytic" a product-initial program is evaluated once per step:
+    each site's squared speed is the variance of its step generator in the
+    orbit, spread over the step's grid points, and the arc length is exact."""
+
+    GRIDS = {
+        "boundaries": lambda rng, k: np.union1d(np.arange(k + 1.0), rng.uniform(0, k, 5)),
+        "one_step": lambda rng, k: np.sort(rng.uniform(k - 1, k, 4)),
+        "whole_numbers": lambda rng, k: np.arange(k + 1.0),
+    }
+
+    @pytest.mark.parametrize("grid_kind", sorted(GRIDS))
+    def test_random_programs_match_the_dense_rows(self, grid_kind):
+        rng = np.random.default_rng(71)
+        for dims in ((2, 3, 2), (3, 2, 3, 2)):
+            for n_steps in (1, 2, 3):
+                prog = program_with_a_constant_site(rng, dims, n_steps)
+                grid = self.GRIDS[grid_kind](rng, n_steps)
+                assert _register_step_speeds(prog, grid, "analytic") is not None
+                prof = profile(prog, grid, all_cuts(len(dims)))
+                assert set(prof.entropy_path.values()) == {"speed_share"}
+                assert_dense_speeds(prof)
+                assert_speed_share(prof)
+
+    def test_site_rows_are_built_only_when_the_factors_are_read(self, monkeypatch):
+        def site_rows(*args, **kwargs):
+            raise AssertionError("site rows built")
+
+        prog = wide_register(np.random.default_rng(72), 6)
+        grid = np.linspace(0.0, 2.0, 9)
+        want = _register_site_rows(prog, grid, "analytic", DEFAULT_STEP)
+        monkeypatch.setattr(geometry, "_register_site_rows", site_rows)
+        prof = profile(prog, grid, contiguous_cuts(6))
+        assert prof.states.shape == (9, 64)  # the dense rows need no site row
+        with pytest.raises(AssertionError, match="site rows built"):
+            prof.factors
+        monkeypatch.undo()
+        ((sites, states, directions),) = want
+        for i, (state, direction) in zip(sites, prof.factors):
+            assert same_bits(state, states[i]) and same_bits(direction, directions[i])
+
+    def overflowing_program(self):
+        """Three qubits from the uniform superposition; in step 2 of 3, site 2
+        turns under diag(1e160, -1e160), whose variance overflows."""
+        rng = np.random.default_rng(73)
+        steps = [[UnitaryCurve.rotation(random_generator(rng, 2)) for _ in range(3)] for _ in range(3)]
+        steps[1][1] = UnitaryCurve.rotation(np.diag([1e160, -1e160]))
+        return RegisterProgram.uniform_superposition(steps, 3)
+
+    def test_overflowing_speed_rejects_at_the_first_point_of_its_step(self):
+        prog = self.overflowing_program()
+        with np.errstate(over="ignore"), pytest.raises(ValidationError) as info:
+            profile(prog, [0.25, 0.75, 1.25, 1.75], all_cuts(3))
+        assert (str(info.value), info.value.row) == ("fs_speed overflows double precision", 2)
+
+    def test_grid_off_the_overflowing_step_profiles_as_before(self):
+        """A grid within step 1 takes the per-step path; a grid that spans
+        step 2 without meeting it takes the per-point rows and the trapezoid."""
+        prog = self.overflowing_program()
+        inside = profile(prog, [0.1, 0.5, 0.9], all_cuts(3))
+        assert np.ptp(inside.fs_speed) == 0.0
+        assert inside.arc_length == pytest.approx(0.8 * inside.fs_speed[0], rel=1e-15)
+        across = profile(prog, [0.5, 2.5], all_cuts(3))
+        assert np.all(np.isfinite(across.fs_speed))
+        assert across.arc_length == np.trapezoid(across.fs_speed, across.grid)
+        for prof in (inside, across):
+            assert_dense_speeds(prof)
+            assert_speed_share(prof)
+
+    def test_site_norms_within_the_bound_whose_product_is_not_reject_at_their_step(self):
+        prog = wide_register(np.random.default_rng(75), 4)
+        ((_, coeffs),) = prog._site_orbits
+        coeffs[:3, 1] *= 1 + 6e-11  # sites 1-3 in step 2, each off norm by less than 1e-10
+        with pytest.raises(ValidationError) as info:
+            profile(prog, [0.5, 1.25, 1.75], contiguous_cuts(4))
+        assert str(info.value) == "base: expected a unit vector, got norm 1.0000000001799993"
+        assert info.value.row == 1
+
+    def test_register_trace_arc_length_is_the_sum_of_its_step_speeds(self):
+        report = run(parse_config('{"scenario": "register_trace"}'))
+        speeds = {row[1]: row[2] for row in report.rows}  # step -> fs_speed
+        assert sorted(speeds) == [1.0, 2.0]
+        arc = report.metadata["resolved"]["arc_length"]
+        assert arc == pytest.approx(sum(speeds.values()), rel=ORACLE_TOL)
+        assert arc == pytest.approx(2.7211463909, abs=1e-10)
+
+    def test_arc_length_weighs_each_step_by_its_length_in_the_grid(self):
+        """Partial first and last steps, and a middle step no grid point meets."""
+        rng = np.random.default_rng(74)
+        prog = program_with_a_constant_site(rng, (2, 3, 2), 3)
+        speed = lambda k: fs_speed(register_tangent(prog, k, 0.5))
+        for grid, lengths in (([0.3, 0.8, 1.4, 2.6], (0.7, 1.0, 0.6)), ([0.5, 2.5], (0.5, 1.0, 0.5))):
+            want = sum(length * speed(k) for k, length in enumerate(lengths, start=1))
+            assert profile(prog, grid, all_cuts(3)).arc_length == pytest.approx(want, rel=ORACLE_TOL)
 
 
 class TestSmallShares:

@@ -202,6 +202,17 @@ class TestDifferentiate:
         with pytest.raises(AttributeError):
             qubit_arc().has_analytic = False
 
+    def test_auto_reads_the_flag_once_per_factor_group(self, monkeypatch):
+        """Twelve factors in two stack groups: ``auto`` reads ``has_analytic``
+        of each group's curve, in the order of the groups' first factors."""
+        reads, flag = [], FactorCurve.has_analytic
+        monkeypatch.setattr(FactorCurve, "has_analytic", property(lambda c: reads.append(type(c)) or flag.fget(c)))
+        qubit = Ket([1.0, 1.0j], (2,)).normalized()
+        kinds = [lambda: BlochCurve([0.2, 1.0]), lambda: LocalHamiltonianCurve(np.diag([0.5, -0.5]), qubit)]
+        traj = ProductTrajectory(tuple(kinds[i % 2]() for i in range(12)))
+        profile(traj, np.linspace(0.0, 1.0, 5), [Cut.splitting((0,), 12)])
+        assert reads == [BlochCurve, LocalHamiltonianCurve]
+
     def test_sampled_derivative_is_the_splines(self):
         """At interior points the exact rows match a Richardson oracle built
         from the curve's own states."""
