@@ -31,7 +31,7 @@ from .trajectories import (
     _mixed_differential,
     resolve_method,
 )
-from .entanglement import _ppt_negativities
+from .entanglement import _negativities, _partial_transposes
 
 VERDICT_EXCLUDED = "product-differential-excluded"
 VERDICT_INCONCLUSIVE = "inconclusive"
@@ -133,8 +133,9 @@ def _ensemble_witness_rows(
 ) -> tuple[np.ndarray, ...]:
     """``ensemble_witness`` at each grid point: (tr1, tr2, operator gap, verdict)."""
     honest, gap = _ensemble_forms(_component_differentials(ens, ts, method, h))
-    # "auto" takes a stencil's wider trace bound if any component's factor needs a stencil
-    source = resolve_method([curve for comp in ens.components for curve in comp.factors], method)
+    # "auto" takes a stencil's wider trace bound if any component's factor needs
+    # a stencil, as it then differentiates every component by that stencil
+    source = resolve_method([curve for _, curve, _ in ens._factors._stacks], method)
     tr1, tr2, verdict = _trace_witness(honest, ens.dims, tol, source)
     return tr1, tr2, gap, verdict
 
@@ -150,12 +151,23 @@ def base_state_separability(rho: HermitianOp, cut: Cut) -> SeparabilityVerdict:
 
 
 def _separability(mats: np.ndarray, dims: tuple[int, ...], cut: Cut) -> np.ndarray:
-    """``base_state_separability`` of each state of a stack."""
-    cut.validate_for(dims)
-    lowest = np.linalg.eigvalsh(mats)[..., 0]
-    _raise_first(
-        lowest < -1e-10, lambda i: f"operator is not positive (min eigenvalue {lowest.flat[i]:.3e})"
-    )
+    """``base_state_separability`` of each state of a stack.
+
+    One Cholesky factorization of the states and their partial transposes
+    certifies every one of them positive definite (up to rounding far inside
+    the 1e-10 bounds below), and so every state positive and PPT, without a
+    spectrum.  When it fails (a rank-deficient state such as a pure one, an
+    NPT state or non-positive input) the eigenvalues decide, as they would
+    alone: either way a row gets the verdict or rejection the spectra give.
+    """
+    transposes = _partial_transposes(mats, dims, cut)
+    certified = _positive_definite(np.stack([mats, transposes]))
+    if not certified:
+        lowest = np.linalg.eigvalsh(mats)[..., 0]
+        _raise_first(
+            lowest < -1e-10,
+            lambda i: f"operator is not positive (min eigenvalue {lowest.flat[i]:.3e})",
+        )
     traces = np.trace(mats, axis1=-2, axis2=-1).real
     _raise_first(
         np.abs(traces - 1.0) >= 1e-10,
@@ -164,4 +176,17 @@ def _separability(mats: np.ndarray, dims: tuple[int, ...], cut: Cut) -> np.ndarr
     d_left = math.prod(dims[i] for i in cut.left)
     d_right = math.prod(dims[i] for i in cut.right)
     positive = "separable" if sorted((d_left, d_right)) in ([2, 2], [2, 3]) else "undecided"
-    return np.where(_ppt_negativities(mats, dims, cut) > 1e-10, "entangled", positive)
+    if certified:
+        return np.full(mats.shape[:-2], positive)
+    return np.where(_negativities(transposes) > 1e-10, "entangled", positive)
+
+
+def _positive_definite(mats: np.ndarray) -> bool:
+    """Whether every matrix of a stack is positive definite, by one Cholesky
+    factorization of them all.  A non-finite entry, which the factorization
+    carries through instead of failing on, makes the answer no."""
+    try:
+        factors = np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factors).all())

@@ -1072,6 +1072,17 @@ class Ensemble:
     def dims(self) -> tuple[int, ...]:
         return self.components[0].dims
 
+    @cached_property
+    def _factors(self) -> ProductTrajectory:
+        """Every component's factors and frozen flags in order, as one
+        trajectory, filled on first use: component i holds its factors
+        2i and 2i+1, and one ``_factor_rows`` call differentiates them all."""
+        comps = self.components
+        return ProductTrajectory(
+            tuple(f for comp in comps for f in comp.factors),
+            tuple(f for comp in comps for f in comp.frozen),
+        )
+
 
 def separable_mixed_differential(
     ens: Ensemble, t: float, method: str = "auto", h: float = DEFAULT_STEP
@@ -1090,12 +1101,13 @@ def _component_differentials(
 ) -> list[tuple]:
     """(weight, factor states, factor projector differentials) of each
     component at t, a number or a grid array; each a stack with one row per
-    parameter value."""
+    parameter value.  One ``_factor_rows`` call over ``Ensemble._factors``
+    differentiates every component, so "auto" resolves once for the whole
+    mixture, and a rejection is the one a loop over the components in turn
+    would raise first."""
     ts = np.array(t, dtype=float).reshape(-1)
-    return [
-        (w, *_factor_differentials(_unstacked(_factor_rows(comp, ts, method, h))))
-        for w, comp in zip(ens.weights, ens.components)
-    ]
+    rows = _unstacked(_factor_rows(ens._factors, ts, method, h))
+    return [(w, *_factor_differentials(rows[2 * i : 2 * i + 2])) for i, w in enumerate(ens.weights)]
 
 
 def _factor_differentials(

@@ -1037,8 +1037,8 @@ RUN_CHECK_CALLS = {
         "_check_traceless": 1,
     },
     "separable_mixed": {
-        "_check_amplitudes": 4,
-        "_check_tangents": 2,
+        "_check_amplitudes": 2,
+        "_check_tangents": 1,
         "_check_hermitian": 8,
         "_check_traceless": 1,
     },
