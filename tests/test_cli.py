@@ -1291,7 +1291,8 @@ INSIDE_SAMPLES = {"t0": 0.1, "t1": 0.9, "steps": 9}
 
 
 def grid_configs():
-    """Configs of every scenario: each method, sampled, frozen and 3-factor inputs."""
+    """Configs of every scenario: each method, sampled, frozen and 3-factor
+    inputs, and pure base states."""
     docs = []
     for method in ("analytic", "central_fd", "richardson"):
         docs += [
@@ -1323,6 +1324,8 @@ def grid_configs():
         },
         {"scenario": "pseudo_pure", "grid": INSIDE_SAMPLES, "subsystems": [SAMPLED_QUBIT, QUTRIT_PAIR[0]]},
         {"scenario": "two_qubit_demo", "subsystems": [QUTRIT_PAIR[0], {**HAMILTONIAN_QUBIT, "frozen": True}]},
+        # pure base states: no Cholesky certificate, so the spectra decide
+        {"scenario": "pseudo_pure", "epsilon": 1.0},
     ]
     return docs
 
