@@ -75,10 +75,15 @@ def _entropy_bits(matrices: np.ndarray) -> np.ndarray:
 
 
 def _weights_bits(p: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each row of weights (last axis); p*log2(p) is 0 at p = 0."""
-    logs = np.log2(p, out=np.zeros_like(p), where=p > 0)
-    entropy = -(p * logs).sum(axis=-1)
-    # rounding can push a probability a hair past 1; a negative total is noise
+    """Entropy in bits of each row of descending weights (last axis) that sum
+    to 1; p*log2(p) is 0 at p = 0.  The largest weight's term is taken from
+    the sum q of the others, as -(1-q) log1p(-q) / ln 2: the largest weight,
+    1 - q in float, would lose the digits the small ones carry."""
+    rest = p[..., 1:]
+    q = rest.sum(axis=-1)
+    logs = np.log2(rest, out=np.zeros_like(rest), where=rest > 0)
+    entropy = -((rest * logs).sum(axis=-1) + (1 - q) * np.log1p(-q) / math.log(2))
+    # a product row sums to -0.0: report +0.0
     return np.where(entropy > 0, entropy, 0.0)
 
 

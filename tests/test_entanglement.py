@@ -38,6 +38,13 @@ SQ2 = math.sqrt(2)
 CUT2 = Cut.splitting((0,), 2)
 
 
+def random_unitary(rng, dim):
+    """A Haar-random unitary: QR of a complex Gaussian matrix, phases fixed."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
 def bell(label):
     table = {
         "phi_plus": [1, 0, 0, 1],
@@ -116,6 +123,25 @@ class TestEntropy:
         for _ in range(50):
             a, b = random_ket(rng, (2,)), random_ket(rng, (2,))
             assert entanglement_entropy(tensor_product((a, b)), CUT2) >= 0.0
+
+    @pytest.mark.parametrize("delta, bound", [(1e-13, 1e-8), (1e-20, 1e-5)])
+    def test_small_weight_keeps_its_digits(self, delta, bound):
+        """Schmidt weights (1 - delta, delta) in random 4x4 local bases: the
+        entropy is h2(delta) at 50 digits, to what the float state carries.
+        Its small singular value sqrt(delta) is off by about eps, so delta by
+        about 2 eps / sqrt(delta) relative: 7e-10 and 2e-6 here.  Summing
+        -p log2(p) over both weights loses the small one's digits in
+        1 - delta, and at delta = 1e-20 is hundreds of times too large."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            d = mpmath.mpf(delta)
+            exact = float(-(d * mpmath.log(d, 2) + (1 - d) * mpmath.log1p(-d) / mpmath.log(2)))
+        rng = np.random.default_rng(11)
+        weights = np.sqrt([1 - delta, delta, 0.0, 0.0])
+        for _ in range(10):
+            u, v = (random_unitary(rng, 4) for _ in range(2))
+            state = Ket(((u * weights) @ v.T).reshape(-1), (4, 4))
+            assert abs(entanglement_entropy(state, CUT2) / exact - 1.0) <= bound
 
     def test_matches_entropy_of_schmidt_coefficients(self):
         rng = np.random.default_rng(16)
