@@ -19,6 +19,10 @@ It prints one sha256 per output family, then one over all of them:
   for seeds 0-9;
 - ``wide_registers``: ``fs_speed``, the entropies and ``factors`` of the
   benchmark's ``wide_registers`` profiles for seeds 1-3;
+- ``register_rows``: ``states``, ``directions``, ``fs_speed``, the
+  entropies and ``factors`` of the profiles of 36 seeded register programs
+  (``REGISTER_SHAPES``), and ``register_state`` and ``register_tangent`` at
+  each grid point, under each of analytic, central_fd and richardson;
 - ``rejections``: class, message and ``row`` of the rejection of each
   ``test_trajectories.REJECTION_LAYOUTS`` trajectory under richardson and
   central_fd, of ``test_speed_share.off_norm_sites()`` and of the sampled
@@ -57,6 +61,7 @@ import numpy as np  # noqa: E402
 
 import qtangle  # noqa: E402
 import qtangle.trajectories as trajectories  # noqa: E402
+from helpers import random_ket  # noqa: E402
 import test_cli  # noqa: E402
 import test_speed_share  # noqa: E402
 import test_trajectories  # noqa: E402
@@ -65,6 +70,14 @@ from qtangle.cli import main, run  # noqa: E402
 from qtangle.errors import ConfigError, ToleranceBreachError  # noqa: E402
 
 SEEDS = (1, 2, 3)
+REGISTER_SHAPES = [
+    (dims, n_steps, entangled, constant)
+    for dims in ((2, 3, 2), (3, 2, 2, 2), (2, 2, 2, 2, 2))
+    for n_steps in (1, 2, 3)
+    for entangled in (False, True)
+    for constant in (False, True)
+]
+"""(site dims, steps, entangled initial state, site 1 constant) of each register program."""
 
 
 def _cli(argv: list[str]) -> bytes:
@@ -108,6 +121,45 @@ def _profiles(seed: int) -> list[tuple[str, list[bytes]]]:
         for rows in prof.factors or ():
             arrays += rows
         out.append((f"seed {seed} {op.name}", [np.ascontiguousarray(a).tobytes() for a in arrays]))
+    return out
+
+
+def _register_program(index: int) -> tuple[trajectories.RegisterProgram, np.ndarray]:
+    """The seeded program of ``REGISTER_SHAPES[index]`` and a grid meeting
+    every step boundary and points between them: random rotations from a
+    random product (or entangled) state, site 1 a fixed random unitary."""
+    dims, n_steps, entangled, constant = REGISTER_SHAPES[index]
+    rng = np.random.default_rng(100 + index)
+    initial = random_ket(rng, dims) if entangled else test_speed_share.product_ket(rng, dims)
+    steps = []
+    for _ in range(n_steps):
+        step = [trajectories.UnitaryCurve.rotation(test_speed_share.random_generator(rng, d)) for d in dims]
+        if constant:
+            step[1] = trajectories.UnitaryCurve.constant(trajectories.propagator(step[1].generator, 1.0))
+        steps.append(tuple(step))
+    grid = np.union1d(np.arange(n_steps + 1.0), rng.uniform(0, n_steps, 4))
+    return trajectories.RegisterProgram(tuple(steps), initial), grid
+
+
+def _register_rows() -> list[tuple[str, list[bytes]]]:
+    out = []
+    for index, shape in enumerate(REGISTER_SHAPES):
+        prog, grid = _register_program(index)
+        cuts = test_speed_share.all_cuts(prog.n_sites)
+        for method in ("analytic", "central_fd", "richardson"):
+            prof = qtangle.profile(prog, grid, cuts, method)
+            arrays = [prof.states, prof.directions, prof.fs_speed]
+            for cut in prof.cuts:
+                arrays += [prof.tangent_entropy[cut], prof.base_entropy[cut]]
+            for rows in prof.factors or ():
+                arrays += rows
+            for k, t in zip(*prog.resolve_time(grid)):
+                tv = qtangle.register_tangent(prog, k, t, method)
+                arrays += [tv.base.amplitudes, tv.direction, qtangle.register_state(prog, k, t).amplitudes]
+            dims, n_steps, entangled, constant = shape
+            kind = ("entangled" if entangled else "product") + (" constant" if constant else "")
+            label = f"{index} {'x'.join(map(str, dims))} {n_steps}-step {kind} {method}"
+            out.append((label, [np.ascontiguousarray(a).tobytes() for a in arrays]))
     return out
 
 
@@ -168,6 +220,7 @@ FAMILIES: dict[str, Callable[[], list[tuple[str, list[bytes]]]]] = {
         (f"seed {s}", [_cli(["verify", "--trials", "200", "--seed", str(s)])]) for s in range(10)
     ],
     "wide_registers": lambda: [doc for seed in SEEDS for doc in _profiles(seed)],
+    "register_rows": _register_rows,
     "rejections": _rejections,
 }
 """Per family, its documents in order: (label, outputs) each."""
