@@ -51,7 +51,6 @@ from .trajectories import (
     _check_tangents,
     _factor_rows,
     _horizontal,
-    _in_factor_order,
     _product_tangents,
     _register_rows,
     _register_site_rows,
@@ -180,28 +179,20 @@ def _factor_tangents(traj, grid: np.ndarray, method: str, h: float) -> list[tupl
     """Stacks (factors, states, directions) of the factor rows over the grid,
     (S, G, d) each, checked as tangents: one per group of a product
     trajectory's factors (``_factor_rows``), or per site dim of a program's
-    register sites; None for a program whose initial state is entangled.  A
-    rejection is ``_in_factor_order``'s, site by site across the site dims."""
-    if not isinstance(traj, RegisterProgram):
-        return _factor_rows(traj, grid, method, h)
-    if traj._site_orbits is None:
-        return None
-    stacks = _register_site_rows(traj, grid, method, h)
-    check = lambda k: _check_tangents(*stacks[k][1:])
-    _in_factor_order([sites for sites, _, _ in stacks], check, grid.size)
-    return stacks
+    register sites (``_register_site_rows``); None for a program whose
+    initial state is entangled."""
+    if isinstance(traj, RegisterProgram):
+        return None if traj._site_orbits is None else _register_site_rows(traj, grid, method, h)
+    return _factor_rows(traj, grid, method, h)
 
 
 def _dense_rows(traj, grid: np.ndarray, method: str, h: float, stacks) -> tuple[np.ndarray, np.ndarray]:
     """Raw tangents over the grid, (G, D), checked: the product rule over a
     product trajectory's factor rows (``_factor_rows`` stacks), or over each
-    program step's sites."""
+    grid point's program step's sites, every point in one pass."""
     if not isinstance(traj, RegisterProgram):
         return _product_tangents(_unstacked(stacks))
-    # the grid is strictly increasing, so it meets the steps in order
-    ks, local = traj.resolve_time(grid)
-    parts = [_register_rows(traj, int(k), local[ks == k], method, h) for k in np.flatnonzero(np.bincount(ks))]
-    states, directions = (np.concatenate(arrs) for arrs in zip(*parts))
+    states, directions = _register_rows(traj, *traj.resolve_time(grid), method, h)
     _check_tangents(states, directions)
     return states, directions
 
@@ -307,8 +298,7 @@ def profile(
         horizontal = _horizontal(states, directions)
         norms = np.linalg.norm(horizontal, axis=-1)
         dense_tangent = dict(zip(dense, _entropies_or_zero(horizontal, dims, dense, norms)))
-        unit_states = states / np.linalg.norm(states, axis=-1)[:, None]
-        dense_base = {cut: _entropy_bits(_split(unit_states, dims, cut, 1)) for cut in dense}
+        dense_base = dict(zip(dense, _entropies_or_zero(states, dims, dense)))
     else:
         if stacks is not None:
             # the dense rows' base check, on their norm: the product of the factors'

@@ -877,14 +877,14 @@ class RegisterProgram:
         return tuple(out)
 
     @cached_property
-    def _step_starts(self) -> tuple[np.ndarray, ...]:
-        """Register amplitudes at the start of each step, filled on first use."""
+    def _step_starts(self) -> np.ndarray:
+        """Register amplitudes at the start of each step, (K, D), filled on first use."""
         starts = [self.initial.amplitudes]
         for step in self.steps[:-1]:
-            psi = _apply_local(starts[-1], self.initial.dims, [c.value(1.0) for c in step])
-            psi.setflags(write=False)
-            starts.append(psi)
-        return tuple(starts)
+            starts.append(_apply_local(starts[-1], self.initial.dims, [c.value(1.0) for c in step]))
+        starts = np.array(starts)
+        starts.setflags(write=False)
+        return starts
 
     def resolve_time(self, s):
         """Map global program time in [0, n_steps] to (step index, local parameter).
@@ -917,28 +917,30 @@ def register_tangent(
 
 
 def _register_rows(
-    prog: RegisterProgram, k: int, ts: np.ndarray, method: str, h: float
+    prog: RegisterProgram, k, ts: np.ndarray, method: str, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Register states and tangents of step k at each local parameter in [0, 1], (G, D),
-    unchecked: the product rule over the step's site unitaries and their derivatives,
-    applied to the register at the start of the step; a constant site's derivatives are 0."""
-    if not isinstance(k, (int, np.integer)):
+    """Register states and tangents at each local parameter in [0, 1] of step k (one
+    index, or one per point), (G, D), unchecked, every point in one pass: the product
+    rule over its step's site unitaries and their derivatives, applied to the register
+    at the start of that step; a constant site's derivatives are 0."""
+    sweep = isinstance(k, np.ndarray) and k.dtype.kind in "iu" and k.shape == ts.shape
+    if not (sweep or isinstance(k, (int, np.integer))):
         raise ValueError(f"step index must be an integer, got {k}")
-    if not 1 <= k <= prog.n_steps:
+    if not np.all((1 <= k) & (k <= prog.n_steps)):
         raise ValueError(f"step index {k} outside 1..{prog.n_steps}")
     message = lambda i: f"step parameter {float(ts[i])!r} outside [0, 1]"
     _raise_first(~((ts >= 0) & (ts <= 1)), message, ParameterRangeError)
     method = resolve_method((), method)
+    at = np.broadcast_to(k, ts.shape) - 1
     sites = []
     for g, *stack in prog._step_stacks:
-        evals, evecs, base, gen = (arr[:, k - 1 : k] for arr in stack)
+        evals, evecs, base, gen = (arr[:, at] for arr in stack)
         unitaries = lambda t: _unitaries(evals, evecs, base, t)
         values = unitaries(ts)
         derivs = -1j * (gen @ values) if method == "analytic" else _stencil(unitaries, ts, method, h)
-        derivs[~np.any(gen, axis=(-2, -1))[:, 0]] = 0.0
+        derivs[~np.any(gen, axis=(-2, -1))] = 0.0
         sites += zip(g, values, derivs)
-    dims = prog.initial.dims
-    chi = np.broadcast_to(prog._step_starts[k - 1].reshape(dims), (len(ts),) + dims)
+    chi = prog._step_starts[at].reshape(ts.shape + prog.initial.dims)
     state, direction = _product_rule(chi, None, [site[1:] for site in sorted(sites)], _apply_axis)
     return state.reshape(len(ts), -1), direction.reshape(len(ts), -1)
 
@@ -947,15 +949,17 @@ def _register_site_rows(
     prog: RegisterProgram, grid: np.ndarray, method: str, h: float
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """A product-initial program's site rows over a grid of program times, every
-    step in one pass, unchecked: per site dim, (sites, states, directions), (S, G, d).
+    step in one pass: per site dim, (sites, states, directions), (S, G, d), checked
+    as tangents where made, a rejection ``_in_factor_order``'s across the site dims.
     A site's states are its step's ``_orbit`` from its start a (``_site_orbits``),
     its analytic directions the orbit through -i*lambda*c; a stencil differentiates
     the step's unitaries and applies them to a.  A constant site's directions are 0."""
     method = resolve_method((), method)
     ks, local = prog.resolve_time(grid)
     at, ts = ks - 1, local[:, None]
-    out = []
-    for (sites, evals, evecs, base, gen), (starts, coeffs) in zip(prog._step_stacks, prog._site_orbits):
+
+    def group(j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        (sites, evals, evecs, base, gen), (starts, coeffs) = prog._step_stacks[j], prog._site_orbits[j]
         evals, evecs, coeffs = evals[:, at], evecs[:, at], coeffs[:, at]
         states = _orbit(evals, evecs, coeffs, ts)
         if method == "analytic":
@@ -964,8 +968,10 @@ def _register_site_rows(
             unitaries = lambda t: _unitaries(evals, evecs, base[:, at], t)
             directions = _matvec(_stencil(unitaries, local, method, h), starts[:, at])
         directions[~np.any(gen, axis=(-2, -1))[:, at]] = 0.0
-        out.append((sites, states, directions))
-    return out
+        _check_tangents(states, directions)
+        return sites, states, directions
+
+    return _in_factor_order([stack[0] for stack in prog._step_stacks], group, grid.size)
 
 
 def _register_step_speeds(

@@ -459,6 +459,45 @@ def per_cut_bits(speeds, left, moving):
     return np.where(p > 0, -(p * logs + (1 - p) * np.log1p(-p) / math.log(2)), 0.0)
 
 
+class TestOneRegisterPass:
+    """A register profile's dense rows are one ``_register_rows`` call over
+    the whole grid, one step index per point, and its site rows are checked
+    where ``_register_site_rows`` makes them."""
+
+    @pytest.mark.parametrize("method", ["analytic", "central_fd", "richardson"])
+    @pytest.mark.parametrize("entangled", [False, True], ids=["product", "entangled"])
+    def test_dense_rows_over_three_steps_are_one_call(self, entangled, method, monkeypatch):
+        """An entangled-initial profile makes the call itself, a product-initial
+        one when its states are read; each row is ``register_tangent``'s, bit for bit."""
+        rng = np.random.default_rng(75)
+        dims = (2, 3, 2)
+        prog = random_program(rng, dims, (random_ket if entangled else product_ket)(rng, dims), n_steps=3)
+        grid = np.union1d(np.arange(4.0), rng.uniform(0, 3, 5))
+        calls, original = [], geometry._register_rows
+        monkeypatch.setattr(geometry, "_register_rows", lambda *args: calls.append(args) or original(*args))
+        prof = profile(prog, grid, all_cuts(3), method)
+        assert len(calls) == int(entangled)
+        states, directions = prof.states, prof.directions
+        assert len(calls) == 1
+        for state, direction, k, t in zip(states, directions, *prog.resolve_time(grid)):
+            tv = register_tangent(prog, k, t, method)
+            assert same_bits(state, tv.base.amplitudes) and same_bits(direction, tv.direction)
+
+    def test_site_rows_reject_as_the_profile_does(self):
+        """Called directly, the site rows raise the profile's rejection: the
+        lowest off-norm site, at its grid point."""
+        prog, grid, cuts = off_norm_sites()
+        got = []
+        for call in (
+            lambda: profile(prog, grid, cuts, "central_fd"),
+            lambda: _register_site_rows(prog, grid, "central_fd", DEFAULT_STEP),
+        ):
+            with pytest.raises(ValidationError) as info:
+                call()
+            got.append((type(info.value), str(info.value), info.value.row))
+        assert got[0] == got[1] == (ValidationError, "base: expected a unit vector, got norm 1.000000001", 0)
+
+
 class TestStackedSites:
     """A step's sites are evaluated as one stack per site dim, and the
     speed share of every cut comes from one pass over the factor speeds."""
