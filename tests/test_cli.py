@@ -1330,6 +1330,14 @@ def grid_configs():
     return docs
 
 
+def grid_params(label, keep=lambda doc: True):
+    """The ``grid_configs()`` documents ``keep`` selects as pytest params, each
+    id the document's position in ``grid_configs()`` and then ``label(doc)``:
+    no id repeats, and appending a document renames none."""
+    docs = enumerate(grid_configs())
+    return [pytest.param(doc, id=f"{i}-{label(doc)}") for i, doc in docs if keep(doc)]
+
+
 def pointwise_rows(cfg):
     """The rows of ``run(cfg)``, one grid point at a time from the scalar functions."""
     method, h = cfg.method, cfg.h
@@ -1394,13 +1402,13 @@ def assert_rows_equal(got, want):
 
 
 class TestGridEqualsPointwise:
-    @pytest.mark.parametrize("doc", grid_configs(), ids=lambda d: f"{d['scenario']}-{d.get('method', 'auto')}")
+    @pytest.mark.parametrize("doc", grid_params(lambda d: f"{d['scenario']}-{d.get('method', 'auto')}"))
     def test_columns_match_scalar_functions(self, doc):
         cfg = parse(doc)
         assert_rows_equal(run(cfg).rows, pointwise_rows(cfg))
 
     @pytest.mark.parametrize(
-        "doc", [d for d in grid_configs() if d.get("method") == "central_fd"], ids=lambda d: d["scenario"]
+        "doc", grid_params(lambda d: d["scenario"], keep=lambda d: d.get("method") == "central_fd")
     )
     def test_rows_do_not_depend_on_neighbours(self, doc):
         cfg = parse(doc)
@@ -1427,7 +1435,7 @@ class TestGridEqualsPointwise:
         assert np.array_equal(profile(mixed, grid, cuts).directions, richardson.directions)
 
 
-@pytest.mark.parametrize("doc", grid_configs(), ids=lambda d: f"{d['scenario']}-{d.get('method', 'auto')}")
+@pytest.mark.parametrize("doc", grid_params(lambda d: f"{d['scenario']}-{d.get('method', 'auto')}"))
 def test_parse_config_never_hands_run_auto(doc, monkeypatch):
     """Runners use ``cfg.method`` as a resolved name: bounds are looked up by it."""
     seen = []

@@ -1014,6 +1014,19 @@ class TestFactorStacks:
         assert frozen == [{"states": 1, "velocities": 0, "_states_and_velocities": 0}] * len(frozen) != []
         assert len(moving) < sum(not f for f in traj.frozen)
 
+    @pytest.mark.parametrize("method", ["analytic", "central_fd", "richardson"])
+    def test_a_curve_off_the_default_domain_is_a_group_of_its_own(self, method):
+        """A Bloch curve on another polynomial domain cannot stack: it keeps
+        its own curve object, and the default-domain curves on either side of
+        it share one group; every factor's rows are its own curve's."""
+        odd = BlochCurve(Polynomial([0.3, 1.1, -0.4], domain=[0.0, 2.5]), [0.2, 1.7])
+        traj = ProductTrajectory((BlochCurve([0.1, 0.9], 0.4), odd, BlochCurve([-0.2, 0.5, 0.3], [1.0, -0.6])))
+        assert [list(factors) for factors, _, _ in traj._stacks] == [[0, 2], [1]]
+        assert traj._stacks[1][1] is odd and traj._stacks[0][1] not in traj.factors
+        got = trajectories._unstacked(trajectories._factor_rows(traj, self.GRID, method, 1e-4))
+        for (base, deriv), (want_base, want_deriv) in zip(got, loop_rows(traj, self.GRID, method)):
+            assert same_bits(base, want_base) and same_bits(deriv, want_deriv)
+
     @staticmethod
     def breaking(kind, at):
         """A curve of the kind whose amplitudes are first non-finite at grid
