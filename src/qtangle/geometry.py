@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -59,6 +59,9 @@ from .trajectories import (
     product_tangent,  # noqa: F401  (bench/tests/test_bench.py expects the tracer to reach it here)
 )
 from .entanglement import _entropy_bits
+
+# cut sets (with their factor sizes) whose masks ``_cut_masks`` keeps
+_CUT_MASKS_KEPT = 64
 
 
 def fs_distance(a: Ket, b: Ket) -> float:
@@ -209,19 +212,40 @@ def _squared_speeds(stacks: list[tuple], n: int) -> np.ndarray:
 def _left_factors(cuts: Sequence[Cut], sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Whether each factor, a run of ``sizes[i]`` consecutive positions, lies
     left of each cut, (cuts, factors); and whether each cut splits no factor,
-    its positions all left or none.  The cuts are valid for the positions."""
+    its positions all left or none.  The cuts are valid for the positions.
+    Both are read-only, kept per cut set and factor sizes (``_cut_masks``)."""
+    return _cut_masks(tuple(cuts), tuple(sizes))[:2]
+
+
+@lru_cache(maxsize=_CUT_MASKS_KEPT)
+def _cut_masks(cuts: tuple[Cut, ...], sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_left_factors``' two masks and the side mask (``_share_sides``) of the
+    cuts that split no factor, read-only, built once per cut set and sizes."""
     rows = np.array([cut._left_row for cut in cuts])
     starts = list(accumulate(sizes, initial=0))[:-1]
     left = np.logical_and.reduceat(rows, starts, axis=1)
-    return left, np.all(left == np.logical_or.reduceat(rows, starts, axis=1), axis=1)
+    aligned = np.all(left == np.logical_or.reduceat(rows, starts, axis=1), axis=1)
+    masks = (left, aligned, _share_sides(left[aligned]))
+    for arr in masks:
+        arr.setflags(write=False)
+    return masks
 
 
-def _speed_share_bits(speeds: np.ndarray, left: np.ndarray, moving: np.ndarray) -> np.ndarray:
+def _share_sides(left: np.ndarray) -> np.ndarray:
+    """Whether each factor lies on each side of each cut (row of ``left``),
+    right then left, (factors, cuts * 2)."""
+    return (left.T[:, :, None] != np.array([False, True])).reshape(len(left.T), -1)
+
+
+def _speed_share_bits(
+    speeds: np.ndarray, left: np.ndarray, moving: np.ndarray, sides: np.ndarray | None = None
+) -> np.ndarray:
     """Binary entropy of the left side's share of the squared speed in each
     row, for each cut (row of ``left``), (G, cuts); zero where nothing moves.
     It is taken from the smaller share p, as -(p log2 p + (1-p) log1p(-p) / ln 2):
-    the larger share, 1 - p in float, would lose the digits p carries."""
-    sides = (left.T[:, :, None] != np.array([False, True])).reshape(len(left.T), -1)  # (factors, cuts * 2)
+    the larger share, 1 - p in float, would lose the digits p carries.
+    ``sides`` is ``_share_sides(left)`` where the caller keeps it."""
+    sides = _share_sides(left) if sides is None else sides
     # one weighted sum adds each side's speeds one factor after another, in order,
     # as speeds[:, side].sum(axis=-1) adds its gathered columns; 0/1 weights are exact
     sums = np.einsum("gf,fs->gs", speeds, sides).reshape(len(speeds), -1, 2)  # (G, cuts, 2)
@@ -262,6 +286,11 @@ def profile(
     the sum over the steps of each step's speed times its length within the
     grid.  Otherwise the arc length is the trapezoidal integral of the speed
     over the grid.
+
+    What does not depend on the grid is built once and kept read-only: a
+    program's squared site speeds per step (``RegisterProgram._step_speeds``)
+    and each cut set's factor masks (``_cut_masks``).  The checks, and every
+    entropy, are computed on every call.
     """
     grid = np.array(grid, dtype=float).reshape(-1)
     if grid.size < 2:
@@ -272,9 +301,9 @@ def profile(
     if not cuts:
         raise ValueError("need at least one cut")
     if isinstance(traj, RegisterProgram):
-        dims, sizes = traj.initial.dims, [1] * traj.n_sites
+        dims, sizes = traj.initial.dims, (1,) * traj.n_sites
     else:
-        dims, sizes = traj.dims, [len(curve.dims) for curve in traj.factors]
+        dims, sizes = traj.dims, tuple(len(curve.dims) for curve in traj.factors)
     for cut in cuts:
         cut.validate_for(dims)
 
@@ -287,8 +316,8 @@ def profile(
         stacks, at = _factor_tangents(traj, grid, method, h), slice(None)
         factor_speeds = None if stacks is None else _squared_speeds(stacks, len(sizes))
         factors = lambda: None if stacks is None else _unstacked(stacks)
-    left, aligned = _left_factors(cuts, sizes)
-    aligned &= factor_speeds is not None
+    left, aligned, sides = _cut_masks(cuts, sizes)
+    aligned = aligned & (factor_speeds is not None)  # a new array: the kept masks are read-only
     dense = [cut for cut, whole in zip(cuts, aligned) if not whole]
     assemble = lambda: _dense_rows(traj, grid, method, h, stacks)
     dense_tangent, dense_base = {}, {}
@@ -313,9 +342,10 @@ def profile(
     _raise_first(~np.isfinite(speeds), lambda i: "fs_speed overflows double precision")
     # the zero-motion rule of _entropies_or_zero: below the zero floor nothing moves
     moving = ~np.less(norms, _ZERO_TOL)
-    shared = iter(() if factor_speeds is None else _speed_share_bits(factor_speeds, left[aligned], moving).T[:, at])
+    shared = iter(() if factor_speeds is None else _speed_share_bits(factor_speeds, left[aligned], moving, sides).T[:, at])
     tangent = {cut: next(shared) if whole else dense_tangent[cut] for cut, whole in zip(cuts, aligned)}
-    base = {cut: np.zeros(grid.size) if whole else dense_base[cut] for cut, whole in zip(cuts, aligned)}
+    zero = np.zeros(grid.size)  # every whole cut's base entropy, one read-only row
+    base = {cut: zero if whole else dense_base[cut] for cut, whole in zip(cuts, aligned)}
     for arr in (grid, speeds, *tangent.values(), *base.values()):
         arr.setflags(write=False)
     return TrajectoryProfile(

@@ -877,6 +877,27 @@ class RegisterProgram:
         return tuple(out)
 
     @cached_property
+    def _step_speeds(self) -> np.ndarray | None:
+        """Each site's squared speed through each step, (K, n), read-only, filled
+        on first use; None for an entangled initial state (``_site_orbits``).
+        Through a step a site follows the orbit of its generator, so its squared
+        speed is the variance of the generator's eigenvalues lambda under the
+        orbit's populations |c|^2, sum |c|^2 (lambda - <lambda>)^2 with
+        <lambda> = sum |c|^2 lambda, which the orbit keeps (Anandan and
+        Aharonov, PRL 65, 1697 (1990)).  Unchecked: a caller checks the rows it
+        reads, where an entry may have overflowed."""
+        if self._site_orbits is None:
+            return None
+        squared = np.empty((self.n_steps, self.n_sites))
+        with np.errstate(all="ignore"):
+            for (sites, evals, *_), (_, coeffs) in zip(self._step_stacks, self._site_orbits):
+                pops = abs(coeffs) ** 2
+                mean = np.sum(pops * evals, axis=-1, keepdims=True)
+                squared[:, sites] = np.sum(pops * (evals - mean) ** 2, axis=-1).T
+        squared.setflags(write=False)
+        return squared
+
+    @cached_property
     def _step_starts(self) -> np.ndarray:
         """Register amplitudes at the start of each step, (K, D), filled on first use."""
         starts = [self.initial.amplitudes]
@@ -978,33 +999,33 @@ def _register_step_speeds(
     prog: RegisterProgram, grid: np.ndarray, method: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """A product-initial program's squared site speeds under "analytic", one
-    row per step from the grid's first step to its last, (K, n); the row of
-    each grid point, (G,); and each step's length within [grid[0], grid[-1]],
-    (K,).  None where the per-point rows decide: under a stencil, for an
-    entangled initial state, or where a check fails, so that the site rows
-    (``_register_site_rows``) name the rejection.
+    row per step from the grid's first step to its last, (K, n), read-only
+    rows of the program's step table (``RegisterProgram._step_speeds``); the
+    row of each grid point, (G,); and each step's length within
+    [grid[0], grid[-1]], (K,).  None where the per-point rows decide: under a
+    stencil, for an entangled initial state, or where a check fails, so that
+    the site rows (``_register_site_rows``) name the rejection.
 
-    Through a step each site follows the orbit of its generator, so its
-    squared speed is the variance of the generator's eigenvalues lambda under
-    the orbit's populations |c|^2, sum |c|^2 (lambda - <lambda>)^2 with
-    <lambda> = sum |c|^2 lambda, which the orbit keeps (Anandan and Aharonov,
-    PRL 65, 1697 (1990)).  Its eigenvector matrix is unitary, so the orbit
-    keeps its norm too: the site rows' checks hold through a step when each
-    site's norm, and their product, pass at the step's first grid point.
-    The speeds are checked finite in every step, for the arc length."""
+    The checks run on every call; only the speeds are kept.  A site's
+    eigenvector matrix is unitary, so its orbit keeps its norm as well as
+    its speed: the site rows' checks hold through a step when each site's
+    norm, and their product, pass at the step's first grid point.  The
+    speeds of every step in the grid's span are checked finite, for the arc
+    length."""
     if prog._site_orbits is None or resolve_method((), method) != "analytic":
         return None
     ks, local = prog.resolve_time(grid)
     k0, k1 = int(ks[0]), int(ks[-1])
-    first = np.flatnonzero(np.diff(ks, prepend=0))  # the first grid point of each step met
+    # the first grid point of each step met: the first point, and each whose step is new
+    new = np.empty(ks.shape, dtype=bool)
+    new[0] = True
+    np.not_equal(ks[1:], ks[:-1], out=new[1:])
+    first = np.flatnonzero(new)
     at, ts = ks[first] - 1, local[first][:, None]
-    squared = np.empty((k1 - k0 + 1, prog.n_sites))
+    squared = prog._step_speeds[k0 - 1 : k1]
     norms = np.empty((prog.n_sites, first.size))
     with np.errstate(all="ignore"):  # a speed that overflows fails its check
         for (sites, evals, evecs, _, _), (_, coeffs) in zip(prog._step_stacks, prog._site_orbits):
-            lam, pops = evals[:, k0 - 1 : k1], abs(coeffs[:, k0 - 1 : k1]) ** 2
-            mean = np.sum(pops * lam, axis=-1, keepdims=True)
-            squared[:, sites] = np.sum(pops * (lam - mean) ** 2, axis=-1).T
             norms[sites] = np.linalg.norm(_orbit(evals[:, at], evecs[:, at], coeffs[:, at], ts), axis=-1)
         finite = np.isfinite(squared.sum(axis=-1)).all()
     defects = abs(np.concatenate([norms, np.prod(norms, axis=0, keepdims=True)]) - 1.0)

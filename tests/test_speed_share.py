@@ -6,12 +6,18 @@ the base entropy is 0.  Every case here compares ``profile`` with the SVD
 entropy (``_entropy_bits``) of the profile's own dense rows.
 """
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qtangle
 import qtangle.geometry as geometry
 import qtangle.trajectories as trajectories
 from qtangle import (
@@ -31,7 +37,7 @@ from qtangle import (
 )
 from qtangle.cli import demo_trajectory, parse_config
 from qtangle.entanglement import _entropy_bits
-from qtangle.geometry import _entropies_or_zero, _left_factors, _speed_share_bits
+from qtangle.geometry import _cut_masks, _entropies_or_zero, _left_factors, _speed_share_bits
 from qtangle.statespace import _split
 from qtangle.trajectories import (
     DEFAULT_STEP,
@@ -728,6 +734,83 @@ class TestRegisterSteps:
         for grid, lengths in (([0.3, 0.8, 1.4, 2.6], (0.7, 1.0, 0.6)), ([0.5, 2.5], (0.5, 1.0, 0.5))):
             want = sum(length * speed(k) for k, length in enumerate(lengths, start=1))
             assert profile(prog, grid, all_cuts(3)).arc_length == pytest.approx(want, rel=ORACLE_TOL)
+
+
+def profile_digest(prof):
+    """sha256 over a profile's speeds, entropies, entropy paths and arc length."""
+    digest = hashlib.sha256()
+    for arr in (prof.fs_speed, *prof.tangent_entropy.values(), *prof.base_entropy.values()):
+        digest.update(arr.tobytes())
+    digest.update(repr((prof.arc_length, list(prof.entropy_path.values()))).encode())
+    return digest.hexdigest()
+
+
+SHARED_MASK_GRID = (0.25, 0.75, 1.0, 1.5)
+
+
+class TestGridIndependentTables:
+    """A profile keeps what does not depend on its grid: each product-initial
+    program's step speeds, and each cut set's masks.  Both are read-only, so
+    no profile writes into what the next one reads."""
+
+    def test_an_svd_profile_leaves_the_shared_masks_as_they_were(self):
+        """With the same cuts and sizes, an entangled-initial profile (every
+        cut by SVD) and then a product-initial one (every cut by its share):
+        the second is the one a fresh process makes, bit for bit."""
+        rng = np.random.default_rng(81)
+        dims = (2, 2, 2, 2)
+        entangled = random_program(rng, dims, random_ket(rng, dims))
+        cuts = tuple(all_cuts(4))
+        prof = profile(entangled, SHARED_MASK_GRID, cuts)
+        assert set(prof.entropy_path.values()) == {"svd"}
+        prof = profile(wide_register(np.random.default_rng(82), 4), SHARED_MASK_GRID, cuts)
+        assert set(prof.entropy_path.values()) == {"speed_share"}
+        script = """if True:
+            import numpy as np
+            from qtangle import profile
+            from test_speed_share import SHARED_MASK_GRID, all_cuts, profile_digest, wide_register
+
+            prog = wide_register(np.random.default_rng(82), 4)
+            print(profile_digest(profile(prog, SHARED_MASK_GRID, all_cuts(4))))
+        """
+        src = str(Path(qtangle.__file__).resolve().parents[1])
+        tests = str(Path(__file__).resolve().parent)
+        path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == profile_digest(prof)
+        (zero,) = {id(arr): arr for arr in prof.base_entropy.values()}.values()  # one row for every cut
+        masks = (*_cut_masks(cuts, (1,) * 4), *_left_factors(cuts, [1] * 4), zero)
+        assert not any(arr.flags.writeable for arr in masks)
+
+    def test_step_table_rows_are_the_site_rows_squared_speeds(self):
+        """Every row, a step that no grid point meets among them, within
+        ORACLE_TOL relative of its site rows' squared horizontal speeds."""
+        rng = np.random.default_rng(83)
+        for dims in ((2, 3, 2), (3, 2, 3, 2)):
+            for n_steps in (1, 2, 3):
+                prog = program_with_a_constant_site(rng, dims, n_steps)
+                profile(prog, [0.25, n_steps - 0.25], all_cuts(len(dims)))  # meets the first and last step
+                want = np.empty((n_steps, len(dims)))
+                mids = np.arange(n_steps) + 0.5
+                for sites, states, directions in _register_site_rows(prog, mids, "analytic", DEFAULT_STEP):
+                    want[:, sites] = (np.linalg.norm(_horizontal(states, directions), axis=-1) ** 2).T
+                table = prog._step_speeds
+                assert not table.flags.writeable
+                assert table.shape == want.shape
+                assert np.all(abs(table - want) <= ORACLE_TOL * want)
+                assert np.all(table[:, 1] == 0.0)  # the constant site
+
+    def test_a_grid_leaves_nothing_for_the_next(self):
+        """Grids A, B, then A again give the bytes that a freshly built
+        program gives on each."""
+        build = lambda: program_with_a_constant_site(np.random.default_rng(84), (2, 3, 2), 3)
+        grids = {"A": np.linspace(0.0, 3.0, 7), "B": [1.2, 1.5, 1.9]}
+        prog, cuts = build(), all_cuts(3)
+        seen = [profile_digest(profile(prog, grids[name], cuts)) for name in "ABA"]
+        fresh = {name: profile_digest(profile(build(), grid, cuts)) for name, grid in grids.items()}
+        assert seen == [fresh["A"], fresh["B"], fresh["A"]]
 
 
 class TestSmallShares:
