@@ -403,23 +403,21 @@ def _first_slot_entropies(rows: np.ndarray, parts: list[tuple[np.ndarray, ...]])
     return _entropies_or_zero(rows, dims, (Cut.splitting((0,), len(parts)),))[0]
 
 
-def _check_channel_identity(rng: np.random.Generator, trials: int) -> CheckResult:
+def _check_channel_and_bilocal(rng: np.random.Generator, trials: int) -> tuple[CheckResult, CheckResult]:
+    """The channel decomposition and the bilocal reality over one draw of
+    two-factor trials, as ``product_trace``'s gap columns read one profile."""
     dims = rng.integers(2, 5, size=(trials, 2))
     parts = _slot_parts(dims, _curve_slot_rows(rng, dims, rng.uniform(0.0, 1.0, trials)))
-    _factor_overlaps(parts, "analytic")  # norm preservation, as the scenarios check it
+    overlaps = _factor_overlaps(parts, "analytic")  # norm preservation, as the scenarios check it
     full = _product_tangents(parts)[1]
-    worst = float(max(side[-1].max() for side in _channel_rows(parts, full, (1, 2))))
-    failure = f"channel decomposition gap {worst:.3e} >= 1e-10" if worst >= 1e-10 else None
-    return CheckResult(worst, 1e-10, f"max gap {worst:.2e} over {trials} trials", failure)
-
-
-def _check_bilocal_reality(rng: np.random.Generator, trials: int) -> CheckResult:
-    dims = rng.integers(2, 5, size=(trials, 2))
-    parts = _slot_parts(dims, _curve_slot_rows(rng, dims, rng.uniform(0.0, 1.0, trials)))
-    worst = float(_reality_gaps(*_factor_overlaps(parts, "analytic")).max())
-    failure = f"bilocal overlap product imaginary part {worst:.3e} >= 1e-10"
-    detail = f"max imaginary part {worst:.2e} over {trials} trials"
-    return CheckResult(worst, 1e-10, detail, failure if worst >= 1e-10 else None)
+    channel = float(max(side[-1].max() for side in _channel_rows(parts, full, (1, 2))))
+    failure = f"channel decomposition gap {channel:.3e} >= 1e-10"
+    detail = f"max gap {channel:.2e} over {trials} trials"
+    channel_result = CheckResult(channel, 1e-10, detail, failure if channel >= 1e-10 else None)
+    bilocal = float(_reality_gaps(*overlaps).max())
+    failure = f"bilocal overlap product imaginary part {bilocal:.3e} >= 1e-10"
+    detail = f"max imaginary part {bilocal:.2e} over {trials} trials"
+    return channel_result, CheckResult(bilocal, 1e-10, detail, failure if bilocal >= 1e-10 else None)
 
 
 def _check_genericity(rng: np.random.Generator, trials: int) -> CheckResult:
@@ -566,10 +564,10 @@ def _check_witness_false_positives(rng: np.random.Generator, trials: int) -> Che
     return CheckResult(worst, 1e-10, detail, failure)
 
 
-# (name, check, most trials it runs; None: all requested)
-_CHECKS: tuple[tuple[str, Callable[[np.random.Generator, int], CheckResult], int | None], ...] = (
-    ("channel-identity", _check_channel_identity, None),
-    ("bilocal-reality", _check_bilocal_reality, None),
+# (name, check, most trials it runs; None: all requested).  A row that names
+# several checks runs them over one draw and returns one result per name.
+_CHECKS: tuple[tuple[str | tuple[str, ...], Callable[..., CheckResult | tuple[CheckResult, ...]], int | None], ...] = (
+    (("channel-identity", "bilocal-reality"), _check_channel_and_bilocal, None),
     ("tangent-genericity", _check_genericity, None),
     ("gauge-invariance", _check_gauge_invariance, None),
     ("fs-consistency", _check_fs_consistency, 60),
@@ -587,8 +585,9 @@ def verify(trials: int = 1000, seed: int = 0, stream=None, out_format: str = "te
     ``trials`` must lie in 1..``MAX_TRIALS``: over no trials every check
     would hold vacuously.  With ``out_format`` "text" each check that holds
     prints one ``ok`` line; with "json" one JSON object gives each check's
-    status, trials, margin, bound and seconds.  Each failing check prints
-    ``FAIL`` to stderr in both.
+    status, trials, margin, bound and seconds; checks that share a draw
+    each report the seconds of the one call that ran them all.  Each
+    failing check prints ``FAIL`` to stderr in both.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
@@ -601,28 +600,32 @@ def verify(trials: int = 1000, seed: int = 0, stream=None, out_format: str = "te
     stream = stream if stream is not None else sys.stdout
     rng = np.random.default_rng(seed)
     status, report = 0, {}
-    for name, check, cap in _CHECKS:
+    for names, check, cap in _CHECKS:
+        names = (names,) if isinstance(names, str) else names
         n = trials if cap is None else min(trials, cap)
         start = time.perf_counter()
         try:
-            result = check(rng, n)
-            failure = result.failure
+            results = check(rng, n)
+            results = (results,) if isinstance(results, CheckResult) else results
+            failures = [result.failure for result in results]
         except ValueError as exc:
-            result, failure = None, str(exc)
-        entry = {
-            "status": "fail" if failure else "ok",
-            "trials": n,
-            "margin": None if result is None else result.margin,
-            "bound": None if result is None else result.bound,
-            "seconds": time.perf_counter() - start,
-        }
-        if failure:
-            entry["message"] = failure
-            print(f"FAIL {name}: {failure}", file=sys.stderr)
-            status = 3
-        elif out_format == "text":
-            print(f"ok {name}: {result.detail}", file=stream)
-        report[name] = entry
+            results, failures = (None,) * len(names), [str(exc)] * len(names)
+        seconds = time.perf_counter() - start
+        for name, result, failure in zip(names, results, failures, strict=True):
+            entry = {
+                "status": "fail" if failure else "ok",
+                "trials": n,
+                "margin": None if result is None else result.margin,
+                "bound": None if result is None else result.bound,
+                "seconds": seconds,
+            }
+            if failure:
+                entry["message"] = failure
+                print(f"FAIL {name}: {failure}", file=sys.stderr)
+                status = 3
+            elif out_format == "text":
+                print(f"ok {name}: {result.detail}", file=stream)
+            report[name] = entry
     if out_format == "json":
         doc = {"tool": "qtangle", "version": __version__, "seed": seed, "trials": trials}
         doc.update(status="fail" if status else "ok", checks=report)

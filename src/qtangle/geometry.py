@@ -209,18 +209,13 @@ def _squared_speeds(stacks: list[tuple], n: int) -> np.ndarray:
     return np.ascontiguousarray(speeds.T)
 
 
-def _left_factors(cuts: Sequence[Cut], sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each factor, a run of ``sizes[i]`` consecutive positions, lies
-    left of each cut, (cuts, factors); and whether each cut splits no factor,
-    its positions all left or none.  The cuts are valid for the positions.
-    Both are read-only, kept per cut set and factor sizes (``_cut_masks``)."""
-    return _cut_masks(tuple(cuts), tuple(sizes))[:2]
-
-
 @lru_cache(maxsize=_CUT_MASKS_KEPT)
 def _cut_masks(cuts: tuple[Cut, ...], sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_left_factors``' two masks and the side mask (``_share_sides``) of the
-    cuts that split no factor, read-only, built once per cut set and sizes."""
+    """Whether each factor, a run of ``sizes[i]`` consecutive positions, lies
+    left of each cut, (cuts, factors); whether each cut splits no factor, its
+    positions all left or none; and the side mask (``_share_sides``) of the
+    cuts that split no factor.  The cuts are valid for the positions.  All
+    three are read-only, built once per cut set and sizes."""
     rows = np.array([cut._left_row for cut in cuts])
     starts = list(accumulate(sizes, initial=0))[:-1]
     left = np.logical_and.reduceat(rows, starts, axis=1)

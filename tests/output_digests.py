@@ -16,7 +16,9 @@ It prints one sha256 per output family, then one over all of them:
 - ``config_diagnostics``: the error of each ``test_cli.CONFIG_DIAGNOSTICS``
   document;
 - ``verify``: stdout, stderr and exit code of ``qtangle verify --trials 200``
-  for seeds 0-9;
+  for seeds 0-9, and of the same runs with ``--format json``, each check's
+  ``seconds`` removed: the text lines round each margin to 2-3 digits, the
+  JSON keeps it to the last bit;
 - ``wide_registers``: ``fs_speed``, the entropies and ``factors`` of the
   benchmark's ``wide_registers`` profiles for seeds 1-3;
 - ``register_rows``: ``states``, ``directions``, ``fs_speed``, the
@@ -80,12 +82,27 @@ REGISTER_SHAPES = [
 """(site dims, steps, entangled initial state, site 1 constant) of each register program."""
 
 
-def _cli(argv: list[str]) -> bytes:
+def _captured(argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cli(argv: list[str]) -> bytes:
+    return "{}\n{}\n{}".format(*_captured(argv)).encode()
+
+
+def _verify(seed: int) -> list[bytes]:
+    """The text and the JSON run of ``qtangle verify --trials 200``, the
+    JSON without the ``seconds`` of each check, which vary run to run."""
+    argv = ["verify", "--trials", "200", "--seed", str(seed)]
+    code, out, err = _captured([*argv, "--format", "json"])
+    doc = json.loads(out)
+    for entry in doc["checks"].values():
+        del entry["seconds"]
+    return [_cli(argv), f"{code}\n{json.dumps(doc, indent=2)}\n{err}".encode()]
 
 
 def _documents(docs) -> list[list[bytes]]:
@@ -216,9 +233,7 @@ FAMILIES: dict[str, Callable[[], list[tuple[str, list[bytes]]]]] = {
         zip(workloads.KNOWN_DEGENERATE, _documents(workloads.KNOWN_DEGENERATE.values()))
     ),
     "config_diagnostics": lambda: [(p.id, _diagnostic(p)) for p in test_cli.CONFIG_DIAGNOSTICS],
-    "verify": lambda: [
-        (f"seed {s}", [_cli(["verify", "--trials", "200", "--seed", str(s)])]) for s in range(10)
-    ],
+    "verify": lambda: [(f"seed {s}", _verify(s)) for s in range(10)],
     "wide_registers": lambda: [doc for seed in SEEDS for doc in _profiles(seed)],
     "register_rows": _register_rows,
     "rejections": _rejections,

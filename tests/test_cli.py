@@ -128,6 +128,14 @@ OVERFLOWING_SPEED = {
     for n in (2, 3)
 }
 
+# ROADMAP Baseline row 10: two equal qubit arcs slowed to theta = 1e-13 t,
+# whose tangent entropy the absolute zero-motion floor (ROADMAP item 4) reads as 0
+SLOW_PAIR = {
+    "scenario": "product_trace",
+    "grid": {"t0": 0.1, "t1": 1.0, "steps": 9},
+    "subsystems": [{"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 1e-13]}}] * 2,
+}
+
 
 def parse(doc, **overrides):
     return parse_config(json.dumps(doc), overrides or None)
@@ -956,6 +964,14 @@ class TestRunners:
         assert quarter[5] == pytest.approx(-math.sin(theta), abs=1e-9)
         assert rep.metadata["resolved"]["arc_length"] == pytest.approx(SQ2 * math.pi, abs=1e-2)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: absolute zero-motion floor")
+    def test_slow_pair_keeps_its_tangent_entropy(self):
+        """Two equal arcs share the speed equally, so their tangent carries 1
+        ebit across 1|2 at any time scale: at theta = 1e-13 t as at theta = t."""
+        rep = run(parse(SLOW_PAIR))
+        entropy = [row[rep.columns.index("tangent_entropy_1|2")] for row in rep.rows]
+        assert entropy == pytest.approx([1.0] * len(rep.rows), abs=1e-12)
+
     def test_product_trace_report(self):
         sub = [
             {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 1.0]}},
@@ -1043,11 +1059,13 @@ RUN_CHECK_CALLS = {
         "_check_traceless": 1,
     },
 }
+# channel-identity and bilocal-reality read one draw, checked once: its two
+# factors' norm checks and its curves' checks are made once for both
 VERIFY_CHECK_CALLS = {
-    "_check_amplitudes": 102,
-    "_check_tangents": 25,
-    "_check_hermitian": 24,
-    "_check_norm_preserving": 4,
+    "_check_amplitudes": 92,
+    "_check_tangents": 22,
+    "_check_hermitian": 23,
+    "_check_norm_preserving": 2,
     "_check_traceless": 1,
 }
 
@@ -1914,7 +1932,18 @@ class TestVerify:
         with pytest.raises(ValueError, match="out_format"):
             verify(3, out_format="xml", stream=io.StringIO())
 
-# check that combines factors -> (the draw it makes per factor dim, that draw's dim argument)
+def run_check(name, rng, trials):
+    """The result of check ``name`` from one call of the ``_CHECKS`` row that
+    runs it, as ``verify`` makes it: a row naming several checks runs them all."""
+    for names, check, _ in qtangle.cli._CHECKS:
+        if names == name:
+            return check(rng, trials)
+        if isinstance(names, tuple) and name in names:
+            return check(rng, trials)[names.index(name)]
+    raise KeyError(name)
+
+
+# check that combines factors -> (the draw its row makes per factor dim, that draw's dim argument)
 VERIFY_DRAWS = {
     "channel-identity": ("_random_curves", 1),
     "bilocal-reality": ("_random_curves", 1),
@@ -1946,8 +1975,7 @@ class TestVerifyDraw:
 
         monkeypatch.setattr(cli, draw, drawing)
         monkeypatch.setattr(cli, "_random_dims", drawing_dims)
-        check = {n: c for n, c, _ in cli._CHECKS}[name]
-        assert check(np.random.default_rng(3), 200).failure is None
+        assert run_check(name, np.random.default_rng(3), 200).failure is None
         rounds = []
         for event in events:
             if event == "round" or not rounds:
@@ -1996,16 +2024,93 @@ class TestVerifyDraw:
         assert outputs[0] == outputs[1]
 
 
-# check that combines factors -> its kernel calls in each draw round
+# the row of channel-identity and bilocal-reality reads one draw for both
+BIPARTITE_KERNEL_CALLS = {"_factor_overlaps": 1, "_product_tangents": 1, "_channel_rows": 1, "_reality_gaps": 1}
+# check that combines factors -> its row's kernel calls in each draw round
 VERIFY_KERNEL_CALLS = {
-    "channel-identity": {"_product_tangents": 1, "_channel_rows": 1},
-    "bilocal-reality": {"_reality_gaps": 1},
+    "channel-identity": BIPARTITE_KERNEL_CALLS,
+    "bilocal-reality": BIPARTITE_KERNEL_CALLS,
     "tangent-genericity": {"_product_tangents": 1, "_entropies_or_zero": 1},
     "gauge-invariance": {"_product_tangents": 2, "_entropies_or_zero": 1},
     "fs-consistency": {"_product_tangents": 1, "_fs_distances": 2},
     "witness-no-false-positive": {"_trace_witness": 1},
 }
 VERIFY_KERNELS = sorted({kernel for calls in VERIFY_KERNEL_CALLS.values() for kernel in calls})
+
+
+class TestBipartiteDraw:
+    """channel-identity and bilocal-reality read one draw of two-factor
+    trials, as ``product_trace``'s gap columns read one profile's rows."""
+
+    def bipartite_row(self):
+        (names, check, cap), *_ = qtangle.cli._CHECKS
+        assert (names, cap) == (("channel-identity", "bilocal-reality"), None)
+        return check
+
+    def test_one_draw_per_factor_dim_and_one_norm_check(self, monkeypatch):
+        cli = qtangle.cli
+        original, drawn = cli._random_curves, []
+
+        def drawing(rng, dim, *args, **kwargs):
+            drawn.append(dim)
+            return original(rng, dim, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_random_curves", drawing)
+        overlaps = count_calls(monkeypatch, cli, "_factor_overlaps")
+        channel, bilocal = self.bipartite_row()(np.random.default_rng(3), 200)
+        assert channel.failure is None and bilocal.failure is None
+        assert sorted(drawn) == [2, 3, 4]
+        assert len(overlaps) == 1
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_bilocal_margin_is_the_gap_of_the_checked_overlaps(self, seed, monkeypatch):
+        """The bilocal margin is ``_reality_gaps`` over the overlaps of the
+        very factor rows whose channel gaps channel-identity measured."""
+        cli = qtangle.cli
+        factor_overlaps, channel_rows, seen = cli._factor_overlaps, cli._channel_rows, {}
+
+        def overlaps(parts, method):
+            seen["norm-checked"], seen["overlaps"] = parts, factor_overlaps(parts, method)
+            return seen["overlaps"]
+
+        def channel(parts, *args):
+            seen["channel"] = parts
+            return channel_rows(parts, *args)
+
+        monkeypatch.setattr(cli, "_factor_overlaps", overlaps)
+        monkeypatch.setattr(cli, "_channel_rows", channel)
+        channel_result, bilocal = self.bipartite_row()(np.random.default_rng(seed), 200)
+        assert seen["channel"] is seen["norm-checked"]
+        assert bilocal.margin == float(qtangle.channels._reality_gaps(*seen["overlaps"]).max())
+        assert channel_result.failure is None and bilocal.failure is None
+
+    def test_a_shared_row_that_raises_fails_both_names(self, monkeypatch, capsys):
+        """Both checks fail with the message, as a single check that raises
+        does, and both JSON entries report the one call's seconds."""
+        message = "factor 1 not norm-preserving"
+
+        def raising(parts, method):
+            raise qtangle.ValidationError(message)
+
+        monkeypatch.setattr(qtangle.cli, "_factor_overlaps", raising)
+        shared = VERIFY_CHECKS[:2]
+        fails = "".join(f"FAIL {name}: {message}\n" for name in shared)
+        stream = io.StringIO()
+        assert verify(20, seed=1, stream=stream) == 3
+        assert capsys.readouterr().err == fails
+        assert [line.split(":")[0] for line in stream.getvalue().splitlines()] == [
+            f"ok {other}" for other in VERIFY_CHECKS[2:]
+        ]
+        assert main(["verify", "--trials", "20", "--format", "json"]) == 3
+        out, err = capsys.readouterr()
+        assert err == fails
+        doc = json.loads(out)
+        assert doc["status"] == "fail" and list(doc["checks"]) == list(VERIFY_CHECKS)
+        entries = [doc["checks"][name] for name in shared]
+        for entry in entries:
+            assert (entry["status"], entry["message"], entry["trials"]) == ("fail", message, 20)
+            assert entry["margin"] is None and entry["bound"] is None
+        assert entries[0]["seconds"] == entries[1]["seconds"] >= 0
 
 
 def tensor_tangent(factors):
@@ -2024,8 +2129,7 @@ class TestVerifyPass:
         cli = qtangle.cli
         calls = {kernel: count_calls(monkeypatch, cli, kernel) for kernel in VERIFY_KERNELS}
         rounds = count_calls(monkeypatch, cli, "_random_dims")
-        check = {n: c for n, c, _ in cli._CHECKS}[name]
-        assert check(np.random.default_rng(3), 200).failure is None
+        assert run_check(name, np.random.default_rng(3), 200).failure is None
         per_round = {kernel: len(made) / max(len(rounds), 1) for kernel, made in calls.items()}
         assert per_round == {kernel: VERIFY_KERNEL_CALLS[name].get(kernel, 0) for kernel in VERIFY_KERNELS}
 

@@ -37,7 +37,7 @@ from qtangle import (
 )
 from qtangle.cli import demo_trajectory, parse_config
 from qtangle.entanglement import _entropy_bits
-from qtangle.geometry import _cut_masks, _entropies_or_zero, _left_factors, _speed_share_bits
+from qtangle.geometry import _cut_masks, _entropies_or_zero, _speed_share_bits
 from qtangle.statespace import _split
 from qtangle.trajectories import (
     DEFAULT_STEP,
@@ -567,7 +567,7 @@ class TestStackedSites:
                 left = rng.uniform(size=n) < rng.uniform()
                 if 0 < left.sum() < n:
                     cuts.append(Cut.splitting(np.flatnonzero(left), n))
-            left, aligned = _left_factors(cuts, [1] * n)
+            left, aligned = _cut_masks(tuple(cuts), (1,) * n)[:2]
             assert aligned.all()
             bits = _speed_share_bits(speeds, left, moving)
             assert bits.shape == (6, len(cuts))
@@ -577,7 +577,7 @@ class TestStackedSites:
 
     def test_left_factors_mark_cuts_that_split_a_factor(self):
         cuts = [Cut.splitting(left, 5) for left in ((0, 1), (0,), (2, 0, 1), (1, 2), (2, 3, 4))]
-        left, aligned = _left_factors(cuts, [2, 1, 2])
+        left, aligned = _cut_masks(tuple(cuts), (2, 1, 2))[:2]
         assert aligned.tolist() == [True, False, True, False, True]
         assert left[aligned].tolist() == [[True, False, False], [True, True, False], [False, True, True]]
 
@@ -781,7 +781,7 @@ class TestGridIndependentTables:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == profile_digest(prof)
         (zero,) = {id(arr): arr for arr in prof.base_entropy.values()}.values()  # one row for every cut
-        masks = (*_cut_masks(cuts, (1,) * 4), *_left_factors(cuts, [1] * 4), zero)
+        masks = (*_cut_masks(cuts, (1,) * 4), zero)
         assert not any(arr.flags.writeable for arr in masks)
 
     def test_step_table_rows_are_the_site_rows_squared_speeds(self):
