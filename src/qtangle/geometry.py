@@ -232,15 +232,12 @@ def _share_sides(left: np.ndarray) -> np.ndarray:
     return (left.T[:, :, None] != np.array([False, True])).reshape(len(left.T), -1)
 
 
-def _speed_share_bits(
-    speeds: np.ndarray, left: np.ndarray, moving: np.ndarray, sides: np.ndarray | None = None
-) -> np.ndarray:
+def _speed_share_bits(speeds: np.ndarray, sides: np.ndarray, moving: np.ndarray) -> np.ndarray:
     """Binary entropy of the left side's share of the squared speed in each
-    row, for each cut (row of ``left``), (G, cuts); zero where nothing moves.
-    It is taken from the smaller share p, as -(p log2 p + (1-p) log1p(-p) / ln 2):
-    the larger share, 1 - p in float, would lose the digits p carries.
-    ``sides`` is ``_share_sides(left)`` where the caller keeps it."""
-    sides = _share_sides(left) if sides is None else sides
+    row, for each cut of the side mask ``sides`` (``_share_sides``), (G, cuts);
+    zero where nothing moves.  It is taken from the smaller share p, as
+    -(p log2 p + (1-p) log1p(-p) / ln 2): the larger share, 1 - p in float,
+    would lose the digits p carries."""
     # one weighted sum adds each side's speeds one factor after another, in order,
     # as speeds[:, side].sum(axis=-1) adds its gathered columns; 0/1 weights are exact
     sums = np.einsum("gf,fs->gs", speeds, sides).reshape(len(speeds), -1, 2)  # (G, cuts, 2)
@@ -311,7 +308,7 @@ def profile(
         stacks, at = _factor_tangents(traj, grid, method, h), slice(None)
         factor_speeds = None if stacks is None else _squared_speeds(stacks, len(sizes))
         factors = lambda: None if stacks is None else _unstacked(stacks)
-    left, aligned, sides = _cut_masks(cuts, sizes)
+    _, aligned, sides = _cut_masks(cuts, sizes)
     aligned = aligned & (factor_speeds is not None)  # a new array: the kept masks are read-only
     dense = [cut for cut, whole in zip(cuts, aligned) if not whole]
     assemble = lambda: _dense_rows(traj, grid, method, h, stacks)
@@ -337,7 +334,7 @@ def profile(
     _raise_first(~np.isfinite(speeds), lambda i: "fs_speed overflows double precision")
     # the zero-motion rule of _entropies_or_zero: below the zero floor nothing moves
     moving = ~np.less(norms, _ZERO_TOL)
-    shared = iter(() if factor_speeds is None else _speed_share_bits(factor_speeds, left[aligned], moving, sides).T[:, at])
+    shared = iter(() if factor_speeds is None else _speed_share_bits(factor_speeds, sides, moving).T[:, at])
     tangent = {cut: next(shared) if whole else dense_tangent[cut] for cut, whole in zip(cuts, aligned)}
     zero = np.zeros(grid.size)  # every whole cut's base entropy, one read-only row
     base = {cut: zero if whole else dense_base[cut] for cut, whole in zip(cuts, aligned)}

@@ -16,12 +16,13 @@ from typing import Literal
 import numpy as np
 
 from .statespace import (
+    _DENSITY_TOL,
     Cut,
     HermitianOp,
+    _bounded,
     _check_hermitian,
     _check_traceless,
     _partial_trace,
-    _raise_first,
 )
 from .trajectories import (
     DEFAULT_STEP,
@@ -155,7 +156,7 @@ def _separability(mats: np.ndarray, dims: tuple[int, ...], cut: Cut) -> np.ndarr
 
     One Cholesky factorization of the states and their partial transposes
     certifies every one of them positive definite (up to rounding far inside
-    the 1e-10 bounds below), and so every state positive and PPT, without a
+    the ``_DENSITY_TOL`` bounds below), and so every state positive and PPT, without a
     spectrum.  When it fails (a rank-deficient state such as a pure one, an
     NPT state or non-positive input) the eigenvalues decide, as they would
     alone: either way a row gets the verdict or rejection the spectra give.
@@ -164,15 +165,11 @@ def _separability(mats: np.ndarray, dims: tuple[int, ...], cut: Cut) -> np.ndarr
     certified = _positive_definite(np.stack([mats, transposes]))
     if not certified:
         lowest = np.linalg.eigvalsh(mats)[..., 0]
-        _raise_first(
-            lowest < -1e-10,
-            lambda i: f"operator is not positive (min eigenvalue {lowest.flat[i]:.3e})",
-        )
+        message = lambda i: f"operator is not positive (min eigenvalue {lowest.flat[i]:.3e})"
+        _bounded(-lowest, _DENSITY_TOL, message)
     traces = np.trace(mats, axis1=-2, axis2=-1).real
-    _raise_first(
-        np.abs(traces - 1.0) >= 1e-10,
-        lambda i: f"state must have unit trace, got {float(traces.flat[i])!r}",
-    )
+    message = lambda i: f"state must have unit trace, got {float(traces.flat[i])!r}"
+    _bounded(np.abs(traces - 1.0), _DENSITY_TOL, message)
     d_left = math.prod(dims[i] for i in cut.left)
     d_right = math.prod(dims[i] for i in cut.right)
     positive = "separable" if sorted((d_left, d_right)) in ([2, 2], [2, 3]) else "undecided"

@@ -29,6 +29,7 @@ DEFAULT_TOL = 1e-12  # unit norm of computed amplitudes; Hermiticity
 BASE_NORM_TOL = 1e-10  # unit norm of a state handed in
 _SPLINE_NORM_TOL = 1e-6  # unit norm of a spline-interpolated state
 UNITARY_TOL = 1e-10
+_DENSITY_TOL = 1e-10  # positivity (lowest eigenvalue) and unit trace of a density matrix
 _ZERO_TOL = 1e-12  # a shorter vector is (near-)zero: it has no direction
 # trace of a differential of a norm-preserving curve must vanish; beyond
 # this the differentiation step size is unfit for the requested run
@@ -61,6 +62,14 @@ def _raise_first(
         if (deferred := _DEFERRED.get()) is None:
             raise exc
         deferred.append(exc)
+
+
+def _bounded(
+    measured: np.ndarray, bound: float, message: Callable[[int], str], where: _Where = "", error=ValidationError
+) -> None:
+    """The one rule of every bound: ``_raise_first`` the first row whose ``measured``
+    value is not below ``bound``, so a value at its bound fails, and so does a NaN."""
+    _raise_first(~np.less(measured, bound), message, error, where)
 
 
 # the rejections of the innermost open ``_first_rejection`` block; None outside one
@@ -126,7 +135,7 @@ def _check_product_amplitudes(factors: np.ndarray, tol: float, where: _Where = "
         finite = np.isfinite(factors).all(axis=-1).all(axis=0)
         _raise_first(~finite, lambda i: _NOT_FINITE, where=where)
         message = lambda i: f"expected a unit vector, got norm {float(norms.flat[i])!r}"
-        _raise_first(defect >= tol, message, where=where)
+        _bounded(defect, tol, message, where)
     return norms
 
 
@@ -137,27 +146,25 @@ def _check_hermitian(mats: np.ndarray, where: _Where = "") -> None:
     if not (dev < DEFAULT_TOL).all():
         _check_finite(mats, (-2, -1), "matrix entries must all be finite", where)
         message = lambda i: f"matrix is not Hermitian (max deviation {dev.flat[i]:.3e})"
-        _raise_first(dev >= DEFAULT_TOL, message, where=where)
+        _bounded(dev, DEFAULT_TOL, message, where)
     imag = mats.trace(axis1=-2, axis2=-1).imag
     message = lambda i: f"trace has imaginary part {imag.flat[i]:.3e}"
-    _raise_first(abs(imag) >= DEFAULT_TOL, message, where=where)
+    _bounded(abs(imag), DEFAULT_TOL, message, where)
 
 
 def _check_unitary(mats: np.ndarray, where: _Where = "") -> None:
     """Each matrix (last two axes) unitary: max |U^H U - I| below UNITARY_TOL."""
     dev = abs(mats.swapaxes(-2, -1).conj() @ mats - np.eye(mats.shape[-1])).max(axis=(-2, -1))
     message = lambda i: f"matrix is not unitary (deviation {dev.flat[i]:.3e})"
-    _raise_first(~(dev < UNITARY_TOL), message, where=where)
+    _bounded(dev, UNITARY_TOL, message, where)
 
 
 def _check_traceless(mats: np.ndarray, source: str) -> None:
     """Each matrix (last two axes) of trace below the bound for its ``source``
     in modulus: "given" or the method that differentiated it."""
     traces = mats.trace(axis1=-2, axis2=-1)
-    _raise_first(
-        ~(abs(traces) < _TRACE_TOL[source]),
-        lambda i: f"differential must be traceless, got trace {traces.flat[i]:.3e}",
-    )
+    message = lambda i: f"differential must be traceless, got trace {traces.flat[i]:.3e}"
+    _bounded(abs(traces), _TRACE_TOL[source], message)
 
 
 def _check_norm_preserving(
@@ -168,7 +175,7 @@ def _check_norm_preserving(
     overlaps = _overlaps(base, directions)
     re = abs(overlaps.real)
     message = lambda i: f"norm not preserved, |Re<psi|dpsi>| = {re.flat[i]:.3e}"
-    _raise_first(~(re < _RE_OVERLAP_TOL[source]), message, where=where)
+    _bounded(re, _RE_OVERLAP_TOL[source], message, where)
     return overlaps
 
 

@@ -1846,6 +1846,48 @@ VERIFY_BREACHES = {
 }
 
 
+def _nan_side_2(kernel):
+    """``_channel_rows`` with every gap of subsystem 2 NaN."""
+
+    def nan_side_2(*args):
+        first, second = kernel(*args)
+        return [first, (*second[:-1], np.full_like(second[-1], np.nan))]
+
+    return nan_side_2
+
+
+def _nan_first_row(kernel):
+    """The kernel with its first row NaN."""
+
+    def first_nan(*args):
+        out = kernel(*args).copy()
+        out[0] = np.nan
+        return out
+
+    return first_nan
+
+
+# a kernel made to return NaN -> the checks that must then fail, each with its message;
+# each NaN once slipped past its check's reduction, which passed it with exit 0
+VERIFY_NANS = {
+    "_reality_gaps": (
+        lambda kernel: lambda *a: np.full_like(kernel(*a), np.nan),
+        {"bilocal-reality": "bilocal overlap product imaginary part nan >= 1e-10"},
+    ),
+    "_first_slot_entropies": (
+        lambda kernel: lambda *a: np.full_like(kernel(*a), np.nan),
+        {
+            "tangent-genericity": "50/50 random tangents fell below entropy 1e-8 (min nan)",
+            "gauge-invariance": "entropy moved by nan under phase modulation",
+        },
+    ),
+    # the builtin max over the two sides dropped a NaN of the second
+    "_channel_rows": (_nan_side_2, {"channel-identity": "channel decomposition gap nan >= 1e-10"}),
+    # the speed filter dropped a NaN speed and drew the trial again
+    "_fs_speeds": (_nan_first_row, {"fs-consistency": "median halving ratio nan outside 4 +/- 20%"}),
+}
+
+
 class TestVerify:
     def test_every_check_holds_over_seeds(self):
         for seed in range(10):
@@ -1882,6 +1924,51 @@ class TestVerify:
         assert [line.split(":")[0] for line in out.splitlines()] == [
             f"ok {other}" for other in VERIFY_CHECKS if other != "witness-no-false-positive"
         ]
+
+    @pytest.mark.parametrize("kernel", sorted(VERIFY_NANS))
+    def test_nan_margin_fails_its_check(self, kernel, monkeypatch, capsys):
+        """A NaN that reaches a check's margin fails that check, and only it."""
+        nan, failing = VERIFY_NANS[kernel]
+        monkeypatch.setattr(qtangle.cli, kernel, nan(getattr(qtangle.cli, kernel)))
+        assert verify(50, seed=2) == 3
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"FAIL {name}: {message}" for name, message in failing.items()]
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            f"ok {other}" for other in VERIFY_CHECKS if other not in failing
+        ]
+
+    def test_median_keeps_a_nan_ratio(self):
+        ratios = np.concatenate([np.full(11, 4.0), np.full(9, np.nan)])
+        result = qtangle.cli._median_ratio(ratios, "halving")
+        assert math.isnan(result.margin)
+        assert result.failure == "median halving ratio nan outside 4 +/- 20%"
+
+    def test_a_margin_at_its_bound_fails(self):
+        result = qtangle.cli.CheckResult(1e-10, 1e-10, "", lambda: "at the bound")
+        assert result.failure == "at the bound"
+        assert qtangle.cli.CheckResult(0.5e-10, 1e-10, "", lambda: "below").failure is None
+
+    def test_json_report_of_a_nan_margin_is_strict_json(self, monkeypatch, capsys):
+        """A NaN margin is written as null, beside its bound and message; a
+        check that raised has a null bound too."""
+        kernel = qtangle.cli._reality_gaps
+        monkeypatch.setattr(qtangle.cli, "_reality_gaps", lambda *a: np.full_like(kernel(*a), np.nan))
+        assert main(["verify", "--trials", "20", "--seed", "1", "--format", "json"]) == 3
+        out, err = capsys.readouterr()
+
+        def no_constant(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        doc = json.loads(out, parse_constant=no_constant)
+        assert doc["status"] == "fail"
+        entry = doc["checks"]["bilocal-reality"]
+        message = "bilocal overlap product imaginary part nan >= 1e-10"
+        assert (entry["status"], entry["margin"], entry["bound"]) == ("fail", None, 1e-10)
+        assert entry["message"] == message
+        assert err == f"FAIL bilocal-reality: {message}\n"
+        for name, other in doc["checks"].items():
+            holds = other["margin"] is not None and other["margin"] < other["bound"]
+            assert (other["status"] == "ok") == holds, name
 
     def test_json_report(self, capsys):
         assert main(["verify", "--trials", "30", "--seed", "4", "--format", "json"]) == 0

@@ -6,14 +6,17 @@ which must fail with the check's exception class.  The tolerances are
 written out here as numbers, so moving any of them fails a case.
 """
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
+import qtangle
 from qtangle import (
     BlochCurve,
     Cut,
@@ -34,6 +37,7 @@ from qtangle import (
     UnitaryCurve,
     ValidationError,
     apply_local_unitaries,
+    base_state_separability,
     bilocal_inner_check,
     correlation_matrix,
     curve_through,
@@ -46,7 +50,8 @@ from qtangle import (
     register_state,
     run,
 )
-from qtangle.mixed_witness import _trace_witness
+from qtangle.cli import main
+from qtangle.mixed_witness import _separability, _trace_witness
 
 SY = np.array([[0.0, -1j], [1j, 0.0]])
 E0 = np.array([1.0, 0.0])
@@ -171,6 +176,17 @@ BOUNDS = [
     case(1e-12, leaky_pair("analytic"), "bipartite-analytic"),
     case(1e-8, leaky_pair("central_fd"), "bipartite-central_fd"),
     case(1e-8, leaky_pair("richardson"), "bipartite-richardson"),
+    # a density matrix: positivity, its lowest eigenvalue -off, and unit trace
+    case(
+        1e-10,
+        lambda off: base_state_separability(HermitianOp(np.diag([1 + off, -off, 0.0, 0.0]), (2, 2)), CUT),
+        "separability-positive",
+    ),
+    case(
+        1e-10,
+        lambda off: base_state_separability(HermitianOp(np.eye(4) * (1 + off) / 4, (2, 2)), CUT),
+        "separability-unit-trace",
+    ),
 ]
 
 
@@ -304,3 +320,52 @@ def test_untraceless_pseudo_pure_run_is_a_breach_at_its_point():
     }
     with pytest.raises(ToleranceBreachError, match=r"trace -4\.998e-04.* at t=0\.5"):
         run(parse_config(json.dumps(doc)))
+
+
+def test_eigenvalue_at_the_positivity_bound_is_rejected():
+    """A lowest eigenvalue of exactly -1e-10 is not below the bound in size."""
+    state = np.diag([1 + 1e-10, -1e-10, 0.0, 0.0]).astype(complex)
+    assert np.linalg.eigvalsh(state)[0] == -1e-10
+    with pytest.raises(ValidationError, match=r"^operator is not positive \(min eigenvalue -1\.000e-10\)$"):
+        _separability(state, (2, 2), CUT)
+
+
+def test_channel_gap_at_its_tolerance_is_a_breach(tmp_path, capsys):
+    """A product_trace run whose tol equals its own worst channel gap exits 3."""
+    doc = {
+        "scenario": "product_trace",
+        "subsystems": [
+            {"dim": 2, "curve": {"kind": "bloch", "theta": [0.3, 1.0], "phi": [0.0, 0.7]}},
+            {"dim": 2, "curve": {"kind": "hamiltonian", "generator": [[0, 1], [1, 0]], "initial": [1, 0]}},
+        ],
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    worst = max(max(row["channel_gap_1"], row["channel_gap_2"], row["bilocal_gap"]) for row in rows)
+    assert worst > 0
+    assert main(["--config", str(path), "--tol", repr(worst)]) == 3
+    assert "exceeds tolerance" in capsys.readouterr().err
+
+
+def raise_first_calls():
+    """(module, line, condition, error) of each ``_raise_first`` call in the package."""
+    for path in sorted(Path(qtangle.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and getattr(func, "id", getattr(func, "attr", None)) == "_raise_first":
+                error = [*node.args[2:3], *(k.value for k in node.keywords if k.arg == "error")]
+                yield path.name, node.lineno, node.args[0], error[0] if error else None
+
+
+def test_every_bound_goes_through_bounded():
+    """No ``_raise_first`` condition compares a value with a bound, save the
+    parameter-range checks (ParameterRangeError): a bound is ``_bounded``'s,
+    the one rule under which a value at its bound, or NaN, is rejected."""
+    calls = list(raise_first_calls())
+    assert len(calls) > 5
+    for module, line, condition, error in calls:
+        ranged = isinstance(error, ast.Name) and error.id == "ParameterRangeError"
+        compares = any(isinstance(node, ast.Compare) for node in ast.walk(condition))
+        assert ranged or not compares, f"{module}:{line}: a bound checked outside _bounded"

@@ -37,7 +37,7 @@ from qtangle import (
 )
 from qtangle.cli import demo_trajectory, parse_config
 from qtangle.entanglement import _entropy_bits
-from qtangle.geometry import _cut_masks, _entropies_or_zero, _speed_share_bits
+from qtangle.geometry import _cut_masks, _entropies_or_zero, _share_sides, _speed_share_bits
 from qtangle.statespace import _split
 from qtangle.trajectories import (
     DEFAULT_STEP,
@@ -569,7 +569,7 @@ class TestStackedSites:
                     cuts.append(Cut.splitting(np.flatnonzero(left), n))
             left, aligned = _cut_masks(tuple(cuts), (1,) * n)[:2]
             assert aligned.all()
-            bits = _speed_share_bits(speeds, left, moving)
+            bits = _speed_share_bits(speeds, _share_sides(left), moving)
             assert bits.shape == (6, len(cuts))
             for j, side in enumerate(left):
                 assert same_bits(bits[:, j], per_cut_bits(speeds, side, moving))
