@@ -205,10 +205,10 @@ def _correlation_expansions(traj, ts: np.ndarray, setting: MeasurementSetting) -
     for pos, curve in enumerate((first, second)):
         if not isinstance(curve, BlochCurve):
             raise ValueError(f"factor {pos + 1}: only single-angle qubit curves are supported")
-        if np.any(np.abs(curve.phi.coef) > 1e-12):
+        if not np.all(np.abs(curve.phi.coef) < 1e-12):
             raise ValueError(f"factor {pos + 1}: curve must stay in the real plane")
     ca, cb = first.theta.trim(1e-14).coef, second.theta.trim(1e-14).coef
-    if len(ca) != len(cb) or np.any(np.abs(ca - cb) > 1e-12):
+    if len(ca) != len(cb) or not np.all(np.abs(ca - cb) < 1e-12):
         raise ValueError("the two factor curves must be identical")
     if any(traj.frozen):
         raise ValueError("frozen factors are not supported here")

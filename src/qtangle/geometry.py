@@ -210,17 +210,16 @@ def _squared_speeds(stacks: list[tuple], n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_CUT_MASKS_KEPT)
-def _cut_masks(cuts: tuple[Cut, ...], sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Whether each factor, a run of ``sizes[i]`` consecutive positions, lies
-    left of each cut, (cuts, factors); whether each cut splits no factor, its
-    positions all left or none; and the side mask (``_share_sides``) of the
-    cuts that split no factor.  The cuts are valid for the positions.  All
-    three are read-only, built once per cut set and sizes."""
+def _cut_masks(cuts: tuple[Cut, ...], sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each cut splits no factor, a run of ``sizes[i]`` consecutive
+    positions, its positions all left or none; and the side mask
+    (``_share_sides``) of the cuts that split no factor.  The cuts are valid
+    for the positions.  Both are read-only, built once per cut set and sizes."""
     rows = np.array([cut._left_row for cut in cuts])
     starts = list(accumulate(sizes, initial=0))[:-1]
     left = np.logical_and.reduceat(rows, starts, axis=1)
     aligned = np.all(left == np.logical_or.reduceat(rows, starts, axis=1), axis=1)
-    masks = (left, aligned, _share_sides(left[aligned]))
+    masks = (aligned, _share_sides(left[aligned]))
     for arr in masks:
         arr.setflags(write=False)
     return masks
@@ -308,7 +307,7 @@ def profile(
         stacks, at = _factor_tangents(traj, grid, method, h), slice(None)
         factor_speeds = None if stacks is None else _squared_speeds(stacks, len(sizes))
         factors = lambda: None if stacks is None else _unstacked(stacks)
-    _, aligned, sides = _cut_masks(cuts, sizes)
+    aligned, sides = _cut_masks(cuts, sizes)
     aligned = aligned & (factor_speeds is not None)  # a new array: the kept masks are read-only
     dense = [cut for cut, whole in zip(cuts, aligned) if not whole]
     assemble = lambda: _dense_rows(traj, grid, method, h, stacks)

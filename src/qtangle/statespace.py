@@ -64,12 +64,10 @@ def _raise_first(
         deferred.append(exc)
 
 
-def _bounded(
-    measured: np.ndarray, bound: float, message: Callable[[int], str], where: _Where = "", error=ValidationError
-) -> None:
+def _bounded(measured: np.ndarray, bound: float, message: Callable[[int], str], where: _Where = "") -> None:
     """The one rule of every bound: ``_raise_first`` the first row whose ``measured``
     value is not below ``bound``, so a value at its bound fails, and so does a NaN."""
-    _raise_first(~np.less(measured, bound), message, error, where)
+    _raise_first(~np.less(measured, bound), message, where=where)
 
 
 # the rejections of the innermost open ``_first_rejection`` block; None outside one

@@ -1056,9 +1056,7 @@ def pseudo_pure_differential(psi: Ket, tangent: TangentVector, epsilon: float) -
     """
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    if psi.dims != tangent.dims or np.max(
-        np.abs(psi.amplitudes - tangent.base.amplitudes)
-    ) >= 1e-10:
+    if psi.dims != tangent.dims or not np.max(np.abs(psi.amplitudes - tangent.base.amplitudes)) < 1e-10:
         raise ValueError("tangent is not attached to the given state")
     drho = _projector_differentials(tangent.base.amplitudes, tangent.direction)
     return HermitianOp(epsilon * drho, psi.dims)

@@ -349,14 +349,20 @@ def test_channel_gap_at_its_tolerance_is_a_breach(tmp_path, capsys):
     assert "exceeds tolerance" in capsys.readouterr().err
 
 
-def raise_first_calls():
-    """(module, line, condition, error) of each ``_raise_first`` call in the package."""
+def package_nodes():
+    """(module, node) of each syntax node in the package."""
     for path in sorted(Path(qtangle.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            func = getattr(node, "func", None)
-            if isinstance(node, ast.Call) and getattr(func, "id", getattr(func, "attr", None)) == "_raise_first":
-                error = [*node.args[2:3], *(k.value for k in node.keywords if k.arg == "error")]
-                yield path.name, node.lineno, node.args[0], error[0] if error else None
+            yield path.name, node
+
+
+def raise_first_calls():
+    """(module, line, condition, error) of each ``_raise_first`` call in the package."""
+    for module, node in package_nodes():
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and getattr(func, "id", getattr(func, "attr", None)) == "_raise_first":
+            error = [*node.args[2:3], *(k.value for k in node.keywords if k.arg == "error")]
+            yield module, node.lineno, node.args[0], error[0] if error else None
 
 
 def test_every_bound_goes_through_bounded():
@@ -369,3 +375,15 @@ def test_every_bound_goes_through_bounded():
         ranged = isinstance(error, ast.Name) and error.id == "ParameterRangeError"
         compares = any(isinstance(node, ast.Compare) for node in ast.walk(condition))
         assert ranged or not compares, f"{module}:{line}: a bound checked outside _bounded"
+
+
+def test_no_raise_passes_a_value_at_a_float_bound():
+    """No ``if`` that raises compares a value with a float bound by ``>`` or
+    ``>=``: written ``not x < bound``, it rejects a value at its bound, and
+    NaN, as ``_bounded`` does."""
+    for module, node in package_nodes():
+        if isinstance(node, ast.If) and any(isinstance(stmt, ast.Raise) for stmt in node.body):
+            for cmp in (sub for sub in ast.walk(node.test) if isinstance(sub, ast.Compare)):
+                above = any(isinstance(op, (ast.Gt, ast.GtE)) for op in cmp.ops)
+                floats = any(isinstance(c, ast.Constant) and isinstance(c.value, float) for c in cmp.comparators)
+                assert not (above and floats), f"{module}:{node.lineno}: a float bound that passes NaN"

@@ -567,9 +567,11 @@ class TestStackedSites:
                 left = rng.uniform(size=n) < rng.uniform()
                 if 0 < left.sum() < n:
                     cuts.append(Cut.splitting(np.flatnonzero(left), n))
-            left, aligned = _cut_masks(tuple(cuts), (1,) * n)[:2]
+            aligned, sides = _cut_masks(tuple(cuts), (1,) * n)
+            left = np.array([cut._left_row for cut in cuts])  # one position per factor
             assert aligned.all()
-            bits = _speed_share_bits(speeds, _share_sides(left), moving)
+            assert np.array_equal(sides, _share_sides(left))
+            bits = _speed_share_bits(speeds, sides, moving)
             assert bits.shape == (6, len(cuts))
             for j, side in enumerate(left):
                 assert same_bits(bits[:, j], per_cut_bits(speeds, side, moving))
@@ -577,9 +579,10 @@ class TestStackedSites:
 
     def test_left_factors_mark_cuts_that_split_a_factor(self):
         cuts = [Cut.splitting(left, 5) for left in ((0, 1), (0,), (2, 0, 1), (1, 2), (2, 3, 4))]
-        left, aligned = _cut_masks(tuple(cuts), (2, 1, 2))[:2]
+        aligned, sides = _cut_masks(tuple(cuts), (2, 1, 2))
         assert aligned.tolist() == [True, False, True, False, True]
-        assert left[aligned].tolist() == [[True, False, False], [True, True, False], [False, True, True]]
+        left = np.array([[True, False, False], [True, True, False], [False, True, True]])
+        assert np.array_equal(sides, _share_sides(left))
 
     def test_profile_mixes_shared_and_split_cuts(self):
         rng = np.random.default_rng(64)
