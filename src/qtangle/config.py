@@ -12,13 +12,14 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
+from .geometry import _increments
 from .statespace import Cut, Ket
 from .trajectories import (
     DEFAULT_STEP,
@@ -101,10 +102,11 @@ class RunConfig:
     tol: float
     epsilon: float
     echo: dict
+    # the grid's points, built and checked once by ``parse_config``; read-only
+    _points: np.ndarray = field(repr=False, compare=False)
 
     def grid_points(self) -> np.ndarray:
-        t0, t1, steps = self.grid
-        return np.linspace(t0, t1, steps)
+        return self._points
 
     def trajectory(self) -> ProductTrajectory | None:
         return self._trajectory
@@ -385,6 +387,14 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
         _fail("grid.steps", f"must be at most {MAX_GRID_STEPS}, got {steps}")
     if not t0 < t1:
         _fail("grid", f"t0 must be less than t1, got t0={t0!r}, t1={t1!r}")
+    # a span that overflows, or steps finer than the floats between t0 and t1,
+    # gives points that are not finite or not increasing
+    with np.errstate(all="ignore"):
+        points = np.linspace(t0, t1, steps)
+        increasing = np.isfinite(points).all() and (_increments(points) > 0).all()
+    if not increasing:
+        _fail("grid", f"the {steps} points from t0={t0!r} to t1={t1!r} are not finite and strictly increasing")
+    points.setflags(write=False)
 
     cuts = None
     if "cuts" in doc:
@@ -443,4 +453,5 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
         tol=tol,
         epsilon=epsilon,
         echo=echo,
+        _points=points,
     )

@@ -41,6 +41,7 @@ from .statespace import (
     _normalized,
     _overlaps,
     _raise_first,
+    _row_norms,
     _split,
 )
 from .trajectories import (
@@ -205,7 +206,7 @@ def _squared_speeds(stacks: list[tuple], n: int) -> np.ndarray:
     one norm per stack, as a C-contiguous (G, n) array."""
     speeds = np.empty((n, stacks[0][1].shape[1]))
     for sites, a, d in stacks:
-        speeds[sites] = np.linalg.norm(_horizontal(a, d), axis=-1) ** 2
+        speeds[sites] = _row_norms(_horizontal(a, d)) ** 2
     return np.ascontiguousarray(speeds.T)
 
 
@@ -213,8 +214,13 @@ def _squared_speeds(stacks: list[tuple], n: int) -> np.ndarray:
 def _cut_masks(cuts: tuple[Cut, ...], sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Whether each cut splits no factor, a run of ``sizes[i]`` consecutive
     positions, its positions all left or none; and the side mask
-    (``_share_sides``) of the cuts that split no factor.  The cuts are valid
-    for the positions.  Both are read-only, built once per cut set and sizes."""
+    (``_share_sides``) of the cuts that split no factor.  Each cut is first
+    checked to partition the ``sum(sizes)`` positions (``Cut.validate_for``),
+    so a cut set is validated once per sizes, and one that fails is not
+    kept.  Both masks are read-only, built once per cut set and sizes."""
+    positions = range(sum(sizes))
+    for cut in cuts:
+        cut.validate_for(positions)
     rows = np.array([cut._left_row for cut in cuts])
     starts = list(accumulate(sizes, initial=0))[:-1]
     left = np.logical_and.reduceat(rows, starts, axis=1)
@@ -242,9 +248,21 @@ def _speed_share_bits(speeds: np.ndarray, sides: np.ndarray, moving: np.ndarray)
     sums = np.einsum("gf,fs->gs", speeds, sides).reshape(len(speeds), -1, 2)  # (G, cuts, 2)
     p = np.divide(sums.min(axis=-1), sums.sum(axis=-1), out=np.zeros(sums.shape[:-1]), where=moving[:, None])
     shared = p > 0
-    logs = np.log2(p, out=np.zeros_like(p), where=shared)
+    logs = np.log2(p, out=np.zeros(p.shape), where=shared)
     bits = -(p * logs + (1 - p) * np.log1p(-p) / math.log(2))
     return np.where(shared, bits, 0.0)  # +0.0, not -0.0, where a side is still
+
+
+def _increments(grid: np.ndarray) -> np.ndarray:
+    """``np.diff(grid)``: each point less the one before, by the subtraction
+    ``np.diff`` runs, without its wrapper."""
+    return np.subtract(grid[1:], grid[:-1])
+
+
+def _trapezoid(values: np.ndarray, spacing: np.ndarray) -> np.ndarray:
+    """``np.trapezoid(values, grid)`` from the grid's ``_increments``, by the
+    float steps it runs, without its wrapper."""
+    return (spacing * (values[1:] + values[:-1]) / 2.0).sum(-1)
 
 
 def _entropies_or_zero(
@@ -280,13 +298,15 @@ def profile(
 
     What does not depend on the grid is built once and kept read-only: a
     program's squared site speeds per step (``RegisterProgram._step_speeds``)
-    and each cut set's factor masks (``_cut_masks``).  The checks, and every
-    entropy, are computed on every call.
+    and each cut set's factor masks (``_cut_masks``), kept with the cut
+    set's validation, which runs before the trajectory is evaluated.  The
+    other checks, and every entropy, are computed on every call.
     """
     grid = np.array(grid, dtype=float).reshape(-1)
     if grid.size < 2:
         raise ValueError("grid needs at least 2 points")
-    if not np.all(np.diff(grid) > 0):
+    spacing = _increments(grid)
+    if not (spacing > 0).all():
         raise ValueError("grid must be strictly increasing")
     cuts = tuple(cuts)
     if not cuts:
@@ -295,8 +315,7 @@ def profile(
         dims, sizes = traj.initial.dims, (1,) * traj.n_sites
     else:
         dims, sizes = traj.dims, tuple(len(curve.dims) for curve in traj.factors)
-    for cut in cuts:
-        cut.validate_for(dims)
+    aligned, sides = _cut_masks(cuts, sizes)
 
     steps = _register_step_speeds(traj, grid, method) if isinstance(traj, RegisterProgram) else None
     if steps is not None:
@@ -307,7 +326,6 @@ def profile(
         stacks, at = _factor_tangents(traj, grid, method, h), slice(None)
         factor_speeds = None if stacks is None else _squared_speeds(stacks, len(sizes))
         factors = lambda: None if stacks is None else _unstacked(stacks)
-    aligned, sides = _cut_masks(cuts, sizes)
     aligned = aligned & (factor_speeds is not None)  # a new array: the kept masks are read-only
     dense = [cut for cut, whole in zip(cuts, aligned) if not whole]
     assemble = lambda: _dense_rows(traj, grid, method, h, stacks)
@@ -316,7 +334,7 @@ def profile(
         states, directions = assemble()
         assemble = lambda: (states, directions)
         horizontal = _horizontal(states, directions)
-        norms = np.linalg.norm(horizontal, axis=-1)
+        norms = _row_norms(horizontal)
         dense_tangent = dict(zip(dense, _entropies_or_zero(horizontal, dims, dense, norms)))
         dense_base = dict(zip(dense, _entropies_or_zero(states, dims, dense)))
     else:
@@ -333,19 +351,23 @@ def profile(
     _raise_first(~np.isfinite(speeds), lambda i: "fs_speed overflows double precision")
     # the zero-motion rule of _entropies_or_zero: below the zero floor nothing moves
     moving = ~np.less(norms, _ZERO_TOL)
-    shared = iter(() if factor_speeds is None else _speed_share_bits(factor_speeds, sides, moving).T[:, at])
-    tangent = {cut: next(shared) if whole else dense_tangent[cut] for cut, whole in zip(cuts, aligned)}
-    zero = np.zeros(grid.size)  # every whole cut's base entropy, one read-only row
+    # every whole cut's tangent entropies, one row each of one (cuts, G) array
+    shared = np.empty((0, grid.size))
+    if factor_speeds is not None:
+        shared = _speed_share_bits(factor_speeds, sides, moving).T[:, at]
+    zero = np.zeros(grid.size)  # every whole cut's base entropy, one row
+    for arr in (grid, speeds, shared, zero, *dense_tangent.values(), *dense_base.values()):
+        arr.setflags(write=False)  # the rows of a read-only array are read-only
+    rows = iter(shared)
+    tangent = {cut: next(rows) if whole else dense_tangent[cut] for cut, whole in zip(cuts, aligned)}
     base = {cut: zero if whole else dense_base[cut] for cut, whole in zip(cuts, aligned)}
-    for arr in (grid, speeds, *tangent.values(), *base.values()):
-        arr.setflags(write=False)
     return TrajectoryProfile(
         grid,
         speeds,
         tangent,
         base,
         dims,
-        float(np.trapezoid(speeds, grid) if steps is None else 2 * norms @ lengths),
+        float(_trapezoid(speeds, spacing) if steps is None else 2 * norms @ lengths),
         cuts,
         {cut: "speed_share" if whole else "svd" for cut, whole in zip(cuts, aligned)},
         assemble,

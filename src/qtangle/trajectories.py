@@ -32,7 +32,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from numpy.polynomial.polynomial import polyval
 
 from .errors import ParameterRangeError, UnsupportedMethodError
 from .statespace import (
@@ -53,6 +52,7 @@ from .statespace import (
     _outer,
     _overlaps,
     _raise_first,
+    _row_norms,
 )
 
 DEFAULT_STEP = 1e-4
@@ -83,8 +83,9 @@ def _evaluators(
     """``poly`` and its first ``count - 1`` derivatives as functions of a grid array.
 
     They repeat the arithmetic of ``poly.deriv(order)`` and of
-    ``Polynomial.__call__`` (domain map, then ``polyval``) without building
-    polynomial objects, which costs more than evaluating a short grid.  A
+    ``Polynomial.__call__`` (domain map, then ``polyval``'s Horner scheme,
+    step for step) without building polynomial objects or calling the
+    ``polyval`` wrapper, which cost more than evaluating a short grid.  A
     stack of coefficient rows (M, k) gives functions of one parameter value
     per trial, (M,); a stack (S, 1, k) gives functions of a grid (G,), (S, G).
     """
@@ -101,7 +102,16 @@ def _evaluators(
         else:  # +0.0 whatever the sign of the constant, as a zero-padded stack's rows give
             coef = np.zeros_like(coef[:1])
         coefs.append(coef)
-    return [lambda ts, coef=coef: polyval(off + scl * ts, coef, tensor=False) for coef in coefs]
+    return [lambda ts, rows=tuple(coef[::-1]): _horner(rows, off + scl * ts) for coef in coefs]
+
+
+def _horner(rows: tuple, x: np.ndarray) -> np.ndarray:
+    """``polyval(x, coef, tensor=False)``, given ``rows = coef[::-1]`` (highest
+    degree first), by polyval's own float steps: c[-1] + x*0, then c[-i] + y*x."""
+    y = rows[0] + x * 0
+    for c in rows[1:]:
+        y = c + y * x
+    return y
 
 
 def _plain_coefs(*polys) -> tuple[np.ndarray, ...] | None:
@@ -1020,15 +1030,15 @@ def _register_step_speeds(
     new = np.empty(ks.shape, dtype=bool)
     new[0] = True
     np.not_equal(ks[1:], ks[:-1], out=new[1:])
-    first = np.flatnonzero(new)
+    first = new.nonzero()[0]
     at, ts = ks[first] - 1, local[first][:, None]
     squared = prog._step_speeds[k0 - 1 : k1]
     norms = np.empty((prog.n_sites, first.size))
     with np.errstate(all="ignore"):  # a speed that overflows fails its check
         for (sites, evals, evecs, _, _), (_, coeffs) in zip(prog._step_stacks, prog._site_orbits):
-            norms[sites] = np.linalg.norm(_orbit(evals[:, at], evecs[:, at], coeffs[:, at], ts), axis=-1)
+            norms[sites] = _row_norms(_orbit(evals[:, at], evecs[:, at], coeffs[:, at], ts))
         finite = np.isfinite(squared.sum(axis=-1)).all()
-    defects = abs(np.concatenate([norms, np.prod(norms, axis=0, keepdims=True)]) - 1.0)
+    defects = abs(np.concatenate([norms, norms.prod(axis=0, keepdims=True)]) - 1.0)
     if not (finite and (defects < BASE_NORM_TOL).all()):
         return None
     steps = np.arange(k0, k1 + 1)

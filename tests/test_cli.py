@@ -57,9 +57,11 @@ from qtangle.cli import (
     run,
     verify,
 )
-from qtangle.config import MAX_GRID_STEPS
+from qtangle.config import MAX_GRID_STEPS, SCENARIOS
 from qtangle.mixed_witness import VERDICT_EXCLUDED
 from qtangle.statespace import TRACE_TOL
+
+from helpers import same_bits
 
 SQ2 = math.sqrt(2)
 
@@ -904,6 +906,18 @@ def test_grid_steps_above_the_bound_exit_2(steps, tmp_path, capsys):
 
 def test_grid_steps_bound_is_inclusive():
     assert parse(demo(grid={"steps": MAX_GRID_STEPS})).grid[2] == MAX_GRID_STEPS
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_grid_points_are_built_once_by_the_parser(scenario, monkeypatch):
+    """``grid_points()`` is the parser's read-only np.linspace of the grid,
+    the same array on every call, and a run builds no other."""
+    cfg = parse({"scenario": scenario, **({"subsystems": [QUBIT, QUBIT]} if scenario == "product_trace" else {})})
+    points = cfg.grid_points()
+    assert points is cfg.grid_points() and not points.flags.writeable
+    assert same_bits(points, np.linspace(*cfg.grid))
+    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: pytest.fail("np.linspace called in a run"))
+    assert len(run(cfg).rows) == cfg.grid[2]
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])

@@ -24,6 +24,7 @@ from qtangle import (
     profile,
     with_global_phase,
 )
+from qtangle.geometry import _increments, _trapezoid
 from qtangle.trajectories import (
     DEFAULT_STEP,
     _curve_rows,
@@ -187,6 +188,65 @@ class TestProfile:
     def test_cut_validation(self):
         with pytest.raises(ValueError):
             profile(pair(), [0.0, 1.0], [Cut((0,), (1, 2))])
+
+    def test_a_bad_cut_is_rejected_before_the_trajectory_is_evaluated(self):
+        """A trajectory that fails its amplitude check at t=1e10, profiled with
+        a cut set holding an invalid cut: the cut's rejection, on every call."""
+        traj = ProductTrajectory((BlochCurve([0.0, 1e300]), BlochCurve([0.0, 1.0])))
+        grid, good = [0.0, 1.0, 1e10], Cut.splitting((0,), 2)
+        with pytest.raises(ValidationError, match="^amplitudes must all be finite$"):
+            profile(traj, grid, [good])
+        for _ in range(2):  # a cut set that raised is not kept as checked
+            with pytest.raises(ValueError) as info:
+                profile(traj, grid, [good, Cut((0,), (2,))])
+            assert info.type is ValueError
+            assert str(info.value) == "cut 1|3 does not partition the 2 factor positions"
+
+    def test_a_cut_set_is_checked_for_each_factor_count(self):
+        """Cuts valid on two factors are still rejected on three, a product
+        trajectory or a register program."""
+        cuts = [Cut.splitting((0,), 2)]
+        profile(pair(), [0.0, 1.0], cuts)
+        three = ProductTrajectory((BlochCurve([0.0, 1.0]),) * 3)
+        program = RegisterProgram.uniform_superposition(((UnitaryCurve.rotation(SY),) * 3,), 3)
+        for traj in (three, program):
+            with pytest.raises(ValueError, match=r"^cut 1\|2 does not partition the 3 factor positions$"):
+                profile(traj, [0.0, 1.0], cuts)
+
+
+class TestGridArithmetic:
+    """``profile``'s grid check and trapezoidal arc length take the float
+    steps of ``np.diff`` and ``np.trapezoid``, bit for bit."""
+
+    GRIDS = [
+        np.linspace(0.0, 1.0, 7),
+        np.array([0.0, np.inf, np.inf]),
+        np.array([-np.inf, 0.0, np.inf]),
+        np.array([np.nan, 1.0, 2.0]),
+        np.array([0.0, np.nan, 1.0]),
+        np.array([-1e308, 1e308, -1e308]),  # spans that overflow to +-inf
+        np.array([1.0, 1.0, 5e-324, 0.0, -0.0]),
+    ]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_increase_check_is_np_diff(self, grid):
+        with np.errstate(all="ignore"):
+            got, want = _increments(grid), np.diff(grid)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(got > 0, want > 0)
+
+    def test_arc_length_is_np_trapezoid(self):
+        rng = np.random.default_rng(34)
+        for size in (2, 3, 9, 181):
+            grid = np.sort(rng.uniform(-2.0, 5.0, size))
+            speeds = rng.uniform(0.0, 3.0, size)
+            speeds[rng.integers(size)] = 0.0
+            got, want = _trapezoid(speeds, _increments(grid)), np.trapezoid(speeds, grid)
+            np.testing.assert_array_equal(np.float64(got).view(np.uint64), np.float64(want).view(np.uint64))
+        for grid, speeds in [(self.GRIDS[1], [1.0, 2.0, 0.0]), (self.GRIDS[5], [1e300, 1e300, 0.0])]:
+            with np.errstate(all="ignore"):
+                got, want = _trapezoid(np.array(speeds), _increments(grid)), np.trapezoid(speeds, grid)
+            np.testing.assert_array_equal(np.float64(got).view(np.uint64), np.float64(want).view(np.uint64))
 
 
 def kron_rows(parts):

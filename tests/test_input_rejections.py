@@ -4,11 +4,14 @@ Each row is a call on malformed input, the exception class it must raise
 (exactly that class, not a subclass) and its whole message.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from qtangle import (
     BlochCurve,
+    ConfigError,
     Cut,
     Ensemble,
     HermitianOp,
@@ -28,8 +31,10 @@ from qtangle import (
     fs_distance,
     infinitesimal_composition,
     inner,
+    parse_config,
     tensor_product,
 )
+from qtangle.cli import main
 
 QUBIT = Ket(np.array([1.0, 0.0]), (2,))
 QUTRIT = Ket(np.array([1.0, 0.0, 0.0]), (3,))
@@ -40,7 +45,35 @@ STILL_QUBIT = UnitaryCurve.constant(np.eye(2))
 STILL_QUTRIT = UnitaryCurve.constant(np.eye(3))
 ORBIT3 = LocalHamiltonianCurve(np.eye(3), QUTRIT)
 
+# grids whose np.linspace points are not finite and strictly increasing,
+# though t0 < t1: each with the message of its diagnostic
+BAD_GRIDS = {
+    # points [nan, inf, 1e308]
+    "grid-span-overflows": (
+        {"t0": -1e308, "t1": 1e308, "steps": 3},
+        "grid: the 3 points from t0=-1e+308 to t1=1e+308 are not finite and strictly increasing",
+    ),
+    # points [0, 0, 5e-324]
+    "grid-below-subnormal-spacing": (
+        {"t0": 0, "t1": 5e-324, "steps": 3},
+        "grid: the 3 points from t0=0.0 to t1=5e-324 are not finite and strictly increasing",
+    ),
+    # points [1, 1, 1, 1.0000000000000002]
+    "grid-below-one-ulp-spacing": (
+        {"t0": 1, "t1": 1.0000000000000002, "steps": 4},
+        "grid: the 4 points from t0=1.0 to t1=1.0000000000000002 are not finite and strictly increasing",
+    ),
+}
+
+
+def grid_document(grid: dict) -> str:
+    return json.dumps({"scenario": "two_qubit_demo", "grid": grid})
+
 REJECTIONS = [
+    *(
+        pytest.param(lambda grid=grid: parse_config(grid_document(grid)), ConfigError, message, id=name)
+        for name, (grid, message) in BAD_GRIDS.items()
+    ),
     pytest.param(
         lambda: Ket(np.eye(2), (2,)),
         ValueError,
@@ -241,3 +274,12 @@ def test_input_is_rejected_with_its_message(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert info.type is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("grid, message", BAD_GRIDS.values(), ids=BAD_GRIDS)
+def test_grid_without_increasing_points_exits_2_naming_the_grid(grid, message, tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text(grid_document(grid))
+    assert main(["--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")

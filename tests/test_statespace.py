@@ -20,7 +20,7 @@ from qtangle import (
 )
 from qtangle.entanglement import _ppt_negativities
 from qtangle.errors import DegenerateInputError
-from qtangle.statespace import _first_rejection, _outer, _partial_trace, _raise_first, _split
+from qtangle.statespace import _first_rejection, _outer, _partial_trace, _raise_first, _row_norms, _split
 
 from helpers import random_ket
 
@@ -54,6 +54,30 @@ def random_hermitian_op(rng, dims):
     n = int(np.prod(dims))
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return HermitianOp((a + a.conj().T) / 2, dims)
+
+
+class TestRowNorms:
+    """``_row_norms`` is ``np.linalg.norm`` along one axis, to the bit, on
+    stacks whose entries include 0, inf, nan and values whose squares overflow."""
+
+    @staticmethod
+    def stack(rng):
+        x = rng.standard_normal((6, 4, 5)) + 1j * rng.standard_normal((6, 4, 5))
+        x[0] = 0.0
+        x[1, 0, 0], x[1, 1, 2] = np.inf, complex(0.0, -np.inf)
+        x[2, 0, 1], x[2, 2, 2] = np.nan, complex(1.0, np.nan)
+        x[3, 0, 0], x[3, 1, :] = 1e200, complex(-1e200, 1e200)
+        x[4, 2, :] = complex(-0.0, 0.0)
+        x[5, 3] *= 1e-160
+        return x
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_bits_are_np_linalg_norm(self, kind):
+        x = self.stack(np.random.default_rng(29))
+        x = x if kind == "complex" else x.real.copy()
+        with np.errstate(all="ignore"):
+            want, got = np.linalg.norm(x, axis=-1), _row_norms(x)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestKet:

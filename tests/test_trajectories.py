@@ -13,6 +13,7 @@ from functools import reduce
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyval
 
 import qtangle.trajectories as trajectories
 from qtangle import (
@@ -96,6 +97,52 @@ class TestEvalCurve:
         curve = BlochCurve([0.4, 1.3, -0.2], [0.1, 0.7])
         for t in rng.uniform(-2, 2, size=20):
             assert curve.state(t).norm() == pytest.approx(1.0, abs=1e-10)
+
+
+class TestHornerEvaluators:
+    """``_evaluators`` runs ``polyval``'s own float steps: bit for bit, signed
+    zeros included, the functions it returns equal those it returns with
+    ``polyval`` itself doing each evaluation."""
+
+    PARAMS = np.array([-2.5, -1.0, -1e-300, -0.0, 0.0, 0.4, 3.0])
+
+    @staticmethod
+    def by_polyval(rows, x):
+        return polyval(x, np.array(rows[::-1]), tensor=False)
+
+    def assert_polyval_bits(self, poly, ts, monkeypatch):
+        got = [f(ts) for f in trajectories._evaluators(poly, 4)]
+        monkeypatch.setattr(trajectories, "_horner", self.by_polyval)
+        want = [f(ts) for f in trajectories._evaluators(poly, 4)]
+        monkeypatch.undo()
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            Polynomial([0.3, -1.2, 0.7, 0.05]),
+            Polynomial([0.3, -1.2, 0.7, 0.05], domain=[0.0, 2.5]),
+            Polynomial([-0.0]),
+            Polynomial([-0.4, 0.0, -0.0]),
+        ],
+        ids=["default-domain", "mapped-domain", "negative-zero", "zero-tail"],
+    )
+    def test_polynomial(self, poly, monkeypatch):
+        self.assert_polyval_bits(poly, self.PARAMS, monkeypatch)
+
+    def test_zero_padded_factor_stack(self, monkeypatch):
+        """(S, 1, k): one curve per factor over a grid (G,), short rows zero-padded."""
+        rows = [np.array([0.3, -1.2, 0.7, 0.05]), np.array([-0.0]), np.array([-0.5, 2.0])]
+        self.assert_polyval_bits(trajectories._padded(rows), self.PARAMS, monkeypatch)
+
+    def test_trial_stack(self, monkeypatch):
+        """(M, k): one curve per trial, each at its own parameter."""
+        coefs = np.random.default_rng(12).standard_normal((len(self.PARAMS), 3))
+        coefs[1:3, 1:] = 0.0
+        coefs[3, 0] = -0.0
+        self.assert_polyval_bits(coefs, self.PARAMS, monkeypatch)
 
 
 class TestDifferentiate:
