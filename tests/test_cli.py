@@ -912,7 +912,10 @@ def test_grid_steps_bound_is_inclusive():
 def test_grid_points_are_built_once_by_the_parser(scenario, monkeypatch):
     """``grid_points()`` is the parser's read-only np.linspace of the grid,
     the same array on every call, and a run builds no other."""
-    cfg = parse({"scenario": scenario, **({"subsystems": [QUBIT, QUBIT]} if scenario == "product_trace" else {})})
+    doc = {"scenario": scenario}
+    if scenario == "product_trace":  # the one scenario without default subsystems
+        doc["subsystems"] = [QUBIT, QUBIT]
+    cfg = parse(doc)
     points = cfg.grid_points()
     assert points is cfg.grid_points() and not points.flags.writeable
     assert same_bits(points, np.linspace(*cfg.grid))
