@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .config import SCENARIOS, RunConfig, parse_config
+from .config import _FORMATS, SCENARIOS, RunConfig, parse_config
 from .channels import _channel_rows, _factor_overlaps, _reality_gaps
 from .entanglement import MeasurementSetting, _bell_rows, _chsh_rows, _correlation_expansions
 from .errors import DegenerateInputError, ToleranceBreachError, ValidationError
@@ -305,6 +305,8 @@ def render_json(report: TraceReport) -> str:
 
 def emit(report: TraceReport, out_format: str = "csv", path: str | None = None) -> None:
     """Write the report as CSV or JSON to a file, or to stdout when path is None."""
+    if out_format not in _FORMATS:
+        raise ValueError(f"out_format must be one of {_FORMATS}, got {out_format!r}")
     text = render_csv(report) if out_format == "csv" else render_json(report)
     if path is None:
         sys.stdout.write(text)
@@ -684,7 +686,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     note = "scenario shorthand with defaults (product_trace has none: run it by --config)"
     parser.add_argument("--scenario", choices=[s for s in SCENARIOS if s != "product_trace"], help=note)
     parser.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), dest="out_format")
+    parser.add_argument("--format", choices=_FORMATS, dest="out_format")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--tol", type=float)
     args = parser.parse_args(argv)

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .statespace import (
     BASE_NORM_TOL,
@@ -190,7 +191,8 @@ def correlation_expansion(traj, t: float, setting: MeasurementSetting) -> tuple[
     expectation along a two-qubit trajectory, in the parameter increment.
 
     Supported for a pair of identical real single-angle qubit curves, where
-    the per-side expectations have closed derivatives.
+    the per-side expectations have closed derivatives; the curves are compared
+    as functions of the parameter, whatever their polynomials' domains.
     """
     return tuple(float(c) for c in _correlation_expansions(traj, np.array([float(t)]), setting)[0])
 
@@ -205,9 +207,11 @@ def _correlation_expansions(traj, ts: np.ndarray, setting: MeasurementSetting) -
     for pos, curve in enumerate((first, second)):
         if not isinstance(curve, BlochCurve):
             raise ValueError(f"factor {pos + 1}: only single-angle qubit curves are supported")
-        if not np.all(np.abs(curve.phi.coef) < 1e-12):
+        if not isinstance(curve.theta, Polynomial) or not isinstance(curve.phi, Polynomial):
+            raise ValueError(f"factor {pos + 1}: a stack of curves is not supported here")
+        if not np.all(np.abs(curve.phi.convert().coef) < 1e-12):
             raise ValueError(f"factor {pos + 1}: curve must stay in the real plane")
-    ca, cb = first.theta.trim(1e-14).coef, second.theta.trim(1e-14).coef
+    ca, cb = first.theta.convert().trim(1e-14).coef, second.theta.convert().trim(1e-14).coef
     if len(ca) != len(cb) or not np.all(np.abs(ca - cb) < 1e-12):
         raise ValueError("the two factor curves must be identical")
     if any(traj.frozen):

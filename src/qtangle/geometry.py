@@ -297,10 +297,10 @@ def profile(
     over the grid.
 
     What does not depend on the grid is built once and kept read-only: a
-    program's squared site speeds per step (``RegisterProgram._step_speeds``)
-    and each cut set's factor masks (``_cut_masks``), kept with the cut
-    set's validation, which runs before the trajectory is evaluated.  The
-    other checks, and every entropy, are computed on every call.
+    program's squared site speeds and verdicts per step
+    (``RegisterProgram._step_speeds``, ``_step_checks``), and each cut set's
+    masks (``_cut_masks``) with its validation, run before the trajectory is
+    evaluated.  The other checks, and every entropy, are computed on every call.
     """
     grid = np.array(grid, dtype=float).reshape(-1)
     if grid.size < 2:

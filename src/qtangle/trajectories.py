@@ -894,8 +894,7 @@ class RegisterProgram:
         speed is the variance of the generator's eigenvalues lambda under the
         orbit's populations |c|^2, sum |c|^2 (lambda - <lambda>)^2 with
         <lambda> = sum |c|^2 lambda, which the orbit keeps (Anandan and
-        Aharonov, PRL 65, 1697 (1990)).  Unchecked: a caller checks the rows it
-        reads, where an entry may have overflowed."""
+        Aharonov, PRL 65, 1697 (1990))."""
         if self._site_orbits is None:
             return None
         squared = np.empty((self.n_steps, self.n_sites))
@@ -906,6 +905,23 @@ class RegisterProgram:
                 squared[:, sites] = np.sum(pops * (evals - mean) ** 2, axis=-1).T
         squared.setflags(write=False)
         return squared
+
+    @cached_property
+    def _step_checks(self) -> np.ndarray | None:
+        """Per step, (2, K), read-only, filled on first use: whether each site's
+        coefficient norm, and their product, is within BASE_NORM_TOL of 1 (the
+        site's orbit keeps it, its eigenvectors being unitary), and whether the
+        step's row of ``_step_speeds`` sums to a finite value; None for an entangled initial state."""
+        if self._step_speeds is None:
+            return None
+        norms = np.empty((self.n_sites, self.n_steps))
+        with np.errstate(all="ignore"):  # a norm or a speed that overflows fails its check
+            for (sites, *_), (_, coeffs) in zip(self._step_stacks, self._site_orbits):
+                norms[sites] = _row_norms(coeffs)
+            defects = abs(np.concatenate([norms, norms.prod(axis=0, keepdims=True)]) - 1.0)
+            checks = np.array([(defects < BASE_NORM_TOL).all(axis=0), np.isfinite(self._step_speeds.sum(axis=-1))])
+        checks.setflags(write=False)
+        return checks
 
     @cached_property
     def _step_starts(self) -> np.ndarray:
@@ -1013,36 +1029,19 @@ def _register_step_speeds(
     rows of the program's step table (``RegisterProgram._step_speeds``); the
     row of each grid point, (G,); and each step's length within
     [grid[0], grid[-1]], (K,).  None where the per-point rows decide: under a
-    stencil, for an entangled initial state, or where a check fails, so that
-    the site rows (``_register_site_rows``) name the rejection.
-
-    The checks run on every call; only the speeds are kept.  A site's
-    eigenvector matrix is unitary, so its orbit keeps its norm as well as
-    its speed: the site rows' checks hold through a step when each site's
-    norm, and their product, pass at the step's first grid point.  The
-    speeds of every step in the grid's span are checked finite, for the arc
-    length."""
+    stencil, for an entangled initial state, where a step the grid meets
+    fails the site rows' checks, or where a step in the grid's span has a
+    speed that is not finite (``RegisterProgram._step_checks``), so that the
+    site rows (``_register_site_rows``) name the rejection."""
     if prog._site_orbits is None or resolve_method((), method) != "analytic":
         return None
-    ks, local = prog.resolve_time(grid)
+    ks, _ = prog.resolve_time(grid)
     k0, k1 = int(ks[0]), int(ks[-1])
-    # the first grid point of each step met: the first point, and each whose step is new
-    new = np.empty(ks.shape, dtype=bool)
-    new[0] = True
-    np.not_equal(ks[1:], ks[:-1], out=new[1:])
-    first = new.nonzero()[0]
-    at, ts = ks[first] - 1, local[first][:, None]
-    squared = prog._step_speeds[k0 - 1 : k1]
-    norms = np.empty((prog.n_sites, first.size))
-    with np.errstate(all="ignore"):  # a speed that overflows fails its check
-        for (sites, evals, evecs, _, _), (_, coeffs) in zip(prog._step_stacks, prog._site_orbits):
-            norms[sites] = _row_norms(_orbit(evals[:, at], evecs[:, at], coeffs[:, at], ts))
-        finite = np.isfinite(squared.sum(axis=-1)).all()
-    defects = abs(np.concatenate([norms, norms.prod(axis=0, keepdims=True)]) - 1.0)
-    if not (finite and (defects < BASE_NORM_TOL).all()):
+    unit, finite = prog._step_checks
+    if not (unit[ks - 1].all() and finite[k0 - 1 : k1].all()):
         return None
     steps = np.arange(k0, k1 + 1)
-    return squared, ks - k0, np.minimum(grid[-1], steps) - np.maximum(grid[0], steps - 1)
+    return prog._step_speeds[k0 - 1 : k1], ks - k0, np.minimum(grid[-1], steps) - np.maximum(grid[0], steps - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2285,3 +2285,14 @@ class TestEmit:
         path = tmp_path / "r.csv"
         emit(rep, "csv", str(path))
         assert b"\r" not in path.read_bytes()
+
+    @pytest.mark.parametrize("out_format", ["xml", "CSV", ""])
+    def test_unknown_format_rejected_before_anything_is_written(self, tmp_path, capsys, out_format):
+        rep = run(parse({"scenario": "two_qubit_demo", "grid": {"steps": 2}}))
+        path = tmp_path / "r.out"
+        with pytest.raises(ValueError, match=r"^out_format must be one of \('csv', 'json'\), got "):
+            emit(rep, out_format, str(path))
+        with pytest.raises(ValueError, match="^out_format must be one of"):
+            emit(rep, out_format)
+        assert not path.exists()
+        assert capsys.readouterr().out == ""

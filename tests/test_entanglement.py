@@ -8,6 +8,7 @@ finite-difference expansion of the joint spin expectation.
 import math
 
 import numpy as np
+from numpy.polynomial import Polynomial
 import pytest
 
 from qtangle import (
@@ -302,6 +303,33 @@ class TestCorrelationExpansion:
         traj = ProductTrajectory((BlochCurve([0.0, 1.0]), BlochCurve([0.0, 2.0])))
         setting = MeasurementSetting([0, 0, 1.0], [0, 0, 1.0])
         with pytest.raises(ValueError):
+            correlation_expansion(traj, 0.0, setting)
+
+    def test_curves_in_different_domains_rejected(self):
+        """theta = t and theta = t - 1 have the same coefficients in their own
+        domains, [-1, 1] and [0, 2]; as functions of t they differ."""
+        traj = ProductTrajectory(
+            (BlochCurve(Polynomial([0.0, 1.0])), BlochCurve(Polynomial([0.0, 1.0], domain=[0, 2])))
+        )
+        setting = MeasurementSetting([0, 0, 1.0], [0, 0, 1.0])
+        with pytest.raises(ValueError, match="^the two factor curves must be identical$"):
+            correlation_expansion(traj, 0.7, setting)
+
+    def test_same_function_in_two_domains_accepted(self):
+        """theta = t, once in the default domain and once as 1 + x with x = t - 1."""
+        traj = ProductTrajectory(
+            (BlochCurve(Polynomial([0.0, 1.0])), BlochCurve(Polynomial([1.0, 1.0], domain=[0, 2])))
+        )
+        setting = MeasurementSetting([0, 0, 1.0], [0, 0, 1.0])
+        c0, c1, _ = correlation_expansion(traj, 0.7, setting)
+        assert c0 == pytest.approx(math.cos(0.7) ** 2, abs=1e-14)
+        assert c1 == pytest.approx(-math.sin(1.4), abs=1e-14)
+
+    @pytest.mark.parametrize("theta, phi", [([[0.0, 1.0]], 0.0), ([0.0, 1.0], [[0.0]])])
+    def test_stacked_curves_rejected(self, theta, phi):
+        traj = ProductTrajectory((BlochCurve(theta, phi), BlochCurve(theta, phi)))
+        setting = MeasurementSetting([0, 0, 1.0], [0, 0, 1.0])
+        with pytest.raises(ValueError, match="^factor 1: a stack of curves is not supported here$"):
             correlation_expansion(traj, 0.0, setting)
 
     def test_out_of_plane_curve_rejected(self):

@@ -377,6 +377,44 @@ def test_every_bound_goes_through_bounded():
         assert ranged or not compares, f"{module}:{line}: a bound checked outside _bounded"
 
 
+def private_definitions(tree):
+    """Each single-underscore function or class at a module's top level, and
+    each such method of a top-level class."""
+    for node in tree.body:
+        for sub in [node, *(node.body if isinstance(node, ast.ClassDef) else ())]:
+            if isinstance(sub, (ast.FunctionDef, ast.ClassDef)) and sub.name[:1] == "_" != sub.name[1:2]:
+                yield sub
+
+
+def referenced_names(node):
+    """The names an ``ast.Name``, an ``ast.Attribute`` or a ``from`` import refers to."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def test_no_private_definition_is_dead():
+    """Every private function, class and method is reached, by name, attribute
+    or import, from somewhere in the package outside its own definition: one
+    that only the tests reach is dead code."""
+    nodes = list(package_nodes())
+    uses = [(module, node.lineno, name) for module, node in nodes for name in referenced_names(node)]
+    definitions = [
+        (module, d) for module, node in nodes if isinstance(node, ast.Module) for d in private_definitions(node)
+    ]
+    assert len(definitions) > 50
+    for module, node in definitions:
+        outside = [
+            line for m, line, name in uses
+            if name == node.name and not (m == module and node.lineno <= line <= node.end_lineno)
+        ]
+        assert outside, f"{module}:{node.lineno}: {node.name} is reached from nowhere else in the package"
+
+
 def test_no_raise_passes_a_value_at_a_float_bound():
     """No ``if`` that raises compares a value with a float bound by ``>`` or
     ``>=``: written ``not x < bound``, it rejects a value at its bound, and

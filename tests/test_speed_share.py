@@ -38,7 +38,7 @@ from qtangle import (
 from qtangle.cli import demo_trajectory, parse_config
 from qtangle.entanglement import _entropy_bits
 from qtangle.geometry import _cut_masks, _entropies_or_zero, _share_sides, _speed_share_bits
-from qtangle.statespace import _split
+from qtangle.statespace import BASE_NORM_TOL, _check_product_amplitudes, _split
 from qtangle.trajectories import (
     DEFAULT_STEP,
     _horizontal,
@@ -721,6 +721,23 @@ class TestRegisterSteps:
         assert str(info.value) == "base: expected a unit vector, got norm 1.0000000001799993"
         assert info.value.row == 1
 
+    def test_grid_spanning_an_off_norm_step_without_meeting_it_keeps_the_step_path(self):
+        """Step 2 of 3 is off norm and no grid point meets it: only the steps
+        the grid meets are checked for norm, so the arc length stays the exact
+        sum over the steps, which weighs step 2 by its whole length."""
+        rng = np.random.default_rng(66)
+        steps = [[UnitaryCurve.rotation(random_generator(rng, 2)) for _ in range(4)] for _ in range(3)]
+        prog = RegisterProgram.uniform_superposition(steps, 4)
+        ((_, coeffs),) = prog._site_orbits
+        coeffs[:, 1] *= 1 + 1e-9
+        assert prog._step_checks[0].tolist() == [True, False, True]
+        grid = np.array([0.5, 2.5])
+        assert _register_step_speeds(prog, grid, "analytic") is not None
+        prof = profile(prog, grid, contiguous_cuts(4))
+        speeds = 2 * np.sqrt(prog._step_speeds.sum(axis=-1))
+        assert prof.arc_length == speeds @ np.array([0.5, 1.0, 0.5]) == 7.367227639736134
+        assert prof.arc_length != np.trapezoid(prof.fs_speed, grid)
+
     def test_register_trace_arc_length_is_the_sum_of_its_step_speeds(self):
         report = run(parse_config('{"scenario": "register_trace"}'))
         speeds = {row[1]: row[2] for row in report.rows}  # step -> fs_speed
@@ -814,6 +831,67 @@ class TestGridIndependentTables:
         seen = [profile_digest(profile(prog, grids[name], cuts)) for name in "ABA"]
         fresh = {name: profile_digest(profile(build(), grid, cuts)) for name, grid in grids.items()}
         assert seen == [fresh["A"], fresh["B"], fresh["A"]]
+
+
+def site_rows_pass(prog, t):
+    """Whether the site rows at program time t pass their checks: each
+    site's tangent (``_register_site_rows``) and the norm of their product."""
+    try:
+        stacks = _register_site_rows(prog, np.array([t]), "analytic", DEFAULT_STEP)
+        bases = np.zeros((prog.n_sites, 1, max(prog.initial.dims)), dtype=complex)
+        for sites, states, _ in stacks:
+            bases[sites, :, : states.shape[-1]] = states
+        _check_product_amplitudes(bases, BASE_NORM_TOL)
+    except ValidationError:
+        return False
+    return True
+
+
+class TestStepChecks:
+    """A product-initial program checks each step once, beside its step
+    table: whether the site rows' norm checks hold through it, and whether its
+    squared speeds are finite.  A profile reads these, not the orbits."""
+
+    def programs(self):
+        rng = np.random.default_rng(85)
+        for dims in ((2, 3, 2), (3, 2, 3, 2)):
+            for n_steps in (1, 2, 3):
+                yield program_with_a_constant_site(rng, dims, n_steps)
+        yield off_norm_sites()[0]
+        yield TestRegisterSteps().overflowing_program()
+        prog = wide_register(np.random.default_rng(75), 4)
+        ((_, coeffs),) = prog._site_orbits
+        coeffs[:3, 1] *= 1 + 6e-11  # each site within the bound, their product not
+        yield prog
+
+    def test_checks_are_the_site_rows_checks_and_the_finite_table_rows(self):
+        seen = set()
+        for prog in self.programs():
+            unit, finite = checks = prog._step_checks
+            assert checks.shape == (2, prog.n_steps) and not checks.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                checks[0, 0] = True
+            for k in range(prog.n_steps):
+                assert unit[k] == site_rows_pass(prog, k + 0.5)
+                assert finite[k] == np.isfinite(prog._step_speeds[k]).all()
+                seen.add((bool(unit[k]), bool(finite[k])))
+        assert seen == {(True, True), (False, True), (True, False)}
+
+    def test_a_profile_evaluates_no_orbit_once_the_checks_are_kept(self, monkeypatch):
+        """After one profile, a second of the same program on another grid,
+        inside sound steps, evaluates no orbit and gives the bytes a fresh
+        program gives."""
+        build = lambda: program_with_a_constant_site(np.random.default_rng(86), (2, 3, 2), 3)
+        cuts, grid = all_cuts(3), [1.2, 1.5, 2.9]
+        fresh = profile_digest(profile(build(), grid, cuts))
+        prog = build()
+        profile(prog, [0.25, 0.5], cuts)
+
+        def orbit(*args):
+            raise AssertionError("orbit evaluated")
+
+        monkeypatch.setattr(trajectories, "_orbit", orbit)
+        assert profile_digest(profile(prog, grid, cuts)) == fresh
 
 
 class TestSmallShares:
