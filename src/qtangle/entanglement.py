@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polyutils import trimcoef
 
 from .statespace import (
     BASE_NORM_TOL,
@@ -197,6 +198,13 @@ def correlation_expansion(traj, t: float, setting: MeasurementSetting) -> tuple[
     return tuple(float(c) for c in _correlation_expansions(traj, np.array([float(t)]), setting)[0])
 
 
+def _coefficients(poly: Polynomial) -> np.ndarray:
+    """A Polynomial's coefficients in its parameter, constant first, as
+    ``poly.convert().coef``; in the default domain and window they are its own,
+    so the conversion, which costs far more than the expansion, is skipped."""
+    return poly.coef if poly.mapparms() == (0.0, 1.0) else poly.convert().coef
+
+
 def _correlation_expansions(traj, ts: np.ndarray, setting: MeasurementSetting) -> np.ndarray:
     """``correlation_expansion`` at each grid point, (G, 3)."""
     from .trajectories import BlochCurve, ProductTrajectory, _evaluators
@@ -209,9 +217,9 @@ def _correlation_expansions(traj, ts: np.ndarray, setting: MeasurementSetting) -
             raise ValueError(f"factor {pos + 1}: only single-angle qubit curves are supported")
         if not isinstance(curve.theta, Polynomial) or not isinstance(curve.phi, Polynomial):
             raise ValueError(f"factor {pos + 1}: a stack of curves is not supported here")
-        if not np.all(np.abs(curve.phi.convert().coef) < 1e-12):
+        if not np.all(np.abs(_coefficients(curve.phi)) < 1e-12):
             raise ValueError(f"factor {pos + 1}: curve must stay in the real plane")
-    ca, cb = first.theta.convert().trim(1e-14).coef, second.theta.convert().trim(1e-14).coef
+    ca, cb = (trimcoef(_coefficients(curve.theta), 1e-14) for curve in (first, second))
     if len(ca) != len(cb) or not np.all(np.abs(ca - cb) < 1e-12):
         raise ValueError("the two factor curves must be identical")
     if any(traj.frozen):

@@ -32,6 +32,7 @@ from qtangle import (
     schmidt,
     tensor_product,
 )
+from qtangle.entanglement import _coefficients
 
 from helpers import random_ket
 
@@ -324,6 +325,14 @@ class TestCorrelationExpansion:
         c0, c1, _ = correlation_expansion(traj, 0.7, setting)
         assert c0 == pytest.approx(math.cos(0.7) ** 2, abs=1e-14)
         assert c1 == pytest.approx(-math.sin(1.4), abs=1e-14)
+
+    def test_coefficients_are_those_of_the_converted_polynomial(self):
+        for poly in (
+            Polynomial([0.2, 0.9, -0.3]),
+            Polynomial([0.2, 0.9, -0.3], domain=[0, 2]),
+            Polynomial([1.0, -2.0], window=[0, 1]),
+        ):
+            assert np.array_equal(_coefficients(poly), poly.convert().coef)
 
     @pytest.mark.parametrize("theta, phi", [([[0.0, 1.0]], 0.0), ([0.0, 1.0], [[0.0]])])
     def test_stacked_curves_rejected(self, theta, phi):
