@@ -26,6 +26,7 @@ from .statespace import (
     _normalized,
     _split,
 )
+from .trajectories import BlochCurve, ProductTrajectory
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -207,8 +208,6 @@ def _coefficients(poly: Polynomial) -> np.ndarray:
 
 def _correlation_expansions(traj, ts: np.ndarray, setting: MeasurementSetting) -> np.ndarray:
     """``correlation_expansion`` at each grid point, (G, 3)."""
-    from .trajectories import BlochCurve, ProductTrajectory, _evaluators
-
     if not isinstance(traj, ProductTrajectory) or traj.n_factors != 2:
         raise ValueError("need a two-factor trajectory")
     first, second = traj.factors
@@ -227,7 +226,7 @@ def _correlation_expansions(traj, ts: np.ndarray, setting: MeasurementSetting) -
 
     th = first._theta(ts)
     dth = first._dtheta(ts)
-    ddth = _evaluators(first.theta, 3)[2](ts)
+    ddth = first._ddtheta(ts)
     ax, _, az = setting.a
     bx, _, bz = setting.b
     sin, cos = np.sin(th), np.cos(th)

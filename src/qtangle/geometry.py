@@ -246,7 +246,8 @@ def _speed_share_bits(speeds: np.ndarray, sides: np.ndarray, moving: np.ndarray)
     # one weighted sum adds each side's speeds one factor after another, in order,
     # as speeds[:, side].sum(axis=-1) adds its gathered columns; 0/1 weights are exact
     sums = np.einsum("gf,fs->gs", speeds, sides).reshape(len(speeds), -1, 2)  # (G, cuts, 2)
-    p = np.divide(sums.min(axis=-1), sums.sum(axis=-1), out=np.zeros(sums.shape[:-1]), where=moving[:, None])
+    total = np.add.reduce(sums, axis=-1)
+    p = np.divide(np.minimum.reduce(sums, axis=-1), total, out=np.zeros(total.shape), where=moving[:, None])
     shared = p > 0
     logs = np.log2(p, out=np.zeros(p.shape), where=shared)
     bits = -(p * logs + (1 - p) * np.log1p(-p) / math.log(2))
@@ -262,7 +263,7 @@ def _increments(grid: np.ndarray) -> np.ndarray:
 def _trapezoid(values: np.ndarray, spacing: np.ndarray) -> np.ndarray:
     """``np.trapezoid(values, grid)`` from the grid's ``_increments``, by the
     float steps it runs, without its wrapper."""
-    return (spacing * (values[1:] + values[:-1]) / 2.0).sum(-1)
+    return np.add.reduce(spacing * (values[1:] + values[:-1]) / 2.0, axis=-1)
 
 
 def _entropies_or_zero(
@@ -306,7 +307,7 @@ def profile(
     if grid.size < 2:
         raise ValueError("grid needs at least 2 points")
     spacing = _increments(grid)
-    if not (spacing > 0).all():
+    if not np.logical_and.reduce(spacing > 0, axis=None):
         raise ValueError("grid must be strictly increasing")
     cuts = tuple(cuts)
     if not cuts:
@@ -314,7 +315,7 @@ def profile(
     if isinstance(traj, RegisterProgram):
         dims, sizes = traj.initial.dims, (1,) * traj.n_sites
     else:
-        dims, sizes = traj.dims, tuple(len(curve.dims) for curve in traj.factors)
+        dims, sizes = traj.dims, traj._sizes
     aligned, sides = _cut_masks(cuts, sizes)
 
     steps = _register_step_speeds(traj, grid, method) if isinstance(traj, RegisterProgram) else None
@@ -346,7 +347,7 @@ def profile(
                 bases[sites, :, : a.shape[-1]] = a
             _check_product_amplitudes(bases, BASE_NORM_TOL, "base")
         # the one-factor excitations are mutually orthogonal, so their squared speeds add
-        norms = np.sqrt(factor_speeds.sum(axis=-1))
+        norms = np.sqrt(np.add.reduce(factor_speeds, axis=-1))
     speeds = 2 * norms[at]
     _raise_first(~np.isfinite(speeds), lambda i: "fs_speed overflows double precision")
     # the zero-motion rule of _entropies_or_zero: below the zero floor nothing moves

@@ -14,11 +14,10 @@ over the whole stack and reject the first offending row, or inside a
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import InitVar, dataclass
 from functools import cached_property, reduce
-from typing import Callable, Iterable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -54,7 +53,11 @@ def _raise_first(
     can name the offending point.  Inside a ``_first_rejection`` block it is
     recorded there instead of raised.
     """
-    if np.count_nonzero(bad):
+    # the checks reduce through the ufuncs themselves (``np.logical_or.reduce``,
+    # not ``np.count_nonzero`` or ``ndarray.all/sum/min/max``): the same loops,
+    # so the same bits, without the Python wrappers those reach them through,
+    # which cost more than the arithmetic on a short grid
+    if np.logical_or.reduce(bad, axis=None):
         row = int(np.flatnonzero(bad)[0])
         name = where(row) if callable(where) else where
         exc = error(f"{name}: {message(row)}" if name else message(row))
@@ -74,30 +77,37 @@ def _bounded(measured: np.ndarray, bound: float, message: Callable[[int], str], 
 _DEFERRED: ContextVar[list | None] = ContextVar("_DEFERRED", default=None)
 
 
-@contextmanager
-def _first_rejection(order: Callable[[Exception], object] = lambda exc: exc.row) -> Iterator[list]:
-    """A block whose checks record their rejections in the list it yields;
-    leaving it raises the least by ``order`` (the row), at a tie the earlier
-    check's: the one a loop over the rows (or factors) in order meets first.
+class _first_rejection:
+    """A block whose checks record their rejections in the list it gives
+    (``with _first_rejection(order) as rejected``); leaving it raises the
+    least by ``order`` (the row), at a tie the earlier check's: the one a
+    loop over the rows (or factors) in order meets first.
 
     A block nested in another hands its rejections on to that block.
     Arithmetic goes on over rejected rows, so floating-point warnings are off
-    inside, and an error it raises there gives way to the rejection.
+    inside, and an error it raises there gives way to the rejection; a
+    ``BaseException`` that is not an ``Exception`` passes through.
     """
-    outer, rejected = _DEFERRED.get(), []
-    token = _DEFERRED.set(rejected)
-    try:
-        with np.errstate(all="ignore"):
-            yield rejected
-    except Exception:
-        if outer is not None or not rejected:
-            raise
-    finally:
-        _DEFERRED.reset(token)
+
+    def __init__(self, order: Callable[[Exception], object] = lambda exc: exc.row) -> None:
+        self._order = order
+
+    def __enter__(self) -> list:
+        self._outer, self._rejected = _DEFERRED.get(), []
+        self._token = _DEFERRED.set(self._rejected)
+        self._errstate = np.errstate(all="ignore")
+        self._errstate.__enter__()
+        return self._rejected
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        self._errstate.__exit__(kind, exc, tb)
+        _DEFERRED.reset(self._token)
+        outer, rejected = self._outer, self._rejected
         if outer is not None:
             outer += rejected
-    if outer is None and rejected:
-        raise min(rejected, key=order)
+        elif rejected and (kind is None or issubclass(kind, Exception)):
+            raise min(rejected, key=self._order)
+        return False
 
 
 _NOT_FINITE = "amplitudes must all be finite"
@@ -106,8 +116,8 @@ _NOT_FINITE = "amplitudes must all be finite"
 def _check_finite(values: np.ndarray, axes: tuple[int, ...], text: str, where: _Where = "") -> None:
     """Reject the first row whose entries over ``axes`` are not all finite."""
     finite = np.isfinite(values)
-    if not finite.all():
-        _raise_first(~finite.all(axis=axes), lambda i: text, where=where)
+    if not np.logical_and.reduce(finite, axis=None):
+        _raise_first(~np.logical_and.reduce(finite, axis=axes), lambda i: text, where=where)
 
 
 def _check_amplitudes(
@@ -136,8 +146,8 @@ def _check_product_amplitudes(factors: np.ndarray, tol: float, where: _Where = "
     norms = reduce(np.multiply, _row_norms(factors))
     defect = abs(norms - 1.0)
     # a non-finite entry makes its norm non-finite, so clean rows pass this one test
-    if not (defect < tol).all():
-        finite = np.isfinite(factors).all(axis=-1).all(axis=0)
+    if not np.logical_and.reduce(defect < tol, axis=None):
+        finite = np.logical_and.reduce(np.isfinite(factors), axis=(0, -1))
         _raise_first(~finite, lambda i: _NOT_FINITE, where=where)
         message = lambda i: f"expected a unit vector, got norm {float(norms.flat[i])!r}"
         _bounded(defect, tol, message, where)
@@ -146,9 +156,9 @@ def _check_product_amplitudes(factors: np.ndarray, tol: float, where: _Where = "
 
 def _check_hermitian(mats: np.ndarray, where: _Where = "") -> None:
     """Each matrix (last two axes) finite, Hermitian and of real trace, to DEFAULT_TOL."""
-    dev = abs(mats - mats.swapaxes(-2, -1).conj()).max(axis=(-2, -1))
+    dev = np.maximum.reduce(abs(mats - mats.swapaxes(-2, -1).conj()), axis=(-2, -1))
     # a non-finite entry makes its deviation non-finite, so clean rows pass this one test
-    if not (dev < DEFAULT_TOL).all():
+    if not np.logical_and.reduce(dev < DEFAULT_TOL, axis=None):
         _check_finite(mats, (-2, -1), "matrix entries must all be finite", where)
         message = lambda i: f"matrix is not Hermitian (max deviation {dev.flat[i]:.3e})"
         _bounded(dev, DEFAULT_TOL, message, where)

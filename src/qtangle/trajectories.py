@@ -77,6 +77,18 @@ def _as_poly(value, name: str) -> Polynomial | np.ndarray:
     return poly
 
 
+def _same_stacking(**stacked: bool) -> None:
+    """Refuse a curve whose two parameters, named with whether each is a stack
+    of trials, mix a stack with a single value: evaluated on a grid, the
+    stack's rows would pair with the grid points."""
+    (first, one), (second, other) = stacked.items()
+    if one != other:
+        stack, single = (first, second) if one else (second, first)
+        raise ValueError(
+            f"{first} and {second} must both be stacks of trials or neither; {stack} is a stack, {single} is not"
+        )
+
+
 def _evaluators(
     poly: Polynomial | np.ndarray, count: int
 ) -> list[Callable[[np.ndarray], np.ndarray]]:
@@ -214,9 +226,15 @@ class BlochCurve(FactorCurve):
     def __init__(self, theta, phi=0.0) -> None:
         self.theta = _as_poly(theta, "theta")
         self.phi = _as_poly(phi, "phi")
+        _same_stacking(theta=isinstance(self.theta, np.ndarray), phi=isinstance(self.phi, np.ndarray))
         self._theta, self._dtheta = _evaluators(self.theta, 2)
         self._phi, self._dphi = _evaluators(self.phi, 2)
         self.dims = (2,)
+
+    @cached_property
+    def _ddtheta(self) -> Callable[[np.ndarray], np.ndarray]:
+        """theta's second derivative as a function of a grid array, built on first use."""
+        return _evaluators(self.theta, 3)[2]
 
     def states(self, ts: np.ndarray) -> np.ndarray:
         return self._amplitudes(*self._angles(ts))
@@ -261,6 +279,7 @@ class PhaseCurve(FactorCurve):
         self.phi = _as_poly(phi, "phi")
         self._phi, self._dphi = _evaluators(self.phi, 2)
         amps, self.dims = _amplitude_rows(base)
+        _same_stacking(phi=isinstance(self.phi, np.ndarray), base=amps.ndim > 1)
         norms = _check_amplitudes(amps, BASE_NORM_TOL, "base ket")
         # states() checks to DEFAULT_TOL; a base already within it is kept to the bit
         off = abs(norms - 1.0) >= DEFAULT_TOL
@@ -562,9 +581,15 @@ class ProductTrajectory:
     def n_factors(self) -> int:
         return len(self.factors)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
+        """The factors' dims in order, built once: the trajectory is frozen."""
         return tuple(d for f in self.factors for d in f.dims)
+
+    @cached_property
+    def _sizes(self) -> tuple[int, ...]:
+        """The number of positions of each factor, built once."""
+        return tuple(len(f.dims) for f in self.factors)
 
     def states(self, ts: np.ndarray) -> np.ndarray:
         """Product amplitudes at each grid point, (G, D)."""
@@ -1038,7 +1063,8 @@ def _register_step_speeds(
     ks, _ = prog.resolve_time(grid)
     k0, k1 = int(ks[0]), int(ks[-1])
     unit, finite = prog._step_checks
-    if not (unit[ks - 1].all() and finite[k0 - 1 : k1].all()):
+    every = np.logical_and.reduce
+    if not (every(unit[ks - 1], axis=None) and every(finite[k0 - 1 : k1], axis=None)):
         return None
     steps = np.arange(k0, k1 + 1)
     return prog._step_speeds[k0 - 1 : k1], ks - k0, np.minimum(grid[-1], steps) - np.maximum(grid[0], steps - 1)

@@ -334,7 +334,9 @@ class TestCorrelationExpansion:
         ):
             assert np.array_equal(_coefficients(poly), poly.convert().coef)
 
-    @pytest.mark.parametrize("theta, phi", [([[0.0, 1.0]], 0.0), ([0.0, 1.0], [[0.0]])])
+    @pytest.mark.parametrize(
+        "theta, phi", [([[0.0, 1.0]], [[0.0]]), ([[0.0, 1.0], [0.5, 1.0]], [[0.0, 0.0], [0.0, 0.0]])]
+    )
     def test_stacked_curves_rejected(self, theta, phi):
         traj = ProductTrajectory((BlochCurve(theta, phi), BlochCurve(theta, phi)))
         setting = MeasurementSetting([0, 0, 1.0], [0, 0, 1.0])

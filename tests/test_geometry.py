@@ -1,14 +1,18 @@
 """Projective distance, speed, and trajectory profiling."""
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
+import qtangle
 from qtangle import (
     BlochCurve,
     Cut,
     Ket,
+    LocalHamiltonianCurve,
     PhaseCurve,
     ProductTrajectory,
     RegisterProgram,
@@ -247,6 +251,71 @@ class TestGridArithmetic:
             with np.errstate(all="ignore"):
                 got, want = _trapezoid(np.array(speeds), _increments(grid)), np.trapezoid(speeds, grid)
             np.testing.assert_array_equal(np.float64(got).view(np.uint64), np.float64(want).view(np.uint64))
+
+
+def wide_profiles(seed=35):
+    """The profiles of the benchmark's ``wide_registers`` shapes, as (trajectory,
+    grid, cuts): a product-initial 8-qubit program of 2 steps of random local
+    rotations at its 7 contiguous cuts, and a 12-qubit product of Bloch and
+    Hamiltonian curves at cuts 1|rest and half|half, each over 9 points."""
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        return (a + a.conj().T) / 2
+
+    n, m = 8, 12
+    steps = [[UnitaryCurve.rotation(hermitian()) for _ in range(n)] for _ in range(2)]
+    curves = [
+        BlochCurve(rng.normal(size=3), rng.normal(size=2))
+        if i % 2
+        else LocalHamiltonianCurve(hermitian(), random_ket(rng, (2,)))
+        for i in range(m)
+    ]
+    return [
+        (
+            RegisterProgram.uniform_superposition(steps, n),
+            np.linspace(0.0, 2.0, 9),
+            [Cut.splitting(range(k), n) for k in range(1, n)],
+        ),
+        (
+            ProductTrajectory(tuple(curves)),
+            np.linspace(0.0, 1.0, 9),
+            [Cut.splitting((0,), m), Cut.splitting(range(m // 2), m)],
+        ),
+    ]
+
+
+def test_profile_reaches_numpy_through_its_c_entry_points():
+    """Once its masks and step tables are built, a profile of a product or a
+    product-initial program enters no Python frame of numpy but
+    ``np.errstate``'s, the dispatch stubs of ``multiarray`` (``np.where``) and
+    ``np.einsum``'s, and none of ``contextlib``: its reductions call the ufuncs,
+    not ``ndarray.all/sum/min`` or ``np.count_nonzero``, and its hot kernels
+    avoid the wrappers ``np.linalg.norm``, ``np.diff``, ``np.trapezoid`` and
+    ``polyval``, whose argument handling costs more than a short grid's arithmetic."""
+    calls = wide_profiles()
+    for call in calls:
+        profile(*call)
+    package, numpy_dir = (os.path.dirname(module.__file__) + os.sep for module in (qtangle, np))
+    kept = ("_ufunc_config.py", "multiarray.py", "einsumfunc.py")  # np.errstate, np.where, np.einsum
+    allowed = {os.path.join(numpy_dir, "_core", name) for name in kept}
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call" and not frame.f_code.co_filename.startswith(package):
+            entered.add(frame.f_code.co_filename)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        for call in calls:
+            profile(*call)
+    finally:
+        sys.setprofile(previous)
+    banned = {name for name in entered if name.startswith(numpy_dir) and name not in allowed}
+    banned |= {name for name in entered if os.path.basename(name) == "contextlib.py"}
+    assert sorted(banned) == []
 
 
 def kron_rows(parts):

@@ -1,5 +1,6 @@
 """State-space primitives checked against explicit index-loop oracles."""
 
+import contextlib
 import itertools
 import math
 import threading
@@ -339,6 +340,42 @@ class TestFirstRejection:
         with _first_rejection():
             assert np.geterr() == dict.fromkeys(["divide", "over", "under", "invalid"], "ignore")
         assert np.geterr()["invalid"] != "ignore"
+
+    @pytest.mark.parametrize("leave", ["normally", "by a rejection", "by another error"])
+    def test_the_error_state_is_restored_however_a_block_is_left(self, leave):
+        raised = {"normally": None, "by a rejection": ValidationError, "by another error": KeyError}[leave]
+        with np.errstate(all="raise", under="warn"):
+            before = np.geterr()
+            with pytest.raises(raised) if raised else contextlib.nullcontext():
+                with _first_rejection():
+                    if raised is ValidationError:
+                        check([2], "norm")
+                    elif raised is KeyError:
+                        raise KeyError("not a rejection")
+            assert np.geterr() == before
+
+    def test_an_interrupt_after_a_rejection_passes_through(self):
+        with pytest.raises(KeyboardInterrupt):
+            with _first_rejection():
+                check([2], "norm")
+                raise KeyboardInterrupt
+        assert rejection(lambda: check([1], "trace")) == ("trace at 1", 1)
+
+    def test_an_error_leaving_an_inner_block_reaches_the_outer_one(self):
+        """The inner block hands on its rejections and the error; the outer
+        block lets the error give way to the least rejection, or raises it."""
+
+        def sweep(outer_rows, inner_rows):
+            with _first_rejection():
+                check(outer_rows, "norm")
+                with _first_rejection():
+                    check(inner_rows, "trace")
+                    raise KeyError("not a rejection")
+
+        assert rejection(lambda: sweep([3], [2])) == ("trace at 2", 2)
+        assert rejection(lambda: sweep([1], [])) == ("norm at 1", 1)
+        with pytest.raises(KeyError):
+            sweep([], [])
 
 
 class TestApplyLocalUnitaries:

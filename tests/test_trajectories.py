@@ -925,6 +925,36 @@ class TestStackedCurves:
             assert np.array_equal(stacked[0][i], propagator(gen, 0.7))
             assert np.array_equal(stacked[1][i], infinitesimal_composition(gen, 0.7, 16))
 
+    @pytest.mark.parametrize(
+        "curve, args, stack, single",
+        [
+            (BlochCurve, ([[0.0, 1.0], [0.5, 1.0]], 0.3), "theta", "phi"),
+            (BlochCurve, (0.3, [[0.0, 1.0], [0.5, 1.0]]), "phi", "theta"),
+            (PhaseCurve, (0.3, np.eye(2, dtype=complex)), "base", "phi"),
+            (PhaseCurve, ([[0.3, 1.0], [0.1, 0.5]], Ket([1.0, 0.0], (2,))), "phi", "base"),
+        ],
+        ids=["bloch-theta", "bloch-phi", "phase-base", "phase-phi"],
+    )
+    def test_a_stack_beside_a_single_parameter_is_refused(self, curve, args, stack, single):
+        """A stack of trials pairs its rows with the grid points; beside a
+        single polynomial or ket it would pair trial i with point i."""
+        names = "theta and phi" if curve is BlochCurve else "phi and base"
+        message = f"^{names} must both be stacks of trials or neither; {stack} is a stack, {single} is not$"
+        with pytest.raises(ValueError, match=message):
+            curve(*args)
+
+    def test_the_stacks_of_the_draws_and_of_a_trajectory_still_construct(self):
+        rng = np.random.default_rng(68)
+        for dim, constant_speed in [(2, False), (2, True), (3, False)]:
+            draw = trajectories._random_curves(rng, dim, 30, constant_speed)
+            assert {type(curve) for curve, _ in draw.parts} >= {PhaseCurve, LocalHamiltonianCurve}
+            assert draw.states(rng.uniform(-1.0, 2.0, 30)).shape == (30, dim)
+        traj = interleaved_trajectory(24)
+        stacked = {type(curve) for factors, curve, _ in traj._stacks if len(factors) > 1}
+        assert stacked >= {BlochCurve, PhaseCurve}
+        rows = trajectories._factor_rows(traj, np.linspace(0.0, 1.0, 5), "analytic", 1e-4)
+        assert len(rows) == len(traj._stacks)
+
     def test_unitary_curve_still_takes_one_generator(self):
         with pytest.raises(ValueError, match="expected a square matrix"):
             UnitaryCurve.rotation(hermitian_stack(np.random.default_rng(64), 2, 2))
@@ -1130,6 +1160,16 @@ class TestFactorStacks:
             with pytest.raises(ValueError) as info:
                 profile(traj, grid, [Cut.splitting((0,), 3)])
         assert (type(info.value), str(info.value), info.value.row) == want == (ValidationError, want[1], 3)
+
+    def test_the_layout_is_built_once(self):
+        """A frozen trajectory keeps its dims and factor sizes from the first read."""
+        bell = Ket(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2), (2, 2))
+        traj = ProductTrajectory((BlochCurve([0.2, 1.1]), PhaseCurve([0.1, 0.4], bell), qubit_arc()))
+        assert "dims" not in vars(traj) and "_sizes" not in vars(traj)
+        dims, sizes = traj.dims, traj._sizes
+        assert traj.dims is dims and traj._sizes is sizes
+        assert dims == tuple(d for curve in traj.factors for d in curve.dims) == (2, 2, 2, 2)
+        assert sizes == (1, 2, 1)
 
 
 class TestFactorTangents:
