@@ -24,17 +24,17 @@ import numpy as np
 from . import __version__
 from .config import _FORMATS, SCENARIOS, RunConfig, parse_config
 from .channels import _channel_rows, _factor_overlaps, _reality_gaps
-from .entanglement import MeasurementSetting, _bell_rows, _chsh_rows, _correlation_expansions
+from .entanglement import MeasurementSetting, _bell_rows, _correlation_expansions, _product_chsh_rows
 from .errors import DegenerateInputError, ToleranceBreachError, ValidationError
-from .geometry import _entropies_or_zero, _fs_distances, _fs_speeds, profile
+from .geometry import TrajectoryProfile, _entropies_or_zero, _fs_distances, _fs_speeds, profile
 from .mixed_witness import (
     VERDICT_INCONCLUSIVE,
     _ensemble_witness_rows,
     _product_form,
-    _separability,
+    _pseudo_pure_rows,
     _trace_witness,
 )
-from .statespace import Cut, Ket, _bounded, _check_hermitian, _first_rejection, _normalized, _outer
+from .statespace import Cut, Ket, _bounded, _check_hermitian, _first_rejection, _normalized
 from .trajectories import (
     DEFAULT_STEP,
     BlochCurve,
@@ -49,7 +49,6 @@ from .trajectories import (
     _horizontal,
     _kron_rows,
     _product_tangents,
-    _projector_differentials,
     _random_curves,
     _random_hermitians,
     _random_unit_rows,
@@ -150,11 +149,11 @@ def _sweep(
     """Profile a trajectory over the grid once and write one row per point.
 
     Every row starts with t (and the step for a register program), the
-    speed and the per-cut entropies; ``cells(ts, states, directions,
-    factors)`` appends the scenario's own columns, each over the whole grid,
-    from the profile's rows, so no cell differentiates a curve again.  The
-    cells reject the first grid point a point-by-point sweep would reject.
-    Without cells the profile's dense rows are never built.
+    speed and the per-cut entropies; ``cells(prof)`` appends the scenario's
+    own columns, each over the whole grid, from the profile's rows, so no
+    cell differentiates a curve again.  The cells reject the first grid
+    point a point-by-point sweep would reject.  The profile's dense rows
+    are built only for cells that read them.
     """
     prof = profile(traj, cfg.grid_points(), cuts, method=cfg.method, h=cfg.h)
     register = isinstance(traj, RegisterProgram)
@@ -168,9 +167,8 @@ def _sweep(
             head.append(f"base_entropy_{cut.label()}")
             cols.append(prof.base_entropy[cut])
     if cells is not None:
-        rows = (prof.grid, prof.states, prof.directions, prof.factors)
         with _first_rejection():
-            cols += cells(*rows)
+            cols += cells(prof)
     paths = {cut.label(): path for cut, path in prof.entropy_path.items()}
     meta = _metadata(
         cfg, cuts=[c.label() for c in cuts], **extra, arc_length=prof.arc_length, entropy_path=paths
@@ -191,10 +189,9 @@ def _pair(cfg: RunConfig) -> tuple[ProductTrajectory, Cut]:
 def _run_two_qubit_demo(cfg: RunConfig) -> TraceReport:
     traj, cut = _pair(cfg)
 
-    def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray, factors) -> list:
-        direction = _normalized(_horizontal(states, directions))
-        bell = _bell_rows(direction)
-        return [bell[:, 2].real, bell[:, 1].real, _chsh_rows(direction)]
+    def cells(prof: TrajectoryProfile) -> list:
+        bell = _bell_rows(_normalized(_horizontal(prof.states, prof.directions)))
+        return [bell[:, 2].real, bell[:, 1].real, _product_chsh_rows(prof.factors)]
 
     return _sweep(cfg, traj, (cut,), ("bell_psi_plus", "bell_phi_minus", "chsh"), cells)
 
@@ -205,9 +202,9 @@ def _run_product_trace(cfg: RunConfig) -> TraceReport:
     if traj.n_factors != 2:
         return _sweep(cfg, traj, cuts)
 
-    def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray, factors) -> list:
-        overlaps = _factor_overlaps(factors, cfg.method)
-        sides = _channel_rows(factors, directions, (1, 2))
+    def cells(prof: TrajectoryProfile) -> list:
+        overlaps = _factor_overlaps(prof.factors, cfg.method)
+        sides = _channel_rows(prof.factors, prof.directions, (1, 2))
         gaps = [sides[0][-1], sides[1][-1], _reality_gaps(*overlaps)]
         worst = np.max(gaps, axis=0)
         message = lambda i: f"channel-decomposition gap {worst[i]:.3e} exceeds tolerance {cfg.tol:g}"
@@ -224,18 +221,9 @@ def _run_register_trace(cfg: RunConfig) -> TraceReport:
 
 def _run_pseudo_pure(cfg: RunConfig) -> TraceReport:
     traj, cut = _pair(cfg)
-    eps, dims = cfg.epsilon, traj.dims
-    total_dim = math.prod(dims)
 
-    def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray, factors) -> list:
-        drho = _projector_differentials(states, directions)
-        _check_hermitian(drho)
-        # eps * drho and the mixed state are Hermitian as built, from the checked drho and states
-        drho = eps * drho
-        trace = np.trace(drho, axis1=1, axis2=2).real
-        tr1, tr2, verdict = _trace_witness(drho, dims, cfg.tol, cfg.method)
-        mixed = (1.0 - eps) * np.eye(total_dim) / total_dim + eps * _outer(states, states)
-        return [trace, tr1, tr2, verdict, _separability(mixed, dims, cut)]
+    def cells(prof: TrajectoryProfile) -> list:
+        return list(_pseudo_pure_rows(prof.factors, cfg.epsilon, cfg.tol, cfg.method))
 
     columns = ("drho_trace", "tr1_norm", "tr2_norm", "verdict", "base_separability")
     return _sweep(cfg, traj, (cut,), columns, cells, epsilon=cfg.epsilon)
@@ -252,9 +240,9 @@ def _run_chsh_scan(cfg: RunConfig) -> TraceReport:
     traj, cut = _pair(cfg)
     setting = MeasurementSetting(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
 
-    def cells(ts: np.ndarray, states: np.ndarray, directions: np.ndarray, factors) -> list:
-        coefficients = _correlation_expansions(traj, ts, setting)
-        return [_chsh_rows(_normalized(_horizontal(states, directions))), *coefficients.T]
+    def cells(prof: TrajectoryProfile) -> list:
+        coefficients = _correlation_expansions(traj, prof.grid, setting)
+        return [_product_chsh_rows(prof.factors), *coefficients.T]
 
     columns = ("chsh", "corr_c0", "corr_c1", "corr_c2")
     return _sweep(cfg, traj, (cut,), columns, cells, base_entropy=False)

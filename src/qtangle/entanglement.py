@@ -10,23 +10,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.polyutils import trimcoef
 
+from .errors import DegenerateInputError
 from .statespace import (
     BASE_NORM_TOL,
     DEFAULT_TOL,
+    _ZERO_DIRECTION,
     _ZERO_TOL,
     Cut,
     HermitianOp,
     Ket,
     _check_amplitudes,
     _normalized,
+    _raise_first,
     _split,
 )
-from .trajectories import BlochCurve, ProductTrajectory
+from .trajectories import BlochCurve, ProductTrajectory, _squared_perp_speeds
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -178,14 +182,28 @@ def chsh_value(state: Ket) -> float:
     the value is 2*sqrt(n^4 + 4|det|^2), with no matrix formed.
     """
     _require_two_qubit(state)
-    return float(_chsh_rows(state.amplitudes))
-
-
-def _chsh_rows(amps: np.ndarray) -> np.ndarray:
-    """``chsh_value`` of each unit two-qubit row."""
+    amps = state.amplitudes
     norms = _check_amplitudes(amps, BASE_NORM_TOL, "state")
-    det = amps[..., 0] * amps[..., 3] - amps[..., 1] * amps[..., 2]
-    return 2 * np.sqrt(norms**4 + 4 * abs(det) ** 2)
+    det = amps[0] * amps[3] - amps[1] * amps[2]
+    return float(2 * np.sqrt(norms**4 + 4 * abs(det) ** 2))
+
+
+def _product_chsh_rows(factors: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """``chsh_value`` of the normalized horizontal tangent of each row of a
+    two-qubit product trajectory, from its two factors' (states, directions)
+    rows alone, with no two-qubit row formed.
+
+    The tangent's Schmidt weights are S_1/S and S_2/S (``geometry``), S_i
+    a factor's squared perpendicular speed and S their sum, so its
+    concurrence is C = 2 sqrt(S_1 S_2)/S and its CHSH value is
+    2 sqrt(1 + C^2) (Gisin, Phys. Lett. A 154, 201 (1991)).  A row that does
+    not move, sqrt(S) below the zero floor as ``profile`` reads it, has no
+    direction and is rejected as normalizing it would be.
+    """
+    s1, s2 = (_squared_perp_speeds(a, d) for a, d in factors)
+    total = s1 + s2
+    _raise_first(np.less(np.sqrt(total), _ZERO_TOL), lambda i: _ZERO_DIRECTION, DegenerateInputError)
+    return 2 * np.sqrt(1 + 4 * (s1 / total) * (s2 / total))
 
 
 def correlation_expansion(traj, t: float, setting: MeasurementSetting) -> tuple[float, float, float]:

@@ -56,6 +56,7 @@ from .trajectories import (
     _register_rows,
     _register_site_rows,
     _register_step_speeds,
+    _squared_perp_speeds,
     _unstacked,
     product_tangent,  # noqa: F401  (bench/tests/test_bench.py expects the tracer to reach it here)
 )
@@ -206,7 +207,7 @@ def _squared_speeds(stacks: list[tuple], n: int) -> np.ndarray:
     one norm per stack, as a C-contiguous (G, n) array."""
     speeds = np.empty((n, stacks[0][1].shape[1]))
     for sites, a, d in stacks:
-        speeds[sites] = _row_norms(_horizontal(a, d)) ** 2
+        speeds[sites] = _squared_perp_speeds(a, d)
     return np.ascontiguousarray(speeds.T)
 
 

@@ -4,14 +4,15 @@ A differential built by moving the parts of a separable mixture keeps a
 non-zero partial trace on the side that moves, while any operator assembled
 purely from per-side differentials is traceless on both sides.  That norm
 asymmetry is the working witness here, backed by an operator-level gap and a
-positivity check on the base state.
+positivity check on the base state.  A pseudo-pure base moving as a product
+of two factors takes its trace, norms and verdict from the factors' rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -22,7 +23,10 @@ from .statespace import (
     _bounded,
     _check_hermitian,
     _check_traceless,
+    _overlaps,
     _partial_trace,
+    _raise_first,
+    _row_norms,
 )
 from .trajectories import (
     DEFAULT_STEP,
@@ -84,12 +88,59 @@ def _trace_witness(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partial-trace norms and verdict of each differential of a stack; its
     trace bound is that of ``source``, "given" or the method that built it."""
+    _check_tol(tol)
+    _check_traceless(mats.trace(axis1=-2, axis2=-1), source)
+    tr1, tr2 = _trace_norms(mats, dims)
+    return tr1, tr2, _verdicts(tr1, tr2, tol)
+
+
+def _check_tol(tol: float) -> None:
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    _check_traceless(mats, source)
-    tr1, tr2 = _trace_norms(mats, dims)
-    verdict = np.where(np.maximum(tr1, tr2) > tol, VERDICT_EXCLUDED, VERDICT_INCONCLUSIVE)
-    return tr1, tr2, verdict
+
+
+def _verdicts(tr1: np.ndarray, tr2: np.ndarray, tol: float) -> np.ndarray:
+    """Either partial-trace norm above ``tol`` excludes the product form."""
+    return np.where(np.maximum(tr1, tr2) > tol, VERDICT_EXCLUDED, VERDICT_INCONCLUSIVE)
+
+
+def _pseudo_pure_rows(
+    factors: Sequence[tuple[np.ndarray, np.ndarray]], epsilon: float, tol: float, source: str
+) -> tuple[np.ndarray, ...]:
+    """The ``pseudo_pure`` cells over the grid (trace, tr1 and tr2 norms,
+    verdict and base separability) of the base (1 - eps) I/D + eps
+    |psi><psi|, psi = a x b, from the (states, directions) rows of its two
+    factors alone, with no operator on the product space formed.
+
+    The base moves by drho = eps (dP_a x P_b + P_a x dP_b), where P_k =
+    |k><k| and dP_k = |d_k><k| + |k><d_k|.  With N_k = ||k||^2, x_k =
+    Re<k|d_k> and q_k = N_k ||d_k - (<k|d_k>/N_k) k||^2, its trace is
+    2 eps (N_b x_a + N_a x_b), and tracing out factor o leaves
+    eps (N_o dP_k + 2 x_o P_k) on factor k, of squared Frobenius norm
+    eps^2 (2 N_o^2 q_k + 4 (N_o x_k + N_k x_o)^2): a sum of non-negative
+    terms, which rounding cannot take below zero.  The trace is bounded as
+    ``_trace_witness`` bounds it, a norm that overflows rejects its row, and
+    the verdict is ``_trace_witness``'s.  The base mixes two product states,
+    I/D and P_a x P_b, so it is separable for every eps and any dims.
+    """
+    _check_tol(tol)
+    (na, nb), (xa, xb), (qa, qb) = zip(*(_factor_terms(*rows) for rows in factors))
+    shared = na * xb + nb * xa
+    trace = 2 * epsilon * shared
+    _check_traceless(trace, source)
+    # tr1 keeps factor 2, as _trace_norms takes them
+    tr1, tr2 = (epsilon * np.sqrt(2 * n**2 * q + 4 * shared**2) for n, q in ((na, qb), (nb, qa)))
+    message = lambda i: "partial-trace norm overflows double precision"
+    _raise_first(~(np.isfinite(tr1) & np.isfinite(tr2)), message)
+    return trace, tr1, tr2, _verdicts(tr1, tr2, tol), np.full(trace.shape, "separable")
+
+
+def _factor_terms(states: np.ndarray, directions: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(N, x, q) of each row of a factor (``_pseudo_pure_rows``)."""
+    norms = _row_norms(states) ** 2
+    overlaps = _overlaps(states, directions)
+    perp = directions - (overlaps / norms)[:, None] * states
+    return norms, overlaps.real, norms * _row_norms(perp) ** 2
 
 
 def product_differential(
@@ -145,8 +196,10 @@ def base_state_separability(rho: HermitianOp, cut: Cut) -> SeparabilityVerdict:
     """Positivity-after-transpose verdict on a bipartite state.
 
     A negative partial transpose certifies entanglement in any dimensions;
-    a positive one certifies separability only for 2x2 and 2x3 sides and is
-    otherwise undecided.
+    a positive one certifies separability for 2x2 and 2x3 sides.  In any
+    dims a state of purity tr(rho^2) <= 1/(D - 1) is separable, the ball
+    about I/D of Gurvits and Barnum, PRA 66, 062311 (2002); any other
+    positive one is undecided.
     """
     return str(_separability(rho.matrix, rho.dims, cut))
 
@@ -172,9 +225,14 @@ def _separability(mats: np.ndarray, dims: tuple[int, ...], cut: Cut) -> np.ndarr
     _bounded(np.abs(traces - 1.0), _DENSITY_TOL, message)
     d_left = math.prod(dims[i] for i in cut.left)
     d_right = math.prod(dims[i] for i in cut.right)
-    positive = "separable" if sorted((d_left, d_right)) in ([2, 2], [2, 3]) else "undecided"
+    if sorted((d_left, d_right)) in ([2, 2], [2, 3]):
+        positive = np.full(mats.shape[:-2], "separable")
+    else:
+        # the purity of a Hermitian matrix is the sum of its entries' squared moduli
+        purity = np.add.reduce((mats.conj() * mats).real, axis=(-2, -1))
+        positive = np.where(purity <= 1 / (mats.shape[-1] - 1), "separable", "undecided")
     if certified:
-        return np.full(mats.shape[:-2], positive)
+        return positive
     return np.where(_negativities(transposes) > 1e-10, "entangled", positive)
 
 

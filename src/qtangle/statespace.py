@@ -174,10 +174,9 @@ def _check_unitary(mats: np.ndarray, where: _Where = "") -> None:
     _bounded(dev, UNITARY_TOL, message, where)
 
 
-def _check_traceless(mats: np.ndarray, source: str) -> None:
-    """Each matrix (last two axes) of trace below the bound for its ``source``
-    in modulus: "given" or the method that differentiated it."""
-    traces = mats.trace(axis1=-2, axis2=-1)
+def _check_traceless(traces: np.ndarray, source: str) -> None:
+    """Each trace of a stack of differentials below the bound for its
+    ``source`` in modulus: "given" or the method that differentiated it."""
     message = lambda i: f"differential must be traceless, got trace {traces.flat[i]:.3e}"
     _bounded(abs(traces), _TRACE_TOL[source], message)
 
@@ -194,9 +193,12 @@ def _check_norm_preserving(
     return overlaps
 
 
+_ZERO_DIRECTION = "direction is (near-)zero; nothing to normalize"
+
+
 def _normalized(
     vecs: np.ndarray,
-    zero: str | None = "direction is (near-)zero; nothing to normalize",
+    zero: str | None = _ZERO_DIRECTION,
     error: type[Exception] = DegenerateInputError,
     norms=None,
 ) -> np.ndarray:

@@ -77,15 +77,27 @@ def _as_poly(value, name: str) -> Polynomial | np.ndarray:
     return poly
 
 
-def _same_stacking(**stacked: bool) -> None:
-    """Refuse a curve whose two parameters, named with whether each is a stack
-    of trials, mix a stack with a single value: evaluated on a grid, the
-    stack's rows would pair with the grid points."""
-    (first, one), (second, other) = stacked.items()
-    if one != other:
-        stack, single = (first, second) if one else (second, first)
+def _trials(value: Polynomial | np.ndarray, axes: int = 1) -> tuple[int, ...] | None:
+    """The leading shape of a parameter given as a stack of trials, the shape
+    of an array before its last ``axes`` axes; None for a single value (a
+    Polynomial, or an array of those axes alone)."""
+    return value.shape[:-axes] or None if isinstance(value, np.ndarray) else None
+
+
+def _same_stacking(**trials: tuple[int, ...] | None) -> None:
+    """Refuse a curve whose two parameters, named with their ``_trials``, do
+    not stack the same trials: evaluated on a grid, a stack's rows beside a
+    single value would pair with the grid points, and two stacks of
+    different trial counts would not broadcast."""
+    (first, one), (second, other) = trials.items()
+    if (one is None) != (other is None):
+        stack, single = (first, second) if one is not None else (second, first)
         raise ValueError(
             f"{first} and {second} must both be stacks of trials or neither; {stack} is a stack, {single} is not"
+        )
+    if one != other:
+        raise ValueError(
+            f"{first} and {second} must stack the same trials; {first} stacks {one}, {second} stacks {other}"
         )
 
 
@@ -226,7 +238,7 @@ class BlochCurve(FactorCurve):
     def __init__(self, theta, phi=0.0) -> None:
         self.theta = _as_poly(theta, "theta")
         self.phi = _as_poly(phi, "phi")
-        _same_stacking(theta=isinstance(self.theta, np.ndarray), phi=isinstance(self.phi, np.ndarray))
+        _same_stacking(theta=_trials(self.theta), phi=_trials(self.phi))
         self._theta, self._dtheta = _evaluators(self.theta, 2)
         self._phi, self._dphi = _evaluators(self.phi, 2)
         self.dims = (2,)
@@ -279,7 +291,7 @@ class PhaseCurve(FactorCurve):
         self.phi = _as_poly(phi, "phi")
         self._phi, self._dphi = _evaluators(self.phi, 2)
         amps, self.dims = _amplitude_rows(base)
-        _same_stacking(phi=isinstance(self.phi, np.ndarray), base=amps.ndim > 1)
+        _same_stacking(phi=_trials(self.phi), base=_trials(amps))
         norms = _check_amplitudes(amps, BASE_NORM_TOL, "base ket")
         # states() checks to DEFAULT_TOL; a base already within it is kept to the bit
         off = abs(norms - 1.0) >= DEFAULT_TOL
@@ -310,8 +322,8 @@ class PhaseCurve(FactorCurve):
 class LocalHamiltonianCurve(FactorCurve):
     """Schroedinger orbit exp(-i*H*t)|initial> of a constant Hermitian generator.
 
-    ``generator`` and ``initial`` may be stacks, (M, d, d) and (M, d), one
-    orbit per trial.
+    ``generator`` and ``initial`` may both be stacks of the same trials,
+    (M, d, d) and (M, d), one orbit per trial.
     """
 
     def __init__(self, generator, initial: Ket | np.ndarray) -> None:
@@ -322,6 +334,7 @@ class LocalHamiltonianCurve(FactorCurve):
                 f"generator side {mat.shape[-1]} does not match state dimension "
                 f"{amps.shape[-1]}"
             )
+        _same_stacking(generator=_trials(mat, 2), initial=_trials(amps))
         _check_amplitudes(amps, BASE_NORM_TOL, "initial ket")
         self.generator = mat
         self.initial = initial
@@ -772,6 +785,12 @@ def horizontal_tangent(tv: TangentVector) -> TangentVector:
 def _horizontal(base: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """``horizontal_tangent`` of each row."""
     return directions - _overlaps(base, directions)[..., None] * base
+
+
+def _squared_perp_speeds(base: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """||d - <a|d> a||^2 of each row (states a, directions d): a factor's
+    squared perpendicular speed."""
+    return _row_norms(_horizontal(base, directions)) ** 2
 
 
 # ---------------------------------------------------------------------------

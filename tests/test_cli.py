@@ -1023,6 +1023,14 @@ class TestRunners:
         for row in rep.rows:
             assert row[rep.columns.index("base_separability")] == "separable"
 
+    def test_pseudo_pure_qutrit_base_is_separable(self):
+        """PPT cannot decide two qutrits, and eps = 0.5 is outside the ball
+        of purity 1/8; the base mixes two product states, so it is separable."""
+        generator = [[0.4, 0.2, 0], [0.2, -0.1, 0.3], [0, 0.3, 0.5]]
+        qutrit = {"dim": 3, "curve": {"kind": "hamiltonian", "generator": generator, "initial": [1, 1, [0, 1]]}}
+        rep = self.small("pseudo_pure", epsilon=0.5, subsystems=[QUTRIT_PAIR[1], qutrit])
+        assert {row[rep.columns.index("base_separability")] for row in rep.rows} == {"separable"}
+
     def test_separable_mixed_report(self):
         rep = self.small("separable_mixed")
         cols = rep.columns
@@ -1062,11 +1070,11 @@ class TestRunners:
 # top-level calls of each invariant check in one run (conftest ``count_checks``),
 # after a first run has built the canonical inputs, whose constructors check them
 RUN_CHECK_CALLS = {
+    # the cells read the factor rows alone: no dense tangent, and no operator to check
     "pseudo_pure": {
         "_check_amplitudes": 1,
         "_check_product_amplitudes": 1,
-        "_check_tangents": 2,
-        "_check_hermitian": 3,
+        "_check_tangents": 1,
         "_check_traceless": 1,
     },
     "separable_mixed": {
@@ -1181,13 +1189,37 @@ class TestSweepDriver:
     def test_one_tangent_assembly_per_sweep(self, scenario, monkeypatch):
         """Each grid point's tangent is assembled at most once: one Leibniz
         assembly per sweep whatever the grid size, and none for
-        register_trace, whose columns all come from the site rows."""
+        register_trace, pseudo_pure and chsh_scan, whose columns all come
+        from the site or factor rows."""
         calls = count_calls(monkeypatch, qtangle.trajectories, "_product_rule")
         for steps in (13, 26):
             calls.clear()
             rep = run(parse(scenario_doc(scenario, steps)))
             assert len(rep.rows) == steps
-            assert len(calls) == (0 if scenario == "register_trace" else 1)
+            assert len(calls) == (0 if scenario in ("register_trace", "pseudo_pure", "chsh_scan") else 1)
+
+    @pytest.mark.parametrize(
+        "scenario, dense", [("pseudo_pure", False), ("chsh_scan", False), ("two_qubit_demo", True)]
+    )
+    def test_cells_of_the_factor_rows_build_no_dense_row(self, scenario, dense, monkeypatch):
+        """pseudo_pure and chsh_scan take every cell from the factor rows:
+        they read no dense tangent and build no operator on the product
+        space.  two_qubit_demo's Bell cells read the dense tangent, and show
+        that the spies see it."""
+        owners = [
+            (qtangle.trajectories, "_projector_differentials"),
+            (qtangle.mixed_witness, "_separability"),
+            (qtangle.mixed_witness, "_trace_witness"),
+        ]
+        calls = {name: count_calls(monkeypatch, owner, name) for owner, name in owners}
+        reads = []
+        for name in ("states", "directions"):
+            rows = getattr(qtangle.geometry.TrajectoryProfile, name)
+            spy = property(lambda prof, rows=rows, name=name: reads.append(name) or rows.__get__(prof))
+            monkeypatch.setattr(qtangle.geometry.TrajectoryProfile, name, spy)
+        assert len(run(parse({"scenario": scenario, "grid": {"steps": 9}})).rows) == 9
+        assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(calls, 0)
+        assert reads == (["states", "directions"] if dense else [])
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["moving", "frozen"])
     @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from qtangle import (
     HermitianOp,
     Ket,
     MeasurementSetting,
+    PhaseCurve,
     ProductTrajectory,
     ValidationError,
     bell_decompose,
@@ -27,12 +28,15 @@ from qtangle import (
     correlation_expansion,
     correlation_matrix,
     entanglement_entropy,
+    horizontal_tangent,
     partial_trace,
     ppt_negativity,
+    product_tangent,
     schmidt,
     tensor_product,
 )
-from qtangle.entanglement import _coefficients
+import qtangle.trajectories as trajectories
+from qtangle.entanglement import _coefficients, _product_chsh_rows
 
 from helpers import random_ket
 
@@ -254,6 +258,40 @@ class TestChsh:
     def test_norm_checked(self):
         with pytest.raises(ValidationError):
             chsh_value(Ket(np.array([1.0, 0, 0, 1.0]), (2, 2)))
+
+
+class TestProductChshRows:
+    """CHSH of a two-qubit product tangent from its factors' squared speeds,
+    2 sqrt(1 + 4 S_1 S_2 / S^2), against ``chsh_value`` of the normalized
+    dense horizontal tangent."""
+
+    @pytest.mark.parametrize("seed, method", enumerate(["analytic", "central_fd", "richardson"]))
+    @pytest.mark.parametrize("phase", [False, True], ids=["moving", "phase"])
+    def test_matches_the_dense_tangent(self, seed, method, phase):
+        rng = np.random.default_rng([40, seed, phase])
+        for _ in range(10):
+            curves = [trajectories.random_factor_curve(rng, 2) for _ in range(2)]
+            while isinstance(curves[0], PhaseCurve):  # one factor moves projectively
+                curves[0] = trajectories.random_factor_curve(rng, 2)
+            if phase:
+                curves[1] = PhaseCurve([0.3, 1.7, -0.6], random_ket(rng, (2,)))
+            traj = ProductTrajectory(tuple(curves))
+            ts = rng.uniform(-1.0, 1.0, 9)
+            factors = trajectories._unstacked(trajectories._factor_rows(traj, ts, method, 1e-5))
+            got = _product_chsh_rows(factors)
+            for i, t in enumerate(ts):
+                tv = horizontal_tangent(product_tangent(traj, t, method, 1e-5))
+                assert got[i] == pytest.approx(chsh_value(tv.normalized_direction()), rel=0, abs=1e-12)
+            if phase:
+                assert got == pytest.approx(2.0, rel=0, abs=1e-12)
+
+    def test_zero_motion_is_rejected_as_normalizing_would_be(self):
+        a = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)
+        factors = [(a, np.array([[0.0, 0.5], [0.0, 0.0]])), (a, np.zeros((2, 2)))]
+        with pytest.raises(DegenerateInputError, match=r"^direction is \(near-\)zero; nothing to normalize$") as info:
+            with np.errstate(all="ignore"):
+                _product_chsh_rows(factors)
+        assert info.value.row == 1
 
 
 class TestCorrelationExpansion:

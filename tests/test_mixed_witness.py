@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qtangle import (
     Ket,
     PhaseCurve,
     ProductTrajectory,
+    TangentVector,
     ValidationError,
     base_state_separability,
     differential_trace_witness,
@@ -25,9 +27,12 @@ from qtangle import (
     ensemble_witness,
     operator_form_gap,
     product_differential,
+    pseudo_pure_differential,
     separable_mixed_differential,
 )
 from qtangle.cli import rotating_ensemble, run
+
+from helpers import random_ket
 
 SQ2 = math.sqrt(2)
 CUT = Cut.splitting((0,), 2)
@@ -210,8 +215,17 @@ class TestBaseStateSeparability:
         assert base_state_separability(self.mixture(1 / 3 + 1e-4), CUT) == "entangled"
 
     def test_ppt_in_large_dims_is_undecided(self):
-        rho = HermitianOp(np.eye(9) / 9, (3, 3))
-        assert base_state_separability(rho, CUT) == "undecided"
+        # the 3x3 isotropic state at eps = 0.2: PPT up to eps = 1/4, purity above 1/8
+        assert base_state_separability(pseudo_pure_qutrits(0.2, max_entangled_qutrits()), CUT) == "undecided"
+
+    @pytest.mark.parametrize("psi", ["entangled", "product"])
+    def test_ball_of_purity_one_over_d_minus_one_is_separable(self, psi):
+        """tr(rho^2) <= 1/(D - 1) certifies separability in any dims: at D = 9
+        the pseudo-pure state is in the ball up to eps = 1/8."""
+        amps = max_entangled_qutrits() if psi == "entangled" else np.kron([0.6, 0.8, 0], [0, 1j, 0])
+        assert base_state_separability(pseudo_pure_qutrits(1 / 8 - 1e-6, amps), CUT) == "separable"
+        assert base_state_separability(pseudo_pure_qutrits(1 / 8 + 1e-6, amps), CUT) == "undecided"
+        assert base_state_separability(HermitianOp(np.eye(9) / 9, (3, 3)), CUT) == "separable"
 
     def test_non_positive_rejected(self):
         bad = HermitianOp(np.diag([1.5, -0.5, 0, 0]), (2, 2))
@@ -240,8 +254,20 @@ def spectral_verdicts(mats, sides):
     blocks = mats.reshape(-1, d_left, d_right, d_left, d_right)
     transposed = blocks.transpose(0, 1, 4, 3, 2).reshape(mats.shape)
     negativity = -np.minimum(np.linalg.eigvalsh(transposed), 0.0).sum(axis=-1)
-    positive = "separable" if sorted(sides) in ([2, 2], [2, 3]) else "undecided"
-    return ["entangled" if n > 1e-10 else positive for n in negativity]
+    # PPT certifies 2x2 and 2x3 sides, and purity at most 1/(D - 1) any sides (Gurvits-Barnum)
+    purity = np.einsum("nij,nji->n", mats, mats).real
+    ppt_decides = sorted(sides) in ([2, 2], [2, 3])
+    positive = ["separable" if ppt_decides or p <= 1 / (d_left * d_right - 1) else "undecided" for p in purity]
+    return ["entangled" if n > 1e-10 else verdict for n, verdict in zip(negativity, positive)]
+
+
+def max_entangled_qutrits():
+    return np.eye(3).reshape(-1) / math.sqrt(3)
+
+
+def pseudo_pure_qutrits(eps, amps):
+    """(1 - eps) I/9 + eps |amps><amps| on 3x3."""
+    return HermitianOp((1 - eps) * np.eye(9) / 9 + eps * np.outer(amps, amps.conj()), (3, 3))
 
 
 def random_states(rng, dim, size, mix):
@@ -318,10 +344,25 @@ class TestSeparabilityCertificate:
 
     @pytest.mark.parametrize("dims", [(3, 3), (2, 3), (2, 2, 2)])
     def test_ppt_sides_beyond_two_by_three_are_undecided(self, dims, eigvalsh_calls):
+        """Products of random full-rank states of each factor: positive
+        definite and PPT, and of purity above 1/(D - 1)."""
+        rng = np.random.default_rng(7)
+        mats = reduce(trajectories._kron_rows, (random_states(rng, d, 10, 0.9) for d in dims))
         dim = math.prod(dims)
-        mats = random_states(np.random.default_rng(7), dim, 10, 0.2)
+        assert (np.einsum("nij,nji->n", mats, mats).real > 1 / (dim - 1)).all()
         positive = "separable" if dims == (2, 3) else "undecided"
         assert self.verdicts(mats, dims) == [positive] * 10
+        assert eigvalsh_calls == []
+        self.check(mats, dims, sides=(dims[0], dim // dims[0]))
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2), (2, 4)])
+    def test_ball_about_the_maximally_mixed_state_is_certified(self, dims, eigvalsh_calls):
+        """States a fifth of the way from I/D to a random full-rank state lie
+        in the ball of purity 1/(D - 1), which certifies them in any dims."""
+        dim = math.prod(dims)
+        mats = random_states(np.random.default_rng(7), dim, 10, 0.2)
+        assert (np.einsum("nij,nji->n", mats, mats).real <= 1 / (dim - 1)).all()
+        assert self.verdicts(mats, dims) == ["separable"] * 10
         assert eigvalsh_calls == []
         self.check(mats, dims, sides=(dims[0], dim // dims[0]))
 
@@ -342,15 +383,15 @@ class TestSeparabilityCertificate:
     def test_pure_base_states_take_the_spectra_in_a_run(self, eigvalsh_calls, monkeypatch):
         """A pure state has no Cholesky factor: inside ``run``'s
         ``np.errstate(all="ignore")`` the failure still raises, and the
-        spectra give each row its verdict."""
+        spectra give the verdict."""
         cholesky_calls, original = [], np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: cholesky_calls.append(m.shape) or original(m))
-        cfg = parse_config(json.dumps({"scenario": "pseudo_pure", "epsilon": 1.0}))
-        report = run(cfg)
-        grid = len(cfg.grid_points())
-        assert cholesky_calls == [(2, grid, 4, 4)]
-        assert eigvalsh_calls == [(grid, 4, 4), (grid, 4, 4)]
-        assert {row[-1] for row in report.rows} == {"separable"}
+        amps = np.kron([0.6, 0.8], np.array([1.0, 1j]) / SQ2)
+        with np.errstate(all="ignore"):
+            verdict = base_state_separability(HermitianOp(np.outer(amps, amps.conj()), (2, 2)), CUT)
+        assert cholesky_calls == [(2, 4, 4)]
+        assert eigvalsh_calls == [(4, 4), (4, 4)]
+        assert verdict == "separable"
 
 
 class TestTraceBoundByMethod:
@@ -393,3 +434,82 @@ class TestTraceBoundByMethod:
         drho = np.diag([1.5e-8, 0.0, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValidationError, match="differential must be traceless"):
             differential_trace_witness(HermitianOp(drho, (2, 2)))
+
+
+METHODS = ("analytic", "central_fd", "richardson")
+
+
+def pair_rows(rng, dims, method, h=1e-5, phase=False):
+    """The factor rows of a random pair of curves of the given dims on a
+    short grid, with norms moved off unit within BASE_NORM_TOL; the first
+    factor is a pure phase motion with ``phase``."""
+    curves = [trajectories.random_factor_curve(rng, d) for d in dims]
+    if phase:
+        curves[0] = PhaseCurve([0.2, -1.3, 0.4], random_ket(rng, (dims[0],)))
+    ts = rng.uniform(-1.0, 1.0, 7)
+    rows = trajectories._unstacked(trajectories._factor_rows(ProductTrajectory(tuple(curves)), ts, method, h))
+    scales = 1 + rng.uniform(-4e-11, 4e-11, (2, ts.size, 1))
+    return [(a * k, d * k) for (a, d), k in zip(rows, scales)]
+
+
+def dense_pseudo_pure(rows, eps, tol):
+    """Each grid point's cells from the dense public functions."""
+    dims = tuple(a.shape[-1] for a, _ in rows)
+    out = []
+    for (a, da), (b, db) in zip(zip(*rows[0]), zip(*rows[1])):
+        psi = Ket(np.kron(a, b), dims)
+        tv = TangentVector(psi, np.kron(da, b) + np.kron(a, db))
+        drho = pseudo_pure_differential(psi, tv, eps)
+        wit = differential_trace_witness(drho, tol)
+        # off unit norm, the dense base itself may fail its unit-trace check: take it of unit psi
+        dim = psi.total_dim
+        base = HermitianOp((1 - eps) * np.eye(dim) / dim + eps * psi.normalized().projector().matrix, dims)
+        out.append((drho.trace(), wit.tr1_norm, wit.tr2_norm, wit.verdict, base_state_separability(base, CUT)))
+    return out
+
+
+class TestPseudoPureRows:
+    """``_pseudo_pure_rows`` takes each cell from the two factors' rows; the
+    dense public functions are its oracle."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 4), (4, 4)])
+    @pytest.mark.parametrize("phase", [False, True], ids=["moving", "phase"])
+    def test_cells_match_the_dense_functions(self, dims, method, phase):
+        rng = np.random.default_rng([*dims, METHODS.index(method), phase])
+        rows = pair_rows(rng, dims, method, phase=phase)
+        for eps in (0.1, 0.35, 1.0):
+            cells = mixed_witness._pseudo_pure_rows(rows, eps, 1e-6, method)
+            want = dense_pseudo_pure(rows, eps, 1e-6)
+            for got, row in zip(zip(*cells), want):
+                assert got[:3] == pytest.approx(row[:3], rel=0, abs=1e-12)
+                assert got[3] == row[3]
+                # the base mixes two product states: no dense verdict contradicts it
+                assert got[4] == "separable" and row[4] in ("separable", "undecided")
+                assert row[4] == "separable" or sorted(dims) not in ([2, 2], [2, 3])
+
+    def test_a_still_phase_factor_keeps_its_norm_zero_not_nan(self):
+        """A pure phase motion has no perpendicular speed: the norm of the
+        reduced differential it keeps is 0, and no cell is NaN."""
+        rng = np.random.default_rng(12)
+        a = random_ket(rng, (3,)).amplitudes
+        rows = [(np.tile(a, (4, 1)), 0.7j * np.tile(a, (4, 1))), (np.tile(a, (4, 1)), np.zeros((4, 3)))]
+        trace, tr1, tr2, verdict, base = mixed_witness._pseudo_pure_rows(rows, 0.5, 1e-6, "analytic")
+        assert np.all(abs(trace) < 1e-16) and np.all(tr1 < 1e-16) and np.all(tr2 < 1e-16)
+        assert verdict.tolist() == [VERDICT_INCONCLUSIVE] * 4 and base.tolist() == ["separable"] * 4
+
+    def test_trace_bound_and_text_are_the_witness_ones(self):
+        rng = np.random.default_rng(13)
+        a, b = (random_ket(rng, (2,)).amplitudes[None] for _ in range(2))
+        rows = [(a, 1e-8 * a), (b, np.zeros_like(b))]  # trace 2 eps 1e-8
+        mixed_witness._pseudo_pure_rows(rows, 0.9, 1e-6, "central_fd")
+        with pytest.raises(ValidationError, match=r"^differential must be traceless, got trace 1\.800e-08$"):
+            mixed_witness._pseudo_pure_rows(rows, 0.9, 1e-6, "analytic")
+
+    def test_a_norm_that_overflows_rejects_its_row(self):
+        a = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
+        d = np.array([[0.0, 1.0], [0.0, 1e160]], dtype=complex)
+        with pytest.raises(ValidationError, match="^partial-trace norm overflows double precision$") as info:
+            with np.errstate(all="ignore"):
+                mixed_witness._pseudo_pure_rows([(a, d), (a, np.zeros_like(d))], 0.5, 1e-6, "analytic")
+        assert info.value.row == 1

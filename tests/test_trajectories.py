@@ -7,6 +7,7 @@ difference of the thing it claims to differentiate.
 
 import json
 import math
+import re
 import tracemalloc
 from functools import reduce
 
@@ -941,6 +942,40 @@ class TestStackedCurves:
         names = "theta and phi" if curve is BlochCurve else "phi and base"
         message = f"^{names} must both be stacks of trials or neither; {stack} is a stack, {single} is not$"
         with pytest.raises(ValueError, match=message):
+            curve(*args)
+
+    @pytest.mark.parametrize("stack, single", [("generator", "initial"), ("initial", "generator")])
+    def test_a_hamiltonian_stack_beside_a_single_parameter_is_refused(self, stack, single):
+        rng = np.random.default_rng(69)
+        gens, amps = hermitian_stack(rng, 3, 2), unit_rows(rng, 3, 2)
+        args = (gens, amps[0]) if stack == "generator" else (gens[0], amps)
+        message = "^generator and initial must both be stacks of trials or neither; "
+        message += f"{stack} is a stack, {single} is not$"
+        with pytest.raises(ValueError, match=message):
+            LocalHamiltonianCurve(*args)
+
+    @pytest.mark.parametrize(
+        "curve, args, names, stacks",
+        [
+            (BlochCurve, (np.zeros((2, 3)), np.zeros((3, 2))), ("theta", "phi"), ((2,), (3,))),
+            (PhaseCurve, (np.zeros((2, 3)), np.eye(3, dtype=complex)), ("phi", "base"), ((2,), (3,))),
+            (
+                LocalHamiltonianCurve,
+                (np.zeros((2, 3, 3)), np.eye(3, dtype=complex)),
+                ("generator", "initial"),
+                ((2,), (3,)),
+            ),
+            (BlochCurve, (np.zeros((2, 3)), np.zeros((2, 1, 2))), ("theta", "phi"), ((2,), (2, 1))),
+        ],
+        ids=["bloch", "phase", "hamiltonian", "bloch-extra-axis"],
+    )
+    def test_stacks_of_different_trials_are_refused(self, curve, args, names, stacks):
+        """Two stacks of different trials would fail on a grid with numpy's
+        bare broadcast error, or pair the wrong rows; the constructor names
+        both parameters instead."""
+        (first, second), (one, other) = names, stacks
+        message = f"{first} and {second} must stack the same trials; {first} stacks {one}, {second} stacks {other}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             curve(*args)
 
     def test_the_stacks_of_the_draws_and_of_a_trajectory_still_construct(self):
