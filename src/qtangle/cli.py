@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -577,6 +578,11 @@ def verify(trials: int = 1000, seed: int = 0, stream=None, out_format: str = "te
     each report the seconds of the one call that ran them all.  Each
     failing check prints ``FAIL`` to stderr in both.
     """
+    for prefix, value in (("trials", trials), ("seed:", seed)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{prefix} must be an integer, got {value!r}") from None
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
     if trials > MAX_TRIALS:

@@ -268,17 +268,8 @@ def ppt_negativity(op: HermitianOp, cut: Cut) -> float:
 
 
 def _ppt_negativities(mats: np.ndarray, dims: tuple[int, ...], cut: Cut) -> np.ndarray:
-    """``ppt_negativity`` of each matrix of a stack (last two axes)."""
-    return _negativities(_partial_transposes(mats, dims, cut))
-
-
-def _partial_transposes(mats: np.ndarray, dims: tuple[int, ...], cut: Cut) -> np.ndarray:
-    """Each matrix of a stack with the cut's right side transposed, as a
-    matrix of the input's shape in the cut's (left, right) order."""
-    return np.swapaxes(_split(mats, dims, cut, 2), -3, -1).reshape(mats.shape)
-
-
-def _negativities(mats: np.ndarray) -> np.ndarray:
-    """Total weight of the negative eigenvalues of each Hermitian matrix of a stack."""
-    eigs = np.linalg.eigvalsh(mats)
+    """``ppt_negativity`` of each matrix of a stack (last two axes): the cut's
+    right side is transposed in the cut's (left, right) order."""
+    transposes = np.swapaxes(_split(mats, dims, cut, 2), -3, -1).reshape(mats.shape)
+    eigs = np.linalg.eigvalsh(transposes)
     return -np.where(eigs < 0, eigs, 0.0).sum(axis=-1)

@@ -36,7 +36,7 @@ from .trajectories import (
     _mixed_differential,
     resolve_method,
 )
-from .entanglement import _negativities, _partial_transposes
+from .entanglement import _ppt_negativities
 
 VERDICT_EXCLUDED = "product-differential-excluded"
 VERDICT_INCONCLUSIVE = "inconclusive"
@@ -205,21 +205,11 @@ def base_state_separability(rho: HermitianOp, cut: Cut) -> SeparabilityVerdict:
 
 
 def _separability(mats: np.ndarray, dims: tuple[int, ...], cut: Cut) -> np.ndarray:
-    """``base_state_separability`` of each state of a stack.
-
-    One Cholesky factorization of the states and their partial transposes
-    certifies every one of them positive definite (up to rounding far inside
-    the ``_DENSITY_TOL`` bounds below), and so every state positive and PPT, without a
-    spectrum.  When it fails (a rank-deficient state such as a pure one, an
-    NPT state or non-positive input) the eigenvalues decide, as they would
-    alone: either way a row gets the verdict or rejection the spectra give.
-    """
-    transposes = _partial_transposes(mats, dims, cut)
-    certified = _positive_definite(np.stack([mats, transposes]))
-    if not certified:
-        lowest = np.linalg.eigvalsh(mats)[..., 0]
-        message = lambda i: f"operator is not positive (min eigenvalue {lowest.flat[i]:.3e})"
-        _bounded(-lowest, _DENSITY_TOL, message)
+    """``base_state_separability`` of each state of a stack, from the
+    spectra of the states and of their partial transposes."""
+    lowest = np.linalg.eigvalsh(mats)[..., 0]
+    message = lambda i: f"operator is not positive (min eigenvalue {lowest.flat[i]:.3e})"
+    _bounded(-lowest, _DENSITY_TOL, message)
     traces = np.trace(mats, axis1=-2, axis2=-1).real
     message = lambda i: f"state must have unit trace, got {float(traces.flat[i])!r}"
     _bounded(np.abs(traces - 1.0), _DENSITY_TOL, message)
@@ -231,17 +221,4 @@ def _separability(mats: np.ndarray, dims: tuple[int, ...], cut: Cut) -> np.ndarr
         # the purity of a Hermitian matrix is the sum of its entries' squared moduli
         purity = np.add.reduce((mats.conj() * mats).real, axis=(-2, -1))
         positive = np.where(purity <= 1 / (mats.shape[-1] - 1), "separable", "undecided")
-    if certified:
-        return positive
-    return np.where(_negativities(transposes) > 1e-10, "entangled", positive)
-
-
-def _positive_definite(mats: np.ndarray) -> bool:
-    """Whether every matrix of a stack is positive definite, by one Cholesky
-    factorization of them all.  A non-finite entry, which the factorization
-    carries through instead of failing on, makes the answer no."""
-    try:
-        factors = np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.isfinite(factors).all())
+    return np.where(_ppt_negativities(mats, dims, cut) > 1e-10, "entangled", positive)

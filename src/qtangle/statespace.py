@@ -14,6 +14,7 @@ over the whole stack and reject the first offending row, or inside a
 from __future__ import annotations
 
 import math
+import operator
 from contextvars import ContextVar
 from dataclasses import InitVar, dataclass
 from functools import cached_property, reduce
@@ -228,7 +229,7 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _dims_tuple(dims: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+    out = tuple(operator.index(d) for d in dims)
     if not out:
         raise ValueError("dims must contain at least one factor")
     if any(d < 2 for d in out):
@@ -270,7 +271,7 @@ class Ket:
     def basis(cls, dims: Iterable[int], occupation: Sequence[int]) -> "Ket":
         """Computational basis vector |occupation[0], occupation[1], ...>."""
         dims = _dims_tuple(dims)
-        occupation = tuple(int(k) for k in occupation)
+        occupation = tuple(operator.index(k) for k in occupation)
         if len(occupation) != len(dims):
             raise ValueError("occupation must give one index per factor")
         for k, d in zip(occupation, dims):
@@ -341,8 +342,8 @@ class Cut:
     right: frozenset[int]
 
     def __init__(self, left: Iterable[int], right: Iterable[int]) -> None:
-        lset = frozenset(int(i) for i in left)
-        rset = frozenset(int(i) for i in right)
+        lset = frozenset(operator.index(i) for i in left)
+        rset = frozenset(operator.index(i) for i in right)
         if not lset or not rset:
             raise ValueError("both sides of a cut must be non-empty")
         if lset & rset:
@@ -362,7 +363,7 @@ class Cut:
     @classmethod
     def splitting(cls, left: Iterable[int], n_factors: int) -> "Cut":
         """Cut separating ``left`` from every other position in ``range(n_factors)``."""
-        lset = frozenset(int(i) for i in left)
+        lset = frozenset(operator.index(i) for i in left)
         rset = frozenset(range(n_factors)) - lset
         return cls(lset, rset)
 

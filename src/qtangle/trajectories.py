@@ -25,6 +25,7 @@ one evaluation at a grid (G,) gives the rows of every factor of the group,
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -1216,7 +1217,7 @@ def infinitesimal_composition(generator, total: float, n_steps: int) -> np.ndarr
     Converges to the exact propagator at rate O(1/n) in operator norm.
     """
     mat = _generator(generator)
-    n_steps = int(n_steps)
+    n_steps = operator.index(n_steps)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     step = np.eye(mat.shape[-1], dtype=complex) - 1j * mat * (float(total) / n_steps)
@@ -1250,7 +1251,7 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def random_unit_ket(rng: np.random.Generator, dims: Iterable[int]) -> Ket:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(operator.index(d) for d in dims)
     amps = _complex_normal(rng, math.prod(dims))
     return Ket(amps / np.linalg.norm(amps), dims, unit=True)
 

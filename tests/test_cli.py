@@ -1822,6 +1822,20 @@ class TestMainExitCodes:
         assert main(["verify", "--seed", "-3"]) == 2
         assert capsys.readouterr() == ("", "error: seed: must be non-negative, got -3\n")
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+            ({"trials": 1, "seed": 0.5}, "seed: must be an integer, got 0.5"),
+        ],
+    )
+    def test_verify_refuses_a_non_integer_before_drawing(self, kwargs, message, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("verify drew"))
+        stream = io.StringIO()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify(stream=stream, **kwargs)
+        assert stream.getvalue() == ""
+
 
 VERIFY_CHECKS = (
     "channel-identity",

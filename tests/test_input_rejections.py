@@ -35,6 +35,7 @@ from qtangle import (
     tensor_product,
 )
 from qtangle.cli import main
+from qtangle.trajectories import random_unit_ket
 
 QUBIT = Ket(np.array([1.0, 0.0]), (2,))
 QUTRIT = Ket(np.array([1.0, 0.0, 0.0]), (3,))
@@ -44,6 +45,7 @@ Z_X = MeasurementSetting(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
 STILL_QUBIT = UnitaryCurve.constant(np.eye(2))
 STILL_QUTRIT = UnitaryCurve.constant(np.eye(3))
 ORBIT3 = LocalHamiltonianCurve(np.eye(3), QUTRIT)
+FLOAT_INDEX = "'float' object cannot be interpreted as an integer"
 
 # grids whose np.linspace points are not finite and strictly increasing,
 # though t0 < t1: each with the message of its diagnostic
@@ -266,6 +268,55 @@ REJECTIONS = [
         "frozen factors are not supported here",
         id="correlation_expansion-frozen",
     ),
+    # integer arguments are read by operator.index: a float or a str is refused, not truncated or parsed
+    pytest.param(
+        lambda: Cut((0.5,), (1,)),
+        TypeError,
+        FLOAT_INDEX,
+        id="Cut-float-position",
+    ),
+    pytest.param(
+        lambda: Cut(("0",), (1,)),
+        TypeError,
+        "'str' object cannot be interpreted as an integer",
+        id="Cut-str-position",
+    ),
+    pytest.param(
+        lambda: Cut.splitting((0.5,), 2),
+        TypeError,
+        FLOAT_INDEX,
+        id="Cut.splitting-float-position",
+    ),
+    pytest.param(
+        lambda: Ket(np.ones(4) / 2, (2.5, 2)),
+        TypeError,
+        FLOAT_INDEX,
+        id="Ket-float-dims",
+    ),
+    pytest.param(
+        lambda: HermitianOp(np.eye(4) / 4, (2, 2.0)),
+        TypeError,
+        FLOAT_INDEX,
+        id="HermitianOp-float-dims",
+    ),
+    pytest.param(
+        lambda: Ket.basis((2, 2), (0, 1.7)),
+        TypeError,
+        FLOAT_INDEX,
+        id="Ket.basis-float-occupation",
+    ),
+    pytest.param(
+        lambda: infinitesimal_composition(np.eye(2), 1.0, 2.7),
+        TypeError,
+        FLOAT_INDEX,
+        id="infinitesimal_composition-float-steps",
+    ),
+    pytest.param(
+        lambda: random_unit_ket(np.random.default_rng(0), (2.0, 2)),
+        TypeError,
+        FLOAT_INDEX,
+        id="random_unit_ket-float-dims",
+    ),
 ]
 
 
@@ -274,6 +325,16 @@ def test_input_is_rejected_with_its_message(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert info.type is error and str(info.value) == message
+
+
+def test_numpy_integers_pass_as_integer_arguments():
+    two, one = np.int64(2), np.int32(1)
+    cut = Cut((np.int64(0),), (one,))
+    assert cut == Cut.splitting(np.array([0]), two) == Cut((0,), (1,))
+    assert Ket(np.ones(4) / 2, np.array([2, 2])).dims == HermitianOp(np.eye(4) / 4, (two, two)).dims == (2, 2)
+    assert np.array_equal(Ket.basis((two, two), np.array([0, 1])).amplitudes, [0, 1, 0, 0])
+    assert np.array_equal(infinitesimal_composition(np.zeros((2, 2)), 1.0, two), np.eye(2))
+    assert random_unit_ket(np.random.default_rng(0), np.array([2, 3])).dims == (2, 3)
 
 
 @pytest.mark.parametrize("grid, message", BAD_GRIDS.values(), ids=BAD_GRIDS)

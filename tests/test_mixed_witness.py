@@ -284,10 +284,10 @@ def werner(p):
     return p * np.outer(amps, amps) + (1 - p) * np.eye(4) / 4
 
 
-class TestSeparabilityCertificate:
-    """``_separability`` certifies a positive definite, PPT stack by one
-    Cholesky factorization and otherwise asks the spectra; row for row it
-    gives what the spectra alone give, verdict or rejection."""
+class TestSeparabilitySpectra:
+    """``_separability`` takes each state's verdict or rejection from the
+    spectra of the state and of its partial transpose, row for row what the
+    test-local ``spectral_verdicts`` gives."""
 
     @pytest.fixture
     def eigvalsh_calls(self, monkeypatch):
@@ -311,18 +311,14 @@ class TestSeparabilityCertificate:
         assert self.verdicts(mats, dims) == want
         return want
 
-    def test_positive_definite_stack_is_certified(self, eigvalsh_calls):
+    def test_full_rank_stack_is_separable(self):
         mats = random_states(np.random.default_rng(3), 4, 40, 0.3)
-        assert self.verdicts(mats, (2, 2)) == ["separable"] * 40
-        assert eigvalsh_calls == []
         assert self.check(mats, (2, 2)) == ["separable"] * 40
 
-    def test_rank_one_row_takes_the_spectra(self, eigvalsh_calls):
+    def test_rank_one_row_is_separable(self):
         mats = random_states(np.random.default_rng(4), 4, 12, 0.3)
         mats[5] = np.diag([1.0, 0.0, 0.0, 0.0])
-        assert self.verdicts(mats, (2, 2)) == ["separable"] * 12
-        assert eigvalsh_calls == [(12, 4, 4), (12, 4, 4)]
-        self.check(mats, (2, 2))
+        assert self.check(mats, (2, 2)) == ["separable"] * 12
 
     def test_non_positive_row_is_rejected_as_by_the_spectra(self):
         mats = random_states(np.random.default_rng(5), 4, 12, 0.3)
@@ -330,20 +326,18 @@ class TestSeparabilityCertificate:
         want = self.check(mats, (2, 2))
         assert want == ("operator is not positive (min eigenvalue -5.000e-01)", 7)
 
-    def test_certified_stack_still_checks_the_trace(self, eigvalsh_calls):
+    def test_positive_stack_still_checks_the_trace(self):
         mats = random_states(np.random.default_rng(6), 4, 12, 0.3)
         mats[4] *= 2
         assert self.check(mats, (2, 2)) == ("state must have unit trace, got 2.0", 4)
-        assert len(eigvalsh_calls) == 1  # the reference's alone
 
-    def test_werner_states_either_side_of_one_third(self, eigvalsh_calls):
+    def test_werner_states_either_side_of_one_third(self):
         below, above = werner(1 / 3 - 1e-4), werner(1 / 3 + 1e-4)
-        assert self.verdicts(np.array([below, below]), (2, 2)) == ["separable"] * 2
-        assert eigvalsh_calls == []
+        assert self.check(np.array([below, below]), (2, 2)) == ["separable"] * 2
         assert self.check(np.array([below, above, below]), (2, 2)) == ["separable", "entangled", "separable"]
 
     @pytest.mark.parametrize("dims", [(3, 3), (2, 3), (2, 2, 2)])
-    def test_ppt_sides_beyond_two_by_three_are_undecided(self, dims, eigvalsh_calls):
+    def test_ppt_sides_beyond_two_by_three_are_undecided(self, dims):
         """Products of random full-rank states of each factor: positive
         definite and PPT, and of purity above 1/(D - 1)."""
         rng = np.random.default_rng(7)
@@ -351,47 +345,36 @@ class TestSeparabilityCertificate:
         dim = math.prod(dims)
         assert (np.einsum("nij,nji->n", mats, mats).real > 1 / (dim - 1)).all()
         positive = "separable" if dims == (2, 3) else "undecided"
-        assert self.verdicts(mats, dims) == [positive] * 10
-        assert eigvalsh_calls == []
-        self.check(mats, dims, sides=(dims[0], dim // dims[0]))
+        assert self.check(mats, dims, sides=(dims[0], dim // dims[0])) == [positive] * 10
 
     @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2), (2, 4)])
-    def test_ball_about_the_maximally_mixed_state_is_certified(self, dims, eigvalsh_calls):
+    def test_ball_about_the_maximally_mixed_state_is_separable(self, dims):
         """States a fifth of the way from I/D to a random full-rank state lie
-        in the ball of purity 1/(D - 1), which certifies them in any dims."""
+        in the ball of purity 1/(D - 1), which makes them separable in any dims."""
         dim = math.prod(dims)
         mats = random_states(np.random.default_rng(7), dim, 10, 0.2)
         assert (np.einsum("nij,nji->n", mats, mats).real <= 1 / (dim - 1)).all()
-        assert self.verdicts(mats, dims) == ["separable"] * 10
-        assert eigvalsh_calls == []
-        self.check(mats, dims, sides=(dims[0], dim // dims[0]))
+        assert self.check(mats, dims, sides=(dims[0], dim // dims[0])) == ["separable"] * 10
 
-    def test_non_finite_entries_are_not_certified(self, eigvalsh_calls):
-        """A Cholesky factorization carries a NaN through; the spectra fail on it."""
+    def test_non_finite_entries_fail_in_the_spectra(self):
         mats = random_states(np.random.default_rng(8), 4, 3, 0.3)
         mats[1, 2, 1] = np.nan
-        assert not mixed_witness._positive_definite(mats)
         with pytest.raises(np.linalg.LinAlgError):
             self.verdicts(mats, (2, 2))
-        assert eigvalsh_calls == [(3, 4, 4)]
 
     def test_default_pseudo_pure_run_calls_no_eigvalsh(self, eigvalsh_calls):
         report = run(parse_config(json.dumps({"scenario": "pseudo_pure"})))
         assert eigvalsh_calls == []
         assert {row[-1] for row in report.rows} == {"separable"}
 
-    def test_pure_base_states_take_the_spectra_in_a_run(self, eigvalsh_calls, monkeypatch):
-        """A pure state has no Cholesky factor: inside ``run``'s
-        ``np.errstate(all="ignore")`` the failure still raises, and the
-        spectra give the verdict."""
-        cholesky_calls, original = [], np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda m: cholesky_calls.append(m.shape) or original(m))
+    def test_pure_base_state_is_separable_in_a_run(self):
+        """Inside ``run``'s ``np.errstate(all="ignore")`` a rank-deficient
+        state still gets the spectra's verdict."""
         amps = np.kron([0.6, 0.8], np.array([1.0, 1j]) / SQ2)
+        state = np.outer(amps, amps.conj())
         with np.errstate(all="ignore"):
-            verdict = base_state_separability(HermitianOp(np.outer(amps, amps.conj()), (2, 2)), CUT)
-        assert cholesky_calls == [(2, 4, 4)]
-        assert eigvalsh_calls == [(4, 4), (4, 4)]
-        assert verdict == "separable"
+            verdict = base_state_separability(HermitianOp(state, (2, 2)), CUT)
+        assert [verdict] == spectral_verdicts(state[None], (2, 2)) == ["separable"]
 
 
 class TestTraceBoundByMethod:
