@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import os
 import sys
 import time
@@ -35,7 +34,7 @@ from .mixed_witness import (
     _pseudo_pure_rows,
     _trace_witness,
 )
-from .statespace import Cut, Ket, _bounded, _check_hermitian, _first_rejection, _normalized
+from .statespace import Cut, Ket, _bounded, _check_hermitian, _first_rejection, _integer, _normalized
 from .trajectories import (
     DEFAULT_STEP,
     BlochCurve,
@@ -292,10 +291,13 @@ def render_json(report: TraceReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def emit(report: TraceReport, out_format: str = "csv", path: str | None = None) -> None:
+def emit(report: TraceReport, out_format: str = "csv", path: str | os.PathLike | None = None) -> None:
     """Write the report as CSV or JSON to a file, or to stdout when path is None."""
     if out_format not in _FORMATS:
         raise ValueError(f"out_format must be one of {_FORMATS}, got {out_format!r}")
+    if path is not None and not isinstance(path, (str, os.PathLike)):
+        # open() would take an int as a file descriptor, write to it and close it
+        raise TypeError(f"path must be a str or an os.PathLike, got {type(path).__name__}")
     text = render_csv(report) if out_format == "csv" else render_json(report)
     if path is None:
         sys.stdout.write(text)
@@ -580,7 +582,7 @@ def verify(trials: int = 1000, seed: int = 0, stream=None, out_format: str = "te
     """
     for prefix, value in (("trials", trials), ("seed:", seed)):
         try:
-            operator.index(value)
+            _integer(value)
         except TypeError:
             raise ValueError(f"{prefix} must be an integer, got {value!r}") from None
     if trials < 1:

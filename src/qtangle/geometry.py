@@ -300,7 +300,7 @@ def profile(
 
     What does not depend on the grid is built once and kept read-only: a
     program's squared site speeds and verdicts per step
-    (``RegisterProgram._step_speeds``, ``_step_checks``), and each cut set's
+    (``RegisterProgram._step_table``), and each cut set's
     masks (``_cut_masks``) with its validation, run before the trajectory is
     evaluated.  The other checks, and every entropy, are computed on every call.
     """
@@ -310,6 +310,8 @@ def profile(
     spacing = _increments(grid)
     if not np.logical_and.reduce(spacing > 0, axis=None):
         raise ValueError("grid must be strictly increasing")
+    if not (math.isfinite(grid[0]) and math.isfinite(grid[-1])):  # increasing: its ends bound it
+        raise ValueError(f"grid must be finite, got points from {float(grid[0])!r} to {float(grid[-1])!r}")
     cuts = tuple(cuts)
     if not cuts:
         raise ValueError("need at least one cut")

@@ -95,8 +95,8 @@ def _trace_witness(
 
 
 def _check_tol(tol: float) -> None:
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
 def _verdicts(tr1: np.ndarray, tr2: np.ndarray, tol: float) -> np.ndarray:

@@ -228,8 +228,16 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[..., :, None] * y.conj()[..., None, :]
 
 
+def _integer(value) -> int:
+    """A public integer argument, read by ``operator.index``: a float or a str
+    is refused, not truncated or parsed, and so is a bool, which is no count."""
+    if isinstance(value, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(value)
+
+
 def _dims_tuple(dims: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(operator.index(d) for d in dims)
+    out = tuple(_integer(d) for d in dims)
     if not out:
         raise ValueError("dims must contain at least one factor")
     if any(d < 2 for d in out):
@@ -271,7 +279,7 @@ class Ket:
     def basis(cls, dims: Iterable[int], occupation: Sequence[int]) -> "Ket":
         """Computational basis vector |occupation[0], occupation[1], ...>."""
         dims = _dims_tuple(dims)
-        occupation = tuple(operator.index(k) for k in occupation)
+        occupation = tuple(_integer(k) for k in occupation)
         if len(occupation) != len(dims):
             raise ValueError("occupation must give one index per factor")
         for k, d in zip(occupation, dims):
@@ -342,8 +350,8 @@ class Cut:
     right: frozenset[int]
 
     def __init__(self, left: Iterable[int], right: Iterable[int]) -> None:
-        lset = frozenset(operator.index(i) for i in left)
-        rset = frozenset(operator.index(i) for i in right)
+        lset = frozenset(_integer(i) for i in left)
+        rset = frozenset(_integer(i) for i in right)
         if not lset or not rset:
             raise ValueError("both sides of a cut must be non-empty")
         if lset & rset:
@@ -363,7 +371,7 @@ class Cut:
     @classmethod
     def splitting(cls, left: Iterable[int], n_factors: int) -> "Cut":
         """Cut separating ``left`` from every other position in ``range(n_factors)``."""
-        lset = frozenset(operator.index(i) for i in left)
+        lset = frozenset(_integer(i) for i in left)
         rset = frozenset(range(n_factors)) - lset
         return cls(lset, rset)
 

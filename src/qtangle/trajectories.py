@@ -25,7 +25,6 @@ one evaluation at a grid (G,) gives the rows of every factor of the group,
 from __future__ import annotations
 
 import math
-import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -49,6 +48,7 @@ from .statespace import (
     _check_norm_preserving,
     _check_unitary,
     _first_rejection,
+    _integer,
     _normalized,
     _outer,
     _overlaps,
@@ -546,8 +546,8 @@ def resolve_method(curves: Iterable[FactorCurve], method: str) -> str:
 def _stencil(fn: Callable[[np.ndarray], np.ndarray], t, method: str, h: float) -> np.ndarray:
     """central_fd (error O(h^2)) or richardson (two central stencils, O(h^4)) of fn
     at t, a number or a grid array."""
-    if not h > 0:
-        raise ValueError(f"step h must be positive, got {h!r}")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError(f"step h must be positive and finite, got {h!r}")
 
     def central(step: float) -> np.ndarray:
         return (fn(t + step) - fn(t - step)) / (2 * step)
@@ -932,41 +932,29 @@ class RegisterProgram:
         return tuple(out)
 
     @cached_property
-    def _step_speeds(self) -> np.ndarray | None:
-        """Each site's squared speed through each step, (K, n), read-only, filled
-        on first use; None for an entangled initial state (``_site_orbits``).
+    def _step_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """A product-initial program's step table, read-only, filled on first use:
+        each site's squared speed through each step, (K, n), and per step, (2, K),
+        whether each site's coefficient norm, and their product, is within
+        BASE_NORM_TOL of 1 (the site's orbit keeps it, its eigenvectors being
+        unitary), and whether the step's squared speeds sum to a finite value.
         Through a step a site follows the orbit of its generator, so its squared
         speed is the variance of the generator's eigenvalues lambda under the
         orbit's populations |c|^2, sum |c|^2 (lambda - <lambda>)^2 with
         <lambda> = sum |c|^2 lambda, which the orbit keeps (Anandan and
         Aharonov, PRL 65, 1697 (1990))."""
-        if self._site_orbits is None:
-            return None
-        squared = np.empty((self.n_steps, self.n_sites))
-        with np.errstate(all="ignore"):
+        speeds, norms = np.empty((self.n_steps, self.n_sites)), np.empty((self.n_sites, self.n_steps))
+        with np.errstate(all="ignore"):  # a norm or a speed that overflows fails its check
             for (sites, evals, *_), (_, coeffs) in zip(self._step_stacks, self._site_orbits):
                 pops = abs(coeffs) ** 2
                 mean = np.sum(pops * evals, axis=-1, keepdims=True)
-                squared[:, sites] = np.sum(pops * (evals - mean) ** 2, axis=-1).T
-        squared.setflags(write=False)
-        return squared
-
-    @cached_property
-    def _step_checks(self) -> np.ndarray | None:
-        """Per step, (2, K), read-only, filled on first use: whether each site's
-        coefficient norm, and their product, is within BASE_NORM_TOL of 1 (the
-        site's orbit keeps it, its eigenvectors being unitary), and whether the
-        step's row of ``_step_speeds`` sums to a finite value; None for an entangled initial state."""
-        if self._step_speeds is None:
-            return None
-        norms = np.empty((self.n_sites, self.n_steps))
-        with np.errstate(all="ignore"):  # a norm or a speed that overflows fails its check
-            for (sites, *_), (_, coeffs) in zip(self._step_stacks, self._site_orbits):
+                speeds[:, sites] = np.sum(pops * (evals - mean) ** 2, axis=-1).T
                 norms[sites] = _row_norms(coeffs)
             defects = abs(np.concatenate([norms, norms.prod(axis=0, keepdims=True)]) - 1.0)
-            checks = np.array([(defects < BASE_NORM_TOL).all(axis=0), np.isfinite(self._step_speeds.sum(axis=-1))])
+            checks = np.array([(defects < BASE_NORM_TOL).all(axis=0), np.isfinite(speeds.sum(axis=-1))])
+        speeds.setflags(write=False)
         checks.setflags(write=False)
-        return checks
+        return speeds, checks
 
     @cached_property
     def _step_starts(self) -> np.ndarray:
@@ -1016,7 +1004,7 @@ def _register_rows(
     rule over its step's site unitaries and their derivatives, applied to the register
     at the start of that step; a constant site's derivatives are 0."""
     sweep = isinstance(k, np.ndarray) and k.dtype.kind in "iu" and k.shape == ts.shape
-    if not (sweep or isinstance(k, (int, np.integer))):
+    if not (sweep or isinstance(k, (int, np.integer)) and not isinstance(k, bool)):
         raise ValueError(f"step index must be an integer, got {k}")
     if not np.all((1 <= k) & (k <= prog.n_steps)):
         raise ValueError(f"step index {k} outside 1..{prog.n_steps}")
@@ -1071,23 +1059,23 @@ def _register_step_speeds(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """A product-initial program's squared site speeds under "analytic", one
     row per step from the grid's first step to its last, (K, n), read-only
-    rows of the program's step table (``RegisterProgram._step_speeds``); the
+    rows of the program's step table (``RegisterProgram._step_table``); the
     row of each grid point, (G,); and each step's length within
     [grid[0], grid[-1]], (K,).  None where the per-point rows decide: under a
     stencil, for an entangled initial state, where a step the grid meets
     fails the site rows' checks, or where a step in the grid's span has a
-    speed that is not finite (``RegisterProgram._step_checks``), so that the
+    speed that is not finite (the table's checks), so that the
     site rows (``_register_site_rows``) name the rejection."""
     if prog._site_orbits is None or resolve_method((), method) != "analytic":
         return None
     ks, _ = prog.resolve_time(grid)
     k0, k1 = int(ks[0]), int(ks[-1])
-    unit, finite = prog._step_checks
+    speeds, (unit, finite) = prog._step_table
     every = np.logical_and.reduce
     if not (every(unit[ks - 1], axis=None) and every(finite[k0 - 1 : k1], axis=None)):
         return None
     steps = np.arange(k0, k1 + 1)
-    return prog._step_speeds[k0 - 1 : k1], ks - k0, np.minimum(grid[-1], steps) - np.maximum(grid[0], steps - 1)
+    return speeds[k0 - 1 : k1], ks - k0, np.minimum(grid[-1], steps) - np.maximum(grid[0], steps - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1217,7 +1205,7 @@ def infinitesimal_composition(generator, total: float, n_steps: int) -> np.ndarr
     Converges to the exact propagator at rate O(1/n) in operator norm.
     """
     mat = _generator(generator)
-    n_steps = operator.index(n_steps)
+    n_steps = _integer(n_steps)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     step = np.eye(mat.shape[-1], dtype=complex) - 1j * mat * (float(total) / n_steps)
@@ -1251,7 +1239,7 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def random_unit_ket(rng: np.random.Generator, dims: Iterable[int]) -> Ket:
-    dims = tuple(operator.index(d) for d in dims)
+    dims = tuple(_integer(d) for d in dims)
     amps = _complex_normal(rng, math.prod(dims))
     return Ket(amps / np.linalg.norm(amps), dims, unit=True)
 

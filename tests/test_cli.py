@@ -1827,6 +1827,8 @@ class TestMainExitCodes:
         [
             ({"trials": 2.5}, "trials must be an integer, got 2.5"),
             ({"trials": 1, "seed": 0.5}, "seed: must be an integer, got 0.5"),
+            ({"trials": True}, "trials must be an integer, got True"),
+            ({"trials": 1, "seed": False}, "seed: must be an integer, got False"),
         ],
     )
     def test_verify_refuses_a_non_integer_before_drawing(self, kwargs, message, monkeypatch):
@@ -2331,6 +2333,22 @@ class TestEmit:
         path = tmp_path / "r.csv"
         emit(rep, "csv", str(path))
         assert b"\r" not in path.read_bytes()
+
+    def test_a_file_descriptor_is_refused_and_left_open(self, tmp_path):
+        """open() would take an int as a descriptor, write to it and close it."""
+        rep = run(parse({"scenario": "two_qubit_demo", "grid": {"steps": 2}}))
+        fd = os.open(tmp_path / "r.csv", os.O_RDWR | os.O_CREAT)
+        try:
+            with pytest.raises(TypeError, match="^path must be a str or an os.PathLike, got int$"):
+                emit(rep, "csv", fd)
+            assert os.fstat(fd).st_size == 0
+        finally:
+            os.close(fd)
+
+    def test_a_path_like_is_written(self, tmp_path):
+        rep = run(parse({"scenario": "two_qubit_demo", "grid": {"steps": 2}}))
+        emit(rep, "csv", tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_text().startswith("t,fs_speed,")
 
     @pytest.mark.parametrize("out_format", ["xml", "CSV", ""])
     def test_unknown_format_rejected_before_anything_is_written(self, tmp_path, capsys, out_format):

@@ -28,10 +28,15 @@ from qtangle import (
     apply_local_unitaries,
     correlation_expansion,
     curve_through,
+    differential_trace_witness,
+    differentiate,
     fs_distance,
     infinitesimal_composition,
     inner,
     parse_config,
+    profile,
+    register_state,
+    register_tangent,
     tensor_product,
 )
 from qtangle.cli import main
@@ -46,6 +51,9 @@ STILL_QUBIT = UnitaryCurve.constant(np.eye(2))
 STILL_QUTRIT = UnitaryCurve.constant(np.eye(3))
 ORBIT3 = LocalHamiltonianCurve(np.eye(3), QUTRIT)
 FLOAT_INDEX = "'float' object cannot be interpreted as an integer"
+BOOL_INDEX = "'bool' object cannot be interpreted as an integer"
+STILL_PAIR = RegisterProgram(((STILL_QUBIT, STILL_QUBIT),), PAIR)
+ARC_PAIR = ProductTrajectory((ARC, ARC))
 
 # grids whose np.linspace points are not finite and strictly increasing,
 # though t0 < t1: each with the message of its diagnostic
@@ -317,6 +325,92 @@ REJECTIONS = [
         FLOAT_INDEX,
         id="random_unit_ket-float-dims",
     ),
+    # a bool is no count: True is refused where the integer 1 is taken
+    pytest.param(
+        lambda: Cut((True,), (False,)),
+        TypeError,
+        BOOL_INDEX,
+        id="Cut-bool-position",
+    ),
+    pytest.param(
+        lambda: Cut.splitting((True,), 2),
+        TypeError,
+        BOOL_INDEX,
+        id="Cut.splitting-bool-position",
+    ),
+    pytest.param(
+        lambda: Ket(np.ones(4) / 2, (2, True)),
+        TypeError,
+        BOOL_INDEX,
+        id="Ket-bool-dims",
+    ),
+    pytest.param(
+        lambda: HermitianOp(np.eye(4) / 4, (True, 2)),
+        TypeError,
+        BOOL_INDEX,
+        id="HermitianOp-bool-dims",
+    ),
+    pytest.param(
+        lambda: Ket.basis((2, 2), (True, False)),
+        TypeError,
+        BOOL_INDEX,
+        id="Ket.basis-bool-occupation",
+    ),
+    pytest.param(
+        lambda: infinitesimal_composition(np.eye(2), 1.0, True),
+        TypeError,
+        BOOL_INDEX,
+        id="infinitesimal_composition-bool-steps",
+    ),
+    pytest.param(
+        lambda: random_unit_ket(np.random.default_rng(0), (2, True)),
+        TypeError,
+        BOOL_INDEX,
+        id="random_unit_ket-bool-dims",
+    ),
+    pytest.param(
+        lambda: register_state(STILL_PAIR, True, 0.5),
+        ValueError,
+        "step index must be an integer, got True",
+        id="register_state-bool-step",
+    ),
+    pytest.param(
+        lambda: register_tangent(STILL_PAIR, True, 0.5),
+        ValueError,
+        "step index must be an integer, got True",
+        id="register_tangent-bool-step",
+    ),
+    # a non-finite number is refused by the argument it came in, not by a check it later breaks
+    pytest.param(
+        lambda: profile(ARC_PAIR, [0.0, 1.0, np.inf], [Cut((0,), (1,))]),
+        ValueError,
+        "grid must be finite, got points from 0.0 to inf",
+        id="profile-infinite-grid-end",
+    ),
+    pytest.param(
+        lambda: profile(ARC_PAIR, [-np.inf, 0.0, 1.0], [Cut((0,), (1,))]),
+        ValueError,
+        "grid must be finite, got points from -inf to 1.0",
+        id="profile-infinite-grid-start",
+    ),
+    pytest.param(
+        lambda: differentiate(ARC, 0.5, "central_fd", np.inf),
+        ValueError,
+        "step h must be positive and finite, got inf",
+        id="differentiate-infinite-step",
+    ),
+    pytest.param(
+        lambda: profile(ARC_PAIR, [0.0, 0.5], [Cut((0,), (1,))], method="central_fd", h=np.inf),
+        ValueError,
+        "step h must be positive and finite, got inf",
+        id="profile-infinite-step",
+    ),
+    pytest.param(
+        lambda: differential_trace_witness(HermitianOp(np.zeros((4, 4)), (2, 2)), tol=np.inf),
+        ValueError,
+        "tol must be positive and finite, got inf",
+        id="differential_trace_witness-infinite-tol",
+    ),
 ]
 
 
@@ -335,6 +429,9 @@ def test_numpy_integers_pass_as_integer_arguments():
     assert np.array_equal(Ket.basis((two, two), np.array([0, 1])).amplitudes, [0, 1, 0, 0])
     assert np.array_equal(infinitesimal_composition(np.zeros((2, 2)), 1.0, two), np.eye(2))
     assert random_unit_ket(np.random.default_rng(0), np.array([2, 3])).dims == (2, 3)
+    for k in (np.int64(1), np.uint8(1)):  # only a bool is refused as a step index
+        assert np.array_equal(register_state(STILL_PAIR, k, 0.5).amplitudes, PAIR.amplitudes)
+        assert np.array_equal(register_tangent(STILL_PAIR, k, 0.5).direction, np.zeros(4))
 
 
 @pytest.mark.parametrize("grid, message", BAD_GRIDS.values(), ids=BAD_GRIDS)

@@ -730,11 +730,11 @@ class TestRegisterSteps:
         prog = RegisterProgram.uniform_superposition(steps, 4)
         ((_, coeffs),) = prog._site_orbits
         coeffs[:, 1] *= 1 + 1e-9
-        assert prog._step_checks[0].tolist() == [True, False, True]
+        assert prog._step_table[1][0].tolist() == [True, False, True]
         grid = np.array([0.5, 2.5])
         assert _register_step_speeds(prog, grid, "analytic") is not None
         prof = profile(prog, grid, contiguous_cuts(4))
-        speeds = 2 * np.sqrt(prog._step_speeds.sum(axis=-1))
+        speeds = 2 * np.sqrt(prog._step_table[0].sum(axis=-1))
         assert prof.arc_length == speeds @ np.array([0.5, 1.0, 0.5]) == 7.367227639736134
         assert prof.arc_length != np.trapezoid(prof.fs_speed, grid)
 
@@ -816,7 +816,7 @@ class TestGridIndependentTables:
                 mids = np.arange(n_steps) + 0.5
                 for sites, states, directions in _register_site_rows(prog, mids, "analytic", DEFAULT_STEP):
                     want[:, sites] = (np.linalg.norm(_horizontal(states, directions), axis=-1) ** 2).T
-                table = prog._step_speeds
+                table, _ = prog._step_table
                 assert not table.flags.writeable
                 assert table.shape == want.shape
                 assert np.all(abs(table - want) <= ORACLE_TOL * want)
@@ -867,15 +867,30 @@ class TestStepChecks:
     def test_checks_are_the_site_rows_checks_and_the_finite_table_rows(self):
         seen = set()
         for prog in self.programs():
-            unit, finite = checks = prog._step_checks
+            speeds, checks = prog._step_table
+            unit, finite = checks
             assert checks.shape == (2, prog.n_steps) and not checks.flags.writeable
+            assert speeds.shape == (prog.n_steps, prog.n_sites) and not speeds.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 checks[0, 0] = True
+            with pytest.raises(ValueError, match="read-only"):
+                speeds[0, 0] = 0.0
             for k in range(prog.n_steps):
                 assert unit[k] == site_rows_pass(prog, k + 0.5)
-                assert finite[k] == np.isfinite(prog._step_speeds[k]).all()
+                assert finite[k] == np.isfinite(speeds[k]).all()
                 seen.add((bool(unit[k]), bool(finite[k])))
         assert seen == {(True, True), (False, True), (True, False)}
+
+    @pytest.mark.parametrize("method", ["analytic", "central_fd"])
+    def test_an_entangled_initial_program_fills_no_step_table(self, method):
+        """The table is read only behind the product-initial guard, so it needs
+        no entry for an entangled initial state."""
+        rng = np.random.default_rng(87)
+        dims = (2, 3, 2)
+        prog = random_program(rng, dims, random_ket(rng, dims))
+        prof = profile(prog, [0.25, 0.5, 1.5], all_cuts(3), method=method)
+        assert prog._site_orbits is None and set(prof.entropy_path.values()) == {"svd"}
+        assert "_step_table" not in vars(prog)
 
     def test_a_profile_evaluates_no_orbit_once_the_checks_are_kept(self, monkeypatch):
         """After one profile, a second of the same program on another grid,
