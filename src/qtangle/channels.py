@@ -21,6 +21,7 @@ from .trajectories import (
     DEFAULT_STEP,
     ProductTrajectory,
     _factor_rows,
+    _one_point,
     _product_tangents,
     _unstacked,
     resolve_method,
@@ -89,7 +90,7 @@ def reduced_tangent_channel(
     """
     if subsystem not in (1, 2):
         raise ValueError(f"subsystem must be 1 or 2, got {subsystem}")
-    parts = _bipartite_rows(traj, np.array([float(t)]), method, h)[0]
+    parts = _bipartite_rows(traj, _one_point(t), method, h)[0]
     full = _product_tangents(parts)[1]
     lhs, *terms, gap = _channel_rows(parts, full, (subsystem,))[0]
     dims = traj.factors[subsystem - 1].dims
@@ -138,7 +139,7 @@ def bilocal_inner_check(
     belongs; the product of two imaginary numbers is real, which is the
     obstruction this check quantifies.
     """
-    overlaps = _bipartite_rows(traj, np.array([float(t)]), method, h)[1]
+    overlaps = _bipartite_rows(traj, _one_point(t), method, h)[1]
     c1, c2 = (complex(overlap[0]) for overlap in overlaps)
     return BilocalCheck((c1, c2), c1 * c2, float(_reality_gaps(c1, c2)))
 

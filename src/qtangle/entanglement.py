@@ -30,7 +30,7 @@ from .statespace import (
     _raise_first,
     _split,
 )
-from .trajectories import BlochCurve, ProductTrajectory, _squared_perp_speeds
+from .trajectories import BlochCurve, ProductTrajectory, _one_point, _squared_perp_speeds
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -214,7 +214,7 @@ def correlation_expansion(traj, t: float, setting: MeasurementSetting) -> tuple[
     the per-side expectations have closed derivatives; the curves are compared
     as functions of the parameter, whatever their polynomials' domains.
     """
-    return tuple(float(c) for c in _correlation_expansions(traj, np.array([float(t)]), setting)[0])
+    return tuple(float(c) for c in _correlation_expansions(traj, _one_point(t), setting)[0])
 
 
 def _coefficients(poly: Polynomial) -> np.ndarray:

@@ -39,7 +39,6 @@ from .statespace import (
     _check_amplitudes,
     _check_product_amplitudes,
     _normalized,
-    _overlaps,
     _raise_first,
     _row_norms,
     _split,
@@ -80,10 +79,11 @@ def fs_distance(a: Ket, b: Ket) -> float:
 
 
 def _fs_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``fs_distance`` between each pair of rows of two stacks of unit amplitudes."""
+    """``fs_distance`` between each pair of rows of two stacks of unit amplitudes:
+    the ``_fs_speeds`` of b's rows from a's, checked unit."""
     for name, amps in (("a", a), ("b", b)):
         _check_amplitudes(amps, BASE_NORM_TOL, name)
-    return 2 * np.linalg.norm(b - _overlaps(a, b)[..., None] * a, axis=-1)
+    return _fs_speeds(a, b)
 
 
 def fs_speed(tv: TangentVector) -> float:
@@ -180,17 +180,6 @@ class TrajectoryProfile:
         )
 
 
-def _factor_tangents(traj, grid: np.ndarray, method: str, h: float) -> list[tuple] | None:
-    """Stacks (factors, states, directions) of the factor rows over the grid,
-    (S, G, d) each, checked as tangents: one per group of a product
-    trajectory's factors (``_factor_rows``), or per site dim of a program's
-    register sites (``_register_site_rows``); None for a program whose
-    initial state is entangled."""
-    if isinstance(traj, RegisterProgram):
-        return None if traj._site_orbits is None else _register_site_rows(traj, grid, method, h)
-    return _factor_rows(traj, grid, method, h)
-
-
 def _dense_rows(traj, grid: np.ndarray, method: str, h: float, stacks) -> tuple[np.ndarray, np.ndarray]:
     """Raw tangents over the grid, (G, D), checked: the product rule over a
     product trajectory's factor rows (``_factor_rows`` stacks), or over each
@@ -263,8 +252,23 @@ def _increments(grid: np.ndarray) -> np.ndarray:
 
 def _trapezoid(values: np.ndarray, spacing: np.ndarray) -> np.ndarray:
     """``np.trapezoid(values, grid)`` from the grid's ``_increments``, by the
-    float steps it runs, without its wrapper."""
-    return np.add.reduce(spacing * (values[1:] + values[:-1]) / 2.0, axis=-1)
+    float steps it runs, without its wrapper, save that each interval's sum of
+    values is halved before its spacing scales it: halving is exact, so the
+    bits are np.trapezoid's wherever nothing overflows, and an interval whose
+    area is finite does not overflow on the way to it."""
+    return np.add.reduce(spacing * ((values[1:] + values[:-1]) / 2.0), axis=-1)
+
+
+def _arc_length(speeds: np.ndarray, spacing: np.ndarray) -> float:
+    """The ``_trapezoid`` of the speeds over the grid, refused if it is not
+    finite, with ``row`` the first grid point where the running integral
+    overflows."""
+    total = float(_trapezoid(speeds, spacing))
+    if not math.isfinite(total):
+        running = np.add.accumulate(spacing * ((speeds[1:] + speeds[:-1]) / 2.0))
+        running[-1] = total  # summed in another order: the last point fails whatever the running sum gives
+        _raise_first(np.append(False, ~np.isfinite(running)), lambda i: "arc_length overflows double precision")
+    return total
 
 
 def _entropies_or_zero(
@@ -299,8 +303,8 @@ def profile(
     over the grid.
 
     What does not depend on the grid is built once and kept read-only: a
-    program's squared site speeds and verdicts per step
-    (``RegisterProgram._step_table``), and each cut set's
+    program's squared site speeds and verdicts per step (its step table,
+    read through ``_register_step_speeds``), and each cut set's
     masks (``_cut_masks``) with its validation, run before the trajectory is
     evaluated.  The other checks, and every entropy, are computed on every call.
     """
@@ -316,18 +320,18 @@ def profile(
     if not cuts:
         raise ValueError("need at least one cut")
     if isinstance(traj, RegisterProgram):
-        dims, sizes = traj.initial.dims, (1,) * traj.n_sites
+        dims, sizes, factor_rows = traj.initial.dims, (1,) * traj.n_sites, _register_site_rows
     else:
-        dims, sizes = traj.dims, traj._sizes
+        dims, sizes, factor_rows = traj.dims, traj._sizes, _factor_rows
     aligned, sides = _cut_masks(cuts, sizes)
 
     steps = _register_step_speeds(traj, grid, method) if isinstance(traj, RegisterProgram) else None
     if steps is not None:
         # one row of squared site speeds per step; `at` is each grid point's row
         stacks, (factor_speeds, at, lengths) = None, steps
-        factors = lambda: _unstacked(_factor_tangents(traj, grid, method, h))
+        factors = lambda: _unstacked(factor_rows(traj, grid, method, h))
     else:
-        stacks, at = _factor_tangents(traj, grid, method, h), slice(None)
+        stacks, at = factor_rows(traj, grid, method, h), slice(None)
         factor_speeds = None if stacks is None else _squared_speeds(stacks, len(sizes))
         factors = lambda: None if stacks is None else _unstacked(stacks)
     aligned = aligned & (factor_speeds is not None)  # a new array: the kept masks are read-only
@@ -371,7 +375,8 @@ def profile(
         tangent,
         base,
         dims,
-        float(_trapezoid(speeds, spacing) if steps is None else 2 * norms @ lengths),
+        # a step's squared speeds sum to a finite value, so its speed is below 2**513
+        _arc_length(speeds, spacing) if steps is None else float(2 * norms @ lengths),
         cuts,
         {cut: "speed_share" if whole else "svd" for cut, whole in zip(cuts, aligned)},
         assemble,

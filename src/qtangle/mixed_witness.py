@@ -34,6 +34,7 @@ from .trajectories import (
     _component_differentials,
     _kron_rows,
     _mixed_differential,
+    _one_point,
     resolve_method,
 )
 from .entanglement import _ppt_negativities
@@ -147,7 +148,7 @@ def product_differential(
     ens: Ensemble, t: float, method: str = "auto", h: float = DEFAULT_STEP
 ) -> HermitianOp:
     """The doubly-differential product form: sum_i w_i d(rho_i^1) x d(rho_i^2)."""
-    return HermitianOp(_product_form(_component_differentials(ens, t, method, h))[0], ens.dims)
+    return HermitianOp(_product_form(_component_differentials(ens, _one_point(t), method, h))[0], ens.dims)
 
 
 def _product_form(components: list[tuple]) -> np.ndarray:
@@ -169,14 +170,14 @@ def operator_form_gap(
 ) -> float:
     """Frobenius distance between the honest differential of the mixture and
     the doubly-differential product form built from the same components."""
-    return float(_ensemble_forms(_component_differentials(ens, t, method, h))[1][0])
+    return float(_ensemble_forms(_component_differentials(ens, _one_point(t), method, h))[1][0])
 
 
 def ensemble_witness(
     ens: Ensemble, t: float, tol: float = 1e-6, method: str = "auto", h: float = DEFAULT_STEP
 ) -> WitnessReport:
     """Full witness for an ensemble: trace norms plus the operator-form gap."""
-    tr1, tr2, gap, verdict = _ensemble_witness_rows(ens, np.array([float(t)]), tol, method, h)
+    tr1, tr2, gap, verdict = _ensemble_witness_rows(ens, _one_point(t), tol, method, h)
     return WitnessReport(float(tr1[0]), float(tr2[0]), float(gap[0]), str(verdict[0]), tol)
 
 

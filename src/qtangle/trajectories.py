@@ -208,11 +208,11 @@ class FactorCurve(ABC):
 
     def state(self, t: float) -> Ket:
         """Unit ket at parameter value t."""
-        return Ket(self.states(np.array([float(t)]))[0], self.dims)
+        return Ket(self.states(_one_point(t))[0], self.dims)
 
     def velocity(self, t: float) -> np.ndarray:
         """Closed-form derivative of the amplitudes at t."""
-        return self.velocities(np.array([float(t)]))[0]
+        return self.velocities(_one_point(t))[0]
 
     def _states_and_velocities(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``states(ts)`` and ``velocities(ts)``; a curve whose velocities
@@ -543,6 +543,15 @@ def resolve_method(curves: Iterable[FactorCurve], method: str) -> str:
     return "analytic" if all(c.has_analytic for c in curves) else "richardson"
 
 
+def _one_point(t) -> np.ndarray:
+    """A public one-point function's parameter t as a grid of that one point,
+    refused unless finite before anything is evaluated at it."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+    return np.array([t])
+
+
 def _stencil(fn: Callable[[np.ndarray], np.ndarray], t, method: str, h: float) -> np.ndarray:
     """central_fd (error O(h^2)) or richardson (two central stencils, O(h^4)) of fn
     at t, a number or a grid array."""
@@ -564,7 +573,7 @@ def differentiate(
 
     ``method`` is one of auto, analytic, central_fd or richardson.
     """
-    base, deriv = _curve_rows(curve, np.array([float(t)]), resolve_method((curve,), method), h)
+    base, deriv = _curve_rows(curve, _one_point(t), resolve_method((curve,), method), h)
     return TangentVector(Ket(base[0], curve.dims), deriv[0])
 
 
@@ -611,7 +620,7 @@ class ProductTrajectory:
         return reduce(_kron_rows, [rows[0] for rows in _unstacked(stacks)])
 
     def state(self, t: float) -> Ket:
-        return Ket(self.states(np.array([float(t)]))[0], self.dims)
+        return Ket(self.states(_one_point(t))[0], self.dims)
 
     @cached_property
     def _stacks(self) -> tuple[tuple[np.ndarray, FactorCurve, bool], ...]:
@@ -641,7 +650,7 @@ def factor_tangents(
     traj: ProductTrajectory, t: float, method: str = "auto", h: float = DEFAULT_STEP
 ) -> list[TangentVector]:
     """Per-factor tangents at t; frozen factors get an exactly-zero direction."""
-    parts = _unstacked(_factor_rows(traj, np.array([float(t)]), method, h))
+    parts = _unstacked(_factor_rows(traj, _one_point(t), method, h))
     return [TangentVector(Ket(a[0], c.dims), d[0]) for c, (a, d) in zip(traj.factors, parts)]
 
 
@@ -730,7 +739,7 @@ def product_tangent(
     traj: ProductTrajectory, t: float, method: str = "auto", h: float = DEFAULT_STEP
 ) -> TangentVector:
     """Tangent of the product state: one term per factor, a frozen factor's exactly zero."""
-    rows = _unstacked(_factor_rows(traj, np.array([float(t)]), method, h))
+    rows = _unstacked(_factor_rows(traj, _one_point(t), method, h))
     state, direction = _product_rule(*rows[0], rows[1:], _kron_rows)
     return TangentVector(Ket(state[0], traj.dims), direction[0])
 
@@ -907,13 +916,26 @@ class RegisterProgram:
         return tuple((g, *(stack(g, f) for f in fields)) for g in groups)
 
     @cached_property
-    def _site_orbits(self) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
-        """Per site dim (``_step_stacks``): each site's factor a at the start of
-        each step and the coefficients of B a, (S, K, d), filled on first use.
+    def _step_table(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray, np.ndarray] | None:
+        """A product-initial program's step table, read-only, filled on first use
+        in one pass over the site dims (``_step_stacks``): (orbits, speeds, checks);
+        None for an entangled initial state.
+
         The initial factors are the rank-1 slices of the initial amplitude tensor
         through its largest entry, normalized, the global phase on the first; if
-        their Kronecker product is off the initial state by DEFAULT_TOL, this is
-        None.  Each later step starts at the previous step's orbit at parameter 1."""
+        their Kronecker product is off the initial state by DEFAULT_TOL, the
+        state is entangled.  ``orbits`` holds per site dim each site's factor a
+        at the start of each step and the coefficients c of B a, (S, K, d); each
+        later step starts at the previous step's orbit at parameter 1.
+        ``speeds`` is each site's squared speed through each step, (K, n):
+        through a step a site follows the orbit of its generator, so it is the
+        variance of the generator's eigenvalues lambda under the orbit's
+        populations |c|^2, sum |c|^2 (lambda - <lambda>)^2 with
+        <lambda> = sum |c|^2 lambda, which the orbit keeps (Anandan and
+        Aharonov, PRL 65, 1697 (1990)).  ``checks`` holds per step, (2, K),
+        whether each site's coefficient norm, and their product, is within
+        BASE_NORM_TOL of 1 (the site's orbit keeps it, its eigenvectors being
+        unitary), and whether the step's squared speeds sum to a finite value."""
         dims = self.initial.dims
         tensor = self.initial.amplitudes.reshape(dims)
         peak = np.unravel_index(np.argmax(abs(tensor)), dims)
@@ -922,39 +944,24 @@ class RegisterProgram:
         factors[0] = factors[0] * (tensor[peak] / math.prod(f[p] for f, p in zip(factors, peak)))
         if np.linalg.norm(reduce(np.kron, factors) - self.initial.amplitudes) >= DEFAULT_TOL:
             return None
-        out = []
-        for sites, evals, evecs, base, _ in self._step_stacks:
-            starts, coeffs = [np.array([factors[i] for i in sites])], []
-            for k in range(self.n_steps):
-                coeffs.append(_orbit_coefficients(evecs[:, k], _matvec(base[:, k], starts[-1])))
-                starts.append(_orbit(evals[:, k], evecs[:, k], coeffs[-1], 1.0))
-            out.append((np.stack(starts[:-1], axis=1), np.stack(coeffs, axis=1)))
-        return tuple(out)
-
-    @cached_property
-    def _step_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """A product-initial program's step table, read-only, filled on first use:
-        each site's squared speed through each step, (K, n), and per step, (2, K),
-        whether each site's coefficient norm, and their product, is within
-        BASE_NORM_TOL of 1 (the site's orbit keeps it, its eigenvectors being
-        unitary), and whether the step's squared speeds sum to a finite value.
-        Through a step a site follows the orbit of its generator, so its squared
-        speed is the variance of the generator's eigenvalues lambda under the
-        orbit's populations |c|^2, sum |c|^2 (lambda - <lambda>)^2 with
-        <lambda> = sum |c|^2 lambda, which the orbit keeps (Anandan and
-        Aharonov, PRL 65, 1697 (1990))."""
-        speeds, norms = np.empty((self.n_steps, self.n_sites)), np.empty((self.n_sites, self.n_steps))
-        with np.errstate(all="ignore"):  # a norm or a speed that overflows fails its check
-            for (sites, evals, *_), (_, coeffs) in zip(self._step_stacks, self._site_orbits):
+        orbits, speeds, norms = [], np.empty((self.n_steps, self.n_sites)), np.empty((self.n_sites, self.n_steps))
+        with np.errstate(all="ignore"):  # an orbit, a norm or a speed that overflows fails its check
+            for sites, evals, evecs, base, _ in self._step_stacks:
+                starts, coeffs = [np.array([factors[i] for i in sites])], []
+                for k in range(self.n_steps):
+                    coeffs.append(_orbit_coefficients(evecs[:, k], _matvec(base[:, k], starts[-1])))
+                    starts.append(_orbit(evals[:, k], evecs[:, k], coeffs[-1], 1.0))
+                coeffs = np.stack(coeffs, axis=1)
+                orbits.append((np.stack(starts[:-1], axis=1), coeffs))
                 pops = abs(coeffs) ** 2
                 mean = np.sum(pops * evals, axis=-1, keepdims=True)
                 speeds[:, sites] = np.sum(pops * (evals - mean) ** 2, axis=-1).T
                 norms[sites] = _row_norms(coeffs)
             defects = abs(np.concatenate([norms, norms.prod(axis=0, keepdims=True)]) - 1.0)
             checks = np.array([(defects < BASE_NORM_TOL).all(axis=0), np.isfinite(speeds.sum(axis=-1))])
-        speeds.setflags(write=False)
-        checks.setflags(write=False)
-        return speeds, checks
+        for arr in (*(arr for orbit in orbits for arr in orbit), speeds, checks):
+            arr.setflags(write=False)
+        return tuple(orbits), speeds, checks
 
     @cached_property
     def _step_starts(self) -> np.ndarray:
@@ -1027,19 +1034,22 @@ def _register_rows(
 
 def _register_site_rows(
     prog: RegisterProgram, grid: np.ndarray, method: str, h: float
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
     """A product-initial program's site rows over a grid of program times, every
     step in one pass: per site dim, (sites, states, directions), (S, G, d), checked
-    as tangents where made, a rejection ``_in_factor_order``'s across the site dims.
-    A site's states are its step's ``_orbit`` from its start a (``_site_orbits``),
-    its analytic directions the orbit through -i*lambda*c; a stencil differentiates
-    the step's unitaries and applies them to a.  A constant site's directions are 0."""
+    as tangents where made, a rejection ``_in_factor_order``'s across the site dims;
+    None for an entangled initial state.  A site's states are its step's ``_orbit``
+    from its start a (the step table's orbits), its analytic directions the orbit
+    through -i*lambda*c; a stencil differentiates the step's unitaries and applies
+    them to a.  A constant site's directions are 0."""
+    if (table := prog._step_table) is None:
+        return None
     method = resolve_method((), method)
     ks, local = prog.resolve_time(grid)
     at, ts = ks - 1, local[:, None]
 
     def group(j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        (sites, evals, evecs, base, gen), (starts, coeffs) = prog._step_stacks[j], prog._site_orbits[j]
+        (sites, evals, evecs, base, gen), (starts, coeffs) = prog._step_stacks[j], table[0][j]
         evals, evecs, coeffs = evals[:, at], evecs[:, at], coeffs[:, at]
         states = _orbit(evals, evecs, coeffs, ts)
         if method == "analytic":
@@ -1066,11 +1076,11 @@ def _register_step_speeds(
     fails the site rows' checks, or where a step in the grid's span has a
     speed that is not finite (the table's checks), so that the
     site rows (``_register_site_rows``) name the rejection."""
-    if prog._site_orbits is None or resolve_method((), method) != "analytic":
+    if (table := prog._step_table) is None or resolve_method((), method) != "analytic":
         return None
     ks, _ = prog.resolve_time(grid)
     k0, k1 = int(ks[0]), int(ks[-1])
-    speeds, (unit, finite) = prog._step_table
+    _, speeds, (unit, finite) = table
     every = np.logical_and.reduce
     if not (every(unit[ks - 1], axis=None) and every(finite[k0 - 1 : k1], axis=None)):
         return None
@@ -1160,20 +1170,17 @@ def separable_mixed_differential(
     Per component the product rule gives d(rho1) x rho2 + rho1 x d(rho2);
     no second-order d x d term appears.
     """
-    honest = _mixed_differential(_component_differentials(ens, t, method, h))
+    honest = _mixed_differential(_component_differentials(ens, _one_point(t), method, h))
     return HermitianOp(honest[0], ens.dims)
 
 
-def _component_differentials(
-    ens: Ensemble, t: float | np.ndarray, method: str, h: float
-) -> list[tuple]:
+def _component_differentials(ens: Ensemble, ts: np.ndarray, method: str, h: float) -> list[tuple]:
     """(weight, factor states, factor projector differentials) of each
-    component at t, a number or a grid array; each a stack with one row per
-    parameter value.  One ``_factor_rows`` call over ``Ensemble._factors``
+    component at each point of a grid array; each a stack with one row per
+    grid point.  One ``_factor_rows`` call over ``Ensemble._factors``
     differentiates every component, so "auto" resolves once for the whole
     mixture, and a rejection is the one a loop over the components in turn
     would raise first."""
-    ts = np.array(t, dtype=float).reshape(-1)
     rows = _unstacked(_factor_rows(ens._factors, ts, method, h))
     return [(w, *_factor_differentials(rows[2 * i : 2 * i + 2])) for i, w in enumerate(ens.weights)]
 

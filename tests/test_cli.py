@@ -129,6 +129,16 @@ OVERFLOWING_SPEED = {
     }
     for n in (2, 3)
 }
+# the demo pair at speed sqrt(2) over [0, t1]: its arc length overflows
+# double precision from t1 = 1.5e308, not at 1e308
+WIDE_ARC = {
+    t1: {
+        "scenario": "product_trace",
+        "grid": {"t0": 0, "t1": t1, "steps": 2},
+        "subsystems": [{"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 1.0]}}] * 2,
+    }
+    for t1 in (1e308, 1.5e308)
+}
 
 # ROADMAP Baseline row 10: two equal qubit arcs slowed to theta = 1e-13 t,
 # whose tangent entropy the absolute zero-motion floor (ROADMAP item 4) reads as 0
@@ -1706,8 +1716,9 @@ class TestMainExitCodes:
             ),
             (OVERFLOWING_SPEED[2], "fs_speed overflows double precision at t=0"),
             (OVERFLOWING_SPEED[3], "fs_speed overflows double precision at t=0"),
+            (WIDE_ARC[1.5e308], "arc_length overflows double precision at t=1.5e+308"),
         ],
-        ids=["stencil-mixed", "coarse-sampled", "overflow-2", "overflow-3"],
+        ids=["stencil-mixed", "coarse-sampled", "overflow-2", "overflow-3", "arc-overflow"],
     )
     def test_rejection_below_the_cells_exits_3_at_its_grid_point(self, tmp_path, capsys, doc, message):
         """A grid point rejected in ``profile`` or in the ensemble witness is a
@@ -1726,6 +1737,10 @@ class TestMainExitCodes:
         monkeypatch.setitem(qtangle.cli._RUNNERS, "two_qubit_demo", rejecting)
         assert main(["--scenario", "two_qubit_demo"]) == 2
         assert capsys.readouterr() == ("", "error: subsystems: no grid point to name\n")
+
+    def test_arc_length_within_double_precision_is_written(self, tmp_path, capsys):
+        assert main(["--config", self.write_config(tmp_path, WIDE_ARC[1e308]), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["resolved"]["arc_length"] == 1.4142135623730951e308
 
     def test_overflowing_speed_is_rejected_by_profile(self):
         traj = parse(OVERFLOWING_SPEED[3]).trajectory()

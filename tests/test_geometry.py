@@ -220,7 +220,8 @@ class TestProfile:
 
 class TestGridArithmetic:
     """``profile``'s grid check and trapezoidal arc length take the float
-    steps of ``np.diff`` and ``np.trapezoid``, bit for bit."""
+    steps of ``np.diff`` and ``np.trapezoid``, bit for bit wherever nothing
+    overflows; an arc length that does overflow is refused."""
 
     GRIDS = [
         np.linspace(0.0, 1.0, 7),
@@ -251,6 +252,20 @@ class TestGridArithmetic:
             with np.errstate(all="ignore"):
                 got, want = _trapezoid(np.array(speeds), _increments(grid)), np.trapezoid(speeds, grid)
             np.testing.assert_array_equal(np.float64(got).view(np.uint64), np.float64(want).view(np.uint64))
+
+    def test_arc_length_keeps_an_interval_whose_area_is_finite(self):
+        """The demo pair moves at speed sqrt(2): over [0, 1e308] the interval's
+        speed sum times its spacing overflows, its half does not."""
+        prof = profile(pair(), [0.0, 1e308], [Cut.splitting((0,), 2)])
+        assert prof.arc_length == math.sqrt(2) * 1e308 == 1.4142135623730951e308
+        with np.errstate(over="ignore"):
+            assert np.trapezoid(prof.fs_speed, prof.grid) == np.inf
+
+    def test_arc_length_past_double_precision_rejects_where_it_overflows(self):
+        """The running integral passes double precision at the third point of four."""
+        with np.errstate(over="ignore"), pytest.raises(ValidationError) as info:
+            profile(pair(), [0.0, 1e308, 1.7e308, 1.75e308], [Cut.splitting((0,), 2)])
+        assert (str(info.value), info.value.row) == ("arc_length overflows double precision", 2)
 
 
 def wide_profiles(seed=35):
@@ -388,4 +403,4 @@ class TestProfileFactors:
         bell = Ket(np.array([1.0, 0.0, 0.0, 1.0]) / SQ2, (2, 2))
         prog = RegisterProgram(((UnitaryCurve.rotation(SY / 2), UnitaryCurve.rotation(SY / 2)),), bell)
         prof = profile(prog, [0.0, 0.5, 1.0], [Cut.splitting((0,), 2)])
-        assert prog._site_orbits is None and prof.factors is None
+        assert prog._step_table is None and prof.factors is None

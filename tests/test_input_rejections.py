@@ -26,17 +26,25 @@ from qtangle import (
     UnitaryCurve,
     ValidationError,
     apply_local_unitaries,
+    bilocal_inner_check,
     correlation_expansion,
     curve_through,
     differential_trace_witness,
     differentiate,
+    ensemble_witness,
+    factor_tangents,
     fs_distance,
     infinitesimal_composition,
     inner,
+    operator_form_gap,
     parse_config,
+    product_differential,
+    product_tangent,
     profile,
+    reduced_tangent_channel,
     register_state,
     register_tangent,
+    separable_mixed_differential,
     tensor_product,
 )
 from qtangle.cli import main
@@ -54,6 +62,24 @@ FLOAT_INDEX = "'float' object cannot be interpreted as an integer"
 BOOL_INDEX = "'bool' object cannot be interpreted as an integer"
 STILL_PAIR = RegisterProgram(((STILL_QUBIT, STILL_QUBIT),), PAIR)
 ARC_PAIR = ProductTrajectory((ARC, ARC))
+ARC_ENSEMBLE = Ensemble((1.0,), (ARC_PAIR,))
+
+# the public functions of one parameter value t, each refusing a t that is not finite
+ONE_POINT = {
+    "FactorCurve.state": ARC.state,
+    "FactorCurve.velocity": ARC.velocity,
+    "ProductTrajectory.state": ARC_PAIR.state,
+    "differentiate": lambda t: differentiate(ARC, t),
+    "factor_tangents": lambda t: factor_tangents(ARC_PAIR, t),
+    "product_tangent": lambda t: product_tangent(ARC_PAIR, t),
+    "reduced_tangent_channel": lambda t: reduced_tangent_channel(ARC_PAIR, t),
+    "bilocal_inner_check": lambda t: bilocal_inner_check(ARC_PAIR, t),
+    "correlation_expansion": lambda t: correlation_expansion(ARC_PAIR, t, Z_X),
+    "separable_mixed_differential": lambda t: separable_mixed_differential(ARC_ENSEMBLE, t),
+    "product_differential": lambda t: product_differential(ARC_ENSEMBLE, t),
+    "operator_form_gap": lambda t: operator_form_gap(ARC_ENSEMBLE, t),
+    "ensemble_witness": lambda t: ensemble_witness(ARC_ENSEMBLE, t),
+}
 
 # grids whose np.linspace points are not finite and strictly increasing,
 # though t0 < t1: each with the message of its diagnostic
@@ -410,6 +436,11 @@ REJECTIONS = [
         ValueError,
         "tol must be positive and finite, got inf",
         id="differential_trace_witness-infinite-tol",
+    ),
+    *(
+        pytest.param(lambda call=call, t=t: call(t), ValueError, f"t must be finite, got {t!r}", id=f"{name}-t-{t!r}")
+        for name, call in ONE_POINT.items()
+        for t in (np.inf, np.nan)
     ),
 ]
 

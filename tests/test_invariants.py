@@ -9,6 +9,7 @@ written out here as numbers, so moving any of them fails a case.
 import ast
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +414,16 @@ def test_no_private_definition_is_dead():
             if name == node.name and not (m == module and node.lineno <= line <= node.end_lineno)
         ]
         assert outside, f"{module}:{node.lineno}: {node.name} is reached from nowhere else in the package"
+
+
+def test_geometry_names_no_private_attribute_of_a_register_program():
+    """``profile`` leaves a program's route to the register functions of
+    ``trajectories``: geometry.py names none of a ``RegisterProgram``'s
+    private attributes, in code or in prose."""
+    private = {name for name in vars(RegisterProgram) if name[:1] == "_" != name[1:2]}
+    assert {"_step_stacks", "_step_table", "_step_starts"} <= private
+    path = Path(qtangle.__file__).parent / "geometry.py"
+    assert not private & set(re.findall(r"\w+", path.read_text(encoding="utf-8")))
 
 
 def test_no_raise_passes_a_value_at_a_float_bound():

@@ -106,11 +106,40 @@ def product_ket(rng, dims):
 
 def site_starts(prog):
     """Each site's factor at the start of each step, (K, d), read from the
-    program's site cache, in site order."""
+    orbits of the program's step table, in site order."""
     starts = {}
-    for (sites, *_), (stack, _) in zip(prog._step_stacks, prog._site_orbits):
+    for (sites, *_), (stack, _) in zip(prog._step_stacks, prog._step_table[0]):
         starts.update(zip(sites.tolist(), stack))
     return [starts[i] for i in range(prog.n_sites)]
+
+
+def scaled_table(prog, scales):
+    """``prog`` with its step table filled from coefficients scaled as the
+    table is built: ``scales`` holds (step from 0, sites, factor) triples, for
+    a program of one site dim.  The table's speeds and checks see the scaled
+    coefficients, and each step still starts where the unscaled orbit of the
+    step before ends, as an edit of the finished table's coefficients would
+    leave it."""
+    real_coefficients, real_orbit = trajectories._orbit_coefficients, trajectories._orbit
+    steps, unscaled = iter(range(prog.n_steps)), {}
+
+    def coefficients(evecs, amps):
+        coeffs = real_coefficients(evecs, amps)
+        k, scaled = next(steps), coeffs.copy()
+        for step, sites, scale in scales:
+            if step == k:
+                scaled[sites] *= scale
+        unscaled[id(scaled)] = coeffs
+        return scaled
+
+    def orbit(evals, evecs, coeffs, t):
+        return real_orbit(evals, evecs, unscaled.get(id(coeffs), coeffs), t)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(trajectories, "_orbit_coefficients", coefficients)
+        monkeypatch.setattr(trajectories, "_orbit", orbit)
+        assert prog._step_table is not None
+    return prog
 
 
 def off_norm_sites():
@@ -211,7 +240,7 @@ class TestRegisterPrograms:
             uniform = np.full(math.prod(dims), math.prod(dims) ** -0.5, dtype=complex)
             for initial in (product_ket(rng, dims), Ket(uniform, dims, unit=True)):
                 prog = random_program(rng, dims, initial, n_steps=3)
-                assert prog._site_orbits is not None
+                assert prog._step_table is not None
                 grid = np.linspace(0.0, 3.0, 13)
                 assert_speed_share(profile(prog, grid, all_cuts(len(dims)), method=method))
 
@@ -230,13 +259,14 @@ class TestRegisterPrograms:
         dims = (2, 2)
         amps = product_ket(rng, dims).amplitudes + 1e-9 * random_ket(rng, dims).amplitudes
         prog = random_program(rng, dims, Ket(amps / np.linalg.norm(amps), dims))
-        assert prog._site_orbits is None
+        assert prog._step_table is None
 
     def test_entangled_initial_register_takes_the_svd(self):
         rng = np.random.default_rng(44)
         dims = (2, 2, 3)
         prog = random_program(rng, dims, random_ket(rng, dims))
-        assert prog._site_orbits is None
+        assert prog._step_table is None
+        assert _register_site_rows(prog, np.array([0.5]), "analytic", DEFAULT_STEP) is None
         prof = profile(prog, np.linspace(0.0, 2.0, 9), all_cuts(3))
         for cut in prof.cuts:
             tangent, base = dense_entropies(prof, cut)
@@ -619,13 +649,9 @@ class TestStackedSites:
         assert str(info.value) == "base: expected a unit vector, got norm 1.000000001"
         assert info.value.row == 0
 
-    def test_off_norm_start_keeps_its_message_and_the_first_site(self):
-        prog = wide_register(np.random.default_rng(66), 4)
-        ((starts, coeffs),) = prog._site_orbits  # one site dim: (site, step, d) each
+    def test_off_norm_coefficients_keep_their_message_and_the_first_site(self):
         # site 2 is off norm in step 1; site 1, the first site to fail, only in step 2
-        for arr in (starts, coeffs):  # a start and the coefficients of its orbit
-            arr[2, 0] *= 1 + 2e-9
-            arr[1, 1] *= 1 + 1e-9
+        prog = scaled_table(wide_register(np.random.default_rng(66), 4), [(0, 2, 1 + 2e-9), (1, 1, 1 + 1e-9)])
         with pytest.raises(ValidationError, match=r"^base: expected a unit vector, got norm 1\.0000000009"):
             profile(prog, [0.5, 1.5], contiguous_cuts(4))
 
@@ -668,18 +694,16 @@ class TestRegisterSteps:
                 assert_speed_share(prof)
 
     def test_site_rows_are_built_only_when_the_factors_are_read(self, monkeypatch):
-        def site_rows(*args, **kwargs):
-            raise AssertionError("site rows built")
-
         prog = wide_register(np.random.default_rng(72), 6)
         grid = np.linspace(0.0, 2.0, 9)
         want = _register_site_rows(prog, grid, "analytic", DEFAULT_STEP)
-        monkeypatch.setattr(geometry, "_register_site_rows", site_rows)
+        calls = []
+        monkeypatch.setattr(geometry, "_register_site_rows", lambda *args: calls.append(args) or want)
         prof = profile(prog, grid, contiguous_cuts(6))
         assert prof.states.shape == (9, 64)  # the dense rows need no site row
-        with pytest.raises(AssertionError, match="site rows built"):
-            prof.factors
-        monkeypatch.undo()
+        assert not calls
+        prof.factors
+        assert len(calls) == 1
         ((sites, states, directions),) = want
         for i, (state, direction) in zip(sites, prof.factors):
             assert same_bits(state, states[i]) and same_bits(direction, directions[i])
@@ -713,9 +737,8 @@ class TestRegisterSteps:
             assert_speed_share(prof)
 
     def test_site_norms_within_the_bound_whose_product_is_not_reject_at_their_step(self):
-        prog = wide_register(np.random.default_rng(75), 4)
-        ((_, coeffs),) = prog._site_orbits
-        coeffs[:3, 1] *= 1 + 6e-11  # sites 1-3 in step 2, each off norm by less than 1e-10
+        # sites 1-3 in step 2, each off norm by less than 1e-10
+        prog = scaled_table(wide_register(np.random.default_rng(75), 4), [(1, slice(3), 1 + 6e-11)])
         with pytest.raises(ValidationError) as info:
             profile(prog, [0.5, 1.25, 1.75], contiguous_cuts(4))
         assert str(info.value) == "base: expected a unit vector, got norm 1.0000000001799993"
@@ -727,14 +750,12 @@ class TestRegisterSteps:
         sum over the steps, which weighs step 2 by its whole length."""
         rng = np.random.default_rng(66)
         steps = [[UnitaryCurve.rotation(random_generator(rng, 2)) for _ in range(4)] for _ in range(3)]
-        prog = RegisterProgram.uniform_superposition(steps, 4)
-        ((_, coeffs),) = prog._site_orbits
-        coeffs[:, 1] *= 1 + 1e-9
-        assert prog._step_table[1][0].tolist() == [True, False, True]
+        prog = scaled_table(RegisterProgram.uniform_superposition(steps, 4), [(1, slice(None), 1 + 1e-9)])
+        assert prog._step_table[2][0].tolist() == [True, False, True]
         grid = np.array([0.5, 2.5])
         assert _register_step_speeds(prog, grid, "analytic") is not None
         prof = profile(prog, grid, contiguous_cuts(4))
-        speeds = 2 * np.sqrt(prog._step_table[0].sum(axis=-1))
+        speeds = 2 * np.sqrt(prog._step_table[1].sum(axis=-1))
         assert prof.arc_length == speeds @ np.array([0.5, 1.0, 0.5]) == 7.367227639736134
         assert prof.arc_length != np.trapezoid(prof.fs_speed, grid)
 
@@ -816,7 +837,7 @@ class TestGridIndependentTables:
                 mids = np.arange(n_steps) + 0.5
                 for sites, states, directions in _register_site_rows(prog, mids, "analytic", DEFAULT_STEP):
                     want[:, sites] = (np.linalg.norm(_horizontal(states, directions), axis=-1) ** 2).T
-                table, _ = prog._step_table
+                _, table, _ = prog._step_table
                 assert not table.flags.writeable
                 assert table.shape == want.shape
                 assert np.all(abs(table - want) <= ORACLE_TOL * want)
@@ -859,16 +880,15 @@ class TestStepChecks:
                 yield program_with_a_constant_site(rng, dims, n_steps)
         yield off_norm_sites()[0]
         yield TestRegisterSteps().overflowing_program()
-        prog = wide_register(np.random.default_rng(75), 4)
-        ((_, coeffs),) = prog._site_orbits
-        coeffs[:3, 1] *= 1 + 6e-11  # each site within the bound, their product not
-        yield prog
+        # each site within the bound, their product not
+        yield scaled_table(wide_register(np.random.default_rng(75), 4), [(1, slice(3), 1 + 6e-11)])
 
     def test_checks_are_the_site_rows_checks_and_the_finite_table_rows(self):
         seen = set()
         for prog in self.programs():
-            speeds, checks = prog._step_table
+            orbits, speeds, checks = prog._step_table
             unit, finite = checks
+            assert not any(arr.flags.writeable for orbit in orbits for arr in orbit)
             assert checks.shape == (2, prog.n_steps) and not checks.flags.writeable
             assert speeds.shape == (prog.n_steps, prog.n_sites) and not speeds.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -883,14 +903,13 @@ class TestStepChecks:
 
     @pytest.mark.parametrize("method", ["analytic", "central_fd"])
     def test_an_entangled_initial_program_fills_no_step_table(self, method):
-        """The table is read only behind the product-initial guard, so it needs
-        no entry for an entangled initial state."""
+        """An entangled initial state has no step table: the program keeps
+        None, and every cut takes the SVD."""
         rng = np.random.default_rng(87)
         dims = (2, 3, 2)
         prog = random_program(rng, dims, random_ket(rng, dims))
         prof = profile(prog, [0.25, 0.5, 1.5], all_cuts(3), method=method)
-        assert prog._site_orbits is None and set(prof.entropy_path.values()) == {"svd"}
-        assert "_step_table" not in vars(prog)
+        assert prog._step_table is None and set(prof.entropy_path.values()) == {"svd"}
 
     def test_a_profile_evaluates_no_orbit_once_the_checks_are_kept(self, monkeypatch):
         """After one profile, a second of the same program on another grid,
