@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from numpy.polynomial.polyutils import trimcoef
 
 from .errors import DegenerateInputError
@@ -217,13 +216,6 @@ def correlation_expansion(traj, t: float, setting: MeasurementSetting) -> tuple[
     return tuple(float(c) for c in _correlation_expansions(traj, _one_point(t), setting)[0])
 
 
-def _coefficients(poly: Polynomial) -> np.ndarray:
-    """A Polynomial's coefficients in its parameter, constant first, as
-    ``poly.convert().coef``; in the default domain and window they are its own,
-    so the conversion, which costs far more than the expansion, is skipped."""
-    return poly.coef if poly.mapparms() == (0.0, 1.0) else poly.convert().coef
-
-
 def _correlation_expansions(traj, ts: np.ndarray, setting: MeasurementSetting) -> np.ndarray:
     """``correlation_expansion`` at each grid point, (G, 3)."""
     if not isinstance(traj, ProductTrajectory) or traj.n_factors != 2:
@@ -232,11 +224,11 @@ def _correlation_expansions(traj, ts: np.ndarray, setting: MeasurementSetting) -
     for pos, curve in enumerate((first, second)):
         if not isinstance(curve, BlochCurve):
             raise ValueError(f"factor {pos + 1}: only single-angle qubit curves are supported")
-        if not isinstance(curve.theta, Polynomial) or not isinstance(curve.phi, Polynomial):
+        if curve.theta.ndim > 1:
             raise ValueError(f"factor {pos + 1}: a stack of curves is not supported here")
-        if not np.all(np.abs(_coefficients(curve.phi)) < 1e-12):
+        if not np.all(np.abs(curve.phi) < 1e-12):
             raise ValueError(f"factor {pos + 1}: curve must stay in the real plane")
-    ca, cb = (trimcoef(_coefficients(curve.theta), 1e-14) for curve in (first, second))
+    ca, cb = (trimcoef(curve.theta, 1e-14) for curve in (first, second))
     if len(ca) != len(cb) or not np.all(np.abs(ca - cb) < 1e-12):
         raise ValueError("the two factor curves must be identical")
     if any(traj.frozen):

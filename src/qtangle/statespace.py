@@ -372,7 +372,7 @@ class Cut:
     def splitting(cls, left: Iterable[int], n_factors: int) -> "Cut":
         """Cut separating ``left`` from every other position in ``range(n_factors)``."""
         lset = frozenset(_integer(i) for i in left)
-        rset = frozenset(range(n_factors)) - lset
+        rset = frozenset(range(_integer(n_factors))) - lset
         return cls(lset, rset)
 
     def validate_for(self, dims: Sequence[int]) -> None:

@@ -60,29 +60,30 @@ DEFAULT_STEP = 1e-4
 METHODS = ("auto", "analytic", "central_fd", "richardson")
 
 
-def _as_poly(value, name: str) -> Polynomial | np.ndarray:
+def _as_poly(value, name: str) -> np.ndarray:
     """A polynomial given as a scalar, a coefficient sequence (constant first)
-    or a numpy Polynomial; an array of 2 or more axes is a stack of
-    coefficient rows (..., k), one polynomial per trial or factor, kept as
-    that array."""
+    or a numpy Polynomial, as one read-only float array of its power-basis
+    coefficients in the parameter, constant first (a Polynomial off the
+    default domain and window is converted); an array of 2 or more axes is a
+    stack of coefficient rows (..., k), one polynomial per trial or factor."""
     if isinstance(value, Polynomial):
-        poly = value
-    elif np.ndim(value) >= 2:
-        poly = np.array(value, dtype=float)
-    elif np.isscalar(value):
-        poly = Polynomial([float(value)])
-    else:
-        poly = Polynomial([float(c) for c in value])
-    if not np.all(np.isfinite(getattr(poly, "coef", poly))):
+        value = value.coef if value.mapparms() == (0, 1) else value.convert().coef
+    if np.iscomplexobj(value):
+        raise ValueError(f"{name}: coefficients must be real")
+    coef = np.array(value, dtype=float, ndmin=1)
+    if coef.shape[-1] == 0:
+        raise ValueError(f"{name}: expected at least one coefficient")
+    if not np.all(np.isfinite(coef)):
         raise ValueError(f"{name}: coefficients must be finite")
-    return poly
+    coef.setflags(write=False)
+    return coef
 
 
-def _trials(value: Polynomial | np.ndarray, axes: int = 1) -> tuple[int, ...] | None:
+def _trials(value: np.ndarray, axes: int = 1) -> tuple[int, ...] | None:
     """The leading shape of a parameter given as a stack of trials, the shape
-    of an array before its last ``axes`` axes; None for a single value (a
-    Polynomial, or an array of those axes alone)."""
-    return value.shape[:-axes] or None if isinstance(value, np.ndarray) else None
+    of an array before its last ``axes`` axes; None for a single value (an
+    array of those axes alone)."""
+    return value.shape[:-axes] or None
 
 
 def _same_stacking(**trials: tuple[int, ...] | None) -> None:
@@ -102,32 +103,26 @@ def _same_stacking(**trials: tuple[int, ...] | None) -> None:
         )
 
 
-def _evaluators(
-    poly: Polynomial | np.ndarray, count: int
-) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """``poly`` and its first ``count - 1`` derivatives as functions of a grid array.
+def _evaluators(coef: np.ndarray, count: int) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """The polynomial of power-basis coefficients ``coef`` (``_as_poly``) and
+    its first ``count - 1`` derivatives as functions of a grid array.
 
-    They repeat the arithmetic of ``poly.deriv(order)`` and of
-    ``Polynomial.__call__`` (domain map, then ``polyval``'s Horner scheme,
-    step for step) without building polynomial objects or calling the
-    ``polyval`` wrapper, which cost more than evaluating a short grid.  A
-    stack of coefficient rows (M, k) gives functions of one parameter value
-    per trial, (M,); a stack (S, 1, k) gives functions of a grid (G,), (S, G).
+    They repeat ``polyval``'s Horner scheme step for step without calling the
+    ``polyval`` wrapper, which costs more than evaluating a short grid.  A
+    single polynomial (k,) gives functions of a grid (G,), (G,); a stack of
+    coefficient rows (M, k) gives functions of one parameter value per trial,
+    (M,); a stack (S, 1, k) gives functions of a grid (G,), (S, G).
     """
-    if isinstance(poly, Polynomial):
-        (off, scl), coef = poly.mapparms(), poly.coef
-    else:
-        off, scl, coef = 0.0, 1.0, poly.transpose(-1, *range(poly.ndim - 1))
-
+    coef = coef.transpose(-1, *range(coef.ndim - 1))
     coefs = [coef]
     for _ in range(count - 1):
         if len(coef) > 1:
             order = np.arange(1, len(coef)).reshape((-1,) + (1,) * (coef.ndim - 1))
-            coef = order * (coef[1:] * scl)
+            coef = order * coef[1:]
         else:  # +0.0 whatever the sign of the constant, as a zero-padded stack's rows give
             coef = np.zeros_like(coef[:1])
         coefs.append(coef)
-    return [lambda ts, rows=tuple(coef[::-1]): _horner(rows, off + scl * ts) for coef in coefs]
+    return [lambda ts, rows=tuple(coef[::-1]): _horner(rows, ts) for coef in coefs]
 
 
 def _horner(rows: tuple, x: np.ndarray) -> np.ndarray:
@@ -137,14 +132,6 @@ def _horner(rows: tuple, x: np.ndarray) -> np.ndarray:
     for c in rows[1:]:
         y = c + y * x
     return y
-
-
-def _plain_coefs(*polys) -> tuple[np.ndarray, ...] | None:
-    """The coefficients of polynomials that evaluate as a stack of coefficient
-    rows does (Polynomials of the default domain and window), else None."""
-    if all(isinstance(p, Polynomial) and p.mapparms() == (0, 1) for p in polys):
-        return tuple(p.coef for p in polys)
-    return None
 
 
 def _padded(rows: Sequence[np.ndarray]) -> np.ndarray:
@@ -178,6 +165,7 @@ def propagator(generator, t: float) -> np.ndarray:
     """exp(-i * generator * t) for a Hermitian generator, or for each of a
     stack of them, via eigendecomposition."""
     mat = _generator(generator)
+    t = _finite(t)
     return _unitaries(*np.linalg.eigh(mat), np.eye(mat.shape[-1], dtype=complex), t)
 
 
@@ -233,7 +221,8 @@ class BlochCurve(FactorCurve):
 
     ``theta`` and ``phi`` are polynomials in the parameter, given as a scalar,
     a coefficient sequence (constant first), or a numpy Polynomial; or both
-    as stacks of coefficient rows (M, k), one curve per trial.
+    as stacks of coefficient rows (M, k), one curve per trial.  They are held
+    as read-only float arrays of power-basis coefficients (``_as_poly``).
     """
 
     def __init__(self, theta, phi=0.0) -> None:
@@ -274,7 +263,7 @@ class BlochCurve(FactorCurve):
         return self._amplitudes(c, s, phase), out
 
     def _stack_row(self) -> tuple | None:
-        return _plain_coefs(self.theta, self.phi)
+        return None if self.theta.ndim > 1 else (self.theta, self.phi)
 
     @classmethod
     def _stacked(cls, rows: Sequence[tuple]) -> "BlochCurve":
@@ -284,6 +273,7 @@ class BlochCurve(FactorCurve):
 class PhaseCurve(FactorCurve):
     """A fixed ket acquiring the global phase e^(i*phi(t)).
 
+    ``phi`` is a polynomial in the parameter, held as ``BlochCurve``'s are.
     ``base`` is a Ket, or a stack of amplitude rows (M, d) with ``phi`` a
     stack of coefficient rows (M, k), one curve per trial.
     """
@@ -311,8 +301,7 @@ class PhaseCurve(FactorCurve):
         return amps, 1j * self._dphi(ts)[..., None] * amps
 
     def _stack_row(self) -> tuple | None:
-        phi = _plain_coefs(self.phi)
-        return None if phi is None or self._amps.ndim > 1 else (*phi, self._amps)
+        return None if self._amps.ndim > 1 else (self.phi, self._amps)
 
     @classmethod
     def _stacked(cls, rows: Sequence[tuple]) -> "PhaseCurve":
@@ -380,6 +369,8 @@ class SampledCurve(FactorCurve):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 4:
             raise ValueError("need a 1-d grid of at least 4 sample times")
+        message = lambda i: f"time must be finite, got {float(times[i])!r}"
+        _raise_first(~np.isfinite(times), message, ValueError, lambda i: f"sample {i}")
         if np.any(np.diff(times) <= 0):
             raise ValueError("sample times must be strictly increasing")
         if len(states) != times.size:
@@ -421,8 +412,8 @@ class SampledCurve(FactorCurve):
 
 
 class _PhaseModulated(FactorCurve):
-    """A curve multiplied by the global phase e^(i*phi(t)); a stacked curve
-    takes a stack of coefficient rows."""
+    """A curve multiplied by the global phase e^(i*phi(t)), ``phi`` held as
+    ``BlochCurve``'s are; a stacked curve takes a stack of coefficient rows."""
 
     def __init__(self, inner: FactorCurve, phi) -> None:
         self.inner = inner
@@ -543,13 +534,21 @@ def resolve_method(curves: Iterable[FactorCurve], method: str) -> str:
     return "analytic" if all(c.has_analytic for c in curves) else "richardson"
 
 
+def _finite(value, name: str = "t"):
+    """A public function's parameter, a number or a grid array, refused unless
+    every entry is finite before anything is evaluated at it; the message
+    names the first entry that is not."""
+    finite = np.isfinite(value)
+    if not np.all(finite):
+        bad = np.asarray(value, dtype=float).flat[np.argmin(finite)]
+        raise ValueError(f"{name} must be finite, got {float(bad)!r}")
+    return value
+
+
 def _one_point(t) -> np.ndarray:
     """A public one-point function's parameter t as a grid of that one point,
     refused unless finite before anything is evaluated at it."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
-    return np.array([t])
+    return np.array([_finite(float(t))])
 
 
 def _stencil(fn: Callable[[np.ndarray], np.ndarray], t, method: str, h: float) -> np.ndarray:
@@ -851,7 +850,7 @@ class UnitaryCurve:
 
     def value(self, t) -> np.ndarray:
         """The unitary at t, (d, d); at each point of a grid array, (G, d, d)."""
-        return _unitaries(self._evals, self._evecs, self.base, t)
+        return _unitaries(self._evals, self._evecs, self.base, _finite(t))
 
     def derivative(self, t) -> np.ndarray:
         return -1j * (self.generator @ self.value(t))
@@ -895,6 +894,9 @@ class RegisterProgram:
     @classmethod
     def uniform_superposition(cls, steps: Sequence[Sequence[UnitaryCurve]], n: int) -> "RegisterProgram":
         """Program on n qubits starting from the equal superposition of all bitstrings."""
+        n = _integer(n)
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         amps = np.full(2**n, 2 ** (-n / 2), dtype=complex)
         return cls(tuple(tuple(s) for s in steps), Ket(amps, (2,) * n, unit=True))
 
@@ -1212,10 +1214,11 @@ def infinitesimal_composition(generator, total: float, n_steps: int) -> np.ndarr
     Converges to the exact propagator at rate O(1/n) in operator norm.
     """
     mat = _generator(generator)
+    total = _finite(float(total), "total")
     n_steps = _integer(n_steps)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    step = np.eye(mat.shape[-1], dtype=complex) - 1j * mat * (float(total) / n_steps)
+    step = np.eye(mat.shape[-1], dtype=complex) - 1j * mat * (total / n_steps)
     return np.linalg.matrix_power(step, n_steps)
 
 

@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from functools import reduce
+from functools import cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -1328,6 +1328,16 @@ class TestSweepDriver:
         cfg = parse(doc)
         calls = count_calls(monkeypatch, Polynomial, "deriv")
         run(cfg)
+        assert calls == []
+
+    def test_grid_configs_construct_no_polynomial(self, monkeypatch):
+        """A curve holds its polynomials as power-basis coefficient arrays:
+        parsing and running every ``grid_configs()`` document, the canonical
+        inputs built afresh, constructs no numpy Polynomial."""
+        monkeypatch.setattr(qtangle.cli, "_canonical", cache(qtangle.cli._canonical.__wrapped__))
+        calls = count_calls(monkeypatch, Polynomial, "__init__")
+        for doc in grid_configs():
+            run(parse(doc))
         assert calls == []
 
     @pytest.mark.parametrize(

@@ -36,7 +36,7 @@ from qtangle import (
     tensor_product,
 )
 import qtangle.trajectories as trajectories
-from qtangle.entanglement import _coefficients, _product_chsh_rows
+from qtangle.entanglement import _product_chsh_rows
 
 from helpers import random_ket
 
@@ -365,12 +365,15 @@ class TestCorrelationExpansion:
         assert c1 == pytest.approx(-math.sin(1.4), abs=1e-14)
 
     def test_coefficients_are_those_of_the_converted_polynomial(self):
+        """A curve holds a Polynomial as the read-only coefficients of the
+        converted one, in the parameter itself, whatever its domain and window."""
         for poly in (
             Polynomial([0.2, 0.9, -0.3]),
             Polynomial([0.2, 0.9, -0.3], domain=[0, 2]),
             Polynomial([1.0, -2.0], window=[0, 1]),
         ):
-            assert np.array_equal(_coefficients(poly), poly.convert().coef)
+            theta = BlochCurve(poly).theta
+            assert np.array_equal(theta, poly.convert().coef) and not theta.flags.writeable
 
     @pytest.mark.parametrize(
         "theta, phi", [([[0.0, 1.0]], [[0.0]]), ([[0.0, 1.0], [0.5, 1.0]], [[0.0, 0.0], [0.0, 0.0]])]

@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from qtangle import (
     BlochCurve,
@@ -41,6 +42,7 @@ from qtangle import (
     product_differential,
     product_tangent,
     profile,
+    propagator,
     reduced_tangent_channel,
     register_state,
     register_tangent,
@@ -63,6 +65,7 @@ BOOL_INDEX = "'bool' object cannot be interpreted as an integer"
 STILL_PAIR = RegisterProgram(((STILL_QUBIT, STILL_QUBIT),), PAIR)
 ARC_PAIR = ProductTrajectory((ARC, ARC))
 ARC_ENSEMBLE = Ensemble((1.0,), (ARC_PAIR,))
+Z_ROTATION = UnitaryCurve.rotation(np.diag([1.0, -1.0]))
 
 # the public functions of one parameter value t, each refusing a t that is not finite
 ONE_POINT = {
@@ -189,6 +192,30 @@ REJECTIONS = [
         id="polynomial-finite",
     ),
     pytest.param(
+        lambda: BlochCurve([]),
+        ValueError,
+        "theta: expected at least one coefficient",
+        id="polynomial-empty",
+    ),
+    pytest.param(
+        lambda: BlochCurve(np.zeros((2, 0)), np.zeros((2, 0))),
+        ValueError,
+        "theta: expected at least one coefficient",
+        id="polynomial-empty-stack",
+    ),
+    pytest.param(
+        lambda: BlochCurve(Polynomial([1j, 1])),
+        ValueError,
+        "theta: coefficients must be real",
+        id="polynomial-complex",
+    ),
+    pytest.param(
+        lambda: PhaseCurve([0.0, 1j], QUBIT),
+        ValueError,
+        "phi: coefficients must be real",
+        id="polynomial-complex-phase",
+    ),
+    pytest.param(
         lambda: LocalHamiltonianCurve(np.zeros((2, 3)), QUBIT),
         ValueError,
         "generator: expected a square matrix, got shape (2, 3)",
@@ -205,6 +232,12 @@ REJECTIONS = [
         ValueError,
         "sample 3 has dims (3,), expected (2,)",
         id="SampledCurve-dims",
+    ),
+    pytest.param(
+        lambda: SampledCurve([0.0, np.nan, 2.0, 3.0], [QUBIT] * 4),
+        ValueError,
+        "sample 1: time must be finite, got nan",
+        id="SampledCurve-nan-time",
     ),
     pytest.param(
         lambda: TangentVector(QUBIT, np.zeros(3)),
@@ -279,6 +312,12 @@ REJECTIONS = [
         id="infinitesimal_composition-steps",
     ),
     pytest.param(
+        lambda: RegisterProgram.uniform_superposition(((STILL_QUBIT,),), -1),
+        ValueError,
+        "n must be >= 1, got -1",
+        id="uniform_superposition-negative-n",
+    ),
+    pytest.param(
         lambda: curve_through(QUBIT, np.zeros(3)),
         ValueError,
         "direction shape does not match the state",
@@ -322,6 +361,18 @@ REJECTIONS = [
         id="Cut.splitting-float-position",
     ),
     pytest.param(
+        lambda: Cut.splitting((0,), 2.0),
+        TypeError,
+        FLOAT_INDEX,
+        id="Cut.splitting-float-count",
+    ),
+    pytest.param(
+        lambda: RegisterProgram.uniform_superposition(((STILL_QUBIT,),), 2.0),
+        TypeError,
+        FLOAT_INDEX,
+        id="uniform_superposition-float-n",
+    ),
+    pytest.param(
         lambda: Ket(np.ones(4) / 2, (2.5, 2)),
         TypeError,
         FLOAT_INDEX,
@@ -363,6 +414,18 @@ REJECTIONS = [
         TypeError,
         BOOL_INDEX,
         id="Cut.splitting-bool-position",
+    ),
+    pytest.param(
+        lambda: Cut.splitting((1,), True),
+        TypeError,
+        BOOL_INDEX,
+        id="Cut.splitting-bool-count",
+    ),
+    pytest.param(
+        lambda: RegisterProgram.uniform_superposition(((STILL_QUBIT,),), True),
+        TypeError,
+        BOOL_INDEX,
+        id="uniform_superposition-bool-n",
     ),
     pytest.param(
         lambda: Ket(np.ones(4) / 2, (2, True)),
@@ -436,6 +499,36 @@ REJECTIONS = [
         ValueError,
         "tol must be positive and finite, got inf",
         id="differential_trace_witness-infinite-tol",
+    ),
+    pytest.param(
+        lambda: propagator(np.diag([1.0, -1.0]), np.inf),
+        ValueError,
+        "t must be finite, got inf",
+        id="propagator-infinite-t",
+    ),
+    pytest.param(
+        lambda: Z_ROTATION.value(np.inf),
+        ValueError,
+        "t must be finite, got inf",
+        id="UnitaryCurve.value-infinite-t",
+    ),
+    pytest.param(
+        lambda: Z_ROTATION.derivative(np.nan),
+        ValueError,
+        "t must be finite, got nan",
+        id="UnitaryCurve.derivative-nan-t",
+    ),
+    pytest.param(
+        lambda: Z_ROTATION.derivative(np.array([0.0, 0.5, -np.inf, np.nan])),
+        ValueError,
+        "t must be finite, got -inf",
+        id="UnitaryCurve.derivative-grid-first-bad-entry",
+    ),
+    pytest.param(
+        lambda: infinitesimal_composition(np.eye(2), np.nan, 4),
+        ValueError,
+        "total must be finite, got nan",
+        id="infinitesimal_composition-nan-total",
     ),
     *(
         pytest.param(lambda call=call, t=t: call(t), ValueError, f"t must be finite, got {t!r}", id=f"{name}-t-{t!r}")

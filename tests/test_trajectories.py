@@ -131,7 +131,7 @@ class TestHornerEvaluators:
         ids=["default-domain", "mapped-domain", "negative-zero", "zero-tail"],
     )
     def test_polynomial(self, poly, monkeypatch):
-        self.assert_polyval_bits(poly, self.PARAMS, monkeypatch)
+        self.assert_polyval_bits(trajectories._as_poly(poly, "poly"), self.PARAMS, monkeypatch)
 
     def test_zero_padded_factor_stack(self, monkeypatch):
         """(S, 1, k): one curve per factor over a grid (G,), short rows zero-padded."""
@@ -149,11 +149,13 @@ class TestHornerEvaluators:
 class TestDifferentiate:
     def test_grid_evaluation_repeats_polynomial_arithmetic(self):
         """Curves evaluate their angle polynomials, and the derivatives, on a
-        grid exactly as Polynomial.__call__ and Polynomial.deriv do, also on a
-        non-default domain."""
-        theta = Polynomial([0.3, -1.2, 0.7, 0.05], domain=[0.0, 2.5])
-        phi = Polynomial([0.4, 0.9])
-        curve = BlochCurve(theta, phi)
+        grid exactly as Polynomial.__call__ and Polynomial.deriv do.  A
+        Polynomial on a non-default domain is held converted to the default
+        one: the curve repeats the converted polynomial's arithmetic, and
+        agrees with the original's to rounding."""
+        mapped = Polynomial([0.3, -1.2, 0.7, 0.05], domain=[0.0, 2.5])
+        theta, phi = mapped.convert(), Polynomial([0.4, 0.9])
+        curve = BlochCurve(mapped, phi)
         ts = np.linspace(-1.0, 3.0, 41)
         th, ph, dth, dph = theta(ts), phi(ts), theta.deriv()(ts), phi.deriv()(ts)
         c, s = np.cos(th / 2), np.sin(th / 2)
@@ -163,6 +165,7 @@ class TestDifferentiate:
         assert np.array_equal(curve.velocities(ts)[:, 1], want)
         for row, t in zip(curve.states(ts), ts):
             assert np.array_equal(curve.state(t).amplitudes, row)
+        np.testing.assert_allclose(curve.states(ts)[:, 0], np.cos(mapped(ts) / 2), rtol=0, atol=1e-15)
 
     def test_bloch_velocity_at_origin(self):
         tv = differentiate(qubit_arc(), 0.0)
@@ -1127,14 +1130,14 @@ class TestFactorStacks:
         assert len(moving) < sum(not f for f in traj.frozen)
 
     @pytest.mark.parametrize("method", ["analytic", "central_fd", "richardson"])
-    def test_a_curve_off_the_default_domain_is_a_group_of_its_own(self, method):
-        """A Bloch curve on another polynomial domain cannot stack: it keeps
-        its own curve object, and the default-domain curves on either side of
-        it share one group; every factor's rows are its own curve's."""
+    def test_a_curve_off_the_default_domain_stacks_with_the_others(self, method):
+        """A Bloch curve given on another polynomial domain holds power-basis
+        coefficients like any other, so it shares one group with the curves
+        on either side of it; every factor's rows are its own curve's."""
         odd = BlochCurve(Polynomial([0.3, 1.1, -0.4], domain=[0.0, 2.5]), [0.2, 1.7])
         traj = ProductTrajectory((BlochCurve([0.1, 0.9], 0.4), odd, BlochCurve([-0.2, 0.5, 0.3], [1.0, -0.6])))
-        assert [list(factors) for factors, _, _ in traj._stacks] == [[0, 2], [1]]
-        assert traj._stacks[1][1] is odd and traj._stacks[0][1] not in traj.factors
+        assert [list(factors) for factors, _, _ in traj._stacks] == [[0, 1, 2]]
+        assert traj._stacks[0][1] not in traj.factors
         got = trajectories._unstacked(trajectories._factor_rows(traj, self.GRID, method, 1e-4))
         for (base, deriv), (want_base, want_deriv) in zip(got, loop_rows(traj, self.GRID, method)):
             assert same_bits(base, want_base) and same_bits(deriv, want_deriv)
