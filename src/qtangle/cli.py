@@ -191,7 +191,7 @@ def _run_two_qubit_demo(cfg: RunConfig) -> TraceReport:
 
     def cells(prof: TrajectoryProfile) -> list:
         bell = _bell_rows(_normalized(_horizontal(prof.states, prof.directions)))
-        return [bell[:, 2].real, bell[:, 1].real, _product_chsh_rows(prof.factors)]
+        return [bell[:, 2].real, bell[:, 1].real, _product_chsh_rows(prof.factor_speeds, prof.moving)]
 
     return _sweep(cfg, traj, (cut,), ("bell_psi_plus", "bell_phi_minus", "chsh"), cells)
 
@@ -242,7 +242,7 @@ def _run_chsh_scan(cfg: RunConfig) -> TraceReport:
 
     def cells(prof: TrajectoryProfile) -> list:
         coefficients = _correlation_expansions(traj, prof.grid, setting)
-        return [_product_chsh_rows(prof.factors), *coefficients.T]
+        return [_product_chsh_rows(prof.factor_speeds, prof.moving), *coefficients.T]
 
     columns = ("chsh", "corr_c0", "corr_c1", "corr_c2")
     return _sweep(cfg, traj, (cut,), columns, cells, base_entropy=False)

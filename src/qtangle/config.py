@@ -407,6 +407,8 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
                 cut.validate_for(dims)
             except ValueError as exc:
                 _fail(f"cuts[{i}]", str(exc))
+            if cut in cuts[:i]:  # its columns would repeat an earlier cut's
+                _fail(f"cuts[{i}]", f"cut {cut.label()} repeats cuts[{cuts.index(cut)}]")
 
     method, h = _parse_method(doc.get("method", "auto"), "method", subsystems or ())
 

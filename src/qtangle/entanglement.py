@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.polyutils import trimcoef
@@ -29,7 +28,7 @@ from .statespace import (
     _raise_first,
     _split,
 )
-from .trajectories import BlochCurve, ProductTrajectory, _one_point, _squared_perp_speeds
+from .trajectories import BlochCurve, ProductTrajectory, _one_point
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -187,21 +186,21 @@ def chsh_value(state: Ket) -> float:
     return float(2 * np.sqrt(norms**4 + 4 * abs(det) ** 2))
 
 
-def _product_chsh_rows(factors: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+def _product_chsh_rows(speeds: np.ndarray, moving: np.ndarray) -> np.ndarray:
     """``chsh_value`` of the normalized horizontal tangent of each row of a
-    two-qubit product trajectory, from its two factors' (states, directions)
-    rows alone, with no two-qubit row formed.
+    two-qubit product trajectory, from its two factors' squared
+    perpendicular speeds alone, (G, 2), with no two-qubit row formed.
 
     The tangent's Schmidt weights are S_1/S and S_2/S (``geometry``), S_i
     a factor's squared perpendicular speed and S their sum, so its
     concurrence is C = 2 sqrt(S_1 S_2)/S and its CHSH value is
     2 sqrt(1 + C^2) (Gisin, Phys. Lett. A 154, 201 (1991)).  A row that does
-    not move, sqrt(S) below the zero floor as ``profile`` reads it, has no
-    direction and is rejected as normalizing it would be.
+    not move (``moving``, as ``profile`` decides it) has no direction and is
+    rejected as normalizing it would be.
     """
-    s1, s2 = (_squared_perp_speeds(a, d) for a, d in factors)
+    _raise_first(~moving, lambda i: _ZERO_DIRECTION, DegenerateInputError)
+    s1, s2 = speeds.T
     total = s1 + s2
-    _raise_first(np.less(np.sqrt(total), _ZERO_TOL), lambda i: _ZERO_DIRECTION, DegenerateInputError)
     return 2 * np.sqrt(1 + 4 * (s1 / total) * (s2 / total))
 
 

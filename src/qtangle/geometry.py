@@ -14,11 +14,12 @@ perpendicular speed and S_L, S_R, S sum it over the left side, the right side
 and all factors: the tangent entropy is the binary entropy of S_L/S, the
 base entropy is 0, and the speed is 2*sqrt(S).  ``profile`` takes all three
 from the per-factor rows, or for a product-initial register program under
-"analytic" from each step's site variances, and assembles the dense (G, D)
-tangent rows only when a caller reads them.  It keeps the Schmidt
-decomposition of the dense rows, built at once, for a register program
-whose initial state is entangled and for a cut that splits a multi-site
-factor.
+"analytic" from each step's site variances, keeps the squared factor
+speeds and the zero-motion mask for the callers that read the shares (the
+CHSH cells), and assembles the dense (G, D) tangent rows only when a caller
+reads them.  It keeps the Schmidt decomposition of the dense rows, built at
+once, for a register program whose initial state is entangled and for a cut
+that splits a multi-site factor.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .trajectories import (
     _register_rows,
     _register_site_rows,
     _register_step_speeds,
-    _squared_perp_speeds,
     _unstacked,
     product_tangent,  # noqa: F401  (bench/tests/test_bench.py expects the tracer to reach it here)
 )
@@ -127,8 +127,12 @@ class TrajectoryProfile:
     entropies use their horizontal parts.  ``factors`` holds the (states,
     directions) rows of each factor (register site) they are the product of,
     built on first access; None for a program whose initial state is
-    entangled.  ``entropy_path`` names how each cut's entropies were
-    computed: "speed_share" or "svd".
+    entangled.  ``factor_speeds`` holds each factor's squared perpendicular
+    speed S_i at each point, (G, n), the shares the speed-share entropies
+    are taken from; None where ``factors`` is.  ``moving`` is whether each
+    point moves: half its ``fs_speed`` is not below the zero floor, so its
+    tangent has a direction.  ``entropy_path`` names how each cut's
+    entropies were computed: "speed_share" or "svd".
     """
 
     grid: np.ndarray
@@ -139,6 +143,8 @@ class TrajectoryProfile:
     arc_length: float
     cuts: tuple[Cut, ...]
     entropy_path: dict[Cut, str]
+    factor_speeds: np.ndarray | None
+    moving: np.ndarray
     _assemble: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False)
     _factors: Callable[[], tuple[tuple[np.ndarray, np.ndarray], ...] | None] = field(repr=False)
 
@@ -192,11 +198,12 @@ def _dense_rows(traj, grid: np.ndarray, method: str, h: float, stacks) -> tuple[
 
 
 def _squared_speeds(stacks: list[tuple], n: int) -> np.ndarray:
-    """||d - <a|d> a||^2 of each of the n factors (states a, directions d),
-    one norm per stack, as a C-contiguous (G, n) array."""
+    """||d - <a|d> a||^2, the squared perpendicular speed, of each of the n
+    factors (states a, directions d), one norm per stack, as a C-contiguous
+    (G, n) array."""
     speeds = np.empty((n, stacks[0][1].shape[1]))
     for sites, a, d in stacks:
-        speeds[sites] = _squared_perp_speeds(a, d)
+        speeds[sites] = _row_norms(_horizontal(a, d)) ** 2
     return np.ascontiguousarray(speeds.T)
 
 
@@ -363,8 +370,11 @@ def profile(
     shared = np.empty((0, grid.size))
     if factor_speeds is not None:
         shared = _speed_share_bits(factor_speeds, sides, moving).T[:, at]
+        factor_speeds = factor_speeds[at]  # each point's row: on a program's steps, its step's
+        factor_speeds.setflags(write=False)
+    moving = moving[at]
     zero = np.zeros(grid.size)  # every whole cut's base entropy, one row
-    for arr in (grid, speeds, shared, zero, *dense_tangent.values(), *dense_base.values()):
+    for arr in (grid, speeds, shared, zero, moving, *dense_tangent.values(), *dense_base.values()):
         arr.setflags(write=False)  # the rows of a read-only array are read-only
     rows = iter(shared)
     tangent = {cut: next(rows) if whole else dense_tangent[cut] for cut, whole in zip(cuts, aligned)}
@@ -379,6 +389,8 @@ def profile(
         _arc_length(speeds, spacing) if steps is None else float(2 * norms @ lengths),
         cuts,
         {cut: "speed_share" if whole else "svd" for cut, whole in zip(cuts, aligned)},
+        factor_speeds,
+        moving,
         assemble,
         factors,
     )

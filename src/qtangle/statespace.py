@@ -112,6 +112,7 @@ class _first_rejection:
 
 
 _NOT_FINITE = "amplitudes must all be finite"
+_NOT_FINITE_MATRIX = "matrix entries must all be finite"
 
 
 def _check_finite(values: np.ndarray, axes: tuple[int, ...], text: str, where: _Where = "") -> None:
@@ -160,7 +161,7 @@ def _check_hermitian(mats: np.ndarray, where: _Where = "") -> None:
     dev = np.maximum.reduce(abs(mats - mats.swapaxes(-2, -1).conj()), axis=(-2, -1))
     # a non-finite entry makes its deviation non-finite, so clean rows pass this one test
     if not np.logical_and.reduce(dev < DEFAULT_TOL, axis=None):
-        _check_finite(mats, (-2, -1), "matrix entries must all be finite", where)
+        _check_finite(mats, (-2, -1), _NOT_FINITE_MATRIX, where)
         message = lambda i: f"matrix is not Hermitian (max deviation {dev.flat[i]:.3e})"
         _bounded(dev, DEFAULT_TOL, message, where)
     imag = mats.trace(axis1=-2, axis2=-1).imag
@@ -322,6 +323,7 @@ class HermitianOp:
         side = math.prod(dims)
         if mat.shape != (side, side):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
+        _check_finite(mat, (-2, -1), _NOT_FINITE_MATRIX)  # before any arithmetic, as Ket checks
         _check_hermitian(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)

@@ -37,6 +37,8 @@ from .errors import ParameterRangeError, UnsupportedMethodError
 from .statespace import (
     BASE_NORM_TOL,
     DEFAULT_TOL,
+    _NOT_FINITE,
+    _NOT_FINITE_MATRIX,
     _SPLINE_NORM_TOL,
     HermitianOp,
     Ket,
@@ -68,6 +70,9 @@ def _as_poly(value, name: str) -> np.ndarray:
     stack of coefficient rows (..., k), one polynomial per trial or factor."""
     if isinstance(value, Polynomial):
         value = value.coef if value.mapparms() == (0, 1) else value.convert().coef
+    # numpy would read True as 1.0 and '1' as 1.0: refuse both, as ``_integer`` refuses a bool count
+    if (refused := _not_a_number(value)) is not None:
+        raise TypeError(f"{name}: coefficients must be numbers, got {refused}")
     if np.iscomplexobj(value):
         raise ValueError(f"{name}: coefficients must be real")
     coef = np.array(value, dtype=float, ndmin=1)
@@ -77,6 +82,17 @@ def _as_poly(value, name: str) -> np.ndarray:
         raise ValueError(f"{name}: coefficients must be finite")
     coef.setflags(write=False)
     return coef
+
+
+def _not_a_number(value) -> str | None:
+    """The type name of the first bool or str among a coefficient value's
+    entries (a scalar, a nested sequence or an array), or None."""
+    if isinstance(value, np.ndarray) and value.dtype != object:
+        return {"b": "bool", "U": "str", "S": "bytes"}.get(value.dtype.kind)
+    for entry in np.array(value, dtype=object).flat:
+        if isinstance(entry, (bool, np.bool_, str, bytes)):
+            return type(entry).__name__
+    return None
 
 
 def _trials(value: np.ndarray, axes: int = 1) -> tuple[int, ...] | None:
@@ -144,20 +160,23 @@ def _padded(rows: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _generator(value) -> np.ndarray:
-    """A generator as a square matrix, or a stack of them (M, d, d), checked Hermitian."""
+    """A generator as a square matrix, or a stack of them (M, d, d), checked
+    finite, before any arithmetic, and Hermitian."""
     mat = value.matrix if isinstance(value, HermitianOp) else np.asarray(value, dtype=complex)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"generator: expected a square matrix, got shape {mat.shape}")
+    _check_finite(mat, (-2, -1), _NOT_FINITE_MATRIX, "generator")
     _check_hermitian(mat, where="generator")
     return mat
 
 
-def _amplitude_rows(state) -> tuple[np.ndarray, tuple[int, ...]]:
+def _amplitude_rows(state, where: str) -> tuple[np.ndarray, tuple[int, ...]]:
     """A Ket's amplitudes and dims, or a stack of one factor's amplitude rows
-    (M, d) and (d,)."""
+    (M, d) and (d,), checked finite, as a Ket is, the field named ``where``."""
     if isinstance(state, Ket):
         return state.amplitudes, state.dims
     amps = np.asarray(state, dtype=complex)
+    _check_finite(amps, (-1,), _NOT_FINITE, where)
     return amps, amps.shape[-1:]
 
 
@@ -281,7 +300,7 @@ class PhaseCurve(FactorCurve):
     def __init__(self, phi, base: Ket | np.ndarray) -> None:
         self.phi = _as_poly(phi, "phi")
         self._phi, self._dphi = _evaluators(self.phi, 2)
-        amps, self.dims = _amplitude_rows(base)
+        amps, self.dims = _amplitude_rows(base, "base ket")
         _same_stacking(phi=_trials(self.phi), base=_trials(amps))
         norms = _check_amplitudes(amps, BASE_NORM_TOL, "base ket")
         # states() checks to DEFAULT_TOL; a base already within it is kept to the bit
@@ -318,7 +337,7 @@ class LocalHamiltonianCurve(FactorCurve):
 
     def __init__(self, generator, initial: Ket | np.ndarray) -> None:
         mat = _generator(generator)
-        amps, self.dims = _amplitude_rows(initial)
+        amps, self.dims = _amplitude_rows(initial, "initial ket")
         if mat.shape[-1] != amps.shape[-1]:
             raise ValueError(
                 f"generator side {mat.shape[-1]} does not match state dimension "
@@ -796,12 +815,6 @@ def _horizontal(base: np.ndarray, directions: np.ndarray) -> np.ndarray:
     return directions - _overlaps(base, directions)[..., None] * base
 
 
-def _squared_perp_speeds(base: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """||d - <a|d> a||^2 of each row (states a, directions d): a factor's
-    squared perpendicular speed."""
-    return _row_norms(_horizontal(base, directions)) ** 2
-
-
 # ---------------------------------------------------------------------------
 # stepwise register programs
 
@@ -823,6 +836,7 @@ class UnitaryCurve:
         base = np.asarray(self.base, dtype=complex)
         if base.shape != gen.shape:
             raise ValueError(f"base shape {base.shape} does not match generator {gen.shape}")
+        _check_finite(base, (-2, -1), _NOT_FINITE_MATRIX, "base")
         _check_unitary(base, "base")
         gen = gen.copy()
         gen.setflags(write=False)
@@ -1236,6 +1250,7 @@ def curve_through(state: Ket, direction) -> LocalHamiltonianCurve:
     d = np.asarray(direction, dtype=complex)
     if d.shape != state.amplitudes.shape:
         raise ValueError("direction shape does not match the state")
+    _check_finite(d, (-1,), "direction entries must all be finite")
     psi = state.amplitudes
     overlap = complex(_check_norm_preserving(psi, d, "given", "direction"))
     gen = 1j * (np.outer(d, psi.conj()) - np.outer(psi, d.conj()))

@@ -685,6 +685,11 @@ CONFIG_DIAGNOSTICS = [
         "cuts[1]: cut 1|4 does not partition the 3 factor positions",
     ),
     diag(
+        "cut-repeated",
+        first_of(QUBIT, QUBIT, cuts=[[[1], [2, 3]], [[1], [2, 3]]]),
+        "cuts[1]: cut 1|23 repeats cuts[0]",
+    ),
+    diag(
         "cut-register-cover",
         {"scenario": "register_trace", "cuts": [[[1], [2]]]},
         "cuts[0]: cut 1|2 does not partition the 3 factor positions",
@@ -814,6 +819,20 @@ def test_config_diagnostic(doc, overrides, message):
     with pytest.raises(ConfigError) as exc:
         parse_config(text, overrides)
     assert str(exc.value) == message
+
+
+def test_swapped_cut_is_not_a_repeat():
+    """1|23 and 23|1 are different labels: each gets its own columns."""
+    report = run(parse(first_of(QUBIT, QUBIT, cuts=[[[1], [2, 3]], [[2, 3], [1]]])))
+    assert report.columns[:6] == (
+        "t",
+        "fs_speed",
+        "tangent_entropy_1|23",
+        "base_entropy_1|23",
+        "tangent_entropy_23|1",
+        "base_entropy_23|1",
+    )
+    assert len(set(report.columns)) == len(report.columns)
 
 
 @pytest.mark.parametrize(
@@ -1095,8 +1114,10 @@ RUN_CHECK_CALLS = {
     },
 }
 # channel-identity and bilocal-reality read one draw, checked once: its two
-# factors' norm checks and its curves' checks are made once for both
+# factors' norm checks and its curves' checks are made once for both; each
+# curve's generator and raw amplitude rows are checked finite as it takes them
 VERIFY_CHECK_CALLS = {
+    "_check_finite": 34,
     "_check_amplitudes": 92,
     "_check_tangents": 22,
     "_check_hermitian": 23,

@@ -32,6 +32,7 @@ from qtangle import (
     partial_trace,
     ppt_negativity,
     product_tangent,
+    profile,
     schmidt,
     tensor_product,
 )
@@ -261,9 +262,9 @@ class TestChsh:
 
 
 class TestProductChshRows:
-    """CHSH of a two-qubit product tangent from its factors' squared speeds,
-    2 sqrt(1 + 4 S_1 S_2 / S^2), against ``chsh_value`` of the normalized
-    dense horizontal tangent."""
+    """CHSH of a two-qubit product tangent from its profile's squared factor
+    speeds, 2 sqrt(1 + 4 S_1 S_2 / S^2), against ``chsh_value`` of the
+    normalized dense horizontal tangent."""
 
     @pytest.mark.parametrize("seed, method", enumerate(["analytic", "central_fd", "richardson"]))
     @pytest.mark.parametrize("phase", [False, True], ids=["moving", "phase"])
@@ -276,9 +277,9 @@ class TestProductChshRows:
             if phase:
                 curves[1] = PhaseCurve([0.3, 1.7, -0.6], random_ket(rng, (2,)))
             traj = ProductTrajectory(tuple(curves))
-            ts = rng.uniform(-1.0, 1.0, 9)
-            factors = trajectories._unstacked(trajectories._factor_rows(traj, ts, method, 1e-5))
-            got = _product_chsh_rows(factors)
+            ts = np.sort(rng.uniform(-1.0, 1.0, 9))
+            prof = profile(traj, ts, [CUT2], method, 1e-5)
+            got = _product_chsh_rows(prof.factor_speeds, prof.moving)
             for i, t in enumerate(ts):
                 tv = horizontal_tangent(product_tangent(traj, t, method, 1e-5))
                 assert got[i] == pytest.approx(chsh_value(tv.normalized_direction()), rel=0, abs=1e-12)
@@ -286,11 +287,12 @@ class TestProductChshRows:
                 assert got == pytest.approx(2.0, rel=0, abs=1e-12)
 
     def test_zero_motion_is_rejected_as_normalizing_would_be(self):
-        a = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)
-        factors = [(a, np.array([[0.0, 0.5], [0.0, 0.0]])), (a, np.zeros((2, 2)))]
+        # theta = t^2 on both factors: the pair does not move at t = 0, grid point 1
+        still = BlochCurve([0.0, 0.0, 1.0])
+        prof = profile(ProductTrajectory((still, still)), [-0.5, 0.0, 0.5], [CUT2])
+        assert list(prof.moving) == [True, False, True]
         with pytest.raises(DegenerateInputError, match=r"^direction is \(near-\)zero; nothing to normalize$") as info:
-            with np.errstate(all="ignore"):
-                _product_chsh_rows(factors)
+            _product_chsh_rows(prof.factor_speeds, prof.moving)
         assert info.value.row == 1
 
 

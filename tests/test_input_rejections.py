@@ -105,6 +105,34 @@ BAD_GRIDS = {
 }
 
 
+INF_GENERATOR = np.array([[np.inf, 0.0], [0.0, 0.0]])
+NOT_FINITE_GENERATOR = "generator: matrix entries must all be finite"
+# public constructors and functions, each with a matrix or ket that is not finite, and its message
+INFINITE_ENTRIES = {
+    "UnitaryCurve.rotation-inf": (lambda: UnitaryCurve.rotation(INF_GENERATOR), NOT_FINITE_GENERATOR),
+    "UnitaryCurve-inf-generator": (lambda: UnitaryCurve(INF_GENERATOR, np.eye(2)), NOT_FINITE_GENERATOR),
+    "UnitaryCurve-inf-base": (
+        lambda: UnitaryCurve(np.zeros((2, 2)), INF_GENERATOR),
+        "base: matrix entries must all be finite",
+    ),
+    "UnitaryCurve-nan-base": (
+        lambda: UnitaryCurve(np.zeros((2, 2)), [[np.nan, 0.0], [0.0, 1.0]]),
+        "base: matrix entries must all be finite",
+    ),
+    "LocalHamiltonianCurve-inf-generator": (lambda: LocalHamiltonianCurve(INF_GENERATOR, QUBIT), NOT_FINITE_GENERATOR),
+    "LocalHamiltonianCurve-inf-ket": (
+        lambda: LocalHamiltonianCurve(np.eye(2), [np.inf, 0.0]),
+        "initial ket: amplitudes must all be finite",
+    ),
+    "PhaseCurve-inf-ket": (lambda: PhaseCurve(0.0, [np.inf, 0.0]), "base ket: amplitudes must all be finite"),
+    "HermitianOp-inf": (lambda: HermitianOp(INF_GENERATOR, (2,)), "matrix entries must all be finite"),
+    "propagator-inf": (lambda: propagator(INF_GENERATOR, 1.0), NOT_FINITE_GENERATOR),
+    "infinitesimal_composition-inf": (lambda: infinitesimal_composition(INF_GENERATOR, 1.0, 4), NOT_FINITE_GENERATOR),
+    "curve_through-inf": (lambda: curve_through(QUBIT, [0.0, np.inf]), "direction entries must all be finite"),
+    "curve_through-nan": (lambda: curve_through(QUBIT, [np.nan, 0.0]), "direction entries must all be finite"),
+}
+
+
 def grid_document(grid: dict) -> str:
     return json.dumps({"scenario": "two_qubit_demo", "grid": grid})
 
@@ -534,6 +562,29 @@ REJECTIONS = [
         pytest.param(lambda call=call, t=t: call(t), ValueError, f"t must be finite, got {t!r}", id=f"{name}-t-{t!r}")
         for name, call in ONE_POINT.items()
         for t in (np.inf, np.nan)
+    ),
+    # numpy reads a bool or a str as a number: a coefficient refuses both
+    pytest.param(lambda: BlochCurve(["1", 2]), TypeError, "theta: coefficients must be numbers, got str", id="BlochCurve-str"),
+    pytest.param(
+        lambda: BlochCurve([True, False]), TypeError, "theta: coefficients must be numbers, got bool", id="BlochCurve-bool"
+    ),
+    pytest.param(
+        lambda: BlochCurve([0.0, True]),
+        TypeError,
+        "theta: coefficients must be numbers, got bool",
+        id="BlochCurve-bool-among-floats",
+    ),
+    pytest.param(
+        lambda: BlochCurve(np.array([True, False])),
+        TypeError,
+        "theta: coefficients must be numbers, got bool",
+        id="BlochCurve-bool-array",
+    ),
+    pytest.param(lambda: PhaseCurve("0.5", QUBIT), TypeError, "phi: coefficients must be numbers, got str", id="PhaseCurve-str"),
+    # a matrix or a ket holding an infinity is refused before any arithmetic, which would warn
+    *(
+        pytest.param(call, ValidationError, message, id=name)
+        for name, (call, message) in INFINITE_ENTRIES.items()
     ),
 ]
 

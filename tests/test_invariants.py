@@ -206,12 +206,6 @@ NAN = float("nan")
 # checks whose defect is NaN on a non-finite input, each with the message it rejects it by
 NAN_DEFECTS = [
     pytest.param(
-        lambda: UnitaryCurve(np.zeros((2, 2)), [[NAN, 0.0], [0.0, 1.0]]),
-        ValidationError,
-        "base: matrix is not unitary (deviation nan)",
-        id="UnitaryCurve-base",
-    ),
-    pytest.param(
         lambda: apply_local_unitaries(Ket.basis((2, 2), (0, 0)), [np.diag([NAN, 1.0]), np.eye(2)]),
         ValidationError,
         "factor 1: matrix is not unitary (deviation nan)",
@@ -222,12 +216,6 @@ NAN_DEFECTS = [
         ValidationError,
         "differential must be traceless, got trace nan+0.000e+00j",
         id="traceless",
-    ),
-    pytest.param(
-        lambda: curve_through(Ket(E0, (2,)), np.array([NAN, 0.0])),
-        ValidationError,
-        "direction: norm not preserved, |Re<psi|dpsi>| = nan",
-        id="curve_through",
     ),
     pytest.param(
         lambda: RegisterProgram(((UnitaryCurve.rotation(SY),) * 2,) * 2, Ket.basis((2, 2), (0, 0)))

@@ -38,7 +38,7 @@ from qtangle import (
 from qtangle.cli import demo_trajectory, parse_config
 from qtangle.entanglement import _entropy_bits
 from qtangle.geometry import _cut_masks, _entropies_or_zero, _share_sides, _speed_share_bits
-from qtangle.statespace import BASE_NORM_TOL, _check_product_amplitudes, _split
+from qtangle.statespace import BASE_NORM_TOL, _ZERO_TOL, _check_product_amplitudes, _row_norms, _split
 from qtangle.trajectories import (
     DEFAULT_STEP,
     _horizontal,
@@ -947,3 +947,93 @@ class TestSmallShares:
             p = a**2 / (a**2 + 1)
             exact = float(-(p * mpmath.log(p, 2) + (1 - p) * mpmath.log(1 - p, 2)))
         assert np.max(abs(prof.tangent_entropy[cut] / exact - 1.0)) <= 1e-14
+
+
+def perp_speeds(factors):
+    """Each factor's squared perpendicular speed, (G, n), by the kernel's own
+    arithmetic: ``_horizontal``, then ``_row_norms`` squared."""
+    return np.stack([_row_norms(_horizontal(a, d)) ** 2 for a, d in factors], axis=-1)
+
+
+class TestShareTable:
+    """A profile keeps the squared factor speeds its speed-share entropies
+    are taken from, and the zero-motion mask they use."""
+
+    @pytest.mark.parametrize("method", ["analytic", "central_fd", "richardson"])
+    def test_product_table_is_the_factor_rows_speeds(self, method):
+        rng = np.random.default_rng(91)
+        for n in (2, 3, 5):
+            dims = tuple(int(d) for d in rng.integers(2, 5, size=n))
+            traj = random_product_trajectory(rng, dims, frozen=(True,) + (False,) * (n - 1))
+            prof = profile(traj, np.linspace(0.0, 1.5, 7), all_cuts(n), method)
+            assert prof.factor_speeds.shape == (7, n)
+            assert same_bits(prof.factor_speeds, perp_speeds(prof.factors))
+            assert np.all(prof.factor_speeds[:, 0] == 0.0)  # the frozen factor
+
+    @pytest.mark.parametrize("method", ["central_fd", "richardson"])
+    def test_register_stencil_table_is_the_site_rows_speeds(self, method):
+        rng = np.random.default_rng(92)
+        for dims in ((2, 3, 2), (3, 2, 3, 2)):
+            prog = program_with_a_constant_site(rng, dims, 3)
+            prof = profile(prog, np.linspace(0.0, 3.0, 13), all_cuts(len(dims)), method)
+            assert same_bits(prof.factor_speeds, perp_speeds(prof.factors))
+
+    def test_register_step_table_is_spread_over_each_step(self):
+        rng = np.random.default_rng(93)
+        for dims in ((2, 3, 2), (3, 2, 3, 2)):
+            prog = program_with_a_constant_site(rng, dims, 3)
+            grid = np.union1d(np.arange(4.0), rng.uniform(0, 3, 6))
+            prof = profile(prog, grid, all_cuts(len(dims)), "analytic")
+            ks, _ = prog.resolve_time(grid)
+            assert same_bits(prof.factor_speeds, prog._step_table[1][ks - 1])
+            want = perp_speeds(prof.factors)
+            assert np.all(abs(prof.factor_speeds - want) <= ORACLE_TOL * want)
+            assert np.all(prof.factor_speeds[:, 1] == 0.0)  # the constant site
+
+    def test_entangled_initial_program_has_no_table(self):
+        rng = np.random.default_rng(94)
+        dims = (2, 2, 3)
+        prof = profile(random_program(rng, dims, random_ket(rng, dims)), np.linspace(0.0, 2.0, 9), all_cuts(3))
+        assert prof.factors is None and prof.factor_speeds is None
+        assert prof.moving.shape == (9,)
+
+    def moving_cases(self):
+        """Profiles over every path, each with points that do not move."""
+        rng = np.random.default_rng(95)
+        # theta = t^2 moves at speed 2t: below the zero floor at t = 0 and t = 1e-14
+        still = BlochCurve([0.0, 0.0, 1.0])
+        grid = [-0.5, 0.0, 1e-14, 0.5]
+        for method in ("analytic", "central_fd"):
+            yield profile(ProductTrajectory((still, still)), grid, [Cut.splitting((0,), 2)], method)
+        # a two-site factor whose motion is a phase, cut through: the SVD path
+        phase = PhaseCurve([0.0, 1.3], random_ket(rng, (2, 2)))
+        yield profile(ProductTrajectory((phase, still)), grid, [Cut.splitting((0,), 3)])
+        prog = RegisterProgram.uniform_superposition([[UnitaryCurve.constant(np.eye(2))] * 3], 3)
+        for method in ("analytic", "central_fd"):
+            yield profile(prog, [0.0, 0.5, 1.0], all_cuts(3), method)
+        still_steps = ((UnitaryCurve.constant(np.eye(2)),) * 2,)
+        yield profile(RegisterProgram(still_steps, random_ket(rng, (2, 2))), [0.0, 0.5, 1.0], all_cuts(2))
+
+    def test_moving_is_the_speed_above_the_zero_floor(self):
+        seen = set()
+        for prof in self.moving_cases():
+            assert prof.moving.dtype == bool and prof.moving.shape == prof.grid.shape
+            assert np.array_equal(prof.moving, ~(prof.fs_speed / 2 < _ZERO_TOL))
+            seen.update(prof.moving.tolist())
+        assert seen == {False, True}
+
+    def test_table_and_mask_are_read_only(self):
+        rng = np.random.default_rng(96)
+        product = random_product_trajectory(rng, (2, 3, 2))
+        grid = np.linspace(0.0, 2.0, 9)
+        profiles = [
+            profile(product, grid, all_cuts(3)),
+            profile(product, grid, all_cuts(3), "central_fd"),
+            profile(program_with_a_constant_site(rng, (2, 3, 2), 2), grid, all_cuts(3)),
+            profile(program_with_a_constant_site(rng, (2, 3, 2), 2), grid, all_cuts(3), "richardson"),
+        ]
+        for prof in profiles:
+            for arr in (prof.factor_speeds, prof.moving):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = arr[1]
