@@ -16,13 +16,14 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .config import _FORMATS, SCENARIOS, RunConfig, parse_config
+from .config import canonical_register_program, demo_trajectory, rotating_ensemble  # noqa: F401  (public here too)
 from .channels import _channel_rows, _factor_overlaps, _reality_gaps
 from .entanglement import MeasurementSetting, _bell_rows, _correlation_expansions, _product_chsh_rows
 from .errors import DegenerateInputError, ToleranceBreachError, ValidationError
@@ -34,15 +35,10 @@ from .mixed_witness import (
     _pseudo_pure_rows,
     _trace_witness,
 )
-from .statespace import Cut, Ket, _bounded, _check_hermitian, _first_rejection, _integer, _normalized
+from .statespace import Cut, _bounded, _check_hermitian, _first_rejection, _integer, _normalized
 from .trajectories import (
     DEFAULT_STEP,
-    BlochCurve,
-    Ensemble,
-    PhaseCurve,
-    ProductTrajectory,
     RegisterProgram,
-    UnitaryCurve,
     _admissible_rows,
     _curve_rows,
     _factor_differentials,
@@ -69,57 +65,6 @@ class TraceReport:
 
 
 # ---------------------------------------------------------------------------
-# canonical built-in objects
-
-
-def demo_trajectory() -> ProductTrajectory:
-    """Two identical real qubit arcs, polar angle theta(t) = t."""
-    return ProductTrajectory((BlochCurve([0.0, 1.0]), BlochCurve([0.0, 1.0])))
-
-
-def canonical_register_program() -> RegisterProgram:
-    """Three-qubit two-step program with the third site held constant."""
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sy = np.array([[0.0, -1j], [1j, 0.0]])
-    step1 = (
-        UnitaryCurve.rotation(sy / 2),
-        UnitaryCurve.rotation(sy / 2),
-        UnitaryCurve.constant(np.eye(2)),
-    )
-    step2 = (
-        UnitaryCurve.rotation(sx / 2),
-        UnitaryCurve.rotation(sy / 2),
-        UnitaryCurve.constant(np.diag([1.0, 1j])),
-    )
-    return RegisterProgram.uniform_superposition((step1, step2), 3)
-
-
-def rotating_ensemble() -> Ensemble:
-    """Equal mixture of |0>|+> and |1>|-> with factor 1 rotating.
-
-    The two first-factor arcs run at opposite rates so their projector
-    derivatives add instead of cancelling; factor 2 is frozen.
-    """
-    plus = Ket(np.array([1.0, 1.0]) / math.sqrt(2), (2,))
-    minus = Ket(np.array([1.0, -1.0]) / math.sqrt(2), (2,))
-    comp1 = ProductTrajectory(
-        (BlochCurve([0.0, 1.0]), PhaseCurve(0.0, plus)), frozen=(False, True)
-    )
-    comp2 = ProductTrajectory(
-        (BlochCurve([math.pi, -1.0]), PhaseCurve(0.0, minus)), frozen=(False, True)
-    )
-    return Ensemble((0.5, 0.5), (comp1, comp2))
-
-
-@cache
-def _canonical(build: Callable[[], object]):
-    """``build()``, built on first use and shared by every run after it: the
-    canonical inputs are immutable, and the runs reuse the stacks and rows
-    they cache.  The public functions still return a fresh object each call."""
-    return build()
-
-
-# ---------------------------------------------------------------------------
 # scenario runners
 
 
@@ -139,14 +84,13 @@ def _metadata(cfg: RunConfig, **extra) -> dict:
 
 def _sweep(
     cfg: RunConfig,
-    traj: ProductTrajectory | RegisterProgram,
-    cuts: Sequence[Cut],
     columns: Sequence[str] = (),
     cells: Callable[..., list] | None = None,
     base_entropy: bool = True,
     **extra,
 ) -> TraceReport:
-    """Profile a trajectory over the grid once and write one row per point.
+    """Profile the configured trajectory over the grid once, across the
+    configured cuts, and write one row per point.
 
     Every row starts with t (and the step for a register program), the
     speed and the per-cut entropies; ``cells(prof)`` appends the scenario's
@@ -155,6 +99,7 @@ def _sweep(
     point a point-by-point sweep would reject.  The profile's dense rows
     are built only for cells that read them.
     """
+    traj, cuts = cfg.trajectory(), cfg.cuts
     prof = profile(traj, cfg.grid_points(), cuts, method=cfg.method, h=cfg.h)
     register = isinstance(traj, RegisterProgram)
     head = ["t", "step", "fs_speed"] if register else ["t", "fs_speed"]
@@ -181,26 +126,17 @@ def _rows(columns: Sequence[np.ndarray]) -> tuple[tuple, ...]:
     return tuple(zip(*(np.asarray(col).tolist() for col in columns)))
 
 
-def _pair(cfg: RunConfig) -> tuple[ProductTrajectory, Cut]:
-    """The configured two-factor trajectory and cut, or the demo defaults."""
-    return cfg.trajectory() or _canonical(demo_trajectory), (cfg.cuts or (Cut.splitting((0,), 2),))[0]
-
-
 def _run_two_qubit_demo(cfg: RunConfig) -> TraceReport:
-    traj, cut = _pair(cfg)
-
     def cells(prof: TrajectoryProfile) -> list:
         bell = _bell_rows(_normalized(_horizontal(prof.states, prof.directions)))
         return [bell[:, 2].real, bell[:, 1].real, _product_chsh_rows(prof.factor_speeds, prof.moving)]
 
-    return _sweep(cfg, traj, (cut,), ("bell_psi_plus", "bell_phi_minus", "chsh"), cells)
+    return _sweep(cfg, ("bell_psi_plus", "bell_phi_minus", "chsh"), cells)
 
 
 def _run_product_trace(cfg: RunConfig) -> TraceReport:
-    traj = cfg.trajectory()
-    cuts = cfg.cuts or (Cut.splitting((0,), traj.n_factors),)
-    if traj.n_factors != 2:
-        return _sweep(cfg, traj, cuts)
+    if cfg.trajectory().n_factors != 2:
+        return _sweep(cfg)
 
     def cells(prof: TrajectoryProfile) -> list:
         overlaps = _factor_overlaps(prof.factors, cfg.method)
@@ -211,47 +147,39 @@ def _run_product_trace(cfg: RunConfig) -> TraceReport:
         _bounded(worst, cfg.tol, message)
         return gaps
 
-    return _sweep(cfg, traj, cuts, ("channel_gap_1", "channel_gap_2", "bilocal_gap"), cells)
-
-
-def _run_register_trace(cfg: RunConfig) -> TraceReport:
-    cuts = cfg.cuts or (Cut.splitting((0,), 3), Cut.splitting((0, 1), 3))
-    return _sweep(cfg, _canonical(canonical_register_program), cuts)
+    return _sweep(cfg, ("channel_gap_1", "channel_gap_2", "bilocal_gap"), cells)
 
 
 def _run_pseudo_pure(cfg: RunConfig) -> TraceReport:
-    traj, cut = _pair(cfg)
-
     def cells(prof: TrajectoryProfile) -> list:
         return list(_pseudo_pure_rows(prof.factors, cfg.epsilon, cfg.tol, cfg.method))
 
     columns = ("drho_trace", "tr1_norm", "tr2_norm", "verdict", "base_separability")
-    return _sweep(cfg, traj, (cut,), columns, cells, epsilon=cfg.epsilon)
+    return _sweep(cfg, columns, cells, epsilon=cfg.epsilon)
 
 
 def _run_separable_mixed(cfg: RunConfig) -> TraceReport:
     grid = cfg.grid_points()
-    witness = _ensemble_witness_rows(_canonical(rotating_ensemble), grid, cfg.tol, cfg.method, cfg.h)
+    witness = _ensemble_witness_rows(cfg.trajectory(), grid, cfg.tol, cfg.method, cfg.h)
     columns = ("t", "tr1_norm", "tr2_norm", "operator_gap", "verdict")
     return TraceReport(_metadata(cfg), columns, _rows([grid, *witness]))
 
 
 def _run_chsh_scan(cfg: RunConfig) -> TraceReport:
-    traj, cut = _pair(cfg)
     setting = MeasurementSetting(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
 
     def cells(prof: TrajectoryProfile) -> list:
-        coefficients = _correlation_expansions(traj, prof.grid, setting)
+        coefficients = _correlation_expansions(cfg.trajectory(), prof.grid, setting)
         return [_product_chsh_rows(prof.factor_speeds, prof.moving), *coefficients.T]
 
     columns = ("chsh", "corr_c0", "corr_c1", "corr_c2")
-    return _sweep(cfg, traj, (cut,), columns, cells, base_entropy=False)
+    return _sweep(cfg, columns, cells, base_entropy=False)
 
 
 _RUNNERS: dict[str, Callable[[RunConfig], TraceReport]] = {
     "two_qubit_demo": _run_two_qubit_demo,
     "product_trace": _run_product_trace,
-    "register_trace": _run_register_trace,
+    "register_trace": _sweep,
     "pseudo_pure": _run_pseudo_pure,
     "separable_mixed": _run_separable_mixed,
     "chsh_scan": _run_chsh_scan,

@@ -3,6 +3,8 @@
 A run is described by a single JSON document (schema version field
 ``"v": 1``).  :func:`parse_config` validates the document, resolves
 per-scenario defaults, and returns a fully populated :class:`RunConfig`.
+A scenario's defaults are one row of ``_SCENARIO_TABLE``: its grid, its
+default cuts and the canonical object it runs without subsystems.
 Every diagnostic names the failing field by its path, so a bad config is
 actionable without reading this file.
 """
@@ -13,7 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -24,27 +26,86 @@ from .statespace import Cut, Ket
 from .trajectories import (
     DEFAULT_STEP,
     BlochCurve,
+    Ensemble,
     FactorCurve,
     LocalHamiltonianCurve,
     PhaseCurve,
     ProductTrajectory,
+    RegisterProgram,
     SampledCurve,
+    UnitaryCurve,
     resolve_method,
 )
 
 
-class _Scenario(NamedTuple):
-    """What one scenario accepts besides the fields every scenario takes.
+# ---------------------------------------------------------------------------
+# canonical built-in objects
 
-    ``subsystems`` is "required", "optional" (the scenario falls back to its
-    canonical trajectory) or "refused" (it runs a built-in object, where a
-    trajectory would be dead weight).  A ``pair`` scenario takes exactly two
-    subsystems and one cut; ``dim``, when set, fixes the dim of each
-    subsystem.  ``factors`` is the factor count that cuts are checked against
-    without subsystems; None refuses cuts.
+
+def demo_trajectory() -> ProductTrajectory:
+    """Two identical real qubit arcs, polar angle theta(t) = t."""
+    return ProductTrajectory((BlochCurve([0.0, 1.0]), BlochCurve([0.0, 1.0])))
+
+
+def canonical_register_program() -> RegisterProgram:
+    """Three-qubit two-step program with the third site held constant."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sy = np.array([[0.0, -1j], [1j, 0.0]])
+    step1 = (
+        UnitaryCurve.rotation(sy / 2),
+        UnitaryCurve.rotation(sy / 2),
+        UnitaryCurve.constant(np.eye(2)),
+    )
+    step2 = (
+        UnitaryCurve.rotation(sx / 2),
+        UnitaryCurve.rotation(sy / 2),
+        UnitaryCurve.constant(np.diag([1.0, 1j])),
+    )
+    return RegisterProgram.uniform_superposition((step1, step2), 3)
+
+
+def rotating_ensemble() -> Ensemble:
+    """Equal mixture of |0>|+> and |1>|-> with factor 1 rotating.
+
+    The two first-factor arcs run at opposite rates so their projector
+    derivatives add instead of cancelling; factor 2 is frozen.
+    """
+    plus = Ket(np.array([1.0, 1.0]) / math.sqrt(2), (2,))
+    minus = Ket(np.array([1.0, -1.0]) / math.sqrt(2), (2,))
+    comp1 = ProductTrajectory(
+        (BlochCurve([0.0, 1.0]), PhaseCurve(0.0, plus)), frozen=(False, True)
+    )
+    comp2 = ProductTrajectory(
+        (BlochCurve([math.pi, -1.0]), PhaseCurve(0.0, minus)), frozen=(False, True)
+    )
+    return Ensemble((0.5, 0.5), (comp1, comp2))
+
+
+@cache
+def _canonical(build: Callable[[], object]):
+    """``build()``, built on first use and shared by every run after it: the
+    canonical inputs are immutable, and the runs reuse the stacks and rows
+    they cache.  The public functions still return a fresh object each call."""
+    return build()
+
+
+class _Scenario(NamedTuple):
+    """What one scenario accepts besides the fields every scenario takes,
+    and what it runs without them.
+
+    ``canonical`` builds the scenario's input when no subsystems are given
+    (None where they are required), and ``cuts`` holds the left sides of its
+    default cuts.  ``subsystems`` is "required", "optional" (the scenario
+    falls back to its canonical trajectory) or "refused" (it runs its
+    canonical object, where a trajectory would be dead weight).  A ``pair``
+    scenario takes exactly two subsystems and one cut; ``dim``, when set,
+    fixes the dim of each subsystem.  ``factors`` is the factor count that
+    cuts are checked against without subsystems; None refuses cuts.
     """
 
     grid: tuple[float, float, int]
+    canonical: Callable[[], object] | None
+    cuts: tuple[tuple[int, ...], ...] = ((0,),)
     subsystems: str = "optional"
     pair: bool = False
     dim: int | None = None
@@ -54,15 +115,19 @@ class _Scenario(NamedTuple):
 
 _HALF_TURN = (0.0, math.pi, 181)
 _SCENARIO_TABLE = {
-    "two_qubit_demo": _Scenario(_HALF_TURN, pair=True, dim=2),
-    "product_trace": _Scenario(_HALF_TURN, subsystems="required"),
+    "two_qubit_demo": _Scenario(_HALF_TURN, demo_trajectory, pair=True, dim=2),
+    "product_trace": _Scenario(_HALF_TURN, None, subsystems="required"),
     # global step time: two program steps, each on a unit interval
-    "register_trace": _Scenario((0.0, 2.0, 81), subsystems="refused", factors=3),
-    "pseudo_pure": _Scenario(_HALF_TURN, pair=True, epsilon=True),
+    "register_trace": _Scenario(
+        (0.0, 2.0, 81), canonical_register_program, ((0,), (0, 1)), subsystems="refused", factors=3
+    ),
+    "pseudo_pure": _Scenario(_HALF_TURN, demo_trajectory, pair=True, epsilon=True),
     # the rotating ensemble's reduced-trace norm falls like cos(t); stay on
     # the quarter period where the witness verdict is uniform
-    "separable_mixed": _Scenario((0.0, math.pi / 4.0, 46), subsystems="refused", factors=None),
-    "chsh_scan": _Scenario(_HALF_TURN, pair=True, dim=2),
+    "separable_mixed": _Scenario(
+        (0.0, math.pi / 4.0, 46), rotating_ensemble, (), subsystems="refused", factors=None
+    ),
+    "chsh_scan": _Scenario(_HALF_TURN, demo_trajectory, pair=True, dim=2),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
 
@@ -93,7 +158,7 @@ class RunConfig:
     grid: tuple[float, float, int]
     method: str
     h: float
-    cuts: tuple[Cut, ...] | None
+    cuts: tuple[Cut, ...]
     subsystems: tuple[FactorCurve, ...] | None
     frozen: tuple[bool, ...] | None
     out_format: str
@@ -108,16 +173,18 @@ class RunConfig:
     def grid_points(self) -> np.ndarray:
         return self._points
 
-    def trajectory(self) -> ProductTrajectory | None:
+    def trajectory(self) -> ProductTrajectory | RegisterProgram | Ensemble:
+        """The scenario's input: the configured product, otherwise its
+        canonical object (the ensemble for ``separable_mixed``)."""
         return self._trajectory
 
     @cached_property
-    def _trajectory(self) -> ProductTrajectory | None:
+    def _trajectory(self) -> ProductTrajectory | RegisterProgram | Ensemble:
         """Built on first use and kept: the config is immutable, and every run
         of it reuses the factor stacks the trajectory caches."""
         if self.subsystems is None:
-            return None
-        return ProductTrajectory(self.subsystems, frozen=self.frozen or ())
+            return _canonical(_SCENARIO_TABLE[self.scenario].canonical)
+        return ProductTrajectory(self.subsystems, frozen=self.frozen)
 
 
 def _fail(path: str, message: str) -> None:
@@ -396,15 +463,15 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> RunConfi
         _fail("grid", f"the {steps} points from t0={t0!r} to t1={t1!r} are not finite and strictly increasing")
     points.setflags(write=False)
 
-    cuts = None
+    n = len(subsystems) if subsystems else row.factors
+    cuts = tuple(Cut.splitting(left, n) for left in row.cuts)
     if "cuts" in doc:
         cuts = _parse_cuts(doc["cuts"], "cuts")
         if row.pair and len(cuts) > 1:
             _fail("cuts", f"scenario {scenario!r} takes one cut, got {len(cuts)}")
-        dims = tuple(c.dims[0] for c in subsystems) if subsystems else (2,) * row.factors
         for i, cut in enumerate(cuts):
             try:
-                cut.validate_for(dims)
+                cut.validate_for(range(n))
             except ValueError as exc:
                 _fail(f"cuts[{i}]", str(exc))
             if cut in cuts[:i]:  # its columns would repeat an earlier cut's

@@ -301,13 +301,12 @@ def profile(
     computed at once.
 
     Under "analytic" a register program whose initial state is a product is
-    evaluated once per step: within a step its speed and every cut's
-    entropy are constant (``_register_step_speeds``), so they are taken once
-    per step and spread over the step's grid points, and no per-point row is
-    built.  Its speed is then a step function, and the arc length is exact,
-    the sum over the steps of each step's speed times its length within the
-    grid.  Otherwise the arc length is the trapezoidal integral of the speed
-    over the grid.
+    evaluated once per step: within a step its squared site speeds are
+    constant, so each grid point reads its step's row of them
+    (``_register_step_speeds``), and no per-point row is built.  Its speed
+    is then a step function, and the arc length is exact, the sum over the
+    steps of each step's speed times its length within the grid.  Otherwise
+    the arc length is the trapezoidal integral of the speed over the grid.
 
     What does not depend on the grid is built once and kept read-only: a
     program's squared site speeds and verdicts per step (its step table,
@@ -334,11 +333,10 @@ def profile(
 
     steps = _register_step_speeds(traj, grid, method) if isinstance(traj, RegisterProgram) else None
     if steps is not None:
-        # one row of squared site speeds per step; `at` is each grid point's row
-        stacks, (factor_speeds, at, lengths) = None, steps
+        stacks, (factor_speeds, arc_length) = None, steps
         factors = lambda: _unstacked(factor_rows(traj, grid, method, h))
     else:
-        stacks, at = factor_rows(traj, grid, method, h), slice(None)
+        stacks, arc_length = factor_rows(traj, grid, method, h), None
         factor_speeds = None if stacks is None else _squared_speeds(stacks, len(sizes))
         factors = lambda: None if stacks is None else _unstacked(stacks)
     aligned = aligned & (factor_speeds is not None)  # a new array: the kept masks are read-only
@@ -362,17 +360,15 @@ def profile(
             _check_product_amplitudes(bases, BASE_NORM_TOL, "base")
         # the one-factor excitations are mutually orthogonal, so their squared speeds add
         norms = np.sqrt(np.add.reduce(factor_speeds, axis=-1))
-    speeds = 2 * norms[at]
+    speeds = 2 * norms
     _raise_first(~np.isfinite(speeds), lambda i: "fs_speed overflows double precision")
     # the zero-motion rule of _entropies_or_zero: below the zero floor nothing moves
     moving = ~np.less(norms, _ZERO_TOL)
     # every whole cut's tangent entropies, one row each of one (cuts, G) array
     shared = np.empty((0, grid.size))
     if factor_speeds is not None:
-        shared = _speed_share_bits(factor_speeds, sides, moving).T[:, at]
-        factor_speeds = factor_speeds[at]  # each point's row: on a program's steps, its step's
+        shared = _speed_share_bits(factor_speeds, sides, moving).T
         factor_speeds.setflags(write=False)
-    moving = moving[at]
     zero = np.zeros(grid.size)  # every whole cut's base entropy, one row
     for arr in (grid, speeds, shared, zero, moving, *dense_tangent.values(), *dense_base.values()):
         arr.setflags(write=False)  # the rows of a read-only array are read-only
@@ -385,8 +381,7 @@ def profile(
         tangent,
         base,
         dims,
-        # a step's squared speeds sum to a finite value, so its speed is below 2**513
-        _arc_length(speeds, spacing) if steps is None else float(2 * norms @ lengths),
+        _arc_length(speeds, spacing) if arc_length is None else arc_length,
         cuts,
         {cut: "speed_share" if whole else "svd" for cut, whole in zip(cuts, aligned)},
         factor_speeds,

@@ -133,6 +133,14 @@ def _check_amplitudes(
     return _check_product_amplitudes(amps[None], tol, where)
 
 
+def _check_handed_amplitudes(amps: np.ndarray, tol: float, where: _Where = "") -> np.ndarray:
+    """``_check_amplitudes`` to ``tol`` of amplitudes a caller handed in, with
+    their norms: a row whose squared moduli overflow has norm inf, refused
+    as off unit norm, not with a floating-point warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _check_amplitudes(amps, tol, where)
+
+
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(x, axis=-1)``, to the bit: the sum of squared moduli
     and its square root that it reaches for a vector norm, without its
@@ -271,7 +279,10 @@ class Ket:
                 f"amplitude length {amps.size} does not match dims {dims} "
                 f"(product {math.prod(dims)})"
             )
-        _check_amplitudes(amps, tol if unit else None)
+        if unit:
+            _check_handed_amplitudes(amps, tol)
+        else:
+            _check_amplitudes(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
@@ -463,6 +474,7 @@ def apply_local_unitaries(state: Ket, unitaries: Sequence[np.ndarray]) -> Ket:
             raise ValidationError(
                 f"factor {pos + 1}: expected a {d}x{d} matrix, got shape {mat.shape}"
             )
+        _check_finite(mat, (-2, -1), _NOT_FINITE_MATRIX, f"factor {pos + 1}")
         _check_unitary(mat, f"factor {pos + 1}")
         mats.append(mat)
     return Ket(_apply_local(state.amplitudes, state.dims, mats), state.dims)

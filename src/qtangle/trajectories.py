@@ -44,8 +44,10 @@ from .statespace import (
     Ket,
     _apply_axis,
     _apply_local,
+    _bounded,
     _check_amplitudes,
     _check_finite,
+    _check_handed_amplitudes,
     _check_hermitian,
     _check_norm_preserving,
     _check_unitary,
@@ -59,6 +61,8 @@ from .statespace import (
 )
 
 DEFAULT_STEP = 1e-4
+# a sweep's stencil directions, relative to the closed form's (``_check_stencil``)
+_STENCIL_TOL = 1e-6
 METHODS = ("auto", "analytic", "central_fd", "richardson")
 
 
@@ -302,7 +306,7 @@ class PhaseCurve(FactorCurve):
         self._phi, self._dphi = _evaluators(self.phi, 2)
         amps, self.dims = _amplitude_rows(base, "base ket")
         _same_stacking(phi=_trials(self.phi), base=_trials(amps))
-        norms = _check_amplitudes(amps, BASE_NORM_TOL, "base ket")
+        norms = _check_handed_amplitudes(amps, BASE_NORM_TOL, "base ket")
         # states() checks to DEFAULT_TOL; a base already within it is kept to the bit
         off = abs(norms - 1.0) >= DEFAULT_TOL
         if np.any(off):
@@ -344,7 +348,7 @@ class LocalHamiltonianCurve(FactorCurve):
                 f"{amps.shape[-1]}"
             )
         _same_stacking(generator=_trials(mat, 2), initial=_trials(amps))
-        _check_amplitudes(amps, BASE_NORM_TOL, "initial ket")
+        _check_handed_amplitudes(amps, BASE_NORM_TOL, "initial ket")
         self.generator = mat
         self.initial = initial
         self._evals, self._evecs = np.linalg.eigh(mat)
@@ -399,7 +403,7 @@ class SampledCurve(FactorCurve):
             if ket.dims != dims:
                 raise ValueError(f"sample {i} has dims {ket.dims}, expected {dims}")
         amps = np.array([k.amplitudes for k in states])
-        _check_amplitudes(amps, BASE_NORM_TOL, lambda i: f"sample {i} (t={float(times[i])!r})")
+        _check_handed_amplitudes(amps, BASE_NORM_TOL, lambda i: f"sample {i} (t={float(times[i])!r})")
         self.times = times
         self.dims = dims
         # Imported here, not at module level: scipy.interpolate costs about
@@ -523,6 +527,18 @@ def _check_tangents(base: np.ndarray, direction: np.ndarray) -> None:
         )
     _check_finite(direction, (-1,), "direction entries must all be finite")
     _check_amplitudes(base, BASE_NORM_TOL, "base")
+
+
+def _check_stencil(stencil: np.ndarray, exact: np.ndarray, method: str, h: float) -> None:
+    """Refuse a stencil's directions unless each row is within _STENCIL_TOL
+    of the closed form's, relative to the exact row's norm; where the exact
+    row is 0, the stencil row's own norm is the error."""
+    error, scale = _row_norms(stencil - exact), _row_norms(exact)
+    rel = np.divide(error, scale, out=error, where=scale > 0)
+    message = lambda i: (
+        f"unresolved {method} stencil (h={h!r}): relative error {rel.flat[i]:.3e} against the closed form"
+    )
+    _bounded(rel, _STENCIL_TOL, message)
 
 
 def _matvec(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -688,7 +704,10 @@ def _factor_rows(
         if frozen:
             base = curve.states(ts)
             return base, np.zeros_like(base)
-        return _curve_rows(curve, ts, method, h)
+        base, deriv = _curve_rows(curve, ts, method, h)
+        if method != "analytic" and curve.has_analytic:
+            _check_stencil(deriv, curve._states_and_velocities(ts)[1], method, h)
+        return base, deriv
 
     return _grouped(traj, ts, evaluate)
 
@@ -902,7 +921,7 @@ class RegisterProgram:
                         f"step {j + 1}, site {i + 1}: curve dimension {curve.dim} "
                         f"does not match factor dimension {self.initial.dims[i]}"
                     )
-        _check_amplitudes(self.initial.amplitudes, BASE_NORM_TOL, "initial register state")
+        _check_handed_amplitudes(self.initial.amplitudes, BASE_NORM_TOL, "initial register state")
         object.__setattr__(self, "steps", steps)
 
     @classmethod
@@ -1068,13 +1087,18 @@ def _register_site_rows(
         (sites, evals, evecs, base, gen), (starts, coeffs) = prog._step_stacks[j], table[0][j]
         evals, evecs, coeffs = evals[:, at], evecs[:, at], coeffs[:, at]
         states = _orbit(evals, evecs, coeffs, ts)
+        exact = _orbit(evals, evecs, -1j * evals * coeffs, ts)
+        constant = ~np.any(gen, axis=(-2, -1))[:, at]
+        exact[constant] = 0.0
         if method == "analytic":
-            directions = _orbit(evals, evecs, -1j * evals * coeffs, ts)
+            directions = exact
         else:
             unitaries = lambda t: _unitaries(evals, evecs, base[:, at], t)
             directions = _matvec(_stencil(unitaries, local, method, h), starts[:, at])
-        directions[~np.any(gen, axis=(-2, -1))[:, at]] = 0.0
+            directions[constant] = 0.0
         _check_tangents(states, directions)
+        if method != "analytic":
+            _check_stencil(directions, exact, method, h)
         return sites, states, directions
 
     return _in_factor_order([stack[0] for stack in prog._step_stacks], group, grid.size)
@@ -1082,16 +1106,16 @@ def _register_site_rows(
 
 def _register_step_speeds(
     prog: RegisterProgram, grid: np.ndarray, method: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """A product-initial program's squared site speeds under "analytic", one
-    row per step from the grid's first step to its last, (K, n), read-only
-    rows of the program's step table (``RegisterProgram._step_table``); the
-    row of each grid point, (G,); and each step's length within
-    [grid[0], grid[-1]], (K,).  None where the per-point rows decide: under a
-    stencil, for an entangled initial state, where a step the grid meets
-    fails the site rows' checks, or where a step in the grid's span has a
-    speed that is not finite (the table's checks), so that the
-    site rows (``_register_site_rows``) name the rejection."""
+) -> tuple[np.ndarray, float] | None:
+    """A product-initial program's squared site speeds under "analytic": each
+    grid point's row of the program's step table (``RegisterProgram._step_table``),
+    its step's, (G, n); and the exact arc length over [grid[0], grid[-1]], the
+    sum over the steps of each step's speed times its length within the grid.
+    None where the per-point rows decide: under a stencil, for an entangled
+    initial state, where a step the grid meets fails the site rows' checks,
+    or where a step in the grid's span has a speed that is not finite (the
+    table's checks), so that the site rows (``_register_site_rows``) name
+    the rejection."""
     if (table := prog._step_table) is None or resolve_method((), method) != "analytic":
         return None
     ks, _ = prog.resolve_time(grid)
@@ -1101,7 +1125,10 @@ def _register_step_speeds(
     if not (every(unit[ks - 1], axis=None) and every(finite[k0 - 1 : k1], axis=None)):
         return None
     steps = np.arange(k0, k1 + 1)
-    return speeds[k0 - 1 : k1], ks - k0, np.minimum(grid[-1], steps) - np.maximum(grid[0], steps - 1)
+    lengths = np.minimum(grid[-1], steps) - np.maximum(grid[0], steps - 1)
+    # a step's squared speeds sum to a finite value, so its speed is below 2**513
+    arc_length = float(2 * np.sqrt(np.add.reduce(speeds[k0 - 1 : k1], axis=-1)) @ lengths)
+    return speeds[ks - 1], arc_length
 
 
 # ---------------------------------------------------------------------------

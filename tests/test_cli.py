@@ -153,6 +153,9 @@ def parse(doc, **overrides):
     return parse_config(json.dumps(doc), overrides or None)
 
 
+ARC = {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 1.0]}}
+
+
 class TestParseConfig:
     def test_minimal_demo_defaults(self):
         cfg = parse({"scenario": "two_qubit_demo"})
@@ -161,8 +164,53 @@ class TestParseConfig:
         assert cfg.h == 1e-4
         assert cfg.out_format == "csv" and cfg.out_path is None
         assert cfg.seed == 0 and cfg.tol == 1e-6
-        assert cfg.subsystems is None and cfg.cuts is None
+        assert cfg.subsystems is None and [cut.label() for cut in cfg.cuts] == ["1|2"]
         assert cfg.echo["v"] == 1
+
+    @pytest.mark.parametrize(
+        "doc, labels",
+        [
+            ({"scenario": "two_qubit_demo"}, ["1|2"]),
+            ({"scenario": "product_trace", "subsystems": [ARC] * 2}, ["1|2"]),
+            ({"scenario": "product_trace", "subsystems": [ARC] * 3}, ["1|23"]),
+            ({"scenario": "register_trace"}, ["1|23", "12|3"]),
+            ({"scenario": "pseudo_pure"}, ["1|2"]),
+            ({"scenario": "separable_mixed"}, []),
+            ({"scenario": "chsh_scan"}, ["1|2"]),
+        ],
+        ids=[
+            "two_qubit_demo",
+            "product_trace-2",
+            "product_trace-3",
+            "register_trace",
+            "pseudo_pure",
+            "separable_mixed",
+            "chsh_scan",
+        ],
+    )
+    def test_default_cuts_resolved_at_parse_time(self, doc, labels):
+        """Every scenario's default cuts are on the config once it is parsed,
+        as the README lists them."""
+        assert [cut.label() for cut in parse(doc).cuts] == labels
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_trajectory_is_the_scenarios_input(self, scenario):
+        """``trajectory()`` is never None: without subsystems it is the one
+        canonical object every parse of the scenario shares."""
+        doc = {"scenario": scenario}
+        if scenario == "product_trace":
+            doc["subsystems"] = [ARC] * 2
+        first, second = parse(doc).trajectory(), parse(doc).trajectory()
+        assert first is not None
+        if scenario == "product_trace":
+            assert isinstance(first, ProductTrajectory) and first is not second
+            return
+        assert first is second
+        build = {
+            "register_trace": canonical_register_program,
+            "separable_mixed": rotating_ensemble,
+        }.get(scenario, demo_trajectory)
+        assert type(first) is type(build())
 
     def test_scenario_grid_defaults(self):
         assert parse({"scenario": "register_trace"}).grid == (0.0, 2.0, 81)
@@ -1255,7 +1303,7 @@ class TestSweepDriver:
     @pytest.mark.parametrize("frozen", [False, True], ids=["moving", "frozen"])
     @pytest.mark.parametrize(
         "method, states, joint",
-        [("analytic", 0, 1), ("central_fd", 3, 0), ("richardson", 5, 0)],
+        [("analytic", 0, 1), ("central_fd", 3, 1), ("richardson", 5, 1)],
     )
     def test_each_curve_differentiated_once_per_run(
         self, method, states, joint, frozen, count_evaluations, monkeypatch
@@ -1263,8 +1311,10 @@ class TestSweepDriver:
         """A product_trace run evaluates each factor's curve, the stack of its
         group, as often as one differentiation by its method needs (the base
         rows and each stencil point, or one joint evaluation of the base and
-        closed-form rows): its channel and bilocal columns reuse the
-        profile's factor rows.  A frozen factor is only evaluated."""
+        closed-form rows), and under a stencil once more, for the closed
+        form the stencil is checked against: its channel and bilocal
+        columns reuse the profile's factor rows.  A frozen factor is only
+        evaluated."""
         arc = {"dim": 2, "curve": {"kind": "bloch", "theta": [0.2, 1.1, -0.3], "phi": [0.1, 0.5]}}
         doc = {
             "scenario": "product_trace",
@@ -1355,7 +1405,7 @@ class TestSweepDriver:
         """A curve holds its polynomials as power-basis coefficient arrays:
         parsing and running every ``grid_configs()`` document, the canonical
         inputs built afresh, constructs no numpy Polynomial."""
-        monkeypatch.setattr(qtangle.cli, "_canonical", cache(qtangle.cli._canonical.__wrapped__))
+        monkeypatch.setattr(qtangle.config, "_canonical", cache(qtangle.config._canonical.__wrapped__))
         calls = count_calls(monkeypatch, Polynomial, "__init__")
         for doc in grid_configs():
             run(parse(doc))
@@ -1365,10 +1415,13 @@ class TestSweepDriver:
         "doc, where",
         [
             (ZERO_MOTION_DEMO, "0"),
-            (STIFF_PRODUCT, f"{math.pi / 180:.6g}"),
+            # the analytic stiff pair reaches the Hermiticity check; its
+            # central_fd stencil is refused at the first point, unresolved
+            ({**STIFF_PRODUCT, "method": "analytic"}, f"{math.pi / 180:.6g}"),
+            (STIFF_PRODUCT, "0"),
             (LEAKY_PRODUCT, f"{math.pi / 180:.6g}"),
         ],
-        ids=["zero", "stiff", "leaky"],
+        ids=["zero", "stiff", "stiff-stencil", "leaky"],
     )
     def test_numerical_rejection_names_the_grid_point(self, doc, where):
         with pytest.raises(ToleranceBreachError) as info:
@@ -1585,9 +1638,10 @@ class TestMainExitCodes:
         assert "error:" in err
 
     def test_tolerance_breach_exits_3(self, tmp_path, capsys):
+        # a stencil that passes the stencil check, whose differential's trace does not
         doc = {
             "scenario": "pseudo_pure",
-            "method": {"name": "central_fd", "h": 0.05},
+            "method": {"name": "central_fd", "h": 1e-3},
             "grid": {"t0": 0.5, "t1": 1.5, "steps": 5},
             "subsystems": [
                 {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 0.0, 1.0]}},

@@ -130,6 +130,39 @@ INFINITE_ENTRIES = {
     "infinitesimal_composition-inf": (lambda: infinitesimal_composition(INF_GENERATOR, 1.0, 4), NOT_FINITE_GENERATOR),
     "curve_through-inf": (lambda: curve_through(QUBIT, [0.0, np.inf]), "direction entries must all be finite"),
     "curve_through-nan": (lambda: curve_through(QUBIT, [np.nan, 0.0]), "direction entries must all be finite"),
+    "apply_local_unitaries-inf": (
+        lambda: apply_local_unitaries(PAIR, [np.diag([np.inf, 1.0]), np.eye(2)]),
+        "factor 1: matrix entries must all be finite",
+    ),
+    # a NaN is refused by the same check, before the unitarity bound
+    "apply_local_unitaries-nan": (
+        lambda: apply_local_unitaries(PAIR, [np.diag([np.nan, 1.0]), np.eye(2)]),
+        "factor 1: matrix entries must all be finite",
+    ),
+}
+
+# finite amplitudes whose squared moduli overflow: their norm is inf, refused
+# as off unit norm by the constructors that take amplitudes handed in
+HUGE = [1e308, 1e308]
+HUGE_AMPLITUDES = {
+    "Ket-huge": (lambda: Ket(HUGE, (2,), unit=True), "expected a unit vector, got norm inf"),
+    "Ket-huge-complex": (
+        lambda: Ket([1e308 + 1e308j, 1.0], (2,), unit=True),
+        "expected a unit vector, got norm inf",
+    ),
+    "PhaseCurve-huge": (lambda: PhaseCurve(0.0, np.array(HUGE)), "base ket: expected a unit vector, got norm inf"),
+    "LocalHamiltonianCurve-huge": (
+        lambda: LocalHamiltonianCurve(np.eye(2), np.array(HUGE)),
+        "initial ket: expected a unit vector, got norm inf",
+    ),
+    "SampledCurve-huge": (
+        lambda: SampledCurve([0.0, 1.0, 2.0, 3.0], [QUBIT, Ket(HUGE, (2,)), QUBIT, QUBIT]),
+        "sample 1 (t=1.0): expected a unit vector, got norm inf",
+    ),
+    "RegisterProgram-huge": (
+        lambda: RegisterProgram(((STILL_QUBIT, STILL_QUBIT),), Ket(HUGE * 2, (2, 2))),
+        "initial register state: expected a unit vector, got norm inf",
+    ),
 }
 
 
@@ -586,6 +619,7 @@ REJECTIONS = [
         pytest.param(call, ValidationError, message, id=name)
         for name, (call, message) in INFINITE_ENTRIES.items()
     ),
+    *(pytest.param(call, ValidationError, message, id=name) for name, (call, message) in HUGE_AMPLITUDES.items()),
 ]
 
 

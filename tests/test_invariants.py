@@ -42,6 +42,7 @@ from qtangle import (
     bilocal_inner_check,
     correlation_matrix,
     curve_through,
+    differentiate,
     differential_trace_witness,
     entanglement_entropy,
     fs_distance,
@@ -53,6 +54,8 @@ from qtangle import (
 )
 from qtangle.cli import main
 from qtangle.mixed_witness import _separability, _trace_witness
+from qtangle.statespace import _check_unitary
+from qtangle.trajectories import _check_stencil
 
 SY = np.array([[0.0, -1j], [1j, 0.0]])
 E0 = np.array([1.0, 0.0])
@@ -90,7 +93,8 @@ def interpolated(off: float) -> np.ndarray:
 
 
 class Stretching(FactorCurve):
-    """(1 + off*t)|0>: unit at t = 0, where Re<psi|dpsi> = off."""
+    """(1 + off*t)|0>: unit at t = 0, where Re<psi|dpsi> = off.  It has no
+    closed-form derivative, so a stencil of it is not checked against one."""
 
     dims = (2,)
 
@@ -100,13 +104,32 @@ class Stretching(FactorCurve):
     def states(self, ts: np.ndarray) -> np.ndarray:
         return np.outer(1 + self.off * ts, E0).astype(complex)
 
+
+class ClosedStretching(Stretching):
+    """``Stretching`` with its closed-form derivative."""
+
     def velocities(self, ts: np.ndarray) -> np.ndarray:
         return np.outer(np.full(len(ts), self.off), E0).astype(complex)
 
 
+class StatesOnly(FactorCurve):
+    """A curve's states with no closed-form derivative."""
+
+    def __init__(self, curve: FactorCurve) -> None:
+        self.curve, self.dims = curve, curve.dims
+
+    def states(self, ts: np.ndarray) -> np.ndarray:
+        return self.curve.states(ts)
+
+
 def leaky_pair(method: str):
+    # a stencil of the closed form would be refused first, for its rounding
+    # at a velocity of 1e-8 (relative error 9e-5), so the stencil cases
+    # differentiate the curve without one and reach the norm guard
+    curve = ClosedStretching if method == "analytic" else Stretching
+
     def call(off: float):
-        traj = ProductTrajectory((Stretching(off), BlochCurve([0.3, 1.0])))
+        traj = ProductTrajectory((curve(off), BlochCurve([0.3, 1.0])))
         return bilocal_inner_check(traj, 0.0, method=method)
 
     return call
@@ -177,6 +200,17 @@ BOUNDS = [
     case(1e-12, leaky_pair("analytic"), "bipartite-analytic"),
     case(1e-8, leaky_pair("central_fd"), "bipartite-central_fd"),
     case(1e-8, leaky_pair("richardson"), "bipartite-richardson"),
+    # a stencil row against the closed form, off relative to it, or absolute where it is 0
+    case(
+        1e-6,
+        lambda off: _check_stencil(np.array([[2.0, 2 * off]]), np.array([[2.0, 0.0]]), "central_fd", 1e-4),
+        "stencil",
+    ),
+    case(
+        1e-6,
+        lambda off: _check_stencil(np.array([[0.0, off]]), np.zeros((1, 2)), "richardson", 1e-4),
+        "stencil-still",
+    ),
     # a density matrix: positivity, its lowest eigenvalue -off, and unit trace
     case(
         1e-10,
@@ -206,10 +240,10 @@ NAN = float("nan")
 # checks whose defect is NaN on a non-finite input, each with the message it rejects it by
 NAN_DEFECTS = [
     pytest.param(
-        lambda: apply_local_unitaries(Ket.basis((2, 2), (0, 0)), [np.diag([NAN, 1.0]), np.eye(2)]),
+        lambda: _check_unitary(np.diag([NAN, 1.0]).astype(complex), "factor 1"),
         ValidationError,
         "factor 1: matrix is not unitary (deviation nan)",
-        id="apply_local_unitaries",
+        id="check_unitary",
     ),
     pytest.param(
         lambda: _trace_witness(np.diag([NAN, 0.0, 0.0, 0.0]).astype(complex), (2, 2), 1e-6, "given"),
@@ -241,6 +275,12 @@ NAN_DEFECTS = [
         ParameterRangeError,
         "t=nan outside the sampled range [0.0, 3.0]",
         id="SampledCurve-range",
+    ),
+    pytest.param(
+        lambda: _check_stencil(np.array([[NAN, 0.0]]), np.array([[1.0, 0.0]]), "central_fd", 1e-4),
+        ValidationError,
+        "unresolved central_fd stencil (h=0.0001): relative error nan against the closed form",
+        id="stencil",
     ),
     pytest.param(
         lambda: Ensemble((NAN, 0.5), (ProductTrajectory((BlochCurve([0.0, 1.0]),) * 2),) * 2),
@@ -298,17 +338,97 @@ def test_zero_motion_floor_in_profile(factor, entropy):
 
 
 def test_untraceless_pseudo_pure_run_is_a_breach_at_its_point():
-    """A central difference too coarse for an accelerating arc leaves the
-    differential with a trace; the run stops at the first such point."""
+    """A central difference fine enough for the stencil check (relative
+    error 5e-7 at t = 0.5) still leaves an accelerating arc's differential a
+    trace beyond its bound; the run stops at the first such point."""
     arc = lambda theta: {"dim": 2, "curve": {"kind": "bloch", "theta": theta}}
     doc = {
         "scenario": "pseudo_pure",
         "subsystems": [arc([0.0, 0.0, 1.0]), arc([0.0, 1.0])],
-        "method": {"name": "central_fd", "h": 0.1},
+        "method": {"name": "central_fd", "h": 1e-3},
         "grid": {"t0": 0.5, "t1": 1.5, "steps": 11},
     }
-    with pytest.raises(ToleranceBreachError, match=r"trace -4\.998e-04.* at t=0\.5"):
+    with pytest.raises(ToleranceBreachError, match=r"got trace -5\.000e-08 at t=0\.5$"):
         run(parse_config(json.dumps(doc)))
+
+
+STIFF_QUBIT = {
+    "dim": 2,
+    "curve": {"kind": "hamiltonian", "generator": [[1e6, 0.0], [0.0, -1e6]], "initial": [1, 1]},
+}
+LEAKY_QUBIT = {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 0.0, 50.0], "phi": [0.0, 0.0, 30.0]}}
+ARC = {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 1.0]}}
+ARC_CURVE = BlochCurve([0.0, 1.0])
+THIRD_QUBIT = {"dim": 2, "curve": {"kind": "bloch", "theta": [0.0, 1.0], "phi": [0.3, 0.2]}}
+
+
+class TestStencilContract:
+    """A sweep's stencil directions are checked against the closed form of
+    every curve that has one: a stencil that does not resolve the motion is
+    a breach at its grid point, not a row of wrong numbers."""
+
+    @pytest.mark.parametrize(
+        "doc, error, where",
+        [
+            # ROADMAP Baseline rows 3, 5 and 8, which exited 0 before this check
+            (
+                {
+                    "scenario": "product_trace",
+                    "method": "central_fd",
+                    "subsystems": [STIFF_QUBIT, ARC, THIRD_QUBIT],
+                },
+                "(h=0.0001): relative error 1.005e+00",
+                "0",
+            ),
+            (
+                {"scenario": "two_qubit_demo", "method": "central_fd", "subsystems": [STIFF_QUBIT, ARC]},
+                "(h=0.0001): relative error 1.005e+00",
+                "0",
+            ),
+            (
+                {
+                    "scenario": "product_trace",
+                    "method": {"name": "central_fd", "h": 1e-3},
+                    "subsystems": [LEAKY_QUBIT, ARC, THIRD_QUBIT],
+                },
+                "(h=0.001): relative error 6.500e-05",
+                f"{math.pi / 180:.6g}",
+            ),
+        ],
+        ids=["stiff-triple", "stiff-demo", "leaky-triple"],
+    )
+    def test_unresolved_stencil_is_a_breach(self, doc, error, where, tmp_path, capsys):
+        with pytest.raises(ToleranceBreachError) as info:
+            run(parse_config(json.dumps(doc)))
+        assert str(info.value) == f"unresolved central_fd stencil {error} against the closed form at t={where}"
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--config", str(path)]) == 3
+        assert "unresolved central_fd stencil" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["central_fd", "richardson"])
+    def test_register_site_stencil_is_checked(self, method):
+        """A program's site stencils are checked against their orbits; a
+        constant site, zeroed in both, passes."""
+        fast = (UnitaryCurve.rotation(1e3 * SY), UnitaryCurve.constant(np.eye(2)))
+        prog = RegisterProgram.uniform_superposition((fast,), 2)
+        with pytest.raises(ValidationError, match=rf"^unresolved {method} stencil \(h=0\.01\)") as info:
+            profile(prog, np.linspace(0.0, 1.0, 5), [CUT], method=method, h=1e-2)
+        assert info.value.row == 0
+        slow = (UnitaryCurve.rotation(SY / 2), UnitaryCurve.constant(np.eye(2)))
+        prog = RegisterProgram.uniform_superposition((slow,), 2)
+        assert np.all(profile(prog, np.linspace(0.0, 1.0, 5), [CUT], method=method).fs_speed > 0)
+
+    def test_curves_without_a_closed_form_and_the_kernel_stay_unguarded(self):
+        """A user curve with no velocities has nothing to be checked against,
+        and ``differentiate`` (the one-curve kernel ``verify``'s stencil-order
+        check reaches) takes a coarse stencil as asked."""
+        fast = BlochCurve([0.0, 0.0, 50.0])
+        with pytest.raises(ValidationError, match="^unresolved central_fd stencil"):
+            profile(ProductTrajectory((fast, ARC_CURVE)), [0.5, 1.0], [CUT], method="central_fd", h=0.1)
+        user = ProductTrajectory((StatesOnly(fast), ARC_CURVE), frozen=(False, True))
+        assert np.all(profile(user, [0.5, 1.0], [CUT], method="central_fd", h=0.1).fs_speed > 0)
+        assert np.all(np.isfinite(differentiate(fast, 0.5, "central_fd", h=0.1).direction))
 
 
 def test_eigenvalue_at_the_positivity_bound_is_rejected():
